@@ -1,5 +1,5 @@
-//! Micro-benchmarks for the core operations, including the two ablations
-//! DESIGN.md calls out:
+//! Micro-benchmarks for the core operations, including two ablations of
+//! the paper's algorithms:
 //!
 //! * `lt`: the Fig.-6 decision tree (≤ 3 comparisons) vs. the naive 5-case
 //!   scan;

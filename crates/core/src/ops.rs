@@ -40,11 +40,12 @@ pub fn lt(p: OngoingPoint, q: OngoingPoint) -> OngoingBool {
             // a <= b < c <= d: true at every reference time.
             OngoingBool::always_true()
         } else if a < c {
-            // a < c <= b < d: true outside [c, b+1).
-            OngoingBool::from_set(IntervalSet::from_ranges([
+            // a < c <= b < d: true outside [c, b+1). The gap is non-empty
+            // (c <= b < b+1, and b < d rules out b = ∞).
+            OngoingBool::from_set(IntervalSet::two(
                 (TimePoint::NEG_INF, c),
                 (b.succ(), TimePoint::POS_INF),
-            ]))
+            ))
         } else {
             // c <= a <= b < d: true from b+1 on.
             OngoingBool::from_set(IntervalSet::range(b.succ(), TimePoint::POS_INF))
@@ -121,22 +122,68 @@ pub fn max(p: OngoingPoint, q: OngoingPoint) -> OngoingPoint {
     OngoingPoint::new(p.a().max_f(q.a()), p.b().max_f(q.b())).expect("Ω is closed under max")
 }
 
-/// `t1 ≤ t2 ≡ ¬(t2 < t1)` (Table II).
+/// The true-set of `a+b ≤ c+d` as one range `[lo, hi)` (empty when
+/// `lo >= hi`): the complement of each case of `c+d < a+b` in the Fig. 6
+/// tree, which is always a single range.
+#[inline]
+fn le_range(p: OngoingPoint, q: OngoingPoint) -> (TimePoint, TimePoint) {
+    let (a, b) = (p.a(), p.b());
+    let (c, d) = (q.a(), q.b());
+    if d < b {
+        if d < a {
+            // c <= d < a <= b: q < p everywhere, so p <= q never holds.
+            (TimePoint::POS_INF, TimePoint::POS_INF)
+        } else if c < a {
+            // c < a <= d < b: q < p outside [a, d+1).
+            (a, d.succ())
+        } else {
+            // a <= c <= d < b: q < p from d+1 on.
+            (TimePoint::NEG_INF, d.succ())
+        }
+    } else if c < a {
+        // c < a <= b <= d: q < p before a.
+        (a, TimePoint::POS_INF)
+    } else {
+        (TimePoint::NEG_INF, TimePoint::POS_INF)
+    }
+}
+
+/// `t1 ≤ t2 ≡ ¬(t2 < t1)` (Table II), built as the single range that
+/// complements the Fig. 6 case of `t2 < t1`.
 #[inline]
 pub fn le(p: OngoingPoint, q: OngoingPoint) -> OngoingBool {
-    lt(q, p).not()
+    let (lo, hi) = le_range(p, q);
+    OngoingBool::from_set(IntervalSet::range(lo, hi))
+}
+
+/// The true-set of `t1 = t2 ≡ t1 ≤ t2 ∧ t2 ≤ t1` as one range `[lo, hi)`:
+/// the intersection of two single ranges.
+#[inline]
+fn eq_range(p: OngoingPoint, q: OngoingPoint) -> (TimePoint, TimePoint) {
+    let (lo1, hi1) = le_range(p, q);
+    let (lo2, hi2) = le_range(q, p);
+    (lo1.max_f(lo2), hi1.min_f(hi2))
 }
 
 /// `t1 = t2 ≡ t1 ≤ t2 ∧ t2 ≤ t1` (Table II).
 #[inline]
 pub fn eq(p: OngoingPoint, q: OngoingPoint) -> OngoingBool {
-    le(p, q).and(&le(q, p))
+    let (lo, hi) = eq_range(p, q);
+    OngoingBool::from_set(IntervalSet::range(lo, hi))
 }
 
-/// `t1 ≠ t2 ≡ (t1 < t2) ∨ (t2 < t1)` (Table II).
+/// `t1 ≠ t2 ≡ (t1 < t2) ∨ (t2 < t1) ≡ ¬(t1 = t2)` (Table II): the
+/// complement of the single equality range, at most two ranges.
 #[inline]
 pub fn ne(p: OngoingPoint, q: OngoingPoint) -> OngoingBool {
-    lt(p, q).or(&lt(q, p))
+    let (lo, hi) = eq_range(p, q);
+    if lo >= hi {
+        return OngoingBool::always_true();
+    }
+    OngoingBool::from_set(IntervalSet::two(
+        (TimePoint::NEG_INF, lo),
+        (hi, TimePoint::POS_INF),
+    ))
 }
 
 /// `t1 > t2 ≡ t2 < t1`.
@@ -207,6 +254,41 @@ mod tests {
         check_pointwise(ne, |x, y| x != y);
         check_pointwise(gt, |x, y| x > y);
         check_pointwise(ge, |x, y| x >= y);
+    }
+
+    #[test]
+    fn direct_forms_equal_table_ii_definitions() {
+        // Set equality with the Table II compositions (not only pointwise
+        // on a window), including the domain limits as endpoints.
+        let ends = [
+            TimePoint::NEG_INF,
+            TimePoint::MIN_FINITE,
+            tp(-2),
+            tp(0),
+            tp(1),
+            tp(3),
+            TimePoint::MAX_FINITE,
+            TimePoint::POS_INF,
+        ];
+        let points: Vec<OngoingPoint> = ends
+            .iter()
+            .flat_map(|&a| {
+                ends.iter()
+                    .filter_map(move |&b| OngoingPoint::new(a, b).ok())
+            })
+            .collect();
+        for &p in &points {
+            for &q in &points {
+                let (le_pq, eq_pq, ne_pq) = (le(p, q), eq(p, q), ne(p, q));
+                assert_eq!(le_pq, lt(q, p).not(), "{p} <= {q}");
+                assert_eq!(eq_pq, le(p, q).and(&le(q, p)), "{p} = {q}");
+                assert_eq!(ne_pq, lt(p, q).or(&lt(q, p)), "{p} != {q}");
+                assert_eq!(lt(p, q), lt_naive(p, q), "{p} < {q}");
+                for b in [lt(p, q), le_pq, eq_pq, ne_pq] {
+                    assert!(b.true_set().is_canonical(), "{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,21 @@
 //! structural and lets the logical connectives run as single-pass sweep-line
 //! algorithms (Algorithm 1 of the paper, implemented in
 //! [`IntervalSet::intersect`] / [`IntervalSet::union`]).
+//!
+//! **Inline layout.** A set stores up to two ranges in place and moves to
+//! a heap vector only when a third range is added. Table IV of the
+//! extended paper (arXiv:2001.05722) shows that reference times and
+//! predicate true-sets of real ongoing data need at most two ranges, so
+//! building an ongoing boolean, restricting a tuple's `RT`, and cloning a
+//! tuple do not allocate. A set that spilled keeps its buffer when it
+//! shrinks; equality and hashing look only at the range slice, so both
+//! forms of one set are equal.
 
 use crate::time::TimePoint;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// A non-empty, closed-open fixed time interval `[ts, te)` with `ts < te`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -67,42 +78,205 @@ impl fmt::Display for TimeRange {
     }
 }
 
+/// Number of ranges an [`IntervalSet`] holds without a heap allocation.
+const INLINE: usize = 2;
+
+/// Filler for unused inline slots; never visible through the slice.
+const PAD: TimeRange = TimeRange {
+    ts: TimePoint::NEG_INF,
+    te: TimePoint::NEG_INF,
+};
+
+/// The range list of an [`IntervalSet`]: up to [`INLINE`] ranges in place,
+/// a heap vector beyond that. Dereferences to the live range slice.
+enum Ranges {
+    Inline { len: u8, buf: [TimeRange; INLINE] },
+    Spilled(Vec<TimeRange>),
+}
+
+impl Ranges {
+    const EMPTY: Ranges = Ranges::Inline {
+        len: 0,
+        buf: [PAD; INLINE],
+    };
+
+    #[inline]
+    fn one(r: TimeRange) -> Self {
+        Ranges::Inline {
+            len: 1,
+            buf: [r, PAD],
+        }
+    }
+
+    fn push(&mut self, r: TimeRange) {
+        match self {
+            Ranges::Inline { len, buf } if usize::from(*len) < INLINE => {
+                buf[usize::from(*len)] = r;
+                *len += 1;
+            }
+            Ranges::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(buf);
+                v.push(r);
+                *self = Ranges::Spilled(v);
+            }
+            Ranges::Spilled(v) => v.push(r),
+        }
+    }
+
+    fn extend_from_slice(&mut self, rs: &[TimeRange]) {
+        if let Ranges::Spilled(v) = self {
+            v.extend_from_slice(rs);
+        } else {
+            for &r in rs {
+                self.push(r);
+            }
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        match self {
+            Ranges::Inline { len, .. } => {
+                if n < usize::from(*len) {
+                    // n < len <= INLINE, so the cast is lossless.
+                    *len = n as u8;
+                }
+            }
+            Ranges::Spilled(v) => v.truncate(n),
+        }
+    }
+}
+
+impl Deref for Ranges {
+    type Target = [TimeRange];
+
+    #[inline]
+    fn deref(&self) -> &[TimeRange] {
+        match self {
+            Ranges::Inline { len, buf } => &buf[..usize::from(*len)],
+            Ranges::Spilled(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Ranges {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [TimeRange] {
+        match self {
+            Ranges::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Ranges::Spilled(v) => v,
+        }
+    }
+}
+
+impl Clone for Ranges {
+    /// Clones into the smallest form: a spilled list that shrank back to
+    /// [`INLINE`] ranges or fewer is cloned inline.
+    fn clone(&self) -> Self {
+        match self {
+            Ranges::Inline { len, buf } => Ranges::Inline {
+                len: *len,
+                buf: *buf,
+            },
+            Ranges::Spilled(v) if v.len() <= INLINE => {
+                let mut out = Ranges::EMPTY;
+                out.extend_from_slice(v);
+                out
+            }
+            Ranges::Spilled(v) => Ranges::Spilled(v.clone()),
+        }
+    }
+}
+
 /// A canonical set of fixed time points, stored as maximal, non-overlapping
 /// time ranges in ascending order.
 ///
 /// This is the value type of the reference-time attribute `RT` and the
 /// carrier of ongoing booleans ([`crate::OngoingBool`]). The empty set is
 /// `{}` (a deleted tuple / `false`); the full set is `{(-∞, ∞)}` (a base
-/// tuple's trivial reference time / `true`).
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// tuple's trivial reference time / `true`). Sets of up to two ranges live
+/// inline (see the module docs).
+#[derive(Clone)]
 pub struct IntervalSet {
-    ranges: Vec<TimeRange>,
+    ranges: Ranges,
 }
+
+// Equality and hashing go through the range slice, so the inline and the
+// spilled form of one set compare and hash alike.
+impl PartialEq for IntervalSet {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.ranges() == other.ranges()
+    }
+}
+
+impl Eq for IntervalSet {}
+
+impl Hash for IntervalSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ranges().hash(state);
+    }
+}
+
+impl Default for IntervalSet {
+    #[inline]
+    fn default() -> Self {
+        IntervalSet::empty()
+    }
+}
+
+// The vendored serde is a marker-trait stand-in (nothing serializes through
+// it yet); when the real crate is swapped in these two impls must become a
+// proxy over `ranges()` / `from_ranges` — the inline layout is not a wire
+// format.
+impl Serialize for IntervalSet {}
+impl<'de> Deserialize<'de> for IntervalSet {}
 
 impl IntervalSet {
     /// The empty set `{}`.
     #[inline]
     pub fn empty() -> Self {
-        IntervalSet { ranges: Vec::new() }
+        IntervalSet {
+            ranges: Ranges::EMPTY,
+        }
     }
 
     /// The full set `{(-∞, ∞)}` containing every reference time.
     #[inline]
     pub fn full() -> Self {
         IntervalSet {
-            ranges: vec![TimeRange {
+            ranges: Ranges::one(TimeRange {
                 ts: TimePoint::NEG_INF,
                 te: TimePoint::POS_INF,
-            }],
+            }),
         }
     }
 
     /// The set containing the single interval `[ts, te)`; empty if `ts >= te`.
+    #[inline]
     pub fn range(ts: TimePoint, te: TimePoint) -> Self {
         match TimeRange::new(ts, te) {
-            Some(r) => IntervalSet { ranges: vec![r] },
+            Some(r) => IntervalSet {
+                ranges: Ranges::one(r),
+            },
             None => IntervalSet::empty(),
         }
+    }
+
+    /// The set `[ts1, te1) ∪ [ts2, te2)` for two pairs the caller knows to
+    /// be ascending with a gap between them (`te1 < ts2`); empty pairs are
+    /// dropped. The direct constructor for the two-range results of the
+    /// point comparisons in [`crate::ops`].
+    #[inline]
+    pub(crate) fn two(first: (TimePoint, TimePoint), second: (TimePoint, TimePoint)) -> Self {
+        debug_assert!(first.1 < second.0, "ranges must be separated by a gap");
+        let mut ranges = Ranges::EMPTY;
+        for (ts, te) in [first, second] {
+            if let Some(r) = TimeRange::new(ts, te) {
+                ranges.push(r);
+            }
+        }
+        IntervalSet { ranges }
     }
 
     /// The singleton set `{t}` = `[t, succ(t))`.
@@ -117,25 +291,17 @@ impl IntervalSet {
     where
         I: IntoIterator<Item = (TimePoint, TimePoint)>,
     {
-        let mut rs: Vec<TimeRange> = ranges
-            .into_iter()
-            .filter_map(|(ts, te)| TimeRange::new(ts, te))
-            .collect();
-        rs.sort_unstable();
-        let mut out: Vec<TimeRange> = Vec::with_capacity(rs.len());
-        for r in rs {
-            match out.last_mut() {
-                // Merge overlap and adjacency: [1,3) and [3,5) are one
-                // maximal range [1,5).
-                Some(last) if r.ts <= last.te => {
-                    if r.te > last.te {
-                        last.te = r.te;
-                    }
-                }
-                _ => out.push(r),
+        let mut rs = Ranges::EMPTY;
+        for (ts, te) in ranges {
+            if let Some(r) = TimeRange::new(ts, te) {
+                rs.push(r);
             }
         }
-        IntervalSet { ranges: out }
+        rs.sort_unstable();
+        // Merge overlap and adjacency: [1,3) and [3,5) are one maximal
+        // range [1,5).
+        coalesce_in_place(&mut rs, 0);
+        IntervalSet { ranges: rs }
     }
 
     /// The canonical ranges, ascending, non-overlapping, maximal.
@@ -189,7 +355,7 @@ impl IntervalSet {
     /// domain limit is involved.
     pub fn total_duration(&self) -> i64 {
         let mut acc: i64 = 0;
-        for r in &self.ranges {
+        for r in self.ranges() {
             acc = acc.saturating_add(r.duration());
         }
         acc
@@ -202,8 +368,8 @@ impl IntervalSet {
     /// input range is visited at most once, and the output is canonical by
     /// construction.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
-        let (b1, b2) = (&self.ranges, &other.ranges);
-        let mut out = Vec::with_capacity(b1.len().min(b2.len()));
+        let (b1, b2) = (self.ranges(), other.ranges());
+        let mut out = Ranges::EMPTY;
         let (mut i1, mut i2) = (0usize, 0usize);
         while i1 < b1.len() && i2 < b2.len() {
             let (r1, r2) = (b1[i1], b2[i2]);
@@ -229,9 +395,9 @@ impl IntervalSet {
     }
 
     /// In-place set intersection: `*self = self ∩ other`, reusing the
-    /// receiver's `Vec` allocation. This is the executor hot-loop variant of
+    /// receiver's storage. This is the executor hot-loop variant of
     /// [`intersect`](Self::intersect): restricting a reference time per
-    /// tuple (pair) does not have to allocate a fresh range vector.
+    /// tuple (pair) does not have to build a fresh range list.
     ///
     /// The sweep writes results back into the receiver. Each input range is
     /// only read once (it is copied into a register when the read cursor
@@ -244,11 +410,11 @@ impl IntervalSet {
             return;
         }
         if other.ranges.is_empty() {
-            self.ranges.clear();
+            self.ranges.truncate(0);
             return;
         }
         let n = self.ranges.len();
-        let b2 = &other.ranges;
+        let b2 = other.ranges();
         let (mut i1, mut i2) = (0usize, 0usize);
         let mut w = 0usize;
         let mut spill: Vec<TimeRange> = Vec::new();
@@ -286,16 +452,16 @@ impl IntervalSet {
             }
         }
         self.ranges.truncate(w);
-        self.ranges.extend(spill);
+        self.ranges.extend_from_slice(&spill);
     }
 
     /// Set union — the logical disjunction of ongoing booleans. Sweep-line
     /// merge of the two canonical inputs; each range is visited once.
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
-        let (b1, b2) = (&self.ranges, &other.ranges);
-        let mut out: Vec<TimeRange> = Vec::with_capacity(b1.len() + b2.len());
+        let (b1, b2) = (self.ranges(), other.ranges());
+        let mut out = Ranges::EMPTY;
         let (mut i1, mut i2) = (0usize, 0usize);
-        let push = |out: &mut Vec<TimeRange>, r: TimeRange| match out.last_mut() {
+        let push = |out: &mut Ranges, r: TimeRange| match out.last_mut() {
             Some(last) if r.ts <= last.te => {
                 if r.te > last.te {
                     last.te = r.te;
@@ -322,7 +488,7 @@ impl IntervalSet {
     }
 
     /// In-place set union: `*self = self ∪ other`, reusing the receiver's
-    /// `Vec` allocation (amortized: the vector only grows, it is never
+    /// storage (amortized: a spilled buffer only grows, it is never
     /// reallocated from scratch). The hot-loop variant of
     /// [`union`](Self::union) for accumulator patterns such as folding the
     /// reference span of a relation.
@@ -331,8 +497,7 @@ impl IntervalSet {
             return;
         }
         if self.ranges.is_empty() {
-            // `clone_from` on the inner Vec reuses the receiver's buffer.
-            self.ranges.clone_from(&other.ranges);
+            self.ranges.extend_from_slice(&other.ranges);
             return;
         }
         // Fast path for the common accumulator case: `other` lies entirely
@@ -351,9 +516,9 @@ impl IntervalSet {
 
     /// Set complement — the logical negation `¬b[St, Sf] = b[Sf, St]`.
     pub fn complement(&self) -> IntervalSet {
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
+        let mut out = Ranges::EMPTY;
         let mut cursor = TimePoint::NEG_INF;
-        for r in &self.ranges {
+        for r in self.ranges() {
             if cursor < r.ts {
                 out.push(TimeRange {
                     ts: cursor,
@@ -397,7 +562,7 @@ impl IntervalSet {
 /// Merges overlapping or adjacent ranges of a ts-sorted suffix `v[from..]`
 /// in place (write index never passes the read index). The prefix
 /// `v[..from]` must already be canonical and end before `v[from]` starts.
-fn coalesce_in_place(v: &mut Vec<TimeRange>, from: usize) {
+fn coalesce_in_place(v: &mut Ranges, from: usize) {
     if v.len().saturating_sub(from) < 2 {
         return;
     }
@@ -634,6 +799,200 @@ mod tests {
             ua.union_assign(&b);
             assert_eq!(ua, a.union(&b), "{a} ∪ {b}");
         }
+    }
+
+    /// Reference model: a plain `Vec<TimeRange>` computed point by point.
+    /// Between two consecutive endpoints of the inputs membership is
+    /// constant, so sampling each elementary segment at its start and
+    /// merging member segments gives the canonical result — no sweep, no
+    /// in-place reuse, and `±∞` endpoints are ordinary boundaries.
+    fn model(endpoints: &[TimePoint], member: impl Fn(TimePoint) -> bool) -> Vec<TimeRange> {
+        let mut bounds = vec![TimePoint::NEG_INF, TimePoint::POS_INF];
+        bounds.extend_from_slice(endpoints);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut out: Vec<TimeRange> = Vec::new();
+        for w in bounds.windows(2) {
+            if !member(w[0]) {
+                continue;
+            }
+            match out.last_mut() {
+                Some(last) if last.te == w[0] => last.te = w[1],
+                _ => out.push(TimeRange { ts: w[0], te: w[1] }),
+            }
+        }
+        out
+    }
+
+    fn ends(rs: &[TimeRange]) -> Vec<TimePoint> {
+        rs.iter().flat_map(|r| [r.ts, r.te]).collect()
+    }
+
+    fn model_contains(rs: &[TimeRange], t: TimePoint) -> bool {
+        rs.iter().any(|r| r.ts <= t && t < r.te)
+    }
+
+    fn model_binary(a: &[TimeRange], b: &[TimeRange], f: fn(bool, bool) -> bool) -> Vec<TimeRange> {
+        let pts: Vec<TimePoint> = ends(a).into_iter().chain(ends(b)).collect();
+        model(&pts, |t| f(model_contains(a, t), model_contains(b, t)))
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A finite point in [-20, 20), or (rarely) a domain limit.
+        fn point(&mut self) -> TimePoint {
+            match self.below(12) {
+                0 => TimePoint::NEG_INF,
+                1 => TimePoint::POS_INF,
+                _ => tp(self.below(40) as i64 - 20),
+            }
+        }
+
+        /// 0–6 raw (possibly empty, unsorted, overlapping) pairs.
+        fn pairs(&mut self) -> Vec<(TimePoint, TimePoint)> {
+            let n = self.below(7);
+            (0..n)
+                .map(|_| {
+                    let ts = self.point();
+                    let te = if self.below(4) == 0 {
+                        self.point()
+                    } else {
+                        tp(ts.ticks().clamp(-30, 30) + self.below(8) as i64)
+                    };
+                    (ts, te)
+                })
+                .collect()
+        }
+    }
+
+    fn from_pairs_model(pairs: &[(TimePoint, TimePoint)]) -> Vec<TimeRange> {
+        let pts: Vec<TimePoint> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        model(&pts, |t| pairs.iter().any(|&(ts, te)| ts <= t && t < te))
+    }
+
+    #[test]
+    fn op_sequences_match_reference_model() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let (mut spills, mut unspills) = (0usize, 0usize);
+        for _ in 0..200 {
+            let mut cur = IntervalSet::empty();
+            let mut want: Vec<TimeRange> = Vec::new();
+            for _ in 0..25 {
+                let pairs = rng.pairs();
+                let other = IntervalSet::from_ranges(pairs.iter().copied());
+                assert_eq!(other.ranges(), &from_pairs_model(&pairs)[..], "{pairs:?}");
+                assert!(other.is_canonical());
+                let o = other.ranges().to_vec();
+                let before = cur.cardinality();
+                match rng.below(7) {
+                    0 => {
+                        cur = cur.intersect(&other);
+                        want = model_binary(&want, &o, |x, y| x && y);
+                    }
+                    1 => {
+                        cur.intersect_assign(&other);
+                        want = model_binary(&want, &o, |x, y| x && y);
+                    }
+                    2 => {
+                        cur = cur.union(&other);
+                        want = model_binary(&want, &o, |x, y| x || y);
+                    }
+                    3 => {
+                        cur.union_assign(&other);
+                        want = model_binary(&want, &o, |x, y| x || y);
+                    }
+                    4 => {
+                        cur = cur.complement();
+                        want = model(&ends(&want), |t| !model_contains(&want, t));
+                    }
+                    5 => {
+                        cur = cur.difference(&other);
+                        want = model_binary(&want, &o, |x, y| x && !y);
+                    }
+                    _ => {
+                        cur = other;
+                        want = o;
+                    }
+                }
+                assert_eq!(cur.ranges(), &want[..]);
+                assert!(cur.is_canonical(), "{cur}");
+                let after = cur.cardinality();
+                spills += usize::from(before <= INLINE && after > INLINE);
+                unspills += usize::from(before > INLINE && after <= INLINE);
+            }
+        }
+        // The sequences cross the inline/spilled boundary both ways.
+        assert!(spills > 0 && unspills > 0, "{spills} {unspills}");
+    }
+
+    #[test]
+    fn inline_boundary_crossings_keep_contents() {
+        // 2 → 3 ranges: union, in place and not.
+        let two = set(&[(0, 2), (4, 6)]);
+        let third = set(&[(8, 10)]);
+        let mut grown = two.clone();
+        grown.union_assign(&third);
+        assert!(matches!(grown.ranges, Ranges::Spilled(_)));
+        assert_eq!(grown, two.union(&third));
+        assert_eq!(grown, set(&[(0, 2), (4, 6), (8, 10)]));
+        // Complementing two bounded ranges yields three.
+        assert_eq!(two.complement().cardinality(), 3);
+        // 3 → 2 and 3 → 1: shrinking in place keeps the spilled buffer.
+        let mut shrunk = grown.clone();
+        shrunk.intersect_assign(&set(&[(0, 7)]));
+        assert_eq!(shrunk, two);
+        shrunk.intersect_assign(&set(&[(1, 5)]));
+        assert_eq!(shrunk, set(&[(1, 2), (4, 5)]));
+        shrunk.intersect_assign(&set(&[(4, 5)]));
+        assert_eq!(shrunk, set(&[(4, 5)]));
+        // And back up again.
+        shrunk.union_assign(&set(&[(-9, -8), (7, 8)]));
+        assert_eq!(shrunk, set(&[(-9, -8), (4, 5), (7, 8)]));
+    }
+
+    fn hash_of(s: &IntervalSet) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn inline_and_spilled_forms_are_equal_and_hash_alike() {
+        let inline = set(&[(0, 5), (10, 15)]);
+        let mut shrunk = set(&[(0, 5), (10, 15), (20, 25)]);
+        shrunk.intersect_assign(&set(&[(0, 16)]));
+        assert!(matches!(inline.ranges, Ranges::Inline { .. }));
+        assert!(matches!(shrunk.ranges, Ranges::Spilled(_)));
+        assert_eq!(shrunk, inline);
+        assert_eq!(hash_of(&shrunk), hash_of(&inline));
+        // Cloning a shrunk set returns to the inline form.
+        assert!(matches!(shrunk.clone().ranges, Ranges::Inline { .. }));
+        // The empty set, both ways.
+        let mut emptied = set(&[(0, 1), (2, 3), (4, 5)]);
+        emptied.intersect_assign(&IntervalSet::empty());
+        assert_eq!(emptied, IntervalSet::empty());
+        assert_eq!(hash_of(&emptied), hash_of(&IntervalSet::empty()));
+        assert_eq!(IntervalSet::default(), IntervalSet::empty());
+    }
+
+    #[test]
+    fn inline_layout_size_is_pinned() {
+        // Two inline ranges (32 bytes) plus length and tag; a heap vector
+        // would be 24 bytes but allocate for every set.
+        assert!(std::mem::size_of::<IntervalSet>() <= 40);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   ongoing-interval location (the Fig. 9 "ongoing segments") and size;
 //! * [`history`] — the shared time-history helpers.
 //!
-//! The real dumps are not redistributable; DESIGN.md §2 documents why the
-//! aggregate statistics these generators match are the ones the experiments
-//! depend on. All generators are deterministic per seed.
+//! The real dumps are not redistributable; "Dataset substitution" in
+//! `EXPERIMENTS.md` documents why the aggregate statistics these generators
+//! match are the ones the experiments depend on. All generators are deterministic per seed.
 //!
 //! ```
 //! use ongoing_datasets::mozilla_database;

@@ -1,8 +1,8 @@
 //! Binary tuple codec.
 //!
 //! Serializes tuples into the byte layout described in
-//! [`super::layout`] so relations can be stored in heap pages
-//! ([`super::page`]). The codec is self-describing per value (a 1-byte tag
+//! [`super::layout`] so relations can be stored in chunk files
+//! ([`super::chunkfile`]) and WAL records ([`super::wal`]). The codec is self-describing per value (a 1-byte tag
 //! precedes each payload) and round-trips exactly.
 //!
 //! Time points are stored as full 8-byte ticks (the 4-byte date figure in

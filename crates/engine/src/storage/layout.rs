@@ -22,7 +22,7 @@
 //! The absolute constants differ slightly from PostgreSQL varlena internals;
 //! what the experiment depends on — a constant typical `RT` overhead that is
 //! large relative to small tuples and negligible for 1 kB tuples — is
-//! preserved. See `DESIGN.md` §2 for the substitution note.
+//! preserved. See "Dataset substitution" in `EXPERIMENTS.md`.
 
 use ongoing_relation::{OngoingRelation, Tuple, Value};
 

@@ -18,6 +18,7 @@ use crate::schema::{Schema, SchemaError};
 use crate::value::{Value, ValueType};
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::{ops, OngoingBool};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Scalar comparison operators.
@@ -192,14 +193,9 @@ impl Expr {
     /// Evaluates the expression as a scalar over a tuple.
     pub fn eval_scalar(&self, row: &[Value]) -> Result<Value, EvalError> {
         match self {
-            Expr::Col(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or(EvalError::Schema(SchemaError::BadIndex(*i))),
-            Expr::Const(v) => Ok(v.clone()),
+            Expr::Col(_) | Expr::Const(_) => operand(self, row).map(Cow::into_owned),
             Expr::Intersect(l, r) => {
-                let lv = l.eval_scalar(row)?;
-                let rv = r.eval_scalar(row)?;
+                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
                 match (lv.as_interval(), rv.as_interval()) {
                     (Some(a), Some(b)) => Ok(Value::Interval(a.intersect(b))),
                     _ => Err(EvalError::TypeMismatch(
@@ -208,8 +204,7 @@ impl Expr {
                 }
             }
             Expr::StartOf(e) | Expr::EndOf(e) => {
-                let v = e.eval_scalar(row)?;
-                let iv = v
+                let iv = operand(e, row)?
                     .as_interval()
                     .ok_or_else(|| EvalError::TypeMismatch("start/end of a non-interval".into()))?;
                 let p = if matches!(self, Expr::StartOf(_)) {
@@ -246,13 +241,11 @@ impl Expr {
             }
             Expr::Not(e) => Ok(e.eval_predicate(row)?.not()),
             Expr::Cmp(op, l, r) => {
-                let lv = l.eval_scalar(row)?;
-                let rv = r.eval_scalar(row)?;
+                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
                 eval_cmp(*op, &lv, &rv)
             }
             Expr::Temporal(pred, l, r) => {
-                let lv = l.eval_scalar(row)?;
-                let rv = r.eval_scalar(row)?;
+                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
                 match (lv.as_interval(), rv.as_interval()) {
                     (Some(a), Some(b)) => Ok(pred.eval(a, b)),
                     _ => Err(EvalError::TypeMismatch(format!(
@@ -265,9 +258,9 @@ impl Expr {
             | Expr::Const(_)
             | Expr::Intersect(..)
             | Expr::StartOf(_)
-            | Expr::EndOf(_) => match self.eval_scalar(row)? {
+            | Expr::EndOf(_) => match *operand(self, row)? {
                 Value::Bool(b) => Ok(OngoingBool::from_bool(b)),
-                v => Err(EvalError::TypeMismatch(format!(
+                ref v => Err(EvalError::TypeMismatch(format!(
                     "expected boolean, got {v}"
                 ))),
             },
@@ -355,8 +348,10 @@ impl Expr {
             Expr::Or(l, r) => Ok(l.eval_bool(row)? || r.eval_bool(row)?),
             Expr::Not(e) => Ok(!e.eval_bool(row)?),
             Expr::Cmp(op, l, r) => {
-                let lv = l.eval_scalar(row)?;
-                let rv = r.eval_scalar(row)?;
+                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
+                if let Some(b) = cmp_fixed(*op, &lv, &rv) {
+                    return Ok(b);
+                }
                 if lv.is_ongoing() || rv.is_ongoing() {
                     return Err(EvalError::TypeMismatch("eval_bool on ongoing value".into()));
                 }
@@ -364,9 +359,8 @@ impl Expr {
                 Ok(b.is_always_true())
             }
             Expr::Temporal(pred, l, r) => {
-                let lv = l.eval_scalar(row)?;
-                let rv = r.eval_scalar(row)?;
-                match (&lv, &rv) {
+                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
+                match (&*lv, &*rv) {
                     (Value::Span(a, b), Value::Span(c, d)) => {
                         Ok(pred.eval_fixed((*a, *b), (*c, *d)))
                     }
@@ -386,9 +380,9 @@ impl Expr {
             | Expr::Const(_)
             | Expr::Intersect(..)
             | Expr::StartOf(_)
-            | Expr::EndOf(_) => match self.eval_scalar(row)? {
+            | Expr::EndOf(_) => match *operand(self, row)? {
                 Value::Bool(b) => Ok(b),
-                v => Err(EvalError::TypeMismatch(format!(
+                ref v => Err(EvalError::TypeMismatch(format!(
                     "expected boolean, got {v}"
                 ))),
             },
@@ -503,7 +497,47 @@ impl Expr {
     }
 }
 
+/// A scalar operand: borrowed from the row or the literal for a column or
+/// constant, evaluated for anything else. Predicates read their operands
+/// through it so a per-tuple comparison clones no value.
+fn operand<'a>(e: &'a Expr, row: &'a [Value]) -> Result<Cow<'a, Value>, EvalError> {
+    match e {
+        Expr::Col(i) => match row.get(*i) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => Err(EvalError::Schema(SchemaError::BadIndex(*i))),
+        },
+        Expr::Const(v) => Ok(Cow::Borrowed(v)),
+        _ => e.eval_scalar(row).map(Cow::Owned),
+    }
+}
+
+/// Compares two fixed values of one type with a total order of its own
+/// (Int, Str, Bool, Time, Span) to a plain boolean. `None` for every other
+/// pairing, which only [`eval_cmp`] decides (or rejects).
+fn cmp_fixed(op: CmpOp, lv: &Value, rv: &Value) -> Option<bool> {
+    let ord = match (lv, rv) {
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        (Value::Str(a), Value::Str(b)) => a.cmp(b),
+        (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+        (Value::Time(a), Value::Time(b)) => a.cmp(b),
+        (Value::Span(a, b), Value::Span(c, d)) => a.cmp(c).then(b.cmp(d)),
+        _ => return None,
+    };
+    Some(match op {
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Ge => ord.is_ge(),
+        CmpOp::Gt => ord.is_gt(),
+    })
+}
+
 fn eval_cmp(op: CmpOp, lv: &Value, rv: &Value) -> Result<OngoingBool, EvalError> {
+    // Fixed values of one ordered type keep their standard comparison.
+    if let Some(b) = cmp_fixed(op, lv, rv) {
+        return Ok(OngoingBool::from_bool(b));
+    }
     // Ongoing integers (aggregate results) compare pointwise over the
     // reference time; mixed Int/ongoing-int comparisons coerce.
     if matches!(lv, Value::Count(_)) || matches!(rv, Value::Count(_)) {
@@ -527,7 +561,7 @@ fn eval_cmp(op: CmpOp, lv: &Value, rv: &Value) -> Result<OngoingBool, EvalError>
         return Ok(OngoingBool::from_set(st));
     }
     // Ongoing (or mixed fixed/ongoing) time points go through the core
-    // operations; everything else is a standard fixed comparison.
+    // operations.
     if matches!(lv, Value::Point(_)) || matches!(rv, Value::Point(_)) {
         let (p, q) = match (lv.as_point(), rv.as_point()) {
             (Some(p), Some(q)) => (p, q),
@@ -559,28 +593,10 @@ fn eval_cmp(op: CmpOp, lv: &Value, rv: &Value) -> Result<OngoingBool, EvalError>
             ))),
         };
     }
-    let ord = match (lv, rv) {
-        (Value::Int(a), Value::Int(b)) => a.cmp(b),
-        (Value::Str(a), Value::Str(b)) => a.cmp(b),
-        (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-        (Value::Time(a), Value::Time(b)) => a.cmp(b),
-        (Value::Span(a, b), Value::Span(c, d)) => a.cmp(c).then(b.cmp(d)),
-        _ => {
-            return Err(EvalError::TypeMismatch(format!(
-                "cannot compare {lv} {} {rv}",
-                op.name()
-            )))
-        }
-    };
-    let res = match op {
-        CmpOp::Lt => ord.is_lt(),
-        CmpOp::Le => ord.is_le(),
-        CmpOp::Eq => ord.is_eq(),
-        CmpOp::Ne => ord.is_ne(),
-        CmpOp::Ge => ord.is_ge(),
-        CmpOp::Gt => ord.is_gt(),
-    };
-    Ok(OngoingBool::from_bool(res))
+    Err(EvalError::TypeMismatch(format!(
+        "cannot compare {lv} {} {rv}",
+        op.name()
+    )))
 }
 
 impl fmt::Display for Expr {
@@ -829,6 +845,117 @@ mod tests {
                 tp(1),
             ))));
         assert!(e.eval_bool(t.values()).is_err());
+    }
+
+    const CMP_OPS: [CmpOp; 6] = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Ge,
+        CmpOp::Gt,
+    ];
+
+    /// One `(lo, hi)` pair with `lo < hi` per type the fast path compares.
+    fn ordered_pairs() -> Vec<(Value, Value)> {
+        vec![
+            (Value::Int(3), Value::Int(7)),
+            (Value::str("abc"), Value::str("abd")),
+            (Value::Bool(false), Value::Bool(true)),
+            (Value::Time(tp(-4)), Value::Time(tp(9))),
+            (Value::Span(tp(0), tp(5)), Value::Span(tp(0), tp(6))),
+        ]
+    }
+
+    /// `Col(0) op Col(1)` and the three column/literal mixes over `[l, r]`.
+    fn operand_shapes(op: CmpOp, l: &Value, r: &Value) -> Vec<Expr> {
+        let c = |v: &Value| Expr::Const(v.clone());
+        vec![
+            Expr::Cmp(op, Box::new(Expr::Col(0)), Box::new(Expr::Col(1))),
+            Expr::Cmp(op, Box::new(Expr::Col(0)), Box::new(c(r))),
+            Expr::Cmp(op, Box::new(c(l)), Box::new(Expr::Col(1))),
+            Expr::Cmp(op, Box::new(c(l)), Box::new(c(r))),
+        ]
+    }
+
+    #[test]
+    fn fixed_comparison_fast_path_matches_general_path() {
+        use std::cmp::Ordering;
+        for (lo, hi) in ordered_pairs() {
+            let cases = [
+                (&lo, &lo, Ordering::Equal),
+                (&lo, &hi, Ordering::Less),
+                (&hi, &lo, Ordering::Greater),
+            ];
+            for (l, r, ord) in cases {
+                let row = [l.clone(), r.clone()];
+                for op in CMP_OPS {
+                    let expected = match op {
+                        CmpOp::Lt => ord == Ordering::Less,
+                        CmpOp::Le => ord != Ordering::Greater,
+                        CmpOp::Eq => ord == Ordering::Equal,
+                        CmpOp::Ne => ord != Ordering::Equal,
+                        CmpOp::Ge => ord != Ordering::Less,
+                        CmpOp::Gt => ord == Ordering::Greater,
+                    };
+                    let general = eval_cmp(op, l, r).unwrap();
+                    assert_eq!(general, OngoingBool::from_bool(expected), "{l} {op:?} {r}");
+                    // Ints and time points also compare through the ongoing
+                    // machinery (constant ongoing ints, fixed ongoing points).
+                    let ongoing = match (l, r) {
+                        (Value::Int(a), Value::Int(b)) => Some(eval_cmp(
+                            op,
+                            &Value::Count(ongoing_core::OngoingInt::constant(*a)),
+                            &Value::Count(ongoing_core::OngoingInt::constant(*b)),
+                        )),
+                        (Value::Time(a), Value::Time(b)) => Some(eval_cmp(
+                            op,
+                            &Value::Point(OngoingPoint::fixed(*a)),
+                            &Value::Point(OngoingPoint::fixed(*b)),
+                        )),
+                        _ => None,
+                    };
+                    if let Some(ongoing) = ongoing {
+                        assert_eq!(ongoing.unwrap(), general, "{l} {op:?} {r}");
+                    }
+                    for e in operand_shapes(op, l, r) {
+                        assert_eq!(e.eval_bool(&row), Ok(expected), "{e}");
+                        assert_eq!(e.eval_predicate(&row), Ok(general.clone()), "{e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_keeps_error_variants() {
+        // Int against Str: no fast path, the general path rejects it.
+        let (i, s) = (Value::Int(1), Value::str("x"));
+        for op in CMP_OPS {
+            for (l, r) in [(&i, &s), (&s, &i)] {
+                let want = EvalError::TypeMismatch(format!("cannot compare {l} {} {r}", op.name()));
+                for e in operand_shapes(op, l, r) {
+                    let row = [l.clone(), r.clone()];
+                    assert_eq!(e.eval_bool(&row), Err(want.clone()), "{e}");
+                    assert_eq!(e.eval_predicate(&row), Err(want.clone()), "{e}");
+                }
+            }
+        }
+        // An ongoing value inside eval_bool.
+        let row = [Value::Point(OngoingPoint::now()), Value::Time(tp(3))];
+        let ongoing = EvalError::TypeMismatch("eval_bool on ongoing value".into());
+        for op in CMP_OPS {
+            for e in operand_shapes(op, &row[0], &row[1]) {
+                assert_eq!(e.eval_bool(&row), Err(ongoing.clone()), "{e}");
+                assert!(e.eval_predicate(&row).is_ok(), "{e}");
+            }
+        }
+        // A column outside the row.
+        let bad = Expr::Col(9).lt(Expr::lit(1i64));
+        let schema_err = EvalError::Schema(SchemaError::BadIndex(9));
+        assert_eq!(bad.eval_bool(&[]), Err(schema_err.clone()));
+        assert_eq!(bad.eval_predicate(&[]), Err(schema_err.clone()));
+        assert_eq!(Expr::Col(9).eval_scalar(&[]), Err(schema_err));
     }
 
     #[test]

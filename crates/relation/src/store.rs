@@ -725,14 +725,12 @@ impl TupleStore {
     pub fn from_tuples(tuples: Vec<Tuple>) -> TupleStore {
         let live = tuples.len();
         let mut chunks = Vec::with_capacity(live.div_ceil(TARGET_CHUNK_ROWS.max(1)));
-        let mut rest = tuples;
-        while rest.len() > TARGET_CHUNK_ROWS {
-            let tail = rest.split_off(TARGET_CHUNK_ROWS);
-            chunks.push(Chunk::dense(rest.into()));
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            chunks.push(Chunk::dense(rest.into()));
+        // Move each tuple once, straight into its chunk.
+        let mut rows = tuples.into_iter();
+        while !rows.as_slice().is_empty() {
+            chunks.push(Chunk::dense(
+                rows.by_ref().take(TARGET_CHUNK_ROWS).collect(),
+            ));
         }
         TupleStore {
             chunks,
@@ -1706,6 +1704,25 @@ mod tests {
         assert_eq!(sum.pending_rows, 0);
         assert_eq!(s.len(), 1200);
         assert_eq!(ints(&s), (0..1200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn from_tuples_cuts_full_chunks_from_the_front() {
+        for n in [0usize, 1, 511, 512, 513, 1537] {
+            let s = TupleStore::from_tuples((0..n as i64).map(t).collect());
+            // Full chunks of TARGET_CHUNK_ROWS, the remainder last.
+            let want: Vec<usize> = (0..n)
+                .step_by(TARGET_CHUNK_ROWS)
+                .map(|start| (n - start).min(TARGET_CHUNK_ROWS))
+                .collect();
+            let bases: Vec<usize> = s.chunks.iter().map(|c| c.base.len()).collect();
+            let lives: Vec<usize> = s.chunks.iter().map(|c| c.live).collect();
+            assert_eq!(bases, want, "chunk sizes for n = {n}");
+            assert_eq!(lives, want, "live counts for n = {n}");
+            assert_eq!(s.summary().chunks, want.len());
+            assert_eq!(s.len(), n);
+            assert_eq!(ints(&s), (0..n as i64).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -132,6 +132,12 @@ mod tests {
     }
 
     #[test]
+    fn tuple_layout_size_is_pinned() {
+        // Shared value slice (16 bytes) plus the inline reference time.
+        assert!(std::mem::size_of::<Tuple>() <= 56);
+    }
+
+    #[test]
     fn base_tuples_have_trivial_rt() {
         let t = sample();
         assert!(t.rt().is_full());
