@@ -7,10 +7,14 @@
 //! re-computed after time passes.
 //!
 //! In this engine the baseline is the instantiated execution mode
-//! ([`PhysicalPlan::rows_at`](crate::plan::PhysicalPlan::rows_at)): the
-//! scan binds each tuple at `rt` (the paper implements the bind operator as
-//! a C kernel function for the same effect), and all downstream predicates
-//! run on fixed values via the fixed-interval fast path. This module adds
+//! ([`PhysicalPlan::rows_at`](crate::plan::PhysicalPlan::rows_at)):
+//! operators pass the stored tuples and every predicate binds an ongoing
+//! operand at `rt` the moment it reads it (the paper implements the bind
+//! operator as a C kernel function for the same effect), so all predicates
+//! run on fixed values via the fixed-interval fast path. Rows of fixed
+//! values are built only at the plan root and at the Difference and
+//! Aggregate barriers, so tuples a query discards are never instantiated.
+//! This module adds
 //! the evaluation conveniences: `Cliff_max`, the paper's "reference time
 //! greater than the latest end point" (the typical use case of reference
 //! times close to the current time), and whole-database instantiation.

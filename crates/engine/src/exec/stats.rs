@@ -22,8 +22,7 @@ use std::ops::AddAssign;
 /// **Counted operators:** scans, filters, and joins — the operators the
 /// paper's evaluation queries (Sec. IX) consist of and the `repro_*`
 /// assertions depend on. `Project`, `Union`, `Difference` and `Aggregate`
-/// delegate to the relational-algebra layer and contribute no work units
-/// of their own (their children's scans/filters/joins still count), so
+/// contribute no work units of their own (their children's scans/filters/joins still count), so
 /// [`total_work`](ExecStats::total_work) is a wall-clock stand-in only for
 /// plans dominated by the counted operators.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

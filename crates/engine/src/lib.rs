@@ -100,8 +100,8 @@ pub fn execute(db: &Database, plan: &LogicalPlan) -> Result<OngoingRelation> {
 }
 
 /// Compiles and executes a logical plan with the Clifford baseline:
-/// ongoing attributes are instantiated at `rt` when scanned; the result is
-/// valid only at `rt`.
+/// ongoing attributes are instantiated at `rt` when accessed; the result
+/// is valid only at `rt`.
 pub fn execute_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<FixedRelation> {
     let cfg = PlannerConfig::default();
     let phys = plan::optimizer::compile(db, plan, &cfg)?;

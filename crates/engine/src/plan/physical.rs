@@ -7,15 +7,22 @@
 //!   booleans, every operator restricts the result tuples' reference time
 //!   (Theorem 2); or
 //! * **instantiated** ([`PhysicalPlan::execute_at`]): the Clifford et al.
-//!   baseline — ongoing attributes are bound at a chosen reference time the
-//!   moment they are scanned, all predicates run on fixed values with the
-//!   fixed-interval fast path, and no reference-time bookkeeping happens at
-//!   all. The result is only valid at that reference time.
+//!   baseline, "instantiate `now` when accessed" — operators pass the
+//!   stored tuples, skipping those whose `RT` does not contain the chosen
+//!   reference time `rt`; every predicate binds an ongoing operand at `rt`
+//!   the moment it reads it ([`Expr::eval_bool_at`]), so it runs on fixed
+//!   values with the fixed-interval fast path and no reference-time
+//!   bookkeeping happens at all. Rows of fixed values are built only where
+//!   fixed values are needed: at the plan root and at the Difference and
+//!   Aggregate barriers. The result is only valid at that reference time.
 //!
-//! Running both modes through the same operator tree is what makes the
+//! Running both modes through the same operator arms is what makes the
 //! paper's runtime comparisons (Sec. IX) meaningful: both sides pay for the
 //! same scans, joins and projections; the ongoing mode additionally pays for
 //! interval-set arithmetic, the baseline instead pays once per re-evaluation.
+//! A `SeqScan` is a version fork of its table in both modes, so its traced
+//! span reports the version's row count (instantiated, that includes the
+//! tuples with `rt ∉ RT` its consumers skip).
 //!
 //! # Morsel-driven parallel execution
 //!
@@ -359,7 +366,7 @@ impl PhysicalPlan {
     }
 
     // ------------------------------------------------------------------
-    // Ongoing execution (the paper's approach).
+    // Execution: one operator tree, two modes (see `Mode`).
     // ------------------------------------------------------------------
 
     /// Executes in ongoing mode with the ambient context
@@ -372,385 +379,23 @@ impl PhysicalPlan {
     /// Executes in ongoing mode under an explicit execution context.
     pub fn execute_ctx(&self, ctx: &ExecContext) -> Result<OngoingRelation> {
         let mut stats = ExecStats::default();
-        self.execute_stats(ctx, &mut stats)
+        self.run(Mode::Ongoing, ctx, &mut stats)
     }
 
     /// Executes in ongoing mode, returning the result together with the
     /// deterministic work-unit accounting of the run.
     pub fn execute_with_stats(&self, ctx: &ExecContext) -> Result<(OngoingRelation, ExecStats)> {
         let mut stats = ExecStats::default();
-        let rel = self.execute_stats(ctx, &mut stats)?;
+        let rel = self.run(Mode::Ongoing, ctx, &mut stats)?;
         Ok((rel, stats))
     }
 
-    fn execute_stats(&self, ctx: &ExecContext, stats: &mut ExecStats) -> Result<OngoingRelation> {
-        let Some(tracer) = ctx.trace.clone() else {
-            return self.execute_stats_impl(ctx, stats);
-        };
-        // Traced execution: bracket the operator with an accumulator
-        // snapshot and a child frame. The subtree's work is the
-        // accumulator delta; the operator's own work is that delta minus
-        // the children's deltas — all deterministic counters, so span work
-        // units are bit-identical at every thread count. Wall time is
-        // informational only.
-        let before = *stats;
-        let start = std::time::Instant::now();
-        tracer.open_frame();
-        let result = self.execute_stats_impl(ctx, stats);
-        let children = tracer.close_frame();
-        let rel = result?;
-        let total_work = stats.diff(&before);
-        let mut child_work = ExecStats::default();
-        for c in &children {
-            child_work += &c.total_work;
-        }
-        tracer.record(crate::obs::SpanNode {
-            label: self.node_line(),
-            rows: rel.len() as u64,
-            self_work: total_work.diff(&child_work),
-            total_work,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            children,
-        });
-        Ok(rel)
-    }
-
-    fn execute_stats_impl(
-        &self,
-        ctx: &ExecContext,
-        stats: &mut ExecStats,
-    ) -> Result<OngoingRelation> {
-        // Cooperative governance: polled at every operator entry, per
-        // partition in the parallel drivers, and per chunk in the lazy
-        // (budget-honoring) scan driver — so cancellation or an expired
-        // deadline surfaces within one morsel of work, with the store
-        // untouched (executors never mutate published tables).
-        ctx.control.check()?;
-        match self {
-            PhysicalPlan::SeqScan { table, schema } => {
-                stats.tuples_scanned += table.data().len() as u64;
-                // A version fork: every sealed chunk is shared, so this is
-                // O(#chunks) reference bumps, not a row copy.
-                Ok(table
-                    .data()
-                    .clone()
-                    .with_schema(schema.clone())
-                    .expect("scan schema is a rename of the table schema"))
-            }
-            PhysicalPlan::IndexScan {
-                table,
-                schema,
-                col,
-                range,
-                fixed,
-                ongoing,
-            } => {
-                let idx = table.interval_index(*col)?;
-                // A cheap version fork of the table's relation, so the
-                // pool tasks own their input.
-                let data = table.data().clone();
-                let ids = idx.query(range.0, range.1);
-                stats.index_candidates += ids.len() as u64;
-                stats.tuples_scanned += ids.len() as u64;
-                let n = ids.len();
-                let ids = Arc::new(ids);
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
-                let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
-                    for &id in &ids[r] {
-                        let t = data.tuple_at(id).expect("index ids are live positions");
-                        filter_into(&mut out, t, fixed.as_ref(), ongoing.as_ref(), &mut local)?;
-                    }
-                    Ok((out, local))
-                })?;
-                Ok(assemble_tuples(schema.clone(), parts, stats))
-            }
-            PhysicalPlan::KeyScan {
-                table,
-                schema,
-                probe,
-                fixed,
-                ongoing,
-            } => {
-                // A cheap version fork, so the pool tasks own the input.
-                let data = table.data().clone();
-                let rows = match data.keyed_rows(probe) {
-                    Some((rows, visited)) => {
-                        stats.index_candidates += visited;
-                        stats.tuples_scanned += visited;
-                        rows
-                    }
-                    // The optimizer only lowers KeyScan when the pinned
-                    // version covers the probe column, but fall back to the
-                    // full scan rather than assume.
-                    None => {
-                        stats.tuples_scanned += data.len() as u64;
-                        data.iter().cloned().collect()
-                    }
-                };
-                let n = rows.len();
-                let rows = Arc::new(rows);
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
-                let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
-                    for t in &rows[r] {
-                        filter_into(&mut out, t, fixed.as_ref(), ongoing.as_ref(), &mut local)?;
-                    }
-                    Ok((out, local))
-                })?;
-                Ok(assemble_tuples(schema.clone(), parts, stats))
-            }
-            PhysicalPlan::Filter {
-                input,
-                fixed,
-                ongoing,
-            } => {
-                let rel = input.execute_stats(ctx, stats)?;
-                let schema = rel.schema().clone();
-                // Morsels follow the store's chunk boundaries; surviving
-                // tuples are shallow-cloned (payloads are `Arc`-shared).
-                // Chunks are pinned one at a time, so a filter over a
-                // beyond-RAM table keeps at most one cold chunk per
-                // in-flight morsel resident.
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
-                let parts =
-                    run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, local| {
-                        for t in pinned.iter() {
-                            filter_into(out, t, fixed.as_ref(), ongoing.as_ref(), local)?;
-                        }
-                        Ok(())
-                    })?;
-                Ok(assemble_tuples(schema, parts, stats))
-            }
-            PhysicalPlan::Project {
-                input,
-                items,
-                schema,
-            } => {
-                let rel = input.execute_stats(ctx, stats)?;
-                let projected = algebra::project(&rel, items)?;
-                projected
-                    .with_schema(schema.clone())
-                    .map_err(EngineError::Schema)
-            }
-            PhysicalPlan::NestedLoopJoin {
-                left,
-                right,
-                fixed,
-                ongoing,
-            } => {
-                let l = left.execute_stats(ctx, stats)?;
-                let r = right.execute_stats(ctx, stats)?;
-                let schema = l.schema().product(r.schema());
-                // The inner side is materialized as owned shallow clones
-                // (payloads are `Arc`-shared) so the pool tasks can share
-                // it; the outer side streams through lazy per-chunk pins,
-                // so only the smaller side should be inner.
-                let inner: Arc<Vec<Tuple>> = Arc::new(r.iter().cloned().collect());
-                let min_chunk = outer_min_chunk(inner.len());
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
-                let parts = run_partitioned_lazy(ctx, l, min_chunk, move |pinned, out, local| {
-                    for lt in pinned.iter() {
-                        for rt_ in inner.iter() {
-                            join_pair_into(out, lt, rt_, fixed.as_ref(), ongoing.as_ref(), local)?;
-                        }
-                    }
-                    Ok(())
-                })?;
-                Ok(assemble_tuples(schema, parts, stats))
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                keys,
-                keyed,
-                fixed,
-                ongoing,
-            } => {
-                // Keyed build: the build side is a bare scan of a
-                // key-indexed column, so probe morsels look matches up in
-                // the table's per-chunk `KeyMap`s (memoized per morsel)
-                // instead of materializing and hashing the build side.
-                // `keyed_rows` returns matches in live order — exactly the
-                // order the hashed build would emit — so results are
-                // bit-identical to the unkeyed path.
-                if *keyed {
-                    if let (PhysicalPlan::SeqScan { table, schema: rs }, [(lk, rk)]) =
-                        (right.as_ref(), keys.as_slice())
-                    {
-                        let (lk, rk) = (*lk, *rk);
-                        let l = left.execute_stats(ctx, stats)?;
-                        let schema = l.schema().product(rs);
-                        let rdata = table.data().clone();
-                        let fixed = fixed.clone();
-                        let ongoing = ongoing.clone();
-                        let parts =
-                            run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
-                                let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
-                                for lt in pinned.iter() {
-                                    let key = lt.value(lk);
-                                    let matches = memo.entry(key.clone()).or_insert_with(|| {
-                                        let probe = KeyProbe::Eq {
-                                            col: rk,
-                                            key: key.clone(),
-                                        };
-                                        let (rows, visited) =
-                                            rdata.keyed_rows(&probe).unwrap_or_else(|| {
-                                                // Defensive: the optimizer only
-                                                // sets `keyed` for covered
-                                                // columns of this pinned version.
-                                                let rows = rdata
-                                                    .iter()
-                                                    .filter(|t| probe.matches(t.value(rk)))
-                                                    .cloned()
-                                                    .collect();
-                                                (rows, rdata.len() as u64)
-                                            });
-                                        local.index_candidates += visited;
-                                        local.tuples_scanned += visited;
-                                        rows
-                                    });
-                                    for rt_ in matches.iter() {
-                                        join_pair_into(
-                                            out,
-                                            lt,
-                                            rt_,
-                                            fixed.as_ref(),
-                                            ongoing.as_ref(),
-                                            local,
-                                        )?;
-                                    }
-                                }
-                                Ok(())
-                            })?;
-                        return Ok(assemble_tuples(schema, parts, stats));
-                    }
-                }
-                let l = left.execute_stats(ctx, stats)?;
-                let r = right.execute_stats(ctx, stats)?;
-                let schema = l.schema().product(r.schema());
-                // Build once on the right side into owned rows (shallow
-                // clones; payloads are `Arc`-shared) keyed by position, so
-                // the probe morsels can share build rows and table without
-                // borrows; the probe side streams through lazy per-chunk
-                // pins.
-                let rows: Vec<Tuple> = r.iter().cloned().collect();
-                let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
-                for (i, rt_) in rows.iter().enumerate() {
-                    let key: Vec<Value> = keys.iter().map(|&(_, j)| rt_.value(j).clone()).collect();
-                    table.entry(key).or_default().push(i);
-                }
-                let rows = Arc::new(rows);
-                let table = Arc::new(table);
-                let keys = keys.clone();
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
-                let parts = run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
-                    for lt in pinned.iter() {
-                        let key: Vec<Value> =
-                            keys.iter().map(|&(i, _)| lt.value(i).clone()).collect();
-                        if let Some(matches) = table.get(&key) {
-                            for &ri in matches {
-                                join_pair_into(
-                                    out,
-                                    lt,
-                                    &rows[ri],
-                                    fixed.as_ref(),
-                                    ongoing.as_ref(),
-                                    local,
-                                )?;
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-                Ok(assemble_tuples(schema, parts, stats))
-            }
-            PhysicalPlan::SweepJoin {
-                left,
-                right,
-                l_col,
-                r_col,
-                fixed,
-                ongoing,
-            } => {
-                let l = left.execute_stats(ctx, stats)?;
-                let r = right.execute_stats(ctx, stats)?;
-                let schema = l.schema().product(r.schema());
-                // Both sides materialize as owned shallow clones so the
-                // sweep morsels can share rows and envelope lists.
-                let l_rows: Arc<Vec<Tuple>> = Arc::new(l.iter().cloned().collect());
-                let r_rows: Arc<Vec<Tuple>> = Arc::new(r.iter().cloned().collect());
-                let le = Arc::new(envelopes(&l_rows, *l_col)?);
-                let re = Arc::new(envelopes(&r_rows, *r_col)?);
-                let n = le.len();
-                let min_chunk = sweep_min_chunk(re.len(), ctx.parallelism);
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
-                let parts = run_partitioned(ctx, n, min_chunk, move |range| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
-                    let mut pairs = Vec::new();
-                    sweep_positions(&le, range, &re, &mut pairs);
-                    pairs.sort_unstable();
-                    for &(lp, rp) in &pairs {
-                        join_pair_into(
-                            &mut out,
-                            &l_rows[le[lp].2],
-                            &r_rows[re[rp].2],
-                            fixed.as_ref(),
-                            ongoing.as_ref(),
-                            &mut local,
-                        )?;
-                    }
-                    Ok((out, local))
-                })?;
-                Ok(assemble_tuples(schema, parts, stats))
-            }
-            PhysicalPlan::Union { left, right } => {
-                let l = left.execute_stats(ctx, stats)?;
-                let r = right.execute_stats(ctx, stats)?;
-                algebra::union(&l, &r).map_err(EngineError::Schema)
-            }
-            PhysicalPlan::Difference { left, right } => {
-                let l = left.execute_stats(ctx, stats)?;
-                let r = right.execute_stats(ctx, stats)?;
-                algebra::difference(&l, &r).map_err(EngineError::Schema)
-            }
-            PhysicalPlan::Aggregate {
-                input,
-                group_cols,
-                aggs,
-                schema,
-            } => {
-                let rel = input.execute_stats(ctx, stats)?;
-                let names: Vec<String> = schema
-                    .attrs()
-                    .iter()
-                    .skip(group_cols.len())
-                    .map(|a| a.name.clone())
-                    .collect();
-                let agg =
-                    ongoing_relation::aggregate::aggregate_relation(&rel, group_cols, aggs, &names)
-                        .map_err(EngineError::Schema)?;
-                agg.with_schema(schema.clone()).map_err(EngineError::Schema)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Instantiated execution (Clifford et al. baseline).
-    // ------------------------------------------------------------------
-
-    /// Executes in instantiated mode at reference time `rt`: ongoing
-    /// attributes are bound during the scan, everything downstream runs on
-    /// fixed values. The result is valid only at `rt`.
+    /// Executes in instantiated mode at reference time `rt` — Clifford's
+    /// "instantiate `now` when accessed": operators pass stored tuples,
+    /// every predicate binds an ongoing operand at `rt` the moment it
+    /// reads it, and rows of fixed values are built only at the plan root
+    /// and at the Difference and Aggregate barriers. The result is valid
+    /// only at `rt`.
     pub fn execute_at(&self, rt: TimePoint) -> Result<FixedRelation> {
         Ok(FixedRelation::from_rows(self.rows_at(rt)?))
     }
@@ -786,23 +431,30 @@ impl PhysicalPlan {
         Ok((rows, stats))
     }
 
-    fn rows_at_stats(
+    /// Runs `body` — this operator's execution — as a span of the
+    /// context's tracer, if it has one.
+    fn traced<T>(
         &self,
-        rt: TimePoint,
         ctx: &ExecContext,
         stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<Value>>> {
+        rows: fn(&T) -> usize,
+        body: impl FnOnce(&mut ExecStats) -> Result<T>,
+    ) -> Result<T> {
         let Some(tracer) = ctx.trace.clone() else {
-            return self.rows_at_stats_impl(rt, ctx, stats);
+            return body(stats);
         };
-        // Same span bracketing as `execute_stats` — spans work for the
-        // instantiated (Clifford) mode too.
+        // Traced execution: bracket the operator with an accumulator
+        // snapshot and a child frame. The subtree's work is the
+        // accumulator delta; the operator's own work is that delta minus
+        // the children's deltas — all deterministic counters, so span work
+        // units are bit-identical at every thread count. Wall time is
+        // informational only.
         let before = *stats;
         let start = std::time::Instant::now();
         tracer.open_frame();
-        let result = self.rows_at_stats_impl(rt, ctx, stats);
+        let result = body(stats);
         let children = tracer.close_frame();
-        let rows = result?;
+        let out = result?;
         let total_work = stats.diff(&before);
         let mut child_work = ExecStats::default();
         for c in &children {
@@ -810,80 +462,90 @@ impl PhysicalPlan {
         }
         tracer.record(crate::obs::SpanNode {
             label: self.node_line(),
-            rows: rows.len() as u64,
+            rows: rows(&out) as u64,
             self_work: total_work.diff(&child_work),
             total_work,
             wall_ns: start.elapsed().as_nanos() as u64,
             children,
         });
-        Ok(rows)
+        Ok(out)
     }
 
-    fn rows_at_stats_impl(
+    /// The operator's output tuples in `mode` (a traced span when tracing).
+    fn run(&self, mode: Mode, ctx: &ExecContext, stats: &mut ExecStats) -> Result<OngoingRelation> {
+        self.traced(ctx, stats, OngoingRelation::len, |stats| {
+            self.run_impl(mode, ctx, stats)
+        })
+    }
+
+    fn run_impl(
         &self,
-        rt: TimePoint,
+        mode: Mode,
         ctx: &ExecContext,
         stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<Value>>> {
-        // Same cooperative governance as `execute_stats`.
+    ) -> Result<OngoingRelation> {
+        // Cooperative governance: polled at every operator entry, per
+        // partition in the parallel drivers, and per chunk in the lazy
+        // (budget-honoring) scan driver — so cancellation or an expired
+        // deadline surfaces within one morsel of work, with the store
+        // untouched (executors never mutate published tables).
         ctx.control.check()?;
         match self {
-            PhysicalPlan::SeqScan { table, .. } => {
-                // A cheap version fork, so the pool tasks own the input.
-                let data = table.data().clone();
-                stats.tuples_scanned += data.len() as u64;
-                // Bind during the scan through lazy per-chunk pins: an
-                // instantiated scan of a beyond-RAM table keeps at most one
-                // cold chunk per in-flight morsel resident.
-                let parts =
-                    run_partitioned_lazy(ctx, data, MIN_MORSEL, move |pinned, out, _local| {
-                        out.extend(pinned.iter().filter_map(|t| t.bind(rt)));
-                        Ok(())
-                    })?;
-                Ok(assemble_rows(parts, stats))
+            PhysicalPlan::SeqScan { table, schema } => {
+                stats.tuples_scanned += table.data().len() as u64;
+                // A version fork: every sealed chunk is shared, so this is
+                // O(#chunks) reference bumps, not a row copy. Instantiated,
+                // it still holds the tuples with `rt ∉ RT`; every consumer
+                // skips them.
+                Ok(table
+                    .data()
+                    .clone()
+                    .with_schema(schema.clone())
+                    .expect("scan schema is a rename of the table schema"))
             }
             PhysicalPlan::IndexScan {
                 table,
+                schema,
                 col,
                 range,
                 fixed,
                 ongoing,
-                ..
             } => {
                 let idx = table.interval_index(*col)?;
+                // A cheap version fork of the table's relation, so the
+                // pool tasks own their input.
                 let data = table.data().clone();
                 let ids = idx.query(range.0, range.1);
                 stats.index_candidates += ids.len() as u64;
                 stats.tuples_scanned += ids.len() as u64;
-                let fixed = fixed.as_ref().map(|e| e.bind_consts(rt));
-                let ongoing = ongoing.as_ref().map(|e| e.bind_consts(rt));
                 let n = ids.len();
                 let ids = Arc::new(ids);
+                let fixed = fixed.clone();
+                let ongoing = ongoing.clone();
                 let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
                     let mut local = ExecStats::default();
                     let mut out = Vec::new();
+                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
                     for &id in &ids[r] {
-                        local.tuples_filtered += 1;
                         let t = data.tuple_at(id).expect("index ids are live positions");
-                        if let Some(row) = t.bind(rt) {
-                            if pass_fixed(&row, fixed.as_ref())?
-                                && pass_fixed(&row, ongoing.as_ref())?
-                            {
-                                out.push(row);
-                            }
+                        // Every candidate is examined, alive at `rt` or not.
+                        local.tuples_filtered += 1;
+                        if mode.keeps(t) {
+                            filter_into(&mut out, t, f, o, mode, &mut local)?;
                         }
                     }
                     Ok((out, local))
                 })?;
-                Ok(assemble_rows(parts, stats))
+                Ok(assemble_tuples(schema.clone(), parts, stats))
             }
             PhysicalPlan::KeyScan {
                 table,
+                schema,
                 probe,
                 fixed,
                 ongoing,
-                ..
             } => {
+                // A cheap version fork, so the pool tasks own the input.
                 let data = table.data().clone();
                 let rows = match data.keyed_rows(probe) {
                     Some((rows, visited)) => {
@@ -891,73 +553,71 @@ impl PhysicalPlan {
                         stats.tuples_scanned += visited;
                         rows
                     }
+                    // The optimizer only lowers KeyScan when the pinned
+                    // version covers the probe column, but fall back to the
+                    // full scan rather than assume.
                     None => {
                         stats.tuples_scanned += data.len() as u64;
-                        data.iter().cloned().collect()
+                        collect_pinned(ctx, &data, Mode::Ongoing)?
                     }
                 };
-                let fixed = fixed.as_ref().map(|e| e.bind_consts(rt));
-                let ongoing = ongoing.as_ref().map(|e| e.bind_consts(rt));
                 let n = rows.len();
                 let rows = Arc::new(rows);
+                let fixed = fixed.clone();
+                let ongoing = ongoing.clone();
                 let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
                     let mut local = ExecStats::default();
                     let mut out = Vec::new();
+                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
                     for t in &rows[r] {
                         local.tuples_filtered += 1;
-                        if let Some(row) = t.bind(rt) {
-                            if pass_fixed(&row, fixed.as_ref())?
-                                && pass_fixed(&row, ongoing.as_ref())?
-                            {
-                                out.push(row);
-                            }
+                        if mode.keeps(t) {
+                            filter_into(&mut out, t, f, o, mode, &mut local)?;
                         }
                     }
                     Ok((out, local))
                 })?;
-                Ok(assemble_rows(parts, stats))
+                Ok(assemble_tuples(schema.clone(), parts, stats))
             }
             PhysicalPlan::Filter {
                 input,
                 fixed,
                 ongoing,
             } => {
-                let rows = input.rows_at_stats(rt, ctx, stats)?;
-                stats.tuples_filtered += rows.len() as u64;
-                // Instantiate ongoing literals in the predicates (the bind
-                // operator applies to the query, not only the data).
-                let fixed = fixed.as_ref().map(|e| e.bind_consts(rt));
-                let ongoing = ongoing.as_ref().map(|e| e.bind_consts(rt));
-                let parts = run_partitioned_owned(ctx, rows, MIN_MORSEL, move |chunk| {
-                    let mut out = Vec::with_capacity(chunk.len() / 2);
-                    for row in chunk {
-                        if pass_fixed(&row, fixed.as_ref())? && pass_fixed(&row, ongoing.as_ref())?
-                        {
-                            out.push(row);
+                let rel = input.run(mode, ctx, stats)?;
+                let schema = rel.schema().clone();
+                // Morsels follow the store's chunk boundaries; surviving
+                // tuples are shallow-cloned (payloads are `Arc`-shared).
+                // Chunks are pinned one at a time, so a filter over a
+                // beyond-RAM table keeps at most one cold chunk per
+                // in-flight morsel resident.
+                let fixed = fixed.clone();
+                let ongoing = ongoing.clone();
+                let parts =
+                    run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, local| {
+                        for t in pinned.iter().filter(|t| mode.keeps(t)) {
+                            local.tuples_filtered += 1;
+                            filter_into(out, t, fixed.as_ref(), ongoing.as_ref(), mode, local)?;
                         }
-                    }
-                    Ok((out, ExecStats::default()))
-                })?;
-                Ok(assemble_rows(parts, stats))
+                        Ok(())
+                    })?;
+                Ok(assemble_tuples(schema, parts, stats))
             }
-            PhysicalPlan::Project { input, items, .. } => {
-                let rows = input.rows_at_stats(rt, ctx, stats)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut vals = Vec::with_capacity(items.len());
-                    for item in items {
-                        match item {
-                            ProjItem::Col(i) => vals.push(row[*i].clone()),
-                            ProjItem::Named { expr, .. } => {
-                                // Bind computed values so e.g. an interval
-                                // intersection instantiates to a fixed span.
-                                vals.push(expr.eval_scalar(&row)?.bind(rt));
-                            }
-                        }
+            PhysicalPlan::Project {
+                input,
+                items,
+                schema,
+            } => {
+                let rel = input.run(mode, ctx, stats)?;
+                let items = items.clone();
+                let parts = run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, _| {
+                    for t in pinned.iter().filter(|t| mode.keeps(t)) {
+                        let values = project_values(t, &items, mode)?;
+                        out.push(Tuple::with_rt(values, t.rt().clone()));
                     }
-                    out.push(vals);
-                }
-                Ok(out)
+                    Ok(())
+                })?;
+                Ok(assemble_tuples(schema.clone(), parts, stats))
             }
             PhysicalPlan::NestedLoopJoin {
                 left,
@@ -965,80 +625,124 @@ impl PhysicalPlan {
                 fixed,
                 ongoing,
             } => {
-                let l = left.rows_at_stats(rt, ctx, stats)?;
-                let r = right.rows_at_stats(rt, ctx, stats)?;
-                let fixed = fixed.as_ref().map(|e| e.bind_consts(rt));
-                let ongoing = ongoing.as_ref().map(|e| e.bind_consts(rt));
-                let min_chunk = outer_min_chunk(r.len());
-                let n = l.len();
-                let l = Arc::new(l);
-                let r = Arc::new(r);
-                let parts = run_partitioned(ctx, n, min_chunk, move |range| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
-                    for lr in &l[range] {
-                        for rr in r.iter() {
-                            join_rows_into(
-                                &mut out,
-                                lr,
-                                rr,
-                                fixed.as_ref(),
-                                ongoing.as_ref(),
-                                &mut local,
-                            )?;
+                let l = left.run(mode, ctx, stats)?;
+                let r = right.run(mode, ctx, stats)?;
+                let schema = l.schema().product(r.schema());
+                // The inner side is materialized as owned shallow clones
+                // (payloads are `Arc`-shared) so the pool tasks can share
+                // it; the outer side streams through lazy per-chunk pins,
+                // so only the smaller side should be inner.
+                let inner = Arc::new(collect_pinned(ctx, &r, mode)?);
+                let min_chunk = outer_min_chunk(inner.len());
+                let fixed = fixed.clone();
+                let ongoing = ongoing.clone();
+                let parts = run_partitioned_lazy(ctx, l, min_chunk, move |pinned, out, local| {
+                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                    for lt in pinned.iter().filter(|t| mode.keeps(t)) {
+                        for rt_ in inner.iter() {
+                            join_pair_into(out, lt, rt_, f, o, mode, local)?;
                         }
                     }
-                    Ok((out, local))
+                    Ok(())
                 })?;
-                Ok(assemble_rows(parts, stats))
+                Ok(assemble_tuples(schema, parts, stats))
             }
             PhysicalPlan::HashJoin {
                 left,
                 right,
                 keys,
+                keyed,
                 fixed,
                 ongoing,
-                // The instantiated baseline always hashes — `keyed` only
-                // changes how the ongoing mode finds build matches.
-                keyed: _,
             } => {
-                let l = left.rows_at_stats(rt, ctx, stats)?;
-                let r = right.rows_at_stats(rt, ctx, stats)?;
-                // Position-keyed build table so the probe morsels can
-                // share build rows and table without borrows.
-                let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(r.len());
-                for (i, rr) in r.iter().enumerate() {
-                    let key: Vec<Value> = keys.iter().map(|&(_, j)| rr[j].clone()).collect();
+                // Keyed build: the build side is a bare scan of a
+                // key-indexed column, so probe morsels look matches up in
+                // the table's per-chunk `KeyMap`s (memoized per morsel)
+                // instead of materializing and hashing the build side.
+                // `keyed_rows` returns matches in live order — exactly the
+                // order the hashed build would emit — so results are
+                // bit-identical to the unkeyed path. The instantiated
+                // baseline always hashes.
+                if *keyed && mode == Mode::Ongoing {
+                    if let (PhysicalPlan::SeqScan { table, schema: rs }, [(lk, rk)]) =
+                        (right.as_ref(), keys.as_slice())
+                    {
+                        let (lk, rk) = (*lk, *rk);
+                        let l = left.run(mode, ctx, stats)?;
+                        let schema = l.schema().product(rs);
+                        let rdata = table.data().clone();
+                        let fixed = fixed.clone();
+                        let ongoing = ongoing.clone();
+                        let parts =
+                            run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
+                                let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
+                                for lt in pinned.iter() {
+                                    let key = lt.value(lk);
+                                    let matches = memo.entry(key.clone()).or_insert_with(|| {
+                                        let probe = KeyProbe::Eq {
+                                            col: rk,
+                                            key: key.clone(),
+                                        };
+                                        let (rows, visited) =
+                                            rdata.keyed_rows(&probe).unwrap_or_else(|| {
+                                                // Defensive: the optimizer only
+                                                // sets `keyed` for covered
+                                                // columns of this pinned version.
+                                                let rows = rdata
+                                                    .iter()
+                                                    .filter(|t| probe.matches(t.value(rk)))
+                                                    .cloned()
+                                                    .collect();
+                                                (rows, rdata.len() as u64)
+                                            });
+                                        local.index_candidates += visited;
+                                        local.tuples_scanned += visited;
+                                        rows
+                                    });
+                                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                                    for rt_ in matches.iter() {
+                                        join_pair_into(out, lt, rt_, f, o, mode, local)?;
+                                    }
+                                }
+                                Ok(())
+                            })?;
+                        return Ok(assemble_tuples(schema, parts, stats));
+                    }
+                }
+                let l = left.run(mode, ctx, stats)?;
+                let r = right.run(mode, ctx, stats)?;
+                let schema = l.schema().product(r.schema());
+                // Build once on the right side into owned rows (shallow
+                // clones; payloads are `Arc`-shared) keyed by position, so
+                // the probe morsels can share build rows and table without
+                // borrows; the probe side streams through lazy per-chunk
+                // pins. Keys are fixed-type columns (the optimizer keys on
+                // nothing else), so a stored key is its own instantiation.
+                let rows = collect_pinned(ctx, &r, mode)?;
+                let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
+                for (i, rt_) in rows.iter().enumerate() {
+                    let key: Vec<Value> = keys.iter().map(|&(_, j)| rt_.value(j).clone()).collect();
                     table.entry(key).or_default().push(i);
                 }
-                let fixed = fixed.as_ref().map(|e| e.bind_consts(rt));
-                let ongoing = ongoing.as_ref().map(|e| e.bind_consts(rt));
-                let keys = keys.clone();
-                let n = l.len();
-                let l = Arc::new(l);
-                let r = Arc::new(r);
+                let rows = Arc::new(rows);
                 let table = Arc::new(table);
-                let parts = run_partitioned(ctx, n, MIN_MORSEL, move |range| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
-                    for lr in &l[range] {
-                        let key: Vec<Value> = keys.iter().map(|&(i, _)| lr[i].clone()).collect();
+                let keys = keys.clone();
+                let fixed = fixed.clone();
+                let ongoing = ongoing.clone();
+                let parts = run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
+                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                    for lt in pinned.iter().filter(|t| mode.keeps(t)) {
+                        let key: Vec<Value> =
+                            keys.iter().map(|&(i, _)| lt.value(i).clone()).collect();
                         if let Some(matches) = table.get(&key) {
                             for &ri in matches {
-                                join_rows_into(
-                                    &mut out,
-                                    lr,
-                                    &r[ri],
-                                    fixed.as_ref(),
-                                    ongoing.as_ref(),
-                                    &mut local,
-                                )?;
+                                join_pair_into(out, lt, &rows[ri], f, o, mode, local)?;
                             }
                         }
                     }
-                    Ok((out, local))
+                    Ok(())
                 })?;
-                Ok(assemble_rows(parts, stats))
+                Ok(assemble_tuples(schema, parts, stats))
             }
             PhysicalPlan::SweepJoin {
                 left,
@@ -1048,40 +752,132 @@ impl PhysicalPlan {
                 fixed,
                 ongoing,
             } => {
-                let l = left.rows_at_stats(rt, ctx, stats)?;
-                let r = right.rows_at_stats(rt, ctx, stats)?;
-                let le = Arc::new(row_envelopes(&l, *l_col)?);
-                let re = Arc::new(row_envelopes(&r, *r_col)?);
-                let fixed = fixed.as_ref().map(|e| e.bind_consts(rt));
-                let ongoing = ongoing.as_ref().map(|e| e.bind_consts(rt));
+                let l = left.run(mode, ctx, stats)?;
+                let r = right.run(mode, ctx, stats)?;
+                let schema = l.schema().product(r.schema());
+                // Both sides materialize as owned shallow clones so the
+                // sweep morsels can share rows and envelope lists.
+                let l_rows = Arc::new(collect_pinned(ctx, &l, mode)?);
+                let r_rows = Arc::new(collect_pinned(ctx, &r, mode)?);
+                let le = Arc::new(envelopes(&l_rows, *l_col, mode)?);
+                let re = Arc::new(envelopes(&r_rows, *r_col, mode)?);
                 let n = le.len();
                 let min_chunk = sweep_min_chunk(re.len(), ctx.parallelism);
-                let l = Arc::new(l);
-                let r = Arc::new(r);
+                let fixed = fixed.clone();
+                let ongoing = ongoing.clone();
                 let parts = run_partitioned(ctx, n, min_chunk, move |range| {
                     let mut local = ExecStats::default();
                     let mut out = Vec::new();
                     let mut pairs = Vec::new();
                     sweep_positions(&le, range, &re, &mut pairs);
                     pairs.sort_unstable();
+                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
                     for &(lp, rp) in &pairs {
-                        join_rows_into(
-                            &mut out,
-                            &l[le[lp].2],
-                            &r[re[rp].2],
-                            fixed.as_ref(),
-                            ongoing.as_ref(),
-                            &mut local,
-                        )?;
+                        let (lt, rt_) = (&l_rows[le[lp].2], &r_rows[re[rp].2]);
+                        join_pair_into(&mut out, lt, rt_, f, o, mode, &mut local)?;
                     }
                     Ok((out, local))
                 })?;
-                Ok(assemble_rows(parts, stats))
+                Ok(assemble_tuples(schema, parts, stats))
             }
             PhysicalPlan::Union { left, right } => {
-                let mut l = left.rows_at_stats(rt, ctx, stats)?;
-                l.extend(right.rows_at_stats(rt, ctx, stats)?);
-                Ok(l)
+                let l = left.run(mode, ctx, stats)?;
+                let r = right.run(mode, ctx, stats)?;
+                match mode {
+                    Mode::Ongoing => algebra::union(&l, &r).map_err(EngineError::Schema),
+                    // A bag, like the fixed union: both inputs in order,
+                    // duplicates removed only by `FixedRelation`.
+                    Mode::At(_) => {
+                        let mut tuples = collect_pinned(ctx, &l, mode)?;
+                        tuples.extend(collect_pinned(ctx, &r, mode)?);
+                        OngoingRelation::from_tuples(l.schema().clone(), tuples)
+                            .map_err(EngineError::Schema)
+                    }
+                }
+            }
+            PhysicalPlan::Difference { left, right } => match mode {
+                Mode::Ongoing => {
+                    let l = left.run(mode, ctx, stats)?;
+                    let r = right.run(mode, ctx, stats)?;
+                    algebra::difference(&l, &r).map_err(EngineError::Schema)
+                }
+                Mode::At(rt) => self.barrier_tuples_at(rt, ctx, stats),
+            },
+            PhysicalPlan::Aggregate {
+                input,
+                group_cols,
+                aggs,
+                schema,
+            } => match mode {
+                Mode::Ongoing => {
+                    let rel = input.run(mode, ctx, stats)?;
+                    let names: Vec<String> = schema
+                        .attrs()
+                        .iter()
+                        .skip(group_cols.len())
+                        .map(|a| a.name.clone())
+                        .collect();
+                    let agg = ongoing_relation::aggregate::aggregate_relation(
+                        &rel, group_cols, aggs, &names,
+                    )
+                    .map_err(EngineError::Schema)?;
+                    agg.with_schema(schema.clone()).map_err(EngineError::Schema)
+                }
+                Mode::At(rt) => self.barrier_tuples_at(rt, ctx, stats),
+            },
+        }
+    }
+
+    /// A Difference or Aggregate inside an instantiated plan: its rows of
+    /// fixed values, passed on as tuples.
+    fn barrier_tuples_at(
+        &self,
+        rt: TimePoint,
+        ctx: &ExecContext,
+        stats: &mut ExecStats,
+    ) -> Result<OngoingRelation> {
+        let rows = self.rows_at_impl(rt, ctx, stats)?;
+        OngoingRelation::from_tuples(self.schema(), rows.into_iter().map(Tuple::base).collect())
+            .map_err(EngineError::Schema)
+    }
+
+    /// The operator's instantiated rows (a traced span when tracing).
+    fn rows_at_stats(
+        &self,
+        rt: TimePoint,
+        ctx: &ExecContext,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Vec<Value>>> {
+        self.traced(ctx, stats, Vec::len, |stats| {
+            self.rows_at_impl(rt, ctx, stats)
+        })
+    }
+
+    /// Where instantiated rows are built: the plan root, and the two
+    /// barriers that need fixed values — Difference (row equality) and
+    /// Aggregate (grouping on fixed keys). Every other operator passes
+    /// stored tuples (see [`run`](Self::run)); the root binds them.
+    fn rows_at_impl(
+        &self,
+        rt: TimePoint,
+        ctx: &ExecContext,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Vec<Value>>> {
+        ctx.control.check()?;
+        let mode = Mode::At(rt);
+        match self {
+            PhysicalPlan::Project { input, items, .. } => {
+                // A projection at the root binds its items straight into
+                // the output rows.
+                let rel = input.run(mode, ctx, stats)?;
+                let items = items.clone();
+                let parts = run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, _| {
+                    for t in pinned.iter().filter(|t| mode.keeps(t)) {
+                        out.push(project_values(t, &items, mode)?);
+                    }
+                    Ok(())
+                })?;
+                Ok(concat_parts(parts, stats))
             }
             PhysicalPlan::Difference { left, right } => {
                 let l = left.rows_at_stats(rt, ctx, stats)?;
@@ -1126,6 +922,14 @@ impl PhysicalPlan {
                     out.push(vals);
                 }
                 Ok(out)
+            }
+            _ => {
+                let rel = self.run_impl(mode, ctx, stats)?;
+                let parts = run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, _| {
+                    out.extend(pinned.iter().filter_map(|t| t.bind(rt)));
+                    Ok(())
+                })?;
+                Ok(concat_parts(parts, stats))
             }
         }
     }
@@ -1187,7 +991,7 @@ fn sweep_min_chunk(right_len: usize, parallelism: usize) -> usize {
 /// Partitions `0..len` into contiguous index ranges with at least
 /// `min_chunk` items per morsel and runs them on the shared worker pool —
 /// for inputs that are positional lists (index-candidate ids, sorted
-/// envelope lists, instantiated row vectors). Results come back *in morsel
+/// envelope lists, key-map candidates). Results come back *in morsel
 /// order*: concatenating them reproduces the serial output exactly, and
 /// folding the per-morsel [`ExecStats`] reproduces the serial counts
 /// exactly. The control token is polled per morsel (a cancelled query's
@@ -1216,50 +1020,6 @@ where
             let job: Morsel<(T, ExecStats)> = Box::new(move || {
                 control.check()?;
                 run(range)
-            });
-            job
-        })
-        .collect();
-    ctx.session.run_morsels(&ctx.control, jobs)
-}
-
-/// Like [`run_partitioned`], but moves ownership of the items into the
-/// morsels (chunk vectors are split off in order), so surviving items need
-/// not be cloned.
-fn run_partitioned_owned<I, T, F>(
-    ctx: &ExecContext,
-    items: Vec<I>,
-    min_chunk: usize,
-    run: F,
-) -> Result<Vec<(T, ExecStats)>>
-where
-    I: Send + 'static,
-    T: Send + 'static,
-    F: Fn(Vec<I>) -> Result<(T, ExecStats)> + Send + Sync + 'static,
-{
-    let morsels = morsel_count(ctx.parallelism, items.len(), min_chunk);
-    if morsels <= 1 {
-        ctx.control.check()?;
-        return Ok(vec![run(items)?]);
-    }
-    let bounds = chunk_bounds(items.len(), morsels);
-    // Split from the back so every element moves at most once
-    // (front-first splitting would re-move the shrinking tail per chunk).
-    let mut rest = items;
-    let mut chunks = Vec::with_capacity(morsels);
-    for range in bounds.iter().rev() {
-        chunks.push(rest.split_off(range.start));
-    }
-    chunks.reverse();
-    let run = Arc::new(run);
-    let jobs: Vec<Morsel<(T, ExecStats)>> = chunks
-        .into_iter()
-        .map(|chunk| {
-            let run = Arc::clone(&run);
-            let control = ctx.control.clone();
-            let job: Morsel<(T, ExecStats)> = Box::new(move || {
-                control.check()?;
-                run(chunk)
             });
             job
         })
@@ -1356,6 +1116,23 @@ fn probe_line(probe: &KeyProbe) -> String {
     }
 }
 
+/// Concatenates ordered partition outputs and folds their work-unit
+/// counters.
+fn concat_parts<T>(mut parts: Vec<(Vec<T>, ExecStats)>, stats: &mut ExecStats) -> Vec<T> {
+    if parts.len() == 1 {
+        let (part, local) = parts.pop().expect("one part");
+        stats.merge(&local);
+        return part;
+    }
+    let total: usize = parts.iter().map(|(p, _)| p.len()).sum();
+    let mut out = Vec::with_capacity(total);
+    for (part, local) in parts {
+        stats.merge(&local);
+        out.extend(part);
+    }
+    out
+}
+
 /// Concatenates ordered tuple partitions into a relation and folds their
 /// work-unit counters.
 fn assemble_tuples(
@@ -1363,46 +1140,83 @@ fn assemble_tuples(
     parts: Vec<(Vec<Tuple>, ExecStats)>,
     stats: &mut ExecStats,
 ) -> OngoingRelation {
-    let total: usize = parts.iter().map(|(p, _)| p.len()).sum();
-    let mut tuples = Vec::with_capacity(total);
-    for (part, local) in parts {
-        stats.merge(&local);
-        tuples.extend(part);
-    }
-    OngoingRelation::from_tuples(schema, tuples)
+    OngoingRelation::from_tuples(schema, concat_parts(parts, stats))
         .expect("partition outputs match the operator schema")
 }
 
-/// Concatenates ordered row partitions and folds their counters.
-fn assemble_rows(
-    parts: Vec<(Vec<Vec<Value>>, ExecStats)>,
-    stats: &mut ExecStats,
-) -> Vec<Vec<Value>> {
-    let total: usize = parts.iter().map(|(p, _)| p.len()).sum();
-    let mut rows = Vec::with_capacity(total);
-    for (part, local) in parts {
-        stats.merge(&local);
-        rows.extend(part);
+/// The tuples of `rel` that take part in `mode`, as owned shallow clones
+/// (payloads are `Arc`-shared) — how an operator materializes an input it
+/// indexes or revisits (a join's build, inner or sweep side). Reads
+/// through lazy per-chunk pins like the morsel driver, never the
+/// park-on-touch [`OngoingRelation::iter`], so a cold input pages in one
+/// chunk at a time within the cache budget and a pager failure is an
+/// error, not a panic; the control token is polled per chunk.
+fn collect_pinned(ctx: &ExecContext, rel: &OngoingRelation, mode: Mode) -> Result<Vec<Tuple>> {
+    let mut out = Vec::with_capacity(rel.len());
+    for view in rel.lazy_views() {
+        ctx.control.check()?;
+        out.extend(view.pin()?.iter().filter(|t| mode.keeps(t)).cloned());
     }
-    rows
+    Ok(out)
 }
 
 // ----------------------------------------------------------------------
 // Shared helpers.
 // ----------------------------------------------------------------------
 
-/// Ongoing-mode filter application over a borrowed tuple (candidates stay
-/// in their chunk): fixed conjunct gates, ongoing conjunct restricts `RT`
-/// (in place, reusing the predicate true-set's allocation). Only passing
-/// tuples are cloned, and the clone is shallow (payloads are `Arc`-shared).
+/// The two modes one operator tree executes in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// The paper's approach: predicates evaluate to ongoing booleans that
+    /// restrict `RT`.
+    Ongoing,
+    /// Clifford's instantiation at a reference time: tuples with
+    /// `rt ∉ RT` are skipped, predicates read ongoing operands bound at
+    /// `rt`.
+    At(TimePoint),
+}
+
+impl Mode {
+    /// Does the tuple take part in this mode's evaluation? Every tuple
+    /// does in ongoing mode; at `rt`, only those with `rt ∈ RT`.
+    #[inline]
+    fn keeps(self, t: &Tuple) -> bool {
+        match self {
+            Mode::Ongoing => true,
+            Mode::At(rt) => t.alive_at(rt),
+        }
+    }
+}
+
+/// Does `pred` (absent: true) hold on `values` instantiated at `rt`?
+fn holds_at(pred: Option<&Expr>, values: &[Value], rt: TimePoint) -> Result<bool> {
+    match pred {
+        Some(p) => Ok(p.eval_bool_at(values, rt)?),
+        None => Ok(true),
+    }
+}
+
+/// Filter application over a borrowed candidate tuple (candidates stay in
+/// their chunk; callers count them and, at `rt`, pass only those with
+/// `rt ∈ RT`); only passing tuples are cloned, and the clone is shallow
+/// (payloads are `Arc`-shared). Ongoing: the fixed conjunct gates, the
+/// ongoing conjunct restricts `RT` (in place, reusing the predicate
+/// true-set's allocation). At `rt`: both conjuncts are plain gates over
+/// operands bound when read.
 fn filter_into(
     out: &mut Vec<Tuple>,
     t: &Tuple,
     fixed: Option<&Expr>,
     ongoing: Option<&Expr>,
+    mode: Mode,
     stats: &mut ExecStats,
 ) -> Result<()> {
-    stats.tuples_filtered += 1;
+    if let Mode::At(rt) = mode {
+        if holds_at(fixed, t.values(), rt)? && holds_at(ongoing, t.values(), rt)? {
+            out.push(t.clone());
+        }
+        return Ok(());
+    }
     if let Some(f) = fixed {
         if !f.eval_bool(t.values())? {
             return Ok(());
@@ -1425,20 +1239,28 @@ fn filter_into(
     Ok(())
 }
 
-/// Ongoing-mode join pair: concat (intersecting `RT`s), gate on the fixed
-/// conjunct, restrict by the ongoing conjunct.
+/// Join pair: concat (intersecting `RT`s), then gate on the fixed
+/// conjunct and restrict by the ongoing one — or, at `rt` (both inputs
+/// alive there), gate on both conjuncts read at `rt`.
 fn join_pair_into(
     out: &mut Vec<Tuple>,
     lt: &Tuple,
     rt_: &Tuple,
     fixed: Option<&Expr>,
     ongoing: Option<&Expr>,
+    mode: Mode,
     stats: &mut ExecStats,
 ) -> Result<()> {
     stats.pairs_compared += 1;
+    let t = lt.concat(rt_);
+    if let Mode::At(rt) = mode {
+        if holds_at(fixed, t.values(), rt)? && holds_at(ongoing, t.values(), rt)? {
+            out.push(t);
+        }
+        return Ok(());
+    }
     // `concat` intersects the two reference times.
     stats.intervals_merged += 1;
-    let t = lt.concat(rt_);
     if t.rt().is_empty() {
         return Ok(());
     }
@@ -1462,59 +1284,42 @@ fn join_pair_into(
     Ok(())
 }
 
-/// Instantiated-mode predicate gate (all values fixed at this point).
-fn pass_fixed(row: &[Value], pred: Option<&Expr>) -> Result<bool> {
-    match pred {
-        Some(p) => Ok(p.eval_bool(row)?),
-        None => Ok(true),
+/// A tuple's projected values. Ongoing, pass-through columns are shared
+/// and computed items evaluated as ongoing scalars; at `rt`, every output
+/// value is instantiated (computed items over operands bound when read).
+fn project_values(t: &Tuple, items: &[ProjItem], mode: Mode) -> Result<Vec<Value>> {
+    let mut values = Vec::with_capacity(items.len());
+    for item in items {
+        values.push(match (item, mode) {
+            (ProjItem::Col(i), Mode::Ongoing) => t.value(*i).clone(),
+            (ProjItem::Col(i), Mode::At(rt)) => t.value(*i).bind(rt),
+            (ProjItem::Named { expr, .. }, Mode::Ongoing) => expr.eval_scalar(t.values())?,
+            (ProjItem::Named { expr, .. }, Mode::At(rt)) => {
+                expr.eval_scalar_at(t.values(), rt)?.bind(rt)
+            }
+        });
     }
-}
-
-/// Instantiated-mode join pair.
-fn join_rows_into(
-    out: &mut Vec<Vec<Value>>,
-    l: &[Value],
-    r: &[Value],
-    fixed: Option<&Expr>,
-    ongoing: Option<&Expr>,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    stats.pairs_compared += 1;
-    let mut row = Vec::with_capacity(l.len() + r.len());
-    row.extend_from_slice(l);
-    row.extend_from_slice(r);
-    if pass_fixed(&row, fixed)? && pass_fixed(&row, ongoing)? {
-        out.push(row);
-    }
-    Ok(())
+    Ok(values)
 }
 
 /// `(envelope start, envelope end, position)` for a tuple list, skipping
-/// always-empty intervals (no predicate with a non-empty check can match
-/// them).
-fn envelopes(tuples: &[Tuple], col: usize) -> Result<Vec<(TimePoint, TimePoint, usize)>> {
+/// empty envelopes (no predicate with a non-empty check can match them).
+/// The envelope is the hull of every instantiation in ongoing mode and the
+/// instantiation itself at `rt`.
+fn envelopes(
+    tuples: &[Tuple],
+    col: usize,
+    mode: Mode,
+) -> Result<Vec<(TimePoint, TimePoint, usize)>> {
     let mut out = Vec::with_capacity(tuples.len());
     for (i, t) in tuples.iter().enumerate() {
         let iv = t.value(col).as_interval().ok_or_else(|| {
             EngineError::Plan(format!("sweep join column #{col} is not an interval"))
         })?;
-        let (s, e) = (iv.ts().a(), iv.te().b());
-        if s < e {
-            out.push((s, e, i));
-        }
-    }
-    out.sort_unstable_by_key(|&(s, e, _)| (s, e));
-    Ok(out)
-}
-
-/// Envelopes over instantiated rows (the bound span *is* the envelope).
-fn row_envelopes(rows: &[Vec<Value>], col: usize) -> Result<Vec<(TimePoint, TimePoint, usize)>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let iv = row[col].as_interval().ok_or_else(|| {
-            EngineError::Plan(format!("sweep join column #{col} is not an interval"))
-        })?;
-        let (s, e) = (iv.ts().a(), iv.te().b());
+        let (s, e) = match mode {
+            Mode::Ongoing => (iv.ts().a(), iv.te().b()),
+            Mode::At(rt) => iv.bind(rt),
+        };
         if s < e {
             out.push((s, e, i));
         }
@@ -1628,4 +1433,128 @@ pub fn reference_span(rel: &OngoingRelation) -> IntervalSet {
         acc.union_assign(t.rt());
     }
     acc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::Database;
+    use crate::obs::{SpanNode, TraceCollector};
+    use crate::plan::{compile, JoinStrategy, LogicalPlan, PlannerConfig, QueryBuilder};
+    use ongoing_core::time::tp;
+    use ongoing_core::OngoingInterval;
+
+    /// `(K, VT)` rows; row `i` has `K = i % 3`, `VT = [i, now)` and is
+    /// alive on `RT = [i, i + 10)` only.
+    fn table(n: i64) -> OngoingRelation {
+        let schema = Schema::builder().int("K").interval("VT").build();
+        let mut rel = OngoingRelation::new(schema);
+        for i in 0..n {
+            let vt = OngoingInterval::from_until_now(tp(i));
+            let values = vec![Value::Int(i % 3), Value::Interval(vt)];
+            rel.insert_with_rt(values, IntervalSet::range(tp(i), tp(i + 10)))
+                .unwrap();
+        }
+        rel
+    }
+
+    fn find<'a>(span: &'a SpanNode, label: &str) -> Option<&'a SpanNode> {
+        if span.label.starts_with(label) {
+            return Some(span);
+        }
+        span.children.iter().find_map(|c| find(c, label))
+    }
+
+    #[test]
+    fn instantiated_work_units_count_only_tuples_alive_at_rt() {
+        let db = Database::new();
+        db.create_table("L", table(20)).unwrap();
+        db.create_table("R", table(8)).unwrap();
+        let rt = tp(12);
+        let alive = |n: i64| {
+            (0..n)
+                .filter(|&i| i <= 12 && 12 < i + 10)
+                .collect::<Vec<_>>()
+        };
+        let (l_alive, r_alive) = (alive(20), alive(8));
+        let pairs = |keep: &dyn Fn(i64, i64) -> bool| {
+            let mut n = 0;
+            for &l in &l_alive {
+                n += r_alive.iter().filter(|&&r| keep(l, r)).count() as u64;
+            }
+            n
+        };
+        let join = |pred: fn(&Schema) -> Expr| -> LogicalPlan {
+            let l = QueryBuilder::scan_as(&db, "L", "L").unwrap();
+            let r = QueryBuilder::scan_as(&db, "R", "R").unwrap();
+            l.join(r, |s| Ok(pred(s))).unwrap().build()
+        };
+        let key_eq = |s: &Schema| {
+            Expr::col(s, "L.K")
+                .unwrap()
+                .eq(Expr::col(s, "R.K").unwrap())
+        };
+        let overlap = |s: &Schema| {
+            Expr::col(s, "L.VT")
+                .unwrap()
+                .overlaps(Expr::col(s, "R.VT").unwrap())
+        };
+        let filter = QueryBuilder::scan(&db, "L")
+            .unwrap()
+            .filter(|s| Ok(Expr::col(s, "K")?.le(Expr::lit(1i64))))
+            .unwrap()
+            .build();
+        // At rt = 12, VT = [i, now) binds to [i, 12): spans of alive rows
+        // overlap exactly when both are non-empty.
+        let cases = [
+            (filter, JoinStrategy::Auto, "Filter", 0),
+            (
+                join(key_eq),
+                JoinStrategy::NestedLoop,
+                "NestedLoopJoin",
+                pairs(&|_, _| true),
+            ),
+            (
+                join(key_eq),
+                JoinStrategy::Hash,
+                "HashJoin",
+                pairs(&|l, r| l % 3 == r % 3),
+            ),
+            (
+                join(overlap),
+                JoinStrategy::Sweep,
+                "SweepJoin",
+                pairs(&|l, r| l < 12 && r < 12),
+            ),
+        ];
+        for (i, (plan, join_strategy, op, expected_pairs)) in cases.into_iter().enumerate() {
+            let cfg = PlannerConfig {
+                join_strategy,
+                ..PlannerConfig::default()
+            };
+            let phys = compile(&db, &plan, &cfg).unwrap();
+            assert!(phys.explain().contains(op), "case {i}\n{}", phys.explain());
+            let tracer = Arc::new(TraceCollector::new());
+            let ctx = ExecContext::serial().with_trace(Arc::clone(&tracer));
+            let (rows, stats) = phys.rows_at_with_stats(rt, &ctx).unwrap();
+            assert_eq!(
+                stats.pairs_compared,
+                expected_pairs,
+                "case {i}\n{}",
+                phys.explain()
+            );
+            assert_eq!(stats.intervals_merged, 0, "case {i}");
+            if i == 0 {
+                assert_eq!(stats.tuples_scanned, 20);
+                assert_eq!(stats.tuples_filtered, l_alive.len() as u64);
+                let expected = l_alive.iter().filter(|&&l| l % 3 <= 1).count();
+                assert_eq!(rows.len(), expected);
+            }
+            // A scan span reports the version's row count, alive at `rt`
+            // or not.
+            let root = tracer.finish();
+            let scan = find(&root[0], "SeqScan L").expect("a scan of L");
+            assert_eq!(scan.rows, 20, "case {i}");
+        }
+    }
 }

@@ -17,7 +17,7 @@
 use crate::schema::{Schema, SchemaError};
 use crate::value::{Value, ValueType};
 use ongoing_core::allen::TemporalPredicate;
-use ongoing_core::{ops, OngoingBool};
+use ongoing_core::{ops, OngoingBool, TimePoint};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -192,10 +192,22 @@ impl Expr {
 
     /// Evaluates the expression as a scalar over a tuple.
     pub fn eval_scalar(&self, row: &[Value]) -> Result<Value, EvalError> {
+        self.scalar(row, AsStored)
+    }
+
+    /// [`eval_scalar`](Self::eval_scalar) over the tuple instantiated at
+    /// `rt`: every ongoing operand — column or literal — is bound at `rt`
+    /// the moment it is read, every other operand is borrowed. Equal to
+    /// `eval_scalar` on the bound row, without building that row.
+    pub fn eval_scalar_at(&self, row: &[Value], rt: TimePoint) -> Result<Value, EvalError> {
+        self.scalar(row, BoundAt(rt))
+    }
+
+    fn scalar(&self, row: &[Value], read: impl Read) -> Result<Value, EvalError> {
         match self {
-            Expr::Col(_) | Expr::Const(_) => operand(self, row).map(Cow::into_owned),
+            Expr::Col(_) | Expr::Const(_) => operand(self, row, read).map(Cow::into_owned),
             Expr::Intersect(l, r) => {
-                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
+                let (lv, rv) = (operand(l, row, read)?, operand(r, row, read)?);
                 match (lv.as_interval(), rv.as_interval()) {
                     (Some(a), Some(b)) => Ok(Value::Interval(a.intersect(b))),
                     _ => Err(EvalError::TypeMismatch(
@@ -204,7 +216,7 @@ impl Expr {
                 }
             }
             Expr::StartOf(e) | Expr::EndOf(e) => {
-                let iv = operand(e, row)?
+                let iv = operand(e, row, read)?
                     .as_interval()
                     .ok_or_else(|| EvalError::TypeMismatch("start/end of a non-interval".into()))?;
                 let p = if matches!(self, Expr::StartOf(_)) {
@@ -241,11 +253,11 @@ impl Expr {
             }
             Expr::Not(e) => Ok(e.eval_predicate(row)?.not()),
             Expr::Cmp(op, l, r) => {
-                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
+                let (lv, rv) = (operand(l, row, AsStored)?, operand(r, row, AsStored)?);
                 eval_cmp(*op, &lv, &rv)
             }
             Expr::Temporal(pred, l, r) => {
-                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
+                let (lv, rv) = (operand(l, row, AsStored)?, operand(r, row, AsStored)?);
                 match (lv.as_interval(), rv.as_interval()) {
                     (Some(a), Some(b)) => Ok(pred.eval(a, b)),
                     _ => Err(EvalError::TypeMismatch(format!(
@@ -258,7 +270,7 @@ impl Expr {
             | Expr::Const(_)
             | Expr::Intersect(..)
             | Expr::StartOf(_)
-            | Expr::EndOf(_) => match *operand(self, row)? {
+            | Expr::EndOf(_) => match *operand(self, row, AsStored)? {
                 Value::Bool(b) => Ok(OngoingBool::from_bool(b)),
                 ref v => Err(EvalError::TypeMismatch(format!(
                     "expected boolean, got {v}"
@@ -343,12 +355,27 @@ impl Expr {
     /// Returns an error if an ongoing value is encountered; callers decide
     /// whether to fall back to [`Expr::eval_predicate`].
     pub fn eval_bool(&self, row: &[Value]) -> Result<bool, EvalError> {
+        self.boolean(row, AsStored)
+    }
+
+    /// [`eval_bool`](Self::eval_bool) over the tuple instantiated at `rt`
+    /// — Clifford's "instantiate `now` when accessed": every ongoing
+    /// operand (`Point`, `Interval`, `Count`; column or literal) is bound
+    /// at `rt` the moment it is read, every other operand is borrowed, so
+    /// each comparison sees exactly the bound values while no bound row is
+    /// ever built. Equal to `eval_bool` on the bound row with bound
+    /// literals, errors included.
+    pub fn eval_bool_at(&self, row: &[Value], rt: TimePoint) -> Result<bool, EvalError> {
+        self.boolean(row, BoundAt(rt))
+    }
+
+    fn boolean(&self, row: &[Value], read: impl Read) -> Result<bool, EvalError> {
         match self {
-            Expr::And(l, r) => Ok(l.eval_bool(row)? && r.eval_bool(row)?),
-            Expr::Or(l, r) => Ok(l.eval_bool(row)? || r.eval_bool(row)?),
-            Expr::Not(e) => Ok(!e.eval_bool(row)?),
+            Expr::And(l, r) => Ok(l.boolean(row, read)? && r.boolean(row, read)?),
+            Expr::Or(l, r) => Ok(l.boolean(row, read)? || r.boolean(row, read)?),
+            Expr::Not(e) => Ok(!e.boolean(row, read)?),
             Expr::Cmp(op, l, r) => {
-                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
+                let (lv, rv) = (operand(l, row, read)?, operand(r, row, read)?);
                 if let Some(b) = cmp_fixed(*op, &lv, &rv) {
                     return Ok(b);
                 }
@@ -359,7 +386,7 @@ impl Expr {
                 Ok(b.is_always_true())
             }
             Expr::Temporal(pred, l, r) => {
-                let (lv, rv) = (operand(l, row)?, operand(r, row)?);
+                let (lv, rv) = (operand(l, row, read)?, operand(r, row, read)?);
                 match (&*lv, &*rv) {
                     (Value::Span(a, b), Value::Span(c, d)) => {
                         Ok(pred.eval_fixed((*a, *b), (*c, *d)))
@@ -380,40 +407,12 @@ impl Expr {
             | Expr::Const(_)
             | Expr::Intersect(..)
             | Expr::StartOf(_)
-            | Expr::EndOf(_) => match *operand(self, row)? {
+            | Expr::EndOf(_) => match *operand(self, row, read)? {
                 Value::Bool(b) => Ok(b),
                 ref v => Err(EvalError::TypeMismatch(format!(
                     "expected boolean, got {v}"
                 ))),
             },
-        }
-    }
-
-    /// Instantiates every literal in the expression at `rt` — what the
-    /// bind operator does to the *query* in instantiation-based evaluation
-    /// (ongoing literals like `[08/15, now)` become fixed spans). Column
-    /// references are untouched; instantiating the scanned values is the
-    /// scan's job.
-    pub fn bind_consts(&self, rt: ongoing_core::TimePoint) -> Expr {
-        match self {
-            Expr::Const(v) => Expr::Const(v.bind(rt)),
-            Expr::Col(i) => Expr::Col(*i),
-            Expr::Cmp(op, l, r) => Expr::Cmp(
-                *op,
-                Box::new(l.bind_consts(rt)),
-                Box::new(r.bind_consts(rt)),
-            ),
-            Expr::Temporal(p, l, r) => {
-                Expr::Temporal(*p, Box::new(l.bind_consts(rt)), Box::new(r.bind_consts(rt)))
-            }
-            Expr::And(l, r) => Expr::And(Box::new(l.bind_consts(rt)), Box::new(r.bind_consts(rt))),
-            Expr::Or(l, r) => Expr::Or(Box::new(l.bind_consts(rt)), Box::new(r.bind_consts(rt))),
-            Expr::Not(e) => Expr::Not(Box::new(e.bind_consts(rt))),
-            Expr::Intersect(l, r) => {
-                Expr::Intersect(Box::new(l.bind_consts(rt)), Box::new(r.bind_consts(rt)))
-            }
-            Expr::StartOf(e) => Expr::StartOf(Box::new(e.bind_consts(rt))),
-            Expr::EndOf(e) => Expr::EndOf(Box::new(e.bind_consts(rt))),
         }
     }
 
@@ -497,17 +496,54 @@ impl Expr {
     }
 }
 
-/// A scalar operand: borrowed from the row or the literal for a column or
+/// How an evaluator reads a column or literal operand. The evaluators are
+/// generic over it, so the as-stored and the instantiated readings share
+/// one code path, each monomorphized without a per-operand branch.
+trait Read: Copy {
+    fn read(self, v: &Value) -> Cow<'_, Value>;
+}
+
+/// Operands as stored: ongoing values stay ongoing.
+#[derive(Clone, Copy)]
+struct AsStored;
+
+impl Read for AsStored {
+    #[inline]
+    fn read(self, v: &Value) -> Cow<'_, Value> {
+        Cow::Borrowed(v)
+    }
+}
+
+/// Operands instantiated at a reference time when read (the bind
+/// operator applied per access); fixed operands are borrowed.
+#[derive(Clone, Copy)]
+struct BoundAt(TimePoint);
+
+impl Read for BoundAt {
+    #[inline]
+    fn read(self, v: &Value) -> Cow<'_, Value> {
+        match v {
+            Value::Point(_) | Value::Interval(_) | Value::Count(_) => Cow::Owned(v.bind(self.0)),
+            _ => Cow::Borrowed(v),
+        }
+    }
+}
+
+/// A scalar operand: read from the row or the literal for a column or
 /// constant, evaluated for anything else. Predicates read their operands
-/// through it so a per-tuple comparison clones no value.
-fn operand<'a>(e: &'a Expr, row: &'a [Value]) -> Result<Cow<'a, Value>, EvalError> {
+/// through it so a per-tuple comparison clones no stored value.
+fn operand<'a>(
+    e: &'a Expr,
+    row: &'a [Value],
+    read: impl Read,
+) -> Result<Cow<'a, Value>, EvalError> {
     match e {
         Expr::Col(i) => match row.get(*i) {
-            Some(v) => Ok(Cow::Borrowed(v)),
+            Some(v) => Ok(read.read(v)),
             None => Err(EvalError::Schema(SchemaError::BadIndex(*i))),
         },
-        Expr::Const(v) => Ok(Cow::Borrowed(v)),
-        _ => e.eval_scalar(row).map(Cow::Owned),
+        Expr::Const(v) => Ok(read.read(v)),
+        _ => e.scalar(row, read).map(Cow::Owned),
     }
 }
 
@@ -956,6 +992,173 @@ mod tests {
         assert_eq!(bad.eval_bool(&[]), Err(schema_err.clone()));
         assert_eq!(bad.eval_predicate(&[]), Err(schema_err.clone()));
         assert_eq!(Expr::Col(9).eval_scalar(&[]), Err(schema_err));
+    }
+
+    /// Samples of every value type, the ongoing ones of several kinds.
+    fn typed_samples() -> Vec<Value> {
+        use ongoing_core::OngoingInt;
+        let iv = |s: OngoingPoint, e: OngoingPoint| Value::Interval(OngoingInterval::new(s, e));
+        vec![
+            Value::Int(3),
+            Value::Int(7),
+            Value::str("abc"),
+            Value::str("abd"),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Time(tp(-4)),
+            Value::Time(tp(9)),
+            Value::Span(tp(0), tp(5)),
+            Value::Span(tp(2), tp(9)),
+            Value::Point(OngoingPoint::now()),
+            Value::Point(OngoingPoint::fixed(tp(3))),
+            Value::Point(OngoingPoint::growing(tp(2))),
+            Value::Point(OngoingPoint::limited(tp(8))),
+            Value::Point(OngoingPoint::new(tp(2), tp(8)).unwrap()),
+            Value::Interval(OngoingInterval::from_until_now(tp(3))),
+            Value::Interval(OngoingInterval::fixed(tp(1), tp(5))),
+            Value::Interval(OngoingInterval::from_now_until(tp(6))),
+            iv(OngoingPoint::growing(tp(2)), OngoingPoint::limited(tp(9))),
+            Value::Count(OngoingInt::constant(5)),
+            Value::Count(OngoingInt::duration(OngoingInterval::from_until_now(tp(3)))),
+            Value::Count(OngoingInt::from_point(OngoingPoint::growing(tp(2)))),
+        ]
+    }
+
+    /// The time points at which a value's instantiation can change.
+    fn breakpoints(v: &Value) -> Vec<TimePoint> {
+        match v {
+            Value::Time(t) => vec![*t],
+            Value::Span(s, e) => vec![*s, *e],
+            Value::Point(p) => vec![p.a(), p.b()],
+            Value::Interval(i) => vec![i.ts().a(), i.ts().b(), i.te().a(), i.te().b()],
+            Value::Count(c) => c.pieces().map(|(start, _, _)| start).collect(),
+            Value::Int(_) | Value::Str(_) | Value::Bool(_) => Vec::new(),
+        }
+    }
+
+    /// `±∞` and every operand breakpoint with its neighbours.
+    fn probe_rts(values: &[&Value]) -> Vec<TimePoint> {
+        let mut rts = vec![TimePoint::NEG_INF, TimePoint::POS_INF];
+        for x in values.iter().flat_map(|v| breakpoints(v)) {
+            rts.extend([x.pred(), x, x.succ()]);
+        }
+        rts.sort_unstable();
+        rts.dedup();
+        rts
+    }
+
+    fn bind_row(row: &[Value], rt: TimePoint) -> Vec<Value> {
+        row.iter().map(|v| v.bind(rt)).collect()
+    }
+
+    /// `e(l, r)` in the four column/literal shapes, read at `rt`, against
+    /// `eval_bool` on the bound row with bound literals. Returns how many
+    /// evaluations failed (with equal errors on both sides).
+    fn assert_bool_at_matches(shape: impl Fn(Expr, Expr) -> Expr, l: &Value, r: &Value) -> usize {
+        let row = [l.clone(), r.clone()];
+        let shapes = |l: &Value, r: &Value| {
+            let c = |v: &Value| Expr::Const(v.clone());
+            [
+                shape(Expr::Col(0), Expr::Col(1)),
+                shape(Expr::Col(0), c(r)),
+                shape(c(l), Expr::Col(1)),
+                shape(c(l), c(r)),
+            ]
+        };
+        let mut errors = 0;
+        for rt in probe_rts(&[l, r]) {
+            let bound = bind_row(&row, rt);
+            for (e, oracle) in shapes(l, r).iter().zip(shapes(&bound[0], &bound[1])) {
+                let got = e.eval_bool_at(&row, rt);
+                assert_eq!(got, oracle.eval_bool(&bound), "{e} at rt={rt}");
+                errors += usize::from(got.is_err());
+            }
+        }
+        errors
+    }
+
+    #[test]
+    fn eval_bool_at_equals_eval_bool_on_the_bound_row() {
+        let samples = typed_samples();
+        let mut errors = 0;
+        for l in &samples {
+            for r in &samples {
+                for op in CMP_OPS {
+                    let cmp = |a: Expr, b: Expr| Expr::Cmp(op, Box::new(a), Box::new(b));
+                    errors += assert_bool_at_matches(cmp, l, r);
+                }
+                for pred in TemporalPredicate::ALL {
+                    errors += assert_bool_at_matches(|a, b| a.temporal(pred, b), l, r);
+                }
+                // Connectives over an ongoing and a fixed conjunct.
+                let mixed = |a: Expr, b: Expr| {
+                    let t = a.clone().overlaps(b.clone());
+                    let c = a.eq(b);
+                    t.clone().and(c.clone().not()).or(c.and(t.not()))
+                };
+                errors += assert_bool_at_matches(mixed, l, r);
+                // As stored, a row with an ongoing operand stays an error.
+                if l.is_ongoing() || r.is_ongoing() {
+                    let row = [l.clone(), r.clone()];
+                    for op in CMP_OPS {
+                        let e = Expr::Cmp(op, Box::new(Expr::Col(0)), Box::new(Expr::Col(1)));
+                        assert!(e.eval_bool(&row).is_err(), "{e} over {l}, {r}");
+                    }
+                    for pred in TemporalPredicate::ALL {
+                        let e = Expr::Col(0).temporal(pred, Expr::Col(1));
+                        assert!(e.eval_bool(&row).is_err(), "{e} over {l}, {r}");
+                    }
+                }
+            }
+        }
+        // Mismatched pairings (e.g. Int against Str, intervals against
+        // points) are rejected identically on both sides.
+        assert!(errors > 0);
+    }
+
+    #[test]
+    fn eval_scalar_at_equals_eval_scalar_on_the_bound_row() {
+        let samples = typed_samples();
+        for l in &samples {
+            for r in &samples {
+                let row = [l.clone(), r.clone()];
+                let exprs = [
+                    Expr::Col(0),
+                    Expr::Const(l.clone()),
+                    Expr::Col(0).intersect(Expr::Col(1)),
+                    Expr::Col(0).intersect(Expr::Const(r.clone())),
+                    Expr::Col(0).start_point(),
+                    Expr::Col(1).end_point(),
+                    Expr::Col(0).intersect(Expr::Col(1)).end_point(),
+                    Expr::Col(0).lt(Expr::Col(1)),
+                ];
+                for rt in probe_rts(&[l, r]) {
+                    let bound = bind_row(&row, rt);
+                    for e in &exprs {
+                        let oracle = match e {
+                            Expr::Const(v) => Expr::Const(v.bind(rt)),
+                            Expr::Intersect(a, b) if matches!(**b, Expr::Const(_)) => {
+                                a.as_ref().clone().intersect(Expr::Const(r.bind(rt)))
+                            }
+                            e => e.clone(),
+                        };
+                        assert_eq!(
+                            e.eval_scalar_at(&row, rt),
+                            oracle.eval_scalar(&bound),
+                            "{e} at rt={rt}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_at_reads_bad_columns_as_errors() {
+        let bad = Expr::Col(9).lt(Expr::lit(1i64));
+        let schema_err = EvalError::Schema(SchemaError::BadIndex(9));
+        assert_eq!(bad.eval_bool_at(&[], tp(0)), Err(schema_err.clone()));
+        assert_eq!(Expr::Col(9).eval_scalar_at(&[], tp(0)), Err(schema_err));
     }
 
     #[test]

@@ -85,12 +85,17 @@ impl Tuple {
 
     /// Concatenates two tuples for a Cartesian product; the result's `RT`
     /// is the intersection of the inputs' reference times (Theorem 2).
+    ///
+    /// The chained value iterator has an exact length, so collecting it
+    /// allocates the shared slice once (no intermediate `Vec`).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend(self.values.iter().cloned());
-        values.extend(other.values.iter().cloned());
         Tuple {
-            values: values.into(),
+            values: self
+                .values
+                .iter()
+                .chain(other.values.iter())
+                .cloned()
+                .collect(),
             rt: self.rt.intersect(&other.rt),
         }
     }
@@ -160,6 +165,19 @@ mod tests {
         let c = a.concat(&b);
         assert_eq!(c.arity(), 6);
         assert_eq!(c.rt(), &IntervalSet::range(tp(5), tp(10)));
+        let expected: Vec<Value> = a.values().iter().chain(b.values()).cloned().collect();
+        assert_eq!(c.values(), expected.as_slice());
+        // Uneven arities and an empty side keep every value in order.
+        let one = Tuple::base(vec![Value::Int(7)]);
+        let empty = Tuple::base(Vec::new());
+        assert_eq!(one.concat(&a).values()[0], Value::Int(7));
+        assert_eq!(one.concat(&a).values()[1..], *a.values());
+        assert_eq!(empty.concat(&one).values(), one.values());
+        assert_eq!(a.concat(&empty).values(), a.values());
+        assert_eq!(a.concat(&empty).rt(), a.rt());
+        // Disjoint reference times intersect to the empty set.
+        let late = sample().restricted(IntervalSet::range(tp(50), tp(60)));
+        assert!(a.concat(&late).rt().is_empty());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! differences, projections, aggregations — nested up to depth 3) over
 //! randomly generated ongoing relations and verifies the paper's master
 //! criterion `∀rt: ∥Q(D)∥rt ≡ Q(∥D∥rt)` at every breakpoint-relevant
-//! reference time, under every join strategy.
+//! reference time, under every join strategy with the interval index on
+//! and off — so every instantiated operator arm (index and key scans,
+//! keyed and hashed joins, sweeps, computed projections) is compared
+//! against the bound ongoing result.
 //!
 //! This is the heaviest single guarantee in the suite: any divergence
 //! between the ongoing executors (interval-set arithmetic, RT
@@ -15,11 +18,13 @@ use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::time::tp;
 use ongoing_core::{IntervalSet, OngoingInterval, OngoingPoint, TimePoint};
 use ongoing_relation::aggregate::AggFn;
-use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
+use ongoing_relation::algebra::ProjItem;
+use ongoing_relation::{Expr, OngoingRelation, Schema, Value, ValueType};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::{Database, LogicalPlan, QueryBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const LO: i64 = -10;
 const HI: i64 = 10;
@@ -150,6 +155,10 @@ fn random_pred(rng: &mut SmallRng, schema: &Schema) -> Expr {
 }
 
 fn random_plan(rng: &mut SmallRng, db: &Database, depth: usize) -> LogicalPlan {
+    random_query(rng, db, depth).build()
+}
+
+fn random_query(rng: &mut SmallRng, db: &Database, depth: usize) -> QueryBuilder {
     let table = ["T0", "T1", "T2"][rng.gen_range(0..3usize)];
     let alias = format!("A{}", rng.gen_range(0..100));
     let mut b = QueryBuilder::scan_as(db, table, &alias).unwrap();
@@ -206,44 +215,191 @@ fn random_plan(rng: &mut SmallRng, db: &Database, depth: usize) -> LogicalPlan {
             }
         }
     }
-    b.build()
+    b
 }
+
+/// Interval-typed columns of a schema.
+fn interval_cols(schema: &Schema) -> Vec<usize> {
+    (0..schema.len())
+        .filter(|&i| schema.attr(i).unwrap().ty == ValueType::OngoingInterval)
+        .collect()
+}
+
+/// A computed projection over `b` — `VT ∩ <literal>`, `START(VT)` and
+/// `END(VT)` next to a pass-through column — optionally filtered on the
+/// computed columns or unioned with itself, so projections run both at
+/// the plan root and below other operators. `None` when `b` has no
+/// interval column (an aggregate).
+fn computed_projection(rng: &mut SmallRng, b: QueryBuilder) -> Option<QueryBuilder> {
+    let ivs = interval_cols(b.schema());
+    if ivs.is_empty() {
+        return None;
+    }
+    let vt = Expr::Col(ivs[rng.gen_range(0..ivs.len())]);
+    let lit = Expr::lit(Value::Interval(random_interval(rng)));
+    let p = b
+        .project(vec![
+            ProjItem::Col(0),
+            ProjItem::named(vt.clone().intersect(lit.clone()), "X"),
+            ProjItem::named(vt.clone().start_point(), "S"),
+            ProjItem::named(vt.end_point(), "E"),
+        ])
+        .unwrap();
+    Some(match rng.gen_range(0..4) {
+        0 => p.filter(|_| Ok(Expr::Col(2).lt(Expr::Col(3)))).unwrap(),
+        1 => {
+            let window = Expr::lit(Value::Interval(random_interval(rng)));
+            p.filter(|_| Ok(Expr::Col(1).overlaps(window))).unwrap()
+        }
+        2 => p.clone().union(p).unwrap(),
+        _ => p,
+    })
+}
+
+/// Plans that steer the optimizer into the access paths a random plan
+/// rarely reaches: a key-equality selection on the key-indexed `T1`
+/// (`KeyScan`), an envelope-indexable selection (`IndexScan`), a hash
+/// join building on a bare scan of `T1` (keyed build), and an interval
+/// join (`SweepJoin`) — each with a random residual conjunct.
+fn access_path_query(rng: &mut SmallRng, db: &Database) -> QueryBuilder {
+    let table = ["T0", "T1", "T2"][rng.gen_range(0..3usize)];
+    match rng.gen_range(0..4) {
+        0 => {
+            let b = QueryBuilder::scan_as(db, "T1", "K1").unwrap();
+            let residual = random_pred(rng, b.schema());
+            let key = rng.gen_range(0..4i64);
+            b.filter(|_| Ok(Expr::Col(0).eq(Expr::lit(key)).and(residual)))
+                .unwrap()
+        }
+        1 => {
+            let b = QueryBuilder::scan_as(db, table, "I").unwrap();
+            let residual = random_pred(rng, b.schema());
+            let preds = [
+                TemporalPredicate::Overlaps,
+                TemporalPredicate::Starts,
+                TemporalPredicate::Finishes,
+            ];
+            let p = preds[rng.gen_range(0..preds.len())];
+            let window = Expr::lit(Value::Interval(random_interval(rng)));
+            b.filter(|_| Ok(Expr::Col(2).temporal(p, window).and(residual)))
+                .unwrap()
+        }
+        2 => {
+            let l = random_query(rng, db, 0);
+            let split = l.schema().len();
+            let r = QueryBuilder::scan_as(db, "T1", "R").unwrap();
+            let schema = l.schema().product(r.schema());
+            let residual = random_pred(rng, &schema);
+            l.join(r, |_| Ok(Expr::Col(0).eq(Expr::Col(split)).and(residual)))
+                .unwrap()
+        }
+        _ => {
+            let l = QueryBuilder::scan_as(db, table, "L").unwrap();
+            let r_table = ["T0", "T1", "T2"][rng.gen_range(0..3usize)];
+            let r = QueryBuilder::scan_as(db, r_table, "R").unwrap();
+            let schema = l.schema().product(r.schema());
+            let residual = random_pred(rng, &schema);
+            l.join(r, |_| Ok(Expr::Col(2).overlaps(Expr::Col(5)).and(residual)))
+                .unwrap()
+        }
+    }
+}
+
+/// Asserts `∥Q(D)∥rt ≡ Q(∥D∥rt)` for `plan` at every `rt`, under every
+/// join strategy with the interval index on and off, and records which
+/// physical operators the plans used.
+fn assert_commutes(
+    db: &Database,
+    plan: &LogicalPlan,
+    rts: &[TimePoint],
+    label: &str,
+    seen: &mut BTreeSet<&'static str>,
+) {
+    for strategy in [
+        JoinStrategy::Auto,
+        JoinStrategy::NestedLoop,
+        JoinStrategy::Hash,
+        JoinStrategy::Sweep,
+    ] {
+        for use_interval_index in [false, true] {
+            let cfg = PlannerConfig {
+                join_strategy: strategy,
+                use_interval_index,
+                ..PlannerConfig::default()
+            };
+            let phys = compile(db, plan, &cfg).unwrap();
+            let explain = phys.explain();
+            for op in OPERATORS {
+                if explain.contains(op) {
+                    seen.insert(op);
+                }
+            }
+            let ongoing = match phys.execute() {
+                Ok(o) => o,
+                Err(e) => panic!(
+                    "{label} ({strategy:?}, index {use_interval_index}): {e}\nplan:\n{explain}"
+                ),
+            };
+            for &rt in rts {
+                let lhs = ongoing.bind(rt);
+                let rhs = phys.execute_at(rt).unwrap();
+                assert_eq!(
+                    lhs, rhs,
+                    "{label} ({strategy:?}, index {use_interval_index}): divergence at rt={rt}\nplan:\n{explain}"
+                );
+            }
+        }
+    }
+}
+
+/// EXPLAIN fragments of the operators (and the keyed hash-join build) the
+/// master-criterion fuzzer must reach.
+const OPERATORS: [&str; 8] = [
+    "SeqScan",
+    "IndexScan",
+    "KeyScan",
+    "NestedLoopJoin",
+    "HashJoin",
+    "(keyed build)",
+    "SweepJoin",
+    "Project",
+];
 
 #[test]
 fn random_plans_commute_with_bind() {
     let mut rng = SmallRng::seed_from_u64(20260609);
     let db = Database::new();
     for (i, rows) in [7usize, 5, 9].iter().enumerate() {
-        db.create_table(&format!("T{i}"), random_relation(&mut rng, *rows))
-            .unwrap();
+        let mut rel = random_relation(&mut rng, *rows);
+        if i == 1 {
+            // A sealed, key-indexed table lowers key scans and keyed
+            // hash-join builds.
+            rel.seal_pending();
+            rel.create_key_index(0).unwrap();
+        }
+        db.create_table(&format!("T{i}"), rel).unwrap();
     }
     let rts: Vec<TimePoint> = (LO - 4..=HI + 6).map(tp).collect();
+    let mut seen = BTreeSet::new();
     for trial in 0..120 {
         let plan = random_plan(&mut rng, &db, 1 + trial % 2);
-        for strategy in [JoinStrategy::Auto, JoinStrategy::NestedLoop] {
-            let cfg = PlannerConfig {
-                join_strategy: strategy,
-                ..PlannerConfig::default()
-            };
-            let phys = compile(&db, &plan, &cfg).unwrap();
-            let ongoing = match phys.execute() {
-                Ok(o) => o,
-                Err(e) => panic!(
-                    "trial {trial} ({strategy:?}): {e}\nplan:\n{}",
-                    phys.explain()
-                ),
-            };
-            for &rt in &rts {
-                let lhs = ongoing.bind(rt);
-                let rhs = phys.execute_at(rt).unwrap();
-                assert_eq!(
-                    lhs,
-                    rhs,
-                    "trial {trial} ({strategy:?}): divergence at rt={rt}\nplan:\n{}",
-                    phys.explain()
-                );
-            }
+        assert_commutes(&db, &plan, &rts, &format!("trial {trial}"), &mut seen);
+    }
+    // Computed projections (so `eval_scalar_at` is checked) and the
+    // steered access paths, from their own seed.
+    let mut rng = SmallRng::seed_from_u64(20261017);
+    for trial in 0..60 {
+        let b = random_query(&mut rng, &db, trial % 2);
+        if let Some(p) = computed_projection(&mut rng, b) {
+            let label = format!("projection trial {trial}");
+            assert_commutes(&db, &p.build(), &rts, &label, &mut seen);
         }
+        let plan = access_path_query(&mut rng, &db).build();
+        let label = format!("access-path trial {trial}");
+        assert_commutes(&db, &plan, &rts, &label, &mut seen);
+    }
+    for op in OPERATORS {
+        assert!(seen.contains(op), "no generated plan lowered {op}");
     }
 }
 

@@ -24,7 +24,9 @@ use ongoingdb::engine::catalog::RetryPolicy;
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::storage::{DurableOptions, TempDir};
-use ongoingdb::engine::{Database, EngineError, ExecContext, QueryBuilder, QueryControl};
+use ongoingdb::engine::{
+    Database, EngineError, ExecContext, LogicalPlan, QueryBuilder, QueryControl,
+};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,9 +72,19 @@ fn chunk_file_bytes(dir: &Path) -> (u64, u64) {
     (total, max)
 }
 
-/// The two governed query shapes: a filtered scan of the big table, and a
-/// hash join probing it with a small build side.
-fn run_queries(db: &Database) -> (Vec<Tuple>, Vec<Tuple>) {
+/// Reference time of the instantiated runs (inside the `VT` starts, so
+/// the bound spans differ per row).
+const RT: i64 = 20;
+
+/// One query shape's answer in both modes: the ongoing result's tuples
+/// and the rows instantiated at [`RT`].
+type Answer = (Vec<Tuple>, Vec<Vec<Value>>);
+
+/// The governed query shapes — a filtered scan of the big table, a bare
+/// projection of it, a hash join probing it with a small build side, and
+/// a hash join whose build side is a bare scan of it — each run ongoing
+/// and instantiated.
+fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
     // Two workers: parallel paging coverage while keeping worst-case
     // concurrent pins (one morsel per worker) well inside any budget the
     // caller derives from the table size — peak ≤ budget must hold on
@@ -82,35 +94,38 @@ fn run_queries(db: &Database) -> (Vec<Tuple>, Vec<Tuple>) {
         parallelism: 2,
         ..PlannerConfig::default()
     };
+    let run = |plan: LogicalPlan| -> Answer {
+        let phys = compile(db, &plan, &cfg).unwrap();
+        let ctx = cfg.exec_context();
+        let ongoing = phys.execute_ctx(&ctx).unwrap().iter().cloned().collect();
+        let (rows, _) = phys.rows_at_with_stats(tp(RT), &ctx).unwrap();
+        (ongoing, rows)
+    };
     let filter = QueryBuilder::scan(db, "T")
         .unwrap()
         .filter(|s| Ok(Expr::col(s, "G")?.eq(Expr::lit(3i64))))
         .unwrap()
         .build();
-    let filtered: Vec<Tuple> = compile(db, &filter, &cfg)
+    let project = QueryBuilder::scan(db, "T")
         .unwrap()
-        .execute_ctx(&cfg.exec_context())
+        .project_cols(&["K", "G"])
         .unwrap()
-        .iter()
-        .cloned()
-        .collect();
-
-    let t = QueryBuilder::scan_as(db, "T", "T").unwrap();
-    let s = QueryBuilder::scan_as(db, "S", "S").unwrap();
-    let join = t
-        .join(s, |sch| {
+        .build();
+    let join = |probe: &str, build: &str| {
+        let l = QueryBuilder::scan_as(db, probe, probe).unwrap();
+        let r = QueryBuilder::scan_as(db, build, build).unwrap();
+        l.join(r, |sch| {
             Ok(Expr::col(sch, "T.K")?.eq(Expr::col(sch, "S.K")?))
         })
         .unwrap()
-        .build();
-    let joined: Vec<Tuple> = compile(db, &join, &cfg)
-        .unwrap()
-        .execute_ctx(&cfg.exec_context())
-        .unwrap()
-        .iter()
-        .cloned()
-        .collect();
-    (filtered, joined)
+        .build()
+    };
+    vec![
+        ("filter", run(filter)),
+        ("projection", run(project)),
+        ("join probing T", run(join("T", "S"))),
+        ("join building on T", run(join("S", "T"))),
+    ]
 }
 
 #[test]
@@ -145,7 +160,7 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
 
     // Budgeted reopen: cold tables load zero tuples until first access,
     // queries stay within budget, eviction actually happens.
-    let (filtered, joined) = {
+    let answers = {
         let db = Database::open_with(dir.path(), opts(budget)).unwrap();
         db.table("T").unwrap();
         db.table("S").unwrap();
@@ -172,14 +187,23 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
 
     // Unbounded reopen of the same directory: bit-identical results.
     let db = Database::open_with(dir.path(), opts(u64::MAX)).unwrap();
-    let (filtered_full, joined_full) = run_queries(&db);
-    assert_eq!(filtered, filtered_full, "budgeted filter result diverged");
-    assert_eq!(joined, joined_full, "budgeted join result diverged");
-    assert_eq!(
-        filtered.len(),
-        16 * CHUNK / 7 + usize::from(16 * CHUNK % 7 > 3)
-    );
-    assert_eq!(joined.len(), 64);
+    let full = run_queries(&db);
+    assert_eq!(answers.len(), full.len());
+    for ((name, got), (_, want)) in answers.iter().zip(&full) {
+        assert_eq!(got.0, want.0, "budgeted ongoing {name} result diverged");
+        assert_eq!(got.1, want.1, "budgeted at-rt {name} result diverged");
+    }
+    let expected = [
+        16 * CHUNK / 7 + usize::from(16 * CHUNK % 7 > 3),
+        16 * CHUNK,
+        64,
+        64,
+    ];
+    for ((name, (ongoing, rows)), n) in answers.iter().zip(expected) {
+        assert_eq!(ongoing.len(), n, "ongoing {name}");
+        // Every tuple is alive at RT and no predicate reads VT.
+        assert_eq!(rows.len(), n, "at-rt {name}");
+    }
 }
 
 #[test]
