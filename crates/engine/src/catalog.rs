@@ -94,14 +94,16 @@ impl Table {
     }
 
     /// Collects (or refreshes) statistics over the stored relation and
-    /// resets the staleness counter — the `ANALYZE` primitive.
-    pub fn analyze(&self) -> Arc<TableStatistics> {
-        let stats = Arc::new(analyze_relation(&self.data));
+    /// resets the staleness counter — the `ANALYZE` primitive. Reads a
+    /// cold table one pinned chunk at a time, so it stays cold; a chunk
+    /// that fails to page in is an error.
+    pub fn analyze(&self) -> Result<Arc<TableStatistics>> {
+        let stats = Arc::new(analyze_relation(&self.data)?);
         *self.stats.lock() = StatsState {
             stats: Some(Arc::clone(&stats)),
             mods_since_analyze: 0,
         };
-        stats
+        Ok(stats)
     }
 
     /// Returns (building and caching on first use) the envelope interval
@@ -801,7 +803,7 @@ impl Database {
         if state.stale() {
             // Statistics refresh also runs off-lock, on the fork.
             state = StatsState {
-                stats: Some(Arc::new(analyze_relation(&data))),
+                stats: Some(Arc::new(analyze_relation(&data)?)),
                 mods_since_analyze: 0,
             };
         }
@@ -940,17 +942,19 @@ impl Database {
 
     /// Collects statistics for one table (`ANALYZE <table>`).
     pub fn analyze(&self, name: &str) -> Result<Arc<TableStatistics>> {
-        Ok(self.table(name)?.analyze())
+        self.table(name)?.analyze()
     }
 
     /// Collects statistics for every table (bare `ANALYZE`), returning the
-    /// per-table results in name order. Cold tables materialize first —
-    /// a full `ANALYZE` touches everything by definition.
+    /// per-table results in name order. Cold tables are read one pinned
+    /// chunk at a time within the chunk-cache budget and stay cold; a
+    /// table that fails to load or page in is left out of the result
+    /// ([`analyze`](Self::analyze) reports its error).
     pub fn analyze_all(&self) -> Vec<(String, Arc<TableStatistics>)> {
         self.table_names()
             .into_iter()
             .filter_map(|name| {
-                let stats = self.table(&name).ok()?.analyze();
+                let stats = self.table(&name).ok()?.analyze().ok()?;
                 Some((name, stats))
             })
             .collect()

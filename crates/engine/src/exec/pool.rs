@@ -19,6 +19,13 @@
 //! size 1 still executes correctly. Morsels never submit sub-morsels, so
 //! the pool cannot deadlock on itself.
 //!
+//! A query's morsels never run more than its parallelism at a time,
+//! whatever the pool's size: workers take at most `parallelism - 1` of
+//! them concurrently and the helping submitter is the last slot. So a
+//! query's concurrently pinned chunks are bounded by its own parallelism,
+//! and a query at parallelism 2 on a pool sized by `ONGOINGDB_THREADS=4`
+//! pages in as it would on a one-worker pool.
+//!
 //! Determinism is preserved end to end: a batch's results are collected in
 //! submission (partition) order and the first error wins in that same
 //! order — exactly the semantics the old scoped-thread driver had — so
@@ -163,6 +170,7 @@ impl WorkerPool {
                 .spawn(move || {
                     while let Some((task, queue)) = core.sched.next_task() {
                         core.run(task, &queue, false);
+                        core.sched.finished(&queue);
                     }
                 })
                 .expect("spawn pool worker");
@@ -402,13 +410,16 @@ impl PoolSession {
     ///
     /// The calling thread helps drain its own queue while waiting, so a
     /// batch always makes progress even when every pool worker is busy on
-    /// other queries.
+    /// other queries. At most `parallelism` of the query's morsels run at
+    /// once: the caller plus up to `parallelism - 1` pool workers.
     pub(crate) fn run_morsels<T: Send + 'static>(
         &self,
         control: &QueryControl,
+        parallelism: usize,
         morsels: Vec<Morsel<T>>,
     ) -> Result<Vec<T>> {
         let (pool, queue) = self.attach(control)?;
+        queue.set_parallelism(parallelism);
         let set = TaskSet::new(morsels.len());
         let tasks: Vec<Task> = morsels
             .into_iter()
@@ -465,7 +476,7 @@ mod tests {
                 m
             })
             .collect();
-        let out = session.run_morsels(&control, morsels).unwrap();
+        let out = session.run_morsels(&control, 4, morsels).unwrap();
         assert_eq!(out, (0..32).collect::<Vec<_>>());
         assert_eq!(pool.queue_depth(), 0);
     }
@@ -487,7 +498,7 @@ mod tests {
                 m
             })
             .collect();
-        let err = session.run_morsels(&control, morsels).unwrap_err();
+        let err = session.run_morsels(&control, 4, morsels).unwrap_err();
         assert_eq!(
             err.to_string(),
             EngineError::Plan("boom 3".into()).to_string()
@@ -511,7 +522,7 @@ mod tests {
                 m
             })
             .collect();
-        let err = session.run_morsels(&control, morsels).unwrap_err();
+        let err = session.run_morsels(&control, 4, morsels).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled));
         assert_eq!(
             ran.load(Ordering::Relaxed),
@@ -545,7 +556,7 @@ mod tests {
                     m
                 })
                 .collect();
-            session.run_morsels(&control, morsels).unwrap();
+            session.run_morsels(&control, 4, morsels).unwrap();
             heavy_flag.store(true, Ordering::Relaxed);
         });
         // Give the heavy query a head start so its backlog is queued.
@@ -553,13 +564,46 @@ mod tests {
         let session = session_on(&pool);
         let control = QueryControl::unbounded();
         let light: Vec<Morsel<u32>> = vec![Box::new(|| Ok(7))];
-        let out = session.run_morsels(&control, light).unwrap();
+        let out = session.run_morsels(&control, 4, light).unwrap();
         assert_eq!(out, vec![7]);
         assert!(
             !heavy_done.load(Ordering::Relaxed),
             "light query must finish while the heavy query is still in flight"
         );
         heavy.join().unwrap();
+    }
+
+    #[test]
+    fn a_query_runs_at_most_its_parallelism_morsels_at_once() {
+        // A pool larger than the query's parallelism: four workers plus
+        // the submitter could run five morsels at once without the cap.
+        let pool = WorkerPool::new(4);
+        for parallelism in [1, 2, 3] {
+            let session = session_on(&pool);
+            let control = QueryControl::unbounded();
+            let running = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let peak = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let morsels: Vec<Morsel<()>> = (0..24)
+                .map(|_| {
+                    let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
+                    let m: Morsel<()> = Box::new(move || {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(2));
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        Ok(())
+                    });
+                    m
+                })
+                .collect();
+            session.run_morsels(&control, parallelism, morsels).unwrap();
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= parallelism,
+                "parallelism {parallelism}: {peak} morsels ran at once"
+            );
+        }
+        assert_eq!(pool.queue_depth(), 0);
     }
 
     #[test]

@@ -14,6 +14,16 @@
 //! the pool can record it in the `ongoingdb_pool_admission_wait_us`
 //! histogram and the event ring.
 //!
+//! A query's morsels run at most `parallelism` at a time: pool workers
+//! take at most `parallelism - 1` of them concurrently
+//! ([`QueryQueue::set_parallelism`]), and the submitting thread, which
+//! drains its own queue while it waits, is the last slot. A worker skips a
+//! queue at its cap, and a finished morsel wakes the workers again
+//! ([`Scheduler::finished`]). This is what bounds a query's concurrently
+//! pinned chunks by its own parallelism rather than by the shared pool's
+//! size. Progress never depends on the cap: a queue with pending morsels
+//! always has its submitter draining it.
+//!
 //! Cancellation integrates at the dequeue edge: the worker checks the
 //! queue's control token *before* running a popped task and, when the token
 //! has tripped, completes the task with the control error instead of
@@ -34,11 +44,15 @@ pub(crate) type Task = Box<dyn FnOnce(Result<()>) + Send>;
 
 /// One query's task queue: a FIFO of pending morsels plus the query's
 /// governance token (checked at dequeue so queued morsels of a cancelled
-/// query are dropped, not executed).
+/// query are dropped, not executed) and its cap on pool workers.
 pub(crate) struct QueryQueue {
     id: u64,
     control: QueryControl,
     tasks: Mutex<VecDeque<Task>>,
+    /// How many of this query's morsels pool workers may run at once.
+    worker_cap: AtomicUsize,
+    /// This query's morsels currently running on pool workers.
+    in_workers: AtomicUsize,
 }
 
 impl QueryQueue {
@@ -52,8 +66,20 @@ impl QueryQueue {
         &self.control
     }
 
+    /// Caps the query's concurrently running morsels at `parallelism`:
+    /// pool workers take at most `parallelism - 1`, the submitting thread
+    /// runs the rest.
+    pub(crate) fn set_parallelism(&self, parallelism: usize) {
+        self.worker_cap
+            .store(parallelism.saturating_sub(1), Ordering::Relaxed);
+    }
+
     fn pop(&self) -> Option<Task> {
         self.tasks.lock().expect("queue lock").pop_front()
+    }
+
+    fn has_tasks(&self) -> bool {
+        !self.tasks.lock().expect("queue lock").is_empty()
     }
 }
 
@@ -139,6 +165,8 @@ impl Scheduler {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             control,
             tasks: Mutex::new(VecDeque::new()),
+            worker_cap: AtomicUsize::new(usize::MAX),
+            in_workers: AtomicUsize::new(0),
         });
         state.queues.push(Arc::clone(&queue));
         let waited = if blocked {
@@ -186,8 +214,10 @@ impl Scheduler {
     }
 
     /// The next task for a pool worker: round-robin across active queues,
-    /// one task per turn. Blocks while all queues are empty; returns `None`
-    /// after [`shutdown`](Self::shutdown).
+    /// one task per turn, skipping a queue whose worker cap is reached.
+    /// Blocks while no queue has a task to give; returns `None` after
+    /// [`shutdown`](Self::shutdown). The worker reports the task's end
+    /// with [`finished`](Self::finished).
     pub(crate) fn next_task(&self) -> Option<(Task, Arc<QueryQueue>)> {
         let mut state = self.state.lock().expect("scheduler lock");
         loop {
@@ -197,7 +227,16 @@ impl Scheduler {
             let n = state.queues.len();
             for step in 0..n {
                 let pos = (state.cursor + step) % n;
-                if let Some(task) = state.queues[pos].pop() {
+                let queue = &state.queues[pos];
+                // Only workers holding this lock raise `in_workers`, so
+                // the cap cannot be overshot between check and pop.
+                if queue.in_workers.load(Ordering::Relaxed)
+                    >= queue.worker_cap.load(Ordering::Relaxed)
+                {
+                    continue;
+                }
+                if let Some(task) = queue.pop() {
+                    queue.in_workers.fetch_add(1, Ordering::Relaxed);
                     self.depth.fetch_sub(1, Ordering::Relaxed);
                     state.cursor = (pos + 1) % n;
                     let queue = Arc::clone(&state.queues[pos]);
@@ -209,6 +248,18 @@ impl Scheduler {
                 .wait_timeout(state, Duration::from_millis(100))
                 .expect("scheduler lock");
             state = next;
+        }
+    }
+
+    /// Ends a task [`next_task`](Self::next_task) handed out, freeing its
+    /// slot under `queue`'s worker cap; wakes the workers when the queue
+    /// still has tasks, which a worker may have skipped at the cap.
+    pub(crate) fn finished(&self, queue: &QueryQueue) {
+        queue.in_workers.fetch_sub(1, Ordering::Relaxed);
+        if queue.has_tasks() {
+            // As in `submit`: the lock closes the lost-wakeup window.
+            drop(self.state.lock().expect("scheduler lock"));
+            self.work_ready.notify_all();
         }
     }
 

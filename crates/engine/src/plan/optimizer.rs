@@ -33,8 +33,9 @@ use crate::exec::ExecContext;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::physical::{indexable_selection, sweepable_columns, PhysicalPlan};
 use crate::stats::cost;
-use ongoing_relation::{CmpOp, Expr, KeyProbe, Schema, ValueType};
+use ongoing_relation::{CmpOp, Expr, KeyProbe, Predicate, Schema, ValueType};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Join algorithm selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -302,6 +303,19 @@ fn split_pred(pred: Option<Expr>, schema: &Schema, split: bool) -> (Option<Expr>
     }
 }
 
+/// [`split_pred`], each part compiled once into conjunct kernels here —
+/// the plan, and every prepared statement or cached plan reusing it,
+/// shares the compiled form with its morsel tasks.
+fn split_compiled(
+    pred: Option<Expr>,
+    schema: &Schema,
+    split: bool,
+) -> (Option<Arc<Predicate>>, Option<Arc<Predicate>>) {
+    let (fixed, ongoing) = split_pred(pred, schema, split);
+    let compile = |p: Option<Expr>| p.map(|p| Arc::new(Predicate::compile(p)));
+    (compile(fixed), compile(ongoing))
+}
+
 /// Compiles a logical plan into a physical plan.
 pub fn compile(db: &Database, plan: &LogicalPlan, cfg: &PlannerConfig) -> Result<PhysicalPlan> {
     let rewritten = rewrite(plan.clone(), cfg.pushdown);
@@ -339,7 +353,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                         .expect("key_eq_probe only matches indexed columns");
                     if q.keyed < q.scan {
                         let (fixed, ongoing) =
-                            split_pred(Some(pred), &schema, cfg.split_predicates);
+                            split_compiled(Some(pred), &schema, cfg.split_predicates);
                         return Ok(PhysicalPlan::KeyScan {
                             table: resolved,
                             schema: scan_schema.clone(),
@@ -365,7 +379,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                         .find_map(indexable_selection);
                     if let Some((col, range)) = hit {
                         let (fixed, ongoing) =
-                            split_pred(Some(pred.clone()), &schema, cfg.split_predicates);
+                            split_compiled(Some(pred.clone()), &schema, cfg.split_predicates);
                         let index_plan = PhysicalPlan::IndexScan {
                             table: db.table(table)?,
                             schema: scan_schema.clone(),
@@ -383,7 +397,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                         // Cost gate: a non-selective envelope query can
                         // visit more candidates than a plain scan filters.
                         let (fixed, ongoing) =
-                            split_pred(Some(pred), &schema, cfg.split_predicates);
+                            split_compiled(Some(pred), &schema, cfg.split_predicates);
                         let seq_plan = PhysicalPlan::Filter {
                             input: Box::new(PhysicalPlan::SeqScan {
                                 table: db.table(table)?,
@@ -399,7 +413,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                     }
                 }
             }
-            let (fixed, ongoing) = split_pred(Some(pred), &schema, cfg.split_predicates);
+            let (fixed, ongoing) = split_compiled(Some(pred), &schema, cfg.split_predicates);
             Ok(PhysicalPlan::Filter {
                 input: Box::new(compile_node(db, *input, cfg)?),
                 fixed,
@@ -520,7 +534,8 @@ fn compile_join(
 
     match choice {
         JoinChoice::Hash => {
-            let (fixed, ongoing) = split_pred(and_all(hash_residual), schema, cfg.split_predicates);
+            let (fixed, ongoing) =
+                split_compiled(and_all(hash_residual), schema, cfg.split_predicates);
             let keyed = keyed_build(&r, &keys);
             Ok(PhysicalPlan::HashJoin {
                 left: Box::new(l),
@@ -535,7 +550,7 @@ fn compile_join(
             let (l_col, r_col) = sweep.expect("sweep choice implies a sweepable conjunct");
             // The envelope pass is a pre-filter; the complete predicate
             // stays as residual.
-            let (fixed, ongoing) = split_pred(and_all(conjuncts), schema, cfg.split_predicates);
+            let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema, cfg.split_predicates);
             Ok(PhysicalPlan::SweepJoin {
                 left: Box::new(l),
                 right: Box::new(r),
@@ -546,7 +561,7 @@ fn compile_join(
             })
         }
         JoinChoice::Nested => {
-            let (fixed, ongoing) = split_pred(and_all(conjuncts), schema, cfg.split_predicates);
+            let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema, cfg.split_predicates);
             Ok(PhysicalPlan::NestedLoopJoin {
                 left: Box::new(l),
                 right: Box::new(r),

@@ -24,6 +24,21 @@
 //! span reports the version's row count (instantiated, that includes the
 //! tuples with `rt ∉ RT` its consumers skip).
 //!
+//! # Compiled predicates
+//!
+//! Every operator predicate — the fixed and ongoing conjuncts of Filter,
+//! IndexScan, KeyScan and the three joins' residuals — is compiled once,
+//! when [`compile`](crate::plan::compile) builds the plan, into an
+//! `Arc`-shared [`Predicate`]: per conjunct a kernel for the shapes the
+//! paper's queries use, with the conjunct's [`Expr`] as the fallback, so
+//! results and errors are the generic evaluator's. Prepared statements
+//! and cached plans reuse the compiled form; execution only bumps its
+//! reference count. A join reads each candidate pair in place
+//! ([`Pair`]): in ongoing mode it intersects the two `RT`s (skipping an
+//! empty intersection), gates on the fixed conjunct and restricts by the
+//! ongoing one; at `rt` it gates on both. Only a pair that passes is
+//! concatenated.
+//!
 //! # Morsel-driven parallel execution
 //!
 //! Both modes run morsel-style on the process-wide
@@ -52,8 +67,8 @@ use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::{IntervalSet, TimePoint};
 use ongoing_relation::algebra::{self, ProjItem};
 use ongoing_relation::{
-    Expr, FixedRelation, KeyProbe, LazyChunkView, OngoingRelation, PinnedChunk, Schema, Tuple,
-    Value,
+    Expr, FixedRelation, KeyProbe, LazyChunkView, OngoingRelation, Pair, PinnedChunk, Predicate,
+    Row, Schema, Tuple, Value,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -90,9 +105,9 @@ pub enum PhysicalPlan {
         /// Envelope query range.
         range: (TimePoint, TimePoint),
         /// Exact predicate re-checked per candidate (fixed part).
-        fixed: Option<Expr>,
+        fixed: Option<Arc<Predicate>>,
         /// Exact predicate re-checked per candidate (ongoing part).
-        ongoing: Option<Expr>,
+        ongoing: Option<Arc<Predicate>>,
     },
     /// Key-map pre-filtered scan: candidates come from the store's
     /// per-chunk keyed qualification indexes (PR 5's write-path `KeyMap`s,
@@ -107,18 +122,18 @@ pub enum PhysicalPlan {
         /// condition of the residual predicate).
         probe: KeyProbe,
         /// Exact predicate re-checked per candidate (fixed part).
-        fixed: Option<Expr>,
+        fixed: Option<Arc<Predicate>>,
         /// Exact predicate re-checked per candidate (ongoing part).
-        ongoing: Option<Expr>,
+        ongoing: Option<Arc<Predicate>>,
     },
     /// Filter with the paper's fixed/ongoing predicate split.
     Filter {
         /// Input operator.
         input: Box<PhysicalPlan>,
         /// Conjunct over fixed attributes (plain boolean gate).
-        fixed: Option<Expr>,
+        fixed: Option<Arc<Predicate>>,
         /// Conjunct over ongoing attributes (restricts `RT`).
-        ongoing: Option<Expr>,
+        ongoing: Option<Arc<Predicate>>,
     },
     /// Projection.
     Project {
@@ -137,9 +152,9 @@ pub enum PhysicalPlan {
         /// Right (inner) input.
         right: Box<PhysicalPlan>,
         /// Fixed-attribute conjunct.
-        fixed: Option<Expr>,
+        fixed: Option<Arc<Predicate>>,
         /// Ongoing-attribute conjunct.
-        ongoing: Option<Expr>,
+        ongoing: Option<Arc<Predicate>>,
     },
     /// Hash join on fixed-attribute equality keys, with residual conjuncts.
     /// The build side is hashed once; probe partitions run concurrently.
@@ -158,9 +173,9 @@ pub enum PhysicalPlan {
         /// mode; the instantiated baseline always hashes).
         keyed: bool,
         /// Fixed residual conjunct.
-        fixed: Option<Expr>,
+        fixed: Option<Arc<Predicate>>,
         /// Ongoing residual conjunct.
-        ongoing: Option<Expr>,
+        ongoing: Option<Arc<Predicate>>,
     },
     /// Sort-merge interval join: a forward-scan plane sweep over the
     /// instantiation envelopes of two interval columns, with the exact
@@ -178,9 +193,9 @@ pub enum PhysicalPlan {
         r_col: usize,
         /// Fixed residual conjunct (includes the driving temporal conjunct
         /// when inputs are fixed).
-        fixed: Option<Expr>,
+        fixed: Option<Arc<Predicate>>,
         /// Ongoing residual conjunct.
-        ongoing: Option<Expr>,
+        ongoing: Option<Arc<Predicate>>,
     },
     /// Union (coalescing set union).
     Union {
@@ -291,7 +306,7 @@ impl PhysicalPlan {
 
     /// One-line rendering of this operator (no indentation, no children).
     pub(crate) fn node_line(&self) -> String {
-        let preds = |fixed: &Option<Expr>, ongoing: &Option<Expr>| {
+        let preds = |fixed: &Option<Arc<Predicate>>, ongoing: &Option<Arc<Predicate>>| {
             let mut s = String::new();
             if let Some(f) = fixed {
                 s.push_str(&format!(" fixed: {f}"));
@@ -520,12 +535,11 @@ impl PhysicalPlan {
                 stats.tuples_scanned += ids.len() as u64;
                 let n = ids.len();
                 let ids = Arc::new(ids);
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
+                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
                     let mut local = ExecStats::default();
                     let mut out = Vec::new();
-                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for &id in &ids[r] {
                         let t = data.tuple_at(id).expect("index ids are live positions");
                         // Every candidate is examined, alive at `rt` or not.
@@ -563,12 +577,11 @@ impl PhysicalPlan {
                 };
                 let n = rows.len();
                 let rows = Arc::new(rows);
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
+                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
                     let mut local = ExecStats::default();
                     let mut out = Vec::new();
-                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for t in &rows[r] {
                         local.tuples_filtered += 1;
                         if mode.keeps(t) {
@@ -591,13 +604,12 @@ impl PhysicalPlan {
                 // Chunks are pinned one at a time, so a filter over a
                 // beyond-RAM table keeps at most one cold chunk per
                 // in-flight morsel resident.
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
+                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let parts =
                     run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, local| {
                         for t in pinned.iter().filter(|t| mode.keeps(t)) {
                             local.tuples_filtered += 1;
-                            filter_into(out, t, fixed.as_ref(), ongoing.as_ref(), mode, local)?;
+                            filter_into(out, t, fixed.as_deref(), ongoing.as_deref(), mode, local)?;
                         }
                         Ok(())
                     })?;
@@ -634,10 +646,9 @@ impl PhysicalPlan {
                 // so only the smaller side should be inner.
                 let inner = Arc::new(collect_pinned(ctx, &r, mode)?);
                 let min_chunk = outer_min_chunk(inner.len());
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
+                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let parts = run_partitioned_lazy(ctx, l, min_chunk, move |pinned, out, local| {
-                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for lt in pinned.iter().filter(|t| mode.keeps(t)) {
                         for rt_ in inner.iter() {
                             join_pair_into(out, lt, rt_, f, o, mode, local)?;
@@ -671,8 +682,7 @@ impl PhysicalPlan {
                         let l = left.run(mode, ctx, stats)?;
                         let schema = l.schema().product(rs);
                         let rdata = table.data().clone();
-                        let fixed = fixed.clone();
-                        let ongoing = ongoing.clone();
+                        let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                         let parts =
                             run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
                                 let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
@@ -699,7 +709,7 @@ impl PhysicalPlan {
                                         local.tuples_scanned += visited;
                                         rows
                                     });
-                                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                                     for rt_ in matches.iter() {
                                         join_pair_into(out, lt, rt_, f, o, mode, local)?;
                                     }
@@ -727,10 +737,9 @@ impl PhysicalPlan {
                 let rows = Arc::new(rows);
                 let table = Arc::new(table);
                 let keys = keys.clone();
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
+                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let parts = run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
-                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for lt in pinned.iter().filter(|t| mode.keeps(t)) {
                         let key: Vec<Value> =
                             keys.iter().map(|&(i, _)| lt.value(i).clone()).collect();
@@ -763,15 +772,14 @@ impl PhysicalPlan {
                 let re = Arc::new(envelopes(&r_rows, *r_col, mode)?);
                 let n = le.len();
                 let min_chunk = sweep_min_chunk(re.len(), ctx.parallelism);
-                let fixed = fixed.clone();
-                let ongoing = ongoing.clone();
+                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let parts = run_partitioned(ctx, n, min_chunk, move |range| {
                     let mut local = ExecStats::default();
                     let mut out = Vec::new();
                     let mut pairs = Vec::new();
                     sweep_positions(&le, range, &re, &mut pairs);
                     pairs.sort_unstable();
-                    let (f, o) = (fixed.as_ref(), ongoing.as_ref());
+                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for &(lp, rp) in &pairs {
                         let (lt, rt_) = (&l_rows[le[lp].2], &r_rows[re[rp].2]);
                         join_pair_into(&mut out, lt, rt_, f, o, mode, &mut local)?;
@@ -784,7 +792,10 @@ impl PhysicalPlan {
                 let l = left.run(mode, ctx, stats)?;
                 let r = right.run(mode, ctx, stats)?;
                 match mode {
-                    Mode::Ongoing => algebra::union(&l, &r).map_err(EngineError::Schema),
+                    Mode::Ongoing => {
+                        let (l, r) = (resident(ctx, l)?, resident(ctx, r)?);
+                        algebra::union(&l, &r).map_err(EngineError::Schema)
+                    }
                     // A bag, like the fixed union: both inputs in order,
                     // duplicates removed only by `FixedRelation`.
                     Mode::At(_) => {
@@ -797,8 +808,8 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Difference { left, right } => match mode {
                 Mode::Ongoing => {
-                    let l = left.run(mode, ctx, stats)?;
-                    let r = right.run(mode, ctx, stats)?;
+                    let l = resident(ctx, left.run(mode, ctx, stats)?)?;
+                    let r = resident(ctx, right.run(mode, ctx, stats)?)?;
                     algebra::difference(&l, &r).map_err(EngineError::Schema)
                 }
                 Mode::At(rt) => self.barrier_tuples_at(rt, ctx, stats),
@@ -810,7 +821,7 @@ impl PhysicalPlan {
                 schema,
             } => match mode {
                 Mode::Ongoing => {
-                    let rel = input.run(mode, ctx, stats)?;
+                    let rel = resident(ctx, input.run(mode, ctx, stats)?)?;
                     let names: Vec<String> = schema
                         .attrs()
                         .iter()
@@ -1024,7 +1035,7 @@ where
             job
         })
         .collect();
-    ctx.session.run_morsels(&ctx.control, jobs)
+    ctx.session.run_morsels(&ctx.control, ctx.parallelism, jobs)
 }
 
 /// The chunk-morsel scan driver: partitions the relation's *lazy* chunk
@@ -1105,7 +1116,7 @@ where
             job
         })
         .collect();
-    ctx.session.run_morsels(&ctx.control, jobs)
+    ctx.session.run_morsels(&ctx.control, ctx.parallelism, jobs)
 }
 
 /// One-line rendering of a key probe for EXPLAIN output.
@@ -1160,6 +1171,19 @@ fn collect_pinned(ctx: &ExecContext, rel: &OngoingRelation, mode: Mode) -> Resul
     Ok(out)
 }
 
+/// `rel` with every row resident — how an ongoing Union, Difference or
+/// Aggregate hands a possibly cold input to `relation::algebra`, whose
+/// operators read through [`OngoingRelation::iter`]. An input already in
+/// memory is returned as it is; one with a cold chunk is read through
+/// [`collect_pinned`].
+fn resident(ctx: &ExecContext, rel: OngoingRelation) -> Result<OngoingRelation> {
+    if rel.lazy_views().iter().all(|v| v.is_resident()) {
+        return Ok(rel);
+    }
+    let tuples = collect_pinned(ctx, &rel, Mode::Ongoing)?;
+    OngoingRelation::from_tuples(rel.schema().clone(), tuples).map_err(EngineError::Schema)
+}
+
 // ----------------------------------------------------------------------
 // Shared helpers.
 // ----------------------------------------------------------------------
@@ -1188,99 +1212,130 @@ impl Mode {
     }
 }
 
-/// Does `pred` (absent: true) hold on `values` instantiated at `rt`?
-fn holds_at(pred: Option<&Expr>, values: &[Value], rt: TimePoint) -> Result<bool> {
+/// Does `pred` (absent: true) hold on `row` instantiated at `rt`?
+fn holds_at<R: Row + ?Sized>(pred: Option<&Predicate>, row: &R, rt: TimePoint) -> Result<bool> {
     match pred {
-        Some(p) => Ok(p.eval_bool_at(values, rt)?),
+        Some(p) => Ok(p.eval_bool_at(row, rt)?),
         None => Ok(true),
     }
+}
+
+/// What the ongoing conjunct leaves of a row's `RT`.
+enum Restriction {
+    /// Nothing: the row is dropped.
+    Empty,
+    /// All of it: the conjunct is true at every reference time.
+    Whole,
+    /// The nonempty part where the conjunct holds.
+    Part(IntervalSet),
+}
+
+/// `rt` restricted by the ongoing conjunct's value on `row`, counting its
+/// two merges (the true-set construction and the restriction). A conjunct
+/// true at every reference time leaves `rt` as it is, without a set
+/// operation or a copy.
+fn restrict<R: Row + ?Sized>(
+    ongoing: &Predicate,
+    row: &R,
+    rt: &IntervalSet,
+    stats: &mut ExecStats,
+) -> Result<Restriction> {
+    let theta = ongoing.eval_predicate(row)?;
+    stats.intervals_merged += 2;
+    if theta.is_always_true() {
+        return Ok(if rt.is_empty() {
+            Restriction::Empty
+        } else {
+            Restriction::Whole
+        });
+    }
+    // In place, reusing the true-set's allocation.
+    let mut part = theta.into_true_set();
+    part.intersect_assign(rt);
+    Ok(if part.is_empty() {
+        Restriction::Empty
+    } else {
+        Restriction::Part(part)
+    })
 }
 
 /// Filter application over a borrowed candidate tuple (candidates stay in
 /// their chunk; callers count them and, at `rt`, pass only those with
 /// `rt ∈ RT`); only passing tuples are cloned, and the clone is shallow
 /// (payloads are `Arc`-shared). Ongoing: the fixed conjunct gates, the
-/// ongoing conjunct restricts `RT` (in place, reusing the predicate
-/// true-set's allocation). At `rt`: both conjuncts are plain gates over
-/// operands bound when read.
+/// ongoing conjunct restricts `RT`. At `rt`: both conjuncts are plain
+/// gates over operands bound when read.
 fn filter_into(
     out: &mut Vec<Tuple>,
     t: &Tuple,
-    fixed: Option<&Expr>,
-    ongoing: Option<&Expr>,
+    fixed: Option<&Predicate>,
+    ongoing: Option<&Predicate>,
     mode: Mode,
     stats: &mut ExecStats,
 ) -> Result<()> {
+    let row = t.values();
     if let Mode::At(rt) = mode {
-        if holds_at(fixed, t.values(), rt)? && holds_at(ongoing, t.values(), rt)? {
+        if holds_at(fixed, row, rt)? && holds_at(ongoing, row, rt)? {
             out.push(t.clone());
         }
         return Ok(());
     }
     if let Some(f) = fixed {
-        if !f.eval_bool(t.values())? {
+        if !f.eval_bool(row)? {
             return Ok(());
         }
     }
     match ongoing {
-        Some(o) => {
-            let theta = o.eval_predicate(t.values())?;
-            // One merge for the true-set construction, one for the RT
-            // restriction.
-            stats.intervals_merged += 2;
-            let mut rt = theta.into_true_set();
-            rt.intersect_assign(t.rt());
-            if !rt.is_empty() {
-                out.push(t.restricted(rt));
-            }
-        }
+        Some(o) => match restrict(o, row, t.rt(), stats)? {
+            Restriction::Empty => {}
+            Restriction::Whole => out.push(t.clone()),
+            Restriction::Part(rt) => out.push(t.restricted(rt)),
+        },
         None => out.push(t.clone()),
     }
     Ok(())
 }
 
-/// Join pair: concat (intersecting `RT`s), then gate on the fixed
-/// conjunct and restrict by the ongoing one — or, at `rt` (both inputs
-/// alive there), gate on both conjuncts read at `rt`.
+/// Join pair, read in place and concatenated only when it passes.
+/// Ongoing: intersect the two `RT`s (skipping the pair when that is
+/// empty), gate on the fixed conjunct, restrict by the ongoing one. At
+/// `rt` (both inputs alive there): gate on both conjuncts read at `rt`.
 fn join_pair_into(
     out: &mut Vec<Tuple>,
     lt: &Tuple,
     rt_: &Tuple,
-    fixed: Option<&Expr>,
-    ongoing: Option<&Expr>,
+    fixed: Option<&Predicate>,
+    ongoing: Option<&Predicate>,
     mode: Mode,
     stats: &mut ExecStats,
 ) -> Result<()> {
     stats.pairs_compared += 1;
-    let t = lt.concat(rt_);
+    let pair = Pair::new(lt.values(), rt_.values());
     if let Mode::At(rt) = mode {
-        if holds_at(fixed, t.values(), rt)? && holds_at(ongoing, t.values(), rt)? {
-            out.push(t);
+        if holds_at(fixed, &pair, rt)? && holds_at(ongoing, &pair, rt)? {
+            out.push(lt.concat(rt_));
         }
         return Ok(());
     }
-    // `concat` intersects the two reference times.
     stats.intervals_merged += 1;
-    if t.rt().is_empty() {
+    let joint = lt.rt().intersect(rt_.rt());
+    if joint.is_empty() {
         return Ok(());
     }
     if let Some(f) = fixed {
-        if !f.eval_bool(t.values())? {
+        if !f.eval_bool(&pair)? {
             return Ok(());
         }
     }
-    match ongoing {
-        Some(o) => {
-            let theta = o.eval_predicate(t.values())?;
-            stats.intervals_merged += 2;
-            let mut rt = theta.into_true_set();
-            rt.intersect_assign(t.rt());
-            if !rt.is_empty() {
-                out.push(t.restricted(rt));
-            }
-        }
-        None => out.push(t),
-    }
+    let joint = match ongoing {
+        Some(o) => match restrict(o, &pair, &joint, stats)? {
+            Restriction::Empty => return Ok(()),
+            Restriction::Whole => joint,
+            Restriction::Part(rt) => rt,
+        },
+        None => joint,
+    };
+    out.push(lt.concat_with_rt(rt_, joint));
     Ok(())
 }
 

@@ -26,7 +26,7 @@ use crate::plan::physical::PhysicalPlan;
 use crate::stats::{const_envelope, FixedSummary, IntervalSummary};
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_relation::algebra::ProjItem;
-use ongoing_relation::{CmpOp, Expr, Value};
+use ongoing_relation::{CmpOp, Expr, Predicate, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -525,6 +525,12 @@ fn filter_work(
 // Plan estimation.
 // ----------------------------------------------------------------------
 
+/// A compiled operator predicate's source expression, which the estimates
+/// read.
+fn source(p: &Option<Arc<Predicate>>) -> Option<&Expr> {
+    p.as_deref().map(Predicate::source)
+}
+
 /// Estimates rows and work units for every operator of a physical plan
 /// (ongoing-mode execution). Statistics come from the `Arc<Table>` handles
 /// embedded in the scans; un-analyzed tables yield default estimates with
@@ -600,8 +606,7 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
                     .map(|_| ColEstimate::unknown(candidates))
                     .collect(),
             };
-            let (out_rows, mut w) =
-                filter_work(candidates, fixed.as_ref(), ongoing.as_ref(), &cols);
+            let (out_rows, mut w) = filter_work(candidates, source(fixed), source(ongoing), &cols);
             w.index_candidates += candidates;
             w.tuples_scanned += candidates;
             NodeEstimate::leaf(out_rows, w, stats.is_some(), cols)
@@ -647,7 +652,7 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
                     .map(|_| ColEstimate::unknown(visited))
                     .collect(),
             };
-            let (out_rows, mut w) = filter_work(visited, fixed.as_ref(), ongoing.as_ref(), &cols);
+            let (out_rows, mut w) = filter_work(visited, source(fixed), source(ongoing), &cols);
             w.index_candidates += visited;
             w.tuples_scanned += visited;
             NodeEstimate::leaf(out_rows, w, stats.is_some(), cols)
@@ -658,7 +663,7 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
             ongoing,
         } => {
             let child = estimate(input);
-            let (rows, w) = filter_work(child.rows, fixed.as_ref(), ongoing.as_ref(), &child.cols);
+            let (rows, w) = filter_work(child.rows, source(fixed), source(ongoing), &child.cols);
             let cols = child.cols.iter().map(|c| c.scaled(rows)).collect();
             NodeEstimate::with_children(rows, w, cols, vec![child])
         }
@@ -686,7 +691,7 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
         } => {
             let (l, r) = (estimate(left), estimate(right));
             let cols = product_cols(&l, &r);
-            let (rows, w) = nested_loop_work(&l, &r, fixed.as_ref(), ongoing.as_ref(), &cols);
+            let (rows, w) = nested_loop_work(&l, &r, source(fixed), source(ongoing), &cols);
             let cols = cols.iter().map(|c| c.scaled(rows)).collect();
             NodeEstimate::with_children(rows, w, cols, vec![l, r])
         }
@@ -703,7 +708,7 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
         } => {
             let (l, r) = (estimate(left), estimate(right));
             let cols = product_cols(&l, &r);
-            let (rows, w) = hash_join_work(&l, &r, keys, fixed.as_ref(), ongoing.as_ref(), &cols);
+            let (rows, w) = hash_join_work(&l, &r, keys, source(fixed), source(ongoing), &cols);
             let cols = cols.iter().map(|c| c.scaled(rows)).collect();
             NodeEstimate::with_children(rows, w, cols, vec![l, r])
         }
@@ -722,8 +727,8 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
                 &r,
                 *l_col,
                 *r_col,
-                fixed.as_ref(),
-                ongoing.as_ref(),
+                source(fixed),
+                source(ongoing),
                 &cols,
             );
             let cols = cols.iter().map(|c| c.scaled(rows)).collect();

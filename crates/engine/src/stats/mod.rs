@@ -23,7 +23,7 @@ pub mod cost;
 
 use ongoing_core::hist::DEFAULT_BUCKETS;
 use ongoing_core::PointHistogram;
-use ongoing_relation::{OngoingRelation, Value, ValueType};
+use ongoing_relation::{OngoingRelation, PagerError, Value, ValueType};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -212,64 +212,109 @@ fn envelope(v: &Value) -> Option<(i64, i64)> {
     (s < e).then(|| (s.ticks(), e.ticks()))
 }
 
-fn analyze_fixed(rel: &OngoingRelation, col: usize, ty: ValueType) -> FixedSummary {
-    let mut distinct: HashSet<&Value> = HashSet::new();
-    for t in rel.iter() {
-        distinct.insert(t.value(col));
+/// One column's statistics under construction, fed one value per row.
+enum ColumnAcc {
+    /// A fixed attribute: for orderable types the histogram keys, which
+    /// also give the distinct count once sorted; every other value is
+    /// kept in `others` (owned; a `Str` clone is an `Arc` bump).
+    Fixed {
+        ty: ValueType,
+        keys: Vec<i64>,
+        others: HashSet<Value>,
+    },
+    /// An interval attribute: ongoing count and non-empty envelopes.
+    Interval {
+        ongoing: u64,
+        envelopes: Vec<(i64, i64)>,
+    },
+    Opaque,
+}
+
+impl ColumnAcc {
+    fn new(ty: ValueType) -> Self {
+        match ty {
+            ValueType::OngoingInterval | ValueType::Span => ColumnAcc::Interval {
+                ongoing: 0,
+                envelopes: Vec::new(),
+            },
+            ValueType::Int | ValueType::Str | ValueType::Bool | ValueType::Time => {
+                ColumnAcc::Fixed {
+                    ty,
+                    keys: Vec::new(),
+                    others: HashSet::new(),
+                }
+            }
+            ValueType::OngoingPoint | ValueType::OngoingInt => ColumnAcc::Opaque,
+        }
     }
-    let histogram = match ty {
-        ValueType::Int => Some(PointHistogram::build(
-            rel.iter().filter_map(|t| t.value(col).as_int()).collect(),
-            DEFAULT_BUCKETS,
-        )),
-        ValueType::Time => Some(PointHistogram::build(
-            rel.iter()
-                .filter_map(|t| match t.value(col) {
-                    Value::Time(p) => Some(p.ticks()),
+
+    fn add(&mut self, v: &Value) {
+        match self {
+            ColumnAcc::Fixed { ty, keys, others } => match (*ty, v) {
+                (ValueType::Int, Value::Int(n)) => keys.push(*n),
+                (ValueType::Time, Value::Time(p)) => keys.push(p.ticks()),
+                (ValueType::Bool, Value::Bool(b)) => keys.push(i64::from(*b)),
+                _ => {
+                    if !others.contains(v) {
+                        others.insert(v.clone());
+                    }
+                }
+            },
+            ColumnAcc::Interval { ongoing, envelopes } => {
+                if v.as_interval().is_some_and(|iv| iv.is_ongoing()) {
+                    *ongoing += 1;
+                }
+                envelopes.extend(envelope(v));
+            }
+            ColumnAcc::Opaque => {}
+        }
+    }
+
+    fn finish(self, rows: u64) -> ColumnStats {
+        match self {
+            ColumnAcc::Fixed {
+                ty,
+                mut keys,
+                others,
+            } => {
+                // Keys of one column are all of its type, so none equals
+                // a value in `others`.
+                keys.sort_unstable();
+                let mut distinct = others.len() as u64;
+                distinct += keys.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+                distinct += u64::from(!keys.is_empty());
+                let histogram = match ty {
+                    ValueType::Int | ValueType::Time => {
+                        Some(PointHistogram::build(keys, DEFAULT_BUCKETS))
+                    }
+                    ValueType::Bool => Some(PointHistogram::build(keys, 2)),
                     _ => None,
-                })
-                .collect(),
-            DEFAULT_BUCKETS,
-        )),
-        ValueType::Bool => Some(PointHistogram::build(
-            rel.iter()
-                .filter_map(|t| t.value(col).as_bool().map(i64::from))
-                .collect(),
-            2,
-        )),
-        _ => None,
-    };
-    FixedSummary {
-        distinct: distinct.len() as u64,
-        histogram,
+                };
+                ColumnStats::Fixed(Arc::new(FixedSummary {
+                    distinct,
+                    histogram,
+                }))
+            }
+            ColumnAcc::Interval { ongoing, envelopes } => {
+                ColumnStats::Interval(Arc::new(interval_summary(rows, ongoing, envelopes)))
+            }
+            ColumnAcc::Opaque => ColumnStats::Opaque,
+        }
     }
 }
 
-fn analyze_interval(rel: &OngoingRelation, col: usize) -> IntervalSummary {
-    let mut starts = Vec::new();
-    let mut ends = Vec::new();
-    let mut lengths = Vec::new();
-    let mut envelopes = Vec::new();
-    let mut ongoing = 0u64;
-    for t in rel.iter() {
-        let Some(iv) = t.value(col).as_interval() else {
-            continue;
-        };
-        if iv.is_ongoing() {
-            ongoing += 1;
-        }
-        if let Some((s, e)) = envelope(t.value(col)) {
-            starts.push(s);
-            ends.push(e);
-            lengths.push(e.saturating_sub(s));
-            envelopes.push((s, e));
-        }
-    }
+fn interval_summary(rows: u64, ongoing: u64, envelopes: Vec<(i64, i64)>) -> IntervalSummary {
+    let starts = envelopes.iter().map(|&(s, _)| s).collect();
+    let ends = envelopes.iter().map(|&(_, e)| e).collect();
+    let lengths = envelopes
+        .iter()
+        .map(|&(s, e)| e.saturating_sub(s))
+        .collect();
     let nonempty = envelopes.len() as u64;
     let stride = (envelopes.len() / SAMPLE_SIZE).max(1);
     let sample: Vec<(i64, i64)> = envelopes.iter().step_by(stride).copied().collect();
     let mut summary = IntervalSummary {
-        rows: rel.len() as u64,
+        rows,
         nonempty,
         ongoing,
         starts: PointHistogram::build(starts, DEFAULT_BUCKETS),
@@ -291,29 +336,31 @@ fn analyze_interval(rel: &OngoingRelation, col: usize) -> IntervalSummary {
 
 /// Collects full statistics over one relation — the `ANALYZE` primitive.
 ///
-/// The walk is deterministic (stride sampling, no randomness), so repeated
-/// analyzes of the same data produce identical statistics and therefore
-/// identical plans.
-pub fn analyze_relation(rel: &OngoingRelation) -> TableStatistics {
-    let columns = rel
+/// One pass over the relation's chunks, each pinned only while it is read
+/// ([`OngoingRelation::lazy_views`]): a cold table pages in one chunk at
+/// a time within the chunk-cache budget and stays cold afterwards, and a
+/// pager failure is an error. The walk is deterministic (stride sampling,
+/// no randomness), so repeated analyzes of the same data produce
+/// identical statistics and therefore identical plans.
+pub fn analyze_relation(rel: &OngoingRelation) -> Result<TableStatistics, PagerError> {
+    let mut columns: Vec<ColumnAcc> = rel
         .schema()
         .attrs()
         .iter()
-        .enumerate()
-        .map(|(i, attr)| match attr.ty {
-            ValueType::OngoingInterval | ValueType::Span => {
-                ColumnStats::Interval(Arc::new(analyze_interval(rel, i)))
-            }
-            ValueType::Int | ValueType::Str | ValueType::Bool | ValueType::Time => {
-                ColumnStats::Fixed(Arc::new(analyze_fixed(rel, i, attr.ty)))
-            }
-            ValueType::OngoingPoint | ValueType::OngoingInt => ColumnStats::Opaque,
-        })
+        .map(|attr| ColumnAcc::new(attr.ty))
         .collect();
-    TableStatistics {
-        rows: rel.len() as u64,
-        columns,
+    for view in rel.lazy_views() {
+        for t in view.pin()?.iter() {
+            for (acc, v) in columns.iter_mut().zip(t.values()) {
+                acc.add(v);
+            }
+        }
     }
+    let rows = rel.len() as u64;
+    Ok(TableStatistics {
+        rows,
+        columns: columns.into_iter().map(|c| c.finish(rows)).collect(),
+    })
 }
 
 /// Convenience: the envelope of a constant interval value in ticks
@@ -353,7 +400,7 @@ mod tests {
 
     #[test]
     fn analyze_counts_rows_and_distincts() {
-        let s = analyze_relation(&rel());
+        let s = analyze_relation(&rel()).unwrap();
         assert_eq!(s.rows, 100);
         assert_eq!(s.fixed(0).unwrap().distinct, 4);
         assert_eq!(s.fixed(1).unwrap().distinct, 2);
@@ -365,8 +412,27 @@ mod tests {
     }
 
     #[test]
+    fn distinct_counts_every_fixed_type() {
+        let schema = Schema::builder().bool("B").time("T").int("K").build();
+        let mut r = OngoingRelation::new(schema);
+        for i in 0..50i64 {
+            r.insert(vec![
+                Value::Bool(i % 3 == 0),
+                Value::Time(TimePoint::new(i % 7 - 3)),
+                Value::Int(i.min(9)),
+            ])
+            .unwrap();
+        }
+        let s = analyze_relation(&r).unwrap();
+        let distinct = |c| s.fixed(c).unwrap().distinct;
+        assert_eq!((distinct(0), distinct(1), distinct(2)), (2, 7, 10));
+        let empty = analyze_relation(&OngoingRelation::new(r.schema().clone())).unwrap();
+        assert_eq!(empty.fixed(2).unwrap().distinct, 0);
+    }
+
+    #[test]
     fn interval_summary_tracks_ongoing_and_overlap() {
-        let s = analyze_relation(&rel());
+        let s = analyze_relation(&rel()).unwrap();
         let iv = s.interval(2).unwrap();
         assert_eq!(iv.rows, 100);
         assert_eq!(iv.nonempty, 100);
@@ -382,7 +448,7 @@ mod tests {
 
     #[test]
     fn pair_overlap_uses_samples_symmetrically() {
-        let s = analyze_relation(&rel());
+        let s = analyze_relation(&rel()).unwrap();
         let iv = s.interval(2).unwrap();
         let f = iv.pair_overlap_frac(iv);
         let g = iv.overlap_density;
@@ -398,7 +464,7 @@ mod tests {
             md(2, 1),
         ))])
         .unwrap();
-        let s = analyze_relation(&r);
+        let s = analyze_relation(&r).unwrap();
         let iv = s.interval(0).unwrap();
         assert_eq!(iv.rows, 1);
         assert_eq!(iv.nonempty, 0);
@@ -408,7 +474,7 @@ mod tests {
 
     #[test]
     fn describe_mentions_every_column() {
-        let s = analyze_relation(&rel());
+        let s = analyze_relation(&rel()).unwrap();
         let d = s.describe(rel().schema());
         assert!(d.contains("rows=100"));
         assert!(d.contains("K:"));

@@ -203,7 +203,7 @@ impl Expr {
         self.scalar(row, BoundAt(rt))
     }
 
-    fn scalar(&self, row: &[Value], read: impl Read) -> Result<Value, EvalError> {
+    fn scalar<R: Row + ?Sized>(&self, row: &R, read: impl Read) -> Result<Value, EvalError> {
         match self {
             Expr::Col(_) | Expr::Const(_) => operand(self, row, read).map(Cow::into_owned),
             Expr::Intersect(l, r) => {
@@ -235,23 +235,29 @@ impl Expr {
     /// Evaluates the expression as a predicate over a tuple, producing an
     /// ongoing boolean.
     pub fn eval_predicate(&self, row: &[Value]) -> Result<OngoingBool, EvalError> {
+        self.predicate(row)
+    }
+
+    /// [`eval_predicate`](Self::eval_predicate) over any [`Row`] — the
+    /// fallback a compiled [`Predicate`](crate::Predicate) conjunct takes.
+    pub(crate) fn predicate<R: Row + ?Sized>(&self, row: &R) -> Result<OngoingBool, EvalError> {
         match self {
             Expr::And(l, r) => {
-                let lb = l.eval_predicate(row)?;
+                let lb = l.predicate(row)?;
                 // Short-circuit: ∧ with always-false stays always-false.
                 if lb.is_always_false() {
                     return Ok(lb);
                 }
-                Ok(lb.and(&r.eval_predicate(row)?))
+                Ok(lb.and(&r.predicate(row)?))
             }
             Expr::Or(l, r) => {
-                let lb = l.eval_predicate(row)?;
+                let lb = l.predicate(row)?;
                 if lb.is_always_true() {
                     return Ok(lb);
                 }
-                Ok(lb.or(&r.eval_predicate(row)?))
+                Ok(lb.or(&r.predicate(row)?))
             }
-            Expr::Not(e) => Ok(e.eval_predicate(row)?.not()),
+            Expr::Not(e) => Ok(e.predicate(row)?.not()),
             Expr::Cmp(op, l, r) => {
                 let (lv, rv) = (operand(l, row, AsStored)?, operand(r, row, AsStored)?);
                 eval_cmp(*op, &lv, &rv)
@@ -369,7 +375,14 @@ impl Expr {
         self.boolean(row, BoundAt(rt))
     }
 
-    fn boolean(&self, row: &[Value], read: impl Read) -> Result<bool, EvalError> {
+    /// The boolean evaluators over any [`Row`], as stored or bound at an
+    /// `rt` — the fallback a compiled [`Predicate`](crate::Predicate)
+    /// conjunct takes.
+    pub(crate) fn boolean<R: Row + ?Sized>(
+        &self,
+        row: &R,
+        read: impl Read,
+    ) -> Result<bool, EvalError> {
         match self {
             Expr::And(l, r) => Ok(l.boolean(row, read)? && r.boolean(row, read)?),
             Expr::Or(l, r) => Ok(l.boolean(row, read)? || r.boolean(row, read)?),
@@ -496,16 +509,31 @@ impl Expr {
     }
 }
 
+/// The attribute values an evaluator reads by position: a tuple's value
+/// slice, or a join's candidate pair read in place
+/// ([`Pair`](crate::Pair)).
+pub trait Row {
+    /// The value of the attribute at `i`, `None` past the row's end.
+    fn attr(&self, i: usize) -> Option<&Value>;
+}
+
+impl Row for [Value] {
+    #[inline]
+    fn attr(&self, i: usize) -> Option<&Value> {
+        self.get(i)
+    }
+}
+
 /// How an evaluator reads a column or literal operand. The evaluators are
 /// generic over it, so the as-stored and the instantiated readings share
 /// one code path, each monomorphized without a per-operand branch.
-trait Read: Copy {
+pub(crate) trait Read: Copy {
     fn read(self, v: &Value) -> Cow<'_, Value>;
 }
 
 /// Operands as stored: ongoing values stay ongoing.
 #[derive(Clone, Copy)]
-struct AsStored;
+pub(crate) struct AsStored;
 
 impl Read for AsStored {
     #[inline]
@@ -517,7 +545,7 @@ impl Read for AsStored {
 /// Operands instantiated at a reference time when read (the bind
 /// operator applied per access); fixed operands are borrowed.
 #[derive(Clone, Copy)]
-struct BoundAt(TimePoint);
+pub(crate) struct BoundAt(pub(crate) TimePoint);
 
 impl Read for BoundAt {
     #[inline]
@@ -532,13 +560,13 @@ impl Read for BoundAt {
 /// A scalar operand: read from the row or the literal for a column or
 /// constant, evaluated for anything else. Predicates read their operands
 /// through it so a per-tuple comparison clones no stored value.
-fn operand<'a>(
+fn operand<'a, R: Row + ?Sized>(
     e: &'a Expr,
-    row: &'a [Value],
+    row: &'a R,
     read: impl Read,
 ) -> Result<Cow<'a, Value>, EvalError> {
     match e {
-        Expr::Col(i) => match row.get(*i) {
+        Expr::Col(i) => match row.attr(*i) {
             Some(v) => Ok(read.read(v)),
             None => Err(EvalError::Schema(SchemaError::BadIndex(*i))),
         },
@@ -653,7 +681,7 @@ impl fmt::Display for Expr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tuple::Tuple;
     use ongoing_core::date::md;
@@ -883,7 +911,7 @@ mod tests {
         assert!(e.eval_bool(t.values()).is_err());
     }
 
-    const CMP_OPS: [CmpOp; 6] = [
+    pub(crate) const CMP_OPS: [CmpOp; 6] = [
         CmpOp::Lt,
         CmpOp::Le,
         CmpOp::Eq,
@@ -995,7 +1023,7 @@ mod tests {
     }
 
     /// Samples of every value type, the ongoing ones of several kinds.
-    fn typed_samples() -> Vec<Value> {
+    pub(crate) fn typed_samples() -> Vec<Value> {
         use ongoing_core::OngoingInt;
         let iv = |s: OngoingPoint, e: OngoingPoint| Value::Interval(OngoingInterval::new(s, e));
         vec![
@@ -1037,7 +1065,7 @@ mod tests {
     }
 
     /// `±∞` and every operand breakpoint with its neighbours.
-    fn probe_rts(values: &[&Value]) -> Vec<TimePoint> {
+    pub(crate) fn probe_rts(values: &[&Value]) -> Vec<TimePoint> {
         let mut rts = vec![TimePoint::NEG_INF, TimePoint::POS_INF];
         for x in values.iter().flat_map(|v| breakpoints(v)) {
             rts.extend([x.pred(), x, x.succ()]);

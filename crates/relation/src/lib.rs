@@ -49,14 +49,16 @@ pub mod aggregate;
 pub mod algebra;
 pub mod expr;
 pub mod keyindex;
+pub mod predicate;
 pub mod relation;
 pub mod schema;
 pub mod store;
 pub mod tuple;
 pub mod value;
 
-pub use expr::{CmpOp, EvalError, Expr};
+pub use expr::{CmpOp, EvalError, Expr, Row};
 pub use keyindex::{KeyProbe, KeyedEdit, QualEstimate};
+pub use predicate::{Pair, Predicate};
 pub use relation::{FixedRelation, OngoingRelation};
 pub use schema::{Attribute, Schema, SchemaError};
 pub use store::{

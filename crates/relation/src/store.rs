@@ -210,6 +210,14 @@ impl ChunkBase {
         }
     }
 
+    /// Are the rows in memory (resident, or a cold chunk already parked)?
+    fn is_resident(&self) -> bool {
+        match self {
+            ChunkBase::Resident(_) => true,
+            ChunkBase::Cold { parked, .. } => parked.get().is_some(),
+        }
+    }
+
     /// Pins the rows for the duration of a borrow *without* parking them:
     /// resident (or already-parked) rows are borrowed, cold rows are paged
     /// in as an owned transient `Arc` released with the pin.
@@ -340,6 +348,14 @@ impl<'a> LazyChunkView<'a> {
     /// Is the view empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Would [`pin`](Self::pin) borrow the rows, paging nothing in?
+    pub fn is_resident(&self) -> bool {
+        match self.inner {
+            LazyInner::Sealed(c) => c.base.is_resident(),
+            LazyInner::Pending(_) => true,
+        }
     }
 
     /// Pins the chunk's rows: resident rows are borrowed, cold rows are
@@ -2339,6 +2355,7 @@ mod tests {
         }
         // Transient pins release the rows: every pin loads afresh.
         assert_eq!(pager.loads(), 3);
+        assert!(!views[0].is_resident() && views[1].is_resident());
         // The resident chunk never involves the pager.
         assert_eq!(views[1].pin().unwrap().iter().count(), 88);
         assert_eq!(pager.loads(), 3);
@@ -2352,6 +2369,7 @@ mod tests {
         assert_eq!(ints(&s), (0..600).collect::<Vec<_>>());
         assert_eq!(s.tuple_at(100).unwrap().value(0).as_int().unwrap(), 100);
         assert_eq!(pager.loads(), 1, "park caches the rows for this version");
+        assert!(s.lazy_views().iter().all(|v| v.is_resident()));
         // A clone starts un-parked and pages in on its own.
         let fork = s.clone();
         assert_eq!(ints(&fork), (0..600).collect::<Vec<_>>());

@@ -89,6 +89,13 @@ impl Tuple {
     /// The chained value iterator has an exact length, so collecting it
     /// allocates the shared slice once (no intermediate `Vec`).
     pub fn concat(&self, other: &Tuple) -> Tuple {
+        self.concat_with_rt(other, self.rt.intersect(&other.rt))
+    }
+
+    /// [`concat`](Self::concat) with a reference time the caller already
+    /// computed — a join concatenates a candidate pair only once it passed,
+    /// with its restricted `RT`.
+    pub fn concat_with_rt(&self, other: &Tuple, rt: IntervalSet) -> Tuple {
         Tuple {
             values: self
                 .values
@@ -96,7 +103,7 @@ impl Tuple {
                 .chain(other.values.iter())
                 .cloned()
                 .collect(),
-            rt: self.rt.intersect(&other.rt),
+            rt,
         }
     }
 

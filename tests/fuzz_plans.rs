@@ -19,7 +19,7 @@ use ongoing_core::time::tp;
 use ongoing_core::{IntervalSet, OngoingInterval, OngoingPoint, TimePoint};
 use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::algebra::ProjItem;
-use ongoing_relation::{Expr, OngoingRelation, Schema, Value, ValueType};
+use ongoing_relation::{algebra, CmpOp, Expr, OngoingRelation, Schema, Value, ValueType};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::{Database, LogicalPlan, QueryBuilder};
 use rand::rngs::SmallRng;
@@ -401,6 +401,128 @@ fn random_plans_commute_with_bind() {
     for op in OPERATORS {
         assert!(seen.contains(op), "no generated plan lowered {op}");
     }
+    // Filters and join residuals in the shapes compiled predicates decide
+    // directly, over tables holding both fixed and ongoing `VT` values,
+    // also checked against the `Expr`-evaluated algebra.
+    let mut rng = SmallRng::seed_from_u64(20261101);
+    let db = Database::new();
+    let tables: Vec<OngoingRelation> = (0..2).map(|_| mixed_relation(&mut rng, 9)).collect();
+    for (i, rel) in tables.iter().enumerate() {
+        db.create_table(&format!("M{i}"), rel.clone()).unwrap();
+    }
+    for trial in 0..40 {
+        let (l, r) = (rng.gen_range(0..2usize), rng.gen_range(0..2usize));
+        let (plan, oracle) = if trial % 2 == 0 {
+            let pred = kernel_mix(&mut rng, None);
+            let plan = QueryBuilder::scan(&db, &format!("M{l}"))
+                .unwrap()
+                .filter(|_| Ok(pred.clone()))
+                .unwrap();
+            (plan, algebra::select(&tables[l], &pred).unwrap())
+        } else {
+            let mut pred = kernel_mix(&mut rng, Some(5));
+            if rng.gen_bool(0.5) {
+                pred = Expr::Col(0).eq(Expr::Col(3)).and(pred);
+            }
+            let lq = QueryBuilder::scan_as(&db, &format!("M{l}"), "L").unwrap();
+            let rq = QueryBuilder::scan_as(&db, &format!("M{r}"), "R").unwrap();
+            let plan = lq.join(rq, |_| Ok(pred.clone())).unwrap();
+            (plan, algebra::join(&tables[l], &tables[r], &pred).unwrap())
+        };
+        let plan = plan.build();
+        let label = format!("kernel trial {trial}");
+        assert_commutes(&db, &plan, &rts, &label, &mut seen);
+        let got = compile(&db, &plan, &PlannerConfig::default())
+            .unwrap()
+            .execute()
+            .unwrap();
+        for &rt in &rts {
+            assert_eq!(
+                got.bind(rt),
+                oracle.bind(rt),
+                "{label} vs algebra at rt={rt}"
+            );
+        }
+    }
+}
+
+/// A relation over (K: Int, C: Str, VT: OngoingInterval) whose `VT` is a
+/// fixed interval (possibly empty) in about half the rows.
+fn mixed_relation(rng: &mut SmallRng, rows: usize) -> OngoingRelation {
+    let schema = Schema::builder().int("K").str("C").interval("VT").build();
+    let mut r = OngoingRelation::new(schema);
+    for _ in 0..rows {
+        let vt = if rng.gen_bool(0.5) {
+            let s = rng.gen_range(LO..=HI);
+            OngoingInterval::fixed(tp(s), tp(s + rng.gen_range(-2..8i64)))
+        } else {
+            random_interval(rng)
+        };
+        r.insert_with_rt(
+            vec![
+                Value::Int(rng.gen_range(0..6)),
+                Value::str(["x", "y", "z"][rng.gen_range(0..3usize)]),
+                Value::Interval(vt),
+            ],
+            random_rt_set(rng),
+        )
+        .unwrap();
+    }
+    r
+}
+
+/// A conjunction, in random order, of an `Int`-literal range on `K`, a
+/// `Str`-literal (in)equality on `C` and a Table II conjunct on `VT` —
+/// against a fixed window or, given `other_vt`, that column — over the
+/// leading (K, C, VT) columns; literals on either side.
+fn kernel_mix(rng: &mut SmallRng, other_vt: Option<usize>) -> Expr {
+    let (k, c, vt) = (Expr::Col(0), Expr::Col(1), Expr::Col(2));
+    let cmp = |op, a: Expr, b: Expr| Expr::Cmp(op, Box::new(a), Box::new(b));
+    let flip = |rng: &mut SmallRng, op, col: Expr, lit: Expr, mirrored| {
+        if rng.gen_bool(0.5) {
+            cmp(op, col, lit)
+        } else {
+            cmp(mirrored, lit, col)
+        }
+    };
+    let lo = rng.gen_range(-1..4i64);
+    let hi = lo + rng.gen_range(1..4i64);
+    let range = flip(rng, CmpOp::Ge, k.clone(), Expr::lit(lo), CmpOp::Le).and(flip(
+        rng,
+        CmpOp::Lt,
+        k,
+        Expr::lit(hi),
+        CmpOp::Gt,
+    ));
+    let word = Expr::lit(["x", "y", "z"][rng.gen_range(0..3usize)]);
+    let op = if rng.gen_bool(0.7) {
+        CmpOp::Eq
+    } else {
+        CmpOp::Ne
+    };
+    let text = flip(rng, op, c, word, op);
+    let pred = TemporalPredicate::ALL[rng.gen_range(0..TemporalPredicate::ALL.len())];
+    let temporal = match other_vt {
+        Some(j) if rng.gen_bool(0.7) => vt.temporal(pred, Expr::Col(j)),
+        _ => {
+            let s = rng.gen_range(LO..=HI);
+            let e = s + rng.gen_range(0..8i64);
+            let window = if rng.gen_bool(0.5) {
+                Value::Span(tp(s), tp(e))
+            } else {
+                Value::Interval(OngoingInterval::fixed(tp(s), tp(e)))
+            };
+            if rng.gen_bool(0.5) {
+                vt.temporal(pred, Expr::lit(window))
+            } else {
+                Expr::lit(window).temporal(pred, vt)
+            }
+        }
+    };
+    let mut conjuncts = vec![range, text, temporal];
+    let first = conjuncts.remove(rng.gen_range(0..3usize));
+    let second = conjuncts.remove(rng.gen_range(0..2usize));
+    first.and(second).and(conjuncts.remove(0))
 }
 
 #[test]

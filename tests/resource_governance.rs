@@ -19,6 +19,7 @@
 
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
+use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
 use ongoingdb::engine::catalog::RetryPolicy;
 use ongoingdb::engine::modify::Modifier;
@@ -81,9 +82,10 @@ const RT: i64 = 20;
 type Answer = (Vec<Tuple>, Vec<Vec<Value>>);
 
 /// The governed query shapes — a filtered scan of the big table, a bare
-/// projection of it, a hash join probing it with a small build side, and
-/// a hash join whose build side is a bare scan of it — each run ongoing
-/// and instantiated.
+/// projection of it, a hash join probing it with a small build side, a
+/// hash join whose build side is a bare scan of it, its union with
+/// itself, its difference with the small table and a grouped count —
+/// each run ongoing and instantiated.
 fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
     // Two workers: parallel paging coverage while keeping worst-case
     // concurrent pins (one morsel per worker) well inside any budget the
@@ -120,22 +122,31 @@ fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
         .unwrap()
         .build()
     };
+    let scan = |name: &str| QueryBuilder::scan(db, name).unwrap();
+    let union = scan("T").union(scan("T")).unwrap().build();
+    let except = scan("T").difference(scan("S")).unwrap().build();
+    let grouped = scan("T")
+        .aggregate(&["G"], vec![AggFn::CountStar], vec!["N".into()])
+        .unwrap()
+        .build();
     vec![
         ("filter", run(filter)),
         ("projection", run(project)),
         ("join probing T", run(join("T", "S"))),
         ("join building on T", run(join("S", "T"))),
+        ("union", run(union)),
+        ("except", run(except)),
+        ("aggregate", run(grouped)),
     ]
 }
 
-#[test]
-fn out_of_core_scan_and_join_match_unbounded_within_budget() {
-    let dir = TempDir::new("govern-ooc");
-
-    // Seed: a 16-chunk table plus a small join side, checkpointed into
-    // sealed chunk files.
+/// Seeds `dir` with a 16-chunk table `T` plus a small join side `S`,
+/// checkpointed into sealed chunk files, and returns a chunk-cache budget
+/// a quarter of the table's on-disk bytes (≥ 4× out-of-core),
+/// comfortably above the largest single chunk so every morsel fits.
+fn seed_out_of_core(dir: &Path) -> u64 {
     {
-        let db = Database::open_with(dir.path(), opts(u64::MAX)).unwrap();
+        let db = Database::open_with(dir, opts(u64::MAX)).unwrap();
         db.create_table(
             "T",
             OngoingRelation::from_tuples(schema(), big_rows(16 * CHUNK)).unwrap(),
@@ -148,16 +159,19 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
         .unwrap();
         db.persist().unwrap();
     }
-
-    // Budget: a quarter of the table's on-disk bytes (≥ 4× out-of-core),
-    // comfortably above the largest single chunk so every morsel fits.
-    let (total, max_file) = chunk_file_bytes(dir.path());
+    let (total, max_file) = chunk_file_bytes(dir);
     let budget = (total / 4).max(2 * max_file);
     assert!(
         total >= 4 * budget,
         "seed table must be ≥ 4× the budget (total {total}, budget {budget})"
     );
+    budget
+}
 
+#[test]
+fn out_of_core_scan_and_join_match_unbounded_within_budget() {
+    let dir = TempDir::new("govern-ooc");
+    let budget = seed_out_of_core(dir.path());
     // Budgeted reopen: cold tables load zero tuples until first access,
     // queries stay within budget, eviction actually happens.
     let answers = {
@@ -193,17 +207,63 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
         assert_eq!(got.0, want.0, "budgeted ongoing {name} result diverged");
         assert_eq!(got.1, want.1, "budgeted at-rt {name} result diverged");
     }
+    // (ongoing tuples, instantiated rows): the instantiated union is a
+    // bag, deduplicated only by `FixedRelation`.
+    let filtered = 16 * CHUNK / 7 + usize::from(16 * CHUNK % 7 > 3);
     let expected = [
-        16 * CHUNK / 7 + usize::from(16 * CHUNK % 7 > 3),
-        16 * CHUNK,
-        64,
-        64,
+        (filtered, filtered),
+        (16 * CHUNK, 16 * CHUNK),
+        (64, 64),
+        (64, 64),
+        (16 * CHUNK, 2 * 16 * CHUNK),
+        (16 * CHUNK - 64, 16 * CHUNK - 64),
+        (7, 7),
     ];
-    for ((name, (ongoing, rows)), n) in answers.iter().zip(expected) {
+    for ((name, (ongoing, rows)), (n, m)) in answers.iter().zip(expected) {
         assert_eq!(ongoing.len(), n, "ongoing {name}");
         // Every tuple is alive at RT and no predicate reads VT.
-        assert_eq!(rows.len(), n, "at-rt {name}");
+        assert_eq!(rows.len(), m, "at-rt {name}");
     }
+}
+
+#[test]
+fn analyze_of_a_cold_table_stays_within_budget_and_leaves_it_cold() {
+    let dir = TempDir::new("govern-analyze");
+    let budget = seed_out_of_core(dir.path());
+    let db = Database::open_with(dir.path(), opts(budget)).unwrap();
+    let stats = db.analyze("T").unwrap();
+    let after = db.durable_stats().unwrap();
+    assert!(
+        after.cache_peak_bytes <= budget,
+        "ANALYZE peak resident {} exceeded budget {budget}",
+        after.cache_peak_bytes
+    );
+    // The published version holds no parked chunks: a later (serial)
+    // scan still pages through the cache.
+    let filter = QueryBuilder::scan(&db, "T")
+        .unwrap()
+        .filter(|s| Ok(Expr::col(s, "G")?.eq(Expr::lit(3i64))))
+        .unwrap()
+        .build();
+    let serial = PlannerConfig {
+        parallelism: 1,
+        ..PlannerConfig::default()
+    };
+    compile(&db, &filter, &serial)
+        .unwrap()
+        .execute_ctx(&serial.exec_context())
+        .unwrap();
+    let scanned = db.durable_stats().unwrap();
+    assert!(
+        scanned.cache_misses > after.cache_misses,
+        "a scan after ANALYZE paged nothing in: the table was parked"
+    );
+    assert!(scanned.cache_peak_bytes <= budget);
+    // Statistics equal those of an unbounded open.
+    let full = Database::open_with(dir.path(), opts(u64::MAX)).unwrap();
+    let want = full.analyze("T").unwrap();
+    assert_eq!(format!("{stats:?}"), format!("{want:?}"));
+    assert_eq!(stats.rows, (16 * CHUNK) as u64);
 }
 
 #[test]
