@@ -7,10 +7,11 @@ use ongoing_datasets::{mozilla_database, History};
 use ongoing_engine::baseline::clifford;
 use ongoing_engine::matview::MaterializedView;
 use ongoing_engine::plan::compile;
-use ongoing_engine::{queries, PlannerConfig};
+use ongoing_engine::{queries, ExecContext, PlannerConfig};
 use std::hint::black_box;
 
 fn fig11_selection(c: &mut Criterion) {
+    let ctx = ExecContext::from_env();
     let db = mozilla_database(2_000, 42);
     let h = History::mozilla();
     let w = h.last_fraction(0.1);
@@ -39,12 +40,13 @@ fn fig11_selection(c: &mut Criterion) {
         b.iter(|| black_box(view.instantiate(rt)))
     });
     g.bench_function("clifford_reevaluation", |b| {
-        b.iter(|| black_box(phys.execute_at(rt).unwrap()))
+        b.iter(|| black_box(phys.execute_at_with_stats(rt, &ctx).unwrap()))
     });
     g.finish();
 }
 
 fn fig11_complex_join(c: &mut Criterion) {
+    let ctx = ExecContext::from_env();
     let db = mozilla_database(600, 42);
     let plan = queries::complex_join(&db, TemporalPredicate::Overlaps).unwrap();
     let rt = clifford::cliff_max_reference_time(&db);
@@ -54,13 +56,13 @@ fn fig11_complex_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig11_complex_join_mozilla");
     g.sample_size(10);
     g.bench_function("compute_ongoing_view", |b| {
-        b.iter(|| black_box(phys.execute().unwrap().len()))
+        b.iter(|| black_box(phys.execute_with_stats(&ctx).unwrap().0.len()))
     });
     g.bench_function("instantiate_view", |b| {
         b.iter(|| black_box(view.instantiate(rt)))
     });
     g.bench_function("clifford_reevaluation", |b| {
-        b.iter(|| black_box(phys.execute_at(rt).unwrap()))
+        b.iter(|| black_box(phys.execute_at_with_stats(rt, &ctx).unwrap()))
     });
     g.finish();
 }

@@ -47,7 +47,7 @@ fn parallel_self_join(c: &mut Criterion) {
     for p in THREAD_COUNTS {
         let ctx = ExecContext::new(p);
         g.bench_function(BenchmarkId::new("ongoing_threads", p), |b| {
-            b.iter(|| black_box(phys.execute_ctx(&ctx).unwrap()))
+            b.iter(|| black_box(phys.execute_with_stats(&ctx).unwrap()))
         });
     }
     g.finish();
@@ -67,7 +67,7 @@ fn parallel_selection(c: &mut Criterion) {
     for p in THREAD_COUNTS {
         let ctx = ExecContext::new(p);
         g.bench_function(BenchmarkId::new("ongoing_threads", p), |b| {
-            b.iter(|| black_box(phys.execute_ctx(&ctx).unwrap()))
+            b.iter(|| black_box(phys.execute_with_stats(&ctx).unwrap()))
         });
     }
     g.finish();
@@ -93,10 +93,10 @@ fn speedup_probe(_c: &mut Criterion) {
     let serial = ExecContext::serial();
     let four = ExecContext::new(4);
     let t1 = median_secs(5, || {
-        black_box(phys.execute_ctx(&serial).unwrap());
+        black_box(phys.execute_with_stats(&serial).unwrap());
     });
     let t4 = median_secs(5, || {
-        black_box(phys.execute_ctx(&four).unwrap());
+        black_box(phys.execute_with_stats(&four).unwrap());
     });
     let speedup = t1 / t4;
     println!(

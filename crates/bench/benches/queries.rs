@@ -8,10 +8,11 @@ use ongoing_datasets::synthetic::{generate, SyntheticConfig};
 use ongoing_datasets::{incumbent_database, History};
 use ongoing_engine::baseline::clifford;
 use ongoing_engine::plan::compile;
-use ongoing_engine::{queries, Database, PlannerConfig};
+use ongoing_engine::{queries, Database, ExecContext, PlannerConfig};
 use std::hint::black_box;
 
 fn fig8_selection(c: &mut Criterion) {
+    let ctx = ExecContext::from_env();
     let db = incumbent_database(20_000, 42);
     let h = History::incumbent();
     let w = h.last_fraction(0.1);
@@ -22,16 +23,17 @@ fn fig8_selection(c: &mut Criterion) {
         let plan = queries::selection(&db, "Incumbent", pred, (w.start, w.end)).unwrap();
         let phys = compile(&db, &plan, &cfg).unwrap();
         g.bench_function(BenchmarkId::new("ongoing", pred.name()), |b| {
-            b.iter(|| black_box(phys.execute().unwrap()))
+            b.iter(|| black_box(phys.execute_with_stats(&ctx).unwrap()))
         });
         g.bench_function(BenchmarkId::new("clifford", pred.name()), |b| {
-            b.iter(|| black_box(phys.execute_at(rt).unwrap()))
+            b.iter(|| black_box(phys.execute_at_with_stats(rt, &ctx).unwrap()))
         });
     }
     g.finish();
 }
 
 fn fig9_join_location(c: &mut Criterion) {
+    let ctx = ExecContext::from_env();
     let mut g = c.benchmark_group("fig9_join_location_dex");
     g.sample_size(10);
     for seg in [0usize, 4] {
@@ -42,16 +44,17 @@ fn fig9_join_location(c: &mut Criterion) {
         let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
         let rt = clifford::cliff_max_reference_time(&db);
         g.bench_function(BenchmarkId::new("ongoing_segment", seg), |b| {
-            b.iter(|| black_box(phys.execute().unwrap()))
+            b.iter(|| black_box(phys.execute_with_stats(&ctx).unwrap()))
         });
         g.bench_function(BenchmarkId::new("clifford_segment", seg), |b| {
-            b.iter(|| black_box(phys.execute_at(rt).unwrap()))
+            b.iter(|| black_box(phys.execute_at_with_stats(rt, &ctx).unwrap()))
         });
     }
     g.finish();
 }
 
 fn fig10_scaling(c: &mut Criterion) {
+    let ctx = ExecContext::from_env();
     let h = History::synthetic();
     let w = h.last_fraction(0.1);
     let mut g = c.benchmark_group("fig10_scaling_dsc");
@@ -65,16 +68,17 @@ fn fig10_scaling(c: &mut Criterion) {
         let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
         let rt = clifford::cliff_max_reference_time(&db);
         g.bench_function(BenchmarkId::new("ongoing", n), |b| {
-            b.iter(|| black_box(phys.execute().unwrap()))
+            b.iter(|| black_box(phys.execute_with_stats(&ctx).unwrap()))
         });
         g.bench_function(BenchmarkId::new("clifford", n), |b| {
-            b.iter(|| black_box(phys.execute_at(rt).unwrap()))
+            b.iter(|| black_box(phys.execute_at_with_stats(rt, &ctx).unwrap()))
         });
     }
     g.finish();
 }
 
 fn ablation_split_and_index(c: &mut Criterion) {
+    let ctx = ExecContext::from_env();
     let db = Database::new();
     db.create_table("Dex", generate(&SyntheticConfig::dex(40_000, None, 7)))
         .unwrap();
@@ -102,7 +106,9 @@ fn ablation_split_and_index(c: &mut Criterion) {
         ),
     ] {
         let phys = compile(&db, &plan, &cfg).unwrap();
-        g.bench_function(name, |b| b.iter(|| black_box(phys.execute().unwrap())));
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(phys.execute_with_stats(&ctx).unwrap()))
+        });
     }
     g.finish();
 }

@@ -4,9 +4,10 @@
 //! both scale linearly; (b) the number of re-evaluations after which the
 //! ongoing approach wins — constant in the input size.
 //!
-//! Scaling and break-even *assertions* run on deterministic [`ExecStats`]
-//! work units, so they cannot flake under CPU contention; wall-clock
-//! durations stay in the table as informational output.
+//! Scaling and break-even *assertions* run on deterministic
+//! [`ExecStats`](ongoing_engine::ExecStats) work units, so they cannot
+//! flake under CPU contention; wall-clock durations stay in the table as
+//! informational output.
 
 use ongoing_bench::{
     header, ms, row, scaled, time_clifford_stats, time_ongoing_stats, work_break_even,

@@ -18,9 +18,10 @@
 //! PostgreSQL's cost model, not of the data), so the amortization counts
 //! stay a small constant rather than creeping.
 //!
-//! Amortization *assertions* use deterministic [`ExecStats`] work units
-//! (one bind pass costs one visit per materialized tuple); wall-clock
-//! durations are printed for context only.
+//! Amortization *assertions* use deterministic
+//! [`ExecStats`](ongoing_engine::ExecStats) work units (one bind pass costs
+//! one visit per materialized tuple); wall-clock durations are printed for
+//! context only.
 
 use ongoing_bench::{
     bind_work_units, header, ms, row, scaled, time_bind, time_clifford_stats, time_ongoing_stats,

@@ -20,8 +20,10 @@ use ongoing_engine::{queries, Database, LogicalPlan, PlannerConfig};
 
 fn panel(db: &Database, plan: &LogicalPlan, label: &str, optimal_expected: bool) {
     let h = History::mozilla();
-    let phys = compile(db, plan, &PlannerConfig::default()).unwrap();
-    let ongoing = phys.execute().unwrap();
+    let cfg = PlannerConfig::default();
+    let phys = compile(db, plan, &cfg).unwrap();
+    let ctx = cfg.exec_context();
+    let (ongoing, _) = phys.execute_with_stats(&ctx).unwrap();
     let ongoing_size = ongoing.coalesce().len();
     println!("{label}: |ongoing| = {ongoing_size}");
     let widths = [14, 16, 11];
@@ -30,7 +32,7 @@ fn panel(db: &Database, plan: &LogicalPlan, label: &str, optimal_expected: bool)
     let mut sizes = Vec::new();
     for i in 0..=steps {
         let rt = TimePoint::new(h.start.ticks() + h.days() * i / steps);
-        let snap = phys.execute_at(rt).unwrap();
+        let (snap, _) = phys.execute_at_with_stats(rt, &ctx).unwrap();
         row(
             &[
                 AsDate(rt).to_string(),

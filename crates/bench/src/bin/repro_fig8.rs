@@ -7,9 +7,10 @@
 //! break-even point. The paper's result: ongoing is faster after 2
 //! re-evaluations for `overlaps` and 3 for `before`.
 //!
-//! The break-even *assertion* uses deterministic [`ExecStats`] work units
-//! (identical on every machine and at every thread count); wall-clock
-//! durations are printed for context only.
+//! The break-even *assertion* uses deterministic
+//! [`ExecStats`](ongoing_engine::ExecStats) work units (identical on every
+//! machine and at every thread count); wall-clock durations are printed
+//! for context only.
 
 use ongoing_bench::{
     break_even_reevaluations, header, ms, row, scaled, time_clifford_stats, time_ongoing_stats,

@@ -22,7 +22,7 @@ use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
 use ongoing_engine::modify::Modifier;
 use ongoing_engine::obs::{EXEC_METRIC_NAMES, STORE_METRIC_NAMES};
-use ongoing_engine::sql::explain_analyze_with;
+use ongoing_engine::sql::explain_analyze;
 use ongoing_engine::{Database, EngineEvent, MetricsSnapshot, PlannerConfig};
 use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
 
@@ -76,7 +76,7 @@ fn workload(threads: usize) -> (MetricsSnapshot, Database) {
         })
         .unwrap();
         for sql in QUERIES {
-            let report = explain_analyze_with(&db, sql, &cfg).unwrap();
+            let report = explain_analyze(&db, sql, &cfg).unwrap();
             // Claim 2: the span tree reconstructs the executor totals.
             assert_eq!(report.root.total_work, report.stats, "span/stats drift");
             let child: u64 = report

@@ -84,8 +84,9 @@ fn run_queries(db: &Database) -> (Vec<Tuple>, Vec<Tuple>, Duration, Duration) {
     let t0 = Instant::now();
     let filtered: Vec<Tuple> = compile(db, &filter, &cfg)
         .unwrap()
-        .execute_ctx(&ctx)
+        .execute_with_stats(&ctx)
         .unwrap()
+        .0
         .iter()
         .cloned()
         .collect();
@@ -101,8 +102,9 @@ fn run_queries(db: &Database) -> (Vec<Tuple>, Vec<Tuple>, Duration, Duration) {
     let t1 = Instant::now();
     let joined: Vec<Tuple> = compile(db, &join, &cfg)
         .unwrap()
-        .execute_ctx(&ctx)
+        .execute_with_stats(&ctx)
         .unwrap()
+        .0
         .iter()
         .cloned()
         .collect();

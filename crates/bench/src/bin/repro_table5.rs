@@ -10,9 +10,8 @@
 use ongoing_bench::{header, row, scaled};
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_datasets::{mozilla_database, History};
-use ongoing_engine::plan::compile;
 use ongoing_engine::storage::layout::measure_relation;
-use ongoing_engine::{queries, PlannerConfig};
+use ongoing_engine::{execute, queries};
 
 fn main() {
     let n = scaled(1_200);
@@ -20,7 +19,6 @@ fn main() {
     let db = mozilla_database(n, 42);
     let h = History::mozilla();
     let w = h.last_fraction(0.1);
-    let cfg = PlannerConfig::default();
 
     let sel = queries::selection(
         &db,
@@ -29,9 +27,9 @@ fn main() {
         (w.start, w.end),
     )
     .unwrap();
-    let sel_res = compile(&db, &sel, &cfg).unwrap().execute().unwrap();
+    let sel_res = execute(&db, &sel).unwrap();
     let join = queries::complex_join(&db, TemporalPredicate::Overlaps).unwrap();
-    let join_res = compile(&db, &join, &cfg).unwrap().execute().unwrap();
+    let join_res = execute(&db, &join).unwrap();
 
     let b = db.table("BugInfo").unwrap();
     let a = db.table("BugAssignment").unwrap();

@@ -67,12 +67,14 @@ pub fn time_ongoing_stats(
     let phys = compile(db, plan, cfg).expect("plan compiles");
     let ctx = cfg.exec_context();
     let (result, stats) = phys.execute_with_stats(&ctx).expect("ongoing execution");
-    let t = measure(runs, || phys.execute_ctx(&ctx).expect("ongoing execution"));
+    let t = measure(runs, || {
+        phys.execute_with_stats(&ctx).expect("ongoing execution")
+    });
     (t, result, stats)
 }
 
 /// Compiles once and measures instantiated (Clifford) execution at `rt`.
-/// Timing covers the raw row production (`rows_at`), not the canonicalizing
+/// Timing covers the raw row production (`rows_at_with_stats`), not the canonicalizing
 /// sort/dedup, so neither side is charged for set canonicalization.
 pub fn time_clifford(
     db: &Database,

@@ -7,28 +7,22 @@
 //! re-computed after time passes.
 //!
 //! In this engine the baseline is the instantiated execution mode
-//! ([`PhysicalPlan::rows_at`](crate::plan::PhysicalPlan::rows_at)):
-//! operators pass the stored tuples and every predicate binds an ongoing
-//! operand at `rt` the moment it reads it (the paper implements the bind
-//! operator as a C kernel function for the same effect), so all predicates
-//! run on fixed values via the fixed-interval fast path. Rows of fixed
-//! values are built only at the plan root and at the Difference and
-//! Aggregate barriers, so tuples a query discards are never instantiated.
-//! This module adds
-//! the evaluation conveniences: `Cliff_max`, the paper's "reference time
-//! greater than the latest end point" (the typical use case of reference
-//! times close to the current time), and whole-database instantiation.
+//! ([`PhysicalPlan::execute_at_with_stats`](crate::plan::PhysicalPlan::execute_at_with_stats),
+//! or [`execute_at`](crate::execute_at) from a logical plan): operators
+//! pass the stored tuples and every predicate binds an ongoing operand at
+//! `rt` the moment it reads it (the paper implements the bind operator as
+//! a C kernel function for the same effect), so all predicates run on
+//! fixed values via the fixed-interval fast path. Rows of fixed values are
+//! built only at the plan root and at the Difference and Aggregate
+//! barriers, so tuples a query discards are never instantiated. This
+//! module adds the evaluation conveniences: `Cliff_max`, the paper's
+//! "reference time greater than the latest end point" (the typical use
+//! case of reference times close to the current time), and whole-database
+//! instantiation.
 
 use crate::catalog::Database;
-use crate::error::Result;
-use crate::plan::{compile, LogicalPlan, PlannerConfig};
 use ongoing_core::{TimePoint, TimeRange};
 use ongoing_relation::{FixedRelation, OngoingRelation, Value};
-
-/// Runs the query with Clifford's approach at reference time `rt`.
-pub fn run_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<FixedRelation> {
-    compile(db, plan, &PlannerConfig::default())?.execute_at(rt)
-}
 
 /// The latest *finite* time point mentioned by any temporal attribute or
 /// reference time of the relation.
@@ -95,6 +89,7 @@ pub fn instantiate_relation(rel: &OngoingRelation, rt: TimePoint) -> FixedRelati
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute_at;
     use ongoing_core::date::md;
     use ongoing_core::OngoingInterval;
     use ongoing_relation::{Expr, Schema};
@@ -139,10 +134,10 @@ mod tests {
             .unwrap()
             .build();
         // At rt 08/15 both bugs overlap the window.
-        assert_eq!(run_at(&db, &plan, md(8, 15)).unwrap().len(), 2);
+        assert_eq!(execute_at(&db, &plan, md(8, 15)).unwrap().len(), 2);
         // At rt 02/01, bug 500's instantiation [01/25, 02/01) ends before
         // the window; only the fixed-interval bug 501 qualifies.
-        assert_eq!(run_at(&db, &plan, md(2, 1)).unwrap().len(), 1);
+        assert_eq!(execute_at(&db, &plan, md(2, 1)).unwrap().len(), 1);
     }
 
     #[test]
@@ -151,8 +146,8 @@ mod tests {
         // different results — Clifford results do not remain valid.
         let db = setup();
         let plan = crate::QueryBuilder::scan(&db, "B").unwrap().build();
-        let r1 = run_at(&db, &plan, md(2, 1)).unwrap();
-        let r2 = run_at(&db, &plan, md(8, 15)).unwrap();
+        let r1 = execute_at(&db, &plan, md(2, 1)).unwrap();
+        let r2 = execute_at(&db, &plan, md(8, 15)).unwrap();
         assert_ne!(r1, r2);
     }
 

@@ -134,9 +134,9 @@ impl fmt::Display for TfInterval {
 /// Queries with predicates on ongoing attributes cannot be answered within
 /// `Tf`; Torp et al. resort to Clifford's approach (Sec. III). The runtime
 /// and invalidation behaviour are therefore identical to
-/// [`clifford::run_at`](crate::baseline::clifford::run_at).
+/// [`execute_at`](crate::execute_at).
 pub fn run_query_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<FixedRelation> {
-    crate::baseline::clifford::run_at(db, plan, rt)
+    crate::execute_at(db, plan, rt)
 }
 
 #[cfg(test)]

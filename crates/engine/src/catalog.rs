@@ -108,7 +108,8 @@ impl Table {
 
     /// Returns (building and caching on first use) the envelope interval
     /// index over the interval attribute at `col`. Tuple positions in the
-    /// relation serve as index payload ids.
+    /// relation serve as index payload ids. Building reads the table
+    /// through transient chunk pins, so a cold table stays cold.
     ///
     /// The cache lock is held across the build: with partition-parallel
     /// executors several workers can request the same index at once, and a
@@ -128,11 +129,18 @@ impl Table {
                 attr.name
             )));
         }
-        let entries = self
-            .data
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.value(col).as_interval().map(|iv| (iv, i)));
+        // One transient pin per chunk: a cold table pages in within the
+        // cache budget and stays cold, and a pager failure is an error.
+        let mut entries = Vec::with_capacity(self.data.len());
+        let mut pos = 0usize;
+        for view in self.data.lazy_views() {
+            for t in view.pin()?.iter() {
+                if let Some(iv) = t.value(col).as_interval() {
+                    entries.push((iv, pos));
+                }
+                pos += 1;
+            }
+        }
         let built = Arc::new(IntervalIndex::build(entries));
         indexes.insert(col, Arc::clone(&built));
         Ok(built)
@@ -390,8 +398,9 @@ impl Database {
         Database::open_with_vfs(path, opts, Arc::new(crate::storage::vfs::RealFs))
     }
 
-    /// [`open_with`](Database::open_with) over an explicit [`Vfs`] — how
-    /// fault-injection tests run the whole engine against a flaky disk.
+    /// [`open_with`](Database::open_with) over an explicit
+    /// [`Vfs`](crate::storage::vfs::Vfs) — how fault-injection tests run
+    /// the whole engine against a flaky disk.
     pub fn open_with_vfs(
         path: impl AsRef<Path>,
         opts: DurableOptions,

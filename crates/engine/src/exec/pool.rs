@@ -9,7 +9,7 @@
 //! operators hand it batches of *morsels* — boxed `'static` closures over
 //! `Arc`-shared operator state — via their query's [`PoolSession`].
 //!
-//! Scheduling is fair by construction: the [`Scheduler`](super::sched)
+//! Scheduling is fair by construction: the scheduler (`exec::sched`)
 //! keeps one FIFO per active query and serves them round-robin, one morsel
 //! per turn, so a short query completes while a long one is still in
 //! flight. The submitting thread also *helps*: after enqueueing a batch it
@@ -125,7 +125,7 @@ impl PoolCore {
 }
 
 /// A fixed-size pool of named worker threads draining the shared
-/// [`Scheduler`]. One process-wide instance is created lazily by
+/// scheduler (`exec::sched`). One process-wide instance is created lazily by
 /// [`WorkerPool::global`]; tests build private pools with
 /// [`WorkerPool::new`] and attach them via
 /// [`ExecContext::with_pool`](crate::ExecContext::with_pool).

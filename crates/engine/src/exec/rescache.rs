@@ -378,7 +378,9 @@ mod tests {
         let key = plan_fingerprint(&plan, &PlannerConfig::default());
         let deps = plan_tables(&plan);
         assert!(cache.lookup(&key, &deps, &obs).is_none());
-        let rel = plan.execute().unwrap();
+        let (rel, _) = plan
+            .execute_with_stats(&crate::ExecContext::from_env())
+            .unwrap();
         let stats = ExecStats {
             tuples_scanned: 10,
             ..ExecStats::default()
@@ -405,7 +407,9 @@ mod tests {
         let plan = plan_for(&db);
         let key = plan_fingerprint(&plan, &PlannerConfig::default());
         let deps = plan_tables(&plan);
-        let rel = plan.execute().unwrap();
+        let (rel, _) = plan
+            .execute_with_stats(&crate::ExecContext::from_env())
+            .unwrap();
         cache.insert(
             key.clone(),
             deps.iter().map(Arc::downgrade).collect(),
@@ -433,7 +437,9 @@ mod tests {
         let plan = plan_for(&db);
         let deps = plan_tables(&plan);
         let weak = || deps.iter().map(Arc::downgrade).collect::<Vec<_>>();
-        let rel = plan.execute().unwrap();
+        let (rel, _) = plan
+            .execute_with_stats(&crate::ExecContext::from_env())
+            .unwrap();
         let one = estimate_relation_bytes(&rel);
         // Room for two entries, not three.
         let cache = ResultCache::with_budget(one * 2 + 256);
@@ -468,7 +474,9 @@ mod tests {
         let plan = plan_for(&db);
         let key = plan_fingerprint(&plan, &PlannerConfig::default());
         let deps = plan_tables(&plan);
-        let rel = plan.execute().unwrap();
+        let (rel, _) = plan
+            .execute_with_stats(&crate::ExecContext::from_env())
+            .unwrap();
         cache.insert(
             key.clone(),
             deps.iter().map(Arc::downgrade).collect(),

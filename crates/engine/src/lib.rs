@@ -23,7 +23,7 @@
 //! * the [`queries`] of the paper's evaluation section.
 //!
 //! ```
-//! use ongoing_engine::{Database, QueryBuilder, PlannerConfig};
+//! use ongoing_engine::{Database, ExecContext, QueryBuilder, PlannerConfig};
 //! use ongoing_engine::plan::optimizer::compile;
 //! use ongoing_core::{date::md, OngoingInterval};
 //! use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
@@ -43,13 +43,14 @@
 //!     .unwrap()
 //!     .build();
 //! let physical = compile(&db, &plan, &PlannerConfig::default()).unwrap();
+//! let ctx = ExecContext::serial();
 //!
 //! // Ongoing execution: valid at every reference time.
-//! let ongoing = physical.execute().unwrap();
+//! let (ongoing, _stats) = physical.execute_with_stats(&ctx).unwrap();
 //! assert_eq!(ongoing.len(), 1);
 //!
 //! // Instantiated execution (Clifford baseline): valid only at `rt`.
-//! let snapshot = physical.execute_at(md(8, 15)).unwrap();
+//! let (snapshot, _stats) = physical.execute_at_with_stats(md(8, 15), &ctx).unwrap();
 //! assert_eq!(snapshot.len(), 1);
 //! ```
 
@@ -81,9 +82,7 @@ pub use obs::{
     EVENT_LOG_ENV, SLOW_QUERY_ENV,
 };
 pub use plan::{JoinStrategy, LogicalPlan, PhysicalPlan, PlannerConfig, QueryBuilder};
-pub use sql::{
-    explain_analyze, explain_analyze_with, prepare, ExplainReport, Prepared, StatementResult,
-};
+pub use sql::{explain_analyze, prepare, ExplainReport, Prepared, StatementResult};
 pub use stats::cost::QualPath;
 pub use stats::TableStatistics;
 pub use storage::durable::{DurableOptions, DurableStats};
@@ -96,7 +95,8 @@ use ongoing_relation::{FixedRelation, OngoingRelation};
 /// planner configuration (auto parallelism — see [`ExecContext`]).
 pub fn execute(db: &Database, plan: &LogicalPlan) -> Result<OngoingRelation> {
     let cfg = PlannerConfig::default();
-    plan::optimizer::compile(db, plan, &cfg)?.execute_ctx(&cfg.exec_context())
+    let phys = plan::optimizer::compile(db, plan, &cfg)?;
+    Ok(phys.execute_with_stats(&cfg.exec_context())?.0)
 }
 
 /// Compiles and executes a logical plan with the Clifford baseline:
@@ -105,6 +105,5 @@ pub fn execute(db: &Database, plan: &LogicalPlan) -> Result<OngoingRelation> {
 pub fn execute_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<FixedRelation> {
     let cfg = PlannerConfig::default();
     let phys = plan::optimizer::compile(db, plan, &cfg)?;
-    let (rel, _) = phys.execute_at_with_stats(rt, &cfg.exec_context())?;
-    Ok(rel)
+    Ok(phys.execute_at_with_stats(rt, &cfg.exec_context())?.0)
 }

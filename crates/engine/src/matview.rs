@@ -143,14 +143,13 @@ fn compute(
         .map(|t| (t.name().to_string(), t))
         .collect();
     let label = format!("matview:{name}");
-    let (result, _stats) = crate::sql::execute_compiled(db, &phys, config, &label)?;
+    let (result, _stats) = crate::sql::execute_compiled(db, &phys, config, &label, None)?;
     Ok((result, deps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::clifford;
     use crate::QueryBuilder;
     use ongoing_core::date::md;
     use ongoing_core::OngoingInterval;
@@ -195,7 +194,7 @@ mod tests {
             .unwrap();
         for rt in [md(1, 1), md(4, 1), md(8, 2), md(8, 15), md(12, 24)] {
             let via_view = view.instantiate(rt);
-            let via_clifford = clifford::run_at(&db, view.plan(), rt).unwrap();
+            let via_clifford = crate::execute_at(&db, view.plan(), rt).unwrap();
             assert_eq!(via_view, via_clifford, "rt={rt}");
         }
     }

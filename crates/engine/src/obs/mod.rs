@@ -1,7 +1,7 @@
 //! Unified observability: the metrics registry, per-query trace spans,
 //! and the structured event log.
 //!
-//! Everything the engine already counted — [`ExecStats`](crate::ExecStats)
+//! Everything the engine already counted — [`ExecStats`]
 //! work units, [`DurableStats`](crate::DurableStats) WAL/chunk/cache
 //! counters, the store's `write_work`/`qual_work`, CAS attempts — surfaces
 //! here under stable metric names through one snapshot API

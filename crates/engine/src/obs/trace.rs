@@ -11,9 +11,9 @@
 //! every thread count (wall time, of course, is not).
 //!
 //! This module is also the single source of truth for rendering plan
-//! trees: `explain`, `explain_with_estimates`, `explain_with_stats` and
-//! `EXPLAIN ANALYZE` all flow through [`render_tree`]/[`render_summary`],
-//! so estimated and measured lines can never drift in layout or rounding.
+//! trees: `explain` (`EXPLAIN`) and `explain_analyzed` (`EXPLAIN ANALYZE`)
+//! both flow through [`render_tree`]/[`render_summary`], so estimated and
+//! measured lines can never drift in layout or rounding.
 
 use crate::exec::ExecStats;
 use crate::plan::PhysicalPlan;
@@ -87,24 +87,17 @@ impl TraceCollector {
 /// The per-operator annotation, the one place estimated and measured
 /// numbers are formatted. `(est rows≈… self work≈…)` when only estimates
 /// exist, `(… | rows=… work=… wall=…ns)` once actuals do.
-fn annotation(est: Option<&NodeEstimate>, actual: Option<&SpanNode>) -> String {
-    match (est, actual) {
-        (None, None) => String::new(),
-        (Some(e), None) => format!(
+fn annotation(est: &NodeEstimate, actual: Option<&SpanNode>) -> String {
+    match actual {
+        None => format!(
             "  (est rows≈{:.0} self work≈{:.0})",
-            e.rows,
-            e.self_work.total()
+            est.rows,
+            est.self_work.total()
         ),
-        (Some(e), Some(a)) => format!(
+        Some(a) => format!(
             "  (est rows≈{:.0} self work≈{:.0} | rows={} work={} wall={}ns)",
-            e.rows,
-            e.self_work.total(),
-            a.rows,
-            a.self_work.total_work(),
-            a.wall_ns
-        ),
-        (None, Some(a)) => format!(
-            "  (rows={} work={} wall={}ns)",
+            est.rows,
+            est.self_work.total(),
             a.rows,
             a.self_work.total_work(),
             a.wall_ns
@@ -115,7 +108,7 @@ fn annotation(est: Option<&NodeEstimate>, actual: Option<&SpanNode>) -> String {
 fn render_into(
     plan: &PhysicalPlan,
     depth: usize,
-    est: Option<&NodeEstimate>,
+    est: &NodeEstimate,
     actual: Option<&SpanNode>,
     out: &mut String,
 ) {
@@ -125,31 +118,27 @@ fn render_into(
         plan.node_line(),
         annotation(est, actual)
     ));
-    for (i, child) in plan.inputs().into_iter().enumerate() {
+    // `estimate` mirrors the plan, one child estimate per input.
+    for (i, (child, child_est)) in plan.inputs().into_iter().zip(&est.children).enumerate() {
         render_into(
             child,
             depth + 1,
-            est.and_then(|e| e.children.get(i)),
+            child_est,
             actual.and_then(|a| a.children.get(i)),
             out,
         );
     }
 }
 
-/// Renders `plan` one operator per line, annotating each with whatever is
-/// available: cost-model estimates, measured spans, both, or neither.
-pub fn render_tree(
-    plan: &PhysicalPlan,
-    est: Option<&NodeEstimate>,
-    actual: Option<&SpanNode>,
-) -> String {
+/// Renders `plan` one operator per line, annotating each with its
+/// cost-model estimates and, once executed, its measured span.
+pub fn render_tree(plan: &PhysicalPlan, est: &NodeEstimate, actual: Option<&SpanNode>) -> String {
     let mut out = String::new();
     render_into(plan, 0, est, actual, &mut out);
     out
 }
 
-/// The measured-vs-estimated trailer shared by `explain_with_stats` and
-/// `EXPLAIN ANALYZE`.
+/// The measured-vs-estimated trailer of `EXPLAIN ANALYZE`.
 pub fn render_summary(stats: &ExecStats, est: &WorkEstimate) -> String {
     format!("stats: {stats}\nest:   {est}\n")
 }
@@ -188,8 +177,19 @@ mod tests {
 
     #[test]
     fn annotation_shapes() {
-        assert_eq!(annotation(None, None), "");
+        let est = NodeEstimate {
+            rows: 2.0,
+            self_work: WorkEstimate::default(),
+            work: WorkEstimate::default(),
+            analyzed: false,
+            cols: Vec::new(),
+            children: Vec::new(),
+        };
+        assert_eq!(annotation(&est, None), "  (est rows≈2 self work≈0)");
         let a = span("x", 3, Vec::new());
-        assert_eq!(annotation(None, Some(&a)), "  (rows=3 work=0 wall=0ns)");
+        assert_eq!(
+            annotation(&est, Some(&a)),
+            "  (est rows≈2 self work≈0 | rows=3 work=0 wall=0ns)"
+        );
     }
 }

@@ -2,19 +2,21 @@
 //!
 //! A [`PhysicalPlan`] executes either
 //!
-//! * **ongoing** ([`PhysicalPlan::execute`]): the paper's approach — ongoing
-//!   attributes stay uninstantiated, predicates evaluate to ongoing
-//!   booleans, every operator restricts the result tuples' reference time
-//!   (Theorem 2); or
-//! * **instantiated** ([`PhysicalPlan::execute_at`]): the Clifford et al.
-//!   baseline, "instantiate `now` when accessed" — operators pass the
-//!   stored tuples, skipping those whose `RT` does not contain the chosen
-//!   reference time `rt`; every predicate binds an ongoing operand at `rt`
-//!   the moment it reads it ([`Expr::eval_bool_at`]), so it runs on fixed
-//!   values with the fixed-interval fast path and no reference-time
+//! * **ongoing** ([`PhysicalPlan::execute_with_stats`]): the paper's
+//!   approach — ongoing attributes stay uninstantiated, predicates evaluate
+//!   to ongoing booleans, every operator restricts the result tuples'
+//!   reference time (Theorem 2); or
+//! * **instantiated** ([`PhysicalPlan::execute_at_with_stats`]): the
+//!   Clifford et al. baseline, "instantiate `now` when accessed" — operators
+//!   pass the stored tuples, skipping those whose `RT` does not contain the
+//!   chosen reference time `rt`; every predicate binds an ongoing operand at
+//!   `rt` the moment it reads it ([`Expr::eval_bool_at`]), so it runs on
+//!   fixed values with the fixed-interval fast path and no reference-time
 //!   bookkeeping happens at all. Rows of fixed values are built only where
 //!   fixed values are needed: at the plan root and at the Difference and
 //!   Aggregate barriers. The result is only valid at that reference time.
+//!
+//! Every execution takes its [`ExecContext`] from the caller.
 //!
 //! Running both modes through the same operator arms is what makes the
 //! paper's runtime comparisons (Sec. IX) meaningful: both sides pay for the
@@ -43,12 +45,13 @@
 //!
 //! Both modes run morsel-style on the process-wide
 //! [`WorkerPool`](crate::exec::WorkerPool): an [`ExecContext`] carries the
-//! parallelism budget and the query's pool session, and relation-valued
-//! inputs are partitioned into morsels — along the copy-on-write store's
-//! natural chunk boundaries ([`OngoingRelation::lazy_views`]) for scans
-//! and probe/outer join sides, by contiguous index ranges for positional
-//! inputs. Each morsel becomes one `'static` task over `Arc`-shared
-//! operator state, submitted to the query's task queue; the shared
+//! parallelism budget and the query's pool session, and one driver,
+//! `run_morsels`, splits every operator input into morsels — along the
+//! copy-on-write store's natural chunk boundaries
+//! ([`OngoingRelation::lazy_views`], each chunk pinned once) for scans and
+//! probe/outer join sides, by contiguous index ranges for positional
+//! inputs. Each morsel becomes one `'static` task over the `Arc`-shared
+//! operator input, submitted to the query's task queue; the shared
 //! scheduler dispatches morsels round-robin across concurrent queries and
 //! the submitting thread helps drain its own queue, so no operator ever
 //! spawns threads of its own. Partial results are merged in morsel
@@ -62,7 +65,7 @@
 use crate::catalog::Table;
 use crate::error::{EngineError, Result};
 use crate::exec::pool::Morsel;
-use crate::exec::{ExecContext, ExecStats};
+use crate::exec::{ExecContext, ExecStats, QueryControl};
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::{IntervalSet, TimePoint};
 use ongoing_relation::algebra::{self, ProjItem};
@@ -243,44 +246,24 @@ impl PhysicalPlan {
         }
     }
 
-    /// EXPLAIN-style rendering (one operator per line).
+    /// The `EXPLAIN` rendering: one operator per line, each with the cost
+    /// model's estimates (`est rows≈…  self work≈…`) from the catalog
+    /// statistics of the scanned tables (defaults when un-analyzed).
     pub fn explain(&self) -> String {
-        crate::obs::trace::render_tree(self, None, None)
-    }
-
-    /// EXPLAIN rendering with the cost model's per-operator estimates
-    /// (`est rows≈…  self work≈…`) attached — the `EXPLAIN` analogue
-    /// before execution. Estimates come from the catalog statistics of the
-    /// scanned tables (defaults when un-analyzed).
-    pub fn explain_with_estimates(&self) -> String {
         let est = crate::stats::cost::estimate(self);
-        crate::obs::trace::render_tree(self, Some(&est), None)
-    }
-
-    /// EXPLAIN rendering followed by work-unit accounting — each operator
-    /// line carries its *estimated* rows and work; the trailing lines put
-    /// the measured [`ExecStats`] next to the estimated totals so estimate
-    /// quality is visible at a glance. Shares its renderer with
-    /// [`explain_with_estimates`](Self::explain_with_estimates) and
-    /// [`explain_analyzed`](Self::explain_analyzed), so the layouts cannot
-    /// drift.
-    pub fn explain_with_stats(&self, stats: &ExecStats) -> String {
-        let est = crate::stats::cost::estimate(self);
-        let tree = crate::obs::trace::render_tree(self, Some(&est), None);
-        format!(
-            "{tree}{}",
-            crate::obs::trace::render_summary(stats, &est.work)
-        )
+        crate::obs::trace::render_tree(self, &est, None)
     }
 
     /// The full `EXPLAIN ANALYZE` rendering: per-operator estimated rows
     /// and work next to the *measured* span (actual rows, deterministic
     /// work units, wall ns), plus the measured-vs-estimated trailer.
     /// `span` must come from executing this plan with a
-    /// [`TraceCollector`](crate::obs::TraceCollector) attached.
+    /// [`TraceCollector`](crate::obs::TraceCollector) attached. Shares its
+    /// renderer with [`explain`](Self::explain), so the layouts cannot
+    /// drift.
     pub fn explain_analyzed(&self, span: &crate::obs::SpanNode) -> String {
         let est = crate::stats::cost::estimate(self);
-        let tree = crate::obs::trace::render_tree(self, Some(&est), Some(span));
+        let tree = crate::obs::trace::render_tree(self, &est, Some(span));
         format!(
             "{tree}{}",
             crate::obs::trace::render_summary(&span.total_work, &est.work)
@@ -384,20 +367,8 @@ impl PhysicalPlan {
     // Execution: one operator tree, two modes (see `Mode`).
     // ------------------------------------------------------------------
 
-    /// Executes in ongoing mode with the ambient context
-    /// ([`ExecContext::from_env`]): the result is an ongoing relation that
-    /// remains valid as time passes by.
-    pub fn execute(&self) -> Result<OngoingRelation> {
-        self.execute_ctx(&ExecContext::from_env())
-    }
-
-    /// Executes in ongoing mode under an explicit execution context.
-    pub fn execute_ctx(&self, ctx: &ExecContext) -> Result<OngoingRelation> {
-        let mut stats = ExecStats::default();
-        self.run(Mode::Ongoing, ctx, &mut stats)
-    }
-
-    /// Executes in ongoing mode, returning the result together with the
+    /// Executes in ongoing mode, returning the result — an ongoing
+    /// relation that remains valid as time passes by — together with the
     /// deterministic work-unit accounting of the run.
     pub fn execute_with_stats(&self, ctx: &ExecContext) -> Result<(OngoingRelation, ExecStats)> {
         let mut stats = ExecStats::default();
@@ -410,15 +381,9 @@ impl PhysicalPlan {
     /// every predicate binds an ongoing operand at `rt` the moment it
     /// reads it, and rows of fixed values are built only at the plan root
     /// and at the Difference and Aggregate barriers. The result is valid
-    /// only at `rt`.
-    pub fn execute_at(&self, rt: TimePoint) -> Result<FixedRelation> {
-        Ok(FixedRelation::from_rows(self.rows_at(rt)?))
-    }
-
-    /// Instantiated execution under an explicit context, returning the
-    /// result together with the work-unit accounting (note
-    /// `intervals_merged` stays 0 here: the baseline never touches
-    /// interval sets).
+    /// only at `rt`. Returns the canonical (sorted, deduplicated) relation
+    /// and the work-unit accounting (`intervals_merged` stays 0: the
+    /// baseline never touches interval sets).
     pub fn execute_at_with_stats(
         &self,
         rt: TimePoint,
@@ -428,14 +393,9 @@ impl PhysicalPlan {
         Ok((FixedRelation::from_rows(rows), stats))
     }
 
-    /// Instantiated execution returning the raw row bag (deduplicated by
-    /// [`FixedRelation`] in `execute_at`), with the ambient context.
-    pub fn rows_at(&self, rt: TimePoint) -> Result<Vec<Vec<Value>>> {
-        let mut stats = ExecStats::default();
-        self.rows_at_stats(rt, &ExecContext::from_env(), &mut stats)
-    }
-
-    /// Raw instantiated rows plus work-unit accounting.
+    /// Instantiated execution returning the raw row bag in execution
+    /// order — before [`FixedRelation`] sorts and deduplicates it — plus
+    /// work-unit accounting.
     pub fn rows_at_with_stats(
         &self,
         rt: TimePoint,
@@ -527,30 +487,26 @@ impl PhysicalPlan {
                 ongoing,
             } => {
                 let idx = table.interval_index(*col)?;
-                // A cheap version fork of the table's relation, so the
-                // pool tasks own their input.
-                let data = table.data().clone();
-                let ids = idx.query(range.0, range.1);
+                let mut ids = idx.query(range.0, range.1);
                 stats.index_candidates += ids.len() as u64;
                 stats.tuples_scanned += ids.len() as u64;
-                let n = ids.len();
-                let ids = Arc::new(ids);
+                // Candidates in storage order, read chunk by chunk through
+                // one transient pin each: a cold table pages in within the
+                // budget and stays cold, and the rows come out exactly as
+                // `Filter(SeqScan)` emits them. A cheap version fork of the
+                // table's relation, so the pool tasks own their input.
+                ids.sort_unstable();
+                let rel = table.data().clone();
+                let picks = picks_by_chunk(&rel, &ids);
+                let reads = picks.iter().map(Vec::len).collect();
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
+                let input = Chunks::new(rel, Some(reads), move |v, pinned, out, local| {
                     let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                    for &id in &ids[r] {
-                        let t = data.tuple_at(id).expect("index ids are live positions");
-                        // Every candidate is examined, alive at `rt` or not.
-                        local.tuples_filtered += 1;
-                        if mode.keeps(t) {
-                            filter_into(&mut out, t, f, o, mode, &mut local)?;
-                        }
-                    }
-                    Ok((out, local))
-                })?;
-                Ok(assemble_tuples(schema.clone(), parts, stats))
+                    let live = |&i: &usize| pinned.get(i).expect("index ids are live positions");
+                    filter_candidates(picks[v].iter().map(live), f, o, mode, out, local)
+                });
+                let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
+                Ok(assemble_tuples(schema.clone(), tuples))
             }
             PhysicalPlan::KeyScan {
                 table,
@@ -559,7 +515,8 @@ impl PhysicalPlan {
                 fixed,
                 ongoing,
             } => {
-                // A cheap version fork, so the pool tasks own the input.
+                // A cheap version fork, so what the lookup reads dies with
+                // the query.
                 let data = table.data().clone();
                 let rows = match data.keyed_rows(probe) {
                     Some((rows, visited)) => {
@@ -575,22 +532,16 @@ impl PhysicalPlan {
                         collect_pinned(ctx, &data, Mode::Ongoing)?
                     }
                 };
-                let n = rows.len();
-                let rows = Arc::new(rows);
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let parts = run_partitioned(ctx, n, MIN_MORSEL, move |r| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
-                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                    for t in &rows[r] {
-                        local.tuples_filtered += 1;
-                        if mode.keeps(t) {
-                            filter_into(&mut out, t, f, o, mode, &mut local)?;
-                        }
-                    }
-                    Ok((out, local))
-                })?;
-                Ok(assemble_tuples(schema.clone(), parts, stats))
+                let input = Positions {
+                    len: rows.len(),
+                    job: move |r: Range<usize>, out: &mut Vec<Tuple>, local: &mut ExecStats| {
+                        let (f, o) = (fixed.as_deref(), ongoing.as_deref());
+                        filter_candidates(rows[r].iter(), f, o, mode, out, local)
+                    },
+                };
+                let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
+                Ok(assemble_tuples(schema.clone(), tuples))
             }
             PhysicalPlan::Filter {
                 input,
@@ -605,15 +556,15 @@ impl PhysicalPlan {
                 // beyond-RAM table keeps at most one cold chunk per
                 // in-flight morsel resident.
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let parts =
-                    run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, local| {
-                        for t in pinned.iter().filter(|t| mode.keeps(t)) {
-                            local.tuples_filtered += 1;
-                            filter_into(out, t, fixed.as_deref(), ongoing.as_deref(), mode, local)?;
-                        }
-                        Ok(())
-                    })?;
-                Ok(assemble_tuples(schema, parts, stats))
+                let input = Chunks::new(rel, None, move |_, pinned, out, local| {
+                    for t in pinned.iter().filter(|t| mode.keeps(t)) {
+                        local.tuples_filtered += 1;
+                        filter_into(out, t, fixed.as_deref(), ongoing.as_deref(), mode, local)?;
+                    }
+                    Ok(())
+                });
+                let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
+                Ok(assemble_tuples(schema, tuples))
             }
             PhysicalPlan::Project {
                 input,
@@ -622,101 +573,86 @@ impl PhysicalPlan {
             } => {
                 let rel = input.run(mode, ctx, stats)?;
                 let items = items.clone();
-                let parts = run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, _| {
+                let input = Chunks::new(rel, None, move |_, pinned, out, _| {
                     for t in pinned.iter().filter(|t| mode.keeps(t)) {
                         let values = project_values(t, &items, mode)?;
                         out.push(Tuple::with_rt(values, t.rt().clone()));
                     }
                     Ok(())
-                })?;
-                Ok(assemble_tuples(schema.clone(), parts, stats))
+                });
+                let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
+                Ok(assemble_tuples(schema.clone(), tuples))
             }
             PhysicalPlan::NestedLoopJoin {
                 left,
                 right,
                 fixed,
                 ongoing,
-            } => {
-                let l = left.run(mode, ctx, stats)?;
-                let r = right.run(mode, ctx, stats)?;
-                let schema = l.schema().product(r.schema());
-                // The inner side is materialized as owned shallow clones
-                // (payloads are `Arc`-shared) so the pool tasks can share
-                // it; the outer side streams through lazy per-chunk pins,
-                // so only the smaller side should be inner.
-                let inner = Arc::new(collect_pinned(ctx, &r, mode)?);
-                let min_chunk = outer_min_chunk(inner.len());
-                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let parts = run_partitioned_lazy(ctx, l, min_chunk, move |pinned, out, local| {
-                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                    for lt in pinned.iter().filter(|t| mode.keeps(t)) {
-                        for rt_ in inner.iter() {
-                            join_pair_into(out, lt, rt_, f, o, mode, local)?;
-                        }
-                    }
-                    Ok(())
-                })?;
-                Ok(assemble_tuples(schema, parts, stats))
             }
-            PhysicalPlan::HashJoin {
+            | PhysicalPlan::HashJoin {
                 left,
                 right,
-                keys,
-                keyed,
                 fixed,
                 ongoing,
+                ..
             } => {
+                // A nested-loop join is the keyless hash join: one bucket
+                // holding every build row, probed in order.
+                let (keys, keyed): (&[(usize, usize)], bool) = match self {
+                    PhysicalPlan::HashJoin { keys, keyed, .. } => (keys, *keyed),
+                    _ => (&[], false),
+                };
                 // Keyed build: the build side is a bare scan of a
                 // key-indexed column, so probe morsels look matches up in
-                // the table's per-chunk `KeyMap`s (memoized per morsel)
+                // the table's per-chunk `KeyMap`s (memoized per chunk)
                 // instead of materializing and hashing the build side.
                 // `keyed_rows` returns matches in live order — exactly the
                 // order the hashed build would emit — so results are
                 // bit-identical to the unkeyed path. The instantiated
                 // baseline always hashes.
-                if *keyed && mode == Mode::Ongoing {
+                if keyed && mode == Mode::Ongoing {
                     if let (PhysicalPlan::SeqScan { table, schema: rs }, [(lk, rk)]) =
-                        (right.as_ref(), keys.as_slice())
+                        (right.as_ref(), keys)
                     {
                         let (lk, rk) = (*lk, *rk);
                         let l = left.run(mode, ctx, stats)?;
                         let schema = l.schema().product(rs);
                         let rdata = table.data().clone();
                         let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                        let parts =
-                            run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
-                                let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
-                                for lt in pinned.iter() {
-                                    let key = lt.value(lk);
-                                    let matches = memo.entry(key.clone()).or_insert_with(|| {
-                                        let probe = KeyProbe::Eq {
-                                            col: rk,
-                                            key: key.clone(),
-                                        };
-                                        let (rows, visited) =
-                                            rdata.keyed_rows(&probe).unwrap_or_else(|| {
-                                                // Defensive: the optimizer only
-                                                // sets `keyed` for covered
-                                                // columns of this pinned version.
-                                                let rows = rdata
-                                                    .iter()
-                                                    .filter(|t| probe.matches(t.value(rk)))
-                                                    .cloned()
-                                                    .collect();
-                                                (rows, rdata.len() as u64)
-                                            });
-                                        local.index_candidates += visited;
-                                        local.tuples_scanned += visited;
-                                        rows
-                                    });
-                                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                                    for rt_ in matches.iter() {
-                                        join_pair_into(out, lt, rt_, f, o, mode, local)?;
-                                    }
+                        let input = Chunks::new(l, None, move |_, pinned, out, local| {
+                            let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
+                            for lt in pinned.iter() {
+                                let key = lt.value(lk);
+                                let matches = memo.entry(key.clone()).or_insert_with(|| {
+                                    let probe = KeyProbe::Eq {
+                                        col: rk,
+                                        key: key.clone(),
+                                    };
+                                    let (rows, visited) =
+                                        rdata.keyed_rows(&probe).unwrap_or_else(|| {
+                                            // Defensive: the optimizer only
+                                            // sets `keyed` for covered
+                                            // columns of this pinned version.
+                                            let rows = rdata
+                                                .iter()
+                                                .filter(|t| probe.matches(t.value(rk)))
+                                                .cloned()
+                                                .collect();
+                                            (rows, rdata.len() as u64)
+                                        });
+                                    local.index_candidates += visited;
+                                    local.tuples_scanned += visited;
+                                    rows
+                                });
+                                let (f, o) = (fixed.as_deref(), ongoing.as_deref());
+                                for rt_ in matches.iter() {
+                                    join_pair_into(out, lt, rt_, f, o, mode, local)?;
                                 }
-                                Ok(())
-                            })?;
-                        return Ok(assemble_tuples(schema, parts, stats));
+                            }
+                            Ok(())
+                        });
+                        let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
+                        return Ok(assemble_tuples(schema, tuples));
                     }
                 }
                 let l = left.run(mode, ctx, stats)?;
@@ -726,19 +662,23 @@ impl PhysicalPlan {
                 // clones; payloads are `Arc`-shared) keyed by position, so
                 // the probe morsels can share build rows and table without
                 // borrows; the probe side streams through lazy per-chunk
-                // pins. Keys are fixed-type columns (the optimizer keys on
-                // nothing else), so a stored key is its own instantiation.
+                // pins, so only the smaller side should be the build side.
+                // Keys are fixed-type columns (the optimizer keys on nothing
+                // else), so a stored key is its own instantiation.
                 let rows = collect_pinned(ctx, &r, mode)?;
                 let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
                 for (i, rt_) in rows.iter().enumerate() {
                     let key: Vec<Value> = keys.iter().map(|&(_, j)| rt_.value(j).clone()).collect();
                     table.entry(key).or_default().push(i);
                 }
-                let rows = Arc::new(rows);
-                let table = Arc::new(table);
-                let keys = keys.clone();
+                let min_chunk = if keys.is_empty() {
+                    outer_min_chunk(rows.len())
+                } else {
+                    MIN_MORSEL
+                };
+                let keys = keys.to_vec();
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let parts = run_partitioned_lazy(ctx, l, MIN_MORSEL, move |pinned, out, local| {
+                let input = Chunks::new(l, None, move |_, pinned, out, local| {
                     let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for lt in pinned.iter().filter(|t| mode.keeps(t)) {
                         let key: Vec<Value> =
@@ -750,8 +690,9 @@ impl PhysicalPlan {
                         }
                     }
                     Ok(())
-                })?;
-                Ok(assemble_tuples(schema, parts, stats))
+                });
+                let tuples = run_morsels(ctx, input, min_chunk, stats)?;
+                Ok(assemble_tuples(schema, tuples))
             }
             PhysicalPlan::SweepJoin {
                 left,
@@ -766,27 +707,28 @@ impl PhysicalPlan {
                 let schema = l.schema().product(r.schema());
                 // Both sides materialize as owned shallow clones so the
                 // sweep morsels can share rows and envelope lists.
-                let l_rows = Arc::new(collect_pinned(ctx, &l, mode)?);
-                let r_rows = Arc::new(collect_pinned(ctx, &r, mode)?);
-                let le = Arc::new(envelopes(&l_rows, *l_col, mode)?);
-                let re = Arc::new(envelopes(&r_rows, *r_col, mode)?);
-                let n = le.len();
+                let l_rows = collect_pinned(ctx, &l, mode)?;
+                let r_rows = collect_pinned(ctx, &r, mode)?;
+                let le = envelopes(&l_rows, *l_col, mode)?;
+                let re = envelopes(&r_rows, *r_col, mode)?;
                 let min_chunk = sweep_min_chunk(re.len(), ctx.parallelism);
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let parts = run_partitioned(ctx, n, min_chunk, move |range| {
-                    let mut local = ExecStats::default();
-                    let mut out = Vec::new();
-                    let mut pairs = Vec::new();
-                    sweep_positions(&le, range, &re, &mut pairs);
-                    pairs.sort_unstable();
-                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                    for &(lp, rp) in &pairs {
-                        let (lt, rt_) = (&l_rows[le[lp].2], &r_rows[re[rp].2]);
-                        join_pair_into(&mut out, lt, rt_, f, o, mode, &mut local)?;
-                    }
-                    Ok((out, local))
-                })?;
-                Ok(assemble_tuples(schema, parts, stats))
+                let input = Positions {
+                    len: le.len(),
+                    job: move |r: Range<usize>, out: &mut Vec<Tuple>, local: &mut ExecStats| {
+                        let mut pairs = Vec::new();
+                        sweep_positions(&le, r, &re, &mut pairs);
+                        pairs.sort_unstable();
+                        let (f, o) = (fixed.as_deref(), ongoing.as_deref());
+                        for &(lp, rp) in &pairs {
+                            let (lt, rt_) = (&l_rows[le[lp].2], &r_rows[re[rp].2]);
+                            join_pair_into(out, lt, rt_, f, o, mode, local)?;
+                        }
+                        Ok(())
+                    },
+                };
+                let tuples = run_morsels(ctx, input, min_chunk, stats)?;
+                Ok(assemble_tuples(schema, tuples))
             }
             PhysicalPlan::Union { left, right } => {
                 let l = left.run(mode, ctx, stats)?;
@@ -882,13 +824,13 @@ impl PhysicalPlan {
                 // the output rows.
                 let rel = input.run(mode, ctx, stats)?;
                 let items = items.clone();
-                let parts = run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, _| {
+                let input = Chunks::new(rel, None, move |_, pinned, out, _| {
                     for t in pinned.iter().filter(|t| mode.keeps(t)) {
                         out.push(project_values(t, &items, mode)?);
                     }
                     Ok(())
-                })?;
-                Ok(concat_parts(parts, stats))
+                });
+                run_morsels(ctx, input, MIN_MORSEL, stats)
             }
             PhysicalPlan::Difference { left, right } => {
                 let l = left.rows_at_stats(rt, ctx, stats)?;
@@ -936,11 +878,11 @@ impl PhysicalPlan {
             }
             _ => {
                 let rel = self.run_impl(mode, ctx, stats)?;
-                let parts = run_partitioned_lazy(ctx, rel, MIN_MORSEL, move |pinned, out, _| {
+                let input = Chunks::new(rel, None, move |_, pinned, out, _| {
                     out.extend(pinned.iter().filter_map(|t| t.bind(rt)));
                     Ok(())
-                })?;
-                Ok(concat_parts(parts, stats))
+                });
+                run_morsels(ctx, input, MIN_MORSEL, stats)
             }
         }
     }
@@ -999,124 +941,185 @@ fn sweep_min_chunk(right_len: usize, parallelism: usize) -> usize {
     (right_len / parallelism.max(1)).max(MIN_MORSEL)
 }
 
-/// Partitions `0..len` into contiguous index ranges with at least
-/// `min_chunk` items per morsel and runs them on the shared worker pool —
-/// for inputs that are positional lists (index-candidate ids, sorted
-/// envelope lists, key-map candidates). Results come back *in morsel
-/// order*: concatenating them reproduces the serial output exactly, and
-/// folding the per-morsel [`ExecStats`] reproduces the serial counts
-/// exactly. The control token is polled per morsel (a cancelled query's
-/// queued morsels are additionally dropped at dequeue by the pool).
-fn run_partitioned<T, F>(
-    ctx: &ExecContext,
-    len: usize,
-    min_chunk: usize,
-    run: F,
-) -> Result<Vec<(T, ExecStats)>>
-where
-    T: Send + 'static,
-    F: Fn(Range<usize>) -> Result<(T, ExecStats)> + Send + Sync + 'static,
-{
-    let morsels = morsel_count(ctx.parallelism, len, min_chunk);
-    if morsels <= 1 {
-        ctx.control.check()?;
-        return Ok(vec![run(0..len)?]);
-    }
-    let run = Arc::new(run);
-    let jobs: Vec<Morsel<(T, ExecStats)>> = chunk_bounds(len, morsels)
-        .into_iter()
-        .map(|range| {
-            let run = Arc::clone(&run);
-            let control = ctx.control.clone();
-            let job: Morsel<(T, ExecStats)> = Box::new(move || {
-                control.check()?;
-                run(range)
-            });
-            job
-        })
-        .collect();
-    ctx.session.run_morsels(&ctx.control, ctx.parallelism, jobs)
+/// One morsel's output and work.
+type Part<T> = (Vec<T>, ExecStats);
+
+/// An operator input as [`run_morsels`] splits it. Two adapters implement
+/// it, [`Positions`] and [`Chunks`]; each only computes its morsel ranges
+/// and what one morsel's job reads.
+trait MorselInput<T> {
+    /// Work items, which size the morsel count.
+    fn items(&self) -> usize;
+    /// Contiguous ranges for `morsels` (> 1) morsels, in input order.
+    fn ranges(&self, morsels: usize) -> Vec<Range<usize>>;
+    /// Runs the job over range `r` (`None`: the whole input) into `part`.
+    fn run(&self, r: Option<Range<usize>>, ctl: &QueryControl, part: &mut Part<T>) -> Result<()>;
 }
 
-/// The chunk-morsel scan driver: partitions the relation's *lazy* chunk
-/// views into contiguous runs (live-row balanced; partitioning metadata is
-/// free — no page-in), then each morsel walks its run **one pinned chunk
-/// at a time**. A cold chunk is paged in only while its morsel is being
-/// processed and released immediately after, so a scan of a table N× the
-/// memory budget keeps at most one chunk per in-flight morsel resident
-/// beyond the cache. The control token is polled before every chunk pin,
-/// so cancellation and deadlines surface within one morsel. The relation
-/// is `Arc`-shared with the pool tasks, which re-derive the (cheap,
-/// metadata-only) chunk views from the same immutable version — so the
-/// per-run view slices are identical to the submitter's. Output assembly
-/// is identical to the other drivers: concatenating the per-run vectors
-/// reproduces the serial output exactly.
-fn run_partitioned_lazy<T, F>(
+/// The morsel driver every operator fans out through. One morsel runs
+/// inline on the calling thread over the borrowed input. Several become
+/// `'static` jobs over the `Arc`-shared input on the shared worker pool;
+/// their outputs come back *in morsel order*, so concatenating them
+/// reproduces the serial output exactly, and folding the per-morsel
+/// [`ExecStats`] reproduces the serial counts exactly. The control token
+/// is polled per morsel (a cancelled query's queued morsels are
+/// additionally dropped at dequeue by the pool).
+fn run_morsels<T: Send + 'static>(
     ctx: &ExecContext,
-    rel: OngoingRelation,
+    input: impl MorselInput<T> + Send + Sync + 'static,
     min_chunk: usize,
-    run: F,
-) -> Result<Vec<(Vec<T>, ExecStats)>>
-where
-    T: Send + 'static,
-    F: Fn(&PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()> + Send + Sync + 'static,
-{
-    fn drive<T, F>(
-        control: &crate::exec::QueryControl,
-        run_views: &[LazyChunkView<'_>],
-        run: &F,
-    ) -> Result<(Vec<T>, ExecStats)>
-    where
-        F: Fn(&PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
-    {
-        let mut out = Vec::new();
-        let mut local = ExecStats::default();
-        for v in run_views {
-            control.check()?;
-            let pinned = v.pin()?;
-            run(&pinned, &mut out, &mut local)?;
-        }
-        Ok((out, local))
+    stats: &mut ExecStats,
+) -> Result<Vec<T>> {
+    let morsels = morsel_count(ctx.parallelism, input.items(), min_chunk);
+    let ranges = if morsels > 1 {
+        input.ranges(morsels)
+    } else {
+        Vec::new()
+    };
+    if ranges.len() <= 1 {
+        ctx.control.check()?;
+        let mut part = (Vec::new(), ExecStats::default());
+        input.run(None, &ctx.control, &mut part)?;
+        stats.merge(&part.1);
+        return Ok(part.0);
     }
-
-    let views = rel.lazy_views();
-    let total: usize = views.iter().map(|v| v.len()).sum();
-    let morsels = morsel_count(ctx.parallelism, total, min_chunk);
-    if morsels <= 1 || views.len() <= 1 {
-        return Ok(vec![drive(&ctx.control, &views, &run)?]);
-    }
-    // Greedy live-row-balanced split into contiguous chunk-index ranges.
-    let target = total.div_ceil(morsels);
-    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(morsels);
-    let (mut start, mut acc) = (0usize, 0usize);
-    for (i, v) in views.iter().enumerate() {
-        acc += v.len();
-        if acc >= target && ranges.len() + 1 < morsels {
-            ranges.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < views.len() {
-        ranges.push(start..views.len());
-    }
-    drop(views);
-    let rel = Arc::new(rel);
-    let run = Arc::new(run);
-    let jobs: Vec<Morsel<(Vec<T>, ExecStats)>> = ranges
+    let input = Arc::new(input);
+    let jobs: Vec<_> = ranges
         .into_iter()
         .map(|range| {
-            let rel = Arc::clone(&rel);
-            let run = Arc::clone(&run);
+            let input = Arc::clone(&input);
             let control = ctx.control.clone();
-            let job: Morsel<(Vec<T>, ExecStats)> = Box::new(move || {
-                let views = rel.lazy_views();
-                drive(&control, &views[range], run.as_ref())
-            });
-            job
+            Box::new(move || {
+                control.check()?;
+                let mut part = (Vec::new(), ExecStats::default());
+                input.run(Some(range), &control, &mut part)?;
+                Ok(part)
+            }) as Morsel<Part<T>>
         })
         .collect();
-    ctx.session.run_morsels(&ctx.control, ctx.parallelism, jobs)
+    let parts = ctx
+        .session
+        .run_morsels(&ctx.control, ctx.parallelism, jobs)?;
+    let mut out = Vec::with_capacity(parts.iter().map(|(p, _)| p.len()).sum());
+    for (part, local) in parts {
+        stats.merge(&local);
+        out.extend(part);
+    }
+    Ok(out)
+}
+
+/// Positional input: `len` items (key-scan candidates, sorted envelope
+/// positions) that `job` reads by contiguous index range.
+struct Positions<F> {
+    len: usize,
+    job: F,
+}
+
+impl<T, F> MorselInput<T> for Positions<F>
+where
+    F: Fn(Range<usize>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
+{
+    fn items(&self) -> usize {
+        self.len
+    }
+
+    fn ranges(&self, morsels: usize) -> Vec<Range<usize>> {
+        chunk_bounds(self.len, morsels)
+    }
+
+    fn run(&self, r: Option<Range<usize>>, _: &QueryControl, part: &mut Part<T>) -> Result<()> {
+        (self.job)(r.unwrap_or(0..self.len), &mut part.0, &mut part.1)
+    }
+}
+
+/// Chunk input: a relation's *lazy* chunk views in contiguous runs
+/// balanced by the rows read (partitioning metadata is free — no
+/// page-in). A job walks its run **one pinned chunk at a time**, handing
+/// `body` the view's index and pin: a cold chunk is paged in only while
+/// its morsel processes it and released right after, so a scan of a table
+/// N× the memory budget keeps at most one chunk per in-flight morsel
+/// resident beyond the cache. The control token is polled before every
+/// pin. Jobs re-derive the (cheap, metadata-only) views from the same
+/// immutable version, so every run's views are the submitter's.
+struct Chunks<F> {
+    rel: OngoingRelation,
+    /// Rows read per view when that is not every live row (an IndexScan's
+    /// candidates); a view with nothing to read is not pinned.
+    reads: Option<Vec<usize>>,
+    body: F,
+}
+
+impl<F> Chunks<F> {
+    fn new<T>(rel: OngoingRelation, reads: Option<Vec<usize>>, body: F) -> Self
+    where
+        F: Fn(usize, &PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
+    {
+        Chunks { rel, reads, body }
+    }
+
+    /// Rows the job reads of view `i`.
+    fn reads(&self, i: usize, view: &LazyChunkView<'_>) -> usize {
+        self.reads.as_ref().map_or(view.len(), |r| r[i])
+    }
+}
+
+impl<T, F> MorselInput<T> for Chunks<F>
+where
+    F: Fn(usize, &PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
+{
+    fn items(&self) -> usize {
+        self.reads
+            .as_ref()
+            .map_or(self.rel.len(), |r| r.iter().sum())
+    }
+
+    /// Greedy split into contiguous view ranges of about equal reads.
+    fn ranges(&self, morsels: usize) -> Vec<Range<usize>> {
+        let views = self.rel.lazy_views();
+        let target = self.items().div_ceil(morsels);
+        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(morsels);
+        let (mut start, mut acc) = (0usize, 0usize);
+        for (i, v) in views.iter().enumerate() {
+            acc += self.reads(i, v);
+            if acc >= target && ranges.len() + 1 < morsels {
+                ranges.push(start..i + 1);
+                start = i + 1;
+                acc = 0;
+            }
+        }
+        if start < views.len() {
+            ranges.push(start..views.len());
+        }
+        ranges
+    }
+
+    fn run(&self, r: Option<Range<usize>>, ctl: &QueryControl, part: &mut Part<T>) -> Result<()> {
+        let views = self.rel.lazy_views();
+        let r = r.unwrap_or(0..views.len());
+        for (i, v) in views.iter().enumerate().take(r.end).skip(r.start) {
+            if self.reads(i, v) > 0 {
+                ctl.check()?;
+                (self.body)(i, &v.pin()?, &mut part.0, &mut part.1)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Sorted live positions of `rel` regrouped per chunk view, as
+/// chunk-local offsets (one list per view, empty for a view holding none).
+fn picks_by_chunk(rel: &OngoingRelation, sorted: &[usize]) -> Vec<Vec<usize>> {
+    let mut rest = sorted;
+    let mut start = 0usize;
+    let mut picks = Vec::new();
+    for view in rel.lazy_views() {
+        let end = start + view.len();
+        let here = rest.partition_point(|&pos| pos < end);
+        picks.push(rest[..here].iter().map(|&pos| pos - start).collect());
+        rest = &rest[here..];
+        start = end;
+    }
+    picks
 }
 
 /// One-line rendering of a key probe for EXPLAIN output.
@@ -1127,32 +1130,9 @@ fn probe_line(probe: &KeyProbe) -> String {
     }
 }
 
-/// Concatenates ordered partition outputs and folds their work-unit
-/// counters.
-fn concat_parts<T>(mut parts: Vec<(Vec<T>, ExecStats)>, stats: &mut ExecStats) -> Vec<T> {
-    if parts.len() == 1 {
-        let (part, local) = parts.pop().expect("one part");
-        stats.merge(&local);
-        return part;
-    }
-    let total: usize = parts.iter().map(|(p, _)| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for (part, local) in parts {
-        stats.merge(&local);
-        out.extend(part);
-    }
-    out
-}
-
-/// Concatenates ordered tuple partitions into a relation and folds their
-/// work-unit counters.
-fn assemble_tuples(
-    schema: Schema,
-    parts: Vec<(Vec<Tuple>, ExecStats)>,
-    stats: &mut ExecStats,
-) -> OngoingRelation {
-    OngoingRelation::from_tuples(schema, concat_parts(parts, stats))
-        .expect("partition outputs match the operator schema")
+/// The operator's output relation from its concatenated morsel outputs.
+fn assemble_tuples(schema: Schema, tuples: Vec<Tuple>) -> OngoingRelation {
+    OngoingRelation::from_tuples(schema, tuples).expect("morsel outputs match the operator schema")
 }
 
 /// The tuples of `rel` that take part in `mode`, as owned shallow clones
@@ -1292,6 +1272,26 @@ fn filter_into(
             Restriction::Part(rt) => out.push(t.restricted(rt)),
         },
         None => out.push(t.clone()),
+    }
+    Ok(())
+}
+
+/// The candidate filter IndexScan and KeyScan share: every candidate is
+/// examined (and counted), alive at `rt` or not; those taking part in
+/// `mode` go through [`filter_into`].
+fn filter_candidates<'t>(
+    candidates: impl Iterator<Item = &'t Tuple>,
+    fixed: Option<&Predicate>,
+    ongoing: Option<&Predicate>,
+    mode: Mode,
+    out: &mut Vec<Tuple>,
+    stats: &mut ExecStats,
+) -> Result<()> {
+    for t in candidates {
+        stats.tuples_filtered += 1;
+        if mode.keeps(t) {
+            filter_into(out, t, fixed, ongoing, mode, stats)?;
+        }
     }
     Ok(())
 }
@@ -1478,16 +1478,6 @@ pub fn indexable_selection(conjunct: &Expr) -> Option<(usize, (TimePoint, TimePo
     } else {
         None
     }
-}
-
-/// The set of reference times a relation's tuples cover — used by tests and
-/// the harness to pick representative instantiation points.
-pub fn reference_span(rel: &OngoingRelation) -> IntervalSet {
-    let mut acc = IntervalSet::empty();
-    for t in rel.iter() {
-        acc.union_assign(t.rt());
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -138,7 +138,9 @@ mod tests {
             "equality conjunct should drive a hash join:\n{}",
             phys.explain()
         );
-        let result = phys.execute().unwrap();
+        let (result, _) = phys
+            .execute_with_stats(&crate::ExecContext::from_env())
+            .unwrap();
         // Both bugs share the component and their VTs overlap at some rt
         // (plus self-pairs): at least the 2 self-pairs and 2 cross pairs.
         assert_eq!(result.len(), 4);

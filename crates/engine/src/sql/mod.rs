@@ -33,7 +33,7 @@ use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::exec::{rescache, ExecStats};
 use crate::obs::{EngineEvent, SpanNode, TraceCollector};
-use crate::plan::{LogicalPlan, PlannerConfig, QueryBuilder};
+use crate::plan::{LogicalPlan, PhysicalPlan, PlannerConfig, QueryBuilder};
 use crate::stats::TableStatistics;
 use ast::{AstExpr, Query, SelectStmt, Statement};
 use ongoing_relation::algebra::ProjItem;
@@ -56,7 +56,9 @@ pub fn plan_query(db: &Database, sql: &str) -> Result<LogicalPlan> {
 /// [`run_statement`] and prepared statements.
 pub fn query(db: &Database, sql: &str) -> Result<ongoing_relation::OngoingRelation> {
     let q = parser::parse(sql).map_err(|e| EngineError::Plan(e.to_string()))?;
-    run_query(db, &q, &PlannerConfig::default(), sql).map(|(rel, _)| rel)
+    let cfg = PlannerConfig::default();
+    let phys = compile_query(db, &q, &cfg)?;
+    execute_compiled(db, &phys, &cfg, sql, None).map(|(rel, _)| rel)
 }
 
 /// The outcome of executing a top-level statement.
@@ -81,8 +83,9 @@ pub fn run_statement(db: &Database, sql: &str) -> Result<StatementResult> {
     let cfg = PlannerConfig::default();
     match stmt {
         Statement::Query(q) => {
-            let report = run_query(db, &q, &cfg, sql)?;
-            Ok(StatementResult::Rows(report.0))
+            let phys = compile_query(db, &q, &cfg)?;
+            let (rel, _) = execute_compiled(db, &phys, &cfg, sql, None)?;
+            Ok(StatementResult::Rows(rel))
         }
         Statement::Analyze(Some(table)) => {
             let stats = db.analyze(&table)?;
@@ -92,11 +95,9 @@ pub fn run_statement(db: &Database, sql: &str) -> Result<StatementResult> {
         Statement::Explain {
             analyze: false,
             query,
-        } => {
-            let lp = plan(db, &query)?;
-            let phys = crate::plan::optimizer::compile(db, &lp, &cfg)?;
-            Ok(StatementResult::Explained(phys.explain_with_estimates()))
-        }
+        } => Ok(StatementResult::Explained(
+            compile_query(db, &query, &cfg)?.explain(),
+        )),
         Statement::Explain {
             analyze: true,
             query,
@@ -127,57 +128,45 @@ pub struct ExplainReport {
     pub wall_ns: u64,
 }
 
-/// Parses, plans and executes `sql`, returning an [`ExplainReport`] — the
-/// API equivalent of the `EXPLAIN ANALYZE` statement.
-pub fn explain_analyze(db: &Database, sql: &str) -> Result<ExplainReport> {
-    explain_analyze_with(db, sql, &PlannerConfig::default())
-}
-
-/// [`explain_analyze`] under an explicit planner configuration (thread
-/// count, join strategy, ...).
-pub fn explain_analyze_with(
-    db: &Database,
-    sql: &str,
-    cfg: &PlannerConfig,
-) -> Result<ExplainReport> {
+/// Parses, plans and executes `sql` under `cfg` (thread count, join
+/// strategy, ...), returning an [`ExplainReport`] — the API equivalent of
+/// the `EXPLAIN ANALYZE` statement.
+pub fn explain_analyze(db: &Database, sql: &str, cfg: &PlannerConfig) -> Result<ExplainReport> {
     let query = parser::parse(sql).map_err(|e| EngineError::Plan(e.to_string()))?;
     analyze_query(db, &query, cfg, sql)
 }
 
-/// Executes a parsed query without tracing, recording query metrics.
-fn run_query(
-    db: &Database,
-    q: &Query,
-    cfg: &PlannerConfig,
-    label: &str,
-) -> Result<(ongoing_relation::OngoingRelation, ExecStats)> {
-    let lp = plan(db, q)?;
-    let phys = crate::plan::optimizer::compile(db, &lp, cfg)?;
-    execute_compiled(db, &phys, cfg, label)
+/// Plans and compiles a parsed query under `cfg`.
+pub(crate) fn compile_query(db: &Database, q: &Query, cfg: &PlannerConfig) -> Result<PhysicalPlan> {
+    crate::plan::optimizer::compile(db, &plan(db, q)?, cfg)
 }
 
-/// Executes an already-compiled physical plan under `cfg`, recording query
-/// metrics and pool scheduling events through the database's observability
-/// layer. Shared by one-shot queries, prepared statements and materialized
-/// view refreshes.
+/// Executes an already-compiled physical plan under `cfg` — the one
+/// function that runs a compiled plan for one-shot queries, `EXPLAIN
+/// ANALYZE`, prepared statements and materialized view refreshes. It
+/// records query metrics and pool scheduling events through the database's
+/// observability layer, and deadline and cancellation failures in its
+/// event log.
 ///
 /// This is the result-cache seam: before executing, the database's
 /// [`ResultCache`](crate::exec::ResultCache) is consulted under the plan's
 /// structural fingerprint and the exact table versions it embeds. A hit
 /// returns the cached relation **and the stored work counters** — the same
 /// per-query metrics are recorded either way, so deterministic work-unit
-/// assertions hold with the cache on or off. `EXPLAIN ANALYZE` runs through
-/// [`analyze_query`] instead and therefore always executes for real.
+/// assertions hold with the cache on or off. A run with a `trace`
+/// collector attached neither probes nor fills the cache: `EXPLAIN
+/// ANALYZE` always executes for real.
 pub(crate) fn execute_compiled(
     db: &Database,
-    phys: &crate::plan::PhysicalPlan,
+    phys: &PhysicalPlan,
     cfg: &PlannerConfig,
     label: &str,
+    trace: Option<Arc<TraceCollector>>,
 ) -> Result<(ongoing_relation::OngoingRelation, ExecStats)> {
     let cache = db.result_cache();
     let obs = db.observability();
     let start = Instant::now();
-    let cached_key = if cache.budget() > 0 {
+    let cached_key = if cache.budget() > 0 && trace.is_none() {
         let key = rescache::plan_fingerprint(phys, cfg);
         let deps = rescache::plan_tables(phys);
         if let Some((rel, stats)) = cache.lookup(&key, &deps, obs) {
@@ -188,7 +177,8 @@ pub(crate) fn execute_compiled(
     } else {
         None
     };
-    let ctx = cfg.exec_context().with_events(Arc::clone(&obs.events));
+    let mut ctx = cfg.exec_context().with_events(Arc::clone(&obs.events));
+    ctx.trace = trace;
     match phys.execute_with_stats(&ctx) {
         Ok((rel, stats)) => {
             db.record_query(label, &stats, start.elapsed());
@@ -199,44 +189,40 @@ pub(crate) fn execute_compiled(
             Ok((rel, stats))
         }
         Err(e) => {
-            record_failure(db, label, &e);
+            let context = label.to_string();
+            let event = match e {
+                EngineError::DeadlineExceeded => Some(EngineEvent::DeadlineExceeded { context }),
+                EngineError::Cancelled => Some(EngineEvent::Cancelled { context }),
+                _ => None,
+            };
+            if let Some(event) = event {
+                obs.events.record(event);
+            }
             Err(e)
         }
     }
 }
 
-/// Executes a parsed query under a trace collector and renders the span
-/// tree against the planner estimates.
+/// Compiles a parsed query, executes it through [`execute_compiled`] under
+/// a trace collector, and renders the span tree against the planner
+/// estimates.
 fn analyze_query(
     db: &Database,
     q: &Query,
     cfg: &PlannerConfig,
     label: &str,
 ) -> Result<ExplainReport> {
-    let lp = plan(db, q)?;
-    let phys = crate::plan::optimizer::compile(db, &lp, cfg)?;
+    let phys = compile_query(db, q, cfg)?;
     let tracer = Arc::new(TraceCollector::new());
-    let ctx = cfg
-        .exec_context()
-        .with_events(Arc::clone(&db.observability().events))
-        .with_trace(Arc::clone(&tracer));
     let start = Instant::now();
-    let (rel, stats) = match phys.execute_with_stats(&ctx) {
-        Ok(v) => v,
-        Err(e) => {
-            record_failure(db, label, &e);
-            return Err(e);
-        }
-    };
+    let (rel, stats) = execute_compiled(db, &phys, cfg, label, Some(Arc::clone(&tracer)))?;
     let wall = start.elapsed();
-    db.record_query(label, &stats, wall);
     let root = tracer
         .finish()
         .pop()
         .ok_or_else(|| EngineError::Plan("trace produced no root span".into()))?;
-    let text = phys.explain_analyzed(&root);
     Ok(ExplainReport {
-        text,
+        text: phys.explain_analyzed(&root),
         root,
         stats,
         rows: rel.len() as u64,
@@ -244,25 +230,7 @@ fn analyze_query(
     })
 }
 
-/// Surfaces deadline/cancellation failures in the structured event log.
-pub(crate) fn record_failure(db: &Database, label: &str, e: &EngineError) {
-    let obs = db.observability();
-    match e {
-        EngineError::DeadlineExceeded => {
-            obs.events.record(EngineEvent::DeadlineExceeded {
-                context: label.to_string(),
-            });
-        }
-        EngineError::Cancelled => {
-            obs.events.record(EngineEvent::Cancelled {
-                context: label.to_string(),
-            });
-        }
-        _ => {}
-    }
-}
-
-pub(crate) fn plan(db: &Database, q: &Query) -> Result<LogicalPlan> {
+fn plan(db: &Database, q: &Query) -> Result<LogicalPlan> {
     match q {
         Query::Select(s) => plan_select(db, s),
         Query::Union(l, r) => {
@@ -591,7 +559,7 @@ mod tests {
         assert!(text.lines().filter(|l| l.contains("wall=")).count() >= 3);
 
         // The API twin reports totals that match a plain traced execution.
-        let report = explain_analyze(&db, sql).unwrap();
+        let report = explain_analyze(&db, sql, &PlannerConfig::default()).unwrap();
         assert_eq!(report.rows, 5);
         assert_eq!(report.root.total_work, report.stats);
         let child_total: u64 = report

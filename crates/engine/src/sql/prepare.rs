@@ -22,7 +22,7 @@ use crate::error::{EngineError, Result};
 use crate::exec::ExecStats;
 use crate::plan::{PhysicalPlan, PlannerConfig};
 use crate::sql::ast::{Query, SelectStmt};
-use crate::sql::{execute_compiled, parser, plan};
+use crate::sql::{compile_query, execute_compiled, parser};
 use crate::stats::TableStatistics;
 use ongoing_relation::OngoingRelation;
 use std::collections::BTreeSet;
@@ -115,7 +115,7 @@ impl Prepared {
         cfg: &PlannerConfig,
     ) -> Result<(OngoingRelation, ExecStats)> {
         let phys = self.plan_for(db, cfg)?;
-        execute_compiled(db, &phys, cfg, &self.text)
+        execute_compiled(db, &phys, cfg, &self.text, None)
     }
 
     /// Returns the cached physical plan if the database still matches the
@@ -140,8 +140,7 @@ impl Prepared {
             .metrics
             .counter(PREPARED_MISSES_METRIC)
             .inc();
-        let lp = plan(db, &self.query)?;
-        let phys = Arc::new(crate::plan::optimizer::compile(db, &lp, cfg)?);
+        let phys = Arc::new(compile_query(db, &self.query, cfg)?);
         let mut deps = Vec::new();
         for name in table_names(&self.query) {
             let table = db.table(&name)?;

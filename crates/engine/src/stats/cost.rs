@@ -11,16 +11,18 @@
 //! The optimizer uses the per-candidate helpers
 //! ([`hash_join_work`], [`sweep_join_work`], [`nested_loop_work`]) to
 //! enumerate join strategies and pick the cheapest; `EXPLAIN` rendering
-//! uses [`estimate`]/[`explain_with_estimates`](crate::plan::PhysicalPlan::explain_with_estimates)
-//! to show estimated rows and work next to the actual counters.
+//! ([`explain`](crate::plan::PhysicalPlan::explain) and
+//! [`explain_analyzed`](crate::plan::PhysicalPlan::explain_analyzed)) uses
+//! [`estimate`] to show estimated rows and work next to the actual
+//! counters.
 //!
 //! Column-level information (distinct counts, interval summaries) is
 //! propagated bottom-up through the plan: scans seed it from the catalog's
-//! [`TableStatistics`], filters scale it, joins concatenate it. Plans over
-//! tables that were never `ANALYZE`d fall back to conservative defaults and
-//! are flagged `analyzed = false`; the optimizer then keeps the classic
-//! heuristic priority (hash > sweep > nested loops) instead of trusting
-//! made-up numbers.
+//! [`TableStatistics`](crate::stats::TableStatistics), filters scale it,
+//! joins concatenate it. Plans over tables that were never `ANALYZE`d fall
+//! back to conservative defaults and are flagged `analyzed = false`; the
+//! optimizer then keeps the classic heuristic priority (hash > sweep >
+//! nested loops) instead of trusting made-up numbers.
 
 use crate::plan::physical::PhysicalPlan;
 use crate::stats::{const_envelope, FixedSummary, IntervalSummary};

@@ -73,7 +73,7 @@ pub struct DurableOptions {
     /// persisted sealed chunks to cold (they are write-once on disk
     /// already) — so tables many times the budget scan with peak resident
     /// chunk bytes bounded by it. Overridable via
-    /// [`MEMORY_BUDGET_ENV`](self::MEMORY_BUDGET_ENV).
+    /// [`MEMORY_BUDGET_ENV`].
     pub memory_budget: u64,
 }
 

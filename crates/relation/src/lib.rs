@@ -62,9 +62,9 @@ pub use predicate::{Pair, Predicate};
 pub use relation::{FixedRelation, OngoingRelation};
 pub use schema::{Attribute, Schema, SchemaError};
 pub use store::{
-    ChunkPager, ChunkPart, ChunkSource, ChunkView, JournalOp, LazyChunkView, OwnedChunkPart,
-    OwnedChunkSource, PagedChunkPart, PagerError, PinnedChunk, RowEdit, StoreSummary, StoreWork,
-    TupleStore, TARGET_CHUNK_ROWS,
+    ChunkPager, ChunkPart, ChunkSource, JournalOp, LazyChunkView, OwnedChunkPart, OwnedChunkSource,
+    PagedChunkPart, PagerError, PinnedChunk, RowEdit, StoreSummary, StoreWork, TupleStore,
+    TARGET_CHUNK_ROWS,
 };
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};

@@ -3,8 +3,8 @@
 use crate::keyindex::{KeyProbe, KeyedEdit, QualEstimate};
 use crate::schema::{Schema, SchemaError};
 use crate::store::{
-    ChunkPager, ChunkPart, ChunkView, JournalOp, LazyChunkView, OwnedChunkPart, PagedChunkPart,
-    RowEdit, StoreIter, StoreSummary, TupleStore,
+    ChunkPager, ChunkPart, JournalOp, LazyChunkView, OwnedChunkPart, PagedChunkPart, RowEdit,
+    StoreIter, StoreSummary, TupleStore,
 };
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 /// (see [`crate::store`]): cloning a relation shares all sealed chunks, and
 /// row-level edits through [`edit_tuples`](Self::edit_tuples) cost
 /// O(rows touched) instead of O(table). Hot paths iterate the store
-/// ([`iter`](Self::iter), [`chunk_views`](Self::chunk_views));
+/// ([`iter`](Self::iter), [`lazy_views`](Self::lazy_views));
 /// [`tuples`](Self::tuples) remains as a contiguous-slice view for
 /// compatibility, materializing a dense copy only when the store is
 /// fragmented across chunks.
@@ -138,7 +138,7 @@ impl OngoingRelation {
     /// compacted single-chunk store); a store fragmented across chunks or
     /// carrying edit overlays materializes — and caches — a dense copy.
     /// Hot paths should prefer [`iter`](Self::iter) or
-    /// [`chunk_views`](Self::chunk_views), which never copy.
+    /// [`lazy_views`](Self::lazy_views), which never copy.
     pub fn tuples(&self) -> &[Tuple] {
         if let Some(slice) = self.store.as_single_slice() {
             return slice;
@@ -158,13 +158,6 @@ impl OngoingRelation {
     /// ordinals — what interval-index payloads refer to).
     pub fn tuple_at(&self, pos: usize) -> Option<&Tuple> {
         self.store.tuple_at(pos)
-    }
-
-    /// The store's chunk views — the natural morsel boundaries for
-    /// partition-parallel executors. Pages in (and parks) any cold chunks;
-    /// budget-honoring scans use [`lazy_views`](Self::lazy_views).
-    pub fn chunk_views(&self) -> Vec<ChunkView<'_>> {
-        self.store.chunk_views()
     }
 
     /// The store's chunk views without loading anything: rows are paged in
@@ -388,16 +381,6 @@ impl OngoingRelation {
     /// storage a version re-uses from the version it was forked off.
     pub fn shares_chunks_with(&self, other: &OngoingRelation) -> usize {
         self.store.shared_chunks(&other.store)
-    }
-
-    /// Consumes the relation, yielding its tuples — the move-semantics
-    /// counterpart of [`tuples`](Self::tuples). Rows held in shared chunks
-    /// are cloned (cheap: payloads are `Arc`-shared); owned rows move.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        if let Some(dense) = self.dense.into_inner() {
-            return dense.into_vec();
-        }
-        self.store.into_tuples()
     }
 
     /// Number of tuples.

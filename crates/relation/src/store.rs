@@ -164,9 +164,9 @@ pub trait ChunkPager: Send + Sync + std::fmt::Debug {
 ///   executors use, keeping at most one morsel's chunks resident per
 ///   worker.
 /// * **Park-on-touch** (every legacy borrow API: [`TupleStore::iter`],
-///   [`TupleStore::tuple_at`], [`TupleStore::chunk_views`], the edit
-///   planners): the first borrow parks the loaded `Arc` in a per-version
-///   [`OnceLock`], keeping the borrow sound for this version's lifetime.
+///   [`TupleStore::tuple_at`], the edit planners): the first borrow parks
+///   the loaded `Arc` in a per-version [`OnceLock`], keeping the borrow
+///   sound for this version's lifetime.
 ///   Cloning a store resets the locks, so parks accumulated by a
 ///   query-scoped clone die with that clone instead of bloating the
 ///   published version. Park-on-touch is the transparent correctness
@@ -309,6 +309,15 @@ impl PinnedChunk<'_> {
         self.live == 0
     }
 
+    /// The live row at chunk-local ordinal `i` (the chunk's `iter`
+    /// ordinals), borrowed from the pin.
+    pub fn get(&self, i: usize) -> Option<&Tuple> {
+        if i >= self.live {
+            return None;
+        }
+        live_row(self.base.rows(), self.edits, i)
+    }
+
     /// The live rows in storage order (base rows with the overlay spliced
     /// in), borrowed from the pin.
     pub fn iter(&self) -> ChunkRows<'_> {
@@ -323,8 +332,7 @@ impl PinnedChunk<'_> {
 
 /// A chunk view that defers loading: length and partitioning metadata are
 /// free; the rows are paged in only by [`pin`](Self::pin). The
-/// budget-honoring counterpart of [`ChunkView`] for stores that may hold
-/// cold chunks.
+/// budget-honoring way to read stores that may hold cold chunks.
 #[derive(Debug, Clone, Copy)]
 pub struct LazyChunkView<'a> {
     inner: LazyInner<'a>,
@@ -551,42 +559,25 @@ impl Chunk {
 /// the store half-modified.
 pub type PlannedEdit = (usize, usize, RowEdit, u64);
 
-/// Read-only view of one chunk (or the pending tail) — the executors'
-/// morsel unit. Iteration yields the chunk's live rows in storage order.
+/// Borrowed view of one chunk (or the pending tail), parking a cold chunk
+/// on touch — how [`StoreIter`], [`TupleStore::tuple_at`] and edit
+/// planning read rows. Iteration yields the chunk's live rows in storage
+/// order.
 #[derive(Debug, Clone, Copy)]
-pub struct ChunkView<'a> {
+struct ChunkView<'a> {
     base: &'a [Tuple],
     edits: Option<&'a BTreeMap<usize, Vec<Tuple>>>,
-    live: usize,
 }
 
 impl<'a> ChunkView<'a> {
-    /// Number of live rows in the view.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Is the view empty?
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// The live rows in storage order.
-    pub fn iter(&self) -> ChunkRows<'a> {
+    fn iter(&self) -> ChunkRows<'a> {
         ChunkRows {
             base: self.base,
             edits: self.edits,
             offset: 0,
             replacement: None,
         }
-    }
-}
-
-impl<'a> IntoIterator for &ChunkView<'a> {
-    type Item = &'a Tuple;
-    type IntoIter = ChunkRows<'a>;
-    fn into_iter(self) -> ChunkRows<'a> {
-        self.iter()
     }
 }
 
@@ -623,6 +614,36 @@ impl<'a> Iterator for ChunkRows<'a> {
             }
         }
     }
+}
+
+/// The chunk's live row at chunk-local ordinal `rem`: O(1) within a clean
+/// chunk, O(overlay entries) within an edited one — the walk maps the
+/// ordinal to a base offset (or into a replacement list) by visiting the
+/// overlay entries only: clean rows between entries contribute one live
+/// row per base row.
+fn live_row<'a>(
+    base: &'a [Tuple],
+    edits: Option<&'a BTreeMap<usize, Vec<Tuple>>>,
+    rem: usize,
+) -> Option<&'a Tuple> {
+    let Some(edits) = edits else {
+        return base.get(rem);
+    };
+    let mut live_before = 0usize;
+    let mut clean_start = 0usize;
+    for (&off, rep) in edits {
+        let clean = off - clean_start;
+        if rem < live_before + clean {
+            return base.get(clean_start + (rem - live_before));
+        }
+        live_before += clean;
+        if rem < live_before + rep.len() {
+            return rep.get(rem - live_before);
+        }
+        live_before += rep.len();
+        clean_start = off + 1;
+    }
+    base.get(clean_start + (rem - live_before))
 }
 
 /// Iterator over every live row of a store, in storage order.
@@ -1017,21 +1038,6 @@ impl TupleStore {
         None
     }
 
-    /// Consumes the store, yielding the live rows. Rows in shared chunks
-    /// are cloned (payloads are `Arc`-shared, so this is shallow); the
-    /// pending tail moves.
-    pub fn into_tuples(mut self) -> Vec<Tuple> {
-        if self.chunks.is_empty() {
-            return std::mem::take(&mut self.pending);
-        }
-        let mut out = Vec::with_capacity(self.live);
-        for ci in 0..self.chunks.len() {
-            out.extend(self.view_at(ci).iter().cloned());
-        }
-        out.append(&mut self.pending);
-        out
-    }
-
     /// Live rows in storage order.
     pub fn iter(&self) -> StoreIter<'_> {
         StoreIter {
@@ -1053,23 +1059,13 @@ impl TupleStore {
                 // resident for this version's lifetime (see [`ChunkBase`]).
                 base: c.base.slice(),
                 edits: c.edits.as_deref(),
-                live: c.live,
             }
         } else {
             ChunkView {
                 base: &self.pending,
                 edits: None,
-                live: self.pending.len(),
             }
         }
-    }
-
-    /// The store's chunk views (sealed chunks, then the pending tail) —
-    /// the natural morsel boundaries for partition-parallel scans. Pages
-    /// in (and parks) every cold chunk; budget-honoring scans use
-    /// [`lazy_views`](Self::lazy_views) instead.
-    pub fn chunk_views(&self) -> Vec<ChunkView<'_>> {
-        (0..self.total_views()).map(|i| self.view_at(i)).collect()
     }
 
     /// The store's chunk views without loading anything: lengths and
@@ -1127,9 +1123,14 @@ impl TupleStore {
         self.offsets.get_or_init(|| {
             let mut acc = 0usize;
             let mut out = Vec::with_capacity(self.total_views());
-            for i in 0..self.total_views() {
-                acc += self.view_at(i).len();
+            // Live counts only: nothing pages in for positional access
+            // beyond the chunk a lookup reads.
+            for live in self.chunks.iter().map(|c| c.live) {
+                acc += live;
                 out.push(acc);
+            }
+            if !self.pending.is_empty() {
+                out.push(acc + self.pending.len());
             }
             out
         })
@@ -1147,28 +1148,7 @@ impl TupleStore {
         let chunk = offsets.partition_point(|&end| end <= pos);
         let start = if chunk == 0 { 0 } else { offsets[chunk - 1] };
         let view = self.view_at(chunk);
-        let rem = pos - start;
-        let Some(edits) = view.edits else {
-            return view.base.get(rem);
-        };
-        // Map the chunk-local live ordinal to a base offset (or into a
-        // replacement list) by walking the overlay entries only: clean
-        // rows between entries contribute one live row per base row.
-        let mut live_before = 0usize;
-        let mut clean_start = 0usize;
-        for (&off, rep) in edits {
-            let clean = off - clean_start;
-            if rem < live_before + clean {
-                return view.base.get(clean_start + (rem - live_before));
-            }
-            live_before += clean;
-            if rem < live_before + rep.len() {
-                return rep.get(rem - live_before);
-            }
-            live_before += rep.len();
-            clean_start = off + 1;
-        }
-        view.base.get(clean_start + (rem - live_before))
+        live_row(view.base, view.edits, pos - start)
     }
 
     /// Plans one base offset of one view: calls `f` on the live row(s) at
@@ -1893,14 +1873,28 @@ mod tests {
     fn chunk_views_cover_all_rows() {
         let mut s = TupleStore::from_tuples((0..1100).map(t).collect());
         s.push(t(5000));
-        let views = s.chunk_views();
+        // An overlay: a tombstone and a split, so `get` walks edits too.
+        s.edit(|tp| {
+            Ok::<_, ()>(match tp.value(0).as_int() {
+                Some(3) => RowEdit::Remove,
+                Some(7) => RowEdit::Replace(vec![t(70), t(71)]),
+                _ => RowEdit::Keep,
+            })
+        })
+        .unwrap();
+        let views = s.lazy_views();
         let total: usize = views.iter().map(|v| v.len()).sum();
         assert_eq!(total, s.len());
-        let via_views: Vec<i64> = views
-            .iter()
-            .flat_map(|v| v.iter())
-            .map(|t| t.value(0).as_int().unwrap())
-            .collect();
+        let mut via_views = Vec::new();
+        for v in &views {
+            let pinned = v.pin().unwrap();
+            assert_eq!(pinned.len(), v.len());
+            for (i, t) in pinned.iter().enumerate() {
+                assert_eq!(pinned.get(i), Some(t));
+                via_views.push(t.value(0).as_int().unwrap());
+            }
+            assert_eq!(pinned.get(pinned.len()), None);
+        }
         assert_eq!(via_views, ints(&s));
     }
 

@@ -17,9 +17,8 @@
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::date::AsDate;
 use ongoing_datasets::{incumbent_database, History};
-use ongoingdb::engine::baseline::clifford;
 use ongoingdb::engine::matview::MaterializedView;
-use ongoingdb::engine::{queries, PlannerConfig};
+use ongoingdb::engine::{execute_at, queries, PlannerConfig};
 use std::time::Instant;
 
 fn main() {
@@ -67,7 +66,7 @@ fn main() {
         t_instantiate += t1.elapsed();
 
         let t2 = Instant::now();
-        let reeval = clifford::run_at(&db, &plan, rt).unwrap();
+        let reeval = execute_at(&db, &plan, rt).unwrap();
         t_clifford += t2.elapsed();
 
         assert_eq!(snap, reeval, "view must agree with re-evaluation");

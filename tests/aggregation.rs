@@ -6,8 +6,7 @@ use ongoing_core::time::tp;
 use ongoing_core::{IntervalSet, OngoingInt, OngoingInterval, TimePoint};
 use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
-use ongoingdb::engine::plan::{compile, PlannerConfig};
-use ongoingdb::engine::{Database, QueryBuilder};
+use ongoingdb::engine::{execute, execute_at, Database, QueryBuilder};
 
 fn sample_db() -> Database {
     let db = Database::new();
@@ -65,12 +64,11 @@ fn agg_plan(db: &Database) -> ongoingdb::engine::LogicalPlan {
 fn aggregate_commutes_with_bind() {
     let db = sample_db();
     let plan = agg_plan(&db);
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
-    let ongoing = phys.execute().unwrap();
+    let ongoing = execute(&db, &plan).unwrap();
     for rt in -3i64..30 {
         let rt = tp(rt);
         let lhs = ongoing.bind(rt);
-        let rhs = phys.execute_at(rt).unwrap();
+        let rhs = execute_at(&db, &plan, rt).unwrap();
         assert_eq!(lhs, rhs, "∥γ(R)∥rt != γF(∥R∥rt) at rt={rt}");
     }
 }
@@ -79,7 +77,7 @@ fn aggregate_commutes_with_bind() {
 fn aggregate_values_track_reference_time() {
     let db = sample_db();
     let plan = agg_plan(&db);
-    let result = ongoingdb::engine::execute(&db, &plan).unwrap();
+    let result = execute(&db, &plan).unwrap();
     assert_eq!(result.len(), 2);
     let group_a = result
         .tuples()
@@ -124,7 +122,7 @@ fn having_style_predicates_over_aggregates() {
         })
         .unwrap()
         .build();
-    let result = ongoingdb::engine::execute(&db, &plan).unwrap();
+    let result = execute(&db, &plan).unwrap();
     // Only group "a" ever reaches count 2 — during [5, 15).
     assert_eq!(result.len(), 1);
     assert_eq!(result.tuples()[0].value(0).as_str(), Some("a"));
@@ -152,7 +150,7 @@ fn aggregate_rejects_ongoing_group_keys_and_bad_sums() {
 fn ongoing_int_values_round_trip_through_storage() {
     use ongoingdb::engine::storage::codec::{decode_tuple, encode_tuple};
     let db = sample_db();
-    let result = ongoingdb::engine::execute(&db, &agg_plan(&db)).unwrap();
+    let result = execute(&db, &agg_plan(&db)).unwrap();
     for t in result.tuples() {
         let bytes = encode_tuple(t);
         assert_eq!(&decode_tuple(&bytes).unwrap(), t);
@@ -175,9 +173,12 @@ fn aggregate_over_selection_pipeline() {
             .aggregate(&["C"], vec![AggFn::CountStar], vec!["cnt".into()])
             .unwrap()
             .build();
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
-    let ongoing = phys.execute().unwrap();
+    let ongoing = execute(&db, &plan).unwrap();
     for rt in [tp(-5), tp(3), tp(12), tp(22), TimePoint::new(40)] {
-        assert_eq!(ongoing.bind(rt), phys.execute_at(rt).unwrap(), "rt={rt}");
+        assert_eq!(
+            ongoing.bind(rt),
+            execute_at(&db, &plan, rt).unwrap(),
+            "rt={rt}"
+        );
     }
 }

@@ -8,7 +8,7 @@ use ongoing_core::{ops, OngoingInterval, OngoingPoint, TimePoint};
 use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
 use ongoingdb::engine::baseline::{clifford, forever, torp};
 use ongoingdb::engine::matview::MaterializedView;
-use ongoingdb::engine::{execute, Database, PlannerConfig, QueryBuilder};
+use ongoingdb::engine::{execute, execute_at, Database, PlannerConfig, QueryBuilder};
 
 /// The Fig. 1 database.
 fn running_example_db() -> Database {
@@ -91,8 +91,8 @@ fn forever_is_incorrect() {
 fn clifford_results_differ_across_reference_times() {
     let db = running_example_db();
     let plan = before_patch_201(&db);
-    let r_may = clifford::run_at(&db, &plan, md(5, 14)).unwrap();
-    let r_sep = clifford::run_at(&db, &plan, md(9, 1)).unwrap();
+    let r_may = execute_at(&db, &plan, md(5, 14)).unwrap();
+    let r_sep = execute_at(&db, &plan, md(9, 1)).unwrap();
     assert!(r_may.contains(&[Value::Int(500)]));
     assert!(
         !r_sep.contains(&[Value::Int(500)]),
@@ -112,7 +112,7 @@ fn ongoing_view_replaces_all_clifford_reevaluations() {
     while day < md(12, 31) {
         assert_eq!(
             view.instantiate(day),
-            clifford::run_at(&db, &plan, day).unwrap(),
+            execute_at(&db, &plan, day).unwrap(),
             "rt={day}"
         );
         day = TimePoint::new(day.ticks() + 13);
@@ -129,8 +129,8 @@ fn cliff_max_is_past_every_endpoint_and_stabilizes_memberships() {
     // no ongoing attributes are stable from Cliff_max on: every predicate
     // over the data has crossed its last breakpoint.
     let plan = before_patch_201(&db);
-    let at_max = clifford::run_at(&db, &plan, rt).unwrap();
-    let later = clifford::run_at(&db, &plan, TimePoint::new(rt.ticks() + 1000)).unwrap();
+    let at_max = execute_at(&db, &plan, rt).unwrap();
+    let later = execute_at(&db, &plan, TimePoint::new(rt.ticks() + 1000)).unwrap();
     assert_eq!(at_max, later);
     // ... and at Cliff_max every [a, now) interval instantiates non-empty.
     let b = db.table("B").unwrap();
@@ -167,7 +167,7 @@ fn torp_handles_modifications_but_not_predicates() {
     let plan = before_patch_201(&db);
     assert_eq!(
         torp::run_query_at(&db, &plan, md(5, 14)).unwrap(),
-        clifford::run_at(&db, &plan, md(5, 14)).unwrap()
+        execute_at(&db, &plan, md(5, 14)).unwrap()
     );
 }
 
@@ -219,7 +219,7 @@ fn selection_predicates_agree_with_ongoing_for_every_allen_relation() {
         for rt in [md(1, 1), md(6, 15), md(8, 22), md(11, 11)] {
             assert_eq!(
                 ongoing.bind(rt),
-                clifford::run_at(&db, &plan, rt).unwrap(),
+                execute_at(&db, &plan, rt).unwrap(),
                 "{} at rt={rt}",
                 pred.name()
             );

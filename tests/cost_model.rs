@@ -163,15 +163,18 @@ fn explain_shows_estimates_next_to_actuals() {
     let plan = shapes::key_overlap_join(&db);
     let c = cfg(JoinStrategy::Auto);
     let phys = compile(&db, &plan, &c).unwrap();
-    let pre = phys.explain_with_estimates();
-    assert!(pre.contains("est rows≈"), "{pre}");
-    assert!(pre.contains("self work≈"), "{pre}");
+    let pre = phys.explain();
+    // Every operator line carries its estimates.
+    for line in pre.lines() {
+        assert!(line.contains("est rows≈"), "{pre}");
+        assert!(line.contains("self work≈"), "{pre}");
+    }
+    // The measured counters next to the estimated totals.
     let (_, stats) = phys.execute_with_stats(&c.exec_context()).unwrap();
-    let full = phys.explain_with_stats(&stats);
+    let est = cost::estimate(&phys).work;
+    let full = format!("{pre}stats: {stats}\nest:   {est}\n");
     assert!(full.contains("stats: scanned="), "{full}");
     assert!(full.contains("est:   scanned≈"), "{full}");
-    // Plain explain stays annotation-free for the strategy tests.
-    assert!(!phys.explain().contains('≈'));
 }
 
 #[test]
@@ -311,13 +314,15 @@ fn fig11_complex_join_plans_from_statistics() {
     // The analyzed choice agrees with the un-analyzed heuristic result set.
     let db2 = ongoing_datasets::mozilla_database(300, 42);
     let plan2 = queries::complex_join(&db2, TemporalPredicate::Overlaps).unwrap();
-    let a = compile(&db, &plan, &cfg(JoinStrategy::Auto))
+    let auto = cfg(JoinStrategy::Auto);
+    let ctx = auto.exec_context();
+    let (a, _) = compile(&db, &plan, &auto)
         .unwrap()
-        .execute()
+        .execute_with_stats(&ctx)
         .unwrap();
-    let b = compile(&db2, &plan2, &cfg(JoinStrategy::Auto))
+    let (b, _) = compile(&db2, &plan2, &auto)
         .unwrap()
-        .execute()
+        .execute_with_stats(&ctx)
         .unwrap();
     assert_eq!(a.coalesce().len(), b.coalesce().len());
 }

@@ -7,8 +7,8 @@ use ongoing_core::{
     allen, ops, Emptiness, IntervalSet, OngoingInt, OngoingInterval, OngoingPoint, TimePoint,
 };
 use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
-use ongoingdb::engine::plan::{compile, PlannerConfig};
-use ongoingdb::engine::{Database, EngineError, QueryBuilder};
+use ongoingdb::engine::plan::PlannerConfig;
+use ongoingdb::engine::{execute, execute_at, Database, EngineError, QueryBuilder};
 
 // ---------------------------------------------------------------------
 // Domain limits.
@@ -101,9 +101,8 @@ fn queries_over_empty_relations() {
             })
             .unwrap()
             .build();
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
-    assert!(phys.execute().unwrap().is_empty());
-    assert!(phys.execute_at(tp(5)).unwrap().is_empty());
+    assert!(execute(&db, &plan).unwrap().is_empty());
+    assert!(execute_at(&db, &plan, tp(5)).unwrap().is_empty());
 }
 
 #[test]
@@ -115,7 +114,7 @@ fn self_join_of_empty_is_empty() {
         .join(r, |s| Ok(Expr::col(s, "L.K")?.eq(Expr::col(s, "R.K")?)))
         .unwrap()
         .build();
-    assert!(ongoingdb::engine::execute(&db, &plan).unwrap().is_empty());
+    assert!(execute(&db, &plan).unwrap().is_empty());
 }
 
 #[test]
@@ -131,11 +130,11 @@ fn union_and_difference_with_empty() {
     let t_scan = || QueryBuilder::scan(&db, "T").unwrap();
     let e_scan = || QueryBuilder::scan(&db, "E").unwrap();
     let u = t_scan().union(e_scan()).unwrap().build();
-    assert_eq!(ongoingdb::engine::execute(&db, &u).unwrap().len(), 1);
+    assert_eq!(execute(&db, &u).unwrap().len(), 1);
     let d = t_scan().difference(e_scan()).unwrap().build();
-    assert_eq!(ongoingdb::engine::execute(&db, &d).unwrap().len(), 1);
+    assert_eq!(execute(&db, &d).unwrap().len(), 1);
     let d2 = e_scan().difference(t_scan()).unwrap().build();
-    assert!(ongoingdb::engine::execute(&db, &d2).unwrap().is_empty());
+    assert!(execute(&db, &d2).unwrap().is_empty());
 }
 
 #[test]
@@ -155,7 +154,7 @@ fn difference_with_self_is_empty_everywhere() {
         .difference(QueryBuilder::scan(&db, "T").unwrap())
         .unwrap()
         .build();
-    let r = ongoingdb::engine::execute(&db, &plan).unwrap();
+    let r = execute(&db, &plan).unwrap();
     assert!(r.is_empty());
 }
 
@@ -176,13 +175,8 @@ fn selection_with_always_false_and_always_true() {
             .unwrap()
             .build()
     };
-    assert_eq!(
-        ongoingdb::engine::execute(&db, &plan(true)).unwrap().len(),
-        1
-    );
-    assert!(ongoingdb::engine::execute(&db, &plan(false))
-        .unwrap()
-        .is_empty());
+    assert_eq!(execute(&db, &plan(true)).unwrap().len(), 1);
+    assert!(execute(&db, &plan(false)).unwrap().is_empty());
 }
 
 // ---------------------------------------------------------------------
@@ -216,8 +210,7 @@ fn type_errors_surface_through_execution() {
         .filter(|s| Ok(Expr::col(s, "K")?.lt(Expr::lit("oops"))))
         .unwrap()
         .build();
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
-    assert!(matches!(phys.execute(), Err(EngineError::Eval(_))));
+    assert!(matches!(execute(&db, &plan), Err(EngineError::Eval(_))));
 }
 
 #[test]
@@ -255,13 +248,12 @@ fn instantiated_union_applies_set_semantics() {
         .union(QueryBuilder::scan(&db, "T").unwrap())
         .unwrap()
         .build();
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
     // At rt 5 both tuples instantiate to (1, [0, 5)) — one row.
-    assert_eq!(phys.execute_at(tp(5)).unwrap().len(), 1);
+    assert_eq!(execute_at(&db, &plan, tp(5)).unwrap().len(), 1);
     // ... and the ongoing result agrees under bind.
-    assert_eq!(phys.execute().unwrap().bind(tp(5)).len(), 1);
+    assert_eq!(execute(&db, &plan).unwrap().bind(tp(5)).len(), 1);
     // At rt 7 they differ — two rows.
-    assert_eq!(phys.execute_at(tp(7)).unwrap().len(), 2);
+    assert_eq!(execute_at(&db, &plan, tp(7)).unwrap().len(), 2);
 }
 
 #[test]
@@ -285,14 +277,17 @@ fn ongoing_literals_in_predicates_bind_in_clifford_mode() {
         })
         .unwrap()
         .build();
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
-    let ongoing = phys.execute().unwrap();
+    let ongoing = execute(&db, &plan).unwrap();
     for rt in [tp(0), tp(3), tp(4), tp(19), tp(25)] {
-        assert_eq!(ongoing.bind(rt), phys.execute_at(rt).unwrap(), "rt={rt}");
+        assert_eq!(
+            ongoing.bind(rt),
+            execute_at(&db, &plan, rt).unwrap(),
+            "rt={rt}"
+        );
     }
     // [3, now) is empty until rt > 3, so nothing overlaps before then.
-    assert!(phys.execute_at(tp(3)).unwrap().is_empty());
-    assert_eq!(phys.execute_at(tp(4)).unwrap().len(), 1);
+    assert!(execute_at(&db, &plan, tp(3)).unwrap().is_empty());
+    assert_eq!(execute_at(&db, &plan, tp(4)).unwrap().len(), 1);
 }
 
 #[test]
@@ -319,10 +314,13 @@ fn projection_of_intersection_instantiates_consistently() {
         )])
         .unwrap()
         .build();
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
-    let ongoing = phys.execute().unwrap();
+    let ongoing = execute(&db, &plan).unwrap();
     for rt in [tp(1), tp(5), tp(12)] {
-        assert_eq!(ongoing.bind(rt), phys.execute_at(rt).unwrap(), "rt={rt}");
+        assert_eq!(
+            ongoing.bind(rt),
+            execute_at(&db, &plan, rt).unwrap(),
+            "rt={rt}"
+        );
     }
 }
 
@@ -354,8 +352,10 @@ fn matview_of_aggregate_serves_snapshots() {
         PlannerConfig::default(),
     )
     .unwrap();
-    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
     for rt in -1i64..18 {
-        assert_eq!(view.instantiate(tp(rt)), phys.execute_at(tp(rt)).unwrap());
+        assert_eq!(
+            view.instantiate(tp(rt)),
+            execute_at(&db, &plan, tp(rt)).unwrap()
+        );
     }
 }

@@ -17,7 +17,7 @@ use ongoing_core::TimePoint;
 use ongoing_datasets::{synthetic, History, SyntheticConfig};
 use ongoing_relation::{algebra, Expr, OngoingRelation, Value};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
-use ongoingdb::engine::{queries, Database, LogicalPlan, QueryBuilder};
+use ongoingdb::engine::{execute, queries, Database, LogicalPlan, QueryBuilder};
 
 /// Reference times probed in every check: inside, outside and at the edges
 /// of the synthetic history.
@@ -40,10 +40,11 @@ fn probe_rts() -> Vec<TimePoint> {
 fn check_equivalence(db: &Database, plan: &LogicalPlan, label: &str) {
     let cfg = PlannerConfig::default();
     let physical = compile(db, plan, &cfg).unwrap();
-    let ongoing = physical.execute().unwrap();
+    let ctx = cfg.exec_context();
+    let (ongoing, _) = physical.execute_with_stats(&ctx).unwrap();
     for rt in probe_rts() {
         let lhs = ongoing.bind(rt);
-        let rhs = physical.execute_at(rt).unwrap();
+        let (rhs, _) = physical.execute_at_with_stats(rt, &ctx).unwrap();
         assert_eq!(
             lhs,
             rhs,
@@ -199,11 +200,11 @@ fn physical_plans_match_reference_algebra() {
             join_strategy: strategy,
             ..PlannerConfig::default()
         };
-        let got = compile(&db, &plan, &cfg)
+        let (got, _) = compile(&db, &plan, &cfg)
             .unwrap()
-            .execute()
-            .unwrap()
-            .coalesce();
+            .execute_with_stats(&cfg.exec_context())
+            .unwrap();
+        let got = got.coalesce();
         assert_eq!(
             sorted(&got),
             sorted(&reference),
@@ -221,10 +222,7 @@ fn ablation_configs_agree() {
     let w = h.last_fraction(0.1);
     let plan =
         queries::selection(&db, "Dex", TemporalPredicate::Overlaps, (w.start, w.end)).unwrap();
-    let base = compile(&db, &plan, &PlannerConfig::default())
-        .unwrap()
-        .execute()
-        .unwrap();
+    let base = execute(&db, &plan).unwrap();
     for cfg in [
         PlannerConfig {
             pushdown: false,
@@ -239,7 +237,8 @@ fn ablation_configs_agree() {
             ..PlannerConfig::default()
         },
     ] {
-        let got = compile(&db, &plan, &cfg).unwrap().execute().unwrap();
+        let phys = compile(&db, &plan, &cfg).unwrap();
+        let (got, _) = phys.execute_with_stats(&cfg.exec_context()).unwrap();
         assert_eq!(sorted(&got.coalesce()), sorted(&base.coalesce()), "{cfg:?}");
     }
 }

@@ -21,7 +21,7 @@ use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::algebra::ProjItem;
 use ongoing_relation::{algebra, CmpOp, Expr, OngoingRelation, Schema, Value, ValueType};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
-use ongoingdb::engine::{Database, LogicalPlan, QueryBuilder};
+use ongoingdb::engine::{execute, Database, LogicalPlan, QueryBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -334,15 +334,16 @@ fn assert_commutes(
                     seen.insert(op);
                 }
             }
-            let ongoing = match phys.execute() {
-                Ok(o) => o,
+            let ctx = cfg.exec_context();
+            let ongoing = match phys.execute_with_stats(&ctx) {
+                Ok((o, _)) => o,
                 Err(e) => panic!(
                     "{label} ({strategy:?}, index {use_interval_index}): {e}\nplan:\n{explain}"
                 ),
             };
             for &rt in rts {
                 let lhs = ongoing.bind(rt);
-                let rhs = phys.execute_at(rt).unwrap();
+                let (rhs, _) = phys.execute_at_with_stats(rt, &ctx).unwrap();
                 assert_eq!(
                     lhs, rhs,
                     "{label} ({strategy:?}, index {use_interval_index}): divergence at rt={rt}\nplan:\n{explain}"
@@ -432,10 +433,7 @@ fn random_plans_commute_with_bind() {
         let plan = plan.build();
         let label = format!("kernel trial {trial}");
         assert_commutes(&db, &plan, &rts, &label, &mut seen);
-        let got = compile(&db, &plan, &PlannerConfig::default())
-            .unwrap()
-            .execute()
-            .unwrap();
+        let got = execute(&db, &plan).unwrap();
         for &rt in &rts {
             assert_eq!(
                 got.bind(rt),
@@ -546,7 +544,8 @@ fn random_plans_agree_across_join_strategies() {
                 join_strategy: strategy,
                 ..PlannerConfig::default()
             };
-            let rel = compile(&db, &plan, &cfg).unwrap().execute().unwrap();
+            let phys = compile(&db, &plan, &cfg).unwrap();
+            let (rel, _) = phys.execute_with_stats(&cfg.exec_context()).unwrap();
             let mut rows: Vec<String> = rel
                 .coalesce()
                 .tuples()

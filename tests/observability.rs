@@ -25,7 +25,7 @@ use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::obs::{
     EventLog, DURABLE_METRIC_NAMES, EXEC_METRIC_NAMES, STORE_METRIC_NAMES,
 };
-use ongoingdb::engine::sql::{explain_analyze_with, run_statement, StatementResult};
+use ongoingdb::engine::sql::{explain_analyze, run_statement, StatementResult};
 use ongoingdb::engine::storage::{FaultKind, FaultMode, FaultPlan, FaultVfs, TempDir};
 use ongoingdb::engine::{Database, DurableOptions, EngineEvent, MetricsSnapshot, PlannerConfig};
 use std::sync::Arc;
@@ -81,7 +81,7 @@ fn workload(threads: usize) -> MetricsSnapshot {
         })
         .unwrap();
         for sql in QUERIES {
-            explain_analyze_with(&db, sql, &cfg).unwrap();
+            explain_analyze(&db, sql, &cfg).unwrap();
         }
     }
     db.metrics_snapshot()
@@ -108,7 +108,7 @@ fn explain_analyze_actuals_match_executor_counters() {
     let db = fixture();
     let cfg = PlannerConfig::default();
     let sql = "SELECT T.K, S.G FROM T JOIN S ON T.K = S.K WHERE T.G = 2";
-    let report = explain_analyze_with(&db, sql, &cfg).unwrap();
+    let report = explain_analyze(&db, sql, &cfg).unwrap();
 
     // A second, untraced execution of the same plan must count the same.
     let plan = ongoingdb::engine::sql::plan_query(&db, sql).unwrap();

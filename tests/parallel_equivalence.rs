@@ -188,8 +188,8 @@ fn parallel_execution_is_bit_identical_to_serial() {
             assert_eq!(
                 parallel_stats,
                 serial_stats,
-                "trial {trial}, parallelism {p}: work-unit counts diverged\nplan:\n{}",
-                phys.explain_with_stats(&serial_stats)
+                "trial {trial}, parallelism {p}: work-unit counts diverged\nplan:\n{}serial: {serial_stats}",
+                phys.explain()
             );
             for &rt in &rts {
                 let (rows_s, stats_s) =

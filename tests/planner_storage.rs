@@ -99,8 +99,9 @@ fn pushdown_moves_single_side_conjuncts_below_join() {
     .unwrap();
     assert_eq!(without.explain().matches("Filter").count(), 0);
     // Same results either way.
-    let a = phys.execute().unwrap();
-    let b = without.execute().unwrap();
+    let ctx = PlannerConfig::default().exec_context();
+    let (a, _) = phys.execute_with_stats(&ctx).unwrap();
+    let (b, _) = without.execute_with_stats(&ctx).unwrap();
     assert_eq!(a.len(), b.len());
 }
 
@@ -117,21 +118,20 @@ fn index_scan_is_used_and_correct() {
     };
     let phys = compile(&db, &plan, &cfg).unwrap();
     assert!(phys.explain().contains("IndexScan"), "{}", phys.explain());
-    let via_index = phys.execute().unwrap();
-    let via_scan = compile(&db, &plan, &PlannerConfig::default())
-        .unwrap()
-        .execute()
-        .unwrap();
-    assert_eq!(via_index.len(), via_scan.len());
-    // Instantiated mode works through the index too.
+    let scan = compile(&db, &plan, &PlannerConfig::default()).unwrap();
+    assert!(!scan.explain().contains("IndexScan"), "{}", scan.explain());
+    // The index scan reads its candidates in storage order, so it emits
+    // exactly the scan plan's tuples, in the same order.
+    let ctx = cfg.exec_context();
+    let (via_index, _) = phys.execute_with_stats(&ctx).unwrap();
+    let (via_scan, _) = scan.execute_with_stats(&ctx).unwrap();
+    assert!(!via_scan.is_empty());
+    assert_eq!(via_index, via_scan);
+    // Instantiated mode too: the same raw rows in the same order.
     for rt in [h.midpoint(), h.end] {
-        assert_eq!(
-            phys.execute_at(rt).unwrap(),
-            compile(&db, &plan, &PlannerConfig::default())
-                .unwrap()
-                .execute_at(rt)
-                .unwrap()
-        );
+        let (via_index, _) = phys.rows_at_with_stats(rt, &ctx).unwrap();
+        let (via_scan, _) = scan.rows_at_with_stats(rt, &ctx).unwrap();
+        assert_eq!(via_index, via_scan, "rt={rt}");
     }
 }
 
@@ -182,7 +182,8 @@ fn all_join_strategies_agree_on_mozilla_complex_join() {
             join_strategy: strategy,
             ..PlannerConfig::default()
         };
-        let rel = compile(&db, &plan, &cfg).unwrap().execute().unwrap();
+        let phys = compile(&db, &plan, &cfg).unwrap();
+        let (rel, _) = phys.execute_with_stats(&cfg.exec_context()).unwrap();
         sizes.push(rel.coalesce().len());
     }
     assert_eq!(sizes[0], sizes[1]);

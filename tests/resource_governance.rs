@@ -81,11 +81,12 @@ const RT: i64 = 20;
 /// and the rows instantiated at [`RT`].
 type Answer = (Vec<Tuple>, Vec<Vec<Value>>);
 
-/// The governed query shapes — a filtered scan of the big table, a bare
-/// projection of it, a hash join probing it with a small build side, a
-/// hash join whose build side is a bare scan of it, its union with
-/// itself, its difference with the small table and a grouped count —
-/// each run ongoing and instantiated.
+/// The governed query shapes — a filtered scan of the big table, the
+/// same kind of filter through its interval index, a bare projection of
+/// it, a hash join probing it with a small build side, a hash join whose
+/// build side is a bare scan of it, its union with itself, its difference
+/// with the small table and a grouped count — each run ongoing and
+/// instantiated.
 fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
     // Two workers: parallel paging coverage while keeping worst-case
     // concurrent pins (one morsel per worker) well inside any budget the
@@ -96,18 +97,31 @@ fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
         parallelism: 2,
         ..PlannerConfig::default()
     };
-    let run = |plan: LogicalPlan| -> Answer {
-        let phys = compile(db, &plan, &cfg).unwrap();
-        let ctx = cfg.exec_context();
-        let ongoing = phys.execute_ctx(&ctx).unwrap().iter().cloned().collect();
-        let (rows, _) = phys.rows_at_with_stats(tp(RT), &ctx).unwrap();
-        (ongoing, rows)
+    let indexed = PlannerConfig {
+        use_interval_index: true,
+        ..cfg.clone()
     };
+    let run_with = |plan: LogicalPlan, cfg: &PlannerConfig| -> Answer {
+        let phys = compile(db, &plan, cfg).unwrap();
+        let ctx = cfg.exec_context();
+        let (ongoing, _) = phys.execute_with_stats(&ctx).unwrap();
+        let (rows, _) = phys.rows_at_with_stats(tp(RT), &ctx).unwrap();
+        (ongoing.iter().cloned().collect(), rows)
+    };
+    let run = |plan: LogicalPlan| run_with(plan, &cfg);
     let filter = QueryBuilder::scan(db, "T")
         .unwrap()
         .filter(|s| Ok(Expr::col(s, "G")?.eq(Expr::lit(3i64))))
         .unwrap()
         .build();
+    let window = Value::Interval(OngoingInterval::fixed(tp(0), tp(5)));
+    let index = QueryBuilder::scan(db, "T")
+        .unwrap()
+        .filter(|s| Ok(Expr::col(s, "VT")?.overlaps(Expr::lit(window.clone()))))
+        .unwrap()
+        .build();
+    let explain = compile(db, &index, &indexed).unwrap().explain();
+    assert!(explain.contains("IndexScan"), "{explain}");
     let project = QueryBuilder::scan(db, "T")
         .unwrap()
         .project_cols(&["K", "G"])
@@ -131,6 +145,7 @@ fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
         .build();
     vec![
         ("filter", run(filter)),
+        ("index scan", run_with(index, &indexed)),
         ("projection", run(project)),
         ("join probing T", run(join("T", "S"))),
         ("join building on T", run(join("S", "T"))),
@@ -196,6 +211,15 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
             stats.cache_evictions > 0,
             "a 4×-budget scan must evict under pressure"
         );
+        // No query parked a chunk on the published version: the index
+        // build and the index scan read through transient pins too.
+        let t = db.table("T").unwrap();
+        let views = t.data().lazy_views();
+        assert_eq!(views.len(), 16);
+        assert!(
+            views.iter().all(|v| !v.is_resident()),
+            "the queries left T's chunks resident"
+        );
         out
     };
 
@@ -210,8 +234,11 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
     // (ongoing tuples, instantiated rows): the instantiated union is a
     // bag, deduplicated only by `FixedRelation`.
     let filtered = 16 * CHUNK / 7 + usize::from(16 * CHUNK % 7 > 3);
+    // `VT = [k % 40, now)` overlaps [0, 5) iff it starts before 5.
+    let windowed = (0..16 * CHUNK).filter(|k| k % 40 < 5).count();
     let expected = [
         (filtered, filtered),
+        (windowed, windowed),
         (16 * CHUNK, 16 * CHUNK),
         (64, 64),
         (64, 64),
@@ -251,7 +278,7 @@ fn analyze_of_a_cold_table_stays_within_budget_and_leaves_it_cold() {
     };
     compile(&db, &filter, &serial)
         .unwrap()
-        .execute_ctx(&serial.exec_context())
+        .execute_with_stats(&serial.exec_context())
         .unwrap();
     let scanned = db.durable_stats().unwrap();
     assert!(
@@ -286,14 +313,14 @@ fn zero_deadline_fails_within_one_morsel_and_leaves_store_intact() {
     // Already-expired deadline: the very first morsel-boundary check
     // fails, as a typed error.
     let expired = ExecContext::serial().with_timeout(Duration::ZERO);
-    match phys.execute_ctx(&expired) {
+    match phys.execute_with_stats(&expired) {
         Err(EngineError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
 
     // The store is untouched: the same plan without a deadline succeeds,
     // and the table still accepts writes.
-    let ok = phys.execute_ctx(&ExecContext::serial()).unwrap();
+    let (ok, _) = phys.execute_with_stats(&ExecContext::serial()).unwrap();
     assert!(!ok.is_empty());
     db.modify_table("T", |rel| {
         Modifier::new(rel, "VT")?.insert_open(
@@ -326,12 +353,12 @@ fn cancelled_control_surfaces_cancelled_from_any_thread() {
     std::thread::spawn(move || handle.cancel()).join().unwrap();
     assert!(control.is_cancelled());
     let ctx = ExecContext::serial().with_control(control);
-    match phys.execute_ctx(&ctx) {
+    match phys.execute_with_stats(&ctx) {
         Err(EngineError::Cancelled) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
     // Cancellation is per-token, not per-plan: a fresh context runs fine.
-    assert!(phys.execute_ctx(&ExecContext::serial()).is_ok());
+    assert!(phys.execute_with_stats(&ExecContext::serial()).is_ok());
 }
 
 #[test]

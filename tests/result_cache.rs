@@ -12,7 +12,10 @@
 //! 3. **The budget holds.** Estimated resident bytes never exceed the
 //!    configured budget; overflow evicts by GDSF rank and counts
 //!    `ongoingdb_result_cache_evictions`.
-//! 4. **Keyed read paths are transparent.** `KeyScan` and keyed hash-join
+//! 4. **Traced runs bypass the cache.** `EXPLAIN ANALYZE` shares the one
+//!    execution seam with cached queries, yet always executes for real
+//!    and neither reads nor fills the cache.
+//! 5. **Keyed read paths are transparent.** `KeyScan` and keyed hash-join
 //!    builds (borrowed from the store's per-chunk `KeyMap`s) return
 //!    exactly what the unindexed plans return, ongoing and instantiated.
 
@@ -24,7 +27,7 @@ use ongoingdb::engine::exec::{
     RESULT_CACHE_MISSES_METRIC,
 };
 use ongoingdb::engine::plan::compile;
-use ongoingdb::engine::sql::{plan_query, prepare, query, run_statement};
+use ongoingdb::engine::sql::{explain_analyze, plan_query, prepare, query, run_statement};
 use ongoingdb::engine::{Database, MaterializedView, PlannerConfig, RefreshOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -97,6 +100,38 @@ fn repeated_execution_hits_the_cache_with_identical_results() {
         assert_eq!(counter(&db, RESULT_CACHE_MISSES_METRIC), misses0 + 1);
         assert_eq!(counter(&db, RESULT_CACHE_HITS_METRIC), hits0 + 2);
     }
+}
+
+#[test]
+fn explain_analyze_of_a_cached_query_executes_and_leaves_the_cache_alone() {
+    let db = fixture(false);
+    let sql = "SELECT K, VT FROM T WHERE K = 7";
+    let cfg = PlannerConfig::default();
+    // Untraced reference: the executor's own counters.
+    let phys = compile(&db, &plan_query(&db, sql).unwrap(), &cfg).unwrap();
+    let (_, want) = phys.execute_with_stats(&cfg.exec_context()).unwrap();
+    // The cache holds the query: a repeat is a hit.
+    query(&db, sql).unwrap();
+    let hits = counter(&db, RESULT_CACHE_HITS_METRIC);
+    query(&db, sql).unwrap();
+    assert_eq!(counter(&db, RESULT_CACHE_HITS_METRIC), hits + 1);
+
+    let hits = counter(&db, RESULT_CACHE_HITS_METRIC);
+    let misses = counter(&db, RESULT_CACHE_MISSES_METRIC);
+    let entries = db.result_cache().len();
+    assert!(entries > 0);
+    let report = explain_analyze(&db, sql, &cfg).unwrap();
+    // It executed for real: the root span carries the untraced run's work.
+    assert_eq!(report.root.total_work, want);
+    assert_eq!(report.stats, want);
+    assert!(report.root.total_work.tuples_scanned > 0);
+    // It neither probed nor filled the cache.
+    assert_eq!(counter(&db, RESULT_CACHE_HITS_METRIC), hits);
+    assert_eq!(counter(&db, RESULT_CACHE_MISSES_METRIC), misses);
+    assert_eq!(db.result_cache().len(), entries);
+    // The next query of the same text is still a hit.
+    query(&db, sql).unwrap();
+    assert_eq!(counter(&db, RESULT_CACHE_HITS_METRIC), hits + 1);
 }
 
 #[test]
