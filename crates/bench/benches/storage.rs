@@ -21,13 +21,13 @@ use std::hint::black_box;
 
 fn codec(c: &mut Criterion) {
     let rel = generate(&SyntheticConfig::dex(4_096, None, 42));
-    let encoded: Vec<_> = rel.tuples().iter().map(encode_tuple).collect();
+    let encoded: Vec<_> = rel.iter().map(encode_tuple).collect();
     let bytes: usize = encoded.iter().map(|b| b.len()).sum();
     let mut g = c.benchmark_group("codec");
     g.throughput(Throughput::Bytes(bytes as u64));
     g.bench_function("encode", |b| {
         b.iter(|| {
-            for t in rel.tuples() {
+            for t in rel.iter() {
                 black_box(encode_tuple(black_box(t)));
             }
         })
@@ -43,12 +43,15 @@ fn codec(c: &mut Criterion) {
 }
 
 fn chunks(c: &mut Criterion) {
-    let rel = generate(&SyntheticConfig::dex(4_096, None, 42));
+    let rows: Vec<Tuple> = generate(&SyntheticConfig::dex(4_096, None, 42))
+        .iter()
+        .cloned()
+        .collect();
     let mut g = c.benchmark_group("chunkfile");
     g.bench_function("encode_4k_tuples", |b| {
-        b.iter(|| black_box(encode_chunk(black_box(rel.tuples())).len()))
+        b.iter(|| black_box(encode_chunk(black_box(&rows)).len()))
     });
-    let encoded = encode_chunk(rel.tuples());
+    let encoded = encode_chunk(&rows);
     g.bench_function("decode_4k_tuples", |b| {
         b.iter(|| black_box(decode_chunk(black_box(&encoded)).unwrap().len()))
     });

@@ -24,7 +24,7 @@ use ongoing_engine::exec::{
     RESULT_CACHE_MISSES_METRIC,
 };
 use ongoing_engine::sql::{plan_query, prepare};
-use ongoing_engine::{Database, PlannerConfig};
+use ongoing_engine::{Database, EngineError, PlannerConfig};
 use ongoing_relation::{OngoingRelation, Schema, Value};
 
 const BUDGET: u64 = 1024 * 1024;
@@ -55,8 +55,8 @@ fn seeded(rows: usize) -> OngoingRelation {
         ])
         .unwrap();
     }
-    r.create_key_index(0).unwrap();
-    r.compact();
+    r.create_key_index::<EngineError>(0).unwrap();
+    r.compact().unwrap();
     r
 }
 

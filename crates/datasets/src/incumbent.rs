@@ -99,7 +99,7 @@ mod tests {
     fn ongoing_starts_in_last_year() {
         let rel = generate(&IncumbentConfig::scaled(2000, 11));
         let last_year = History::incumbent().last_fraction(1.0 / 16.25);
-        for t in rel.tuples() {
+        for t in rel.iter() {
             let iv = t.value(2).as_interval().unwrap();
             if iv.is_ongoing() {
                 assert!(last_year.contains(iv.ts().a()));
@@ -113,7 +113,6 @@ mod tests {
         let h = History::incumbent();
         let mid = h.midpoint();
         let early = rel
-            .tuples()
             .iter()
             .filter_map(|t| t.value(2).as_interval())
             .filter(|iv| !iv.is_ongoing() && iv.ts().a() < mid)

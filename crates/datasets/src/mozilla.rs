@@ -299,7 +299,7 @@ mod tests {
         let recent = history.last_fraction(2.0 / 19.3);
         let mut ongoing = 0usize;
         let mut recent_cnt = 0usize;
-        for t in m.bug_info.tuples() {
+        for t in m.bug_info.iter() {
             let iv = t.value(5).as_interval().unwrap();
             if iv.is_ongoing() {
                 ongoing += 1;
@@ -318,12 +318,11 @@ mod tests {
         let m = small();
         // For each ongoing bug, its assignments must contain exactly one
         // ongoing interval (the last one).
-        for t in m.bug_info.tuples() {
+        for t in m.bug_info.iter() {
             let id = t.value(0).as_int().unwrap();
             let bug_ongoing = t.value(5).as_interval().unwrap().is_ongoing();
             let ongoing_assignments = m
                 .bug_assignment
-                .tuples()
                 .iter()
                 .filter(|a| a.value(0).as_int() == Some(id))
                 .filter(|a| a.value(2).as_interval().unwrap().is_ongoing())
@@ -343,7 +342,6 @@ mod tests {
         // dominates BugInfo. We just check raw payload expectations here.
         let avg_desc: f64 = m
             .bug_info
-            .tuples()
             .iter()
             .map(|t| t.value(4).as_str().unwrap().len() as f64)
             .sum::<f64>()
@@ -365,7 +363,6 @@ mod tests {
         let m = small();
         let majors = m
             .bug_severity
-            .tuples()
             .iter()
             .filter(|t| t.value(1).as_str() == Some("major"))
             .count();

@@ -291,7 +291,7 @@ mod tests {
         for seg in 0..5 {
             let rel = generate(&SyntheticConfig::dex(500, Some(seg), 1));
             let window = h.segment(seg, 5);
-            for t in rel.tuples() {
+            for t in rel.iter() {
                 let iv = t.value(2).as_interval().unwrap();
                 if iv.is_ongoing() {
                     assert_eq!(iv.te().b(), TimePoint::POS_INF, "expanding shape");
@@ -307,7 +307,7 @@ mod tests {
         let rel = generate(&SyntheticConfig::dsh(500, Some(3), 1));
         let window = h.segment(3, 5);
         let mut seen = 0;
-        for t in rel.tuples() {
+        for t in rel.iter() {
             let iv = t.value(2).as_interval().unwrap();
             if iv.is_ongoing() {
                 seen += 1;
@@ -322,7 +322,7 @@ mod tests {
     fn fixed_intervals_stay_inside_history() {
         let h = History::synthetic();
         let rel = generate(&SyntheticConfig::dex(1000, None, 3));
-        for t in rel.tuples() {
+        for t in rel.iter() {
             let iv = t.value(2).as_interval().unwrap();
             if !iv.is_ongoing() {
                 assert!(iv.ts().a() >= h.start);
@@ -338,11 +338,7 @@ mod tests {
             join_group_size: 3,
             ..SyntheticConfig::dex(9, None, 1)
         });
-        let ks: Vec<i64> = rel
-            .tuples()
-            .iter()
-            .map(|t| t.value(1).as_int().unwrap())
-            .collect();
+        let ks: Vec<i64> = rel.iter().map(|t| t.value(1).as_int().unwrap()).collect();
         assert_eq!(ks, vec![0, 0, 0, 1, 1, 1, 2, 2, 2]);
     }
 
@@ -354,7 +350,7 @@ mod tests {
         assert_eq!(stats(&fixed, 2).ongoing, 0);
         assert_eq!(fixed.len(), rel.len());
         // Previously-ongoing expanding intervals now end at the history end.
-        for (t, u) in rel.tuples().iter().zip(fixed.tuples()) {
+        for (t, u) in rel.iter().zip(fixed.iter()) {
             let was = t.value(2).as_interval().unwrap();
             let is = u.value(2).as_interval().unwrap();
             if was.is_ongoing() {

@@ -95,10 +95,10 @@ mod tests {
         ])
         .unwrap();
         let f = rewrite_relation(&r);
-        let iv0 = f.tuples()[0].value(1).as_interval().unwrap();
+        let iv0 = f.iter().next().unwrap().value(1).as_interval().unwrap();
         assert_eq!(iv0.te(), OngoingPoint::fixed(FOREVER));
-        let iv1 = f.tuples()[1].value(1).as_interval().unwrap();
+        let iv1 = f.iter().nth(1).unwrap().value(1).as_interval().unwrap();
         assert_eq!(iv1.te(), OngoingPoint::fixed(md(8, 21)));
-        assert_eq!(f.tuples()[0].value(0), &Value::Int(500));
+        assert_eq!(f.iter().next().unwrap().value(0), &Value::Int(500));
     }
 }

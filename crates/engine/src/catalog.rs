@@ -25,7 +25,7 @@ use crate::stats::{analyze_relation, TableStatistics};
 use crate::storage::durable::{
     DurableGuard, DurableOptions, DurableState, DurableStats, RecoveredTable,
 };
-use ongoing_relation::{OngoingRelation, Schema};
+use ongoing_relation::{OngoingRelation, PinnedChunk, Schema};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
@@ -162,19 +162,35 @@ impl Table {
 /// Positional tuple diff between two relation versions — the staleness
 /// fallback when a `modify_table` closure replaced the relation wholesale
 /// instead of editing the fork (in-place rewrites count every rewritten
-/// row, not just the length delta).
-fn positional_diff(old: &OngoingRelation, new: &OngoingRelation) -> u64 {
-    let mut a = old.iter();
-    let mut b = new.iter();
+/// row, not just the length delta). Both sides are read one transient
+/// chunk pin at a time, so a cold published version stays cold.
+fn positional_diff(old: &OngoingRelation, new: &OngoingRelation) -> Result<u64> {
     let mut changed = 0u64;
-    loop {
-        match (a.next(), b.next()) {
-            (None, None) => break,
-            (Some(x), Some(y)) => changed += u64::from(x != y),
-            _ => changed += 1,
+    let mut news = new.lazy_views().into_iter();
+    // The pinned chunk of `new` and the next ordinal to read in it.
+    let mut cur: Option<(PinnedChunk<'_>, usize)> = None;
+    for view in old.lazy_views() {
+        for x in view.pin()?.iter() {
+            while cur.as_ref().is_none_or(|(pin, i)| *i == pin.len()) {
+                match news.next() {
+                    Some(v) => cur = Some((v.pin()?, 0)),
+                    None => {
+                        cur = None;
+                        break;
+                    }
+                }
+            }
+            changed += match &mut cur {
+                Some((pin, i)) => {
+                    *i += 1;
+                    u64::from(pin.get(*i - 1) != Some(x))
+                }
+                None => 1,
+            };
         }
     }
-    changed
+    let rest = cur.map_or(0, |(pin, i)| pin.len() - i) + news.map(|v| v.len()).sum::<usize>();
+    Ok(changed + rest as u64)
 }
 
 /// How [`Database::modify_table`] responds to publication conflicts.
@@ -805,7 +821,7 @@ impl Database {
         let touched = if data.derives_from(&table.data) && data.logical_writes() >= base_writes {
             (data.logical_writes() - base_writes).max(1)
         } else {
-            positional_diff(&table.data, &data).max(1)
+            positional_diff(&table.data, &data)?.max(1)
         };
         let mut state = table.stats.lock().clone();
         state.mods_since_analyze += touched;
@@ -822,9 +838,9 @@ impl Database {
         // (a no-op when nothing is fragmented). The global policy stays
         // as a backstop for layouts run folding cannot fix (and for
         // wholesale rebuilds).
-        data.compact_runs();
+        data.compact_runs()?;
         if data.should_compact() {
-            data.compact();
+            data.compact()?;
         }
         // Seal (journaled) and detach the journal *before* the version is
         // wrapped; both folds above journal as O(1) markers replay
@@ -944,9 +960,7 @@ impl Database {
     /// — it survives version forks, publications and compaction.
     pub fn create_key_index(&self, table: &str, column: &str) -> Result<()> {
         let col = self.table(table)?.schema().index_of(column)?;
-        self.modify_table(table, |rel| {
-            rel.create_key_index(col).map_err(EngineError::Schema)
-        })
+        self.modify_table(table, |rel| rel.create_key_index(col))
     }
 
     /// Collects statistics for one table (`ANALYZE <table>`).
@@ -1025,12 +1039,42 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ongoing_relation::{Schema, Value};
+    use ongoing_relation::{RowEdit, Schema, Tuple, Value};
 
     fn rel() -> OngoingRelation {
         let mut r = OngoingRelation::new(Schema::builder().int("X").build());
         r.insert(vec![Value::Int(1)]).unwrap();
         r
+    }
+
+    #[test]
+    fn positional_diff_counts_rows_across_chunk_boundaries() {
+        let ints = |xs: std::ops::Range<i64>| {
+            let tuples = xs.map(|x| Tuple::base(vec![Value::Int(x)])).collect();
+            OngoingRelation::from_tuples(Schema::builder().int("X").build(), tuples).unwrap()
+        };
+        let old = ints(0..1200);
+        // Different chunk boundaries: an overlay, a split and a pending tail.
+        let mut new = ints(0..1000);
+        new.edit_tuples(|t| {
+            Ok::<_, EngineError>(match t.value(0) {
+                Value::Int(7) => RowEdit::Replace(vec![t.clone(), t.clone()]),
+                Value::Int(600) => RowEdit::Replace(vec![Tuple::base(vec![Value::Int(-1)])]),
+                _ => RowEdit::Keep,
+            })
+        })
+        .unwrap();
+        for x in 1000..1100 {
+            new.insert(vec![Value::Int(x)]).unwrap();
+        }
+        let naive = |a: &OngoingRelation, b: &OngoingRelation| {
+            let (a, b): (Vec<_>, Vec<_>) = (a.iter().collect(), b.iter().collect());
+            let common = a.iter().zip(&b).filter(|(x, y)| x != y).count();
+            (common + a.len().abs_diff(b.len())) as u64
+        };
+        for (a, b) in [(&old, &new), (&new, &old), (&old, &old)] {
+            assert_eq!(positional_diff(a, b).unwrap(), naive(a, b));
+        }
     }
 
     #[test]

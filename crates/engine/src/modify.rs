@@ -371,7 +371,7 @@ mod tests {
             .terminate(&by_bid(500), md(9, 1))
             .unwrap();
         assert_eq!(n, 1);
-        let iv = r.tuples()[0].value(2).as_interval().unwrap();
+        let iv = r.iter().next().unwrap().value(2).as_interval().unwrap();
         assert_eq!(iv.te(), OngoingPoint::limited(md(9, 1)));
         // Before 09/01 the bug still tracks now; afterwards it is capped.
         assert_eq!(iv.bind(md(5, 1)), (md(1, 25), md(5, 1)));
@@ -393,7 +393,7 @@ mod tests {
             .unwrap()
             .terminate(&by_bid(500), md(9, 1))
             .unwrap();
-        let correct = r.tuples()[0].value(2).as_interval().unwrap();
+        let correct = r.iter().next().unwrap().value(2).as_interval().unwrap();
 
         // At rt 07/01 the correct interval still grows; the broken one is
         // frozen at the modification time.
@@ -410,7 +410,7 @@ mod tests {
             .unwrap()
             .terminate(&by_bid(501), md(6, 1))
             .unwrap();
-        let iv = r.tuples()[1].value(2).as_interval().unwrap();
+        let iv = r.iter().nth(1).unwrap().value(2).as_interval().unwrap();
         assert_eq!(iv, OngoingInterval::fixed(md(3, 30), md(6, 1)));
     }
 
@@ -434,8 +434,8 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(r.len(), 3);
-        let old = &r.tuples()[0];
-        let new = &r.tuples()[1];
+        let old = r.iter().next().unwrap();
+        let new = r.iter().nth(1).unwrap();
         assert_eq!(old.value(1).as_str(), Some("Spam filter"));
         assert_eq!(
             old.value(2).as_interval().unwrap().te(),
@@ -479,7 +479,7 @@ mod tests {
             .unwrap();
         }
         assert_eq!(r.len(), 3);
-        let iv = r.tuples()[2].value(2).as_interval().unwrap();
+        let iv = r.iter().nth(2).unwrap().value(2).as_interval().unwrap();
         assert_eq!(iv, OngoingInterval::from_until_now(md(7, 4)));
         let n = Modifier::new(&mut r, "VT")
             .unwrap()

@@ -73,6 +73,7 @@ use ongoing_relation::{
     Expr, FixedRelation, KeyProbe, LazyChunkView, OngoingRelation, Pair, PinnedChunk, Predicate,
     Row, Schema, Tuple, Value,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -518,7 +519,7 @@ impl PhysicalPlan {
                 // A cheap version fork, so what the lookup reads dies with
                 // the query.
                 let data = table.data().clone();
-                let rows = match data.keyed_rows(probe) {
+                let rows = match data.keyed_rows(probe)? {
                     Some((rows, visited)) => {
                         stats.index_candidates += visited;
                         stats.tuples_scanned += visited;
@@ -623,27 +624,19 @@ impl PhysicalPlan {
                             let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
                             for lt in pinned.iter() {
                                 let key = lt.value(lk);
-                                let matches = memo.entry(key.clone()).or_insert_with(|| {
-                                    let probe = KeyProbe::Eq {
-                                        col: rk,
-                                        key: key.clone(),
-                                    };
-                                    let (rows, visited) =
-                                        rdata.keyed_rows(&probe).unwrap_or_else(|| {
-                                            // Defensive: the optimizer only
-                                            // sets `keyed` for covered
-                                            // columns of this pinned version.
-                                            let rows = rdata
-                                                .iter()
-                                                .filter(|t| probe.matches(t.value(rk)))
-                                                .cloned()
-                                                .collect();
-                                            (rows, rdata.len() as u64)
-                                        });
-                                    local.index_candidates += visited;
-                                    local.tuples_scanned += visited;
-                                    rows
-                                });
+                                let matches = match memo.entry(key.clone()) {
+                                    Entry::Occupied(e) => e.into_mut(),
+                                    Entry::Vacant(e) => {
+                                        let probe = KeyProbe::Eq {
+                                            col: rk,
+                                            key: key.clone(),
+                                        };
+                                        let (rows, visited) = keyed_matches(&rdata, &probe)?;
+                                        local.index_candidates += visited;
+                                        local.tuples_scanned += visited;
+                                        e.insert(rows)
+                                    }
+                                };
                                 let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                                 for rt_ in matches.iter() {
                                     join_pair_into(out, lt, rt_, f, o, mode, local)?;
@@ -1149,6 +1142,26 @@ fn collect_pinned(ctx: &ExecContext, rel: &OngoingRelation, mode: Mode) -> Resul
         out.extend(view.pin()?.iter().filter(|t| mode.keeps(t)).cloned());
     }
     Ok(out)
+}
+
+/// The rows of `rel` matching `probe`, in live order, plus the rows
+/// visited: through the per-chunk key maps, or — defensively, since the
+/// optimizer sets a keyed build only for covered columns of the pinned
+/// version — by a scan of the pinned chunks.
+fn keyed_matches(rel: &OngoingRelation, probe: &KeyProbe) -> Result<(Vec<Tuple>, u64)> {
+    if let Some(found) = rel.keyed_rows(probe)? {
+        return Ok(found);
+    }
+    let mut rows = Vec::new();
+    for view in rel.lazy_views() {
+        let pin = view.pin()?;
+        rows.extend(
+            pin.iter()
+                .filter(|t| probe.matches(t.value(probe.col())))
+                .cloned(),
+        );
+    }
+    Ok((rows, rel.len() as u64))
 }
 
 /// `rel` with every row resident — how an ongoing Union, Difference or

@@ -420,7 +420,6 @@ mod tests {
         assert_eq!(v.len(), 5);
         // Spot-check v1's reference time {[01/26, 08/16)}.
         let v1 = v
-            .tuples()
             .iter()
             .find(|t| {
                 t.value(0) == &Value::Int(500)
@@ -457,7 +456,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.len(), 1);
-        assert_eq!(e.tuples()[0].value(0), &Value::Int(500));
+        assert_eq!(e.iter().next().unwrap().value(0), &Value::Int(500));
         let all = query(&db, "SELECT * FROM B").unwrap();
         assert_eq!(all.schema().len(), 3);
     }
@@ -470,11 +469,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         // now <= end: restricts RT for the fixed-interval bug.
         let r = query(&db, "SELECT BID FROM B WHERE NOW <= END(VT)").unwrap();
-        let b501 = r
-            .tuples()
-            .iter()
-            .find(|t| t.value(0) == &Value::Int(501))
-            .unwrap();
+        let b501 = r.iter().find(|t| t.value(0) == &Value::Int(501)).unwrap();
         assert!(b501.rt().contains(md(8, 21)));
         assert!(!b501.rt().contains(md(8, 22)));
     }

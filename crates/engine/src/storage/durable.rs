@@ -35,9 +35,7 @@ use crate::storage::vfs::{with_retry, DiskError, RealFs, Vfs};
 use crate::storage::wal::{
     scan, truncate_file, ChunkEntry, TableState, WalRecord, WalTail, WalWriter,
 };
-use ongoing_relation::{
-    ChunkPager, ChunkSource, JournalOp, OngoingRelation, OwnedChunkSource, PagedChunkPart, Tuple,
-};
+use ongoing_relation::{ChunkPager, ChunkPart, ChunkSource, JournalOp, OngoingRelation, Tuple};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -501,32 +499,15 @@ impl DurableGuard<'_> {
     /// contribute a reference without any I/O (or page-in).
     fn table_state_of(&mut self, name: &str, rel: &OngoingRelation) -> Result<TableState> {
         let mut chunks = Vec::new();
-        // `chunk_parts` borrows `rel`; collect owned sources first so
-        // `self` stays free for `ensure_chunk`.
-        let parts: Vec<PagedChunkPart> = rel
-            .chunk_parts()
-            .into_iter()
-            .map(|p| {
-                let src = match p.source {
-                    ChunkSource::Resident(a) => OwnedChunkSource::Resident(Arc::clone(a)),
-                    ChunkSource::Cold { id, len } => OwnedChunkSource::Cold {
-                        pager: Arc::clone(self.state.cache()) as Arc<dyn ChunkPager>,
-                        id,
-                        len,
-                    },
-                };
-                (src, p.edits.cloned().unwrap_or_default())
-            })
-            .collect();
-        for (src, overlay) in parts {
-            let (file, base_len) = match src {
-                OwnedChunkSource::Resident(base) => (self.ensure_chunk(&base)?, base.len()),
-                OwnedChunkSource::Cold { id, len, .. } => (id, len),
+        for ChunkPart { source, edits } in rel.chunk_parts() {
+            let (file, base_len) = match source {
+                ChunkSource::Resident(base) => (self.ensure_chunk(&base)?, base.len()),
+                ChunkSource::Cold { id, len } => (id, len),
             };
             chunks.push(ChunkEntry {
                 file,
                 base_len,
-                overlay,
+                overlay: edits,
             });
         }
         Ok(TableState {
@@ -635,35 +616,19 @@ impl DurableGuard<'_> {
     /// rows read here; scans page chunks in through the budgeted cache.
     pub fn load(&mut self, plan: &RecoveredTable) -> Result<OngoingRelation> {
         self.check_poisoned()?;
-        if self.state.opts.memory_budget != u64::MAX {
-            let parts: Vec<PagedChunkPart> = plan
-                .state
-                .chunks
-                .iter()
-                .map(|entry| {
-                    (
-                        OwnedChunkSource::Cold {
-                            pager: Arc::clone(self.state.cache()) as Arc<dyn ChunkPager>,
-                            id: entry.file,
-                            len: entry.base_len,
-                        },
-                        entry.overlay.clone(),
-                    )
-                })
-                .collect();
-            let mut rel = OngoingRelation::from_paged_parts(
-                plan.state.schema.clone(),
-                parts,
-                &plan.state.indexed,
-            );
-            for ops in &plan.commits {
-                rel.apply_journal(ops.clone());
-            }
-            return Ok(rel);
-        }
+        let cold = self.state.opts.memory_budget != u64::MAX;
         let mut parts = Vec::with_capacity(plan.state.chunks.len());
         let mut loaded = 0u64;
         for entry in &plan.state.chunks {
+            let edits = entry.overlay.clone();
+            if cold {
+                let (id, len) = (entry.file, entry.base_len);
+                parts.push(ChunkPart {
+                    source: ChunkSource::Cold { id, len },
+                    edits,
+                });
+                continue;
+            }
             let path = chunk_path(&self.state.dir, entry.file);
             let vfs = self.state.vfs.as_ref();
             let raw = with_retry(|| vfs.read(&path), || Ok(()))?;
@@ -687,12 +652,16 @@ impl DurableGuard<'_> {
                 base.as_ptr() as usize,
                 (entry.file, raw.len() as u64, Arc::clone(&base)),
             );
-            parts.push((base, entry.overlay.clone()));
+            parts.push(ChunkPart {
+                source: ChunkSource::Resident(base),
+                edits,
+            });
         }
-        let mut rel =
-            OngoingRelation::from_parts(plan.state.schema.clone(), parts, &plan.state.indexed);
+        let pager = cold.then(|| Arc::clone(self.state.cache()) as Arc<dyn ChunkPager>);
+        let (schema, indexed) = (plan.state.schema.clone(), &plan.state.indexed);
+        let mut rel = OngoingRelation::from_parts(schema, parts, pager, indexed);
         for ops in &plan.commits {
-            rel.apply_journal(ops.clone());
+            rel.apply_journal(ops.clone())?;
         }
         self.inner.stats.tuples_loaded += loaded;
         Ok(rel)

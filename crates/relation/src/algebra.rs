@@ -277,7 +277,7 @@ mod tests {
         let q = select(&x, &pred).unwrap();
         assert_eq!(q.len(), 1);
         assert_eq!(
-            q.tuples()[0].rt(),
+            q.iter().next().unwrap().rt(),
             &IntervalSet::range(md(1, 26), md(8, 16))
         );
     }
@@ -311,7 +311,6 @@ mod tests {
         // before [08/15, 08/24)).
         assert_eq!(v.len(), 3);
         let b1p1 = v
-            .tuples()
             .iter()
             .find(|t| t.value(0) == &Value::Int(500) && t.value(3) == &Value::Int(201))
             .unwrap();
@@ -329,7 +328,10 @@ mod tests {
             .unwrap();
         let p = product(&l, &r);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.tuples()[0].rt(), &IntervalSet::range(tp(5), tp(10)));
+        assert_eq!(
+            p.iter().next().unwrap().rt(),
+            &IntervalSet::range(tp(5), tp(10))
+        );
     }
 
     #[test]
@@ -364,7 +366,7 @@ mod tests {
         let q = project(&b, &items).unwrap();
         assert_eq!(q.schema().attrs()[1].name, "OverlapVT");
         assert_eq!(q.len(), 2);
-        assert!(q.tuples().iter().all(|t| t.rt().is_full()));
+        assert!(q.iter().all(|t| t.rt().is_full()));
     }
 
     #[test]
@@ -378,7 +380,10 @@ mod tests {
             .unwrap();
         let u = union(&l, &r).unwrap();
         assert_eq!(u.len(), 1);
-        assert_eq!(u.tuples()[0].rt(), &IntervalSet::range(tp(0), tp(9)));
+        assert_eq!(
+            u.iter().next().unwrap().rt(),
+            &IntervalSet::range(tp(0), tp(9))
+        );
     }
 
     #[test]
@@ -400,7 +405,10 @@ mod tests {
         let d = difference(&l, &r).unwrap();
         assert_eq!(d.len(), 1);
         // Removed where the S tuple is alive: survives only on [0, 4).
-        assert_eq!(d.tuples()[0].rt(), &IntervalSet::range(tp(0), tp(4)));
+        assert_eq!(
+            d.iter().next().unwrap().rt(),
+            &IntervalSet::range(tp(0), tp(4))
+        );
     }
 
     #[test]
@@ -418,7 +426,7 @@ mod tests {
             .unwrap();
         let d = difference(&l, &r).unwrap();
         assert_eq!(d.len(), 1);
-        let rt = d.tuples()[0].rt();
+        let rt = d.iter().next().unwrap().rt();
         assert!(rt.contains(tp(5)));
         assert!(!rt.contains(tp(6)));
         assert!(rt.contains(tp(7)));

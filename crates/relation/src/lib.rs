@@ -38,8 +38,9 @@
 //!     Expr::lit(Value::Interval(OngoingInterval::fixed(md(1, 20), md(8, 18)))));
 //! let q = algebra::select(&bugs, &pred).unwrap();
 //! assert_eq!(q.len(), 1);
-//! assert!(q.tuples()[0].rt().contains(md(2, 1)));   // member from 01/26 on
-//! assert!(!q.tuples()[0].rt().contains(md(1, 20))); // bug not open yet
+//! let member = q.iter().next().unwrap();
+//! assert!(member.rt().contains(md(2, 1)));   // member from 01/26 on
+//! assert!(!member.rt().contains(md(1, 20))); // bug not open yet
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,9 +63,8 @@ pub use predicate::{Pair, Predicate};
 pub use relation::{FixedRelation, OngoingRelation};
 pub use schema::{Attribute, Schema, SchemaError};
 pub use store::{
-    ChunkPager, ChunkPart, ChunkSource, JournalOp, LazyChunkView, OwnedChunkPart, OwnedChunkSource,
-    PagedChunkPart, PagerError, PinnedChunk, RowEdit, StoreSummary, StoreWork, TupleStore,
-    TARGET_CHUNK_ROWS,
+    ChunkPager, ChunkPart, ChunkSource, JournalOp, LazyChunkView, PagerError, PinnedChunk, RowEdit,
+    StoreSummary, StoreWork, TupleStore, TARGET_CHUNK_ROWS,
 };
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};

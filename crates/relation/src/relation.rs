@@ -3,8 +3,8 @@
 use crate::keyindex::{KeyProbe, KeyedEdit, QualEstimate};
 use crate::schema::{Schema, SchemaError};
 use crate::store::{
-    ChunkPager, ChunkPart, JournalOp, LazyChunkView, OwnedChunkPart, PagedChunkPart, RowEdit,
-    StoreIter, StoreSummary, TupleStore,
+    ChunkPager, ChunkPart, JournalOp, LazyChunkView, PagerError, RowEdit, StoreIter, StoreSummary,
+    TupleStore,
 };
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -13,7 +13,7 @@ use ongoing_core::{IntervalSet, TimePoint};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// An ongoing relation: a schema plus a finite set of tuples, each carrying
 /// a reference-time attribute `RT`.
@@ -21,28 +21,13 @@ use std::sync::OnceLock;
 /// Tuples live in a versioned, chunked copy-on-write [`TupleStore`]
 /// (see [`crate::store`]): cloning a relation shares all sealed chunks, and
 /// row-level edits through [`edit_tuples`](Self::edit_tuples) cost
-/// O(rows touched) instead of O(table). Hot paths iterate the store
-/// ([`iter`](Self::iter), [`lazy_views`](Self::lazy_views));
-/// [`tuples`](Self::tuples) remains as a contiguous-slice view for
-/// compatibility, materializing a dense copy only when the store is
-/// fragmented across chunks.
-#[derive(Debug)]
+/// O(rows touched) instead of O(table). Engine readers pin one chunk at a
+/// time ([`lazy_views`](Self::lazy_views)); [`iter`](Self::iter) borrows
+/// every row for the relation's lifetime.
+#[derive(Debug, Clone)]
 pub struct OngoingRelation {
     schema: Schema,
     store: TupleStore,
-    /// Lazily materialized dense view backing [`tuples`](Self::tuples) when
-    /// the store spans several chunks; invalidated by every mutation.
-    dense: OnceLock<Box<[Tuple]>>,
-}
-
-impl Clone for OngoingRelation {
-    fn clone(&self) -> Self {
-        OngoingRelation {
-            schema: self.schema.clone(),
-            store: self.store.clone(),
-            dense: OnceLock::new(),
-        }
-    }
 }
 
 impl PartialEq for OngoingRelation {
@@ -66,7 +51,6 @@ impl OngoingRelation {
         OngoingRelation {
             schema,
             store: TupleStore::new(),
-            dense: OnceLock::new(),
         }
     }
 
@@ -85,7 +69,6 @@ impl OngoingRelation {
         Ok(OngoingRelation {
             schema,
             store: TupleStore::from_tuples(tuples),
-            dense: OnceLock::new(),
         })
     }
 
@@ -112,7 +95,6 @@ impl OngoingRelation {
         if rt.is_empty() {
             return Ok(());
         }
-        self.dense = OnceLock::new();
         self.store.push(Tuple::with_rt(values, rt));
         Ok(())
     }
@@ -121,7 +103,6 @@ impl OngoingRelation {
     pub fn push(&mut self, tuple: Tuple) {
         debug_assert_eq!(tuple.arity(), self.schema.len());
         if !tuple.rt().is_empty() {
-            self.dense = OnceLock::new();
             self.store.push(tuple);
         }
     }
@@ -131,33 +112,13 @@ impl OngoingRelation {
         &self.schema
     }
 
-    /// The tuples as one contiguous slice.
-    ///
-    /// Free while the relation occupies a single chunk (anything built by
-    /// `insert`/`push` below [`crate::store::TARGET_CHUNK_ROWS`] rows, or a
-    /// compacted single-chunk store); a store fragmented across chunks or
-    /// carrying edit overlays materializes — and caches — a dense copy.
-    /// Hot paths should prefer [`iter`](Self::iter) or
-    /// [`lazy_views`](Self::lazy_views), which never copy.
-    pub fn tuples(&self) -> &[Tuple] {
-        if let Some(slice) = self.store.as_single_slice() {
-            return slice;
-        }
-        self.dense
-            .get_or_init(|| self.store.iter().cloned().collect())
-    }
-
-    /// The tuples in storage order, straight off the chunks (no
-    /// materialization, unlike [`tuples`](Self::tuples) on fragmented
-    /// stores).
+    /// The tuples in storage order, borrowed for the relation's lifetime:
+    /// a cold chunk is paged in on first touch and stays resident with
+    /// this version (see [`crate::store::TupleStore::iter`]). Readers that
+    /// must honor the memory budget pin chunks through
+    /// [`lazy_views`](Self::lazy_views) instead.
     pub fn iter(&self) -> StoreIter<'_> {
         self.store.iter()
-    }
-
-    /// The tuple at live position `pos` (positions are [`iter`](Self::iter)
-    /// ordinals — what interval-index payloads refer to).
-    pub fn tuple_at(&self, pos: usize) -> Option<&Tuple> {
-        self.store.tuple_at(pos)
     }
 
     /// The store's chunk views without loading anything: rows are paged in
@@ -174,10 +135,9 @@ impl OngoingRelation {
     /// Logically a no-op; returns the number of chunks demoted.
     pub fn demote_where(
         &mut self,
-        pager: &std::sync::Arc<dyn ChunkPager>,
-        f: impl FnMut(&std::sync::Arc<[Tuple]>) -> Option<u64>,
+        pager: &Arc<dyn ChunkPager>,
+        f: impl FnMut(&Arc<[Tuple]>) -> Option<u64>,
     ) -> usize {
-        self.dense = OnceLock::new();
         self.store.demote_where(pager, f)
     }
 
@@ -185,12 +145,12 @@ impl OngoingRelation {
     /// order and returns what should happen to it ([`RowEdit`]). The write
     /// cost is O(rows touched) — untouched chunks stay shared with other
     /// versions of this relation. Returns the number of storage entries
-    /// written; an error from `f` leaves the relation untouched.
-    pub fn edit_tuples<E>(
+    /// written; an error from `f` or the pager leaves the relation
+    /// untouched.
+    pub fn edit_tuples<E: From<PagerError>>(
         &mut self,
         f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
     ) -> Result<usize, E> {
-        self.dense = OnceLock::new();
         self.store.edit(f)
     }
 
@@ -200,12 +160,11 @@ impl OngoingRelation {
     /// Returns `None` when the probe's column carries no index. `probe`
     /// must be a necessary condition of `f`'s decision — derive it from a
     /// conjunct of the qualification predicate.
-    pub fn edit_tuples_where<E>(
+    pub fn edit_tuples_where<E: From<PagerError>>(
         &mut self,
         probe: &KeyProbe,
         f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
     ) -> Result<Option<KeyedEdit>, E> {
-        self.dense = OnceLock::new();
         self.store.edit_where(probe, f)
     }
 
@@ -214,8 +173,12 @@ impl OngoingRelation {
     /// on reference-time-dependent values would make *which rows an edit
     /// addresses* depend on the reference time, which the modification
     /// model forbids (Sec. III). Maintained incrementally from here on
-    /// (see [`crate::keyindex`]); idempotent.
-    pub fn create_key_index(&mut self, column: usize) -> Result<(), SchemaError> {
+    /// (see [`crate::keyindex`]); idempotent. Cold chunks are read through
+    /// transient pins; a pager failure leaves the relation untouched.
+    pub fn create_key_index<E: From<SchemaError> + From<PagerError>>(
+        &mut self,
+        column: usize,
+    ) -> Result<(), E> {
         let attr = self.schema.attr(column)?;
         if !matches!(
             attr.ty,
@@ -224,10 +187,10 @@ impl OngoingRelation {
             return Err(SchemaError::Mismatch(format!(
                 "key index requires a fixed scalar column; `{}` is {:?}",
                 attr.name, attr.ty
-            )));
+            ))
+            .into());
         }
-        self.store.create_key_index(column);
-        Ok(())
+        Ok(self.store.create_key_index(column)?)
     }
 
     /// Columns carrying a keyed qualification index, sorted.
@@ -247,7 +210,7 @@ impl OngoingRelation {
     /// of [`edit_tuples_where`](Self::edit_tuples_where). Equals the full
     /// scan filtered by [`KeyProbe::matches`] on the probe column; `None`
     /// when the column carries no index, so callers fall back to a scan.
-    pub fn keyed_rows(&self, probe: &KeyProbe) -> Option<(Vec<Tuple>, u64)> {
+    pub fn keyed_rows(&self, probe: &KeyProbe) -> Result<Option<(Vec<Tuple>, u64)>, PagerError> {
         self.store.keyed_rows(probe)
     }
 
@@ -260,17 +223,15 @@ impl OngoingRelation {
 
     /// Folds delta overlays and fragmented chunks into dense chunks — a
     /// semantic no-op that resets fork cost and scan fragmentation.
-    pub fn compact(&mut self) {
-        self.dense = OnceLock::new();
-        self.store.compact();
+    pub fn compact(&mut self) -> Result<(), PagerError> {
+        self.store.compact()
     }
 
     /// Partial compaction: folds only fragmented chunk *runs* (heavily
     /// overlaid chunks, runs of undersized insert-batch chunks), costing
     /// O(fragmented rows) instead of O(table). Returns the write work
     /// spent. Semantically a no-op, like [`compact`](Self::compact).
-    pub fn compact_runs(&mut self) -> u64 {
-        self.dense = OnceLock::new();
+    pub fn compact_runs(&mut self) -> Result<u64, PagerError> {
         self.store.compact_runs()
     }
 
@@ -283,7 +244,6 @@ impl OngoingRelation {
     /// Seals the pending insert tail into an immutable chunk so clones of
     /// this relation are pure reference bumps.
     pub fn seal_pending(&mut self) {
-        self.dense = OnceLock::new();
         self.store.seal_pending();
     }
 
@@ -304,37 +264,31 @@ impl OngoingRelation {
 
     /// Replays journaled mutations against this relation (see
     /// [`crate::store::TupleStore::apply_journal`]).
-    pub fn apply_journal(&mut self, ops: Vec<JournalOp>) {
-        self.dense = OnceLock::new();
-        self.store.apply_journal(ops);
+    pub fn apply_journal(&mut self, ops: Vec<JournalOp>) -> Result<(), PagerError> {
+        self.store.apply_journal(ops)
     }
 
     /// Serialization views of the store's sealed chunks (the pending tail
     /// is excluded; persistence operates on sealed versions).
-    pub fn chunk_parts(&self) -> Vec<ChunkPart<'_>> {
+    pub fn chunk_parts(&self) -> Vec<ChunkPart> {
         self.store.chunk_parts()
     }
 
     /// Rebuilds a relation from its physical parts — the inverse of
     /// [`chunk_parts`](Self::chunk_parts), used by crash recovery. Key
-    /// maps for `indexed` are rebuilt eagerly.
-    pub fn from_parts(schema: Schema, parts: Vec<OwnedChunkPart>, indexed: &[usize]) -> Self {
+    /// maps for `indexed` are rebuilt eagerly for resident parts; cold
+    /// parts page in on demand through `pager`, so recovering an
+    /// out-of-core table reads no rows (see
+    /// [`crate::store::TupleStore::from_parts`]).
+    pub fn from_parts(
+        schema: Schema,
+        parts: Vec<ChunkPart>,
+        pager: Option<Arc<dyn ChunkPager>>,
+        indexed: &[usize],
+    ) -> Self {
         OngoingRelation {
             schema,
-            store: TupleStore::from_parts(parts, indexed),
-            dense: OnceLock::new(),
-        }
-    }
-
-    /// [`from_parts`](Self::from_parts) generalized to cold chunks: cold
-    /// parts carry only durable identity and page in on demand through
-    /// their [`ChunkPager`], so recovering an out-of-core table reads no
-    /// rows (see [`crate::store::TupleStore::from_paged_parts`]).
-    pub fn from_paged_parts(schema: Schema, parts: Vec<PagedChunkPart>, indexed: &[usize]) -> Self {
-        OngoingRelation {
-            schema,
-            store: TupleStore::from_paged_parts(parts, indexed),
-            dense: OnceLock::new(),
+            store: TupleStore::from_parts(parts, pager, indexed),
         }
     }
 
@@ -403,7 +357,6 @@ impl OngoingRelation {
         Ok(OngoingRelation {
             schema,
             store: self.store,
-            dense: self.dense,
         })
     }
 
@@ -413,7 +366,6 @@ impl OngoingRelation {
         OngoingRelation {
             schema,
             store: self.store,
-            dense: self.dense,
         }
     }
 
@@ -458,7 +410,6 @@ impl OngoingRelation {
         OngoingRelation {
             schema: self.schema.clone(),
             store: TupleStore::from_tuples(tuples),
-            dense: OnceLock::new(),
         }
     }
 
@@ -600,16 +551,15 @@ mod tests {
         for i in 0..600i64 {
             r.insert(vec![Value::Int(i)]).unwrap();
         }
-        r.create_key_index(0).unwrap();
-        // Fragmented: a sealed chunk plus a pending tail, so `tuples()`
-        // materializes — and caches — a dense copy.
-        assert_eq!(r.tuples().len(), 600);
-        // Edit through the keyed planner *after* the cache is warm.
+        r.create_key_index::<Box<dyn std::error::Error>>(0).unwrap();
+        // Fragmented: a sealed chunk plus a pending tail, read once before
+        // the edit.
+        assert_eq!(r.iter().count(), 600);
         let probe = KeyProbe::Eq {
             col: 0,
             key: Value::Int(42),
         };
-        r.edit_tuples_where::<std::convert::Infallible>(&probe, |t| {
+        r.edit_tuples_where::<PagerError>(&probe, |t| {
             Ok(if t.value(0) == &Value::Int(42) {
                 RowEdit::Replace(vec![Tuple::base(vec![Value::Int(4242)])])
             } else {
@@ -617,10 +567,9 @@ mod tests {
             })
         })
         .unwrap();
-        // Every mutator must drop the cached dense copy: the edit shows.
-        assert!(r.tuples().iter().any(|t| t.value(0) == &Value::Int(4242)));
-        assert!(!r.tuples().iter().any(|t| t.value(0) == &Value::Int(42)));
-        assert_eq!(r.tuples().len(), 600);
+        assert!(r.iter().any(|t| t.value(0) == &Value::Int(4242)));
+        assert!(!r.iter().any(|t| t.value(0) == &Value::Int(42)));
+        assert_eq!(r.iter().count(), 600);
     }
 
     #[test]
@@ -688,7 +637,10 @@ mod tests {
             .unwrap();
         let c = r.coalesce();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.tuples()[0].rt(), &IntervalSet::range(tp(0), tp(9)));
+        assert_eq!(
+            c.iter().next().unwrap().rt(),
+            &IntervalSet::range(tp(0), tp(9))
+        );
     }
 
     #[test]

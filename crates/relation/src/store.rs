@@ -25,6 +25,15 @@
 //! back into dense chunks; it changes the physical layout only, never the
 //! logical tuple sequence.
 //!
+//! A sealed chunk's base may be *cold*: durable identity only, its rows
+//! paged in through a [`ChunkPager`]. Every read of a version pins one
+//! chunk at a time and releases it ([`PinnedChunk`]) — the executors'
+//! morsels through [`TupleStore::lazy_views`], and inside this module the
+//! edit planners, keyed lookups, key-index builds and folds. A pager
+//! failure is a [`PagerError`], never a panic. Only the borrowing
+//! [`TupleStore::iter`] keeps what it touched resident for the version's
+//! lifetime.
+//!
 //! All physical write work (tuples appended, overlay entries written,
 //! overlay copy-on-write, tail copies on fork, compaction copies) is
 //! metered in [`TupleStore::write_work`] — the deterministic work-unit
@@ -157,21 +166,16 @@ pub trait ChunkPager: Send + Sync + std::fmt::Debug {
 /// in-memory allocation) or *cold* — a pager handle plus durable identity,
 /// with the rows paged in on demand.
 ///
-/// Cold chunks support two access disciplines:
-///
-/// * **Transient pins** ([`LazyChunkView::pin`]): rows are loaded, used,
-///   and released with the pin — the budget-honoring path the engine's
-///   executors use, keeping at most one morsel's chunks resident per
-///   worker.
-/// * **Park-on-touch** (every legacy borrow API: [`TupleStore::iter`],
-///   [`TupleStore::tuple_at`], the edit planners): the first borrow parks
-///   the loaded `Arc` in a per-version [`OnceLock`], keeping the borrow
-///   sound for this version's lifetime.
-///   Cloning a store resets the locks, so parks accumulated by a
-///   query-scoped clone die with that clone instead of bloating the
-///   published version. Park-on-touch is the transparent correctness
-///   fallback — it trades memory for compatibility, and it *panics* on a
-///   pager failure (the fallible path is the pinned view).
+/// Every read of a version goes through a **transient pin**
+/// ([`LazyChunkView::pin`], and inside this module the edit planners, the
+/// keyed walk, key-index builds and folds): rows are loaded, used and
+/// released with the pin, and a pager failure is an error. The one
+/// exception is the borrowing [`TupleStore::iter`], which hands out
+/// `&Tuple` for the version's lifetime and so cannot read through a
+/// transient pin: it *parks* the loaded `Arc` in a per-version
+/// [`OnceLock`] on first touch and panics on a pager failure. Cloning a
+/// store resets the locks, so parks made by a query-scoped clone die with
+/// that clone instead of bloating the published version.
 #[derive(Debug)]
 enum ChunkBase {
     /// Rows held in memory, shared between versions.
@@ -237,8 +241,8 @@ impl ChunkBase {
     }
 
     /// The rows as a borrow of this version — parking a cold chunk on
-    /// first touch. Panics on a pager failure (see the park-on-touch
-    /// contract in the type docs); fallible callers pin instead.
+    /// first touch. Panics on a pager failure (see the type docs); only
+    /// [`StoreIter`] reads this way.
     fn slice(&self) -> &[Tuple] {
         match self {
             ChunkBase::Resident(a) => a,
@@ -321,11 +325,15 @@ impl PinnedChunk<'_> {
     /// The live rows in storage order (base rows with the overlay spliced
     /// in), borrowed from the pin.
     pub fn iter(&self) -> ChunkRows<'_> {
-        ChunkRows {
-            base: self.base.rows(),
-            edits: self.edits,
-            offset: 0,
-            replacement: None,
+        ChunkRows::new(self.base.rows(), self.edits)
+    }
+
+    /// The live rows standing at base offset `off`: the base row itself,
+    /// or its overlay replacement list (empty for a tombstone).
+    fn rows_at(&self, off: usize) -> &[Tuple] {
+        match self.edits.and_then(|e| e.get(&off)) {
+            Some(reps) => reps,
+            None => std::slice::from_ref(&self.base.rows()[off]),
         }
     }
 }
@@ -371,11 +379,7 @@ impl<'a> LazyChunkView<'a> {
     /// scan holding one pin per worker keeps at most one morsel resident).
     pub fn pin(&self) -> Result<PinnedChunk<'a>, PagerError> {
         match self.inner {
-            LazyInner::Sealed(c) => Ok(PinnedChunk {
-                base: c.base.pinned()?,
-                edits: c.edits.as_deref(),
-                live: c.live,
-            }),
+            LazyInner::Sealed(c) => c.pin(),
             LazyInner::Pending(p) => Ok(PinnedChunk {
                 base: PinBase::Borrowed(p),
                 edits: None,
@@ -385,74 +389,35 @@ impl<'a> LazyChunkView<'a> {
     }
 }
 
-/// Serialization view of one sealed chunk: its base identity plus its
-/// overlay delta — what the persistence layer writes as a chunk file
-/// (base) and a manifest entry (overlay). Resident bases expose the `Arc`
-/// so callers can track chunk identity (pointer equality) across
-/// versions; cold bases expose the durable id they already persist under,
-/// so serializing a cold table never pages anything in.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkPart<'a> {
+/// One sealed chunk's physical parts: its base identity plus its overlay
+/// delta — what the persistence layer writes as a chunk file (base) and a
+/// manifest entry (overlay), and what [`TupleStore::from_parts`] rebuilds
+/// a store from. Resident bases carry the `Arc` so callers can track chunk
+/// identity (pointer equality) across versions; cold bases carry the
+/// durable id they already persist under, so serializing a cold table
+/// never pages anything in.
+#[derive(Debug, Clone)]
+pub struct ChunkPart {
     /// The sealed base rows (resident) or their durable identity (cold).
-    pub source: ChunkSource<'a>,
-    /// The overlay delta (`None` when the chunk is clean).
-    pub edits: Option<&'a BTreeMap<usize, Vec<Tuple>>>,
+    pub source: ChunkSource,
+    /// The overlay delta (empty when the chunk is clean).
+    pub edits: BTreeMap<usize, Vec<Tuple>>,
 }
 
-/// The base of one serialized chunk (see [`ChunkPart`]).
-#[derive(Debug, Clone, Copy)]
-pub enum ChunkSource<'a> {
-    /// An in-memory base allocation.
-    Resident(&'a Arc<[Tuple]>),
-    /// An already-persisted cold base: durable chunk id + row count.
-    Cold {
-        /// The durable chunk id.
-        id: u64,
-        /// Base row count.
-        len: usize,
-    },
-}
-
-impl ChunkSource<'_> {
-    /// Base row count.
-    pub fn len(&self) -> usize {
-        match self {
-            ChunkSource::Resident(a) => a.len(),
-            ChunkSource::Cold { len, .. } => *len,
-        }
-    }
-
-    /// Is the base empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Owned counterpart of [`ChunkPart`] for fully resident chunks: one
-/// chunk's base allocation plus its overlay delta, as handed to
-/// [`TupleStore::from_parts`] by recovery.
-pub type OwnedChunkPart = (Arc<[Tuple]>, BTreeMap<usize, Vec<Tuple>>);
-
-/// Owned chunk base handed to [`TupleStore::from_paged_parts`]: resident
-/// rows, or a cold reference paged in on demand through a [`ChunkPager`].
-#[derive(Debug)]
-pub enum OwnedChunkSource {
+/// The base of one chunk (see [`ChunkPart`]).
+#[derive(Debug, Clone)]
+pub enum ChunkSource {
     /// An in-memory base allocation.
     Resident(Arc<[Tuple]>),
-    /// A cold base: the pager to load through plus durable identity.
+    /// A persisted cold base, paged in through the store's
+    /// [`ChunkPager`]: durable chunk id + row count.
     Cold {
-        /// The pager that resolves `id` to rows.
-        pager: Arc<dyn ChunkPager>,
         /// The durable chunk id.
         id: u64,
         /// Base row count.
         len: usize,
     },
 }
-
-/// One chunk (base source + overlay delta) for
-/// [`TupleStore::from_paged_parts`].
-pub type PagedChunkPart = (OwnedChunkSource, BTreeMap<usize, Vec<Tuple>>);
 
 /// The outcome of visiting one live row during [`TupleStore::apply_edits`]
 /// planning (see [`TupleStore::plan_edits`]).
@@ -516,12 +481,23 @@ impl Chunk {
 
     /// A dense chunk carrying key maps for `cols`.
     fn dense_indexed(base: Arc<[Tuple]>, cols: &[usize]) -> Chunk {
-        let mut c = Chunk::dense(base);
-        for &col in cols {
-            c.keys
-                .insert(col, Arc::new(build_key_map(c.base.slice(), col)));
+        let keys = cols
+            .iter()
+            .map(|&col| (col, Arc::new(build_key_map(&base, col))))
+            .collect();
+        Chunk {
+            keys,
+            ..Chunk::dense(base)
         }
-        c
+    }
+
+    /// Pins the live rows through a transient pin (see [`ChunkBase`]).
+    fn pin(&self) -> Result<PinnedChunk<'_>, PagerError> {
+        Ok(PinnedChunk {
+            base: self.base.pinned()?,
+            edits: self.edits.as_deref(),
+            live: self.live,
+        })
     }
 
     /// Base rows superseded by the overlay.
@@ -559,28 +535,6 @@ impl Chunk {
 /// the store half-modified.
 pub type PlannedEdit = (usize, usize, RowEdit, u64);
 
-/// Borrowed view of one chunk (or the pending tail), parking a cold chunk
-/// on touch — how [`StoreIter`], [`TupleStore::tuple_at`] and edit
-/// planning read rows. Iteration yields the chunk's live rows in storage
-/// order.
-#[derive(Debug, Clone, Copy)]
-struct ChunkView<'a> {
-    base: &'a [Tuple],
-    edits: Option<&'a BTreeMap<usize, Vec<Tuple>>>,
-}
-
-impl<'a> ChunkView<'a> {
-    /// The live rows in storage order.
-    fn iter(&self) -> ChunkRows<'a> {
-        ChunkRows {
-            base: self.base,
-            edits: self.edits,
-            offset: 0,
-            replacement: None,
-        }
-    }
-}
-
 /// Iterator over one chunk's live rows (base rows with the overlay
 /// spliced in).
 #[derive(Debug, Clone)]
@@ -590,6 +544,17 @@ pub struct ChunkRows<'a> {
     offset: usize,
     /// In-flight replacement list for the current offset.
     replacement: Option<std::slice::Iter<'a, Tuple>>,
+}
+
+impl<'a> ChunkRows<'a> {
+    fn new(base: &'a [Tuple], edits: Option<&'a BTreeMap<usize, Vec<Tuple>>>) -> ChunkRows<'a> {
+        ChunkRows {
+            base,
+            edits,
+            offset: 0,
+            replacement: None,
+        }
+    }
 }
 
 impl<'a> Iterator for ChunkRows<'a> {
@@ -664,11 +629,15 @@ impl<'a> Iterator for StoreIter<'a> {
                     return Some(t);
                 }
             }
-            let views = self.store.total_views();
-            if self.chunk >= views {
+            if self.chunk >= self.store.total_views() {
                 return None;
             }
-            self.rows = Some(self.store.view_at(self.chunk).iter());
+            // Park-on-touch: the one reader that borrows rows for the
+            // version's lifetime (see [`ChunkBase`]).
+            self.rows = Some(match self.store.chunks.get(self.chunk) {
+                Some(c) => ChunkRows::new(c.base.slice(), c.edits.as_deref()),
+                None => ChunkRows::new(&self.store.pending, None),
+            });
             self.chunk += 1;
         }
     }
@@ -705,9 +674,6 @@ pub struct TupleStore {
     /// Columns carrying a keyed qualification index, sorted. Every sealed
     /// chunk holds a key map per entry; the pending tail is walked.
     indexed: Vec<usize>,
-    /// Cumulative live-row counts per view (chunks then pending), built
-    /// lazily for positional access and invalidated by any mutation.
-    offsets: OnceLock<Vec<usize>>,
     /// Armed by [`begin_journal`](Self::begin_journal): every mutation
     /// primitive records a [`JournalOp`]. `None` (the default) is
     /// zero-cost. Deliberately *not* carried across `clone()`: a journal
@@ -730,7 +696,6 @@ impl Clone for TupleStore {
             logical_writes: self.logical_writes,
             qual_work: self.qual_work,
             indexed: self.indexed.clone(),
-            offsets: OnceLock::new(),
             journal: None,
         }
     }
@@ -753,7 +718,6 @@ impl TupleStore {
             logical_writes: 0,
             qual_work: 0,
             indexed: Vec::new(),
-            offsets: OnceLock::new(),
             journal: None,
         }
     }
@@ -777,43 +741,40 @@ impl TupleStore {
             logical_writes: live as u64,
             qual_work: 0,
             indexed: Vec::new(),
-            offsets: OnceLock::new(),
             journal: None,
         }
     }
 
-    /// Rebuilds a store from its physical parts — per-chunk base rows and
+    /// Rebuilds a store from its physical parts — per-chunk bases and
     /// overlay deltas, as exposed by [`chunk_parts`](Self::chunk_parts) —
     /// with key maps rebuilt for `indexed`. The inverse of serialization:
     /// the resulting layout (chunk boundaries, overlays, live counts) is
     /// exactly what the parts describe, so journaled mutations recorded
     /// against the original layout replay correctly against it.
-    pub fn from_parts(parts: Vec<OwnedChunkPart>, indexed: &[usize]) -> TupleStore {
-        TupleStore::from_paged_parts(
-            parts
-                .into_iter()
-                .map(|(base, edits)| (OwnedChunkSource::Resident(base), edits))
-                .collect(),
-            indexed,
-        )
-    }
-
-    /// [`from_parts`](Self::from_parts) generalized to cold chunks: a cold
-    /// part contributes only its durable identity and is paged in on
-    /// demand through its [`ChunkPager`], so recovering an out-of-core
-    /// table is O(#chunks) with zero row reads. Cold chunks skip key-map
+    ///
+    /// A cold part contributes only its durable identity and is paged in
+    /// on demand through `pager`, so recovering an out-of-core table is
+    /// O(#chunks) with zero row reads. Cold chunks skip key-map
     /// construction (it would force a page-in); keyed qualification falls
-    /// back to a scan for them.
-    pub fn from_paged_parts(parts: Vec<PagedChunkPart>, indexed: &[usize]) -> TupleStore {
+    /// back to a scan for them. Panics if a cold part comes without a
+    /// pager.
+    pub fn from_parts(
+        parts: Vec<ChunkPart>,
+        pager: Option<Arc<dyn ChunkPager>>,
+        indexed: &[usize],
+    ) -> TupleStore {
         let mut sorted: Vec<usize> = indexed.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         let mut chunks = Vec::with_capacity(parts.len());
         let mut live_total = 0usize;
-        for (source, edits) in parts {
+        for ChunkPart { source, edits } in parts {
             let mut c = match source {
-                OwnedChunkSource::Resident(base) => Chunk::dense_indexed(base, &sorted),
-                OwnedChunkSource::Cold { pager, id, len } => Chunk::cold(pager, id, len),
+                ChunkSource::Resident(base) => Chunk::dense_indexed(base, &sorted),
+                ChunkSource::Cold { id, len } => {
+                    let pager = pager.as_ref().expect("a cold chunk part needs a pager");
+                    Chunk::cold(Arc::clone(pager), id, len)
+                }
             };
             let overlay: usize = edits.values().map(Vec::len).sum();
             let live = c.base.len() - edits.len() + overlay;
@@ -832,7 +793,6 @@ impl TupleStore {
             logical_writes: live_total as u64,
             qual_work: 0,
             indexed: sorted,
-            offsets: OnceLock::new(),
             journal: None,
         }
     }
@@ -842,15 +802,15 @@ impl TupleStore {
     /// (sealed) versions; callers seal first. Cold chunks surface their
     /// durable identity instead of rows, so serializing an out-of-core
     /// table never pages anything in.
-    pub fn chunk_parts(&self) -> Vec<ChunkPart<'_>> {
+    pub fn chunk_parts(&self) -> Vec<ChunkPart> {
         self.chunks
             .iter()
             .map(|c| ChunkPart {
                 source: match &c.base {
-                    ChunkBase::Resident(a) => ChunkSource::Resident(a),
+                    ChunkBase::Resident(a) => ChunkSource::Resident(Arc::clone(a)),
                     ChunkBase::Cold { id, len, .. } => ChunkSource::Cold { id: *id, len: *len },
                 },
-                edits: c.edits.as_deref(),
+                edits: c.edits.as_deref().cloned().unwrap_or_default(),
             })
             .collect()
     }
@@ -874,17 +834,18 @@ impl TupleStore {
     /// layout (same chunk boundaries and overlays — see
     /// [`from_parts`](Self::from_parts)) this reproduces the exact layout
     /// the journaling store ended with: every primitive is deterministic
-    /// in the store state.
-    pub fn apply_journal(&mut self, ops: Vec<JournalOp>) {
+    /// in the store state. The folds and index builds a journal re-derives
+    /// read through transient pins; a pager failure stops the replay.
+    pub fn apply_journal(&mut self, ops: Vec<JournalOp>) -> Result<(), PagerError> {
         for op in ops {
             match op {
                 JournalOp::Append(t) => self.push(t),
                 JournalOp::Seal => self.seal_pending(),
-                JournalOp::Compact => self.compact(),
+                JournalOp::Compact => self.compact()?,
                 JournalOp::CompactRuns => {
-                    self.compact_runs();
+                    self.compact_runs()?;
                 }
-                JournalOp::CreateKeyIndex(col) => self.create_key_index(col),
+                JournalOp::CreateKeyIndex(col) => self.create_key_index(col)?,
                 JournalOp::Edits(entries) => {
                     let plan: Vec<PlannedEdit> = entries
                         .into_iter()
@@ -894,6 +855,7 @@ impl TupleStore {
                 }
             }
         }
+        Ok(())
     }
 
     fn log(&mut self, op: JournalOp) {
@@ -962,38 +924,31 @@ impl TupleStore {
     /// gets an immutable key map (O(table log chunk) once), and every chunk
     /// sealed or folded from now on builds its map incrementally — O(chunk)
     /// at seal time, never again. Idempotent. The build is metered in
-    /// [`write_work`](Self::write_work) at one unit per row indexed.
-    pub fn create_key_index(&mut self, col: usize) {
+    /// [`write_work`](Self::write_work) at one unit per row indexed. Cold
+    /// chunks are paged in through transient pins; only the key maps stay.
+    /// A pager failure leaves the store untouched.
+    pub fn create_key_index(&mut self, col: usize) -> Result<(), PagerError> {
         if self.indexed.contains(&col) {
-            return;
+            return Ok(());
         }
+        let maps = self
+            .chunks
+            .iter()
+            .map(|c| Ok(Arc::new(build_key_map(c.base.pinned()?.rows(), col))))
+            .collect::<Result<Vec<_>, PagerError>>()?;
         self.log(JournalOp::CreateKeyIndex(col));
         self.indexed.push(col);
         self.indexed.sort_unstable();
-        let mut built = 0u64;
-        for c in &mut self.chunks {
-            if !c.keys.contains_key(&col) {
-                // Cold chunks are paged in transiently for the build; the
-                // rows are released again, only the key map stays.
-                let pin = c
-                    .base
-                    .pinned()
-                    .unwrap_or_else(|e| panic!("key index build failed to page in chunk: {e}"));
-                c.keys.insert(col, Arc::new(build_key_map(pin.rows(), col)));
-                built += pin.rows().len() as u64;
-            }
+        for (c, map) in self.chunks.iter_mut().zip(maps) {
+            self.write_work += c.base.len() as u64;
+            c.keys.insert(col, map);
         }
-        self.write_work += built;
-    }
-
-    fn invalidate(&mut self) {
-        self.offsets = OnceLock::new();
+        Ok(())
     }
 
     /// Appends a row to the pending tail, sealing the tail into a chunk at
     /// [`TARGET_CHUNK_ROWS`].
     pub fn push(&mut self, tuple: Tuple) {
-        self.invalidate();
         if self.journal.is_some() {
             self.log(JournalOp::Append(tuple.clone()));
         }
@@ -1014,7 +969,6 @@ impl TupleStore {
         if self.pending.is_empty() {
             return;
         }
-        self.invalidate();
         self.log(JournalOp::Seal);
         let tail = std::mem::take(&mut self.pending);
         let chunk = Chunk::dense_indexed(tail.into(), &self.indexed);
@@ -1022,23 +976,10 @@ impl TupleStore {
         self.chunks.push(chunk);
     }
 
-    /// The whole store as one contiguous slice, when its layout allows it
-    /// without copying: either everything still sits in the pending tail,
-    /// or in exactly one clean *resident* sealed chunk (a cold chunk is
-    /// never paged in for this — callers that get `None` stream instead).
-    pub fn as_single_slice(&self) -> Option<&[Tuple]> {
-        if self.chunks.is_empty() {
-            return Some(&self.pending);
-        }
-        if self.pending.is_empty() && self.chunks.len() == 1 && self.chunks[0].edits.is_none() {
-            if let ChunkBase::Resident(base) = &self.chunks[0].base {
-                return Some(base);
-            }
-        }
-        None
-    }
-
-    /// Live rows in storage order.
+    /// Live rows in storage order, borrowed for the version's lifetime: a
+    /// cold chunk is paged in on first touch and parked with this version,
+    /// and a pager failure panics (see the module docs). Budget-honoring,
+    /// fallible readers pin [`lazy_views`](Self::lazy_views) instead.
     pub fn iter(&self) -> StoreIter<'_> {
         StoreIter {
             store: self,
@@ -1051,20 +992,13 @@ impl TupleStore {
         self.chunks.len() + usize::from(!self.pending.is_empty())
     }
 
-    fn view_at(&self, i: usize) -> ChunkView<'_> {
-        if i < self.chunks.len() {
-            let c = &self.chunks[i];
-            ChunkView {
-                // Park-on-touch: a cold chunk pages in here and stays
-                // resident for this version's lifetime (see [`ChunkBase`]).
-                base: c.base.slice(),
-                edits: c.edits.as_deref(),
-            }
-        } else {
-            ChunkView {
-                base: &self.pending,
-                edits: None,
-            }
+    /// View `ci`: a sealed chunk, or the pending tail at `chunks.len()`.
+    fn lazy_view(&self, ci: usize) -> LazyChunkView<'_> {
+        LazyChunkView {
+            inner: match self.chunks.get(ci) {
+                Some(c) => LazyInner::Sealed(c),
+                None => LazyInner::Pending(&self.pending),
+            },
         }
     }
 
@@ -1074,19 +1008,7 @@ impl TupleStore {
     /// budget-honoring morsel source for scans over stores that may hold
     /// cold chunks.
     pub fn lazy_views(&self) -> Vec<LazyChunkView<'_>> {
-        let mut out: Vec<LazyChunkView<'_>> = self
-            .chunks
-            .iter()
-            .map(|c| LazyChunkView {
-                inner: LazyInner::Sealed(c),
-            })
-            .collect();
-        if !self.pending.is_empty() {
-            out.push(LazyChunkView {
-                inner: LazyInner::Pending(&self.pending),
-            });
-        }
-        out
+        (0..self.total_views()).map(|i| self.lazy_view(i)).collect()
     }
 
     /// Demotes resident sealed chunks to cold: every chunk whose base
@@ -1119,53 +1041,21 @@ impl TupleStore {
         demoted
     }
 
-    fn offsets(&self) -> &[usize] {
-        self.offsets.get_or_init(|| {
-            let mut acc = 0usize;
-            let mut out = Vec::with_capacity(self.total_views());
-            // Live counts only: nothing pages in for positional access
-            // beyond the chunk a lookup reads.
-            for live in self.chunks.iter().map(|c| c.live) {
-                acc += live;
-                out.push(acc);
-            }
-            if !self.pending.is_empty() {
-                out.push(acc + self.pending.len());
-            }
-            out
-        })
-    }
-
-    /// The live row at position `pos` (positions are the `iter` ordinals —
-    /// what index payloads refer to). O(log #chunks) to find the chunk,
-    /// O(1) within clean chunks, O(overlay entries of the chunk) within
-    /// edited ones (the walk skips over clean runs, it never visits rows).
-    pub fn tuple_at(&self, pos: usize) -> Option<&Tuple> {
-        if pos >= self.live {
-            return None;
-        }
-        let offsets = self.offsets();
-        let chunk = offsets.partition_point(|&end| end <= pos);
-        let start = if chunk == 0 { 0 } else { offsets[chunk - 1] };
-        let view = self.view_at(chunk);
-        live_row(view.base, view.edits, pos - start)
-    }
-
     /// Plans one base offset of one view: calls `f` on the live row(s) at
     /// the offset and appends the resulting edit (if any) to `plan`.
     /// Returns the number of rows visited. Offsets address *base* rows;
     /// replacement rows re-use their base offset (a replacement list is
     /// edited as a unit).
     fn plan_offset<E>(
-        view: &ChunkView<'_>,
+        pin: &PinnedChunk<'_>,
         ci: usize,
         off: usize,
         f: &mut impl FnMut(&Tuple) -> Result<RowEdit, E>,
         plan: &mut Vec<PlannedEdit>,
     ) -> Result<u64, E> {
-        match view.edits.and_then(|e| e.get(&off)) {
+        match pin.edits.and_then(|e| e.get(&off)) {
             None => {
-                let edit = f(&view.base[off])?;
+                let edit = f(&pin.base.rows()[off])?;
                 if !matches!(edit, RowEdit::Keep) {
                     let touched = match &edit {
                         RowEdit::Replace(ts) => (ts.len() as u64).max(1),
@@ -1210,17 +1100,18 @@ impl TupleStore {
 
     /// Scans the live rows in order, collecting the edits `f` requests —
     /// without touching the store. Apply the plan with
-    /// [`apply_edits`](Self::apply_edits). Errors from `f` abort the scan
-    /// and leave no trace.
-    pub fn plan_edits<E>(
+    /// [`apply_edits`](Self::apply_edits). Each chunk is read through one
+    /// transient pin. Errors from `f` or the pager abort the scan and
+    /// leave no trace.
+    pub fn plan_edits<E: From<PagerError>>(
         &self,
         mut f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
     ) -> Result<Vec<PlannedEdit>, E> {
         let mut plan = Vec::new();
         for ci in 0..self.total_views() {
-            let view = self.view_at(ci);
-            for off in 0..view.base.len() {
-                Self::plan_offset(&view, ci, off, &mut f, &mut plan)?;
+            let pin = self.lazy_view(ci).pin()?;
+            for off in 0..pin.base.rows().len() {
+                Self::plan_offset(&pin, ci, off, &mut f, &mut plan)?;
             }
         }
         Ok(plan)
@@ -1250,135 +1141,119 @@ impl TupleStore {
         })
     }
 
+    /// The keyed candidate walk behind [`plan_edits_keyed`] and
+    /// [`keyed_rows`]: per sealed chunk, the key map's candidates not
+    /// superseded by the overlay plus every overlay offset (the overlay is
+    /// the unindexed delta), sorted into base-offset order; then every
+    /// offset of the pending tail. `visit(pin, chunk, offsets)` reads one
+    /// pinned chunk's offsets in order and returns the rows it visited
+    /// (one call per chunk keeps the per-row loop in the caller). The
+    /// offsets come from the key map and overlay alone, so a chunk with
+    /// none is skipped without a pin — a cold chunk with no candidates
+    /// never pages in. `None` when the probe's column carries no index
+    /// (or some chunk has no map for it), so the caller falls back to a
+    /// scan.
+    ///
+    /// [`plan_edits_keyed`]: Self::plan_edits_keyed
+    /// [`keyed_rows`]: Self::keyed_rows
+    fn keyed_walk<E: From<PagerError>>(
+        &self,
+        probe: &KeyProbe,
+        mut visit: impl FnMut(&PinnedChunk<'_>, usize, &[usize]) -> Result<u64, E>,
+    ) -> Result<Option<u64>, E> {
+        if !self.indexed.contains(&probe.col()) {
+            return Ok(None);
+        }
+        let mut visited = 0u64;
+        let mut offs: Vec<usize> = Vec::new();
+        for (ci, chunk) in self.chunks.iter().enumerate() {
+            let Some(map) = chunk.keys.get(&probe.col()) else {
+                return Ok(None);
+            };
+            let edits = chunk.edits.as_deref();
+            offs.clear();
+            offs.extend(
+                probe
+                    .candidates(map)
+                    .map(|o| o as usize)
+                    .filter(|o| edits.is_none_or(|e| !e.contains_key(o))),
+            );
+            if let Some(edits) = edits {
+                offs.extend(edits.keys().copied());
+            }
+            offs.sort_unstable();
+            if offs.is_empty() {
+                continue;
+            }
+            visited += visit(&chunk.pin()?, ci, &offs)?;
+        }
+        offs.clear();
+        offs.extend(0..self.pending.len());
+        let ci = self.chunks.len();
+        visited += visit(&self.lazy_view(ci).pin()?, ci, &offs)?;
+        Ok(Some(visited))
+    }
+
     /// [`plan_edits`](Self::plan_edits) through the keyed index: only rows
-    /// that can satisfy `probe` are visited — index candidates in chunk
-    /// bases, every overlay replacement row (the overlay is the unindexed
-    /// delta), and the pending tail. Returns the plan plus the rows
-    /// visited, or `None` when the probe's column carries no index.
+    /// that can satisfy `probe` are visited (see the keyed walk: index
+    /// candidates in chunk bases, every overlay replacement row, and the
+    /// pending tail). Returns the plan plus the rows visited, or `None`
+    /// when the probe's column carries no index.
     ///
     /// **Contract**: `probe` must be a *necessary* condition of `f`'s
     /// decision (rows failing the probe would yield [`RowEdit::Keep`]).
     /// Under that contract the produced plan is identical to the full-scan
     /// plan — same entries, same order, same logical touch counts.
-    pub fn plan_edits_keyed<E>(
+    pub fn plan_edits_keyed<E: From<PagerError>>(
         &self,
         probe: &KeyProbe,
         mut f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
     ) -> Result<Option<(Vec<PlannedEdit>, u64)>, E> {
-        if !self.indexed.contains(&probe.col()) {
-            return Ok(None);
-        }
         let mut plan = Vec::new();
-        let mut visited = 0u64;
-        let mut offs: Vec<usize> = Vec::new();
-        for (ci, chunk) in self.chunks.iter().enumerate() {
-            let Some(map) = chunk.keys.get(&probe.col()) else {
-                return Ok(None); // unindexed chunk: caller falls back
-            };
-            // Offsets to visit: index candidates not superseded by the
-            // overlay, plus every overlay entry — sorted so the plan
-            // matches the full scan's base-offset order exactly. Computed
-            // from the key map and overlay alone, so a cold chunk with no
-            // candidates is skipped without paging it in.
-            let edits = chunk.edits.as_deref();
-            offs.clear();
-            offs.extend(
-                probe
-                    .candidates(map)
-                    .map(|o| o as usize)
-                    .filter(|o| edits.is_none_or(|e| !e.contains_key(o))),
-            );
-            if let Some(edits) = edits {
-                offs.extend(edits.keys().copied());
+        let visited = self.keyed_walk(probe, |pin, ci, offs| {
+            let mut visited = 0;
+            for &off in offs {
+                visited += Self::plan_offset(pin, ci, off, &mut f, &mut plan)?;
             }
-            offs.sort_unstable();
-            if offs.is_empty() {
-                continue;
-            }
-            let view = self.view_at(ci);
-            for &off in offs.iter() {
-                visited += Self::plan_offset(&view, ci, off, &mut f, &mut plan)?;
-            }
-        }
-        if !self.pending.is_empty() {
-            let ci = self.chunks.len();
-            let view = self.view_at(ci);
-            for off in 0..view.base.len() {
-                visited += Self::plan_offset(&view, ci, off, &mut f, &mut plan)?;
-            }
-        }
-        Ok(Some((plan, visited)))
+            Ok::<_, E>(visited)
+        })?;
+        Ok(visited.map(|v| (plan, v)))
     }
 
     /// The live rows that can satisfy `probe`, in live (iteration) order,
     /// plus the rows visited while collecting them — the read-path twin of
-    /// [`plan_edits_keyed`](Self::plan_edits_keyed). Visits index
-    /// candidates in chunk bases (skipping those superseded by the
-    /// overlay), every overlay replacement row (the overlay is the
-    /// unindexed delta), and the pending tail; each visited value is
-    /// re-checked against the probe, so the output equals the full scan
-    /// filtered by [`KeyProbe::matches`] — same rows, same order. `None`
-    /// when the probe's column carries no index (or any chunk's map has
-    /// not been paged in), so the caller falls back to a scan.
-    pub fn keyed_rows(&self, probe: &KeyProbe) -> Option<(Vec<Tuple>, u64)> {
-        if !self.indexed.contains(&probe.col()) {
-            return None;
-        }
+    /// [`plan_edits_keyed`](Self::plan_edits_keyed), over the same keyed
+    /// walk. Each visited value is re-checked against the probe, so the
+    /// output equals the full scan filtered by [`KeyProbe::matches`] —
+    /// same rows, same order. `Ok(None)` when the probe's column carries
+    /// no index (or some chunk has no map for it), so the caller falls
+    /// back to a scan.
+    pub fn keyed_rows(&self, probe: &KeyProbe) -> Result<Option<(Vec<Tuple>, u64)>, PagerError> {
         let mut out = Vec::new();
-        let mut visited = 0u64;
-        let mut offs: Vec<usize> = Vec::new();
-        for (ci, chunk) in self.chunks.iter().enumerate() {
-            let map = chunk.keys.get(&probe.col())?;
-            let edits = chunk.edits.as_deref();
-            offs.clear();
-            offs.extend(
-                probe
-                    .candidates(map)
-                    .map(|o| o as usize)
-                    .filter(|o| edits.is_none_or(|e| !e.contains_key(o))),
-            );
-            if let Some(edits) = edits {
-                offs.extend(edits.keys().copied());
-            }
-            offs.sort_unstable();
-            if offs.is_empty() {
-                continue;
-            }
-            let view = self.view_at(ci);
-            for &off in offs.iter() {
-                match view.edits.and_then(|e| e.get(&off)) {
-                    None => {
-                        visited += 1;
-                        let t = &view.base[off];
-                        if probe.matches(t.value(probe.col())) {
-                            out.push(t.clone());
-                        }
-                    }
-                    Some(reps) => {
-                        visited += reps.len() as u64;
-                        for t in reps {
-                            if probe.matches(t.value(probe.col())) {
-                                out.push(t.clone());
-                            }
-                        }
+        let visited = self.keyed_walk(probe, |pin, _, offs| {
+            let mut visited = 0;
+            for &off in offs {
+                let rows = pin.rows_at(off);
+                visited += rows.len() as u64;
+                for t in rows {
+                    if probe.matches(t.value(probe.col())) {
+                        out.push(t.clone());
                     }
                 }
             }
-        }
-        for t in &self.pending {
-            visited += 1;
-            if probe.matches(t.value(probe.col())) {
-                out.push(t.clone());
-            }
-        }
-        Some((out, visited))
+            Ok::<_, PagerError>(visited)
+        })?;
+        Ok(visited.map(|v| (out, v)))
     }
 
     /// Full-scan qualification + edit in one step: plans with
     /// [`plan_edits`](Self::plan_edits) (metering every live row in
     /// [`qual_work`](Self::qual_work)) and applies. Returns the storage
     /// entries written.
-    pub fn edit<E>(&mut self, f: impl FnMut(&Tuple) -> Result<RowEdit, E>) -> Result<usize, E> {
+    pub fn edit<E: From<PagerError>>(
+        &mut self,
+        f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
+    ) -> Result<usize, E> {
         let plan = self.plan_edits(f)?;
         self.qual_work += self.live as u64;
         Ok(self.apply_edits(plan))
@@ -1389,7 +1264,7 @@ impl TupleStore {
     /// actually visited) and applies. `None` when the probe's column
     /// carries no index — the caller decides whether to fall back to
     /// [`edit`](Self::edit).
-    pub fn edit_where<E>(
+    pub fn edit_where<E: From<PagerError>>(
         &mut self,
         probe: &KeyProbe,
         f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
@@ -1413,7 +1288,6 @@ impl TupleStore {
         if plan.is_empty() {
             return 0;
         }
-        self.invalidate();
         if self.journal.is_some() {
             let entries: Vec<(usize, usize, Vec<Tuple>, u64)> = plan
                 .iter()
@@ -1477,8 +1351,9 @@ impl TupleStore {
     /// [`TARGET_CHUNK_ROWS`] chunks. Logically a no-op: the tuple sequence
     /// is unchanged; only the physical layout (and fork cost) improves.
     /// O(table) — the policy in [`should_compact`](Self::should_compact)
-    /// keeps it amortized O(1) per written row.
-    pub fn compact(&mut self) {
+    /// keeps it amortized O(1) per written row. Reads each chunk through
+    /// one transient pin; a pager failure leaves the store untouched.
+    pub fn compact(&mut self) -> Result<(), PagerError> {
         // Already dense — no overlays, no tail, every chunk but the last
         // full (exactly the layout a rebuild would produce): skip the
         // O(table) rebuild.
@@ -1488,9 +1363,12 @@ impl TupleStore {
             .is_none_or(|(_, init)| init.iter().all(|c| c.base.len() == TARGET_CHUNK_ROWS));
         if self.pending.is_empty() && dense_prefix && self.chunks.iter().all(|c| c.edits.is_none())
         {
-            return;
+            return Ok(());
         }
-        let tuples: Vec<Tuple> = self.iter().cloned().collect();
+        let mut tuples = Vec::with_capacity(self.live);
+        for ci in 0..self.total_views() {
+            tuples.extend(self.lazy_view(ci).pin()?.iter().cloned());
+        }
         let work = self.write_work + tuples.len() as u64;
         let logical = self.logical_writes;
         let qual = self.qual_work;
@@ -1504,10 +1382,11 @@ impl TupleStore {
         self.logical_writes = logical;
         self.qual_work = qual;
         for col in indexed {
-            self.create_key_index(col);
+            self.create_key_index(col)?;
         }
         self.journal = journal;
         self.log(JournalOp::Compact);
+        Ok(())
     }
 
     /// The maximal runs of consecutive chunks worth folding: runs
@@ -1570,36 +1449,39 @@ impl TupleStore {
     /// spent: O(rows in fragmented runs), **not** O(table), which is what
     /// keeps sustained churn on very large tables from ever paying a
     /// whole-table fold. Logically a no-op, like
-    /// [`compact`](Self::compact).
-    pub fn compact_runs(&mut self) -> u64 {
+    /// [`compact`](Self::compact). Reads each folded chunk through one
+    /// transient pin; a pager failure leaves the store untouched.
+    pub fn compact_runs(&mut self) -> Result<u64, PagerError> {
         let runs = self.fragmented_runs();
         if runs.is_empty() {
-            return 0;
+            return Ok(0);
         }
-        self.invalidate();
-        self.log(JournalOp::CompactRuns);
-        let indexed = self.indexed.clone();
         let mut work = 0u64;
-        // Right to left so earlier run indices stay valid across splices.
-        for run in runs.iter().rev() {
+        let mut folds = Vec::with_capacity(runs.len());
+        for run in runs {
             let mut rows: Vec<Tuple> = Vec::new();
-            for ci in run.clone() {
-                rows.extend(self.view_at(ci).iter().cloned());
+            for c in &self.chunks[run.clone()] {
+                rows.extend(c.pin()?.iter().cloned());
             }
-            work += rows.len() as u64 * (1 + indexed.len() as u64);
+            work += rows.len() as u64 * (1 + self.indexed.len() as u64);
             let mut folded = Vec::with_capacity(rows.len().div_ceil(TARGET_CHUNK_ROWS).max(1));
             while rows.len() > TARGET_CHUNK_ROWS {
                 let tail = rows.split_off(TARGET_CHUNK_ROWS);
-                folded.push(Chunk::dense_indexed(rows.into(), &indexed));
+                folded.push(Chunk::dense_indexed(rows.into(), &self.indexed));
                 rows = tail;
             }
             if !rows.is_empty() {
-                folded.push(Chunk::dense_indexed(rows.into(), &indexed));
+                folded.push(Chunk::dense_indexed(rows.into(), &self.indexed));
             }
-            self.chunks.splice(run.clone(), folded);
+            folds.push((run, folded));
+        }
+        self.log(JournalOp::CompactRuns);
+        // Right to left so earlier run indices stay valid across splices.
+        for (run, folded) in folds.into_iter().rev() {
+            self.chunks.splice(run, folded);
         }
         self.write_work += work;
-        work
+        Ok(work)
     }
 
     /// Should the catalog fold this version before publishing it? True when
@@ -1726,7 +1608,7 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..10).map(t).collect());
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(match tp.value(0).as_int().unwrap() {
+                Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     3 => RowEdit::Remove,
                     5 => RowEdit::Replace(vec![t(50)]),
                     7 => RowEdit::Replace(vec![t(70), t(71)]),
@@ -1744,7 +1626,7 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..4).map(t).collect());
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(if tp.value(0).as_int() == Some(1) {
+                Ok::<_, PagerError>(if tp.value(0).as_int() == Some(1) {
                     RowEdit::Replace(vec![t(10), t(11)])
                 } else {
                     RowEdit::Keep
@@ -1755,7 +1637,7 @@ mod tests {
         // Now edit one member of the replacement list.
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(if tp.value(0).as_int() == Some(10) {
+                Ok::<_, PagerError>(if tp.value(0).as_int() == Some(10) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
@@ -1774,7 +1656,7 @@ mod tests {
         let mut fork = base.clone();
         let plan = fork
             .plan_edits(|tp| {
-                Ok::<_, ()>(if tp.value(0).as_int() == Some(1999) {
+                Ok::<_, PagerError>(if tp.value(0).as_int() == Some(1999) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
@@ -1795,7 +1677,7 @@ mod tests {
         let before = s.write_work();
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(if tp.value(0).as_int().unwrap() % 1000 == 0 {
+                Ok::<_, PagerError>(if tp.value(0).as_int().unwrap() % 1000 == 0 {
                     RowEdit::Replace(vec![t(-1)])
                 } else {
                     RowEdit::Keep
@@ -1812,7 +1694,7 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..1000).map(t).collect());
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(match tp.value(0).as_int().unwrap() {
+                Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     x if x % 3 == 0 => RowEdit::Remove,
                     x if x % 3 == 1 => RowEdit::Replace(vec![t(-x)]),
                     _ => RowEdit::Keep,
@@ -1824,7 +1706,7 @@ mod tests {
             s.push(t(10_000 + i));
         }
         let before = ints(&s);
-        s.compact();
+        s.compact().unwrap();
         assert_eq!(ints(&s), before);
         let sum = s.summary();
         assert_eq!(sum.overlay_rows, 0);
@@ -1833,34 +1715,12 @@ mod tests {
     }
 
     #[test]
-    fn tuple_at_matches_iteration() {
-        let mut s = TupleStore::from_tuples((0..700).map(t).collect());
-        let plan = s
-            .plan_edits(|tp| {
-                Ok::<_, ()>(match tp.value(0).as_int().unwrap() {
-                    100 => RowEdit::Remove,
-                    600 => RowEdit::Replace(vec![t(6000), t(6001)]),
-                    _ => RowEdit::Keep,
-                })
-            })
-            .unwrap();
-        s.apply_edits(plan);
-        s.push(t(9999));
-        let seq: Vec<&Tuple> = s.iter().collect();
-        assert_eq!(seq.len(), s.len());
-        for (i, expect) in seq.iter().enumerate() {
-            assert_eq!(s.tuple_at(i), Some(*expect), "position {i}");
-        }
-        assert_eq!(s.tuple_at(s.len()), None);
-    }
-
-    #[test]
     fn plan_error_leaves_store_untouched() {
         let s = TupleStore::from_tuples((0..10).map(t).collect());
         let before = ints(&s);
         let r = s.plan_edits(|tp| {
             if tp.value(0).as_int() == Some(5) {
-                Err("boom")
+                Err(PagerError("boom".into()))
             } else {
                 Ok(RowEdit::Remove)
             }
@@ -1875,7 +1735,7 @@ mod tests {
         s.push(t(5000));
         // An overlay: a tombstone and a split, so `get` walks edits too.
         s.edit(|tp| {
-            Ok::<_, ()>(match tp.value(0).as_int() {
+            Ok::<_, PagerError>(match tp.value(0).as_int() {
                 Some(3) => RowEdit::Remove,
                 Some(7) => RowEdit::Replace(vec![t(70), t(71)]),
                 _ => RowEdit::Keep,
@@ -1908,11 +1768,11 @@ mod tests {
     #[test]
     fn keyed_plan_equals_scan_plan() {
         let mut s = TupleStore::from_tuples((0..2000).map(t).collect());
-        s.create_key_index(0);
+        s.create_key_index(0).unwrap();
         // Fragment: tombstone, replace, split, plus a pending tail.
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(match tp.value(0).as_int().unwrap() {
+                Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     7 => RowEdit::Remove,
                     600 => RowEdit::Replace(vec![t(-600)]),
                     1500 => RowEdit::Replace(vec![t(1500), t(1501)]),
@@ -1924,7 +1784,7 @@ mod tests {
         s.push(t(99_999));
         for probe in [eq_probe(3), eq_probe(-600), eq_probe(99_999), eq_probe(42)] {
             let f = |tp: &Tuple| {
-                Ok::<_, ()>(if probe.matches(tp.value(0)) {
+                Ok::<_, PagerError>(if probe.matches(tp.value(0)) {
                     RowEdit::Replace(vec![t(-1)])
                 } else {
                     RowEdit::Keep
@@ -1944,11 +1804,11 @@ mod tests {
     #[test]
     fn keyed_rows_equal_filtered_scan() {
         let mut s = TupleStore::from_tuples((0..2000).map(|x| t(x % 50)).collect());
-        s.create_key_index(0);
+        s.create_key_index(0).unwrap();
         // Fragment: tombstone, replace into the probed key, split, pending.
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(match tp.value(0).as_int().unwrap() {
+                Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     7 => RowEdit::Remove,
                     13 => RowEdit::Replace(vec![t(42)]),
                     29 => RowEdit::Replace(vec![t(29), t(42)]),
@@ -1973,7 +1833,7 @@ mod tests {
                 .filter(|tp| probe.matches(tp.value(0)))
                 .cloned()
                 .collect();
-            let (keyed, visited) = s.keyed_rows(&probe).unwrap();
+            let (keyed, visited) = s.keyed_rows(&probe).unwrap().unwrap();
             assert_eq!(keyed, scan, "probe {probe:?}");
             assert!(
                 visited < s.len() as u64,
@@ -1985,17 +1845,17 @@ mod tests {
     #[test]
     fn keyed_rows_require_an_index() {
         let s = TupleStore::from_tuples((0..10).map(t).collect());
-        assert!(s.keyed_rows(&eq_probe(3)).is_none());
+        assert!(s.keyed_rows(&eq_probe(3)).unwrap().is_none());
     }
 
     #[test]
     fn keyed_edit_meters_qual_work() {
         let mut s = TupleStore::from_tuples((0..10_000).map(t).collect());
-        s.create_key_index(0);
+        s.create_key_index(0).unwrap();
         let before = s.qual_work();
         let r = s
             .edit_where(&eq_probe(5_000), |tp| {
-                Ok::<_, ()>(if tp.value(0).as_int() == Some(5_000) {
+                Ok::<_, PagerError>(if tp.value(0).as_int() == Some(5_000) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
@@ -2008,7 +1868,7 @@ mod tests {
         assert!(r.visited <= 8, "one-key edit visited {} rows", r.visited);
         // The scan path meters every live row.
         let before = s.qual_work();
-        s.edit(|_| Ok::<_, ()>(RowEdit::Keep)).unwrap();
+        s.edit(|_| Ok::<_, PagerError>(RowEdit::Keep)).unwrap();
         assert_eq!(s.qual_work() - before, s.len() as u64);
     }
 
@@ -2016,7 +1876,7 @@ mod tests {
     fn edit_where_requires_an_index() {
         let mut s = TupleStore::from_tuples((0..10).map(t).collect());
         assert!(s
-            .edit_where(&eq_probe(3), |_| Ok::<_, ()>(RowEdit::Keep))
+            .edit_where(&eq_probe(3), |_| Ok::<_, PagerError>(RowEdit::Keep))
             .unwrap()
             .is_none());
         assert!(s.qualification_estimate(&eq_probe(3)).is_none());
@@ -2025,7 +1885,7 @@ mod tests {
     #[test]
     fn index_survives_seal_compact_and_fork() {
         let mut s = TupleStore::new();
-        s.create_key_index(0);
+        s.create_key_index(0).unwrap();
         for i in 0..(TARGET_CHUNK_ROWS as i64 * 2 + 50) {
             s.push(t(i % 100));
         }
@@ -2036,7 +1896,7 @@ mod tests {
         assert!(est.keyed < est.scan);
         let fork = s.clone();
         assert_eq!(fork.indexed_columns(), &[0]);
-        s.compact();
+        s.compact().unwrap();
         assert_eq!(s.indexed_columns(), &[0]);
         let est = s.qualification_estimate(&eq_probe(17)).unwrap();
         assert_eq!(est.pending, 0);
@@ -2055,7 +1915,7 @@ mod tests {
         let chunks_before = s.summary().chunks;
         assert!(s.should_compact_runs());
         let base = s.clone();
-        let work = s.compact_runs();
+        let work = s.compact_runs().unwrap();
         // Logical no-op…
         assert_eq!(ints(&s), before);
         // …that folded the tiny tail run only: the three full chunks are
@@ -2077,7 +1937,7 @@ mod tests {
         let plan = s
             .plan_edits(|tp| {
                 let x = tp.value(0).as_int().unwrap();
-                Ok::<_, ()>(if (600..740).contains(&x) {
+                Ok::<_, PagerError>(if (600..740).contains(&x) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
@@ -2088,7 +1948,7 @@ mod tests {
         let base = s.clone();
         assert!(s.should_compact_runs());
         let before = ints(&s);
-        let work = s.compact_runs();
+        let work = s.compact_runs().unwrap();
         assert_eq!(ints(&s), before);
         assert_eq!(s.summary().dead_rows, 0);
         // The clean first chunk stayed shared; work is O(folded run).
@@ -2098,8 +1958,8 @@ mod tests {
 
     /// Physical layouts are equal: same chunk boundaries, same overlays,
     /// same live counts — not just the same logical sequence.
-    fn resident_rows<'a>(p: &ChunkPart<'a>) -> &'a Arc<[Tuple]> {
-        match p.source {
+    fn resident_rows(p: &ChunkPart) -> &Arc<[Tuple]> {
+        match &p.source {
             ChunkSource::Resident(a) => a,
             ChunkSource::Cold { .. } => panic!("expected a resident chunk"),
         }
@@ -2119,10 +1979,10 @@ mod tests {
     #[test]
     fn parts_round_trip_rebuilds_layout() {
         let mut s = TupleStore::from_tuples((0..1300).map(t).collect());
-        s.create_key_index(0);
+        s.create_key_index(0).unwrap();
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(match tp.value(0).as_int().unwrap() {
+                Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     7 => RowEdit::Remove,
                     600 => RowEdit::Replace(vec![t(-600), t(-601)]),
                     _ => RowEdit::Keep,
@@ -2131,17 +1991,7 @@ mod tests {
             .unwrap();
         s.apply_edits(plan);
         s.seal_pending();
-        let parts = s
-            .chunk_parts()
-            .into_iter()
-            .map(|p| {
-                (
-                    Arc::clone(resident_rows(&p)),
-                    p.edits.cloned().unwrap_or_default(),
-                )
-            })
-            .collect();
-        let rebuilt = TupleStore::from_parts(parts, s.indexed_columns());
+        let rebuilt = TupleStore::from_parts(s.chunk_parts(), None, s.indexed_columns());
         assert_same_layout(&s, &rebuilt);
         assert_eq!(rebuilt.indexed_columns(), &[0]);
         assert!(
@@ -2157,7 +2007,7 @@ mod tests {
     fn journal_replay_reproduces_layout() {
         // Base version: sealed, published-like store.
         let mut base = TupleStore::from_tuples((0..1000).map(t).collect());
-        base.create_key_index(0);
+        base.create_key_index(0).unwrap();
         base.seal_pending();
 
         // Fork, journal a workload heavy enough to trigger folds.
@@ -2168,7 +2018,7 @@ mod tests {
         }
         let plan = fork
             .plan_edits(|tp| {
-                Ok::<_, ()>(match tp.value(0).as_int().unwrap() {
+                Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     x if (100..400).contains(&x) => RowEdit::Remove,
                     500 => RowEdit::Replace(vec![t(1), t(2)]),
                     _ => RowEdit::Keep,
@@ -2176,25 +2026,16 @@ mod tests {
             })
             .unwrap();
         fork.apply_edits(plan);
-        fork.create_key_index(0); // idempotent: must not journal
-        fork.compact_runs();
-        fork.compact();
+        fork.create_key_index(0).unwrap(); // idempotent: must not journal
+        fork.compact_runs().unwrap();
+        fork.compact().unwrap();
         fork.seal_pending();
         let ops = fork.take_journal().expect("journal armed");
 
         // Recovery: rebuild the base layout from parts, replay the ops.
-        let parts = base
-            .chunk_parts()
-            .into_iter()
-            .map(|p| {
-                (
-                    Arc::clone(resident_rows(&p)),
-                    p.edits.cloned().unwrap_or_default(),
-                )
-            })
-            .collect();
-        let mut recovered = TupleStore::from_parts(parts, base.indexed_columns());
-        recovered.apply_journal(ops);
+        let mut recovered =
+            TupleStore::from_parts(base.chunk_parts(), None, base.indexed_columns());
+        recovered.apply_journal(ops).unwrap();
         assert_same_layout(&fork, &recovered);
         assert_eq!(recovered.indexed_columns(), fork.indexed_columns());
     }
@@ -2218,7 +2059,7 @@ mod tests {
         s.begin_journal();
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(if tp.value(0).as_int().unwrap() % 500 == 0 {
+                Ok::<_, PagerError>(if tp.value(0).as_int().unwrap() % 500 == 0 {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
@@ -2226,7 +2067,7 @@ mod tests {
             })
             .unwrap();
         s.apply_edits(plan);
-        s.compact();
+        s.compact().unwrap();
         let ops = s.take_journal().unwrap();
         let tuples_logged: usize = ops
             .iter()
@@ -2246,7 +2087,7 @@ mod tests {
         assert!(!s.should_compact());
         let plan = s
             .plan_edits(|tp| {
-                Ok::<_, ()>(if tp.value(0).as_int().unwrap() < 60 {
+                Ok::<_, PagerError>(if tp.value(0).as_int().unwrap() < 60 {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
@@ -2255,7 +2096,7 @@ mod tests {
             .unwrap();
         s.apply_edits(plan);
         assert!(s.should_compact());
-        s.compact();
+        s.compact().unwrap();
         assert!(!s.should_compact());
     }
 
@@ -2301,21 +2142,18 @@ mod tests {
     fn cold_store(pager: &Arc<TestPager>) -> TupleStore {
         let cold: Vec<Tuple> = (0..512).map(t).collect();
         pager.chunks.lock().unwrap().insert(7, cold);
-        TupleStore::from_paged_parts(
+        TupleStore::from_parts(
             vec![
-                (
-                    OwnedChunkSource::Cold {
-                        pager: Arc::clone(pager) as Arc<dyn ChunkPager>,
-                        id: 7,
-                        len: 512,
-                    },
-                    BTreeMap::new(),
-                ),
-                (
-                    OwnedChunkSource::Resident((512..600).map(t).collect::<Vec<_>>().into()),
-                    BTreeMap::new(),
-                ),
+                ChunkPart {
+                    source: ChunkSource::Cold { id: 7, len: 512 },
+                    edits: BTreeMap::new(),
+                },
+                ChunkPart {
+                    source: ChunkSource::Resident((512..600).map(t).collect()),
+                    edits: BTreeMap::new(),
+                },
             ],
+            Some(Arc::clone(pager) as Arc<dyn ChunkPager>),
             &[],
         )
     }
@@ -2326,7 +2164,6 @@ mod tests {
         let s = cold_store(&pager);
         assert_eq!(s.len(), 600);
         assert_eq!(pager.loads(), 0, "construction must not page anything in");
-        assert!(s.as_single_slice().is_none());
         // Serialization surfaces identity, not rows.
         let parts = s.chunk_parts();
         assert!(matches!(
@@ -2353,6 +2190,41 @@ mod tests {
         // The resident chunk never involves the pager.
         assert_eq!(views[1].pin().unwrap().iter().count(), 88);
         assert_eq!(pager.loads(), 3);
+        // The store's own readers pin transiently too: a full-scan edit
+        // pages the cold chunk in and releases it.
+        let mut s = cold_store(&pager);
+        let cold = |s: &TupleStore| !s.lazy_views()[0].is_resident();
+        s.edit(|tp| {
+            Ok::<_, PagerError>(match tp.value(0).as_int() {
+                Some(3) => RowEdit::Replace(vec![t(-3)]),
+                _ => RowEdit::Keep,
+            })
+        })
+        .unwrap();
+        assert!(cold(&s), "a full-scan edit parked the cold chunk");
+        assert_eq!(pager.loads(), 4);
+        // A key-index build and a keyed edit do too.
+        s.create_key_index(0).unwrap();
+        assert!(cold(&s), "the key-index build parked the cold chunk");
+        let r = s
+            .edit_where(&eq_probe(5), |tp| {
+                Ok::<_, PagerError>(if tp.value(0).as_int() == Some(5) {
+                    RowEdit::Remove
+                } else {
+                    RowEdit::Keep
+                })
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(r.written, 1);
+        assert!(cold(&s), "a keyed edit parked the cold chunk");
+        assert_eq!(pager.loads(), 6);
+        let (rows, _) = s.keyed_rows(&eq_probe(-3)).unwrap().unwrap();
+        assert_eq!(rows, vec![t(-3)]);
+        assert!(cold(&s), "a keyed read parked the cold chunk");
+        let mut want: Vec<i64> = (0..600).filter(|&x| x != 5).collect();
+        want[3] = -3;
+        assert_eq!(ints(&s.clone()), want);
     }
 
     #[test]
@@ -2361,7 +2233,6 @@ mod tests {
         let s = cold_store(&pager);
         assert_eq!(ints(&s), (0..600).collect::<Vec<_>>());
         assert_eq!(ints(&s), (0..600).collect::<Vec<_>>());
-        assert_eq!(s.tuple_at(100).unwrap().value(0).as_int().unwrap(), 100);
         assert_eq!(pager.loads(), 1, "park caches the rows for this version");
         assert!(s.lazy_views().iter().all(|v| v.is_resident()));
         // A clone starts un-parked and pages in on its own.
@@ -2374,18 +2245,37 @@ mod tests {
     fn pin_surfaces_pager_errors() {
         let pager = TestPager::of(vec![]);
         let s = cold_store(&pager);
+        let mut keyed = s.clone();
+        keyed.create_key_index(0).unwrap();
         pager.fail.store(true, std::sync::atomic::Ordering::SeqCst);
         let views = s.lazy_views();
         assert!(views[0].pin().is_err());
         // The resident view still pins fine.
         assert!(views[1].pin().is_ok());
+        // Every store-internal reader surfaces the failure as an error.
+        let injected = Some(PagerError("injected".into()));
+        let keep = |_: &Tuple| Ok::<_, PagerError>(RowEdit::Keep);
+        assert_eq!(s.plan_edits(keep).err(), injected);
+        assert_eq!(keyed.plan_edits_keyed(&eq_probe(5), keep).err(), injected);
+        assert_eq!(keyed.keyed_rows(&eq_probe(5)).err(), injected);
+        let mut failing = s.clone();
+        assert_eq!(failing.create_key_index(0).err(), injected);
+        // Tombstone 200 rows of the cold chunk so both folds have work.
+        failing.chunks[0].edits = Some(Arc::new((0..200).map(|o| (o, Vec::new())).collect()));
+        assert!(failing.should_compact_runs());
+        assert_eq!(failing.compact_runs().err(), injected);
+        assert_eq!(failing.compact().err(), injected);
+        // …and leaves the store as it was.
+        assert_eq!(failing.indexed_columns(), &[] as &[usize]);
+        assert_eq!(failing.summary().chunks, 2);
+        assert_eq!(failing.summary().dead_rows, 200);
     }
 
     #[test]
     fn demote_where_is_logically_invisible() {
         let pager = TestPager::of(vec![]);
         let mut s = TupleStore::from_tuples((0..600).map(t).collect());
-        s.create_key_index(0);
+        s.create_key_index(0).unwrap();
         let before = ints(&s);
         // Stash each chunk's rows in the pager under its would-be id, then
         // demote everything.
@@ -2412,7 +2302,7 @@ mod tests {
         let est = s.qualification_estimate(&eq_probe(5)).unwrap();
         assert!(est.keyed < est.scan);
         let (plan, visited) = s
-            .plan_edits_keyed(&eq_probe(5), |_| Ok::<_, ()>(RowEdit::Remove))
+            .plan_edits_keyed(&eq_probe(5), |_| Ok::<_, PagerError>(RowEdit::Remove))
             .unwrap()
             .unwrap();
         assert_eq!(plan.len(), 1);

@@ -147,8 +147,7 @@ fn main() {
     // ------------------------------------------------------------------
     assert_eq!(v.len(), 5, "Fig. 2 has exactly five tuples");
     let find = |bid: i64, pid: i64, name: &str| {
-        v.tuples()
-            .iter()
+        v.iter()
             .find(|t| {
                 t.value(0) == &Value::Int(bid)
                     && t.value(2) == &Value::Int(pid)

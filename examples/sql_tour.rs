@@ -111,7 +111,6 @@ fn main() {
     // The terminated bug's end point is min(now, 09/01) = +09/01 — still
     // ongoing, still correct at every reference time.
     let b500 = after
-        .tuples()
         .iter()
         .find(|t| t.value(0) == &Value::Int(500))
         .unwrap();

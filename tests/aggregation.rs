@@ -80,7 +80,6 @@ fn aggregate_values_track_reference_time() {
     let result = execute(&db, &plan).unwrap();
     assert_eq!(result.len(), 2);
     let group_a = result
-        .tuples()
         .iter()
         .find(|t| t.value(0).as_str() == Some("a"))
         .unwrap();
@@ -94,7 +93,6 @@ fn aggregate_values_track_reference_time() {
 
     // Duplicates in group b count once where both copies are alive.
     let group_b = result
-        .tuples()
         .iter()
         .find(|t| t.value(0).as_str() == Some("b"))
         .unwrap();
@@ -125,8 +123,11 @@ fn having_style_predicates_over_aggregates() {
     let result = execute(&db, &plan).unwrap();
     // Only group "a" ever reaches count 2 — during [5, 15).
     assert_eq!(result.len(), 1);
-    assert_eq!(result.tuples()[0].value(0).as_str(), Some("a"));
-    assert_eq!(result.tuples()[0].rt(), &IntervalSet::range(tp(5), tp(15)));
+    assert_eq!(result.iter().next().unwrap().value(0).as_str(), Some("a"));
+    assert_eq!(
+        result.iter().next().unwrap().rt(),
+        &IntervalSet::range(tp(5), tp(15))
+    );
 }
 
 #[test]
@@ -151,7 +152,7 @@ fn ongoing_int_values_round_trip_through_storage() {
     use ongoingdb::engine::storage::codec::{decode_tuple, encode_tuple};
     let db = sample_db();
     let result = execute(&db, &agg_plan(&db)).unwrap();
-    for t in result.tuples() {
+    for t in result.iter() {
         let bytes = encode_tuple(t);
         assert_eq!(&decode_tuple(&bytes).unwrap(), t);
     }

@@ -134,7 +134,7 @@ fn cliff_max_is_past_every_endpoint_and_stabilizes_memberships() {
     assert_eq!(at_max, later);
     // ... and at Cliff_max every [a, now) interval instantiates non-empty.
     let b = db.table("B").unwrap();
-    for t in b.data().tuples() {
+    for t in b.data().iter() {
         let iv = t.value(2).as_interval().unwrap();
         assert!(iv.nonempty_at(rt));
     }

@@ -256,7 +256,7 @@ fn analyze_then_modify_refreshes_statistics_past_the_threshold() {
     assert!(after_bulk.fixed(1).unwrap().distinct > 150);
     db.modify_table("L", |rel| {
         let mut out = OngoingRelation::new(rel.schema().clone());
-        for (i, t) in rel.tuples().iter().enumerate() {
+        for (i, t) in rel.iter().enumerate() {
             let mut vals = t.values().to_vec();
             if i < 100 {
                 vals[1] = Value::Int(7_777);

@@ -244,7 +244,7 @@ fn ablation_configs_agree() {
 }
 
 fn sorted(rel: &OngoingRelation) -> Vec<String> {
-    let mut rows: Vec<String> = rel.tuples().iter().map(|t| format!("{t}")).collect();
+    let mut rows: Vec<String> = rel.iter().map(|t| format!("{t}")).collect();
     rows.sort();
     rows
 }

@@ -21,7 +21,7 @@ use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::algebra::ProjItem;
 use ongoing_relation::{algebra, CmpOp, Expr, OngoingRelation, Schema, Value, ValueType};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
-use ongoingdb::engine::{execute, Database, LogicalPlan, QueryBuilder};
+use ongoingdb::engine::{execute, Database, EngineError, LogicalPlan, QueryBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -376,7 +376,7 @@ fn random_plans_commute_with_bind() {
             // A sealed, key-indexed table lowers key scans and keyed
             // hash-join builds.
             rel.seal_pending();
-            rel.create_key_index(0).unwrap();
+            rel.create_key_index::<EngineError>(0).unwrap();
         }
         db.create_table(&format!("T{i}"), rel).unwrap();
     }
@@ -546,12 +546,7 @@ fn random_plans_agree_across_join_strategies() {
             };
             let phys = compile(&db, &plan, &cfg).unwrap();
             let (rel, _) = phys.execute_with_stats(&cfg.exec_context()).unwrap();
-            let mut rows: Vec<String> = rel
-                .coalesce()
-                .tuples()
-                .iter()
-                .map(|t| t.to_string())
-                .collect();
+            let mut rows: Vec<String> = rel.coalesce().iter().map(|t| t.to_string()).collect();
             rows.sort();
             match &reference {
                 None => reference = Some(rows),

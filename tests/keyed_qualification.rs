@@ -23,7 +23,7 @@ use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
 use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
 use ongoingdb::engine::modify::Modifier;
-use ongoingdb::engine::{Database, QualPath};
+use ongoingdb::engine::{Database, EngineError, QualPath};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -47,7 +47,7 @@ fn seeded(rows: usize, indexed: bool) -> OngoingRelation {
     }
     r.seal_pending();
     if indexed {
-        r.create_key_index(0).unwrap();
+        r.create_key_index::<EngineError>(0).unwrap();
     }
     r
 }
@@ -110,11 +110,11 @@ fn apply(rel: &mut OngoingRelation, op: &Op) -> usize {
             .unwrap(),
         Op::Delete { k } => m.delete(&k_eq(*k)).unwrap(),
         Op::Compact => {
-            rel.compact();
+            rel.compact().unwrap();
             0
         }
         Op::CompactRuns => {
-            rel.compact_runs();
+            rel.compact_runs().unwrap();
             0
         }
     }
@@ -342,8 +342,11 @@ fn residual_conjunct_errors_surface_lazily() {
 #[test]
 fn key_index_rejects_ongoing_columns() {
     let mut rel = seeded(10, false);
-    assert!(rel.create_key_index(2).is_err(), "VT is ongoing");
-    assert!(rel.create_key_index(0).is_ok());
+    assert!(
+        rel.create_key_index::<EngineError>(2).is_err(),
+        "VT is ongoing"
+    );
+    assert!(rel.create_key_index::<EngineError>(0).is_ok());
     assert_eq!(rel.key_indexed_columns(), &[0]);
 }
 

@@ -4,7 +4,7 @@
 
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_datasets::{synthetic, History, SyntheticConfig};
-use ongoing_relation::Expr;
+use ongoing_relation::{Expr, Tuple};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::storage::{chunkfile, layout};
 use ongoingdb::engine::{queries, Database, QueryBuilder};
@@ -138,9 +138,10 @@ fn index_scan_is_used_and_correct() {
 #[test]
 fn chunk_files_store_generated_relations() {
     let rel = synthetic::generate(&SyntheticConfig::dex(2_000, Some(1), 9));
-    let encoded = chunkfile::encode_chunk(rel.tuples());
+    let rows: Vec<Tuple> = rel.iter().cloned().collect();
+    let encoded = chunkfile::encode_chunk(&rows);
     let restored = chunkfile::decode_chunk(&encoded).unwrap();
-    assert_eq!(restored.as_slice(), rel.tuples());
+    assert_eq!(restored, rows);
     // ~40 B payloads plus framing: the on-disk image stays in the same
     // ballpark as the layout model's estimate, not a multiple of it.
     let f = layout::measure_relation(&rel);

@@ -24,7 +24,7 @@ use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
 use ongoingdb::engine::catalog::RetryPolicy;
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
-use ongoingdb::engine::storage::{DurableOptions, TempDir};
+use ongoingdb::engine::storage::{DurableOptions, FaultFs, TempDir};
 use ongoingdb::engine::{
     Database, EngineError, ExecContext, LogicalPlan, QueryBuilder, QueryControl,
 };
@@ -291,6 +291,107 @@ fn analyze_of_a_cold_table_stays_within_budget_and_leaves_it_cold() {
     let want = full.analyze("T").unwrap();
     assert_eq!(format!("{stats:?}"), format!("{want:?}"));
     assert_eq!(stats.rows, (16 * CHUNK) as u64);
+}
+
+/// `T`'s rows read one transient chunk pin at a time, so reading them
+/// leaves a cold table cold.
+fn pinned_rows(db: &Database) -> Vec<Tuple> {
+    let table = db.table("T").unwrap();
+    let mut rows = Vec::new();
+    for view in table.data().lazy_views() {
+        rows.extend(view.pin().unwrap().iter().cloned());
+    }
+    rows
+}
+
+#[test]
+fn unkeyed_modifications_of_a_cold_table_stay_within_budget_and_leave_it_cold() {
+    // Two identical seeds: one edited under the budget, one unbounded.
+    let (cold_dir, full_dir) = (
+        TempDir::new("govern-modify"),
+        TempDir::new("govern-modify-full"),
+    );
+    let budget = seed_out_of_core(cold_dir.path());
+    assert_eq!(seed_out_of_core(full_dir.path()), budget);
+    let col_eq = |col: usize, v: i64| Expr::Col(col).eq(Expr::lit(v));
+    // No key index on `T`, so both edits qualify by a full scan. A
+    // one-row terminate, then every `G = 3` row terminated at 0, which
+    // empties their valid time: tombstones, too few per chunk to fold.
+    let edit = |db: &Database| {
+        for (pred, at) in [(col_eq(0, 3), 30), (col_eq(1, 3), 0)] {
+            db.modify_table("T", |rel| {
+                Modifier::new(rel, "VT")?.terminate(&pred, tp(at))
+            })
+            .unwrap();
+        }
+    };
+    let db = Database::open_with(cold_dir.path(), opts(budget)).unwrap();
+    edit(&db);
+    let stats = db.durable_stats().unwrap();
+    assert!(
+        stats.cache_peak_bytes <= budget,
+        "modification peak resident {} exceeded budget {budget}",
+        stats.cache_peak_bytes
+    );
+    let t = db.table("T").unwrap();
+    let views = t.data().lazy_views();
+    assert_eq!(views.len(), 16);
+    assert!(
+        views.iter().all(|v| !v.is_resident()),
+        "the modifications left T's chunks resident"
+    );
+    let full = Database::open_with(full_dir.path(), opts(u64::MAX)).unwrap();
+    edit(&full);
+    let want = pinned_rows(&full);
+    assert_eq!(
+        want.len(),
+        16 * CHUNK - (0..16 * CHUNK).filter(|k| k % 7 == 3).count()
+    );
+    assert_eq!(pinned_rows(&db), want);
+}
+
+#[test]
+fn disk_corruption_on_the_write_path_is_an_error_not_a_panic() {
+    let dir = TempDir::new("govern-corrupt");
+    let budget = seed_out_of_core(dir.path());
+    // Damage every chunk file (T's sixteen and S's one) behind the open.
+    for entry in std::fs::read_dir(dir.path().join("chunks")).unwrap() {
+        FaultFs::flip_byte(&entry.unwrap().path(), 21).unwrap();
+    }
+    let db = Database::open_with(dir.path(), opts(budget)).unwrap();
+    let before = db.table("T").unwrap();
+    // A key-index build pages every chunk in; an unkeyed modification
+    // scans them. Both must surface the damage as an error.
+    let index = db
+        .create_key_index("T", "K")
+        .expect_err("a key index over corrupt chunks must fail");
+    let modify = db
+        .modify_table("T", |rel| {
+            Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(3i64)), tp(30))
+        })
+        .expect_err("a scan over corrupt chunks must fail");
+    assert!(matches!(index, EngineError::Io(_)), "{index:?}");
+    assert_eq!(modify, index);
+    // The published version is the one the open produced, still cold.
+    let after = db.table("T").unwrap();
+    assert!(Arc::ptr_eq(&before, &after), "a failed write published");
+    assert!(after.data().key_indexed_columns().is_empty());
+    assert!(after.data().lazy_views().iter().all(|v| !v.is_resident()));
+    // A later scan reports the same error.
+    let filter = QueryBuilder::scan(&db, "T")
+        .unwrap()
+        .filter(|s| Ok(Expr::col(s, "G")?.eq(Expr::lit(3i64))))
+        .unwrap()
+        .build();
+    let serial = PlannerConfig {
+        parallelism: 1,
+        ..PlannerConfig::default()
+    };
+    let err = compile(&db, &filter, &serial)
+        .unwrap()
+        .execute_with_stats(&serial.exec_context())
+        .expect_err("a scan over corrupt chunks must fail");
+    assert_eq!(err, index);
 }
 
 #[test]

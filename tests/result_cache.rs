@@ -28,7 +28,7 @@ use ongoingdb::engine::exec::{
 };
 use ongoingdb::engine::plan::compile;
 use ongoingdb::engine::sql::{explain_analyze, plan_query, prepare, query, run_statement};
-use ongoingdb::engine::{Database, MaterializedView, PlannerConfig, RefreshOutcome};
+use ongoingdb::engine::{Database, EngineError, MaterializedView, PlannerConfig, RefreshOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,11 +50,11 @@ fn bug_relation(rows: usize, indexed: bool) -> OngoingRelation {
         .unwrap();
     }
     if indexed {
-        r.create_key_index(0).unwrap();
+        r.create_key_index::<EngineError>(0).unwrap();
     }
     // Dense chunks, empty pending tail: the keyed-build gate measures an
     // overlay-free store, and chunk boundaries are stable across runs.
-    r.compact();
+    r.compact().unwrap();
     r
 }
 
