@@ -46,7 +46,7 @@ fn main() {
             .unwrap();
         let plan =
             queries::selection(&db, "Dsc", TemporalPredicate::Overlaps, (w.start, w.end)).unwrap();
-        let rt = clifford::cliff_max_reference_time(&db);
+        let rt = clifford::cliff_max_reference_time(&db).unwrap();
         let (t_on, _, s_on) = time_ongoing_stats(&db, &plan, &cfg, 5);
         let (t_cl, _, s_cl) = time_clifford_stats(&db, &plan, &cfg, rt, 5);
         let be = work_break_even(s_on.total_work(), s_cl.total_work());

@@ -64,7 +64,7 @@ fn main() {
             (w.start, w.end),
         )
         .unwrap();
-        let rt = clifford::cliff_max_reference_time(&db);
+        let rt = clifford::cliff_max_reference_time(&db).unwrap();
         let (t_on, on_res, s_on) = time_ongoing_stats(&db, &plan, &cfg, 5);
         let t_bind = time_bind(&on_res, rt, 5);
         let (t_cl, _, s_cl) = time_clifford_stats(&db, &plan, &cfg, rt, 5);
@@ -109,7 +109,7 @@ fn main() {
         // (it settles on hash joins for both sides on this workload).
         db.analyze_all();
         let plan = queries::complex_join(&db, TemporalPredicate::Overlaps).unwrap();
-        let rt = clifford::cliff_max_reference_time(&db);
+        let rt = clifford::cliff_max_reference_time(&db).unwrap();
         let ongoing_cfg = PlannerConfig {
             join_strategy: JoinStrategy::Auto,
             ..PlannerConfig::default()

@@ -56,7 +56,7 @@ fn main() {
             (h.start, "min"),
             (date(2012, 1, 1), "2012/01"),
             (date(2012, 9, 1), "2012/09"),
-            (clifford::cliff_max_reference_time(&db), "max"),
+            (clifford::cliff_max_reference_time(&db).unwrap(), "max"),
         ];
         let mut points = Vec::new();
         for (rt, label) in rts {

@@ -28,7 +28,7 @@ fn main() {
     let h = History::incumbent();
     let w = h.last_fraction(0.1);
     let cfg = PlannerConfig::default();
-    let rt = clifford::cliff_max_reference_time(&db);
+    let rt = clifford::cliff_max_reference_time(&db).unwrap();
 
     for pred in [TemporalPredicate::Overlaps, TemporalPredicate::Before] {
         let plan = queries::selection(&db, "Incumbent", pred, (w.start, w.end)).unwrap();

@@ -48,7 +48,7 @@ fn run(kind: &str, make: impl Fn(usize) -> SyntheticConfig) -> Vec<SegmentRun> {
         let db = Database::new();
         db.create_table("D", rel.clone()).unwrap();
         let plan = queries::self_join(&db, "D", "K", TemporalPredicate::Overlaps).unwrap();
-        let rt = clifford::cliff_max_reference_time(&db);
+        let rt = clifford::cliff_max_reference_time(&db).unwrap();
 
         // Baseline without ongoing intervals: same query on the defused data.
         let fdb = Database::new();

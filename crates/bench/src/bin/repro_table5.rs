@@ -54,7 +54,7 @@ fn main() {
         ("Qσ_ovlp(B)", &sel_res),
         ("QC⋈_ovlp", &join_res),
     ] {
-        let f = measure_relation(rel);
+        let f = measure_relation(rel).unwrap();
         let rt_share = f.avg_rt_bytes() / f.avg_tuple_bytes() * 100.0;
         row(
             &[

@@ -1,5 +1,4 @@
-//! Harness utilities shared by the `repro-*` binaries and the Criterion
-//! benches.
+//! Harness utilities shared by the `repro-*` binaries.
 //!
 //! Every binary prints the rows/series of one table or figure of the
 //! paper's evaluation (Sec. IX). Scales default to laptop-friendly sizes;
@@ -189,7 +188,7 @@ pub fn row(cells: &[String], widths: &[usize]) {
 }
 
 /// The storage layer's O(delta)-vs-O(table) write contract, shared by
-/// `benches/storage.rs` and `repro_churn` so the thresholds cannot drift:
+/// `repro_churn` and `repro_recovery` so the thresholds cannot drift:
 /// across a 10x table-size step, a fixed-size edit's deterministic write
 /// units must stay flat (<= 1.1x) while the pre-refactor clone path (one
 /// unit per tuple snapshotted) must grow with the table (>= 8x).

@@ -13,7 +13,7 @@
 //! The `<` implementation follows the decision tree of Fig. 6, reaching the
 //! correct case of Theorem 1's equivalence with **at most three fixed-value
 //! comparisons**. A naive implementation that scans the five orderings in
-//! sequence is kept as [`lt_naive`] for the ablation benchmark.
+//! sequence is kept as [`lt_naive`], the reference the tests compare against.
 
 use crate::boolean::OngoingBool;
 use crate::point::OngoingPoint;
@@ -79,8 +79,8 @@ pub fn lt_comparisons(p: OngoingPoint, q: OngoingPoint) -> u32 {
 }
 
 /// Reference implementation of `<` that tests the five orderings of
-/// Theorem 1 in sequence (up to eight fixed-value comparisons). Used as the
-/// baseline in the `bench_lt` ablation and in differential tests.
+/// Theorem 1 in sequence (up to eight fixed-value comparisons). The
+/// reference of the differential tests.
 pub fn lt_naive(p: OngoingPoint, q: OngoingPoint) -> OngoingBool {
     let (a, b) = (p.a(), p.b());
     let (c, d) = (q.a(), q.b());

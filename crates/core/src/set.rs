@@ -935,6 +935,17 @@ mod tests {
         }
         // The sequences cross the inline/spilled boundary both ways.
         assert!(spills > 0 && unspills > 0, "{spills} {unspills}");
+        // One long input: two 200-range stripes offset by half a range,
+        // so the conjunction keeps a piece of every range.
+        let stripes = |offset: i64| {
+            IntervalSet::from_ranges(
+                (0..200).map(|i| (tp(offset + i * 10), tp(offset + i * 10 + 6))),
+            )
+        };
+        let (a, b) = (stripes(0), stripes(3));
+        let want = model_binary(a.ranges(), b.ranges(), |x, y| x && y);
+        assert_eq!(want.len(), 200);
+        assert_eq!(a.intersect(&b).ranges(), &want[..]);
     }
 
     #[test]

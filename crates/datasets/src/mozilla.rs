@@ -72,7 +72,7 @@ pub struct MozillaConfig {
 }
 
 impl MozillaConfig {
-    /// A laptop-scale default (the benches pass explicit sizes).
+    /// A laptop-scale default (the `repro_*` binaries pass explicit sizes).
     pub fn scaled(bugs: usize, seed: u64) -> Self {
         MozillaConfig {
             bugs,

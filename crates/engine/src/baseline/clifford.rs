@@ -21,69 +21,78 @@
 //! instantiation.
 
 use crate::catalog::Database;
+use crate::error::Result;
 use ongoing_core::{TimePoint, TimeRange};
 use ongoing_relation::{FixedRelation, OngoingRelation, Value};
 
 /// The latest *finite* time point mentioned by any temporal attribute or
-/// reference time of the relation.
-pub fn latest_time_point(rel: &OngoingRelation) -> Option<TimePoint> {
+/// reference time of the relation. Reads one transient chunk pin at a
+/// time, so a cold relation stays cold and a pager failure is an error.
+pub fn latest_time_point(rel: &OngoingRelation) -> Result<Option<TimePoint>> {
     let mut latest: Option<TimePoint> = None;
     let mut bump = |t: TimePoint| {
         if t.is_finite() {
             latest = Some(latest.map_or(t, |l| l.max_f(t)));
         }
     };
-    for t in rel.iter() {
-        for v in t.values() {
-            match v {
-                Value::Time(x) => bump(*x),
-                Value::Span(s, e) => {
-                    bump(*s);
-                    bump(*e);
+    for view in rel.lazy_views() {
+        for t in view.pin()?.iter() {
+            for v in t.values() {
+                match v {
+                    Value::Time(x) => bump(*x),
+                    Value::Span(s, e) => {
+                        bump(*s);
+                        bump(*e);
+                    }
+                    Value::Point(p) => {
+                        bump(p.a());
+                        bump(p.b());
+                    }
+                    Value::Interval(i) => {
+                        bump(i.ts().a());
+                        bump(i.ts().b());
+                        bump(i.te().a());
+                        bump(i.te().b());
+                    }
+                    _ => {}
                 }
-                Value::Point(p) => {
-                    bump(p.a());
-                    bump(p.b());
-                }
-                Value::Interval(i) => {
-                    bump(i.ts().a());
-                    bump(i.ts().b());
-                    bump(i.te().a());
-                    bump(i.te().b());
-                }
-                _ => {}
+            }
+            for r in t.rt().ranges() {
+                let TimeRange { .. } = r; // ranges are canonical
+                bump(r.ts());
+                bump(r.te());
             }
         }
-        for r in t.rt().ranges() {
-            let TimeRange { .. } = r; // ranges are canonical
-            bump(r.ts());
-            bump(r.te());
-        }
     }
-    latest
+    Ok(latest)
 }
 
 /// `Cliff_max`: a reference time strictly greater than every end point in
 /// the database — the paper's stand-in for "a reference time close to the
-/// current time".
-pub fn cliff_max_reference_time(db: &Database) -> TimePoint {
+/// current time". Leaves cold tables cold (see [`latest_time_point`]).
+pub fn cliff_max_reference_time(db: &Database) -> Result<TimePoint> {
     let mut latest: Option<TimePoint> = None;
     for name in db.table_names() {
         if let Ok(t) = db.table(&name) {
-            if let Some(l) = latest_time_point(t.data()) {
+            if let Some(l) = latest_time_point(t.data())? {
                 latest = Some(latest.map_or(l, |x| x.max_f(l)));
             }
         }
     }
-    latest.map_or(TimePoint::new(0), |l| l.succ())
+    Ok(latest.map_or(TimePoint::new(0), |l| l.succ()))
 }
 
 /// Instantiates a whole relation at `rt` into a fixed relation with the
 /// same schema shape (ongoing attributes become spans), dropping tuples
 /// dead at `rt`. This is what a system following Clifford's approach would
-/// materialize.
-pub fn instantiate_relation(rel: &OngoingRelation, rt: TimePoint) -> FixedRelation {
-    rel.bind(rt)
+/// materialize. Binds one transient chunk pin at a time, so a cold
+/// relation stays cold and a pager failure is an error.
+pub fn instantiate_relation(rel: &OngoingRelation, rt: TimePoint) -> Result<FixedRelation> {
+    let mut rows = Vec::new();
+    for view in rel.lazy_views() {
+        rows.extend(view.pin()?.iter().filter_map(|t| t.bind(rt)));
+    }
+    Ok(FixedRelation::from_rows(rows))
 }
 
 #[cfg(test)]
@@ -117,7 +126,7 @@ mod tests {
     #[test]
     fn cliff_max_is_after_every_endpoint() {
         let db = setup();
-        let rt = cliff_max_reference_time(&db);
+        let rt = cliff_max_reference_time(&db).unwrap();
         assert!(rt > md(8, 21));
     }
 
@@ -155,6 +164,6 @@ mod tests {
     fn latest_time_point_scans_all_temporal_values() {
         let db = setup();
         let t = db.table("B").unwrap();
-        assert_eq!(latest_time_point(t.data()), Some(md(8, 21)));
+        assert_eq!(latest_time_point(t.data()).unwrap(), Some(md(8, 21)));
     }
 }

@@ -8,6 +8,7 @@
 //! bugs might be resolved before patch 201 goes live?" must include bug
 //! 500, yet with `Forever` end points it does not).
 
+use crate::error::Result;
 use ongoing_core::{OngoingInterval, OngoingPoint, PointKind, TimePoint};
 use ongoing_relation::{OngoingRelation, Tuple, Value};
 
@@ -27,25 +28,28 @@ pub fn rewrite_point(p: OngoingPoint) -> OngoingPoint {
 
 /// Rewrites every ongoing value in a relation to its `Forever`
 /// representation. The result contains only fixed values; any fixed-algebra
-/// evaluator can process it — incorrectly.
-pub fn rewrite_relation(rel: &OngoingRelation) -> OngoingRelation {
+/// evaluator can process it — incorrectly. Reads one transient chunk pin
+/// at a time, so a cold input stays cold and a pager failure is an error.
+pub fn rewrite_relation(rel: &OngoingRelation) -> Result<OngoingRelation> {
     let mut out = OngoingRelation::new(rel.schema().clone());
-    for t in rel.iter() {
-        let values: Vec<Value> = t
-            .values()
-            .iter()
-            .map(|v| match v {
-                Value::Point(p) => Value::Point(rewrite_point(*p)),
-                Value::Interval(i) => Value::Interval(OngoingInterval::new(
-                    rewrite_point(i.ts()),
-                    rewrite_point(i.te()),
-                )),
-                other => other.clone(),
-            })
-            .collect();
-        out.push(Tuple::with_rt(values, t.rt().clone()));
+    for view in rel.lazy_views() {
+        for t in view.pin()?.iter() {
+            let values: Vec<Value> = t
+                .values()
+                .iter()
+                .map(|v| match v {
+                    Value::Point(p) => Value::Point(rewrite_point(*p)),
+                    Value::Interval(i) => Value::Interval(OngoingInterval::new(
+                        rewrite_point(i.ts()),
+                        rewrite_point(i.te()),
+                    )),
+                    other => other.clone(),
+                })
+                .collect();
+            out.push(Tuple::with_rt(values, t.rt().clone()));
+        }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -94,7 +98,7 @@ mod tests {
             Value::Interval(OngoingInterval::fixed(md(3, 30), md(8, 21))),
         ])
         .unwrap();
-        let f = rewrite_relation(&r);
+        let f = rewrite_relation(&r).unwrap();
         let iv0 = f.iter().next().unwrap().value(1).as_interval().unwrap();
         assert_eq!(iv0.te(), OngoingPoint::fixed(FOREVER));
         let iv1 = f.iter().nth(1).unwrap().value(1).as_interval().unwrap();

@@ -29,7 +29,7 @@ use crate::catalog::Table;
 use crate::exec::ExecStats;
 use crate::obs::{EngineEvent, Obs};
 use crate::plan::{PhysicalPlan, PlannerConfig};
-use ongoing_relation::{OngoingRelation, Tuple, Value};
+use ongoing_relation::{OngoingRelation, PagerError, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, Weak};
@@ -177,7 +177,8 @@ impl ResultCache {
 
     /// Inserts a freshly computed result, evicting by GDSF rank until the
     /// budget holds. Oversized results (estimated bytes above the whole
-    /// budget) are not cached.
+    /// budget) are not cached, nor is a result whose cold chunks fail to
+    /// page in while it is measured.
     pub(crate) fn insert(
         &self,
         key: String,
@@ -189,7 +190,9 @@ impl ResultCache {
         if self.budget == 0 {
             return;
         }
-        let bytes = estimate_relation_bytes(rel);
+        let Ok(bytes) = estimate_relation_bytes(rel) else {
+            return;
+        };
         if bytes > self.budget {
             return;
         }
@@ -321,13 +324,15 @@ fn node_fingerprint(p: &PhysicalPlan, out: &mut String) {
 /// Deterministic estimate of a relation's resident bytes — tuple and
 /// payload overheads plus per-value sizes. An estimate (interval-set
 /// payloads are charged flat), but stable across runs, which is what the
-/// budget accounting needs.
-pub(crate) fn estimate_relation_bytes(rel: &OngoingRelation) -> u64 {
+/// budget accounting needs. A result that is a fork of a cold table (a
+/// bare scan) is read one transient chunk pin at a time, so measuring it
+/// leaves it cold.
+pub(crate) fn estimate_relation_bytes(rel: &OngoingRelation) -> Result<u64, PagerError> {
     let mut total = 256u64; // relation + store + schema overhead
-    for t in rel.iter() {
-        total += estimate_tuple_bytes(t);
+    for view in rel.lazy_views() {
+        total += view.pin()?.iter().map(estimate_tuple_bytes).sum::<u64>();
     }
-    total
+    Ok(total)
 }
 
 fn estimate_tuple_bytes(t: &Tuple) -> u64 {
@@ -440,7 +445,7 @@ mod tests {
         let (rel, _) = plan
             .execute_with_stats(&crate::ExecContext::from_env())
             .unwrap();
-        let one = estimate_relation_bytes(&rel);
+        let one = estimate_relation_bytes(&rel).unwrap();
         // Room for two entries, not three.
         let cache = ResultCache::with_budget(one * 2 + 256);
         let stats = |work: u64| ExecStats {

@@ -4,7 +4,7 @@
 //! shared machines; the *work units* an operator performs are not. Every
 //! executor threads an [`ExecStats`] accumulator through its operators —
 //! per-worker local counters under partition-parallel execution, folded at
-//! join points — so benches and the `repro_*` binaries can assert on
+//! join points — so the tests and the `repro_*` binaries can assert on
 //! deterministic counts (tuples scanned, pairs compared, interval-set
 //! merges) instead of durations. The counters are identical for every
 //! `parallelism` setting: partitioning only changes *who* counts a work

@@ -56,6 +56,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod baseline;
 pub mod catalog;

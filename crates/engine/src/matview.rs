@@ -11,6 +11,7 @@
 //! many instantiated snapshots the (more expensive) ongoing evaluation plus
 //! cheap binds beats Clifford's re-evaluation per reference time.
 
+use crate::baseline::clifford;
 use crate::catalog::{Database, Table};
 use crate::error::Result;
 use crate::exec::rescache;
@@ -108,9 +109,11 @@ impl MaterializedView {
     }
 
     /// Instantiates the materialized result at `rt` — a single bind pass
-    /// over the stored tuples, no query evaluation.
-    pub fn instantiate(&self, rt: TimePoint) -> FixedRelation {
-        self.result.bind(rt)
+    /// over the stored tuples, no query evaluation. A result that shares
+    /// cold chunks with a table is read one transient pin at a time (see
+    /// [`clifford::instantiate_relation`]), so it stays cold.
+    pub fn instantiate(&self, rt: TimePoint) -> Result<FixedRelation> {
+        clifford::instantiate_relation(&self.result, rt)
     }
 
     /// Number of materialized (ongoing) tuples.
@@ -193,7 +196,7 @@ mod tests {
         let view = MaterializedView::create(&db, "v", overlap_plan(&db), PlannerConfig::default())
             .unwrap();
         for rt in [md(1, 1), md(4, 1), md(8, 2), md(8, 15), md(12, 24)] {
-            let via_view = view.instantiate(rt);
+            let via_view = view.instantiate(rt).unwrap();
             let via_clifford = crate::execute_at(&db, view.plan(), rt).unwrap();
             assert_eq!(via_view, via_clifford, "rt={rt}");
         }

@@ -10,8 +10,8 @@
 //! reference time.
 //!
 //! [`rewrite`] performs the logical rewrites; [`compile`] picks physical
-//! operators under a [`PlannerConfig`]. Every knob exists so the ablation
-//! benches can measure the value of each technique.
+//! operators under a [`PlannerConfig`]. Every knob exists so tests and the
+//! `repro_*` binaries can measure the value of each technique.
 //!
 //! # Cost-based strategy choice
 //!
@@ -56,7 +56,7 @@ pub enum JoinStrategy {
 }
 
 /// Planner knobs. Defaults reproduce the paper's configuration; individual
-/// flags are switched off by the ablation benches.
+/// flags are switched off by the ablation tests and `repro_*` binaries.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Push single-side conjuncts below joins.

@@ -24,6 +24,7 @@
 //! large relative to small tuples and negligible for 1 kB tuples — is
 //! preserved. See "Dataset substitution" in `EXPERIMENTS.md`.
 
+use crate::error::Result;
 use ongoing_relation::{OngoingRelation, Tuple, Value};
 
 /// Byte size of the fixed per-tuple header.
@@ -148,19 +149,22 @@ impl RelationFootprint {
     }
 }
 
-/// Measures every tuple of a relation.
-pub fn measure_relation(rel: &OngoingRelation) -> RelationFootprint {
+/// Measures every tuple of a relation, one transient chunk pin at a time:
+/// a cold relation stays cold and a pager failure is an error.
+pub fn measure_relation(rel: &OngoingRelation) -> Result<RelationFootprint> {
     let mut out = RelationFootprint::default();
-    for t in rel.iter() {
-        let f = measure_tuple(t);
-        let g = measure_tuple_fixed(t);
-        out.tuples += 1;
-        out.total_bytes += f.total();
-        out.rt_bytes += f.rt;
-        out.fixed_bytes += g.total();
-        out.max_rt_cardinality = out.max_rt_cardinality.max(t.rt().cardinality());
+    for view in rel.lazy_views() {
+        for t in view.pin()?.iter() {
+            let f = measure_tuple(t);
+            let g = measure_tuple_fixed(t);
+            out.tuples += 1;
+            out.total_bytes += f.total();
+            out.rt_bytes += f.rt;
+            out.fixed_bytes += g.total();
+            out.max_rt_cardinality = out.max_rt_cardinality.max(t.rt().cardinality());
+        }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -229,7 +233,7 @@ mod tests {
             IntervalSet::from_ranges([(tp(0), tp(1)), (tp(5), tp(9))]),
         )
         .unwrap();
-        let f = measure_relation(&r);
+        let f = measure_relation(&r).unwrap();
         assert_eq!(f.tuples, 2);
         assert_eq!(f.max_rt_cardinality, 2);
         assert!(f.ongoing_over_fixed() > 1.0);

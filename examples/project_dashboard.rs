@@ -62,7 +62,7 @@ fn main() {
     let mut t_clifford = std::time::Duration::ZERO;
     for &rt in &rts {
         let t1 = Instant::now();
-        let snap = view.instantiate(rt);
+        let snap = view.instantiate(rt).unwrap();
         t_instantiate += t1.elapsed();
 
         let t2 = Instant::now();

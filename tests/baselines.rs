@@ -76,7 +76,7 @@ fn forever_is_incorrect() {
     let fdb = Database::new();
     for name in db.table_names() {
         let t = db.table(&name).unwrap();
-        fdb.create_table(&name, forever::rewrite_relation(t.data()))
+        fdb.create_table(&name, forever::rewrite_relation(t.data()).unwrap())
             .unwrap();
     }
     let fplan = before_patch_201(&fdb);
@@ -111,7 +111,7 @@ fn ongoing_view_replaces_all_clifford_reevaluations() {
     let mut day = md(1, 1);
     while day < md(12, 31) {
         assert_eq!(
-            view.instantiate(day),
+            view.instantiate(day).unwrap(),
             execute_at(&db, &plan, day).unwrap(),
             "rt={day}"
         );
@@ -122,7 +122,7 @@ fn ongoing_view_replaces_all_clifford_reevaluations() {
 #[test]
 fn cliff_max_is_past_every_endpoint_and_stabilizes_memberships() {
     let db = running_example_db();
-    let rt = clifford::cliff_max_reference_time(&db);
+    let rt = clifford::cliff_max_reference_time(&db).unwrap();
     assert!(rt > md(8, 27));
     // Expanding-interval instantiations keep growing with rt (that is the
     // paper's point), but *membership* results of queries whose output has
@@ -203,7 +203,7 @@ fn table_i_closure_summary() {
 fn instantiate_relation_is_bind() {
     let db = running_example_db();
     let b = db.table("B").unwrap();
-    let snap = clifford::instantiate_relation(b.data(), md(5, 14));
+    let snap = clifford::instantiate_relation(b.data(), md(5, 14)).unwrap();
     assert_eq!(snap, b.data().bind(md(5, 14)));
     assert_eq!(snap.len(), 2);
 }

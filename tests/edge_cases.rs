@@ -354,7 +354,7 @@ fn matview_of_aggregate_serves_snapshots() {
     .unwrap();
     for rt in -1i64..18 {
         assert_eq!(
-            view.instantiate(tp(rt)),
+            view.instantiate(tp(rt)).unwrap(),
             execute_at(&db, &plan, tp(rt)).unwrap()
         );
     }

@@ -144,7 +144,7 @@ fn chunk_files_store_generated_relations() {
     assert_eq!(restored, rows);
     // ~40 B payloads plus framing: the on-disk image stays in the same
     // ballpark as the layout model's estimate, not a multiple of it.
-    let f = layout::measure_relation(&rel);
+    let f = layout::measure_relation(&rel).unwrap();
     assert!(
         encoded.len() < 2 * f.total_bytes.max(1),
         "chunk image {} B vs layout model {} B",
@@ -160,7 +160,7 @@ fn chunk_files_store_generated_relations() {
 #[test]
 fn layout_model_tracks_ongoing_overhead() {
     let rel = synthetic::generate(&SyntheticConfig::dex(1_000, None, 5));
-    let f = layout::measure_relation(&rel);
+    let f = layout::measure_relation(&rel).unwrap();
     assert_eq!(f.tuples, 1_000);
     // Base relations have trivial RTs: exactly one range, 29 bytes each.
     assert_eq!(f.rt_bytes, 29 * 1_000);

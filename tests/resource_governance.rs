@@ -21,12 +21,14 @@ use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
 use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
+use ongoingdb::engine::baseline::clifford;
 use ongoingdb::engine::catalog::RetryPolicy;
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::storage::{DurableOptions, FaultFs, TempDir};
 use ongoingdb::engine::{
-    Database, EngineError, ExecContext, LogicalPlan, QueryBuilder, QueryControl,
+    sql, Database, EngineError, ExecContext, LogicalPlan, MaterializedView, QueryBuilder,
+    QueryControl,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,13 +215,7 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
         );
         // No query parked a chunk on the published version: the index
         // build and the index scan read through transient pins too.
-        let t = db.table("T").unwrap();
-        let views = t.data().lazy_views();
-        assert_eq!(views.len(), 16);
-        assert!(
-            views.iter().all(|v| !v.is_resident()),
-            "the queries left T's chunks resident"
-        );
+        assert!(t_is_cold(&db), "the queries left T's chunks resident");
         out
     };
 
@@ -293,15 +289,21 @@ fn analyze_of_a_cold_table_stays_within_budget_and_leaves_it_cold() {
     assert_eq!(stats.rows, (16 * CHUNK) as u64);
 }
 
-/// `T`'s rows read one transient chunk pin at a time, so reading them
-/// leaves a cold table cold.
-fn pinned_rows(db: &Database) -> Vec<Tuple> {
-    let table = db.table("T").unwrap();
+/// `rel`'s rows read one transient chunk pin at a time, so reading them
+/// leaves a cold relation cold.
+fn pinned_rows(rel: &OngoingRelation) -> Vec<Tuple> {
     let mut rows = Vec::new();
-    for view in table.data().lazy_views() {
+    for view in rel.lazy_views() {
         rows.extend(view.pin().unwrap().iter().cloned());
     }
     rows
+}
+
+/// Is every chunk of the published `T` cold?
+fn t_is_cold(db: &Database) -> bool {
+    let t = db.table("T").unwrap();
+    let views = t.data().lazy_views();
+    views.len() == 16 && views.iter().all(|v| !v.is_resident())
 }
 
 #[test]
@@ -333,21 +335,57 @@ fn unkeyed_modifications_of_a_cold_table_stay_within_budget_and_leave_it_cold() 
         "modification peak resident {} exceeded budget {budget}",
         stats.cache_peak_bytes
     );
-    let t = db.table("T").unwrap();
-    let views = t.data().lazy_views();
-    assert_eq!(views.len(), 16);
-    assert!(
-        views.iter().all(|v| !v.is_resident()),
-        "the modifications left T's chunks resident"
-    );
+    assert!(t_is_cold(&db), "the modifications left T's chunks resident");
     let full = Database::open_with(full_dir.path(), opts(u64::MAX)).unwrap();
     edit(&full);
-    let want = pinned_rows(&full);
+    let want = pinned_rows(full.table("T").unwrap().data());
     assert_eq!(
         want.len(),
         16 * CHUNK - (0..16 * CHUNK).filter(|k| k % 7 == 3).count()
     );
-    assert_eq!(pinned_rows(&db), want);
+    assert_eq!(pinned_rows(db.table("T").unwrap().data()), want);
+}
+
+#[test]
+fn engine_readers_of_a_cold_table_stay_within_budget_and_leave_it_cold() {
+    let dir = TempDir::new("govern-readers");
+    let budget = seed_out_of_core(dir.path());
+    // A bare scan's result is a fork of `T`; filling the result cache,
+    // serving the hit, instantiating a bare-scan view and finding
+    // `Cliff_max` each read every row of it (or of `T` itself).
+    let read = |memory_budget: u64| {
+        let mut db = Database::open_with(dir.path(), opts(memory_budget)).unwrap();
+        db.configure_result_cache(64 << 20);
+        let hits = || {
+            db.metrics_snapshot()
+                .value(ongoingdb::engine::exec::RESULT_CACHE_HITS_METRIC)
+        };
+        let scanned = sql::query(&db, "SELECT * FROM T").unwrap();
+        let hits0 = hits();
+        let cached = sql::query(&db, "SELECT * FROM T").unwrap();
+        assert_eq!(hits(), hits0 + 1, "the second scan must hit the cache");
+        let plan = QueryBuilder::scan(&db, "T").unwrap().build();
+        let view = MaterializedView::create(&db, "v", plan, PlannerConfig::default()).unwrap();
+        let snapshot = view.instantiate(tp(RT)).unwrap();
+        let cliff_max = clifford::cliff_max_reference_time(&db).unwrap();
+        let stats = db.durable_stats().unwrap();
+        let rows = pinned_rows(&scanned);
+        assert_eq!(pinned_rows(&cached), rows);
+        (
+            stats.cache_peak_bytes,
+            t_is_cold(&db),
+            (rows, snapshot, cliff_max),
+        )
+    };
+    let (peak, cold, answers) = read(budget);
+    assert!(
+        peak <= budget,
+        "peak resident {peak} exceeded budget {budget}"
+    );
+    assert!(cold, "the readers left T's chunks resident");
+    let (_, _, want) = read(u64::MAX);
+    assert_eq!(answers.0.len(), 16 * CHUNK);
+    assert_eq!(answers, want, "budgeted readers diverged from unbounded");
 }
 
 #[test]
@@ -392,6 +430,13 @@ fn disk_corruption_on_the_write_path_is_an_error_not_a_panic() {
         .execute_with_stats(&serial.exec_context())
         .expect_err("a scan over corrupt chunks must fail");
     assert_eq!(err, index);
+    // So do the engine's whole-relation readers, and a bare scan (a fork
+    // of `T`) is returned uncached rather than measured into a panic.
+    let cliff_max = clifford::cliff_max_reference_time(&db).expect_err("Cliff_max reads T");
+    assert!(matches!(cliff_max, EngineError::Io(_)), "{cliff_max:?}");
+    let scanned = sql::query(&db, "SELECT * FROM T").unwrap();
+    assert_eq!(scanned.len(), 16 * CHUNK);
+    assert!(db.result_cache().is_empty());
 }
 
 #[test]

@@ -24,6 +24,7 @@ use ongoing_core::date::md;
 use ongoing_core::time::tp;
 use ongoing_core::{OngoingInterval, OngoingPoint};
 use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
+use ongoingdb::datasets::synthetic::{generate, SyntheticConfig};
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::plan::{compile, PlannerConfig};
 use ongoingdb::engine::{Database, EngineError, ExecContext};
@@ -530,6 +531,65 @@ fn churn_folds_are_run_sized_not_table_sized() {
     assert!(
         s.chunks <= ideal + ongoing_relation::store::COMPACT_CHUNK_SLACK.max(ideal) + 1,
         "partial compaction failed to bound fragmentation: {s:?}"
+    );
+}
+
+/// 1 000 insert+terminate rounds on a 100 000-row DEX table with a key
+/// index on `ID` — partial compaction and keyed qualification at scale,
+/// asserted on deterministic work units:
+///
+/// * no publication (compaction rounds included) spends O(table) write
+///   work — folds stay O(fragmented run);
+/// * chunk fragmentation stays inside the storage policy's bound;
+/// * keyed qualification stays O(rows touched) per round on the churned,
+///   fragmented layout.
+#[test]
+fn keyed_churn_at_scale_stays_o_delta() {
+    let rows = 100_000usize;
+    let rounds = 1_000i64;
+    let db = Database::new();
+    db.create_table("T", generate(&SyntheticConfig::dex(rows, None, 42)))
+        .unwrap();
+    db.create_key_index("T", "ID").unwrap();
+    let data0 = db.table("T").unwrap().data().clone();
+    let (mut prev_work, qual0) = (data0.write_work(), data0.qual_work());
+    let mut max_spike = 0u64;
+    let mut max_chunks = 0usize;
+    for r in 0..rounds {
+        db.modify_table("T", |rel| {
+            let mut m = Modifier::new(rel, "VT")?;
+            m.insert_open(
+                vec![
+                    Value::Int(rows as i64 + r),
+                    Value::Int(r),
+                    Value::Bool(false),
+                ],
+                tp(r % 3_000),
+            )?;
+            m.terminate(&k_eq((r * 31) % rows as i64), tp(500))?;
+            Ok(())
+        })
+        .unwrap();
+        let data = db.table("T").unwrap().data().clone();
+        max_spike = max_spike.max(data.write_work() - prev_work);
+        prev_work = data.write_work();
+        max_chunks = max_chunks.max(data.storage_summary().chunks);
+    }
+    let data = db.table("T").unwrap().data().clone();
+    let qual_per_round = (data.qual_work() - qual0) as f64 / rounds as f64;
+    let ideal = data.len().div_ceil(CHUNK);
+    assert!(
+        (max_spike as f64) < rows as f64 / 20.0,
+        "publication spike {max_spike} wu ≈ O(table): partial compaction regressed"
+    );
+    let slack = ongoing_relation::store::COMPACT_CHUNK_SLACK.max(ideal);
+    assert!(
+        max_chunks <= ideal + slack + 1,
+        "fragmentation escaped the policy (peak {max_chunks}, ideal {ideal})"
+    );
+    assert!(
+        qual_per_round < 200.0,
+        "keyed qualification {qual_per_round:.1} wu/round is not O(rows touched)"
     );
 }
 
