@@ -15,7 +15,6 @@
 //! recovers exactly the committed prefix, lazily per table.
 
 use crate::error::{EngineError, Result};
-use crate::exec::index::IntervalIndex;
 use crate::exec::ExecStats;
 use crate::obs::{
     EngineEvent, EventRecord, MetricValue, MetricsSnapshot, Obs, DURABLE_METRIC_NAMES,
@@ -66,8 +65,6 @@ impl StatsState {
 pub struct Table {
     name: String,
     data: OngoingRelation,
-    /// Lazily built interval indexes, keyed by interval column.
-    indexes: Mutex<HashMap<usize, Arc<IntervalIndex>>>,
     /// `ANALYZE` statistics and staleness accounting.
     stats: Mutex<StatsState>,
 }
@@ -106,46 +103,6 @@ impl Table {
         Ok(stats)
     }
 
-    /// Returns (building and caching on first use) the envelope interval
-    /// index over the interval attribute at `col`. Tuple positions in the
-    /// relation serve as index payload ids. Building reads the table
-    /// through transient chunk pins, so a cold table stays cold.
-    ///
-    /// The cache lock is held across the build: with partition-parallel
-    /// executors several workers can request the same index at once, and a
-    /// check-then-build race would make each of them build it.
-    pub fn interval_index(&self, col: usize) -> Result<Arc<IntervalIndex>> {
-        let mut indexes = self.indexes.lock();
-        if let Some(idx) = indexes.get(&col) {
-            return Ok(Arc::clone(idx));
-        }
-        let attr = self.data.schema().attr(col)?;
-        if !matches!(
-            attr.ty,
-            ongoing_relation::ValueType::OngoingInterval | ongoing_relation::ValueType::Span
-        ) {
-            return Err(EngineError::Plan(format!(
-                "attribute `{}` is not an interval column",
-                attr.name
-            )));
-        }
-        // One transient pin per chunk: a cold table pages in within the
-        // cache budget and stays cold, and a pager failure is an error.
-        let mut entries = Vec::with_capacity(self.data.len());
-        let mut pos = 0usize;
-        for view in self.data.lazy_views() {
-            for t in view.pin()?.iter() {
-                if let Some(iv) = t.value(col).as_interval() {
-                    entries.push((iv, pos));
-                }
-                pos += 1;
-            }
-        }
-        let built = Arc::new(IntervalIndex::build(entries));
-        indexes.insert(col, Arc::clone(&built));
-        Ok(built)
-    }
-
     /// Publishes a relation version as a table: the pending insert tail is
     /// sealed so readers' forks are pure reference bumps.
     fn with_state(name: &str, mut data: OngoingRelation, stats: StatsState) -> Arc<Table> {
@@ -153,7 +110,6 @@ impl Table {
         Arc::new(Table {
             name: name.to_string(),
             data,
-            indexes: Mutex::new(HashMap::new()),
             stats: Mutex::new(stats),
         })
     }
@@ -625,11 +581,11 @@ impl Database {
     /// Applies a modification to a catalog-resident table. Callers run
     /// [`Modifier`](crate::modify::Modifier) operations (or any other
     /// rewrite) inside the closure; the catalog swaps in the modified
-    /// version, invalidates the interval indexes, and advances the
-    /// statistics staleness counter by the *logical row-write delta* the
-    /// closure produced — exact, straight from the copy-on-write store, so
-    /// a one-row edit counts one row no matter where in the table it sits
-    /// (and no matter how much copy-on-write bookkeeping it triggered).
+    /// version and advances the statistics staleness counter by the
+    /// *logical row-write delta* the closure produced — exact, straight
+    /// from the copy-on-write store, so a one-row edit counts one row no
+    /// matter where in the table it sits (and no matter how much
+    /// copy-on-write bookkeeping it triggered).
     /// Once an *analyzed* table crosses the staleness threshold (50 rows +
     /// 10 % of the analyzed row count) its statistics are refreshed
     /// automatically; never-analyzed tables stay that way until an
@@ -787,61 +743,22 @@ impl Database {
     /// One optimistic publication attempt: fork, run the closure, account
     /// staleness, compact, compare-and-swap. `Ok(None)` signals a
     /// publication conflict (retryable); closure errors and a vanished
-    /// table are terminal.
+    /// table are terminal. So is an I/O error off-lock, unless the pinned
+    /// version has been superseded meanwhile: a concurrent checkpoint may
+    /// then have collected a cold chunk file only that version still
+    /// referenced, and the attempt is retried like a conflict.
     fn attempt_modify<T>(
         &self,
         name: &str,
         f: &mut impl FnMut(&mut OngoingRelation) -> Result<T>,
     ) -> Result<Option<T>> {
-        // Pin the current version (short read lock) and fork it: the fork
-        // shares every sealed chunk, so this is O(#chunks), not O(rows).
+        // Pin the current version (short read lock).
         let table = self.table(name)?;
-        let mut data = table.data.clone();
-        if self.durable.is_some() {
-            // Record every physical mutation the closure performs so the
-            // publication can be logged as an O(delta) journal. A closure
-            // that replaces the relation wholesale severs the journal
-            // (cloning never carries one), which downgrades the commit to
-            // a full-state record — journal present ⟺ journal complete.
-            data.begin_journal();
-        }
-        let base_writes = data.logical_writes();
-        // The user closure runs off-lock against the private fork.
-        let out = f(&mut data)?;
-        // Touched rows, exactly: the logical rows the closure wrote on
-        // the fork (inserts, replacements, tombstones — not physical
-        // bookkeeping like overlay copy-on-write). A closure that
-        // *replaced* the relation wholesale (`*rel = built`) severs the
-        // storage lineage (O(1) first-chunk probe) and resets the
-        // counter; it already paid O(table) to rebuild, so falling back
-        // to a positional diff stays within its own cost. The probe can
-        // be fooled by swapping in an *older* pinned version (it shares
-        // the first chunk but its counter ran backwards), so a counter
-        // regression also falls back to the diff.
-        let touched = if data.derives_from(&table.data) && data.logical_writes() >= base_writes {
-            (data.logical_writes() - base_writes).max(1)
-        } else {
-            positional_diff(&table.data, &data)?.max(1)
+        let (mut data, out, state) = match self.apply_off_lock(&table, f) {
+            Ok(applied) => applied,
+            Err(EngineError::Io(_)) if !self.is_published(name, &table) => return Ok(None),
+            Err(e) => return Err(e),
         };
-        let mut state = table.stats.lock().clone();
-        state.mods_since_analyze += touched;
-        if state.stale() {
-            // Statistics refresh also runs off-lock, on the fork.
-            state = StatsState {
-                stats: Some(Arc::new(analyze_relation(&data)?)),
-                mods_since_analyze: 0,
-            };
-        }
-        // Fold the accumulated delta before publication (off-lock).
-        // Partial first: only fragmented chunk runs, O(fragmented run) —
-        // sustained churn on a large table never pays a whole-table fold
-        // (a no-op when nothing is fragmented). The global policy stays
-        // as a backstop for layouts run folding cannot fix (and for
-        // wholesale rebuilds).
-        data.compact_runs()?;
-        if data.should_compact() {
-            data.compact()?;
-        }
         // Seal (journaled) and detach the journal *before* the version is
         // wrapped; both folds above journal as O(1) markers replay
         // re-derives deterministically.
@@ -889,6 +806,73 @@ impl Database {
                 }
             }
         }
+    }
+
+    /// Is `table` still the published version of `name`?
+    fn is_published(&self, name: &str, table: &Arc<Table>) -> bool {
+        matches!(self.tables.read().get(name),
+            Some(TableSlot::Ready(current)) if Arc::ptr_eq(current, table))
+    }
+
+    /// The off-lock part of a publication attempt: forks the pinned
+    /// version, runs the closure on the fork, accounts staleness (and
+    /// refreshes stale statistics) and folds the accumulated delta.
+    /// Returns the folded fork, the closure's output and the statistics
+    /// state to publish with it.
+    fn apply_off_lock<T>(
+        &self,
+        table: &Table,
+        f: &mut impl FnMut(&mut OngoingRelation) -> Result<T>,
+    ) -> Result<(OngoingRelation, T, StatsState)> {
+        // The fork shares every sealed chunk, so this is O(#chunks), not
+        // O(rows).
+        let mut data = table.data.clone();
+        if self.durable.is_some() {
+            // Record every physical mutation the closure performs so the
+            // publication can be logged as an O(delta) journal. A closure
+            // that replaces the relation wholesale severs the journal
+            // (cloning never carries one), which downgrades the commit to
+            // a full-state record — journal present ⟺ journal complete.
+            data.begin_journal();
+        }
+        let base_writes = data.logical_writes();
+        // The user closure runs off-lock against the private fork.
+        let out = f(&mut data)?;
+        // Touched rows, exactly: the logical rows the closure wrote on
+        // the fork (inserts, replacements, tombstones — not physical
+        // bookkeeping like overlay copy-on-write). A closure that
+        // *replaced* the relation wholesale (`*rel = built`) severs the
+        // storage lineage (O(1) first-chunk probe) and resets the
+        // counter; it already paid O(table) to rebuild, so falling back
+        // to a positional diff stays within its own cost. The probe can
+        // be fooled by swapping in an *older* pinned version (it shares
+        // the first chunk but its counter ran backwards), so a counter
+        // regression also falls back to the diff.
+        let touched = if data.derives_from(&table.data) && data.logical_writes() >= base_writes {
+            (data.logical_writes() - base_writes).max(1)
+        } else {
+            positional_diff(&table.data, &data)?.max(1)
+        };
+        let mut state = table.stats.lock().clone();
+        state.mods_since_analyze += touched;
+        if state.stale() {
+            // Statistics refresh also runs off-lock, on the fork.
+            state = StatsState {
+                stats: Some(Arc::new(analyze_relation(&data)?)),
+                mods_since_analyze: 0,
+            };
+        }
+        // Fold the accumulated delta before publication (off-lock).
+        // Partial first: only fragmented chunk runs, O(fragmented run) —
+        // sustained churn on a large table never pays a whole-table fold
+        // (a no-op when nothing is fragmented). The global policy stays
+        // as a backstop for layouts run folding cannot fix (and for
+        // wholesale rebuilds).
+        data.compact_runs()?;
+        if data.should_compact() {
+            data.compact()?;
+        }
+        Ok((data, out, state))
     }
 
     /// Materializes every cold slot and checkpoints the full catalog.

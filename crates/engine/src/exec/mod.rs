@@ -1,15 +1,13 @@
 //! Execution support: context/governance tokens, the shared worker pool
-//! and its fair morsel scheduler, interval indexes, and work-unit stats.
+//! and its fair morsel scheduler, the result cache, and work-unit stats.
 
 pub mod context;
-pub mod index;
 pub mod pool;
 pub mod rescache;
 pub(crate) mod sched;
 pub mod stats;
 
 pub use context::{ExecContext, QueryControl, THREADS_ENV};
-pub use index::IntervalIndex;
 pub use pool::{PoolSession, WorkerPool, POOL_MAX_QUERIES_ENV};
 pub use rescache::{
     ResultCache, DEFAULT_RESULT_CACHE_BUDGET, RESULT_CACHE_BUDGET_ENV, RESULT_CACHE_BYTES_METRIC,

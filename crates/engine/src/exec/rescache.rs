@@ -257,9 +257,9 @@ fn deps_valid(stored: &[Weak<Table>], current: &[Arc<Table>]) -> bool {
 pub(crate) fn plan_tables(plan: &PhysicalPlan) -> Vec<Arc<Table>> {
     fn walk(p: &PhysicalPlan, out: &mut Vec<Arc<Table>>) {
         match p {
-            PhysicalPlan::SeqScan { table, .. }
-            | PhysicalPlan::IndexScan { table, .. }
-            | PhysicalPlan::KeyScan { table, .. } => out.push(Arc::clone(table)),
+            PhysicalPlan::SeqScan { table, .. } | PhysicalPlan::KeyScan { table, .. } => {
+                out.push(Arc::clone(table))
+            }
             _ => {}
         }
         for c in p.inputs() {
@@ -290,9 +290,7 @@ fn node_fingerprint(p: &PhysicalPlan, out: &mut String) {
     // those out, and add the leaf schemas (scan-level renames change the
     // result schema without changing any operator line).
     match p {
-        PhysicalPlan::SeqScan { schema, .. }
-        | PhysicalPlan::IndexScan { schema, .. }
-        | PhysicalPlan::KeyScan { schema, .. } => {
+        PhysicalPlan::SeqScan { schema, .. } | PhysicalPlan::KeyScan { schema, .. } => {
             let _ = write!(out, "{} [{schema:?}]", p.node_line());
         }
         PhysicalPlan::Project { items, schema, .. } => {

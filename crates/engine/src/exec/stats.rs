@@ -28,16 +28,16 @@ use std::ops::AddAssign;
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
     /// Tuples produced by base-table access paths (`SeqScan` counts the
-    /// whole table, `IndexScan` only the candidates it examines).
+    /// whole table, `KeyScan` only the key-map candidates it examines).
     pub tuples_scanned: u64,
-    /// Tuples evaluated by a `Filter` (or the residual predicate of an
-    /// `IndexScan`).
+    /// Tuples evaluated by a `Filter` (or the residual predicate of a
+    /// `KeyScan`).
     pub tuples_filtered: u64,
     /// Join candidate pairs evaluated (all pairs for nested loops, probe
     /// hits for the hash join, envelope-overlapping pairs for the sweep
     /// join).
     pub pairs_compared: u64,
-    /// Candidate ids returned by interval-index envelope queries.
+    /// Key-map candidates examined (`KeyScan`, keyed hash-join build).
     pub index_candidates: u64,
     /// Interval-set merge operations (predicate true-set construction and
     /// reference-time restrictions) in the ongoing executors.

@@ -22,16 +22,13 @@
 //! a sweep-sound temporal conjunct, nested loops — with the
 //! [cost model](crate::stats::cost) and picks the cheapest. Without
 //! statistics it falls back to the classic fixed priority
-//! (hash > sweep > nested loops). Likewise, an
-//! [index scan](PhysicalPlan::IndexScan) opportunity is taken
-//! unconditionally without statistics, but cost-gated against the
-//! sequential scan + filter alternative once the table is analyzed.
+//! (hash > sweep > nested loops).
 
 use crate::catalog::{Database, Table};
 use crate::error::Result;
 use crate::exec::ExecContext;
 use crate::plan::logical::LogicalPlan;
-use crate::plan::physical::{indexable_selection, sweepable_columns, PhysicalPlan};
+use crate::plan::physical::{sweepable_columns, PhysicalPlan};
 use crate::stats::cost;
 use ongoing_relation::{CmpOp, Expr, KeyProbe, Predicate, Schema, ValueType};
 use std::ops::Bound;
@@ -67,8 +64,6 @@ pub struct PlannerConfig {
     pub split_predicates: bool,
     /// Join algorithm policy.
     pub join_strategy: JoinStrategy,
-    /// Use the envelope interval index for selections over base tables.
-    pub use_interval_index: bool,
     /// Executor worker threads. `0` means auto: the `ONGOINGDB_THREADS`
     /// environment variable if set, else the machine's available
     /// parallelism. Results and work-unit counts are identical for every
@@ -82,7 +77,6 @@ impl Default for PlannerConfig {
             pushdown: true,
             split_predicates: true,
             join_strategy: JoinStrategy::Auto,
-            use_interval_index: false,
             parallelism: 0,
         }
     }
@@ -361,55 +355,6 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                             fixed,
                             ongoing,
                         });
-                    }
-                }
-            }
-            // Index-scan opportunity: selection directly over a base scan
-            // with an indexable temporal conjunct.
-            if cfg.use_interval_index {
-                if let LogicalPlan::Scan {
-                    ref table,
-                    schema: ref scan_schema,
-                } = *input
-                {
-                    let hit = pred
-                        .clone()
-                        .conjuncts()
-                        .iter()
-                        .find_map(indexable_selection);
-                    if let Some((col, range)) = hit {
-                        let (fixed, ongoing) =
-                            split_compiled(Some(pred.clone()), &schema, cfg.split_predicates);
-                        let index_plan = PhysicalPlan::IndexScan {
-                            table: db.table(table)?,
-                            schema: scan_schema.clone(),
-                            col,
-                            range,
-                            fixed,
-                            ongoing,
-                        };
-                        let idx_est = cost::estimate(&index_plan);
-                        if !idx_est.analyzed {
-                            // No statistics: take the index unconditionally
-                            // (the pre-statistics behaviour).
-                            return Ok(index_plan);
-                        }
-                        // Cost gate: a non-selective envelope query can
-                        // visit more candidates than a plain scan filters.
-                        let (fixed, ongoing) =
-                            split_compiled(Some(pred), &schema, cfg.split_predicates);
-                        let seq_plan = PhysicalPlan::Filter {
-                            input: Box::new(PhysicalPlan::SeqScan {
-                                table: db.table(table)?,
-                                schema: scan_schema.clone(),
-                            }),
-                            fixed,
-                            ongoing,
-                        };
-                        if idx_est.work.total() <= cost::estimate(&seq_plan).work.total() {
-                            return Ok(index_plan);
-                        }
-                        return Ok(seq_plan);
                     }
                 }
             }

@@ -29,7 +29,7 @@
 //! # Compiled predicates
 //!
 //! Every operator predicate — the fixed and ongoing conjuncts of Filter,
-//! IndexScan, KeyScan and the three joins' residuals — is compiled once,
+//! KeyScan and the three joins' residuals — is compiled once,
 //! when [`compile`](crate::plan::compile) builds the plan, into an
 //! `Arc`-shared [`Predicate`]: per conjunct a kernel for the shapes the
 //! paper's queries use, with the conjunct's [`Expr`] as the fallback, so
@@ -70,8 +70,8 @@ use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::{IntervalSet, TimePoint};
 use ongoing_relation::algebra::{self, ProjItem};
 use ongoing_relation::{
-    Expr, FixedRelation, KeyProbe, LazyChunkView, OngoingRelation, Pair, PinnedChunk, Predicate,
-    Row, Schema, Tuple, Value,
+    Expr, FixedRelation, KeyProbe, OngoingRelation, Pair, PinnedChunk, Predicate, Row, Schema,
+    Tuple, Value,
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -96,22 +96,6 @@ pub enum PhysicalPlan {
         table: Arc<Table>,
         /// Output schema (possibly re-qualified names).
         schema: Schema,
-    },
-    /// Envelope-index pre-filtered scan: candidates from an
-    /// [`IntervalIndex`](crate::exec::IntervalIndex) query, exact predicate as residual.
-    IndexScan {
-        /// The resolved table.
-        table: Arc<Table>,
-        /// Output schema.
-        schema: Schema,
-        /// Interval column the index is built over.
-        col: usize,
-        /// Envelope query range.
-        range: (TimePoint, TimePoint),
-        /// Exact predicate re-checked per candidate (fixed part).
-        fixed: Option<Arc<Predicate>>,
-        /// Exact predicate re-checked per candidate (ongoing part).
-        ongoing: Option<Arc<Predicate>>,
     },
     /// Key-map pre-filtered scan: candidates come from the store's
     /// per-chunk keyed qualification indexes (PR 5's write-path `KeyMap`s,
@@ -233,7 +217,6 @@ impl PhysicalPlan {
     pub fn schema(&self) -> Schema {
         match self {
             PhysicalPlan::SeqScan { schema, .. }
-            | PhysicalPlan::IndexScan { schema, .. }
             | PhysicalPlan::KeyScan { schema, .. }
             | PhysicalPlan::Project { schema, .. }
             | PhysicalPlan::Aggregate { schema, .. } => schema.clone(),
@@ -274,9 +257,7 @@ impl PhysicalPlan {
     /// The operator's children in `explain` order.
     pub(crate) fn inputs(&self) -> Vec<&PhysicalPlan> {
         match self {
-            PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::IndexScan { .. }
-            | PhysicalPlan::KeyScan { .. } => Vec::new(),
+            PhysicalPlan::SeqScan { .. } | PhysicalPlan::KeyScan { .. } => Vec::new(),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Aggregate { input, .. } => vec![input],
@@ -302,20 +283,6 @@ impl PhysicalPlan {
         };
         match self {
             PhysicalPlan::SeqScan { table, .. } => format!("SeqScan {}", table.name()),
-            PhysicalPlan::IndexScan {
-                table,
-                col,
-                range,
-                fixed,
-                ongoing,
-                ..
-            } => format!(
-                "IndexScan {} col #{col} env [{}, {}){}",
-                table.name(),
-                range.0,
-                range.1,
-                preds(fixed, ongoing)
-            ),
             PhysicalPlan::KeyScan {
                 table,
                 probe,
@@ -479,36 +446,6 @@ impl PhysicalPlan {
                     .with_schema(schema.clone())
                     .expect("scan schema is a rename of the table schema"))
             }
-            PhysicalPlan::IndexScan {
-                table,
-                schema,
-                col,
-                range,
-                fixed,
-                ongoing,
-            } => {
-                let idx = table.interval_index(*col)?;
-                let mut ids = idx.query(range.0, range.1);
-                stats.index_candidates += ids.len() as u64;
-                stats.tuples_scanned += ids.len() as u64;
-                // Candidates in storage order, read chunk by chunk through
-                // one transient pin each: a cold table pages in within the
-                // budget and stays cold, and the rows come out exactly as
-                // `Filter(SeqScan)` emits them. A cheap version fork of the
-                // table's relation, so the pool tasks own their input.
-                ids.sort_unstable();
-                let rel = table.data().clone();
-                let picks = picks_by_chunk(&rel, &ids);
-                let reads = picks.iter().map(Vec::len).collect();
-                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let input = Chunks::new(rel, Some(reads), move |v, pinned, out, local| {
-                    let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                    let live = |&i: &usize| pinned.get(i).expect("index ids are live positions");
-                    filter_candidates(picks[v].iter().map(live), f, o, mode, out, local)
-                });
-                let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
-                Ok(assemble_tuples(schema.clone(), tuples))
-            }
             PhysicalPlan::KeyScan {
                 table,
                 schema,
@@ -537,8 +474,16 @@ impl PhysicalPlan {
                 let input = Positions {
                     len: rows.len(),
                     job: move |r: Range<usize>, out: &mut Vec<Tuple>, local: &mut ExecStats| {
+                        // Every candidate is examined (and counted), alive
+                        // at `rt` or not.
                         let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                        filter_candidates(rows[r].iter(), f, o, mode, out, local)
+                        for t in &rows[r] {
+                            local.tuples_filtered += 1;
+                            if mode.keeps(t) {
+                                filter_into(out, t, f, o, mode, local)?;
+                            }
+                        }
+                        Ok(())
                     },
                 };
                 let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
@@ -557,7 +502,7 @@ impl PhysicalPlan {
                 // beyond-RAM table keeps at most one cold chunk per
                 // in-flight morsel resident.
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let input = Chunks::new(rel, None, move |_, pinned, out, local| {
+                let input = Chunks::new(rel, move |pinned, out, local| {
                     for t in pinned.iter().filter(|t| mode.keeps(t)) {
                         local.tuples_filtered += 1;
                         filter_into(out, t, fixed.as_deref(), ongoing.as_deref(), mode, local)?;
@@ -574,7 +519,7 @@ impl PhysicalPlan {
             } => {
                 let rel = input.run(mode, ctx, stats)?;
                 let items = items.clone();
-                let input = Chunks::new(rel, None, move |_, pinned, out, _| {
+                let input = Chunks::new(rel, move |pinned, out, _| {
                     for t in pinned.iter().filter(|t| mode.keeps(t)) {
                         let values = project_values(t, &items, mode)?;
                         out.push(Tuple::with_rt(values, t.rt().clone()));
@@ -620,7 +565,7 @@ impl PhysicalPlan {
                         let schema = l.schema().product(rs);
                         let rdata = table.data().clone();
                         let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                        let input = Chunks::new(l, None, move |_, pinned, out, local| {
+                        let input = Chunks::new(l, move |pinned, out, local| {
                             let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
                             for lt in pinned.iter() {
                                 let key = lt.value(lk);
@@ -671,7 +616,7 @@ impl PhysicalPlan {
                 };
                 let keys = keys.to_vec();
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                let input = Chunks::new(l, None, move |_, pinned, out, local| {
+                let input = Chunks::new(l, move |pinned, out, local| {
                     let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for lt in pinned.iter().filter(|t| mode.keeps(t)) {
                         let key: Vec<Value> =
@@ -817,7 +762,7 @@ impl PhysicalPlan {
                 // the output rows.
                 let rel = input.run(mode, ctx, stats)?;
                 let items = items.clone();
-                let input = Chunks::new(rel, None, move |_, pinned, out, _| {
+                let input = Chunks::new(rel, move |pinned, out, _| {
                     for t in pinned.iter().filter(|t| mode.keeps(t)) {
                         out.push(project_values(t, &items, mode)?);
                     }
@@ -871,7 +816,7 @@ impl PhysicalPlan {
             }
             _ => {
                 let rel = self.run_impl(mode, ctx, stats)?;
-                let input = Chunks::new(rel, None, move |_, pinned, out, _| {
+                let input = Chunks::new(rel, move |pinned, out, _| {
                     out.extend(pinned.iter().filter_map(|t| t.bind(rt)));
                     Ok(())
                 });
@@ -1001,8 +946,8 @@ fn run_morsels<T: Send + 'static>(
     Ok(out)
 }
 
-/// Positional input: `len` items (key-scan candidates, sorted envelope
-/// positions) that `job` reads by contiguous index range.
+/// Positional input: `len` items (key-scan candidates) that `job` reads
+/// by contiguous index range.
 struct Positions<F> {
     len: usize,
     job: F,
@@ -1026,54 +971,44 @@ where
 }
 
 /// Chunk input: a relation's *lazy* chunk views in contiguous runs
-/// balanced by the rows read (partitioning metadata is free — no
-/// page-in). A job walks its run **one pinned chunk at a time**, handing
-/// `body` the view's index and pin: a cold chunk is paged in only while
-/// its morsel processes it and released right after, so a scan of a table
-/// N× the memory budget keeps at most one chunk per in-flight morsel
-/// resident beyond the cache. The control token is polled before every
-/// pin. Jobs re-derive the (cheap, metadata-only) views from the same
-/// immutable version, so every run's views are the submitter's.
+/// balanced by live rows (partitioning metadata is free — no page-in). A
+/// job walks its run **one pinned chunk at a time**, handing `body` each
+/// pin: a cold chunk is paged in only while its morsel processes it and
+/// released right after, so a scan of a table N× the memory budget keeps
+/// at most one chunk per in-flight morsel resident beyond the cache. The
+/// control token is polled before every pin; a view with no live rows is
+/// not pinned. Jobs re-derive the (cheap, metadata-only) views from the
+/// same immutable version, so every run's views are the submitter's.
 struct Chunks<F> {
     rel: OngoingRelation,
-    /// Rows read per view when that is not every live row (an IndexScan's
-    /// candidates); a view with nothing to read is not pinned.
-    reads: Option<Vec<usize>>,
     body: F,
 }
 
 impl<F> Chunks<F> {
-    fn new<T>(rel: OngoingRelation, reads: Option<Vec<usize>>, body: F) -> Self
+    fn new<T>(rel: OngoingRelation, body: F) -> Self
     where
-        F: Fn(usize, &PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
+        F: Fn(&PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
     {
-        Chunks { rel, reads, body }
-    }
-
-    /// Rows the job reads of view `i`.
-    fn reads(&self, i: usize, view: &LazyChunkView<'_>) -> usize {
-        self.reads.as_ref().map_or(view.len(), |r| r[i])
+        Chunks { rel, body }
     }
 }
 
 impl<T, F> MorselInput<T> for Chunks<F>
 where
-    F: Fn(usize, &PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
+    F: Fn(&PinnedChunk<'_>, &mut Vec<T>, &mut ExecStats) -> Result<()>,
 {
     fn items(&self) -> usize {
-        self.reads
-            .as_ref()
-            .map_or(self.rel.len(), |r| r.iter().sum())
+        self.rel.len()
     }
 
-    /// Greedy split into contiguous view ranges of about equal reads.
+    /// Greedy split into contiguous view ranges of about equal live rows.
     fn ranges(&self, morsels: usize) -> Vec<Range<usize>> {
         let views = self.rel.lazy_views();
         let target = self.items().div_ceil(morsels);
         let mut ranges: Vec<Range<usize>> = Vec::with_capacity(morsels);
         let (mut start, mut acc) = (0usize, 0usize);
         for (i, v) in views.iter().enumerate() {
-            acc += self.reads(i, v);
+            acc += v.len();
             if acc >= target && ranges.len() + 1 < morsels {
                 ranges.push(start..i + 1);
                 start = i + 1;
@@ -1089,30 +1024,14 @@ where
     fn run(&self, r: Option<Range<usize>>, ctl: &QueryControl, part: &mut Part<T>) -> Result<()> {
         let views = self.rel.lazy_views();
         let r = r.unwrap_or(0..views.len());
-        for (i, v) in views.iter().enumerate().take(r.end).skip(r.start) {
-            if self.reads(i, v) > 0 {
+        for v in &views[r] {
+            if !v.is_empty() {
                 ctl.check()?;
-                (self.body)(i, &v.pin()?, &mut part.0, &mut part.1)?;
+                (self.body)(&v.pin()?, &mut part.0, &mut part.1)?;
             }
         }
         Ok(())
     }
-}
-
-/// Sorted live positions of `rel` regrouped per chunk view, as
-/// chunk-local offsets (one list per view, empty for a view holding none).
-fn picks_by_chunk(rel: &OngoingRelation, sorted: &[usize]) -> Vec<Vec<usize>> {
-    let mut rest = sorted;
-    let mut start = 0usize;
-    let mut picks = Vec::new();
-    for view in rel.lazy_views() {
-        let end = start + view.len();
-        let here = rest.partition_point(|&pos| pos < end);
-        picks.push(rest[..here].iter().map(|&pos| pos - start).collect());
-        rest = &rest[here..];
-        start = end;
-    }
-    picks
 }
 
 /// One-line rendering of a key probe for EXPLAIN output.
@@ -1289,26 +1208,6 @@ fn filter_into(
     Ok(())
 }
 
-/// The candidate filter IndexScan and KeyScan share: every candidate is
-/// examined (and counted), alive at `rt` or not; those taking part in
-/// `mode` go through [`filter_into`].
-fn filter_candidates<'t>(
-    candidates: impl Iterator<Item = &'t Tuple>,
-    fixed: Option<&Predicate>,
-    ongoing: Option<&Predicate>,
-    mode: Mode,
-    out: &mut Vec<Tuple>,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    for t in candidates {
-        stats.tuples_filtered += 1;
-        if mode.keeps(t) {
-            filter_into(out, t, fixed, ongoing, mode, stats)?;
-        }
-    }
-    Ok(())
-}
-
 /// Join pair, read in place and concatenated only when it passes.
 /// Ongoing: intersect the two `RT`s (skipping the pair when that is
 /// empty), gate on the fixed conjunct, restrict by the ongoing one. At
@@ -1463,34 +1362,6 @@ pub fn sweepable_columns(conjunct: &Expr, split: usize) -> Option<(usize, usize)
         }
     }
     None
-}
-
-/// Extracts an index-scan opportunity from a selection conjunct:
-/// `Col(i) overlaps <fixed interval literal>` (either operand order).
-/// Returns the column and the envelope query range.
-pub fn indexable_selection(conjunct: &Expr) -> Option<(usize, (TimePoint, TimePoint))> {
-    if let Expr::Temporal(p, l, r) = conjunct {
-        if !matches!(
-            p,
-            TemporalPredicate::Overlaps | TemporalPredicate::Starts | TemporalPredicate::Finishes
-        ) {
-            return None;
-        }
-        let lit_env = |e: &Expr| -> Option<(TimePoint, TimePoint)> {
-            if let Expr::Const(v) = e {
-                v.as_interval().map(|iv| (iv.ts().a(), iv.te().b()))
-            } else {
-                None
-            }
-        };
-        match (l.as_ref(), r.as_ref()) {
-            (Expr::Col(i), lit) => lit_env(lit).map(|env| (*i, env)),
-            (lit, Expr::Col(i)) => lit_env(lit).map(|env| (*i, env)),
-            _ => None,
-        }
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

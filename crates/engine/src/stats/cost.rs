@@ -2,7 +2,7 @@
 //!
 //! Estimates, for a physical plan running in **ongoing mode**, the same
 //! quantities the executors *measure* in [`ExecStats`](crate::exec::ExecStats):
-//! tuples scanned, tuples filtered, candidate pairs compared, index
+//! tuples scanned, tuples filtered, candidate pairs compared, key-map
 //! candidates and interval-set merges. Estimating in the measured unit
 //! system is what makes the model *calibratable*: `repro_costmodel` and
 //! `tests/cost_model.rs` compare [`NodeEstimate::work`] against the
@@ -46,11 +46,11 @@ pub const DEFAULT_OVERLAP_SEL: f64 = 0.25;
 pub struct WorkEstimate {
     /// Expected tuples produced by base-table access paths.
     pub tuples_scanned: f64,
-    /// Expected tuples evaluated by filters / index residuals.
+    /// Expected tuples evaluated by filters / key-scan residuals.
     pub tuples_filtered: f64,
     /// Expected join candidate pairs.
     pub pairs_compared: f64,
-    /// Expected interval-index candidates.
+    /// Expected key-map candidates.
     pub index_candidates: f64,
     /// Expected interval-set merges.
     pub intervals_merged: f64,
@@ -568,50 +568,6 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
                 ..WorkEstimate::default()
             };
             NodeEstimate::leaf(rows, w, stats.is_some(), cols)
-        }
-        PhysicalPlan::IndexScan {
-            table,
-            schema,
-            col,
-            range,
-            fixed,
-            ongoing,
-        } => {
-            let rows = table.data().len() as f64;
-            let stats = table.statistics();
-            let summary = stats.as_ref().and_then(|s| s.interval(*col).cloned());
-            let candidates = match &summary {
-                Some(s) => s.overlap_count(rows, range.0.ticks(), range.1.ticks()),
-                None => rows * DEFAULT_OVERLAP_SEL,
-            };
-            let cols: Vec<ColEstimate> = match &stats {
-                Some(s) => schema
-                    .attrs()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| {
-                        ColEstimate {
-                            distinct: s
-                                .fixed(i)
-                                .map(|f| f.distinct as f64)
-                                .unwrap_or(rows)
-                                .max(1.0),
-                            fixed: s.fixed(i).cloned(),
-                            interval: s.interval(i).cloned(),
-                        }
-                        .scaled(candidates)
-                    })
-                    .collect(),
-                None => schema
-                    .attrs()
-                    .iter()
-                    .map(|_| ColEstimate::unknown(candidates))
-                    .collect(),
-            };
-            let (out_rows, mut w) = filter_work(candidates, source(fixed), source(ongoing), &cols);
-            w.index_candidates += candidates;
-            w.tuples_scanned += candidates;
-            NodeEstimate::leaf(out_rows, w, stats.is_some(), cols)
         }
         PhysicalPlan::KeyScan {
             table,

@@ -44,8 +44,8 @@ pub struct FixedSummary {
 ///
 /// All histograms are built over the **instantiation envelopes**
 /// `[ts.a, te.b)` of the non-empty intervals — the same abstraction the
-/// sweep join and the envelope interval index operate on, so estimates and
-/// executor work units speak the same language.
+/// sweep join operates on, so estimates and executor work units speak the
+/// same language.
 #[derive(Debug, Clone)]
 pub struct IntervalSummary {
     /// Rows analyzed (including always-empty envelopes).
@@ -106,12 +106,6 @@ impl IntervalSummary {
             return 0.0;
         }
         (self.starts.frac_lt(qe) - self.ends.frac_le(qs)).clamp(0.0, 1.0)
-    }
-
-    /// Estimated number of rows whose envelope overlaps `[qs, qe)`, for a
-    /// (possibly filtered) input of `rows` tuples with this distribution.
-    pub fn overlap_count(&self, rows: f64, qs: i64, qe: i64) -> f64 {
-        rows * self.nonempty_frac() * self.overlap_frac(qs, qe)
     }
 
     /// Estimated fraction of `left × right` pairs whose envelopes overlap —

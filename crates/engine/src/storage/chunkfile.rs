@@ -23,7 +23,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::storage::checksum::crc32;
-use crate::storage::codec::{decode_tuple, encode_tuple};
+use crate::storage::codec::{capacity, decode_tuple, encode_tuple, MIN_TUPLE_BYTES};
 use crate::storage::vfs::{with_retry, DiskError, Vfs};
 use bytes::{Buf, BufMut};
 use ongoing_relation::Tuple;
@@ -70,7 +70,8 @@ pub fn decode_chunk(raw: &[u8]) -> Result<Vec<Tuple>> {
         )));
     }
     let n = buf.get_u32_le() as usize;
-    let mut rows = Vec::with_capacity(n);
+    // A row is its length prefix and an encoded tuple.
+    let mut rows = Vec::with_capacity(capacity(n, buf.len(), 4 + MIN_TUPLE_BYTES));
     for _ in 0..n {
         if buf.remaining() < 4 {
             return Err(EngineError::CorruptStorage("truncated chunk row".into()));

@@ -136,7 +136,7 @@ fn get_value(buf: &mut impl Buf) -> Result<Value> {
         TAG_ONGOING_INT => {
             need(buf, 4)?;
             let n = buf.get_u32_le() as usize;
-            let mut pieces = Vec::with_capacity(n);
+            let mut pieces = Vec::with_capacity(capacity(n, buf.remaining(), 24));
             for _ in 0..n {
                 need(buf, 24)?;
                 let start = TimePoint::new(buf.get_i64_le());
@@ -150,6 +150,18 @@ fn get_value(buf: &mut impl Buf) -> Result<Value> {
         }
         t => Err(EngineError::Storage(format!("unknown value tag {t}"))),
     }
+}
+
+/// The fewest bytes [`encode_tuple`] emits: the arity and `RT`
+/// cardinality fields.
+pub(crate) const MIN_TUPLE_BYTES: usize = 2 + 4;
+
+/// A `Vec` capacity for `count` decoded elements of at least `min_bytes`
+/// encoded bytes each when `remaining` bytes are left: never more than
+/// the input can hold, so a corrupt or hostile count field cannot size an
+/// allocation.
+pub(crate) fn capacity(count: usize, remaining: usize, min_bytes: usize) -> usize {
+    count.min(remaining / min_bytes)
 }
 
 /// Encodes a tuple (values + `RT`) into bytes.
@@ -174,7 +186,8 @@ pub fn decode_tuple(mut buf: &[u8]) -> Result<Tuple> {
         return Err(EngineError::Storage("truncated tuple".into()));
     }
     let arity = buf.get_u16_le() as usize;
-    let mut values = Vec::with_capacity(arity);
+    // A value encodes to at least its tag byte.
+    let mut values = Vec::with_capacity(capacity(arity, buf.remaining(), 1));
     for _ in 0..arity {
         values.push(get_value(&mut buf)?);
     }
@@ -182,7 +195,7 @@ pub fn decode_tuple(mut buf: &[u8]) -> Result<Tuple> {
         return Err(EngineError::Storage("truncated RT".into()));
     }
     let n = buf.get_u32_le() as usize;
-    let mut ranges = Vec::with_capacity(n);
+    let mut ranges = Vec::with_capacity(capacity(n, buf.remaining(), 16));
     for _ in 0..n {
         if buf.remaining() < 16 {
             return Err(EngineError::Storage("truncated RT range".into()));

@@ -20,6 +20,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::storage::checksum::crc32;
+use crate::storage::codec::capacity;
 use crate::storage::vfs::{with_retry, DiskError, Vfs};
 use crate::storage::wal::{get_table_state, put_table_state, TableState};
 use bytes::{Buf, BufMut};
@@ -81,7 +82,8 @@ pub fn decode_manifest(raw: &[u8]) -> Result<Manifest> {
     let lsn = buf.get_u64_le();
     let next_chunk = buf.get_u64_le();
     let ntables = buf.get_u32_le() as usize;
-    let mut tables = Vec::with_capacity(ntables);
+    // Name length, attribute, index and chunk counts.
+    let mut tables = Vec::with_capacity(capacity(ntables, buf.len(), 4 + 2 + 2 + 4));
     for _ in 0..ntables {
         tables.push(get_table_state(&mut buf).map_err(|e| corrupt(format!("manifest: {e}")))?);
     }

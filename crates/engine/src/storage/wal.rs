@@ -37,7 +37,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::storage::checksum::crc32;
-use crate::storage::codec::{decode_tuple, encode_tuple};
+use crate::storage::codec::{capacity, decode_tuple, encode_tuple, MIN_TUPLE_BYTES};
 use crate::storage::vfs::{with_retry, with_retry_counted, DiskError, Vfs};
 use bytes::{Buf, BufMut};
 use ongoing_relation::{Attribute, JournalOp, Schema, Tuple, ValueType};
@@ -160,6 +160,10 @@ fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     buf.put_slice(&bytes);
 }
 
+/// The fewest bytes a framed tuple takes: its length prefix and the
+/// shortest encoding.
+const MIN_FRAMED_TUPLE: usize = 4 + MIN_TUPLE_BYTES;
+
 fn get_tuple(buf: &mut &[u8]) -> Result<Tuple> {
     need(buf, 4, "tuple length")?;
     let len = buf.get_u32_le() as usize;
@@ -188,7 +192,7 @@ fn get_overlay(buf: &mut &[u8]) -> Result<BTreeMap<usize, Vec<Tuple>>> {
         need(buf, 8, "overlay entry")?;
         let off = buf.get_u32_le() as usize;
         let rows = buf.get_u32_le() as usize;
-        let mut reps = Vec::with_capacity(rows);
+        let mut reps = Vec::with_capacity(capacity(rows, buf.len(), MIN_FRAMED_TUPLE));
         for _ in 0..rows {
             reps.push(get_tuple(buf)?);
         }
@@ -223,7 +227,8 @@ pub fn get_table_state(buf: &mut &[u8]) -> Result<TableState> {
     let name = get_str(buf)?;
     need(buf, 2, "schema")?;
     let nattrs = buf.get_u16_le() as usize;
-    let mut attrs = Vec::with_capacity(nattrs);
+    // Name length + type tag.
+    let mut attrs = Vec::with_capacity(capacity(nattrs, buf.len(), 4 + 1));
     for _ in 0..nattrs {
         let attr_name = get_str(buf)?;
         need(buf, 1, "attribute type")?;
@@ -231,14 +236,15 @@ pub fn get_table_state(buf: &mut &[u8]) -> Result<TableState> {
     }
     need(buf, 2, "indexed columns")?;
     let nidx = buf.get_u16_le() as usize;
-    let mut indexed = Vec::with_capacity(nidx);
+    let mut indexed = Vec::with_capacity(capacity(nidx, buf.len(), 4));
     for _ in 0..nidx {
         need(buf, 4, "indexed column")?;
         indexed.push(buf.get_u32_le() as usize);
     }
     need(buf, 4, "chunk list")?;
     let nchunks = buf.get_u32_le() as usize;
-    let mut chunks = Vec::with_capacity(nchunks);
+    // File id, base length and overlay count.
+    let mut chunks = Vec::with_capacity(capacity(nchunks, buf.len(), 12 + 4));
     for _ in 0..nchunks {
         need(buf, 12, "chunk entry")?;
         let file = buf.get_u64_le();
@@ -294,14 +300,14 @@ fn get_op(buf: &mut &[u8]) -> Result<JournalOp> {
         OP_EDITS => {
             need(buf, 4, "edit plan")?;
             let n = buf.get_u32_le() as usize;
-            let mut entries = Vec::with_capacity(n);
+            let mut entries = Vec::with_capacity(capacity(n, buf.len(), 20));
             for _ in 0..n {
                 need(buf, 20, "edit entry")?;
                 let ci = buf.get_u32_le() as usize;
                 let off = buf.get_u32_le() as usize;
                 let touched = buf.get_u64_le();
                 let nrows = buf.get_u32_le() as usize;
-                let mut rows = Vec::with_capacity(nrows);
+                let mut rows = Vec::with_capacity(capacity(nrows, buf.len(), MIN_FRAMED_TUPLE));
                 for _ in 0..nrows {
                     rows.push(get_tuple(buf)?);
                 }
@@ -354,7 +360,8 @@ pub fn decode_payload(mut buf: &[u8]) -> Result<WalRecord> {
             let table = get_str(&mut buf)?;
             need(&buf, 4, "op count")?;
             let n = buf.get_u32_le() as usize;
-            let mut ops = Vec::with_capacity(n);
+            // An op encodes to at least its tag byte.
+            let mut ops = Vec::with_capacity(capacity(n, buf.len(), 1));
             for _ in 0..n {
                 ops.push(get_op(&mut buf)?);
             }

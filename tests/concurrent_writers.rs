@@ -336,6 +336,57 @@ fn nested_conflict_retries_and_reports_attempts() {
 }
 
 #[test]
+fn io_error_on_a_superseded_version_retries_as_a_conflict() {
+    // The writer pins the cold version V of `T`. Mid-closure, a nested
+    // writer rebuilds `T` and a checkpoint garbage-collects the chunk
+    // files only V still references, so the writer's edit of its fork
+    // fails to page a chunk in. V is no longer published, so that is a
+    // conflict: the retry runs against the rebuilt version and applies.
+    // Deterministic — no thread timing involved.
+    let dir = ongoingdb::engine::storage::TempDir::new("writers-gc-race");
+    let db = Database::open_with(
+        dir.path(),
+        ongoingdb::engine::DurableOptions {
+            fsync: false,
+            checkpoint_bytes: u64::MAX,
+            memory_budget: 64 << 10,
+        },
+    )
+    .unwrap();
+    let base = base_rows(2 * ongoing_relation::TARGET_CHUNK_ROWS as i64);
+    db.create_table(
+        "T",
+        OngoingRelation::from_tuples(schema(), base.clone()).unwrap(),
+    )
+    .unwrap();
+    // The checkpoint persists `T` and, under the finite budget, demotes
+    // its chunks to cold references.
+    db.persist().unwrap();
+    let mut first = true;
+    let (n, attempts) = db
+        .modify_table_with("T", RetryPolicy::default(), |rel| {
+            if first {
+                first = false;
+                let rebuilt = OngoingRelation::from_tuples(schema(), base.clone())?;
+                db.modify_table("T", |inner| {
+                    *inner = rebuilt.clone();
+                    Ok(())
+                })?;
+                db.persist()?;
+            }
+            Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(-1i64)), tp(99))
+        })
+        .unwrap();
+    assert_eq!(n, 1, "the retried modification applied exactly once");
+    assert_eq!(attempts, 2, "one superseded attempt, one successful retry");
+    assert_eq!(
+        db.metrics_snapshot().value("ongoingdb_cas_conflicts"),
+        1,
+        "the retry is counted as a conflict"
+    );
+}
+
+#[test]
 fn nested_gated_modification_does_not_self_deadlock() {
     // queue_after = 0 puts every attempt under the FIFO gate. A closure
     // nesting a gated modify_table on the same table would deadlock on

@@ -213,15 +213,6 @@ fn type_errors_surface_through_execution() {
     assert!(matches!(execute(&db, &plan), Err(EngineError::Eval(_))));
 }
 
-#[test]
-fn interval_index_rejects_non_interval_columns() {
-    let db = empty_db();
-    let t = db.table("E").unwrap();
-    assert!(t.interval_index(0).is_err());
-    assert!(t.interval_index(1).is_ok());
-    assert!(t.interval_index(9).is_err());
-}
-
 // ---------------------------------------------------------------------
 // Instantiated-mode specifics.
 // ---------------------------------------------------------------------

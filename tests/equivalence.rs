@@ -232,10 +232,6 @@ fn ablation_configs_agree() {
             split_predicates: false,
             ..PlannerConfig::default()
         },
-        PlannerConfig {
-            use_interval_index: true,
-            ..PlannerConfig::default()
-        },
     ] {
         let phys = compile(&db, &plan, &cfg).unwrap();
         let (got, _) = phys.execute_with_stats(&cfg.exec_context()).unwrap();

@@ -4,10 +4,9 @@
 //! differences, projections, aggregations — nested up to depth 3) over
 //! randomly generated ongoing relations and verifies the paper's master
 //! criterion `∀rt: ∥Q(D)∥rt ≡ Q(∥D∥rt)` at every breakpoint-relevant
-//! reference time, under every join strategy with the interval index on
-//! and off — so every instantiated operator arm (index and key scans,
-//! keyed and hashed joins, sweeps, computed projections) is compared
-//! against the bound ongoing result.
+//! reference time, under every join strategy — so every instantiated
+//! operator arm (key scans, keyed and hashed joins, sweeps, computed
+//! projections) is compared against the bound ongoing result.
 //!
 //! This is the heaviest single guarantee in the suite: any divergence
 //! between the ongoing executors (interval-set arithmetic, RT
@@ -258,9 +257,10 @@ fn computed_projection(rng: &mut SmallRng, b: QueryBuilder) -> Option<QueryBuild
 
 /// Plans that steer the optimizer into the access paths a random plan
 /// rarely reaches: a key-equality selection on the key-indexed `T1`
-/// (`KeyScan`), an envelope-indexable selection (`IndexScan`), a hash
-/// join building on a bare scan of `T1` (keyed build), and an interval
-/// join (`SweepJoin`) — each with a random residual conjunct.
+/// (`KeyScan`), an `overlaps`/`starts`/`finishes` selection against a
+/// window literal, a hash join building on a bare scan of `T1` (keyed
+/// build), and an interval join (`SweepJoin`) — each with a random
+/// residual conjunct.
 fn access_path_query(rng: &mut SmallRng, db: &Database) -> QueryBuilder {
     let table = ["T0", "T1", "T2"][rng.gen_range(0..3usize)];
     match rng.gen_range(0..4) {
@@ -306,8 +306,7 @@ fn access_path_query(rng: &mut SmallRng, db: &Database) -> QueryBuilder {
 }
 
 /// Asserts `∥Q(D)∥rt ≡ Q(∥D∥rt)` for `plan` at every `rt`, under every
-/// join strategy with the interval index on and off, and records which
-/// physical operators the plans used.
+/// join strategy, and records which physical operators the plans used.
 fn assert_commutes(
     db: &Database,
     plan: &LogicalPlan,
@@ -321,43 +320,37 @@ fn assert_commutes(
         JoinStrategy::Hash,
         JoinStrategy::Sweep,
     ] {
-        for use_interval_index in [false, true] {
-            let cfg = PlannerConfig {
-                join_strategy: strategy,
-                use_interval_index,
-                ..PlannerConfig::default()
-            };
-            let phys = compile(db, plan, &cfg).unwrap();
-            let explain = phys.explain();
-            for op in OPERATORS {
-                if explain.contains(op) {
-                    seen.insert(op);
-                }
+        let cfg = PlannerConfig {
+            join_strategy: strategy,
+            ..PlannerConfig::default()
+        };
+        let phys = compile(db, plan, &cfg).unwrap();
+        let explain = phys.explain();
+        for op in OPERATORS {
+            if explain.contains(op) {
+                seen.insert(op);
             }
-            let ctx = cfg.exec_context();
-            let ongoing = match phys.execute_with_stats(&ctx) {
-                Ok((o, _)) => o,
-                Err(e) => panic!(
-                    "{label} ({strategy:?}, index {use_interval_index}): {e}\nplan:\n{explain}"
-                ),
-            };
-            for &rt in rts {
-                let lhs = ongoing.bind(rt);
-                let (rhs, _) = phys.execute_at_with_stats(rt, &ctx).unwrap();
-                assert_eq!(
-                    lhs, rhs,
-                    "{label} ({strategy:?}, index {use_interval_index}): divergence at rt={rt}\nplan:\n{explain}"
-                );
-            }
+        }
+        let ctx = cfg.exec_context();
+        let ongoing = match phys.execute_with_stats(&ctx) {
+            Ok((o, _)) => o,
+            Err(e) => panic!("{label} ({strategy:?}): {e}\nplan:\n{explain}"),
+        };
+        for &rt in rts {
+            let lhs = ongoing.bind(rt);
+            let (rhs, _) = phys.execute_at_with_stats(rt, &ctx).unwrap();
+            assert_eq!(
+                lhs, rhs,
+                "{label} ({strategy:?}): divergence at rt={rt}\nplan:\n{explain}"
+            );
         }
     }
 }
 
 /// EXPLAIN fragments of the operators (and the keyed hash-join build) the
 /// master-criterion fuzzer must reach.
-const OPERATORS: [&str; 8] = [
+const OPERATORS: [&str; 7] = [
     "SeqScan",
-    "IndexScan",
     "KeyScan",
     "NestedLoopJoin",
     "HashJoin",

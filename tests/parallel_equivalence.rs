@@ -352,6 +352,9 @@ fn pool_is_fair_across_concurrent_queries() {
     });
 }
 
+/// A temporal selection against a window literal — planned as
+/// `Filter(SeqScan)`, the one selection path — gives the same tuples, in
+/// the same order, and the same work units at every pool size.
 #[test]
 fn index_scan_is_parallel_deterministic() {
     let mut rng = SmallRng::seed_from_u64(99);
@@ -366,17 +369,13 @@ fn index_scan_is_parallel_deterministic() {
             })
             .unwrap()
             .build();
-    let cfg = PlannerConfig {
-        use_interval_index: true,
-        ..PlannerConfig::default()
-    };
-    let phys = compile(&db, &plan, &cfg).unwrap();
-    assert!(phys.explain().contains("IndexScan"), "{}", phys.explain());
+    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
+    assert!(phys.explain().contains("SeqScan"), "{}", phys.explain());
     let (serial, serial_stats) = phys.execute_with_stats(&ExecContext::serial()).unwrap();
-    assert!(serial_stats.index_candidates > 0);
+    assert!(serial_stats.tuples_filtered > 0);
     for p in [2usize, 4, 8] {
         let (parallel, parallel_stats) = phys.execute_with_stats(&ExecContext::new(p)).unwrap();
-        assert_eq!(parallel, serial, "index scan at parallelism {p}");
+        assert_eq!(parallel, serial, "overlaps filter at parallelism {p}");
         assert_eq!(parallel_stats, serial_stats, "stats at parallelism {p}");
     }
 }

@@ -1,9 +1,9 @@
-//! Integration tests for the planner (operator choice, pushdown, index)
+//! Integration tests for the planner (operator choice, pushdown)
 //! and the storage substrate (chunk files, layout model) on generated
 //! data.
 
 use ongoing_core::allen::TemporalPredicate;
-use ongoing_datasets::{synthetic, History, SyntheticConfig};
+use ongoing_datasets::{synthetic, SyntheticConfig};
 use ongoing_relation::{Expr, Tuple};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::storage::{chunkfile, layout};
@@ -103,36 +103,6 @@ fn pushdown_moves_single_side_conjuncts_below_join() {
     let (a, _) = phys.execute_with_stats(&ctx).unwrap();
     let (b, _) = without.execute_with_stats(&ctx).unwrap();
     assert_eq!(a.len(), b.len());
-}
-
-#[test]
-fn index_scan_is_used_and_correct() {
-    let db = db_with_dex(400);
-    let h = History::synthetic();
-    let w = h.last_fraction(0.1);
-    let plan =
-        queries::selection(&db, "Dex", TemporalPredicate::Overlaps, (w.start, w.end)).unwrap();
-    let cfg = PlannerConfig {
-        use_interval_index: true,
-        ..PlannerConfig::default()
-    };
-    let phys = compile(&db, &plan, &cfg).unwrap();
-    assert!(phys.explain().contains("IndexScan"), "{}", phys.explain());
-    let scan = compile(&db, &plan, &PlannerConfig::default()).unwrap();
-    assert!(!scan.explain().contains("IndexScan"), "{}", scan.explain());
-    // The index scan reads its candidates in storage order, so it emits
-    // exactly the scan plan's tuples, in the same order.
-    let ctx = cfg.exec_context();
-    let (via_index, _) = phys.execute_with_stats(&ctx).unwrap();
-    let (via_scan, _) = scan.execute_with_stats(&ctx).unwrap();
-    assert!(!via_scan.is_empty());
-    assert_eq!(via_index, via_scan);
-    // Instantiated mode too: the same raw rows in the same order.
-    for rt in [h.midpoint(), h.end] {
-        let (via_index, _) = phys.rows_at_with_stats(rt, &ctx).unwrap();
-        let (via_scan, _) = scan.rows_at_with_stats(rt, &ctx).unwrap();
-        assert_eq!(via_index, via_scan, "rt={rt}");
-    }
 }
 
 #[test]

@@ -593,27 +593,6 @@ fn keyed_churn_at_scale_stays_o_delta() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Interval indexes address live positions on the current version.
-// ---------------------------------------------------------------------
-
-#[test]
-fn interval_index_ids_follow_the_live_ordinals() {
-    let db = fragmented_db(2 * CHUNK);
-    let table = db.table("T").unwrap();
-    let idx = table.interval_index(2).unwrap();
-    let ids = idx.query(tp(20), tp(45));
-    assert!(!ids.is_empty());
-    for &id in &ids {
-        let t = table.data().iter().nth(id).expect("live position");
-        let iv = t.value(2).as_interval().unwrap();
-        assert!(
-            iv.ts().a() < tp(45) && iv.te().b() > tp(20),
-            "id {id}: {iv:?}"
-        );
-    }
-}
-
 /// Keeping the example from the paper honest across the refactor: the
 /// md-granularity doctest scenario still round-trips through the store.
 #[test]
