@@ -72,7 +72,6 @@ fn run_queries(db: &Database) -> (Vec<Tuple>, Vec<Tuple>, Duration, Duration) {
     let cfg = PlannerConfig {
         join_strategy: JoinStrategy::Hash,
         parallelism: 1,
-        ..PlannerConfig::default()
     };
     let ctx = ExecContext::serial();
 

@@ -69,7 +69,7 @@ fn read_db(budget: u64) -> Database {
 }
 
 /// The hot query set: keyed point reads, a temporal range, and an
-/// equi-join whose build side borrows the store's key maps.
+/// equi-join against the key-indexed table.
 const QUERIES: &[&str] = &[
     "SELECT K, C FROM Big WHERE K = 7",
     "SELECT K, VT FROM Big WHERE K = 11 AND C = 'x'",

@@ -20,11 +20,27 @@ use ongoing_relation::{FixedRelation, OngoingRelation};
 use std::time::{Duration, Instant};
 
 /// The scale multiplier from `REPRO_SCALE` (default 1.0).
+///
+/// # Panics
+///
+/// If `REPRO_SCALE` is set to anything [`parse_scale`] rejects.
 pub fn scale() -> f64 {
-    std::env::var("REPRO_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    match std::env::var("REPRO_SCALE") {
+        Ok(s) => parse_scale(&s).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => 1.0,
+    }
+}
+
+/// Parses a `REPRO_SCALE` value: a finite, non-negative float (`0`
+/// clamps every scaled size to 1). Text that is not a number, `NaN`, a
+/// negative value and an infinity are errors naming the variable.
+pub fn parse_scale(s: &str) -> Result<f64, String> {
+    match s.trim().parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err(format!(
+            "REPRO_SCALE must be a finite, non-negative number, got `{s}`"
+        )),
+    }
 }
 
 /// `n` scaled by [`scale`], at least 1.
@@ -253,6 +269,25 @@ mod tests {
     #[test]
     fn scaled_is_monotone() {
         assert!(scaled(100) >= 1);
+    }
+
+    #[test]
+    fn repro_scale_accepts_only_finite_non_negative_numbers() {
+        for (s, want) in [
+            ("1", 1.0),
+            ("0.3", 0.3),
+            (" 2.5 ", 2.5),
+            ("0", 0.0),
+            ("1e2", 100.0),
+        ] {
+            assert_eq!(parse_scale(s), Ok(want), "{s}");
+        }
+        for s in [
+            "", "abc", "1x", "NaN", "nan", "-1", "-0.5", "inf", "-inf", "infinity",
+        ] {
+            let err = parse_scale(s).unwrap_err();
+            assert!(err.contains("REPRO_SCALE"), "{s}: {err}");
+        }
     }
 
     #[test]

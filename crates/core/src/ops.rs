@@ -237,6 +237,50 @@ mod tests {
         }
     }
 
+    /// Exhaustive over the limit grid `{-∞, MIN_FINITE, -1, 0, 1,
+    /// MAX_FINITE, ∞}`: every valid point `a+b` binds into `[a, b]` at every
+    /// `rt`, and `lt` equals `lt_naive` and Theorem 1 pointwise. `∞` is not
+    /// a reference time: true sets are unions of half-open ranges
+    /// `[ts, te)`, so none contains `∞`.
+    #[test]
+    fn bind_and_lt_are_exact_on_the_limit_grid() {
+        let grid = [
+            TimePoint::NEG_INF,
+            TimePoint::MIN_FINITE,
+            tp(-1),
+            tp(0),
+            tp(1),
+            TimePoint::MAX_FINITE,
+            TimePoint::POS_INF,
+        ];
+        let mut points = Vec::new();
+        for a in grid {
+            for b in grid {
+                match OngoingPoint::new(a, b) {
+                    Ok(p) => points.push(p),
+                    Err(_) => assert!(a > b, "{a}+{b} rejected"),
+                }
+            }
+        }
+        assert_eq!(points.len(), 28);
+        for &p in &points {
+            for rt in grid {
+                let v = p.bind(rt);
+                assert!(p.a() <= v && v <= p.b(), "∥{p}∥{rt} = {v}");
+                // Binding picks `a`, `b` or `rt`: never a new tick.
+                assert!(v == p.a() || v == p.b() || v == rt, "∥{p}∥{rt} = {v}");
+            }
+            for &q in &points {
+                let ob = lt(p, q);
+                assert_eq!(ob, lt_naive(p, q), "{p} < {q}");
+                for rt in grid {
+                    let fixed = p.bind(rt) < q.bind(rt) && !rt.is_pos_inf();
+                    assert_eq!(ob.bind(rt), fixed, "{p} < {q} at {rt}: {ob}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn lt_is_pointwise_correct() {
         check_pointwise(lt, |x, y| x < y);

@@ -77,7 +77,9 @@ impl TimePoint {
         }
     }
 
-    /// The discrete predecessor; saturates at the domain limits.
+    /// The discrete predecessor, mirroring [`succ`](Self::succ):
+    /// `pred(-∞) = -∞` and, by convention, `pred(∞) = ∞ - 1` (the largest
+    /// finite point).
     #[inline]
     pub const fn pred(self) -> Self {
         if self.is_neg_inf() {
@@ -176,6 +178,63 @@ mod tests {
         assert_eq!(TimePoint::POS_INF.pred(), TimePoint::MAX_FINITE);
         assert_eq!(tp(5).succ(), tp(6));
         assert_eq!(tp(5).pred(), tp(4));
+    }
+
+    /// The domain limits, the finite points next to them, and `-1, 0, 1`.
+    const GRID: [TimePoint; 7] = [
+        TimePoint::NEG_INF,
+        TimePoint::MIN_FINITE,
+        TimePoint::new(-1),
+        TimePoint::new(0),
+        TimePoint::new(1),
+        TimePoint::MAX_FINITE,
+        TimePoint::POS_INF,
+    ];
+
+    /// Exhaustive over the limit grid: every operation saturates instead
+    /// of wrapping, and no limit turns into a finite tick except by the
+    /// documented `succ(-∞)` / `pred(∞)` convention.
+    #[test]
+    fn arithmetic_saturates_on_the_limit_grid() {
+        for x in GRID {
+            let succ = match x {
+                TimePoint::POS_INF => x,
+                TimePoint::NEG_INF => TimePoint::MIN_FINITE,
+                _ => TimePoint::new(x.ticks() + 1),
+            };
+            let pred = match x {
+                TimePoint::NEG_INF => x,
+                TimePoint::POS_INF => TimePoint::MAX_FINITE,
+                _ => TimePoint::new(x.ticks() - 1),
+            };
+            assert_eq!(x.succ(), succ, "succ({x})");
+            assert_eq!(x.pred(), pred, "pred({x})");
+            for y in GRID {
+                let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
+                assert_eq!(x.min_f(y), lo, "minF({x}, {y})");
+                assert_eq!(x.max_f(y), hi, "maxF({x}, {y})");
+                let distance = if x.is_finite() && y.is_finite() {
+                    let exact = i128::from(y.ticks()) - i128::from(x.ticks());
+                    exact.clamp(i64::MIN.into(), i64::MAX.into()) as i64
+                } else {
+                    i64::MAX
+                };
+                assert_eq!(x.distance_to(y), distance, "distance({x}, {y})");
+                // Clamping picks one of its inputs: never a new tick.
+                for z in GRID {
+                    let c = z.clamp_to(lo, hi);
+                    assert!(lo <= c && c <= hi, "clamp({z}, {lo}, {hi}) = {c}");
+                    let want = if z < lo {
+                        lo
+                    } else if z > hi {
+                        hi
+                    } else {
+                        z
+                    };
+                    assert_eq!(c, want, "clamp({z}, {lo}, {hi})");
+                }
+            }
+        }
     }
 
     #[test]

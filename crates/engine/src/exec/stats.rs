@@ -37,7 +37,7 @@ pub struct ExecStats {
     /// hits for the hash join, envelope-overlapping pairs for the sweep
     /// join).
     pub pairs_compared: u64,
-    /// Key-map candidates examined (`KeyScan`, keyed hash-join build).
+    /// Key-map candidates examined (`KeyScan`).
     pub index_candidates: u64,
     /// Interval-set merge operations (predicate true-set construction and
     /// reference-time restrictions) in the ongoing executors.

@@ -10,8 +10,8 @@
 //! reference time.
 //!
 //! [`rewrite`] performs the logical rewrites; [`compile`] picks physical
-//! operators under a [`PlannerConfig`]. Every knob exists so tests and the
-//! `repro_*` binaries can measure the value of each technique.
+//! operators under a [`PlannerConfig`], whose join strategy lets tests and
+//! the `repro_*` binaries force one join algorithm against the others.
 //!
 //! # Cost-based strategy choice
 //!
@@ -31,7 +31,6 @@ use crate::plan::logical::LogicalPlan;
 use crate::plan::physical::{sweepable_columns, PhysicalPlan};
 use crate::stats::cost;
 use ongoing_relation::{CmpOp, Expr, KeyProbe, Predicate, Schema, ValueType};
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// Join algorithm selection policy.
@@ -52,16 +51,10 @@ pub enum JoinStrategy {
     Hash,
 }
 
-/// Planner knobs. Defaults reproduce the paper's configuration; individual
-/// flags are switched off by the ablation tests and `repro_*` binaries.
-#[derive(Debug, Clone)]
+/// Planner settings. The defaults reproduce the paper's configuration;
+/// the predicate split and conjunct pushdown of Sec. VIII are always on.
+#[derive(Debug, Clone, Default)]
 pub struct PlannerConfig {
-    /// Push single-side conjuncts below joins.
-    pub pushdown: bool,
-    /// Split conjunctive predicates into fixed and ongoing parts
-    /// (Sec. VIII). When off, whole predicates are evaluated as ongoing
-    /// booleans.
-    pub split_predicates: bool,
     /// Join algorithm policy.
     pub join_strategy: JoinStrategy,
     /// Executor worker threads. `0` means auto: the `ONGOINGDB_THREADS`
@@ -69,17 +62,6 @@ pub struct PlannerConfig {
     /// parallelism. Results and work-unit counts are identical for every
     /// setting.
     pub parallelism: usize,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            pushdown: true,
-            split_predicates: true,
-            join_strategy: JoinStrategy::Auto,
-            parallelism: 0,
-        }
-    }
 }
 
 impl PlannerConfig {
@@ -92,9 +74,8 @@ impl PlannerConfig {
 }
 
 /// Conjunction of a list of predicates (`None` when empty).
-fn and_all(mut preds: Vec<Expr>) -> Option<Expr> {
-    let first = preds.drain(..).reduce(Expr::and);
-    first
+fn and_all(preds: Vec<Expr>) -> Option<Expr> {
+    preds.into_iter().reduce(Expr::and)
 }
 
 /// The key-equality probe of a conjunct, when it compares a key-indexed
@@ -119,103 +100,57 @@ fn key_eq_probe(c: &Expr, table: &Table) -> Option<KeyProbe> {
     Some(KeyProbe::Eq { col, key })
 }
 
-/// Should this hash join borrow its build from the build table's per-chunk
-/// key maps? Only when the build side is a bare scan, there is a single
-/// equality key, the pinned version covers that column with key maps, and
-/// the unindexed delta (overlay + pending, walked once per distinct probe
-/// key) is small relative to the table.
-fn keyed_build(r: &PhysicalPlan, keys: &[(usize, usize)]) -> bool {
-    let (PhysicalPlan::SeqScan { table, .. }, [(_, rk)]) = (r, keys) else {
-        return false;
-    };
-    let probe = KeyProbe::Range {
-        col: *rk,
-        lo: Bound::Unbounded,
-        hi: Bound::Unbounded,
-    };
-    match table.data().qualification_estimate(&probe) {
-        Some(q) => (q.overlay + q.pending) * 8 <= q.scan,
-        None => false,
-    }
-}
-
 /// Logical rewrites: merge selections into joins, turn selected products
 /// into joins, push single-side conjuncts below joins, and fuse stacked
 /// selections.
-pub fn rewrite(plan: LogicalPlan, pushdown: bool) -> LogicalPlan {
+pub fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     match plan {
-        LogicalPlan::Select { input, pred } => {
-            let input = rewrite(*input, pushdown);
-            if !pushdown {
-                return LogicalPlan::Select {
-                    input: Box::new(input),
-                    pred,
-                };
+        LogicalPlan::Select { input, pred } => match rewrite(*input) {
+            LogicalPlan::Join {
+                left,
+                right,
+                pred: jp,
+            } => {
+                let mut cs = jp.conjuncts();
+                cs.extend(pred.conjuncts());
+                rewrite_join(*left, *right, cs)
             }
-            match input {
-                LogicalPlan::Join {
-                    left,
-                    right,
-                    pred: jp,
-                } => rewrite_join(
-                    *left,
-                    *right,
-                    {
-                        let mut cs = jp.conjuncts();
-                        cs.extend(pred.conjuncts());
-                        cs
-                    },
-                    pushdown,
-                ),
-                LogicalPlan::Product { left, right } => {
-                    rewrite_join(*left, *right, pred.conjuncts(), pushdown)
-                }
-                LogicalPlan::Select {
-                    input: inner,
-                    pred: p2,
-                } => LogicalPlan::Select {
-                    input: inner,
-                    pred: p2.and(pred),
-                },
-                other => LogicalPlan::Select {
-                    input: Box::new(other),
-                    pred,
-                },
-            }
-        }
+            LogicalPlan::Product { left, right } => rewrite_join(*left, *right, pred.conjuncts()),
+            LogicalPlan::Select {
+                input: inner,
+                pred: p2,
+            } => LogicalPlan::Select {
+                input: inner,
+                pred: p2.and(pred),
+            },
+            other => LogicalPlan::Select {
+                input: Box::new(other),
+                pred,
+            },
+        },
         LogicalPlan::Join { left, right, pred } => {
-            let left = rewrite(*left, pushdown);
-            let right = rewrite(*right, pushdown);
-            if pushdown {
-                rewrite_join(left, right, pred.conjuncts(), pushdown)
-            } else {
-                LogicalPlan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    pred,
-                }
-            }
+            rewrite_join(rewrite(*left), rewrite(*right), pred.conjuncts())
         }
         LogicalPlan::Product { left, right } => LogicalPlan::Product {
-            left: Box::new(rewrite(*left, pushdown)),
-            right: Box::new(rewrite(*right, pushdown)),
+            left: Box::new(rewrite(*left)),
+            right: Box::new(rewrite(*right)),
         },
         LogicalPlan::Project {
             input,
             items,
             schema,
         } => LogicalPlan::Project {
-            input: Box::new(rewrite(*input, pushdown)),
+            input: Box::new(rewrite(*input)),
             items,
             schema,
         },
         LogicalPlan::Union { left, right } => LogicalPlan::Union {
-            left: Box::new(rewrite(*left, pushdown)),
-            right: Box::new(rewrite(*right, pushdown)),
+            left: Box::new(rewrite(*left)),
+            right: Box::new(rewrite(*right)),
         },
         LogicalPlan::Difference { left, right } => LogicalPlan::Difference {
-            left: Box::new(rewrite(*left, pushdown)),
-            right: Box::new(rewrite(*right, pushdown)),
+            left: Box::new(rewrite(*left)),
+            right: Box::new(rewrite(*right)),
         },
         LogicalPlan::Aggregate {
             input,
@@ -223,7 +158,7 @@ pub fn rewrite(plan: LogicalPlan, pushdown: bool) -> LogicalPlan {
             aggs,
             schema,
         } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite(*input, pushdown)),
+            input: Box::new(rewrite(*input)),
             group_cols,
             aggs,
             schema,
@@ -234,12 +169,7 @@ pub fn rewrite(plan: LogicalPlan, pushdown: bool) -> LogicalPlan {
 
 /// Distributes join conjuncts: single-side ones become selections below the
 /// join, the rest stay as the join predicate.
-fn rewrite_join(
-    left: LogicalPlan,
-    right: LogicalPlan,
-    conjuncts: Vec<Expr>,
-    pushdown: bool,
-) -> LogicalPlan {
+fn rewrite_join(left: LogicalPlan, right: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
     let la = left.schema().len();
     let mut left_preds = Vec::new();
     let mut right_preds = Vec::new();
@@ -254,26 +184,14 @@ fn rewrite_join(
             join_preds.push(c);
         }
     }
-    let left = match and_all(left_preds) {
-        Some(p) => rewrite(
-            LogicalPlan::Select {
-                input: Box::new(left),
-                pred: p,
-            },
-            pushdown,
-        ),
-        None => left,
+    let select = |input: LogicalPlan, preds: Vec<Expr>| match and_all(preds) {
+        Some(pred) => rewrite(LogicalPlan::Select {
+            input: Box::new(input),
+            pred,
+        }),
+        None => input,
     };
-    let right = match and_all(right_preds) {
-        Some(p) => rewrite(
-            LogicalPlan::Select {
-                input: Box::new(right),
-                pred: p,
-            },
-            pushdown,
-        ),
-        None => right,
-    };
+    let (left, right) = (select(left, left_preds), select(right, right_preds));
     match and_all(join_preds) {
         Some(pred) => LogicalPlan::Join {
             left: Box::new(left),
@@ -287,13 +205,12 @@ fn rewrite_join(
     }
 }
 
-/// Splits an optional predicate into (fixed, ongoing) conjuncts per the
-/// planner configuration.
-fn split_pred(pred: Option<Expr>, schema: &Schema, split: bool) -> (Option<Expr>, Option<Expr>) {
+/// Splits an optional predicate into its fixed and ongoing conjuncts
+/// (Sec. VIII).
+fn split_pred(pred: Option<Expr>, schema: &Schema) -> (Option<Expr>, Option<Expr>) {
     match pred {
         None => (None, None),
-        Some(p) if split => p.split_fixed_ongoing(schema),
-        Some(p) => (None, Some(p)),
+        Some(p) => p.split_fixed_ongoing(schema),
     }
 }
 
@@ -303,16 +220,15 @@ fn split_pred(pred: Option<Expr>, schema: &Schema, split: bool) -> (Option<Expr>
 fn split_compiled(
     pred: Option<Expr>,
     schema: &Schema,
-    split: bool,
 ) -> (Option<Arc<Predicate>>, Option<Arc<Predicate>>) {
-    let (fixed, ongoing) = split_pred(pred, schema, split);
+    let (fixed, ongoing) = split_pred(pred, schema);
     let compile = |p: Option<Expr>| p.map(|p| Arc::new(Predicate::compile(p)));
     (compile(fixed), compile(ongoing))
 }
 
 /// Compiles a logical plan into a physical plan.
 pub fn compile(db: &Database, plan: &LogicalPlan, cfg: &PlannerConfig) -> Result<PhysicalPlan> {
-    let rewritten = rewrite(plan.clone(), cfg.pushdown);
+    let rewritten = rewrite(plan.clone());
     compile_node(db, rewritten, cfg)
 }
 
@@ -346,8 +262,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                         .qualification_estimate(&probe)
                         .expect("key_eq_probe only matches indexed columns");
                     if q.keyed < q.scan {
-                        let (fixed, ongoing) =
-                            split_compiled(Some(pred), &schema, cfg.split_predicates);
+                        let (fixed, ongoing) = split_compiled(Some(pred), &schema);
                         return Ok(PhysicalPlan::KeyScan {
                             table: resolved,
                             schema: scan_schema.clone(),
@@ -358,7 +273,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                     }
                 }
             }
-            let (fixed, ongoing) = split_compiled(Some(pred), &schema, cfg.split_predicates);
+            let (fixed, ongoing) = split_compiled(Some(pred), &schema);
             Ok(PhysicalPlan::Filter {
                 input: Box::new(compile_node(db, *input, cfg)?),
                 fixed,
@@ -420,7 +335,6 @@ enum JoinChoice {
     Nested,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn compile_join(
     db: &Database,
     left: LogicalPlan,
@@ -465,28 +379,16 @@ fn compile_join(
         JoinStrategy::Hash => JoinChoice::Nested,
         JoinStrategy::Sweep if sweep.is_some() => JoinChoice::Sweep,
         JoinStrategy::Sweep => JoinChoice::Nested,
-        JoinStrategy::Auto => choose_join(
-            &l,
-            &r,
-            &keys,
-            sweep,
-            &conjuncts,
-            &hash_residual,
-            schema,
-            cfg.split_predicates,
-        ),
+        JoinStrategy::Auto => choose_join(&l, &r, &keys, sweep, &conjuncts, &hash_residual, schema),
     };
 
     match choice {
         JoinChoice::Hash => {
-            let (fixed, ongoing) =
-                split_compiled(and_all(hash_residual), schema, cfg.split_predicates);
-            let keyed = keyed_build(&r, &keys);
+            let (fixed, ongoing) = split_compiled(and_all(hash_residual), schema);
             Ok(PhysicalPlan::HashJoin {
                 left: Box::new(l),
                 right: Box::new(r),
                 keys,
-                keyed,
                 fixed,
                 ongoing,
             })
@@ -495,7 +397,7 @@ fn compile_join(
             let (l_col, r_col) = sweep.expect("sweep choice implies a sweepable conjunct");
             // The envelope pass is a pre-filter; the complete predicate
             // stays as residual.
-            let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema, cfg.split_predicates);
+            let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema);
             Ok(PhysicalPlan::SweepJoin {
                 left: Box::new(l),
                 right: Box::new(r),
@@ -506,7 +408,7 @@ fn compile_join(
             })
         }
         JoinChoice::Nested => {
-            let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema, cfg.split_predicates);
+            let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema);
             Ok(PhysicalPlan::NestedLoopJoin {
                 left: Box::new(l),
                 right: Box::new(r),
@@ -519,7 +421,6 @@ fn compile_join(
 
 /// `Auto` strategy choice: cost-based enumeration over analyzed inputs,
 /// classic heuristic priority otherwise.
-#[allow(clippy::too_many_arguments)]
 fn choose_join(
     l: &PhysicalPlan,
     r: &PhysicalPlan,
@@ -528,7 +429,6 @@ fn choose_join(
     conjuncts: &[Expr],
     hash_residual: &[Expr],
     schema: &Schema,
-    split_predicates: bool,
 ) -> JoinChoice {
     if keys.is_empty() && sweep.is_none() {
         return JoinChoice::Nested;
@@ -546,7 +446,7 @@ fn choose_join(
         };
     }
     let cols = cost::product_cols(&le, &re);
-    let (nl_fixed, nl_ongoing) = split_pred(and_all(conjuncts.to_vec()), schema, split_predicates);
+    let (nl_fixed, nl_ongoing) = split_pred(and_all(conjuncts.to_vec()), schema);
     let nl = cost::nested_loop_work(&le, &re, nl_fixed.as_ref(), nl_ongoing.as_ref(), &cols)
         .1
         .total();
@@ -568,8 +468,7 @@ fn choose_join(
         }
     }
     if !keys.is_empty() {
-        let (h_fixed, h_ongoing) =
-            split_pred(and_all(hash_residual.to_vec()), schema, split_predicates);
+        let (h_fixed, h_ongoing) = split_pred(and_all(hash_residual.to_vec()), schema);
         let w = cost::hash_join_work(&le, &re, keys, h_fixed.as_ref(), h_ongoing.as_ref(), &cols)
             .1
             .total();

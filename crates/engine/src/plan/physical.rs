@@ -73,7 +73,6 @@ use ongoing_relation::{
     Expr, FixedRelation, KeyProbe, OngoingRelation, Pair, PinnedChunk, Predicate, Row, Schema,
     Tuple, Value,
 };
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -98,8 +97,8 @@ pub enum PhysicalPlan {
         schema: Schema,
     },
     /// Key-map pre-filtered scan: candidates come from the store's
-    /// per-chunk keyed qualification indexes (PR 5's write-path `KeyMap`s,
-    /// now serving the read path) via [`OngoingRelation::keyed_rows`];
+    /// per-chunk keyed qualification indexes (the write path's `KeyMap`s,
+    /// also serving this one read path) via [`OngoingRelation::keyed_rows`];
     /// the exact predicate is re-checked as residual.
     KeyScan {
         /// The resolved table.
@@ -145,7 +144,8 @@ pub enum PhysicalPlan {
         ongoing: Option<Arc<Predicate>>,
     },
     /// Hash join on fixed-attribute equality keys, with residual conjuncts.
-    /// The build side is hashed once; probe partitions run concurrently.
+    /// The build (right) side is collected and hashed once, in both modes;
+    /// probe partitions run concurrently.
     HashJoin {
         /// Left (probe) input.
         left: Box<PhysicalPlan>,
@@ -153,13 +153,6 @@ pub enum PhysicalPlan {
         right: Box<PhysicalPlan>,
         /// `(left column, right column)` equality key pairs.
         keys: Vec<(usize, usize)>,
-        /// Borrow the build from the build table's per-chunk `KeyMap`s:
-        /// probe morsels look matches up through
-        /// [`OngoingRelation::keyed_rows`] instead of materializing and
-        /// hashing the build side. Set by the optimizer only when the
-        /// build side is a bare scan of a key-indexed column (ongoing
-        /// mode; the instantiated baseline always hashes).
-        keyed: bool,
         /// Fixed residual conjunct.
         fixed: Option<Arc<Predicate>>,
         /// Ongoing residual conjunct.
@@ -304,15 +297,10 @@ impl PhysicalPlan {
             }
             PhysicalPlan::HashJoin {
                 keys,
-                keyed,
                 fixed,
                 ongoing,
                 ..
-            } => format!(
-                "HashJoin on {keys:?}{}{}",
-                if *keyed { " (keyed build)" } else { "" },
-                preds(fixed, ongoing)
-            ),
+            } => format!("HashJoin on {keys:?}{}", preds(fixed, ongoing)),
             PhysicalPlan::SweepJoin {
                 l_col,
                 r_col,
@@ -544,55 +532,10 @@ impl PhysicalPlan {
             } => {
                 // A nested-loop join is the keyless hash join: one bucket
                 // holding every build row, probed in order.
-                let (keys, keyed): (&[(usize, usize)], bool) = match self {
-                    PhysicalPlan::HashJoin { keys, keyed, .. } => (keys, *keyed),
-                    _ => (&[], false),
+                let keys: &[(usize, usize)] = match self {
+                    PhysicalPlan::HashJoin { keys, .. } => keys,
+                    _ => &[],
                 };
-                // Keyed build: the build side is a bare scan of a
-                // key-indexed column, so probe morsels look matches up in
-                // the table's per-chunk `KeyMap`s (memoized per chunk)
-                // instead of materializing and hashing the build side.
-                // `keyed_rows` returns matches in live order — exactly the
-                // order the hashed build would emit — so results are
-                // bit-identical to the unkeyed path. The instantiated
-                // baseline always hashes.
-                if keyed && mode == Mode::Ongoing {
-                    if let (PhysicalPlan::SeqScan { table, schema: rs }, [(lk, rk)]) =
-                        (right.as_ref(), keys)
-                    {
-                        let (lk, rk) = (*lk, *rk);
-                        let l = left.run(mode, ctx, stats)?;
-                        let schema = l.schema().product(rs);
-                        let rdata = table.data().clone();
-                        let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
-                        let input = Chunks::new(l, move |pinned, out, local| {
-                            let mut memo: HashMap<Value, Vec<Tuple>> = HashMap::new();
-                            for lt in pinned.iter() {
-                                let key = lt.value(lk);
-                                let matches = match memo.entry(key.clone()) {
-                                    Entry::Occupied(e) => e.into_mut(),
-                                    Entry::Vacant(e) => {
-                                        let probe = KeyProbe::Eq {
-                                            col: rk,
-                                            key: key.clone(),
-                                        };
-                                        let (rows, visited) = keyed_matches(&rdata, &probe)?;
-                                        local.index_candidates += visited;
-                                        local.tuples_scanned += visited;
-                                        e.insert(rows)
-                                    }
-                                };
-                                let (f, o) = (fixed.as_deref(), ongoing.as_deref());
-                                for rt_ in matches.iter() {
-                                    join_pair_into(out, lt, rt_, f, o, mode, local)?;
-                                }
-                            }
-                            Ok(())
-                        });
-                        let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
-                        return Ok(assemble_tuples(schema, tuples));
-                    }
-                }
                 let l = left.run(mode, ctx, stats)?;
                 let r = right.run(mode, ctx, stats)?;
                 let schema = l.schema().product(r.schema());
@@ -1061,26 +1004,6 @@ fn collect_pinned(ctx: &ExecContext, rel: &OngoingRelation, mode: Mode) -> Resul
         out.extend(view.pin()?.iter().filter(|t| mode.keeps(t)).cloned());
     }
     Ok(out)
-}
-
-/// The rows of `rel` matching `probe`, in live order, plus the rows
-/// visited: through the per-chunk key maps, or — defensively, since the
-/// optimizer sets a keyed build only for covered columns of the pinned
-/// version — by a scan of the pinned chunks.
-fn keyed_matches(rel: &OngoingRelation, probe: &KeyProbe) -> Result<(Vec<Tuple>, u64)> {
-    if let Some(found) = rel.keyed_rows(probe)? {
-        return Ok(found);
-    }
-    let mut rows = Vec::new();
-    for view in rel.lazy_views() {
-        let pin = view.pin()?;
-        rows.extend(
-            pin.iter()
-                .filter(|t| probe.matches(t.value(probe.col())))
-                .cloned(),
-        );
-    }
-    Ok((rows, rel.len() as u64))
 }
 
 /// `rel` with every row resident — how an ongoing Union, Difference or

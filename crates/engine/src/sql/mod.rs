@@ -21,6 +21,10 @@
 //!
 //! Beyond queries, [`run_statement`] also accepts `ANALYZE [table]`, which
 //! collects the optimizer statistics of the [`crate::stats`] subsystem.
+//!
+//! A statement holds at most 128 boolean terms and names at most 16
+//! relations; larger ones are parse errors, since every pass after the
+//! parser recurses over the expression and operator trees.
 
 pub mod ast;
 pub mod parser;

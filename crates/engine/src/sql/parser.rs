@@ -23,7 +23,7 @@
 use crate::sql::ast::{AstExpr, Query, SelectItem, SelectStmt, Statement, TableRef};
 use crate::sql::token::{lex, Token, TokenKind};
 use ongoing_core::allen::TemporalPredicate;
-use ongoing_core::date::days_from_civil;
+use ongoing_core::date::{civil_from_days, days_from_civil, Civil};
 use ongoing_core::{OngoingInterval, OngoingPoint, TimePoint};
 use ongoing_relation::{CmpOp, Value};
 use std::fmt;
@@ -47,18 +47,30 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+/// Most boolean terms (operands of `AND`, `OR` and `NOT`, parenthesized
+/// or not, function arguments included) one statement may hold. Lowering,
+/// predicate compilation, evaluation and drop all recurse over the
+/// expression tree, so a longer chain or deeper nesting is a parse error
+/// rather than a stack overflow.
+const MAX_TERMS: usize = 128;
+
+/// Most relations (`FROM` and `JOIN` tables, across set operations) one
+/// statement may name, for the same reason: the plan passes recurse over
+/// the operator tree.
+const MAX_RELATIONS: usize = 16;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Boolean terms parsed so far (bounded by [`MAX_TERMS`]).
+    terms: usize,
+    /// Relations named so far (bounded by [`MAX_RELATIONS`]).
+    relations: usize,
 }
 
 /// Parses a full OngoingQL query.
 pub fn parse(input: &str) -> PResult<Query> {
-    let tokens = lex(input).map_err(|e| ParseError {
-        message: e.message,
-        at: e.at,
-    })?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -67,11 +79,7 @@ pub fn parse(input: &str) -> PResult<Query> {
 /// Parses a top-level OngoingQL statement: a query, or
 /// `ANALYZE [table]`.
 pub fn parse_statement(input: &str) -> PResult<Statement> {
-    let tokens = lex(input).map_err(|e| ParseError {
-        message: e.message,
-        at: e.at,
-    })?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     if p.eat_kw("EXPLAIN") {
         let analyze = p.eat_kw("ANALYZE");
         let query = p.query()?;
@@ -93,6 +101,27 @@ pub fn parse_statement(input: &str) -> PResult<Statement> {
 }
 
 impl Parser {
+    fn new(input: &str) -> PResult<Parser> {
+        let tokens = lex(input).map_err(|e| ParseError {
+            message: e.message,
+            at: e.at,
+        })?;
+        Ok(Parser {
+            tokens,
+            pos: 0,
+            terms: 0,
+            relations: 0,
+        })
+    }
+
+    /// Fails once a bounded construct's count `n` passes `max`.
+    fn limit(&self, n: usize, max: usize, what: &str) -> PResult<()> {
+        if n > max {
+            return self.err(format!("statement too large: more than {max} {what}"));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -225,6 +254,8 @@ impl Parser {
     }
 
     fn table_ref(&mut self) -> PResult<TableRef> {
+        self.relations += 1;
+        self.limit(self.relations, MAX_RELATIONS, "relations")?;
         let table = self.ident()?;
         let alias = if self.eat_kw("AS") {
             Some(self.ident()?)
@@ -262,6 +293,8 @@ impl Parser {
     }
 
     fn unary(&mut self) -> PResult<AstExpr> {
+        self.terms += 1;
+        self.limit(self.terms, MAX_TERMS, "boolean terms")?;
         if self.eat_kw("NOT") {
             return Ok(AstExpr::Not(Box::new(self.unary()?)));
         }
@@ -407,7 +440,11 @@ fn parse_date(s: &str) -> Option<TimePoint> {
     if it.next().is_some() || !(1..=12).contains(&month) || !(1..=31).contains(&day) {
         return None;
     }
-    Some(TimePoint::new(days_from_civil(year, month, day)))
+    // `days_from_civil` normalizes an impossible day (2019-02-31 would
+    // become 2019-03-03); only a date that survives the round trip exists.
+    let days = days_from_civil(year, month, day);
+    let civil = civil_from_days(days);
+    (civil == Civil { year, month, day }).then(|| TimePoint::new(days))
 }
 
 fn temporal_keyword(w: &str) -> Option<TemporalPredicate> {
@@ -503,6 +540,24 @@ mod tests {
         assert!(w.contains("Interval"));
         // Date parses to the right day tick.
         assert!(parse_date("2019-08-01").unwrap() == date(2019, 8, 1));
+    }
+
+    #[test]
+    fn impossible_calendar_dates_are_rejected() {
+        for bad in [
+            "2019-02-29",
+            "2019-02-31",
+            "2019-04-31",
+            "2019-13-01",
+            "2019-00-10",
+        ] {
+            assert_eq!(parse_date(bad), None, "{bad}");
+            let sql = format!("SELECT * FROM t WHERE d < DATE '{bad}'");
+            let err = parse(&sql).unwrap_err();
+            assert!(err.message.contains("invalid date"), "{bad}: {err:?}");
+        }
+        assert_eq!(parse_date("2020-02-29"), Some(date(2020, 2, 29)));
+        assert_eq!(parse_date("2019-12-31"), Some(date(2019, 12, 31)));
     }
 
     #[test]

@@ -659,10 +659,6 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
             keys,
             fixed,
             ongoing,
-            // The keyed build is an execution strategy with the same output;
-            // its saving (no build materialization) is not modelled, so the
-            // estimate stays comparable with the unkeyed plan.
-            keyed: _,
         } => {
             let (l, r) = (estimate(left), estimate(right));
             let cols = product_cols(&l, &r);

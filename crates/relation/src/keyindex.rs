@@ -199,10 +199,6 @@ pub struct QualEstimate {
     /// Base rows matching the probe (including superseded ones — their
     /// lookup cost is paid even though the overlay walk supersedes them).
     pub candidates: u64,
-    /// Overlay replacement rows visited unconditionally.
-    pub overlay: u64,
-    /// Pending-tail rows visited unconditionally.
-    pub pending: u64,
 }
 
 /// Outcome of a keyed edit pass ([`crate::store::TupleStore::edit_where`]).

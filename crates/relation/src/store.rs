@@ -1136,8 +1136,6 @@ impl TupleStore {
             keyed: candidates + overlay + pending + self.chunks.len() as u64,
             scan: self.live as u64,
             candidates,
-            overlay,
-            pending,
         })
     }
 
@@ -1890,16 +1888,18 @@ mod tests {
             s.push(t(i % 100));
         }
         let est = s.qualification_estimate(&eq_probe(17)).unwrap();
-        // ~1/100 of the sealed rows match; the open tail is walked.
+        // ~1/100 of the sealed rows match; the open tail (50 rows) is
+        // walked, plus one probe per sealed chunk.
         assert!(est.candidates >= 10 && est.candidates <= 11, "{est:?}");
-        assert_eq!(est.pending, 50);
+        assert_eq!(est.keyed, est.candidates + 50 + 2);
         assert!(est.keyed < est.scan);
         let fork = s.clone();
         assert_eq!(fork.indexed_columns(), &[0]);
         s.compact().unwrap();
         assert_eq!(s.indexed_columns(), &[0]);
         let est = s.qualification_estimate(&eq_probe(17)).unwrap();
-        assert_eq!(est.pending, 0);
+        // No tail and no overlay left: only candidates and chunk probes.
+        assert_eq!(est.keyed, est.candidates + s.chunks.len() as u64);
         assert!(est.candidates >= 10);
     }
 

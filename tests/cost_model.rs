@@ -185,7 +185,6 @@ fn serial_and_parallel_agree_on_cost_chosen_plans() {
     let base = PlannerConfig {
         join_strategy: JoinStrategy::Auto,
         parallelism: 1,
-        ..PlannerConfig::default()
     };
     let phys = compile(&db, &plan, &base).unwrap();
     let (serial, serial_stats) = phys.execute_with_stats(&base.exec_context()).unwrap();

@@ -5,7 +5,7 @@
 //! randomly generated ongoing relations and verifies the paper's master
 //! criterion `∀rt: ∥Q(D)∥rt ≡ Q(∥D∥rt)` at every breakpoint-relevant
 //! reference time, under every join strategy — so every instantiated
-//! operator arm (key scans, keyed and hashed joins, sweeps, computed
+//! operator arm (key scans, hashed joins, sweeps, computed
 //! projections) is compared against the bound ongoing result.
 //!
 //! This is the heaviest single guarantee in the suite: any divergence
@@ -258,9 +258,9 @@ fn computed_projection(rng: &mut SmallRng, b: QueryBuilder) -> Option<QueryBuild
 /// Plans that steer the optimizer into the access paths a random plan
 /// rarely reaches: a key-equality selection on the key-indexed `T1`
 /// (`KeyScan`), an `overlaps`/`starts`/`finishes` selection against a
-/// window literal, a hash join building on a bare scan of `T1` (keyed
-/// build), and an interval join (`SweepJoin`) — each with a random
-/// residual conjunct.
+/// window literal, a hash join building on a bare scan of the key-indexed
+/// `T1`, and an interval join (`SweepJoin`) — each with a random residual
+/// conjunct.
 fn access_path_query(rng: &mut SmallRng, db: &Database) -> QueryBuilder {
     let table = ["T0", "T1", "T2"][rng.gen_range(0..3usize)];
     match rng.gen_range(0..4) {
@@ -347,14 +347,13 @@ fn assert_commutes(
     }
 }
 
-/// EXPLAIN fragments of the operators (and the keyed hash-join build) the
-/// master-criterion fuzzer must reach.
-const OPERATORS: [&str; 7] = [
+/// EXPLAIN fragments of the operators the master-criterion fuzzer must
+/// reach.
+const OPERATORS: [&str; 6] = [
     "SeqScan",
     "KeyScan",
     "NestedLoopJoin",
     "HashJoin",
-    "(keyed build)",
     "SweepJoin",
     "Project",
 ];
@@ -366,8 +365,7 @@ fn random_plans_commute_with_bind() {
     for (i, rows) in [7usize, 5, 9].iter().enumerate() {
         let mut rel = random_relation(&mut rng, *rows);
         if i == 1 {
-            // A sealed, key-indexed table lowers key scans and keyed
-            // hash-join builds.
+            // A sealed, key-indexed table lowers key scans.
             rel.seal_pending();
             rel.create_key_index::<EngineError>(0).unwrap();
         }

@@ -96,7 +96,6 @@ fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
     let cfg = PlannerConfig {
         join_strategy: JoinStrategy::Hash,
         parallelism: 2,
-        ..PlannerConfig::default()
     };
     let run = |plan: LogicalPlan| -> Answer {
         let phys = compile(db, &plan, &cfg).unwrap();
