@@ -171,7 +171,42 @@ impl fmt::Display for OngoingInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::tp;
+    use crate::point::limit_grid_points;
+    use crate::time::{tp, LIMIT_GRID};
+
+    /// Exhaustive over the limit grid: for every interval with endpoints
+    /// on the grid, `bind`, `nonempty_at`, `nonempty_set` and `intersect`
+    /// agree with the fixed semantics at every grid `rt`. `∞` is not a
+    /// reference time: no half-open range of `nonempty_set` contains it.
+    #[test]
+    fn bind_nonempty_and_intersect_agree_on_the_limit_grid() {
+        let points = limit_grid_points();
+        let intervals: Vec<OngoingInterval> = points
+            .iter()
+            .flat_map(|&ts| points.iter().map(move |&te| OngoingInterval::new(ts, te)))
+            .collect();
+        for &i in &intervals {
+            let set = i.nonempty_set();
+            for rt in LIMIT_GRID {
+                let (s, e) = i.bind(rt);
+                assert_eq!((s, e), (i.ts().bind(rt), i.te().bind(rt)), "{i} at {rt}");
+                assert_eq!(i.nonempty_at(rt), s < e, "{i} at {rt}");
+                let member = s < e && !rt.is_pos_inf();
+                assert_eq!(set.contains(rt), member, "{i}: {set} at {rt}");
+            }
+        }
+        for &i in &intervals {
+            for &j in &intervals {
+                let both = i.intersect(j);
+                for rt in LIMIT_GRID {
+                    let ((s1, e1), (s2, e2)) = (i.bind(rt), j.bind(rt));
+                    let want = (s1.max(s2), e1.min(e2));
+                    assert_eq!(both.bind(rt), want, "{i} ∩ {j} at {rt}");
+                    assert_eq!(both.nonempty_at(rt), want.0 < want.1, "{i} ∩ {j} at {rt}");
+                }
+            }
+        }
+    }
 
     fn pt(a: i64, b: i64) -> OngoingPoint {
         OngoingPoint::new(tp(a), tp(b)).unwrap()

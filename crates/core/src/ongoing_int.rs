@@ -22,19 +22,25 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One affine piece: on `[start, next start)` the value is
-/// `coef · rt + offset`.
+/// `coef · rt + offset`. The coefficients are `i128`, so one operation on
+/// `i64`-valued functions is exact up to the final clamp in
+/// [`eval`](Self::eval); the arithmetic saturates (at the `i128` limits)
+/// only in long chains of scalings.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 struct Segment {
     start: TimePoint,
-    coef: i64,
-    offset: i64,
+    coef: i128,
+    offset: i128,
 }
 
 impl Segment {
     #[inline]
     fn eval(&self, rt: TimePoint) -> i64 {
-        let v = i128::from(self.offset) + i128::from(self.coef) * i128::from(rt.ticks());
-        v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+        let v = self
+            .coef
+            .saturating_mul(i128::from(rt.ticks()))
+            .saturating_add(self.offset);
+        clamp_i64(v)
     }
 
     #[inline]
@@ -59,7 +65,7 @@ impl OngoingInt {
             segs: vec![Segment {
                 start: TimePoint::NEG_INF,
                 coef: 0,
-                offset: v,
+                offset: i128::from(v),
             }],
         }
     }
@@ -76,7 +82,7 @@ impl OngoingInt {
             segs.push(Segment {
                 start: TimePoint::NEG_INF,
                 coef: 0,
-                offset: a.ticks(),
+                offset: i128::from(a.ticks()),
             });
         }
         if a < b {
@@ -94,7 +100,7 @@ impl OngoingInt {
                 segs.push(Segment {
                     start: b,
                     coef: 0,
-                    offset: b.ticks(),
+                    offset: i128::from(b.ticks()),
                 });
             }
         }
@@ -152,7 +158,7 @@ impl OngoingInt {
         self.segs[idx].eval(rt)
     }
 
-    /// Pointwise sum (saturating).
+    /// Pointwise sum (clamped to `i64` when bound).
     pub fn add(&self, other: &OngoingInt) -> OngoingInt {
         let mut r = self.zip_with(other, |f, g| Segment {
             start: TimePoint::NEG_INF, // overwritten by zip_with
@@ -191,8 +197,8 @@ impl OngoingInt {
                 .iter()
                 .map(|s| Segment {
                     start: s.start,
-                    coef: s.coef.saturating_mul(k),
-                    offset: s.offset.saturating_mul(k),
+                    coef: s.coef.saturating_mul(i128::from(k)),
+                    offset: s.offset.saturating_mul(i128::from(k)),
                 })
                 .collect(),
         };
@@ -234,8 +240,9 @@ impl OngoingInt {
     }
 
     /// The canonical pieces as `(start, coef, offset)` triples —
-    /// `value(rt) = coef · rt + offset` on `[start, next start)`.
-    pub fn pieces(&self) -> impl Iterator<Item = (TimePoint, i64, i64)> + '_ {
+    /// `value(rt) = coef · rt + offset` on `[start, next start)`, clamped
+    /// to `i64` when bound.
+    pub fn pieces(&self) -> impl Iterator<Item = (TimePoint, i128, i128)> + '_ {
         self.segs.iter().map(|s| (s.start, s.coef, s.offset))
     }
 
@@ -244,7 +251,7 @@ impl OngoingInt {
     /// ascending.
     pub fn from_pieces<I>(pieces: I) -> Option<Self>
     where
-        I: IntoIterator<Item = (TimePoint, i64, i64)>,
+        I: IntoIterator<Item = (TimePoint, i128, i128)>,
     {
         let segs: Vec<Segment> = pieces
             .into_iter()
@@ -280,7 +287,7 @@ impl OngoingInt {
         for (i, s) in self.segs.iter().enumerate() {
             let end = self.segs.get(i + 1).map_or(TimePoint::POS_INF, |n| n.start);
             if s.coef == 0 {
-                if keep(s.offset) {
+                if keep(clamp_i64(s.offset)) {
                     ranges.push((s.start, end));
                 }
             } else {
@@ -288,10 +295,10 @@ impl OngoingInt {
                 // the root of coef·rt + offset relative to the predicate.
                 // We split at the root and test one representative point in
                 // each half.
-                let root = -(i128::from(s.offset)) / i128::from(s.coef);
+                let root = s.offset.saturating_neg() / s.coef;
                 let mut cuts = vec![s.start];
                 for delta in [-1i128, 0, 1, 2] {
-                    let c = root + delta;
+                    let c = root.saturating_add(delta);
                     if c > i128::from(s.start.ticks()) && c < i128::from(end.ticks()) {
                         cuts.push(TimePoint::new(c as i64));
                     }
@@ -390,22 +397,23 @@ impl OngoingInt {
                 continue;
             }
             // f - g = (dc)·rt + dofs; f >= g iff (dc)·rt >= -dofs.
-            let dc = i128::from(f.coef) - i128::from(g.coef);
-            let dofs = i128::from(f.offset) - i128::from(g.offset);
+            let dc = f.coef.saturating_sub(g.coef);
+            let dofs = f.offset.saturating_sub(g.offset);
             // Threshold: smallest rt with f >= g (dc > 0) or largest rt
             // with f >= g (dc < 0).
             if dc > 0 {
                 // f >= g iff rt >= ceil(-dofs / dc).
-                let thr = (-dofs).div_euclid(dc) + i128::from((-dofs).rem_euclid(dc) != 0);
+                let ndofs = dofs.saturating_neg();
+                let thr = ndofs.div_euclid(dc) + i128::from(ndofs.rem_euclid(dc) != 0);
                 let thr = clamp_tick(thr);
                 // Below thr: g bigger; from thr on: f bigger-or-equal.
                 push_split(&mut segs, seg_start, seg_end, thr, pick(false), pick(true));
             } else {
                 // dc < 0: f >= g iff rt <= floor(-dofs / dc)  — division by
                 // a negative number; rewrite: (-dc)·rt <= dofs.
-                let ndc = -dc;
+                let ndc = dc.saturating_neg();
                 let thr = dofs.div_euclid(ndc); // floor
-                let thr = clamp_tick(thr + 1); // first rt where g wins
+                let thr = clamp_tick(thr.saturating_add(1)); // first rt where g wins
                 push_split(&mut segs, seg_start, seg_end, thr, pick(true), pick(false));
             }
         }
@@ -440,12 +448,18 @@ impl OngoingInt {
 }
 
 #[inline]
+fn clamp_i64(v: i128) -> i64 {
+    v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+}
+
+#[inline]
 fn clamp_tick(v: i128) -> TimePoint {
-    TimePoint::new(v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64)
+    TimePoint::new(clamp_i64(v))
 }
 
 /// Pushes `lo_seg` on `[start, thr)` and `hi_seg` on `[thr, end)` (either
-/// side may be empty after clamping).
+/// side may be empty after clamping). The last segment also covers
+/// `rt = ∞` itself, so an `end` of `∞` keeps a `hi_seg` starting there.
 fn push_split(
     segs: &mut Vec<Segment>,
     start: TimePoint,
@@ -458,7 +472,7 @@ fn push_split(
         segs.push(Segment { start, ..*lo_seg });
     }
     let hi_start = thr.max_f(start);
-    if hi_start < end {
+    if hi_start < end || end.is_pos_inf() {
         segs.push(Segment {
             start: hi_start,
             ..*hi_seg
@@ -503,7 +517,54 @@ impl fmt::Display for OngoingInt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::tp;
+    use crate::point::limit_grid_points;
+    use crate::time::{tp, LIMIT_GRID};
+
+    /// Exhaustive over the limit grid: every constant and every point's
+    /// instantiation function as operands, every op bound at every grid
+    /// `rt` equals the exact result clamped to `i64`.
+    #[test]
+    fn ops_are_exact_on_the_limit_grid() {
+        let points = limit_grid_points();
+        let ticks = LIMIT_GRID.map(TimePoint::ticks);
+        let mut operands: Vec<OngoingInt> =
+            ticks.iter().map(|&v| OngoingInt::constant(v)).collect();
+        operands.extend(points.iter().map(|&p| OngoingInt::from_point(p)));
+        for (i, &p) in points.iter().enumerate() {
+            for rt in LIMIT_GRID {
+                assert_eq!(operands[7 + i].bind(rt), p.bind(rt).ticks(), "{p} at {rt}");
+            }
+        }
+        let at = |x: &OngoingInt, rt| i128::from(x.bind(rt));
+        for x in &operands {
+            for rt in LIMIT_GRID {
+                assert_eq!(x.neg().bind(rt), clamp_i64(-at(x, rt)), "-({x}) at {rt}");
+                for k in ticks {
+                    let want = clamp_i64(at(x, rt) * i128::from(k));
+                    assert_eq!(x.scale(k).bind(rt), want, "({x})·{k} at {rt}");
+                }
+            }
+            for y in &operands {
+                for rt in LIMIT_GRID {
+                    let (a, b) = (at(x, rt), at(y, rt));
+                    let ctx = format!("{x}, {y} at {rt}");
+                    assert_eq!(x.add(y).bind(rt), clamp_i64(a + b), "add {ctx}");
+                    assert_eq!(x.sub(y).bind(rt), clamp_i64(a - b), "sub {ctx}");
+                    assert_eq!(x.max_with(y).bind(rt), clamp_i64(a.max(b)), "max {ctx}");
+                    assert_eq!(x.min_with(y).bind(rt), clamp_i64(a.min(b)), "min {ctx}");
+                }
+            }
+        }
+        for &ts in &points {
+            for &te in &points {
+                let d = OngoingInt::duration(OngoingInterval::new(ts, te));
+                for rt in LIMIT_GRID {
+                    let len = i128::from(te.bind(rt).ticks()) - i128::from(ts.bind(rt).ticks());
+                    assert_eq!(d.bind(rt), clamp_i64(len.max(0)), "|[{ts}, {te})| at {rt}");
+                }
+            }
+        }
+    }
 
     fn op(a: i64, b: i64) -> OngoingPoint {
         OngoingPoint::new(tp(a), tp(b)).unwrap()

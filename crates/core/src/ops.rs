@@ -244,24 +244,9 @@ mod tests {
     /// `[ts, te)`, so none contains `∞`.
     #[test]
     fn bind_and_lt_are_exact_on_the_limit_grid() {
-        let grid = [
-            TimePoint::NEG_INF,
-            TimePoint::MIN_FINITE,
-            tp(-1),
-            tp(0),
-            tp(1),
-            TimePoint::MAX_FINITE,
-            TimePoint::POS_INF,
-        ];
-        let mut points = Vec::new();
-        for a in grid {
-            for b in grid {
-                match OngoingPoint::new(a, b) {
-                    Ok(p) => points.push(p),
-                    Err(_) => assert!(a > b, "{a}+{b} rejected"),
-                }
-            }
-        }
+        let grid = crate::time::LIMIT_GRID;
+        let points = crate::point::limit_grid_points();
+        // Exactly the pairs `a ≤ b` are valid points.
         assert_eq!(points.len(), 28);
         for &p in &points {
             for rt in grid {

@@ -183,6 +183,17 @@ impl fmt::Display for OngoingPoint {
     }
 }
 
+/// Every valid point `a+b` with both components on the
+/// [limit grid](crate::time::LIMIT_GRID): the 28 pairs with `a ≤ b`.
+#[cfg(test)]
+pub(crate) fn limit_grid_points() -> Vec<OngoingPoint> {
+    use crate::time::LIMIT_GRID;
+    let pairs = LIMIT_GRID.iter().flat_map(|&a| LIMIT_GRID.map(|b| (a, b)));
+    pairs
+        .filter_map(|(a, b)| OngoingPoint::new(a, b).ok())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -157,6 +157,19 @@ pub fn tp(ticks: i64) -> TimePoint {
     TimePoint::new(ticks)
 }
 
+/// The limit grid the arithmetic tests run exhaustively: the domain
+/// limits, the finite points next to them, and `-1, 0, 1`.
+#[cfg(test)]
+pub(crate) const LIMIT_GRID: [TimePoint; 7] = [
+    TimePoint::NEG_INF,
+    TimePoint::MIN_FINITE,
+    TimePoint::new(-1),
+    TimePoint::new(0),
+    TimePoint::new(1),
+    TimePoint::MAX_FINITE,
+    TimePoint::POS_INF,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,23 +193,12 @@ mod tests {
         assert_eq!(tp(5).pred(), tp(4));
     }
 
-    /// The domain limits, the finite points next to them, and `-1, 0, 1`.
-    const GRID: [TimePoint; 7] = [
-        TimePoint::NEG_INF,
-        TimePoint::MIN_FINITE,
-        TimePoint::new(-1),
-        TimePoint::new(0),
-        TimePoint::new(1),
-        TimePoint::MAX_FINITE,
-        TimePoint::POS_INF,
-    ];
-
     /// Exhaustive over the limit grid: every operation saturates instead
     /// of wrapping, and no limit turns into a finite tick except by the
     /// documented `succ(-∞)` / `pred(∞)` convention.
     #[test]
     fn arithmetic_saturates_on_the_limit_grid() {
-        for x in GRID {
+        for x in LIMIT_GRID {
             let succ = match x {
                 TimePoint::POS_INF => x,
                 TimePoint::NEG_INF => TimePoint::MIN_FINITE,
@@ -209,7 +211,7 @@ mod tests {
             };
             assert_eq!(x.succ(), succ, "succ({x})");
             assert_eq!(x.pred(), pred, "pred({x})");
-            for y in GRID {
+            for y in LIMIT_GRID {
                 let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
                 assert_eq!(x.min_f(y), lo, "minF({x}, {y})");
                 assert_eq!(x.max_f(y), hi, "maxF({x}, {y})");
@@ -221,7 +223,7 @@ mod tests {
                 };
                 assert_eq!(x.distance_to(y), distance, "distance({x}, {y})");
                 // Clamping picks one of its inputs: never a new tick.
-                for z in GRID {
+                for z in LIMIT_GRID {
                     let c = z.clamp_to(lo, hi);
                     assert!(lo <= c && c <= hi, "clamp({z}, {lo}, {hi}) = {c}");
                     let want = if z < lo {

@@ -21,7 +21,7 @@
 //! instantiation.
 
 use crate::catalog::Database;
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use ongoing_core::{TimePoint, TimeRange};
 use ongoing_relation::{FixedRelation, OngoingRelation, Value};
 
@@ -86,8 +86,12 @@ pub fn cliff_max_reference_time(db: &Database) -> Result<TimePoint> {
 /// same schema shape (ongoing attributes become spans), dropping tuples
 /// dead at `rt`. This is what a system following Clifford's approach would
 /// materialize. Binds one transient chunk pin at a time, so a cold
-/// relation stays cold and a pager failure is an error.
+/// relation stays cold and a pager failure is an error. `rt = ∞` is
+/// [`EngineError::InfiniteReferenceTime`]: no tuple's `RT` contains it.
 pub fn instantiate_relation(rel: &OngoingRelation, rt: TimePoint) -> Result<FixedRelation> {
+    if rt.is_pos_inf() {
+        return Err(EngineError::InfiniteReferenceTime);
+    }
     let mut rows = Vec::new();
     for view in rel.lazy_views() {
         rows.extend(view.pin()?.iter().filter_map(|t| t.bind(rt)));

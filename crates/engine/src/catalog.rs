@@ -24,12 +24,13 @@ use crate::stats::{analyze_relation, TableStatistics};
 use crate::storage::durable::{
     DurableGuard, DurableOptions, DurableState, DurableStats, RecoveredTable,
 };
-use ongoing_relation::{OngoingRelation, PinnedChunk, Schema};
+use ongoing_relation::{OngoingRelation, Schema};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Minimum number of modified rows before an analyzed table is considered
@@ -67,6 +68,9 @@ pub struct Table {
     data: OngoingRelation,
     /// `ANALYZE` statistics and staleness accounting.
     stats: Mutex<StatsState>,
+    /// The logical version: fresh per publication, kept by a copy that
+    /// only changes residency (checkpoint demotion).
+    version: u64,
 }
 
 impl Table {
@@ -103,211 +107,61 @@ impl Table {
         Ok(stats)
     }
 
-    /// Publishes a relation version as a table: the pending insert tail is
-    /// sealed so readers' forks are pure reference bumps.
-    fn with_state(name: &str, mut data: OngoingRelation, stats: StatsState) -> Arc<Table> {
+    /// Publishes a relation version as a table under a fresh logical
+    /// version: the pending insert tail is sealed so readers' forks are
+    /// pure reference bumps.
+    fn with_state(name: &str, data: OngoingRelation, stats: StatsState) -> Arc<Table> {
+        static NEXT_VERSION: AtomicU64 = AtomicU64::new(0);
+        let version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
+        Table::versioned(name, data, stats, version)
+    }
+
+    fn versioned(
+        name: &str,
+        mut data: OngoingRelation,
+        stats: StatsState,
+        version: u64,
+    ) -> Arc<Table> {
         data.seal_pending();
         Arc::new(Table {
             name: name.to_string(),
             data,
             stats: Mutex::new(stats),
+            version,
         })
     }
 }
 
-/// Positional tuple diff between two relation versions — the staleness
-/// fallback when a `modify_table` closure replaced the relation wholesale
-/// instead of editing the fork (in-place rewrites count every rewritten
-/// row, not just the length delta). Both sides are read one transient
-/// chunk pin at a time, so a cold published version stays cold.
-fn positional_diff(old: &OngoingRelation, new: &OngoingRelation) -> Result<u64> {
-    let mut changed = 0u64;
-    let mut news = new.lazy_views().into_iter();
-    // The pinned chunk of `new` and the next ordinal to read in it.
-    let mut cur: Option<(PinnedChunk<'_>, usize)> = None;
-    for view in old.lazy_views() {
-        for x in view.pin()?.iter() {
-            while cur.as_ref().is_none_or(|(pin, i)| *i == pin.len()) {
-                match news.next() {
-                    Some(v) => cur = Some((v.pin()?, 0)),
-                    None => {
-                        cur = None;
-                        break;
-                    }
-                }
-            }
-            changed += match &mut cur {
-                Some((pin, i)) => {
-                    *i += 1;
-                    u64::from(pin.get(*i - 1) != Some(x))
-                }
-                None => 1,
-            };
-        }
-    }
-    let rest = cur.map_or(0, |(pin, i)| pin.len() - i) + news.map(|v| v.len()).sum::<usize>();
-    Ok(changed + rest as u64)
-}
-
-/// How [`Database::modify_table`] responds to publication conflicts.
-///
-/// A conflict means another writer published between this writer's version
-/// pin and its compare-and-swap — the modification was not applied and is
-/// simply re-run against the new current version. The policy bounds how
-/// hard to try: a few optimistic free-running attempts with exponential
-/// backoff, then entry into the table's *ordered writer queue* (a FIFO
-/// ticket lock) so contended writers stop trampling each other and commit
-/// in arrival order instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total publication attempts before surfacing
-    /// [`EngineError::ConcurrentModification`]. At least 1.
-    pub max_attempts: u32,
-    /// Base backoff slept after the first conflict, doubled per further
-    /// conflict up to [`max_backoff`](Self::max_backoff). Zero means
-    /// yield-only.
-    pub backoff: Duration,
-    /// Backoff growth cap.
-    pub max_backoff: Duration,
-    /// Free-running attempts before joining the ordered writer queue.
-    /// `0` queues from the first attempt (strict FIFO writers).
-    pub queue_after: u32,
-    /// Total wall-clock budget for the whole `modify_table` call — every
-    /// closure run, backoff sleep and writer-queue wait counts against it.
-    /// Once it expires the call returns [`EngineError::DeadlineExceeded`]
-    /// (abandoning a held queue ticket rather than blocking on it), with
-    /// the modification **not** applied: the deadline is always checked
-    /// before the publication point, never between logging and
-    /// visibility, so the store is never torn. `None` (the default)
-    /// means unbounded.
-    pub timeout: Option<Duration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 16,
-            backoff: Duration::from_micros(20),
-            max_backoff: Duration::from_millis(2),
-            queue_after: 2,
-            timeout: None,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries — the pre-retry behaviour: the first
-    /// conflict surfaces as [`EngineError::ConcurrentModification`].
-    pub fn no_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    fn backoff_for(&self, failed_attempts: u32) -> Duration {
-        let exp = failed_attempts.saturating_sub(1).min(16);
-        self.backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.max_backoff)
-    }
-}
-
-/// A FIFO ticket lock: writers draw a ticket and are served strictly in
-/// draw order — the "ordered retry queue" contended `modify_table` calls
-/// enter. Unlike a plain mutex there is no barging: a writer that has
-/// waited longest publishes next, so no writer starves however heavy the
-/// contention.
-#[derive(Debug, Default)]
-struct TicketGate {
-    next: AtomicU64,
-    serving: AtomicU64,
-    /// Tickets whose waiters gave up (deadline expiry) before being
-    /// served. Service skips them; the lock serializes a waiter's
-    /// take-the-pass-or-abandon decision against the holder's advance, so
-    /// a ticket is either served or skipped — never both, never neither.
-    abandoned: Mutex<HashSet<u64>>,
-}
-
 thread_local! {
-    /// Gates this thread currently holds. A pass is released only after
-    /// the closure returns, so re-entering a held gate (a closure nesting
-    /// a gated `modify_table` on the same table) would self-deadlock —
-    /// [`TicketGate::enter`] detects that and lets the nested call run
-    /// ungated instead.
-    static HELD_GATES: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Set while this thread holds a writer gate. A publication started
+    /// from inside a `modify_table` closure would wait on a gate its own
+    /// thread holds (same table) or could close a wait cycle with another
+    /// writer (another table), so it is refused instead.
+    static PUBLISHING: Cell<bool> = const { Cell::new(false) };
 }
 
-struct TicketPass<'a> {
-    gate: &'a TicketGate,
-    id: usize,
+/// A table's writer gate: a FIFO ticket lock that every publisher of the
+/// table holds for its whole publication. Publishers are served strictly
+/// in arrival order, so none starves however heavy the contention.
+#[derive(Debug, Default)]
+struct WriterGate {
+    /// The next ticket to hand out and the ticket being served.
+    turn: Mutex<(u64, u64)>,
+    served: Condvar,
 }
 
-impl TicketGate {
-    /// Draws a ticket and blocks until it is served or `deadline` passes.
-    /// Returns `Ok(None)` when this thread already holds the gate (nested
-    /// modification) — the caller proceeds ungated rather than
-    /// deadlocking on itself — and [`EngineError::DeadlineExceeded`] when
-    /// the wait outlived the deadline (the ticket is abandoned, so the
-    /// queue flows on without it).
-    fn enter(&self, deadline: Option<Instant>) -> Result<Option<TicketPass<'_>>> {
-        let id = self as *const TicketGate as usize;
-        let reentrant = HELD_GATES.with(|held| {
-            let mut held = held.borrow_mut();
-            if held.contains(&id) {
-                return true;
-            }
-            held.push(id);
-            false
-        });
-        if reentrant {
-            return Ok(None);
-        }
-        let ticket = self.next.fetch_add(1, Ordering::SeqCst);
-        let mut spins = 0u32;
-        while self.serving.load(Ordering::SeqCst) != ticket {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                // Too late. Under the abandoned-set lock either take the
-                // service that arrived in the meantime — passing it on as
-                // an immediately-dropped pass would — or mark the ticket
-                // abandoned so the current holder's drop skips it.
-                let mut abandoned = self.abandoned.lock();
-                if self.serving.load(Ordering::SeqCst) == ticket {
-                    self.advance_locked(&mut abandoned);
-                } else {
-                    abandoned.insert(ticket);
-                }
-                drop(abandoned);
-                HELD_GATES.with(|held| held.borrow_mut().retain(|&g| g != id));
-                return Err(EngineError::DeadlineExceeded);
-            }
-            spins += 1;
-            if spins < 32 {
-                std::hint::spin_loop();
-            } else if spins < 256 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-        Ok(Some(TicketPass { gate: self, id }))
-    }
-
-    /// Advances service by one ticket, then past any consecutively
-    /// abandoned ones. Caller holds the abandoned-set lock.
-    fn advance_locked(&self, abandoned: &mut HashSet<u64>) {
-        let mut now = self.serving.fetch_add(1, Ordering::SeqCst) + 1;
-        while abandoned.remove(&now) {
-            now = self.serving.fetch_add(1, Ordering::SeqCst) + 1;
-        }
-    }
+/// A held [`WriterGate`]; dropping it serves the next ticket.
+struct WriterPass {
+    gate: Arc<WriterGate>,
+    /// Microseconds the publisher waited for the gate.
+    wait_us: u64,
 }
 
-impl Drop for TicketPass<'_> {
+impl Drop for WriterPass {
     fn drop(&mut self) {
-        HELD_GATES.with(|held| held.borrow_mut().retain(|&g| g != self.id));
-        let mut abandoned = self.gate.abandoned.lock();
-        self.gate.advance_locked(&mut abandoned);
+        PUBLISHING.with(|p| p.set(false));
+        self.gate.turn.lock().1 += 1;
+        self.gate.served.notify_all();
     }
 }
 
@@ -326,16 +180,15 @@ enum TableSlot {
 #[derive(Debug, Default)]
 pub struct Database {
     tables: RwLock<BTreeMap<String, TableSlot>>,
-    /// Per-table ordered writer queues (see [`RetryPolicy::queue_after`]).
-    /// Keyed by name, not by table version — the gate must survive
-    /// publications, which replace the `Arc<Table>`.
-    gates: Mutex<HashMap<String, Arc<TicketGate>>>,
+    /// Per-table writer gates, keyed by name, not by table version: a
+    /// gate survives publications, which replace the `Arc<Table>`, and
+    /// outlives a drop, so a re-created table shares it.
+    gates: Mutex<HashMap<String, Arc<WriterGate>>>,
     /// The durable backing (WAL, chunk files, manifest), if any.
     ///
-    /// **Lock order**: the durable commit guard is always acquired
-    /// *before* `tables` — holding it is what keeps a compare-and-swap
-    /// precondition valid across the WAL append and serializes
-    /// publications against checkpoint garbage collection.
+    /// **Lock order**: writer gate → durable commit guard → `tables`. The
+    /// commit guard serializes publications of different tables against
+    /// each other and against checkpoint garbage collection.
     durable: Option<DurableState>,
     /// The observability bundle: metrics registry, event ring, slow-query
     /// threshold. Shared (`Arc`) with the storage layer's hooks.
@@ -431,7 +284,7 @@ impl Database {
     }
 
     /// A point-in-time snapshot of every metric the database exposes: the
-    /// registry's own counters/histograms (exec work units, CAS attempts,
+    /// registry's own counters/histograms (exec work units, writer waits,
     /// publications, queries) plus derived views — every
     /// [`DurableStats`] field under its stable `ongoingdb_*` name and the
     /// store's write-path counters summed over the materialized tables.
@@ -527,29 +380,17 @@ impl Database {
     /// Registers a base relation under `name`.
     pub fn create_table(&self, name: &str, data: OngoingRelation) -> Result<()> {
         let table = Table::with_state(name, data, StatsState::default());
-        match &self.durable {
-            Some(durable) => {
-                let mut guard = durable.lock();
-                if self.tables.read().contains_key(name) {
-                    return Err(EngineError::DuplicateTable(name.to_string()));
-                }
-                guard.append_state(name, table.data())?;
-                self.tables
-                    .write()
-                    .insert(name.to_string(), TableSlot::Ready(table));
-                if guard.needs_checkpoint() {
-                    self.checkpoint_locked(&mut guard)?;
-                }
-            }
-            None => {
-                let mut tables = self.tables.write();
-                if tables.contains_key(name) {
-                    return Err(EngineError::DuplicateTable(name.to_string()));
-                }
-                tables.insert(name.to_string(), TableSlot::Ready(table));
-            }
-        }
-        Ok(())
+        let pass = self.writer_gate(name)?;
+        self.commit(
+            name,
+            &pass,
+            |slot| match slot {
+                Some(_) => Err(EngineError::DuplicateTable(name.to_string())),
+                None => Ok(()),
+            },
+            |guard| guard.append_state(name, table.data()),
+            Some(Arc::clone(&table)),
+        )
     }
 
     /// Replaces (or creates) a table. Any previously collected statistics
@@ -558,24 +399,14 @@ impl Database {
     /// before it becomes visible.
     pub fn put_table(&self, name: &str, data: OngoingRelation) -> Result<()> {
         let table = Table::with_state(name, data, StatsState::default());
-        match &self.durable {
-            Some(durable) => {
-                let mut guard = durable.lock();
-                guard.append_state(name, table.data())?;
-                self.tables
-                    .write()
-                    .insert(name.to_string(), TableSlot::Ready(table));
-                if guard.needs_checkpoint() {
-                    self.checkpoint_locked(&mut guard)?;
-                }
-            }
-            None => {
-                self.tables
-                    .write()
-                    .insert(name.to_string(), TableSlot::Ready(table));
-            }
-        }
-        Ok(())
+        let pass = self.writer_gate(name)?;
+        self.commit(
+            name,
+            &pass,
+            |_| Ok(()),
+            |guard| guard.append_state(name, table.data()),
+            Some(Arc::clone(&table)),
+        )
     }
 
     /// Applies a modification to a catalog-resident table. Callers run
@@ -585,7 +416,9 @@ impl Database {
     /// *logical row-write delta* the closure produced — exact, straight
     /// from the copy-on-write store, so a one-row edit counts one row no
     /// matter where in the table it sits (and no matter how much
-    /// copy-on-write bookkeeping it triggered).
+    /// copy-on-write bookkeeping it triggered). A closure that rebuilt
+    /// the relation instead of editing it counts every row of the larger
+    /// of the two versions.
     /// Once an *analyzed* table crosses the staleness threshold (50 rows +
     /// 10 % of the analyzed row count) its statistics are refreshed
     /// automatically; never-analyzed tables stay that way until an
@@ -593,26 +426,24 @@ impl Database {
     /// pre-modification snapshot are superseded by the swap (they
     /// described the old data).
     ///
-    /// **Locking**: the heavy work — the closure, any statistics refresh,
-    /// any compaction — runs entirely *off-lock* against a pinned fork of
-    /// the current version; readers are never blocked by a writer. The
-    /// write lock is taken only for a final pointer-equality
-    /// compare-and-swap. If another writer replaced the table in between,
-    /// nothing is applied and the modification is **retried** against the
-    /// new current version under the default [`RetryPolicy`]: a few
-    /// free-running attempts with exponential backoff, then the table's
-    /// ordered (FIFO) writer queue. Only once the whole budget is
-    /// exhausted does [`EngineError::ConcurrentModification`] surface,
-    /// carrying the table name and the attempts made. Because conflicts
-    /// re-run it, the closure must be safe to execute multiple times —
-    /// only its *last* run is published (don't accumulate into captured
-    /// state across calls, and don't modify other catalog tables from
-    /// inside). The fork shares all untouched chunks with the published
-    /// version, so a modification costs O(rows touched), not O(table);
-    /// when the accumulated delta outgrows the storage policy
-    /// ([`ongoing_relation::store`]) fragmented chunk *runs* are folded
-    /// before publication (O(fragmented run), with the whole-table fold
-    /// kept only as a policy backstop).
+    /// **Writers queue, readers don't.** The call holds the table's
+    /// writer gate — a FIFO queue every publisher of the table joins
+    /// ([`put_table`](Self::put_table), [`create_table`](Self::create_table),
+    /// [`drop_table`](Self::drop_table) and
+    /// [`create_key_index`](Self::create_key_index) too) — from the pin
+    /// of the current version through the closure, the statistics
+    /// refresh, the fold, the WAL append and the swap. So the closure
+    /// runs exactly once, against a private fork of the version it will
+    /// replace, and publishes without a retry; `ongoingdb_writer_wait_us`
+    /// records how long each publisher queued. Readers take no gate and
+    /// keep reading the published version meanwhile. The closure must
+    /// not publish to the catalog itself: such a nested call returns
+    /// [`EngineError::NestedPublication`]. The fork shares all untouched
+    /// chunks with the published version, so a modification costs
+    /// O(rows touched), not O(table); when the accumulated delta outgrows
+    /// the storage policy ([`ongoing_relation::store`]) fragmented chunk
+    /// *runs* are folded before publication (O(fragmented run), with the
+    /// whole-table fold kept only as a policy backstop).
     ///
     /// ```
     /// use ongoing_engine::{modify::Modifier, Database};
@@ -641,188 +472,115 @@ impl Database {
     pub fn modify_table<T>(
         &self,
         name: &str,
-        f: impl FnMut(&mut OngoingRelation) -> Result<T>,
+        f: impl FnOnce(&mut OngoingRelation) -> Result<T>,
     ) -> Result<T> {
-        self.modify_table_with(name, RetryPolicy::default(), f)
-            .map(|(out, _attempts)| out)
-    }
-
-    /// [`modify_table`](Self::modify_table) under an explicit
-    /// [`RetryPolicy`], additionally reporting how many publication
-    /// attempts were made (1 = no conflict) — the counter the concurrency
-    /// tests assert on.
-    pub fn modify_table_with<T>(
-        &self,
-        name: &str,
-        policy: RetryPolicy,
-        mut f: impl FnMut(&mut OngoingRelation) -> Result<T>,
-    ) -> Result<(T, u32)> {
-        let max_attempts = policy.max_attempts.max(1);
-        let deadline = policy.timeout.map(|t| Instant::now() + t);
-        let mut attempt = 0u32;
-        loop {
-            // The total deadline is polled before every attempt, before
-            // every backoff sleep (which is additionally capped to the
-            // remaining budget) and inside the ticket-gate wait — so no
-            // path blocks past it unboundedly. It is never polled between
-            // the WAL append and the publication, so an expired deadline
-            // can only mean "not applied", never a torn store.
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                self.obs.events.record(EngineEvent::DeadlineExceeded {
-                    context: name.to_string(),
-                });
-                return Err(EngineError::DeadlineExceeded);
-            }
-            attempt += 1;
-            // Contended writers past the free-running budget commit in
-            // strict arrival order through the table's ticket gate; the
-            // pass is held across fork → closure → publish and released
-            // on drop either way.
-            // The pass is scoped to the publication attempt: a conflicting
-            // gated attempt releases the gate *before* backing off, so the
-            // queue never stalls behind a sleeping writer.
-            let outcome = {
-                let gate = (attempt > policy.queue_after).then(|| self.writer_gate(name));
-                if gate.is_some() {
-                    self.obs.metrics.counter("ongoingdb_cas_queue_waits").inc();
-                }
-                let _pass = match &gate {
-                    Some(g) => g.enter(deadline)?,
-                    None => None,
-                };
-                self.attempt_modify(name, &mut f)?
-            };
-            match outcome {
-                Some(out) => {
-                    self.obs.metrics.counter("ongoingdb_publications").inc();
-                    self.obs
-                        .metrics
-                        .histogram("ongoingdb_cas_attempts")
-                        .observe(u64::from(attempt));
-                    self.obs.events.record(EngineEvent::Publication {
-                        table: name.to_string(),
-                        attempts: attempt,
-                    });
-                    return Ok((out, attempt));
-                }
-                None if attempt < max_attempts => {
-                    self.obs.metrics.counter("ongoingdb_cas_conflicts").inc();
-                    self.obs.events.record(EngineEvent::CasConflict {
-                        table: name.to_string(),
-                        attempt,
-                    });
-                    let mut pause = policy.backoff_for(attempt);
-                    if let Some(d) = deadline {
-                        let remaining = d.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            return Err(EngineError::DeadlineExceeded);
-                        }
-                        pause = pause.min(remaining);
-                    }
-                    if pause.is_zero() {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(pause);
-                    }
-                }
-                None => {
-                    return Err(EngineError::ConcurrentModification {
-                        table: name.to_string(),
-                        attempts: attempt,
-                    })
-                }
-            }
-        }
-    }
-
-    /// The per-table FIFO writer gate, created on first contention.
-    fn writer_gate(&self, name: &str) -> Arc<TicketGate> {
-        Arc::clone(self.gates.lock().entry(name.to_string()).or_default())
-    }
-
-    /// One optimistic publication attempt: fork, run the closure, account
-    /// staleness, compact, compare-and-swap. `Ok(None)` signals a
-    /// publication conflict (retryable); closure errors and a vanished
-    /// table are terminal. So is an I/O error off-lock, unless the pinned
-    /// version has been superseded meanwhile: a concurrent checkpoint may
-    /// then have collected a cold chunk file only that version still
-    /// referenced, and the attempt is retried like a conflict.
-    fn attempt_modify<T>(
-        &self,
-        name: &str,
-        f: &mut impl FnMut(&mut OngoingRelation) -> Result<T>,
-    ) -> Result<Option<T>> {
-        // Pin the current version (short read lock).
+        let pass = self.writer_gate(name)?;
         let table = self.table(name)?;
-        let (mut data, out, state) = match self.apply_off_lock(&table, f) {
-            Ok(applied) => applied,
-            Err(EngineError::Io(_)) if !self.is_published(name, &table) => return Ok(None),
-            Err(e) => return Err(e),
-        };
+        let (mut data, out, state) = self.apply(&table, f)?;
         // Seal (journaled) and detach the journal *before* the version is
-        // wrapped; both folds above journal as O(1) markers replay
+        // wrapped; both folds in `apply` journal as O(1) markers replay
         // re-derives deterministically.
         data.seal_pending();
         let journal = data.take_journal();
-        let new_table = Table::with_state(name, data, state);
-        match &self.durable {
-            Some(durable) => {
-                let guard = &mut durable.lock();
-                // The compare-and-swap precondition only needs a read
-                // lock: every publication path holds the commit guard, so
-                // no competing publication can slip in before our insert.
-                match self.tables.read().get(name) {
-                    Some(TableSlot::Ready(current)) if Arc::ptr_eq(current, &table) => {}
-                    Some(_) => return Ok(None),
-                    None => return Err(EngineError::UnknownTable(name.to_string())),
-                }
-                // Durability point: log (and sync) before becoming
-                // visible. An armed journal is an O(delta) commit record;
-                // a severed one means the closure rebuilt the relation, so
-                // its full state is logged (persisting chunks first).
-                match journal {
-                    Some(ops) => guard.append_commit(name, ops)?,
-                    None => guard.append_state(name, new_table.data())?,
-                }
+        let next = Table::with_state(name, data, state);
+        self.commit(
+            name,
+            &pass,
+            // Only residency changes bypass the gate (checkpoint demotion,
+            // cold-slot loading), and both keep the logical version.
+            |slot| match slot {
+                Some(TableSlot::Ready(current)) if current.version == table.version => Ok(()),
+                _ => Err(EngineError::Storage(format!(
+                    "internal: table `{name}` changed under its writer gate"
+                ))),
+            },
+            // An armed journal is an O(delta) commit record; a severed
+            // one means the closure rebuilt the relation, so its full
+            // state is logged (persisting chunks first).
+            |guard| match journal {
+                Some(ops) => guard.append_commit(name, ops),
+                None => guard.append_state(name, next.data()),
+            },
+            Some(Arc::clone(&next)),
+        )?;
+        Ok(out)
+    }
+
+    /// Takes `name`'s writer gate, queueing behind every earlier publisher
+    /// of the table. Refuses a publication from inside another one.
+    fn writer_gate(&self, name: &str) -> Result<WriterPass> {
+        if PUBLISHING.with(Cell::get) {
+            return Err(EngineError::NestedPublication(name.to_string()));
+        }
+        let gate = Arc::clone(self.gates.lock().entry(name.to_string()).or_default());
+        let start = Instant::now();
+        {
+            let mut turn = gate.turn.lock();
+            let ticket = turn.0;
+            turn.0 += 1;
+            // Every update of `turn` is one increment, so a lock poisoned
+            // by a panicking waiter still holds valid counters.
+            let _served = gate
+                .served
+                .wait_while(turn, |turn| turn.1 != ticket)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let wait_us = start.elapsed().as_micros() as u64;
+        self.obs
+            .metrics
+            .histogram("ongoingdb_writer_wait_us")
+            .observe(wait_us);
+        PUBLISHING.with(|p| p.set(true));
+        Ok(WriterPass { gate, wait_us })
+    }
+
+    /// The publication point every publisher shares; `pass` is `name`'s
+    /// held writer gate. Checks the slot, then — durability point — logs
+    /// (and syncs) the change through `log` before it becomes visible,
+    /// then installs `next` (`None` drops the table).
+    fn commit(
+        &self,
+        name: &str,
+        pass: &WriterPass,
+        check: impl FnOnce(Option<&TableSlot>) -> Result<()>,
+        log: impl FnOnce(&mut DurableGuard<'_>) -> Result<()>,
+        next: Option<Arc<Table>>,
+    ) -> Result<()> {
+        let mut guard = self.durable.as_ref().map(DurableState::lock);
+        check(self.tables.read().get(name))?;
+        if let Some(guard) = &mut guard {
+            log(guard)?;
+        }
+        match next {
+            Some(table) => {
                 self.tables
                     .write()
-                    .insert(name.to_string(), TableSlot::Ready(new_table));
-                if guard.needs_checkpoint() {
-                    self.checkpoint_locked(guard)?;
-                }
-                Ok(Some(out))
+                    .insert(name.to_string(), TableSlot::Ready(table));
             }
             None => {
-                // Publication: short write lock, pointer-equality
-                // compare-and-swap.
-                let mut tables = self.tables.write();
-                match tables.get(name) {
-                    Some(TableSlot::Ready(current)) if Arc::ptr_eq(current, &table) => {
-                        tables.insert(name.to_string(), TableSlot::Ready(new_table));
-                        Ok(Some(out))
-                    }
-                    Some(_) => Ok(None),
-                    None => Err(EngineError::UnknownTable(name.to_string())),
-                }
+                self.tables.write().remove(name);
             }
+        }
+        self.obs.metrics.counter("ongoingdb_publications").inc();
+        self.obs.events.record(EngineEvent::Publication {
+            table: name.to_string(),
+            wait_us: pass.wait_us,
+        });
+        match &mut guard {
+            Some(guard) if guard.needs_checkpoint() => self.checkpoint_locked(guard),
+            _ => Ok(()),
         }
     }
 
-    /// Is `table` still the published version of `name`?
-    fn is_published(&self, name: &str, table: &Arc<Table>) -> bool {
-        matches!(self.tables.read().get(name),
-            Some(TableSlot::Ready(current)) if Arc::ptr_eq(current, table))
-    }
-
-    /// The off-lock part of a publication attempt: forks the pinned
-    /// version, runs the closure on the fork, accounts staleness (and
-    /// refreshes stale statistics) and folds the accumulated delta.
-    /// Returns the folded fork, the closure's output and the statistics
-    /// state to publish with it.
-    fn apply_off_lock<T>(
+    /// The body of a publication: forks the pinned version, runs the
+    /// closure on the fork, accounts staleness (and refreshes stale
+    /// statistics) and folds the accumulated delta. Returns the folded
+    /// fork, the closure's output and the statistics state to publish
+    /// with it.
+    fn apply<T>(
         &self,
         table: &Table,
-        f: &mut impl FnMut(&mut OngoingRelation) -> Result<T>,
+        f: impl FnOnce(&mut OngoingRelation) -> Result<T>,
     ) -> Result<(OngoingRelation, T, StatsState)> {
         // The fork shares every sealed chunk, so this is O(#chunks), not
         // O(rows).
@@ -836,38 +594,34 @@ impl Database {
             data.begin_journal();
         }
         let base_writes = data.logical_writes();
-        // The user closure runs off-lock against the private fork.
         let out = f(&mut data)?;
         // Touched rows, exactly: the logical rows the closure wrote on
         // the fork (inserts, replacements, tombstones — not physical
         // bookkeeping like overlay copy-on-write). A closure that
         // *replaced* the relation wholesale (`*rel = built`) severs the
         // storage lineage (O(1) first-chunk probe) and resets the
-        // counter; it already paid O(table) to rebuild, so falling back
-        // to a positional diff stays within its own cost. The probe can
-        // be fooled by swapping in an *older* pinned version (it shares
-        // the first chunk but its counter ran backwards), so a counter
-        // regression also falls back to the diff.
+        // counter, so every row of the larger version counts. The probe
+        // can be fooled by swapping in an *older* pinned version (it
+        // shares the first chunk but its counter ran backwards), so a
+        // counter regression counts as a rebuild too.
         let touched = if data.derives_from(&table.data) && data.logical_writes() >= base_writes {
-            (data.logical_writes() - base_writes).max(1)
+            data.logical_writes() - base_writes
         } else {
-            positional_diff(&table.data, &data)?.max(1)
+            data.len().max(table.data.len()) as u64
         };
         let mut state = table.stats.lock().clone();
-        state.mods_since_analyze += touched;
+        state.mods_since_analyze += touched.max(1);
         if state.stale() {
-            // Statistics refresh also runs off-lock, on the fork.
             state = StatsState {
                 stats: Some(Arc::new(analyze_relation(&data)?)),
                 mods_since_analyze: 0,
             };
         }
-        // Fold the accumulated delta before publication (off-lock).
-        // Partial first: only fragmented chunk runs, O(fragmented run) —
-        // sustained churn on a large table never pays a whole-table fold
-        // (a no-op when nothing is fragmented). The global policy stays
-        // as a backstop for layouts run folding cannot fix (and for
-        // wholesale rebuilds).
+        // Fold the accumulated delta before publication. Partial first:
+        // only fragmented chunk runs, O(fragmented run) — sustained churn
+        // on a large table never pays a whole-table fold (a no-op when
+        // nothing is fragmented). The global policy stays as a backstop
+        // for layouts run folding cannot fix (and for wholesale rebuilds).
         data.compact_runs()?;
         if data.should_compact() {
             data.compact()?;
@@ -897,17 +651,17 @@ impl Database {
         // checkpoint just persisted are demoted to cold references through
         // the budgeted chunk cache: the table's memory is governed by the
         // budget from here on, with the dropped rows seeded warm (and
-        // evictable) in the cache. The republish is safe without a
-        // compare-and-swap: every publication path holds the commit guard
-        // we hold, so no competing version can appear mid-swap. Readers
-        // holding the pre-demotion `Arc<Table>` keep their fully resident
-        // version until they drop it.
+        // evictable) in the cache. The demoted copy changes residency
+        // only, so it keeps the table's logical version and bypasses the
+        // writer gate: a writer that pinned the resident copy still
+        // publishes over it. Readers holding the pre-demotion `Arc<Table>`
+        // keep their fully resident version until they drop it.
         if guard.memory_budget() != u64::MAX {
             for (name, table) in &ready {
                 let mut data = table.data.clone();
                 if guard.demote(&mut data) > 0 {
                     let state = table.stats.lock().clone();
-                    let demoted = Table::with_state(name, data, state);
+                    let demoted = Table::versioned(name, data, state, table.version);
                     self.tables
                         .write()
                         .insert(name.clone(), TableSlot::Ready(demoted));
@@ -943,8 +697,10 @@ impl Database {
     /// of an O(table) scan. The index is a property of the stored relation
     /// — it survives version forks, publications and compaction.
     pub fn create_key_index(&self, table: &str, column: &str) -> Result<()> {
-        let col = self.table(table)?.schema().index_of(column)?;
-        self.modify_table(table, |rel| rel.create_key_index(col))
+        self.modify_table(table, |rel| {
+            let col = rel.schema().index_of(column)?;
+            rel.create_key_index(col)
+        })
     }
 
     /// Collects statistics for one table (`ANALYZE <table>`).
@@ -970,32 +726,17 @@ impl Database {
     /// Drops a table; errors if it does not exist. On a durable database
     /// the drop is logged before it takes effect.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        match &self.durable {
-            Some(durable) => {
-                let mut guard = durable.lock();
-                if !self.tables.read().contains_key(name) {
-                    return Err(EngineError::UnknownTable(name.to_string()));
-                }
-                guard.append_drop(name)?;
-                self.tables.write().remove(name);
-                self.gates.lock().remove(name);
-                Ok(())
-            }
-            None => {
-                let mut tables = self.tables.write();
-                let removed = tables
-                    .remove(name)
-                    .map(|_| ())
-                    .ok_or_else(|| EngineError::UnknownTable(name.to_string()));
-                if removed.is_ok() {
-                    // Release the writer gate with the table (in-flight
-                    // passes keep theirs via `Arc`); a re-created table
-                    // starts fresh.
-                    self.gates.lock().remove(name);
-                }
-                removed
-            }
-        }
+        let pass = self.writer_gate(name)?;
+        self.commit(
+            name,
+            &pass,
+            |slot| match slot {
+                Some(_) => Ok(()),
+                None => Err(EngineError::UnknownTable(name.to_string())),
+            },
+            |guard| guard.append_drop(name),
+            None,
+        )
     }
 
     /// Looks a table up, materializing a recovered-but-cold table on first
@@ -1023,42 +764,12 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ongoing_relation::{RowEdit, Schema, Tuple, Value};
+    use ongoing_relation::{Schema, Value};
 
     fn rel() -> OngoingRelation {
         let mut r = OngoingRelation::new(Schema::builder().int("X").build());
         r.insert(vec![Value::Int(1)]).unwrap();
         r
-    }
-
-    #[test]
-    fn positional_diff_counts_rows_across_chunk_boundaries() {
-        let ints = |xs: std::ops::Range<i64>| {
-            let tuples = xs.map(|x| Tuple::base(vec![Value::Int(x)])).collect();
-            OngoingRelation::from_tuples(Schema::builder().int("X").build(), tuples).unwrap()
-        };
-        let old = ints(0..1200);
-        // Different chunk boundaries: an overlay, a split and a pending tail.
-        let mut new = ints(0..1000);
-        new.edit_tuples(|t| {
-            Ok::<_, EngineError>(match t.value(0) {
-                Value::Int(7) => RowEdit::Replace(vec![t.clone(), t.clone()]),
-                Value::Int(600) => RowEdit::Replace(vec![Tuple::base(vec![Value::Int(-1)])]),
-                _ => RowEdit::Keep,
-            })
-        })
-        .unwrap();
-        for x in 1000..1100 {
-            new.insert(vec![Value::Int(x)]).unwrap();
-        }
-        let naive = |a: &OngoingRelation, b: &OngoingRelation| {
-            let (a, b): (Vec<_>, Vec<_>) = (a.iter().collect(), b.iter().collect());
-            let common = a.iter().zip(&b).filter(|(x, y)| x != y).count();
-            (common + a.len().abs_diff(b.len())) as u64
-        };
-        for (a, b) in [(&old, &new), (&new, &old), (&old, &old)] {
-            assert_eq!(positional_diff(a, b).unwrap(), naive(a, b));
-        }
     }
 
     #[test]

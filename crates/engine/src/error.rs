@@ -14,17 +14,18 @@ pub enum EngineError {
     Schema(SchemaError),
     /// Expression evaluation failure.
     Eval(EvalError),
-    /// Every `modify_table` attempt found its snapshot superseded by a
-    /// concurrent writer before the compare-and-swap: the modification was
-    /// *not* applied. Raised only once the retry budget
-    /// ([`crate::catalog::RetryPolicy::max_attempts`]) is exhausted —
-    /// individual conflicts are retried internally.
-    ConcurrentModification {
-        /// The contended table.
-        table: String,
-        /// Publication attempts made before giving up.
-        attempts: u32,
-    },
+    /// A catalog publication (`modify_table`, `put_table`,
+    /// `create_table`, `drop_table`, `create_key_index`) was started from
+    /// inside another one — a `modify_table` closure. The writer already
+    /// holds a table's writer gate there, so the nested call is refused
+    /// instead of waiting on its own gate. Nothing was applied; carries
+    /// the table the nested call named.
+    NestedPublication(String),
+    /// Instantiated execution was asked for `rt = ∞`. `∞` is not a
+    /// reference time: the `RT` of a tuple is a set of half-open ranges
+    /// `[ts, te)`, and none of them contains `∞`, so every relation
+    /// would bind empty there. `MAX_FINITE` is the latest reference time.
+    InfiniteReferenceTime,
     /// Planner rejected the query.
     Plan(String),
     /// Storage-layer failure (encode/decode, page overflow).
@@ -40,17 +41,16 @@ pub enum EngineError {
     Io(String),
     /// The named materialized view does not exist.
     UnknownView(String),
-    /// The query (or modification) was cancelled through its
+    /// The query was cancelled through its
     /// [`QueryControl`](crate::exec::QueryControl) token. Cooperative:
     /// executors poll at morsel boundaries, so cancellation surfaces
-    /// within one morsel of work. A cancelled modification whose
-    /// publication had not happened yet is a no-op by CAS construction —
-    /// the store is never left torn.
+    /// within one morsel of work. Queries only: publications take no
+    /// control token.
     Cancelled,
-    /// The operation's deadline passed before it completed. Like
+    /// The query's deadline passed before it completed. Like
     /// [`Cancelled`](Self::Cancelled) this is checked cooperatively at
-    /// morsel boundaries, in retry backoff sleeps and in ticket-gate
-    /// queue waits, so no path can block past the deadline unboundedly.
+    /// morsel boundaries. Queries only: a publication waits for its
+    /// table's writer gate without a deadline.
     DeadlineExceeded,
     /// A resource budget was exhausted in a way the engine could not
     /// absorb (e.g. a single pinned working set larger than the chunk
@@ -63,11 +63,12 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::UnknownTable(n) => write!(f, "unknown table `{n}`"),
             EngineError::DuplicateTable(n) => write!(f, "table `{n}` already exists"),
-            EngineError::ConcurrentModification { table, attempts } => {
-                write!(
-                    f,
-                    "table `{table}` was modified concurrently; gave up after {attempts} attempt(s)"
-                )
+            EngineError::NestedPublication(n) => write!(
+                f,
+                "cannot publish to table `{n}` from inside another publication"
+            ),
+            EngineError::InfiniteReferenceTime => {
+                write!(f, "`∞` is not a reference time (the latest is MAX_FINITE)")
             }
             EngineError::Schema(e) => write!(f, "{e}"),
             EngineError::Eval(e) => write!(f, "{e}"),

@@ -71,7 +71,7 @@ pub mod sql;
 pub mod stats;
 pub mod storage;
 
-pub use catalog::{Database, RetryPolicy, Table};
+pub use catalog::{Database, Table};
 pub use error::{EngineError, Result};
 pub use exec::{
     ExecContext, ExecStats, QueryControl, ResultCache, WorkerPool, POOL_MAX_QUERIES_ENV,
@@ -102,7 +102,8 @@ pub fn execute(db: &Database, plan: &LogicalPlan) -> Result<OngoingRelation> {
 
 /// Compiles and executes a logical plan with the Clifford baseline:
 /// ongoing attributes are instantiated at `rt` when accessed; the result
-/// is valid only at `rt`.
+/// is valid only at `rt`. `rt = ∞` is
+/// [`EngineError::InfiniteReferenceTime`].
 pub fn execute_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<FixedRelation> {
     let cfg = PlannerConfig::default();
     let phys = plan::optimizer::compile(db, plan, &cfg)?;

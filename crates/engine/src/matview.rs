@@ -111,7 +111,8 @@ impl MaterializedView {
     /// Instantiates the materialized result at `rt` — a single bind pass
     /// over the stored tuples, no query evaluation. A result that shares
     /// cold chunks with a table is read one transient pin at a time (see
-    /// [`clifford::instantiate_relation`]), so it stays cold.
+    /// [`clifford::instantiate_relation`]), so it stays cold. `rt = ∞` is
+    /// [`EngineError::InfiniteReferenceTime`](crate::EngineError::InfiniteReferenceTime).
     pub fn instantiate(&self, rt: TimePoint) -> Result<FixedRelation> {
         clifford::instantiate_relation(&self.result, rt)
     }

@@ -2,8 +2,8 @@
 //! events with an optional JSONL sink through the [`Vfs`] seam.
 //!
 //! Events capture the *discrete* things the engine does — a publication
-//! landed, a checkpoint folded the WAL, the cache evicted a chunk, a CAS
-//! attempt lost its race, a transient I/O fault was absorbed, a query ran
+//! landed, a checkpoint folded the WAL, the cache evicted a chunk, a
+//! transient I/O fault was absorbed, a query ran
 //! slow or hit its deadline. Counters (the metrics registry) answer "how
 //! much"; the event ring answers "what happened, in what order".
 //!
@@ -27,19 +27,13 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 /// One typed engine event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineEvent {
-    /// A table modification committed (CAS publication succeeded).
+    /// A catalog publication committed (`modify_table`, `put_table`,
+    /// `create_table` or `drop_table`).
     Publication {
         /// Table the commit landed on.
         table: String,
-        /// CAS attempts the commit needed (1 = no contention).
-        attempts: u32,
-    },
-    /// A CAS attempt lost its race and will retry.
-    CasConflict {
-        /// Table under contention.
-        table: String,
-        /// The attempt number that failed.
-        attempt: u32,
+        /// Microseconds the publisher waited for the table's writer gate.
+        wait_us: u64,
     },
     /// A checkpoint folded the WAL into the manifest.
     Checkpoint {
@@ -69,9 +63,9 @@ pub enum EngineEvent {
         /// Deterministic work units the query cost.
         work: u64,
     },
-    /// A query or modification hit its deadline.
+    /// A query hit its deadline.
     DeadlineExceeded {
-        /// What timed out (query text or table name).
+        /// What timed out (the query text).
         context: String,
     },
     /// A query was cooperatively cancelled.
@@ -104,7 +98,6 @@ impl EngineEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             EngineEvent::Publication { .. } => "publication",
-            EngineEvent::CasConflict { .. } => "cas_conflict",
             EngineEvent::Checkpoint { .. } => "checkpoint",
             EngineEvent::Eviction { .. } => "eviction",
             EngineEvent::WalFaultRetry { .. } => "wal_fault_retry",
@@ -132,12 +125,8 @@ impl EventRecord {
     pub fn to_json(&self) -> String {
         let seq = self.seq;
         match &self.event {
-            EngineEvent::Publication { table, attempts } => format!(
-                "{{\"seq\":{seq},\"kind\":\"publication\",\"table\":{},\"attempts\":{attempts}}}",
-                json_str(table)
-            ),
-            EngineEvent::CasConflict { table, attempt } => format!(
-                "{{\"seq\":{seq},\"kind\":\"cas_conflict\",\"table\":{},\"attempt\":{attempt}}}",
+            EngineEvent::Publication { table, wait_us } => format!(
+                "{{\"seq\":{seq},\"kind\":\"publication\",\"table\":{},\"wait_us\":{wait_us}}}",
                 json_str(table)
             ),
             EngineEvent::Checkpoint { wal_bytes, tables } => format!(
@@ -330,10 +319,10 @@ impl EventLog {
 mod tests {
     use super::*;
 
-    fn ev(i: u32) -> EngineEvent {
-        EngineEvent::CasConflict {
+    fn ev(i: u64) -> EngineEvent {
+        EngineEvent::Publication {
             table: "T".into(),
-            attempt: i,
+            wait_us: i,
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Three metric kinds cover everything the engine counts today:
 //!
-//! * **Counters** — monotone `u64`s (tuples scanned, CAS conflicts, …).
+//! * **Counters** — monotone `u64`s (tuples scanned, publications, …).
 //! * **Gauges** — instantaneous `u64`s set at observation time (cache
 //!   resident bytes, store write-work totals).
 //! * **Histograms** — fixed log2-scaled buckets (`≤1, ≤2, ≤4, … , +Inf`),

@@ -3,8 +3,8 @@
 //!
 //! Everything the engine already counted — [`ExecStats`]
 //! work units, [`DurableStats`](crate::DurableStats) WAL/chunk/cache
-//! counters, the store's `write_work`/`qual_work`, CAS attempts — surfaces
-//! here under stable metric names through one snapshot API
+//! counters, the store's `write_work`/`qual_work`, writer-gate waits —
+//! surfaces here under stable metric names through one snapshot API
 //! ([`Database::metrics_snapshot`](crate::Database::metrics_snapshot) /
 //! [`Database::metrics_text`](crate::Database::metrics_text)). The typed
 //! structs stay exactly as they were; the registry is a view over them
@@ -128,8 +128,6 @@ impl Obs {
         }
         obs.metrics.counter("ongoingdb_queries");
         obs.metrics.counter("ongoingdb_publications");
-        obs.metrics.counter("ongoingdb_cas_conflicts");
-        obs.metrics.counter("ongoingdb_cas_queue_waits");
         obs.metrics.counter("ongoingdb_wal_fault_retries");
         obs.metrics.counter("ongoingdb_slow_queries");
         obs.metrics.counter("ongoingdb_prepared_hits");
@@ -139,7 +137,7 @@ impl Obs {
         obs.metrics
             .counter(crate::exec::RESULT_CACHE_EVICTIONS_METRIC);
         obs.metrics.gauge(crate::exec::RESULT_CACHE_BYTES_METRIC);
-        obs.metrics.histogram("ongoingdb_cas_attempts");
+        obs.metrics.histogram("ongoingdb_writer_wait_us");
         obs.metrics.histogram("ongoingdb_query_wall_us");
         obs
     }

@@ -339,7 +339,8 @@ impl PhysicalPlan {
     /// and at the Difference and Aggregate barriers. The result is valid
     /// only at `rt`. Returns the canonical (sorted, deduplicated) relation
     /// and the work-unit accounting (`intervals_merged` stays 0: the
-    /// baseline never touches interval sets).
+    /// baseline never touches interval sets). `rt = ∞` is
+    /// [`EngineError::InfiniteReferenceTime`]: no tuple's `RT` contains it.
     pub fn execute_at_with_stats(
         &self,
         rt: TimePoint,
@@ -351,12 +352,16 @@ impl PhysicalPlan {
 
     /// Instantiated execution returning the raw row bag in execution
     /// order — before [`FixedRelation`] sorts and deduplicates it — plus
-    /// work-unit accounting.
+    /// work-unit accounting. Rejects `rt = ∞` like
+    /// [`execute_at_with_stats`](Self::execute_at_with_stats).
     pub fn rows_at_with_stats(
         &self,
         rt: TimePoint,
         ctx: &ExecContext,
     ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
+        if rt.is_pos_inf() {
+            return Err(EngineError::InfiniteReferenceTime);
+        }
         let mut stats = ExecStats::default();
         let rows = self.rows_at_stats(rt, ctx, &mut stats)?;
         Ok((rows, stats))

@@ -23,6 +23,9 @@ const TAG_SPAN: u8 = 4;
 const TAG_POINT: u8 = 5;
 const TAG_INTERVAL: u8 = 6;
 const TAG_ONGOING_INT: u8 = 7;
+/// An ongoing integer whose pieces need `i128` coefficients (arithmetic
+/// at the domain limits); the compact tag above keeps `i64` ones.
+const TAG_ONGOING_INT_WIDE: u8 = 8;
 
 fn put_value(buf: &mut BytesMut, v: &Value) {
     match v {
@@ -61,13 +64,25 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
             buf.put_i64_le(i.te().b().ticks());
         }
         Value::Count(c) => {
-            buf.put_u8(TAG_ONGOING_INT);
             let pieces: Vec<_> = c.pieces().collect();
+            let narrow = |x: i128| i64::try_from(x).ok();
+            let compact = pieces
+                .iter()
+                .all(|&(_, coef, offset)| narrow(coef).and(narrow(offset)).is_some());
+            buf.put_u8(if compact {
+                TAG_ONGOING_INT
+            } else {
+                TAG_ONGOING_INT_WIDE
+            });
             buf.put_u32_le(pieces.len() as u32);
             for (start, coef, offset) in pieces {
                 buf.put_i64_le(start.ticks());
-                buf.put_i64_le(coef);
-                buf.put_i64_le(offset);
+                for x in [coef, offset] {
+                    match narrow(x) {
+                        Some(x) if compact => buf.put_i64_le(x),
+                        _ => buf.put_slice(&x.to_le_bytes()),
+                    }
+                }
             }
         }
     }
@@ -133,15 +148,24 @@ fn get_value(buf: &mut impl Buf) -> Result<Value> {
                 OngoingPoint::new(tea, teb).map_err(|e| EngineError::Storage(e.to_string()))?;
             Ok(Value::Interval(OngoingInterval::new(ts, te)))
         }
-        TAG_ONGOING_INT => {
+        TAG_ONGOING_INT | TAG_ONGOING_INT_WIDE => {
+            let wide = tag == TAG_ONGOING_INT_WIDE;
+            let piece = if wide { 8 + 2 * 16 } else { 3 * 8 };
             need(buf, 4)?;
             let n = buf.get_u32_le() as usize;
-            let mut pieces = Vec::with_capacity(capacity(n, buf.remaining(), 24));
+            let mut pieces = Vec::with_capacity(capacity(n, buf.remaining(), piece));
             for _ in 0..n {
-                need(buf, 24)?;
+                need(buf, piece)?;
                 let start = TimePoint::new(buf.get_i64_le());
-                let coef = buf.get_i64_le();
-                let offset = buf.get_i64_le();
+                let [coef, offset] = [(); 2].map(|()| {
+                    if wide {
+                        let mut raw = [0u8; 16];
+                        buf.copy_to_slice(&mut raw);
+                        i128::from_le_bytes(raw)
+                    } else {
+                        i128::from(buf.get_i64_le())
+                    }
+                });
                 pieces.push((start, coef, offset));
             }
             let c = OngoingInt::from_pieces(pieces)
@@ -250,6 +274,24 @@ mod tests {
             Value::Point(OngoingPoint::limited(tp(3))),
         ]);
         roundtrip(&t);
+    }
+
+    #[test]
+    fn ongoing_integers_round_trip_compact_and_wide() {
+        let now = OngoingInt::from_point(OngoingPoint::now());
+        let t = Tuple::base(vec![
+            Value::Count(OngoingInt::constant(3)),
+            // `rt - i64::MIN` needs an `i128` offset.
+            Value::Count(now.sub(&OngoingInt::constant(i64::MIN))),
+        ]);
+        let bytes = encode_tuple(&t);
+        // Arity, then a one-piece compact value: tag, count, 3 × 8 bytes.
+        assert_eq!(bytes[2], TAG_ONGOING_INT);
+        assert_eq!(bytes[2 + 1 + 4 + 24], TAG_ONGOING_INT_WIDE);
+        roundtrip(&t);
+        for cut in 0..bytes.len() {
+            assert!(decode_tuple(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

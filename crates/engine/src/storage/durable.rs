@@ -150,9 +150,10 @@ struct DurableInner {
 /// The durable side of a database: directory, options, and the serialized
 /// commit state. All WAL appends, chunk writes, checkpoints and recovery
 /// loads happen under the single [`lock`](DurableState::lock) — the
-/// catalog acquires it *before* touching its own table map (lock order:
-/// durable guard, then tables), which is what serializes publication
-/// against checkpoint GC.
+/// catalog acquires it *before* touching its own table map, which is what
+/// serializes publication against checkpoint GC. Lock order: a table's
+/// writer gate, then this guard, then the catalog's table map; the gate
+/// serializes the publications of one table, this guard those of all.
 #[derive(Debug)]
 pub struct DurableState {
     dir: PathBuf,
@@ -546,8 +547,11 @@ impl DurableGuard<'_> {
         reset.map_err(|e| self.disk(e))?;
 
         // Everything the new manifest does not reference is garbage: the
-        // WAL that could have referenced it has just been truncated, and
-        // in-memory pins keep their allocations alive independently.
+        // WAL that could have referenced it has just been truncated. A
+        // writer never loses a file here: it holds its table's writer
+        // gate, so the version it pinned is the one this manifest holds.
+        // A reader still holding a superseded cold version is not
+        // protected — its chunk files can go.
         let referenced: HashSet<u64> = manifest
             .tables
             .iter()

@@ -372,6 +372,10 @@ impl OngoingRelation {
     /// The bind operator `∥R∥rt` (Sec. VII-A): instantiates every ongoing
     /// attribute at `rt` and omits tuples whose `RT` does not contain `rt`.
     /// The result is a fixed relation with set semantics.
+    ///
+    /// Requires `rt < ∞`: `RT` is a set of half-open ranges `[ts, te)`, so
+    /// no tuple is alive at `∞` and the result there is always empty.
+    /// `MAX_FINITE` is the latest reference time.
     pub fn bind(&self, rt: TimePoint) -> FixedRelation {
         FixedRelation::from_rows(self.bind_rows(rt))
     }
@@ -380,7 +384,8 @@ impl OngoingRelation {
     /// [`bind`](Self::bind) — what a system hands to an application when
     /// instantiating a materialized ongoing result (and what the benchmark
     /// harness times, so the comparison against re-evaluation does not
-    /// charge either side for canonicalization).
+    /// charge either side for canonicalization). Requires `rt < ∞`, like
+    /// [`bind`](Self::bind).
     pub fn bind_rows(&self, rt: TimePoint) -> Vec<Vec<Value>> {
         self.iter().filter_map(|t| t.bind(rt)).collect()
     }

@@ -76,6 +76,8 @@ impl Tuple {
 
     /// The bind operator for tuples: instantiates every attribute at `rt`,
     /// or `None` when `rt ∉ RT` (the tuple is omitted from `∥R∥rt`).
+    /// Requires `rt < ∞`: no half-open `RT` range contains `∞`, so every
+    /// tuple binds to `None` there.
     pub fn bind(&self, rt: TimePoint) -> Option<Vec<Value>> {
         if !self.alive_at(rt) {
             return None;

@@ -1,30 +1,30 @@
-//! Multi-writer stress suite for the retrying write path.
+//! Multi-writer stress suite for the gated write path.
 //!
-//! PR 4 made `modify_table` optimistic: fork off-lock, publish via
-//! compare-and-swap, error on conflict. This suite pins the PR 5
-//! contract that turned the error into an internal event:
+//! Every publisher of a table holds the table's FIFO writer gate from the
+//! pin of the current version to the swap, so a `modify_table` closure
+//! runs exactly once and publishes without a retry. This suite pins that
+//! contract:
 //!
 //! 1. **No lost or duplicated updates** — N writer threads × M rounds of
 //!    `modify_table` (inserts, terminates, sequenced updates, deletes on
-//!    disjoint key spaces) complete with *zero* surfaced
-//!    [`EngineError::ConcurrentModification`]; the final table equals a
-//!    serialized naive replay (`ongoing_bench::naive`) of the same
-//!    operations — every committed round applied exactly once.
+//!    disjoint key spaces) all commit, each closure running once; the
+//!    final table equals a serialized naive replay (`ongoing_bench::naive`)
+//!    of the same operations — every committed round applied exactly once.
 //! 2. **No torn versions** — every round publishes a *pair* of marker
 //!    rows atomically; concurrent snapshot-pinned readers never observe a
 //!    version containing half a pair, and a pinned version never changes.
-//! 3. **Attempts are observable** — `modify_table_with` reports the
-//!    publication attempt count; a deterministic nested-writer conflict
-//!    retries exactly once, and an always-conflicting closure surfaces
-//!    `ConcurrentModification { table, attempts }` only after the budget.
+//! 3. **Residency changes are not conflicts** — a checkpoint that demotes
+//!    the pinned table mid-closure leaves the commit to land once.
+//! 4. **Nested publications are refused** — a closure that publishes to
+//!    the catalog gets [`EngineError::NestedPublication`], without
+//!    deadlock, and nothing it tried is applied.
 
 use ongoing_bench::naive;
 use ongoing_core::time::tp;
 use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
-use ongoingdb::engine::catalog::RetryPolicy;
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::{Database, EngineError};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const WRITERS: i64 = 8;
@@ -141,8 +141,7 @@ fn eight_writers_fifty_rounds_no_lost_updates() {
     db.create_key_index("T", "K").unwrap();
 
     let done = Arc::new(AtomicBool::new(false));
-    let max_attempts_seen = Arc::new(AtomicU32::new(0));
-    let total_attempts = Arc::new(AtomicU32::new(0));
+    let runs = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|s| {
         // Snapshot-pinned readers: every pinned version satisfies the
@@ -165,19 +164,14 @@ fn eight_writers_fifty_rounds_no_lost_updates() {
         }
         for t in 0..WRITERS {
             let db = Arc::clone(&db);
-            let max_seen = Arc::clone(&max_attempts_seen);
-            let total = Arc::clone(&total_attempts);
+            let runs = Arc::clone(&runs);
             s.spawn(move || {
                 for r in 0..ROUNDS {
-                    let (_, attempts) = db
-                        .modify_table_with("T", RetryPolicy::default(), |rel| {
-                            writer_round(&mut Modifier::new(rel, "VT")?, t, r)
-                        })
-                        .unwrap_or_else(|e| {
-                            panic!("writer {t} round {r}: surfaced {e} — retry failed")
-                        });
-                    max_seen.fetch_max(attempts, Ordering::Relaxed);
-                    total.fetch_add(attempts, Ordering::Relaxed);
+                    db.modify_table("T", |rel| {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        writer_round(&mut Modifier::new(rel, "VT")?, t, r)
+                    })
+                    .unwrap_or_else(|e| panic!("writer {t} round {r}: surfaced {e}"));
                 }
             });
         }
@@ -221,14 +215,10 @@ fn eight_writers_fifty_rounds_no_lost_updates() {
         sorted(replay),
         "final table diverged from the serialized naive replay"
     );
-    let (max, total) = (
-        max_attempts_seen.load(Ordering::Relaxed),
-        total_attempts.load(Ordering::Relaxed),
-    );
-    assert!(max >= 1 && total >= (WRITERS * ROUNDS) as u32);
-    println!(
-        "writers done: {total} attempts for {} commits (max {max} per commit)",
-        WRITERS * ROUNDS
+    assert_eq!(
+        runs.load(Ordering::Relaxed),
+        (WRITERS * ROUNDS) as u64,
+        "every closure runs exactly once per commit"
     );
 }
 
@@ -260,12 +250,14 @@ fn eight_durable_writers_recover_to_the_serialized_replay() {
         )
         .unwrap();
         db.create_key_index("T", "K").unwrap();
+        let runs = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..WRITERS {
-                let db = Arc::clone(&db);
+                let (db, runs) = (Arc::clone(&db), &runs);
                 s.spawn(move || {
                     for r in 0..rounds {
                         db.modify_table("T", |rel| {
+                            runs.fetch_add(1, Ordering::Relaxed);
                             writer_round(&mut Modifier::new(rel, "VT")?, t, r)
                         })
                         .unwrap_or_else(|e| panic!("durable writer {t} round {r}: {e}"));
@@ -275,6 +267,11 @@ fn eight_durable_writers_recover_to_the_serialized_replay() {
         });
         let stats = db.durable_stats().unwrap();
         assert!(stats.checkpoints > 0, "workload must exercise checkpoints");
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            (WRITERS * rounds) as u64,
+            "every closure runs exactly once per commit"
+        );
     } // drop = crash: whatever the WAL holds is the durable state.
 
     let db = Database::open(dir.path()).unwrap();
@@ -301,210 +298,245 @@ fn eight_durable_writers_recover_to_the_serialized_replay() {
 }
 
 #[test]
-fn nested_conflict_retries_and_reports_attempts() {
+fn checkpoint_mid_closure_demotes_without_a_retry() {
+    // The writer pins the resident version of `T`. Mid-closure, a
+    // checkpoint under a 64 KiB budget persists `T` and demotes its chunks
+    // to cold references: the slot now holds a demoted copy of the pinned
+    // version. That changes residency only, so the commit lands on its
+    // first and only run, and the reopened database equals the naive
+    // replay. Deterministic — no thread timing involved.
+    let dir = ongoingdb::engine::storage::TempDir::new("writers-demote");
+    let base = base_rows(2 * ongoing_relation::TARGET_CHUNK_ROWS as i64);
+    {
+        let db = Database::open_with(
+            dir.path(),
+            ongoingdb::engine::DurableOptions {
+                fsync: false,
+                checkpoint_bytes: u64::MAX,
+                memory_budget: 64 << 10,
+            },
+        )
+        .unwrap();
+        db.create_table(
+            "T",
+            OngoingRelation::from_tuples(schema(), base.clone()).unwrap(),
+        )
+        .unwrap();
+        let published = db.metrics_snapshot().value("ongoingdb_publications");
+        let mut runs = 0;
+        db.modify_table("T", |rel| {
+            runs += 1;
+            db.persist()?;
+            let demoted = db.table("T")?;
+            assert!(
+                demoted.data().lazy_views().iter().all(|v| !v.is_resident()),
+                "the checkpoint must demote T mid-closure"
+            );
+            Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(-1i64)), tp(99))
+        })
+        .unwrap();
+        assert_eq!(runs, 1, "the closure runs exactly once");
+        assert_eq!(
+            db.metrics_snapshot().value("ongoingdb_publications"),
+            published + 1,
+            "one publication, no retry"
+        );
+    } // drop = crash: the terminate lives only in the WAL.
+    let db = Database::open(dir.path()).unwrap();
+    let recovered: Vec<Tuple> = db.table("T").unwrap().data().iter().cloned().collect();
+    let mut replay = base;
+    naive::terminate(&mut replay, -1, tp(99));
+    assert_eq!(sorted(recovered), sorted(replay));
+}
+
+#[test]
+fn nested_gated_modification_does_not_self_deadlock() {
+    // A closure holds `T`'s writer gate. Any catalog publication from
+    // inside it — on `T` or on another table — is refused with the typed
+    // error instead of waiting on a gate; the outer closure still runs
+    // once and commits, and the refused calls change nothing.
+    let db = Database::new();
+    let t = OngoingRelation::from_tuples(schema(), base_rows(20)).unwrap();
+    let u = OngoingRelation::from_tuples(schema(), base_rows(5)).unwrap();
+    db.create_table("T", t.clone()).unwrap();
+    db.create_table("U", u.clone()).unwrap();
+    let insert = |rel: &mut OngoingRelation| {
+        Modifier::new(rel, "VT")?.insert_open(
+            vec![Value::Int(8_000), Value::Int(0), Value::Bool(false)],
+            tp(1),
+        )
+    };
+    let mut runs = 0;
+    db.modify_table("T", |rel| {
+        runs += 1;
+        for name in ["T", "U", "V"] {
+            let refused = |r: ongoingdb::engine::Result<()>| match r {
+                Err(EngineError::NestedPublication(table)) => assert_eq!(table, name),
+                other => panic!("nested publication on {name}: expected a refusal, got {other:?}"),
+            };
+            refused(db.modify_table(name, insert));
+            refused(db.put_table(name, u.clone()));
+            refused(db.create_table(name, u.clone()));
+            refused(db.drop_table(name));
+            refused(db.create_key_index(name, "K"));
+        }
+        Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(-1i64)), tp(99))
+    })
+    .unwrap();
+    assert_eq!(runs, 1);
+    // The outer commit landed; the refused calls left U alone and
+    // created no V.
+    let rows: Vec<Tuple> = db.table("T").unwrap().data().iter().cloned().collect();
+    let mut replay: Vec<Tuple> = t.iter().cloned().collect();
+    naive::terminate(&mut replay, -1, tp(99));
+    assert_eq!(sorted(rows), sorted(replay));
+    let u_now: Vec<Tuple> = db.table("U").unwrap().data().iter().cloned().collect();
+    assert_eq!(u_now, u.iter().cloned().collect::<Vec<_>>());
+    assert!(db
+        .table("U")
+        .unwrap()
+        .data()
+        .key_indexed_columns()
+        .is_empty());
+    assert_eq!(db.table_names(), vec!["T".to_string(), "U".to_string()]);
+    // The gate was released: later publications go through.
+    db.modify_table("T", insert).unwrap();
+    db.drop_table("U").unwrap();
+}
+
+#[test]
+fn nested_modification_is_refused_and_the_outer_commit_lands_once() {
+    // A nested writer on the same table used to publish mid-closure and
+    // force the outer writer to retry. Now the nested call is refused, so
+    // the outer closure runs once, one publication lands, and only the
+    // outer terminate is visible.
     let db = Database::new();
     db.create_table(
         "T",
         OngoingRelation::from_tuples(schema(), base_rows(50)).unwrap(),
     )
     .unwrap();
-    // First run: a nested writer publishes mid-closure, so the outer CAS
-    // must fail; the retry re-runs the closure against the new version
-    // and succeeds. Deterministic — no thread timing involved.
-    let mut first = true;
-    let (n, attempts) = db
-        .modify_table_with("T", RetryPolicy::default(), |rel| {
-            if first {
-                first = false;
-                db.modify_table("T", |inner| {
-                    let mut m = Modifier::new(inner, "VT")?;
-                    m.insert_open(
-                        vec![Value::Int(7_000), Value::Int(0), Value::Bool(false)],
-                        tp(1),
-                    )
-                })?;
-            }
-            Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(-1i64)), tp(99))
-        })
-        .unwrap();
-    assert_eq!(n, 1, "the retried modification applied exactly once");
-    assert_eq!(attempts, 2, "one conflict, one successful retry");
-    // Both the nested insert and the retried terminate are visible.
-    let data = db.table("T").unwrap().data().clone();
-    assert_eq!(data.len(), 51);
-    assert!(data.iter().any(|t| t.value(0) == &Value::Int(7_000)));
-}
-
-#[test]
-fn io_error_on_a_superseded_version_retries_as_a_conflict() {
-    // The writer pins the cold version V of `T`. Mid-closure, a nested
-    // writer rebuilds `T` and a checkpoint garbage-collects the chunk
-    // files only V still references, so the writer's edit of its fork
-    // fails to page a chunk in. V is no longer published, so that is a
-    // conflict: the retry runs against the rebuilt version and applies.
-    // Deterministic — no thread timing involved.
-    let dir = ongoingdb::engine::storage::TempDir::new("writers-gc-race");
-    let db = Database::open_with(
-        dir.path(),
-        ongoingdb::engine::DurableOptions {
-            fsync: false,
-            checkpoint_bytes: u64::MAX,
-            memory_budget: 64 << 10,
-        },
-    )
+    let published = db.metrics_snapshot().value("ongoingdb_publications");
+    let mut runs = 0;
+    db.modify_table("T", |rel| {
+        runs += 1;
+        let nested = db.modify_table("T", |inner| {
+            Modifier::new(inner, "VT")?.insert_open(
+                vec![Value::Int(7_000), Value::Int(0), Value::Bool(false)],
+                tp(1),
+            )
+        });
+        assert!(
+            matches!(&nested, Err(EngineError::NestedPublication(t)) if t == "T"),
+            "expected a refusal, got {nested:?}"
+        );
+        Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(-1i64)), tp(99))
+    })
     .unwrap();
-    let base = base_rows(2 * ongoing_relation::TARGET_CHUNK_ROWS as i64);
-    db.create_table(
-        "T",
-        OngoingRelation::from_tuples(schema(), base.clone()).unwrap(),
-    )
-    .unwrap();
-    // The checkpoint persists `T` and, under the finite budget, demotes
-    // its chunks to cold references.
-    db.persist().unwrap();
-    let mut first = true;
-    let (n, attempts) = db
-        .modify_table_with("T", RetryPolicy::default(), |rel| {
-            if first {
-                first = false;
-                let rebuilt = OngoingRelation::from_tuples(schema(), base.clone())?;
-                db.modify_table("T", |inner| {
-                    *inner = rebuilt.clone();
-                    Ok(())
-                })?;
-                db.persist()?;
-            }
-            Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(-1i64)), tp(99))
-        })
-        .unwrap();
-    assert_eq!(n, 1, "the retried modification applied exactly once");
-    assert_eq!(attempts, 2, "one superseded attempt, one successful retry");
+    assert_eq!(runs, 1, "the closure runs exactly once");
     assert_eq!(
-        db.metrics_snapshot().value("ongoingdb_cas_conflicts"),
-        1,
-        "the retry is counted as a conflict"
+        db.metrics_snapshot().value("ongoingdb_publications"),
+        published + 1,
+        "one publication, no retry"
     );
+    let data = db.table("T").unwrap().data().clone();
+    assert_eq!(data.len(), 50);
+    assert!(!data.iter().any(|t| t.value(0) == &Value::Int(7_000)));
 }
 
 #[test]
-fn nested_gated_modification_does_not_self_deadlock() {
-    // queue_after = 0 puts every attempt under the FIFO gate. A closure
-    // nesting a gated modify_table on the same table would deadlock on
-    // its own ticket; the gate detects the re-entry and runs the nested
-    // call ungated instead. The outer CAS then conflicts once and the
-    // retry succeeds.
+fn nested_put_table_error_aborts_the_outer_modification() {
+    // A closure that propagates the refusal of a nested `put_table`
+    // surfaces it from the outer `modify_table` after one run, and the
+    // table keeps its previous version: neither the nested replacement
+    // nor the outer delete is applied.
     let db = Database::new();
-    db.create_table(
-        "T",
-        OngoingRelation::from_tuples(schema(), base_rows(20)).unwrap(),
-    )
-    .unwrap();
-    let policy = RetryPolicy {
-        queue_after: 0,
-        ..RetryPolicy::default()
-    };
-    let mut first = true;
-    let (_, attempts) = db
-        .modify_table_with("T", policy, |rel| {
-            if first {
-                first = false;
-                db.modify_table_with("T", policy, |inner| {
-                    let mut m = Modifier::new(inner, "VT")?;
-                    m.insert_open(
-                        vec![Value::Int(8_000), Value::Int(0), Value::Bool(false)],
-                        tp(1),
-                    )
-                })?;
-            }
-            Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(-1i64)), tp(99))
-        })
-        .unwrap();
-    assert_eq!(attempts, 2);
-    assert_eq!(db.table("T").unwrap().data().len(), 21);
+    let base = OngoingRelation::from_tuples(schema(), base_rows(10)).unwrap();
+    db.create_table("T", base.clone()).unwrap();
+    let mut runs = 0;
+    let r = db.modify_table("T", |rel| {
+        runs += 1;
+        db.put_table(
+            "T",
+            OngoingRelation::from_tuples(schema(), base_rows(3)).unwrap(),
+        )?;
+        Modifier::new(rel, "VT")?.delete(&Expr::Col(0).eq(Expr::lit(-1i64)))
+    });
+    match r {
+        Err(EngineError::NestedPublication(table)) => assert_eq!(table, "T"),
+        other => panic!("expected NestedPublication, got {other:?}"),
+    }
+    assert_eq!(runs, 1);
+    let rows: Vec<Tuple> = db.table("T").unwrap().data().iter().cloned().collect();
+    assert_eq!(rows, base.iter().cloned().collect::<Vec<_>>());
+    // The gate was released by the failed modification.
+    db.put_table("T", base).unwrap();
 }
 
 #[test]
 fn uncontended_modification_reports_one_attempt() {
+    // One publication: the closure runs once, the gate-wait histogram
+    // gains one observation and the event log one publication.
     let db = Database::new();
     db.create_table(
         "T",
         OngoingRelation::from_tuples(schema(), base_rows(10)).unwrap(),
     )
     .unwrap();
-    let (_, attempts) = db
-        .modify_table_with("T", RetryPolicy::default(), |rel| {
-            Modifier::new(rel, "VT")?.delete(&Expr::Col(0).eq(Expr::lit(-3i64)))
-        })
-        .unwrap();
-    assert_eq!(attempts, 1);
-}
-
-#[test]
-fn no_retry_policy_surfaces_the_first_conflict() {
-    let db = Database::new();
-    db.create_table(
-        "T",
-        OngoingRelation::from_tuples(schema(), base_rows(10)).unwrap(),
-    )
+    let waits = |db: &Database| {
+        db.metrics_snapshot()
+            .histogram("ongoingdb_writer_wait_us")
+            .map_or(0, |h| h.count)
+    };
+    let before = waits(&db);
+    let mut runs = 0;
+    db.modify_table("T", |rel| {
+        runs += 1;
+        Modifier::new(rel, "VT")?.delete(&Expr::Col(0).eq(Expr::lit(-3i64)))
+    })
     .unwrap();
-    let r = db.modify_table_with("T", RetryPolicy::no_retry(), |rel| {
-        db.put_table(
-            "T",
-            OngoingRelation::from_tuples(schema(), base_rows(3)).unwrap(),
-        )
-        .unwrap();
-        Modifier::new(rel, "VT")?.delete(&Expr::Col(0).eq(Expr::lit(-1i64)))
-    });
-    match r {
-        Err(EngineError::ConcurrentModification { table, attempts }) => {
-            assert_eq!(table, "T");
-            assert_eq!(attempts, 1);
-        }
-        other => panic!("expected ConcurrentModification, got {other:?}"),
-    }
+    assert_eq!(runs, 1);
+    assert_eq!(waits(&db), before + 1);
+    let last = db.recent_events().pop().unwrap();
+    assert!(
+        matches!(&last.event, ongoingdb::engine::EngineEvent::Publication { table, .. } if table == "T")
+    );
 }
 
 #[test]
 fn queued_writers_commit_in_ticket_order() {
-    // queue_after = 0: every attempt runs under the FIFO gate, so N
-    // contending writers serialize and each commits on its first attempt.
+    // Every publisher queues on the table's FIFO gate, so N contending
+    // writers serialize: each closure runs exactly once and every commit
+    // lands.
     let db = Arc::new(Database::new());
     db.create_table(
         "T",
         OngoingRelation::from_tuples(schema(), base_rows(20)).unwrap(),
     )
     .unwrap();
-    let policy = RetryPolicy {
-        queue_after: 0,
-        ..RetryPolicy::default()
-    };
-    let worst = Arc::new(AtomicU32::new(0));
+    let runs = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..6i64 {
-            let db = Arc::clone(&db);
-            let worst = Arc::clone(&worst);
+            let (db, runs) = (Arc::clone(&db), &runs);
             s.spawn(move || {
                 for r in 0..10i64 {
-                    let (_, attempts) = db
-                        .modify_table_with("T", policy, |rel| {
-                            Modifier::new(rel, "VT")?.insert_open(
-                                vec![Value::Int(t * SPACE + r), Value::Int(r), Value::Bool(false)],
-                                tp(r % 9),
-                            )
-                        })
-                        .expect("queued writer must not surface a conflict");
-                    worst.fetch_max(attempts, Ordering::Relaxed);
+                    db.modify_table("T", |rel| {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        Modifier::new(rel, "VT")?.insert_open(
+                            vec![Value::Int(t * SPACE + r), Value::Int(r), Value::Bool(false)],
+                            tp(r % 9),
+                        )
+                    })
+                    .expect("queued writer must commit");
                 }
             });
         }
     });
     assert_eq!(db.table("T").unwrap().data().len(), 20 + 60);
-    // Every writer forks *inside* the gate and all writers are gated, so
-    // publications serialize completely: no CAS can ever fail.
     assert_eq!(
-        worst.load(Ordering::Relaxed),
-        1,
-        "queued writers conflicted"
+        runs.load(Ordering::Relaxed),
+        60,
+        "closures ran more than once"
     );
 }
 
@@ -538,12 +570,14 @@ fn eight_writers_under_a_tight_memory_budget_evict_and_stay_exact() {
     )
     .unwrap();
     db.create_key_index("T", "K").unwrap();
+    let runs = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..WRITERS {
-            let db = Arc::clone(&db);
+            let (db, runs) = (Arc::clone(&db), &runs);
             s.spawn(move || {
                 for r in 0..rounds {
                     db.modify_table("T", |rel| {
+                        runs.fetch_add(1, Ordering::Relaxed);
                         writer_round(&mut Modifier::new(rel, "VT")?, t, r)
                     })
                     .unwrap_or_else(|e| panic!("budgeted writer {t} round {r}: {e}"));
@@ -555,6 +589,11 @@ fn eight_writers_under_a_tight_memory_budget_evict_and_stay_exact() {
     assert!(
         db.durable_stats().unwrap().checkpoints > 0,
         "workload must exercise checkpoints"
+    );
+    assert_eq!(
+        runs.load(Ordering::Relaxed),
+        (WRITERS * rounds) as u64,
+        "every closure runs exactly once per commit"
     );
 
     // The final full scan pages the whole (≈8×-budget) table through the

@@ -350,3 +350,48 @@ fn matview_of_aggregate_serves_snapshots() {
         );
     }
 }
+
+#[test]
+fn infinite_reference_time_is_rejected_at_every_entry_point() {
+    // `∞` is not a reference time: `RT` is a set of half-open ranges, so a
+    // table would bind empty there. Every instantiated entry point says
+    // so with a typed error and still answers at `MAX_FINITE`.
+    use ongoingdb::engine::baseline::clifford;
+    use ongoingdb::engine::plan::compile;
+    use ongoingdb::engine::MaterializedView;
+    let db = empty_db();
+    let mut t = OngoingRelation::new(Schema::builder().int("K").interval("VT").build());
+    t.insert(vec![
+        Value::Int(1),
+        Value::Interval(OngoingInterval::from_until_now(tp(5))),
+    ])
+    .unwrap();
+    db.create_table("T", t).unwrap();
+    let plan = QueryBuilder::scan(&db, "T").unwrap().build();
+    let cfg = PlannerConfig::default();
+    let phys = compile(&db, &plan, &cfg).unwrap();
+    let ctx = cfg.exec_context();
+    let view = MaterializedView::create(&db, "v", plan.clone(), cfg).unwrap();
+    let table = db.table("T").unwrap();
+    let counts = |rt: TimePoint| {
+        [
+            execute_at(&db, &plan, rt).map(|r| r.len()),
+            phys.execute_at_with_stats(rt, &ctx).map(|(r, _)| r.len()),
+            phys.rows_at_with_stats(rt, &ctx).map(|(r, _)| r.len()),
+            clifford::instantiate_relation(table.data(), rt).map(|r| r.len()),
+            view.instantiate(rt).map(|r| r.len()),
+        ]
+    };
+    for (i, n) in counts(TimePoint::POS_INF).into_iter().enumerate() {
+        assert_eq!(
+            n,
+            Err(EngineError::InfiniteReferenceTime),
+            "entry point {i}"
+        );
+    }
+    for rt in [TimePoint::NEG_INF, tp(0), TimePoint::MAX_FINITE] {
+        for (i, n) in counts(rt).into_iter().enumerate() {
+            assert_eq!(n, Ok(1), "entry point {i} at {rt:?}");
+        }
+    }
+}

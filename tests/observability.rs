@@ -247,10 +247,10 @@ fn jsonl_sink_survives_transient_write_faults() {
             }));
             let log = EventLog::with_capacity(64);
             log.set_sink(Arc::clone(&vfs) as Arc<dyn ongoingdb::engine::Vfs>, &path);
-            for i in 0..10u32 {
-                log.record(EngineEvent::CasConflict {
+            for i in 0..10u64 {
+                log.record(EngineEvent::Publication {
                     table: "T".into(),
-                    attempt: i,
+                    wait_us: i,
                 });
             }
             assert_eq!(log.sink_errors(), 0, "transient faults must be absorbed");

@@ -1,6 +1,6 @@
 //! Resource-governance suite: memory budget, deadlines, cancellation.
 //!
-//! PR 7 gave the engine three governors; this suite pins their contracts:
+//! This suite pins the contracts of the engine's two resource governors:
 //!
 //! 1. **Out-of-core execution.** A durable table several times the chunk
 //!    cache's byte budget reopens *cold* (`tuples_loaded == 0` until first
@@ -12,17 +12,12 @@
 //!    as a typed error ([`EngineError::DeadlineExceeded`] /
 //!    [`EngineError::Cancelled`]) — never a panic — and the store stays
 //!    fully usable afterwards.
-//! 3. **Write deadlines never tear.** `RetryPolicy::timeout` bounds a
-//!    perpetually conflicting `modify_table` (including backoff sleeps and
-//!    writer-queue waits); expiry means *not applied*, and a timed-out
-//!    queued writer's abandoned ticket never stalls the writers behind it.
 
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
 use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
 use ongoingdb::engine::baseline::clifford;
-use ongoingdb::engine::catalog::RetryPolicy;
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::storage::{DurableOptions, FaultFs, TempDir};
@@ -31,9 +26,8 @@ use ongoingdb::engine::{
     QueryControl,
 };
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CHUNK: usize = ongoing_relation::TARGET_CHUNK_ROWS;
 
@@ -496,124 +490,4 @@ fn cancelled_control_surfaces_cancelled_from_any_thread() {
     }
     // Cancellation is per-token, not per-plan: a fresh context runs fine.
     assert!(phys.execute_with_stats(&ExecContext::serial()).is_ok());
-}
-
-#[test]
-fn modify_timeout_bounds_a_perpetually_conflicting_writer() {
-    let db = Database::new();
-    db.create_table(
-        "T",
-        OngoingRelation::from_tuples(schema(), big_rows(32)).unwrap(),
-    )
-    .unwrap();
-
-    // Every attempt's fork is stale by publication time: the closure
-    // itself republishes the table. Without a timeout this retries until
-    // max_attempts; with one it must return DeadlineExceeded promptly —
-    // and the interference pattern guarantees the modification itself was
-    // never applied.
-    let policy = RetryPolicy {
-        max_attempts: u32::MAX,
-        queue_after: u32::MAX,
-        timeout: Some(Duration::from_millis(100)),
-        ..RetryPolicy::default()
-    };
-    let started = Instant::now();
-    let result = db.modify_table_with("T", policy, |rel| {
-        db.put_table(
-            "T",
-            OngoingRelation::from_tuples(schema(), big_rows(32)).unwrap(),
-        )?;
-        Modifier::new(rel, "VT")?.insert_open(
-            vec![Value::Int(-7), Value::Int(0), Value::Bool(false)],
-            tp(1),
-        )
-    });
-    match result {
-        Err(EngineError::DeadlineExceeded) => {}
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "timeout failed to bound the retry loop"
-    );
-    // Not applied: the conflicting writes won, the timed-out insert lost.
-    let rows: Vec<Tuple> = db.table("T").unwrap().data().iter().cloned().collect();
-    assert!(
-        !rows.iter().any(|t| t.value(0).as_int() == Some(-7)),
-        "timed-out modification must not be applied"
-    );
-}
-
-#[test]
-fn abandoned_queue_ticket_never_stalls_later_writers() {
-    let db = Arc::new(Database::new());
-    db.create_table(
-        "T",
-        OngoingRelation::from_tuples(schema(), big_rows(8)).unwrap(),
-    )
-    .unwrap();
-    // Strict FIFO writers: everyone queues from the first attempt.
-    let fifo = RetryPolicy {
-        queue_after: 0,
-        ..RetryPolicy::default()
-    };
-
-    let a_entered = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|s| {
-        // Writer A takes the gate and holds it in its closure.
-        let db_a = Arc::clone(&db);
-        let entered = Arc::clone(&a_entered);
-        let a = s.spawn(move || {
-            db_a.modify_table_with("T", fifo, |rel| {
-                entered.store(true, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(250));
-                Modifier::new(rel, "VT")?.insert_open(
-                    vec![Value::Int(-10), Value::Int(0), Value::Bool(false)],
-                    tp(1),
-                )
-            })
-        });
-        while !a_entered.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-
-        // Writer B queues behind A and times out waiting — its abandoned
-        // ticket must be skipped, not served into the void.
-        let timed_out = RetryPolicy {
-            timeout: Some(Duration::from_millis(20)),
-            ..fifo
-        };
-        let b = db.modify_table_with("T", timed_out, |rel| {
-            Modifier::new(rel, "VT")?.insert_open(
-                vec![Value::Int(-20), Value::Int(0), Value::Bool(false)],
-                tp(1),
-            )
-        });
-        match b {
-            Err(EngineError::DeadlineExceeded) => {}
-            other => panic!("expected DeadlineExceeded for queued writer, got {other:?}"),
-        }
-
-        // Writer C queues after B's abandonment, behind A — it must be
-        // served once A releases, within a bounded wait.
-        let started = Instant::now();
-        db.modify_table_with("T", fifo, |rel| {
-            Modifier::new(rel, "VT")?.insert_open(
-                vec![Value::Int(-30), Value::Int(0), Value::Bool(false)],
-                tp(1),
-            )
-        })
-        .expect("writer C must not stall behind the abandoned ticket");
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "writer C stalled behind an abandoned ticket"
-        );
-        a.join().unwrap().expect("writer A");
-    });
-
-    let rows: Vec<Tuple> = db.table("T").unwrap().data().iter().cloned().collect();
-    let has = |k: i64| rows.iter().any(|t| t.value(0).as_int() == Some(k));
-    assert!(has(-10) && has(-30), "writers A and C must have committed");
-    assert!(!has(-20), "timed-out writer B must not have committed");
 }

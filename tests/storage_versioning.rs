@@ -5,10 +5,10 @@
 //! 1. **Snapshot isolation** — a reader holding a pinned table version
 //!    never observes a concurrent writer's effects, and the writer's new
 //!    version physically shares every untouched chunk with the snapshot.
-//! 2. **Off-lock writers** — the `modify_table` closure runs against a
-//!    private fork, so readers (and even other catalog operations) proceed
-//!    while a modification is in flight; conflicting publications fail
-//!    with [`EngineError::ConcurrentModification`] instead of corrupting.
+//! 2. **Readers never wait for writers** — the `modify_table` closure runs
+//!    against a private fork, so readers proceed while a modification is
+//!    in flight; a publication the closure itself attempts is refused
+//!    with [`EngineError::NestedPublication`] instead of corrupting.
 //! 3. **Chunked scans ≡ flat scans** — executing over the chunk-partitioned
 //!    store is bit-identical (results, order, work-unit stats) at every
 //!    parallelism level, with overlays, tombstones and insert chunks
@@ -104,8 +104,8 @@ fn pinned_version_is_isolated_from_writers_and_shares_chunks() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Off-lock writers: readers proceed mid-modification; conflicting
-//    publications error instead of clobbering.
+// 2. Readers never wait for writers: readers proceed mid-modification;
+//    a publication from inside the closure errors instead of clobbering.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -113,37 +113,31 @@ fn closure_runs_off_lock_and_conflicts_error() {
     let db = Database::new();
     db.create_table("T", big_relation(CHUNK)).unwrap();
 
-    // Reading — and even replacing — the table *from inside the closure*
-    // works because the closure runs against a private fork with no
-    // catalog lock held (the pre-refactor implementation deadlocked here).
-    // The closure republishes on every attempt, so every retry conflicts
-    // too: the error surfaces only once the whole budget is spent, and it
-    // reports the budget.
-    let policy = ongoingdb::engine::catalog::RetryPolicy {
-        max_attempts: 3,
-        ..Default::default()
-    };
+    // Reading the table *from inside the closure* works because the
+    // closure runs against a private fork with no catalog lock held (the
+    // pre-refactor implementation deadlocked here). Replacing it from
+    // inside would race the closure's own publication, so that call is
+    // refused with the typed error; the closure runs once and its edit
+    // commits.
     let mut runs = 0u32;
-    let r = db.modify_table_with("T", policy, |rel| {
+    db.modify_table("T", |rel| {
         runs += 1;
         let mid_write_view = db.table("T").expect("reader not blocked by writer");
-        assert!(!mid_write_view.data().is_empty());
+        assert_eq!(mid_write_view.data().len(), CHUNK);
         let mut m = Modifier::new(rel, "VT")?;
         m.delete(&k_eq(3))?;
-        // A concurrent writer publishes first:
-        db.put_table("T", big_relation(10)).unwrap();
-        Ok(())
-    });
-    match r {
-        Err(EngineError::ConcurrentModification { table, attempts }) => {
-            assert_eq!(table, "T");
-            assert_eq!(attempts, 3, "budget must be exhausted before surfacing");
+        match db.put_table("T", big_relation(10)) {
+            Err(EngineError::NestedPublication(table)) => assert_eq!(table, "T"),
+            other => panic!("expected NestedPublication, got {other:?}"),
         }
-        other => panic!("expected ConcurrentModification, got {other:?}"),
-    }
-    assert_eq!(runs, 3, "every attempt re-runs the closure");
-    // The losing modification was not applied; the winner's data stands.
-    assert_eq!(db.table("T").unwrap().data().len(), 10);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(runs, 1, "the closure runs exactly once");
+    // The refused replacement was not applied; the closure's delete was.
+    let data = db.table("T").unwrap().data().clone();
+    assert_eq!(data.len(), CHUNK - 1);
+    assert!(!data.iter().any(|t| t.value(0) == &Value::Int(3)));
 }
 
 // ---------------------------------------------------------------------
