@@ -24,7 +24,7 @@ use crate::stats::{analyze_relation, TableStatistics};
 use crate::storage::durable::{
     DurableGuard, DurableOptions, DurableState, DurableStats, RecoveredTable,
 };
-use ongoing_relation::{OngoingRelation, Schema};
+use ongoing_relation::{JournalOp, OngoingRelation, Schema};
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -388,8 +388,8 @@ impl Database {
                 Some(_) => Err(EngineError::DuplicateTable(name.to_string())),
                 None => Ok(()),
             },
-            |guard| guard.append_state(name, table.data()),
-            Some(Arc::clone(&table)),
+            None,
+            Some(table),
         )
     }
 
@@ -400,13 +400,7 @@ impl Database {
     pub fn put_table(&self, name: &str, data: OngoingRelation) -> Result<()> {
         let table = Table::with_state(name, data, StatsState::default());
         let pass = self.writer_gate(name)?;
-        self.commit(
-            name,
-            &pass,
-            |_| Ok(()),
-            |guard| guard.append_state(name, table.data()),
-            Some(Arc::clone(&table)),
-        )
+        self.commit(name, &pass, |_| Ok(()), None, Some(table))
     }
 
     /// Applies a modification to a catalog-resident table. Callers run
@@ -497,11 +491,8 @@ impl Database {
             // An armed journal is an O(delta) commit record; a severed
             // one means the closure rebuilt the relation, so its full
             // state is logged (persisting chunks first).
-            |guard| match journal {
-                Some(ops) => guard.append_commit(name, ops),
-                None => guard.append_state(name, next.data()),
-            },
-            Some(Arc::clone(&next)),
+            journal,
+            Some(next),
         )?;
         Ok(out)
     }
@@ -536,20 +527,35 @@ impl Database {
 
     /// The publication point every publisher shares; `pass` is `name`'s
     /// held writer gate. Checks the slot, then — durability point — logs
-    /// (and syncs) the change through `log` before it becomes visible,
-    /// then installs `next` (`None` drops the table).
+    /// (and syncs) the change before it becomes visible: `journal` as an
+    /// O(delta) commit record, else `next`'s full state, or a drop when
+    /// `next` is `None`. Then installs `next` (`None` drops the table).
     fn commit(
         &self,
         name: &str,
         pass: &WriterPass,
         check: impl FnOnce(Option<&TableSlot>) -> Result<()>,
-        log: impl FnOnce(&mut DurableGuard<'_>) -> Result<()>,
-        next: Option<Arc<Table>>,
+        mut journal: Option<Vec<JournalOp>>,
+        mut next: Option<Arc<Table>>,
     ) -> Result<()> {
         let mut guard = self.durable.as_ref().map(DurableState::lock);
         check(self.tables.read().get(name))?;
         if let Some(guard) = &mut guard {
-            log(guard)?;
+            if let Some(table) = &mut next {
+                // Cold chunks another database's pager serves name that
+                // database's files: page them in, so the full state is
+                // persisted under this database's own chunk ids.
+                if let Some(data) = guard.adopt(table.data())? {
+                    let state = table.stats.lock().clone();
+                    *table = Table::versioned(name, data, state, table.version);
+                    journal = None;
+                }
+            }
+            match (&next, journal) {
+                (None, _) => guard.append_drop(name),
+                (Some(_), Some(ops)) => guard.append_commit(name, ops),
+                (Some(table), None) => guard.append_state(name, table.data()),
+            }?;
         }
         match next {
             Some(table) => {
@@ -734,7 +740,7 @@ impl Database {
                 Some(_) => Ok(()),
                 None => Err(EngineError::UnknownTable(name.to_string())),
             },
-            |guard| guard.append_drop(name),
+            None,
             None,
         )
     }

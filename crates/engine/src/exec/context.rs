@@ -126,10 +126,9 @@ pub const THREADS_ENV: &str = "ONGOINGDB_THREADS";
 fn cached_env_threads() -> Option<usize> {
     static CACHE: OnceLock<Option<usize>> = OnceLock::new();
     *CACHE.get_or_init(|| {
-        std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
+        crate::env_setting(THREADS_ENV)
             .filter(|&p| p > 0)
+            .map(|p| usize::try_from(p).unwrap_or(usize::MAX))
     })
 }
 

@@ -266,10 +266,9 @@ impl Drop for WorkerPool {
 static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
 
 fn env_max_queries() -> Option<usize> {
-    std::env::var(POOL_MAX_QUERIES_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
+    crate::env_setting(POOL_MAX_QUERIES_ENV)
         .filter(|&n| n > 0)
+        .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
 }
 
 /// Completion latch for one submitted batch: slot-indexed results plus a

@@ -92,11 +92,8 @@ impl ResultCache {
     /// A cache budgeted by [`RESULT_CACHE_BUDGET_ENV`] (default
     /// [`DEFAULT_RESULT_CACHE_BUDGET`]; `0` disables).
     pub fn from_env() -> Self {
-        let budget = std::env::var(RESULT_CACHE_BUDGET_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_RESULT_CACHE_BUDGET);
-        ResultCache::with_budget(budget)
+        let budget = crate::env_setting(RESULT_CACHE_BUDGET_ENV);
+        ResultCache::with_budget(budget.unwrap_or(DEFAULT_RESULT_CACHE_BUDGET))
     }
 
     /// A cache with an explicit byte budget (`0` disables).

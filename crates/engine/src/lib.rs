@@ -92,6 +92,27 @@ pub use storage::{CacheStats, ChunkCache, DiskError, RealFs, Vfs};
 use ongoing_core::TimePoint;
 use ongoing_relation::{FixedRelation, OngoingRelation};
 
+/// Reads the unsigned integer setting `var` (an `ONGOINGDB_*` variable)
+/// from the environment; `None` when unset.
+///
+/// # Panics
+/// If `var` is set to anything [`parse_setting`] rejects: a malformed
+/// setting stops the process instead of silently meaning the default.
+pub(crate) fn env_setting(var: &str) -> Option<u64> {
+    let raw = std::env::var_os(var)?;
+    Some(parse_setting(var, &raw.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")))
+}
+
+/// Parses `raw`, the value of the unsigned integer setting `var`;
+/// surrounding whitespace is ignored. Anything else — text, a unit
+/// suffix, a negative or fractional number, an empty value — is an error
+/// naming the variable and the value.
+pub(crate) fn parse_setting(var: &str, raw: &str) -> std::result::Result<u64, String> {
+    raw.trim()
+        .parse()
+        .map_err(|_| format!("{var} must be an unsigned integer, got `{raw}`"))
+}
+
 /// Compiles and executes a logical plan in ongoing mode with the default
 /// planner configuration (auto parallelism — see [`ExecContext`]).
 pub fn execute(db: &Database, plan: &LogicalPlan) -> Result<OngoingRelation> {
@@ -108,4 +129,32 @@ pub fn execute_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<Fi
     let cfg = PlannerConfig::default();
     let phys = plan::optimizer::compile(db, plan, &cfg)?;
     Ok(phys.execute_at_with_stats(rt, &cfg.exec_context())?.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_setting;
+
+    #[test]
+    fn settings_parse_unsigned_integers_or_name_the_variable() {
+        for (raw, want) in [("0", 0), ("1048576", 1 << 20), (" 4\n", 4)] {
+            assert_eq!(parse_setting("ONGOINGDB_THREADS", raw), Ok(want), "{raw:?}");
+        }
+        let max = u64::MAX.to_string();
+        assert_eq!(parse_setting("ONGOINGDB_THREADS", &max), Ok(u64::MAX));
+        for raw in [
+            "",
+            " ",
+            "64MiB",
+            "1e6",
+            "-1",
+            "1.5",
+            "four",
+            "18446744073709551616",
+        ] {
+            let err = parse_setting("ONGOINGDB_MEMORY_BUDGET", raw).unwrap_err();
+            assert!(err.contains("ONGOINGDB_MEMORY_BUDGET"), "{raw:?}: {err}");
+            assert!(err.contains(&format!("`{raw}`")), "{raw:?}: {err}");
+        }
+    }
 }

@@ -108,10 +108,7 @@ impl Obs {
     /// real filesystem). Core metric names are registered eagerly so the
     /// exposition lists them even before first use.
     pub fn from_env() -> Obs {
-        let slow_ms = std::env::var(SLOW_QUERY_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_SLOW_QUERY_MS);
+        let slow_ms = crate::env_setting(SLOW_QUERY_ENV).unwrap_or(DEFAULT_SLOW_QUERY_MS);
         let obs = Obs {
             metrics: MetricsRegistry::new(),
             events: Arc::new(EventLog::default()),

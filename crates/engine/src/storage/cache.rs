@@ -21,13 +21,13 @@
 //! for a serial access sequence — they depend only on the order of loads,
 //! never on timing.
 
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::obs::{EngineEvent, EventLog};
-use crate::storage::chunkfile::decode_chunk;
-use crate::storage::vfs::{with_retry, Vfs};
+use crate::storage::chunkfile::read_chunk;
+use crate::storage::vfs::Vfs;
 use ongoing_relation::{ChunkPager, PagerError, Tuple};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Counter snapshot of a [`ChunkCache`].
@@ -135,28 +135,10 @@ impl ChunkCache {
         }
         // Read outside the lock; concurrent misses on the same id may race
         // the read, the first insert wins and later ones are dropped.
-        let (rows, bytes) = self.read_file(&self.path_of(id))?;
-        if rows.len() != len {
-            return Err(EngineError::CorruptStorage(format!(
-                "chunk {id} holds {} rows, manifest says {len}",
-                rows.len()
-            )));
-        }
+        let (rows, bytes) = read_chunk(self.vfs.as_ref(), &self.path_of(id), len)?;
         let data: Arc<[Tuple]> = rows.into();
         self.admit(id, Arc::clone(&data), bytes, true);
         Ok(data)
-    }
-
-    /// Reads and verifies one chunk file, returning rows + file size.
-    fn read_file(&self, path: &Path) -> Result<(Vec<Tuple>, u64)> {
-        let raw = with_retry(|| self.vfs.read(path), || Ok(()))?;
-        let rows = decode_chunk(&raw).map_err(|e| match e {
-            EngineError::CorruptStorage(m) => {
-                EngineError::CorruptStorage(format!("{}: {m}", path.display()))
-            }
-            other => other,
-        })?;
-        Ok((rows, raw.len() as u64))
     }
 
     /// Admits (or refreshes) an entry and trims to budget. `count_rows`
@@ -248,10 +230,12 @@ impl ChunkPager for ChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use crate::storage::chunkfile::write_chunk;
     use crate::storage::fault::TempDir;
     use crate::storage::vfs::RealFs;
     use ongoing_relation::Value;
+    use std::path::Path;
 
     fn rows(tag: i64, n: usize) -> Vec<Tuple> {
         (0..n as i64)

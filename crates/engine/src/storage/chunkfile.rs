@@ -111,16 +111,22 @@ pub fn write_chunk(
     Ok(buf.len() as u64)
 }
 
-/// Reads and verifies the chunk file at `path`, retrying transient read
-/// failures.
-pub fn read_chunk(vfs: &dyn Vfs, path: &Path) -> Result<Vec<Tuple>> {
+/// Reads the chunk file at `path` — the one reader of chunk files:
+/// retries transient read failures, verifies the image and checks that
+/// it holds the `len` rows the manifest records. Returns the rows and the
+/// file size.
+pub fn read_chunk(vfs: &dyn Vfs, path: &Path, len: usize) -> Result<(Vec<Tuple>, u64)> {
     let raw = with_retry(|| vfs.read(path), || Ok(()))?;
-    decode_chunk(&raw).map_err(|e| match e {
-        EngineError::CorruptStorage(m) => {
-            EngineError::CorruptStorage(format!("{}: {m}", path.display()))
-        }
+    let corrupt = |m: String| EngineError::CorruptStorage(format!("{}: {m}", path.display()));
+    let rows = decode_chunk(&raw).map_err(|e| match e {
+        EngineError::CorruptStorage(m) => corrupt(m),
         other => other,
-    })
+    })?;
+    if rows.len() != len {
+        let n = rows.len();
+        return Err(corrupt(format!("holds {n} rows, manifest says {len}")));
+    }
+    Ok((rows, raw.len() as u64))
 }
 
 #[cfg(test)]

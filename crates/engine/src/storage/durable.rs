@@ -29,7 +29,7 @@
 use crate::error::{EngineError, Result};
 use crate::obs::{EngineEvent, Obs};
 use crate::storage::cache::ChunkCache;
-use crate::storage::chunkfile::{decode_chunk, write_chunk};
+use crate::storage::chunkfile::{read_chunk, write_chunk};
 use crate::storage::manifest::{read_manifest, write_manifest, Manifest};
 use crate::storage::vfs::{with_retry, DiskError, RealFs, Vfs};
 use crate::storage::wal::{
@@ -77,14 +77,10 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     fn default() -> DurableOptions {
-        let memory_budget = std::env::var(MEMORY_BUDGET_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(u64::MAX);
         DurableOptions {
             fsync: true,
             checkpoint_bytes: 4 << 20,
-            memory_budget,
+            memory_budget: crate::env_setting(MEMORY_BUDGET_ENV).unwrap_or(u64::MAX),
         }
     }
 }
@@ -463,6 +459,22 @@ impl DurableGuard<'_> {
         self.append(&WalRecord::TableState(state))
     }
 
+    /// A resident copy of `rel` when another database's pager serves its
+    /// cold chunks — their ids name that database's files, so this one
+    /// must persist the rows under ids of its own — or `None` when `rel`
+    /// has no pager or this database's. O(1) unless a copy is needed.
+    pub(crate) fn adopt(&self, rel: &OngoingRelation) -> Result<Option<OngoingRelation>> {
+        let ours = Arc::as_ptr(self.state.cache());
+        match rel.pager() {
+            Some(p) if !std::ptr::addr_eq(Arc::as_ptr(p), ours) => {
+                let mut own = rel.clone();
+                own.make_resident()?;
+                Ok(Some(own))
+            }
+            _ => Ok(None),
+        }
+    }
+
     /// Logs a table drop.
     pub fn append_drop(&mut self, table: &str) -> Result<()> {
         self.append(&WalRecord::DropTable {
@@ -497,7 +509,9 @@ impl DurableGuard<'_> {
 
     /// Builds the durable [`TableState`] of a sealed relation, persisting
     /// chunks as needed. Cold chunks already persist under their id — they
-    /// contribute a reference without any I/O (or page-in).
+    /// contribute a reference without any I/O (or page-in). Every cold id
+    /// is this database's own: publication [`adopt`](Self::adopt)s a
+    /// relation another database's pager serves first.
     fn table_state_of(&mut self, name: &str, rel: &OngoingRelation) -> Result<TableState> {
         let mut chunks = Vec::new();
         for ChunkPart { source, edits } in rel.chunk_parts() {
@@ -624,42 +638,22 @@ impl DurableGuard<'_> {
         let mut parts = Vec::with_capacity(plan.state.chunks.len());
         let mut loaded = 0u64;
         for entry in &plan.state.chunks {
+            let (id, len) = (entry.file, entry.base_len);
+            let source = if cold {
+                ChunkSource::Cold { id, len }
+            } else {
+                // Straight from the file, not through the cache: an eager
+                // load moves no cache counter.
+                let path = chunk_path(&self.state.dir, id);
+                let (rows, bytes) = read_chunk(self.state.vfs.as_ref(), &path, len)?;
+                loaded += rows.len() as u64;
+                let base: Arc<[Tuple]> = rows.into();
+                let pin = (id, bytes, Arc::clone(&base));
+                self.inner.chunk_cache.insert(base.as_ptr() as usize, pin);
+                ChunkSource::Resident(base)
+            };
             let edits = entry.overlay.clone();
-            if cold {
-                let (id, len) = (entry.file, entry.base_len);
-                parts.push(ChunkPart {
-                    source: ChunkSource::Cold { id, len },
-                    edits,
-                });
-                continue;
-            }
-            let path = chunk_path(&self.state.dir, entry.file);
-            let vfs = self.state.vfs.as_ref();
-            let raw = with_retry(|| vfs.read(&path), || Ok(()))?;
-            let rows = decode_chunk(&raw).map_err(|e| match e {
-                EngineError::CorruptStorage(m) => {
-                    EngineError::CorruptStorage(format!("{}: {m}", path.display()))
-                }
-                other => other,
-            })?;
-            if rows.len() != entry.base_len {
-                return Err(EngineError::CorruptStorage(format!(
-                    "chunk file {} holds {} rows, manifest says {}",
-                    entry.file,
-                    rows.len(),
-                    entry.base_len
-                )));
-            }
-            loaded += rows.len() as u64;
-            let base: Arc<[Tuple]> = rows.into();
-            self.inner.chunk_cache.insert(
-                base.as_ptr() as usize,
-                (entry.file, raw.len() as u64, Arc::clone(&base)),
-            );
-            parts.push(ChunkPart {
-                source: ChunkSource::Resident(base),
-                edits,
-            });
+            parts.push(ChunkPart { source, edits });
         }
         let pager = cold.then(|| Arc::clone(self.state.cache()) as Arc<dyn ChunkPager>);
         let (schema, indexed) = (plan.state.schema.clone(), &plan.state.indexed);

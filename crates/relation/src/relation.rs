@@ -141,6 +141,18 @@ impl OngoingRelation {
         self.store.demote_where(pager, f)
     }
 
+    /// The pager this relation's cold chunks load through, if any.
+    pub fn pager(&self) -> Option<&Arc<dyn ChunkPager>> {
+        self.store.pager()
+    }
+
+    /// Pages every cold chunk in and keeps it resident, dropping the pager
+    /// (see [`crate::store::TupleStore::make_resident`]). Logically a
+    /// no-op; a pager failure leaves the relation untouched.
+    pub fn make_resident(&mut self) -> Result<(), PagerError> {
+        self.store.make_resident()
+    }
+
     /// Applies row-level edits: `f` visits every live tuple in storage
     /// order and returns what should happen to it ([`RowEdit`]). The write
     /// cost is O(rows touched) — untouched chunks stay shared with other

@@ -25,11 +25,12 @@
 //! back into dense chunks; it changes the physical layout only, never the
 //! logical tuple sequence.
 //!
-//! A sealed chunk's base may be *cold*: durable identity only, its rows
-//! paged in through a [`ChunkPager`]. Every read of a version pins one
-//! chunk at a time and releases it ([`PinnedChunk`]) — the executors'
-//! morsels through [`TupleStore::lazy_views`], and inside this module the
-//! edit planners, keyed lookups, key-index builds and folds. A pager
+//! A sealed chunk's base ([`ChunkSource`]) may be *cold*: durable
+//! identity only, its rows paged in through the store's one
+//! [`ChunkPager`]. Every read of a version pins one chunk at a time and
+//! releases it ([`PinnedChunk`]) — the executors' morsels through
+//! [`TupleStore::lazy_views`], and inside this module the edit planners,
+//! keyed lookups, key-index builds and folds. A pager
 //! failure is a [`PagerError`], never a panic. Only the borrowing
 //! [`TupleStore::iter`] keeps what it touched resident for the version's
 //! lifetime.
@@ -162,119 +163,6 @@ pub trait ChunkPager: Send + Sync + std::fmt::Debug {
     fn load(&self, id: u64, len: usize) -> Result<Arc<[Tuple]>, PagerError>;
 }
 
-/// The base rows of one sealed chunk: *resident* (the classic fully
-/// in-memory allocation) or *cold* — a pager handle plus durable identity,
-/// with the rows paged in on demand.
-///
-/// Every read of a version goes through a **transient pin**
-/// ([`LazyChunkView::pin`], and inside this module the edit planners, the
-/// keyed walk, key-index builds and folds): rows are loaded, used and
-/// released with the pin, and a pager failure is an error. The one
-/// exception is the borrowing [`TupleStore::iter`], which hands out
-/// `&Tuple` for the version's lifetime and so cannot read through a
-/// transient pin: it *parks* the loaded `Arc` in a per-version
-/// [`OnceLock`] on first touch and panics on a pager failure. Cloning a
-/// store resets the locks, so parks made by a query-scoped clone die with
-/// that clone instead of bloating the published version.
-#[derive(Debug)]
-enum ChunkBase {
-    /// Rows held in memory, shared between versions.
-    Resident(Arc<[Tuple]>),
-    /// Rows on durable storage, paged in per access.
-    Cold {
-        pager: Arc<dyn ChunkPager>,
-        id: u64,
-        len: usize,
-        parked: OnceLock<Arc<[Tuple]>>,
-    },
-}
-
-impl Clone for ChunkBase {
-    fn clone(&self) -> ChunkBase {
-        match self {
-            ChunkBase::Resident(a) => ChunkBase::Resident(Arc::clone(a)),
-            // A fork starts un-parked: rows a clone touches stay resident
-            // only as long as the clone lives.
-            ChunkBase::Cold { pager, id, len, .. } => ChunkBase::Cold {
-                pager: Arc::clone(pager),
-                id: *id,
-                len: *len,
-                parked: OnceLock::new(),
-            },
-        }
-    }
-}
-
-impl ChunkBase {
-    /// Base row count — free for both variants.
-    fn len(&self) -> usize {
-        match self {
-            ChunkBase::Resident(a) => a.len(),
-            ChunkBase::Cold { len, .. } => *len,
-        }
-    }
-
-    /// Are the rows in memory (resident, or a cold chunk already parked)?
-    fn is_resident(&self) -> bool {
-        match self {
-            ChunkBase::Resident(_) => true,
-            ChunkBase::Cold { parked, .. } => parked.get().is_some(),
-        }
-    }
-
-    /// Pins the rows for the duration of a borrow *without* parking them:
-    /// resident (or already-parked) rows are borrowed, cold rows are paged
-    /// in as an owned transient `Arc` released with the pin.
-    fn pinned(&self) -> Result<PinBase<'_>, PagerError> {
-        match self {
-            ChunkBase::Resident(a) => Ok(PinBase::Borrowed(a)),
-            ChunkBase::Cold {
-                pager,
-                id,
-                len,
-                parked,
-            } => match parked.get() {
-                Some(a) => Ok(PinBase::Borrowed(a)),
-                None => Ok(PinBase::Owned(pager.load(*id, *len)?)),
-            },
-        }
-    }
-
-    /// The rows as a borrow of this version — parking a cold chunk on
-    /// first touch. Panics on a pager failure (see the type docs); only
-    /// [`StoreIter`] reads this way.
-    fn slice(&self) -> &[Tuple] {
-        match self {
-            ChunkBase::Resident(a) => a,
-            ChunkBase::Cold {
-                pager,
-                id,
-                len,
-                parked,
-            } => {
-                if let Some(a) = parked.get() {
-                    return a;
-                }
-                let loaded = pager
-                    .load(*id, *len)
-                    .unwrap_or_else(|e| panic!("cold chunk {id} failed to page in: {e}"));
-                parked.get_or_init(|| loaded)
-            }
-        }
-    }
-
-    /// Same-allocation probe: pointer identity for resident chunks,
-    /// durable id identity for cold ones (a chunk id names one immutable
-    /// file, so equal ids are the same data).
-    fn same_alloc(&self, other: &ChunkBase) -> bool {
-        match (self, other) {
-            (ChunkBase::Resident(a), ChunkBase::Resident(b)) => Arc::ptr_eq(a, b),
-            (ChunkBase::Cold { id: a, .. }, ChunkBase::Cold { id: b, .. }) => a == b,
-            _ => false,
-        }
-    }
-}
-
 /// One chunk's rows held for the duration of a borrow — either borrowed
 /// from a resident allocation or owned as a transient page-in.
 #[derive(Debug)]
@@ -313,15 +201,6 @@ impl PinnedChunk<'_> {
         self.live == 0
     }
 
-    /// The live row at chunk-local ordinal `i` (the chunk's `iter`
-    /// ordinals), borrowed from the pin.
-    pub fn get(&self, i: usize) -> Option<&Tuple> {
-        if i >= self.live {
-            return None;
-        }
-        live_row(self.base.rows(), self.edits, i)
-    }
-
     /// The live rows in storage order (base rows with the overlay spliced
     /// in), borrowed from the pin.
     pub fn iter(&self) -> ChunkRows<'_> {
@@ -343,22 +222,19 @@ impl PinnedChunk<'_> {
 /// budget-honoring way to read stores that may hold cold chunks.
 #[derive(Debug, Clone, Copy)]
 pub struct LazyChunkView<'a> {
-    inner: LazyInner<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum LazyInner<'a> {
-    Sealed(&'a Chunk),
-    Pending(&'a [Tuple]),
+    store: &'a TupleStore,
+    /// A sealed chunk's index, or `chunks.len()` for the pending tail.
+    ci: usize,
 }
 
 impl<'a> LazyChunkView<'a> {
     /// Number of live rows the view will yield — free, no page-in.
     pub fn len(&self) -> usize {
-        match self.inner {
-            LazyInner::Sealed(c) => c.live,
-            LazyInner::Pending(p) => p.len(),
-        }
+        let store = self.store;
+        store
+            .chunks
+            .get(self.ci)
+            .map_or(store.pending.len(), |c| c.live)
     }
 
     /// Is the view empty?
@@ -368,34 +244,24 @@ impl<'a> LazyChunkView<'a> {
 
     /// Would [`pin`](Self::pin) borrow the rows, paging nothing in?
     pub fn is_resident(&self) -> bool {
-        match self.inner {
-            LazyInner::Sealed(c) => c.base.is_resident(),
-            LazyInner::Pending(_) => true,
-        }
+        self.store
+            .chunks
+            .get(self.ci)
+            .is_none_or(Chunk::is_resident)
     }
 
     /// Pins the chunk's rows: resident rows are borrowed, cold rows are
     /// paged in transiently (released when the [`PinnedChunk`] drops, so a
     /// scan holding one pin per worker keeps at most one morsel resident).
     pub fn pin(&self) -> Result<PinnedChunk<'a>, PagerError> {
-        match self.inner {
-            LazyInner::Sealed(c) => c.pin(),
-            LazyInner::Pending(p) => Ok(PinnedChunk {
-                base: PinBase::Borrowed(p),
-                edits: None,
-                live: p.len(),
-            }),
-        }
+        self.store.pin(self.ci)
     }
 }
 
-/// One sealed chunk's physical parts: its base identity plus its overlay
-/// delta — what the persistence layer writes as a chunk file (base) and a
+/// One sealed chunk's physical parts: its base plus its overlay delta —
+/// what the persistence layer writes as a chunk file (base) and a
 /// manifest entry (overlay), and what [`TupleStore::from_parts`] rebuilds
-/// a store from. Resident bases carry the `Arc` so callers can track chunk
-/// identity (pointer equality) across versions; cold bases carry the
-/// durable id they already persist under, so serializing a cold table
-/// never pages anything in.
+/// a store from.
 #[derive(Debug, Clone)]
 pub struct ChunkPart {
     /// The sealed base rows (resident) or their durable identity (cold).
@@ -404,19 +270,44 @@ pub struct ChunkPart {
     pub edits: BTreeMap<usize, Vec<Tuple>>,
 }
 
-/// The base of one chunk (see [`ChunkPart`]).
+/// The base of one sealed chunk: *resident* rows, or a *cold* durable
+/// identity whose rows the store's [`ChunkPager`] pages in per access.
+/// Resident bases are `Arc`-shared between versions, so callers can track
+/// chunk identity by pointer; cold bases carry the durable id they
+/// already persist under, so serializing a cold table never pages
+/// anything in.
 #[derive(Debug, Clone)]
 pub enum ChunkSource {
     /// An in-memory base allocation.
     Resident(Arc<[Tuple]>),
-    /// A persisted cold base, paged in through the store's
-    /// [`ChunkPager`]: durable chunk id + row count.
+    /// A persisted cold base: durable chunk id + row count.
     Cold {
         /// The durable chunk id.
         id: u64,
         /// Base row count.
         len: usize,
     },
+}
+
+impl ChunkSource {
+    /// Base row count — free for both variants.
+    fn len(&self) -> usize {
+        match self {
+            ChunkSource::Resident(a) => a.len(),
+            ChunkSource::Cold { len, .. } => *len,
+        }
+    }
+
+    /// Same-allocation probe: pointer identity for resident bases,
+    /// durable id identity for cold ones (a chunk id names one immutable
+    /// file, so equal ids are the same data).
+    fn same_alloc(&self, other: &ChunkSource) -> bool {
+        match (self, other) {
+            (ChunkSource::Resident(a), ChunkSource::Resident(b)) => Arc::ptr_eq(a, b),
+            (ChunkSource::Cold { id: a, .. }, ChunkSource::Cold { id: b, .. }) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// The outcome of visiting one live row during [`TupleStore::apply_edits`]
@@ -433,9 +324,21 @@ pub enum RowEdit {
 }
 
 /// One immutable chunk plus its shared edit overlay.
-#[derive(Debug, Clone)]
+///
+/// Every read of a version goes through a **transient pin**
+/// ([`TupleStore::pin`]): a cold base is loaded, used and released with
+/// the pin, and a pager failure is an error. The one exception is the
+/// borrowing [`TupleStore::iter`], which hands out `&Tuple` for the
+/// version's lifetime and so cannot read through a transient pin: it
+/// *parks* the loaded `Arc` in `parked` on first touch and panics on a
+/// pager failure. Cloning a chunk resets `parked`, so parks made by a
+/// query-scoped clone die with that clone instead of bloating the
+/// published version.
+#[derive(Debug)]
 struct Chunk {
-    base: ChunkBase,
+    base: ChunkSource,
+    /// A cold base's rows, parked by [`TupleStore::iter`] on first touch.
+    parked: OnceLock<Arc<[Tuple]>>,
     /// `base` offset → replacement rows (empty = tombstone). `None` means
     /// the chunk is clean. Shared between versions; copied on first write.
     edits: Option<Arc<BTreeMap<usize, Vec<Tuple>>>>,
@@ -450,54 +353,45 @@ struct Chunk {
     keys: BTreeMap<usize, Arc<KeyMap>>,
 }
 
-impl Chunk {
-    fn dense(base: Arc<[Tuple]>) -> Chunk {
-        let live = base.len();
+impl Clone for Chunk {
+    fn clone(&self) -> Chunk {
         Chunk {
-            base: ChunkBase::Resident(base),
-            edits: None,
-            live,
-            keys: BTreeMap::new(),
-        }
-    }
-
-    /// A cold chunk: durable identity only, rows paged in on demand. No
-    /// key maps are built (that would force a page-in); keyed
-    /// qualification falls back to a scan until the chunk is folded
-    /// resident again or an index is built explicitly.
-    fn cold(pager: Arc<dyn ChunkPager>, id: u64, len: usize) -> Chunk {
-        Chunk {
-            base: ChunkBase::Cold {
-                pager,
-                id,
-                len,
-                parked: OnceLock::new(),
-            },
-            edits: None,
-            live: len,
-            keys: BTreeMap::new(),
-        }
-    }
-
-    /// A dense chunk carrying key maps for `cols`.
-    fn dense_indexed(base: Arc<[Tuple]>, cols: &[usize]) -> Chunk {
-        let keys = cols
-            .iter()
-            .map(|&col| (col, Arc::new(build_key_map(&base, col))))
-            .collect();
-        Chunk {
-            keys,
-            ..Chunk::dense(base)
-        }
-    }
-
-    /// Pins the live rows through a transient pin (see [`ChunkBase`]).
-    fn pin(&self) -> Result<PinnedChunk<'_>, PagerError> {
-        Ok(PinnedChunk {
-            base: self.base.pinned()?,
-            edits: self.edits.as_deref(),
+            base: self.base.clone(),
+            // A fork starts un-parked: rows a clone touches stay resident
+            // only as long as the clone lives.
+            parked: OnceLock::new(),
+            edits: self.edits.clone(),
             live: self.live,
-        })
+            keys: self.keys.clone(),
+        }
+    }
+}
+
+impl Chunk {
+    /// A clean chunk over `base`, with key maps for `cols` over a resident
+    /// base. A cold base gets none (building them would force a page-in);
+    /// keyed qualification falls back to a scan until the chunk is folded
+    /// resident again or an index is built explicitly.
+    fn new(base: ChunkSource, cols: &[usize]) -> Chunk {
+        let keys = match &base {
+            ChunkSource::Resident(rows) => cols
+                .iter()
+                .map(|&col| (col, Arc::new(build_key_map(rows, col))))
+                .collect(),
+            ChunkSource::Cold { .. } => BTreeMap::new(),
+        };
+        Chunk {
+            live: base.len(),
+            base,
+            parked: OnceLock::new(),
+            edits: None,
+            keys,
+        }
+    }
+
+    /// Are the rows in memory (resident, or a cold base already parked)?
+    fn is_resident(&self) -> bool {
+        matches!(self.base, ChunkSource::Resident(_)) || self.parked.get().is_some()
     }
 
     /// Base rows superseded by the overlay.
@@ -581,36 +475,6 @@ impl<'a> Iterator for ChunkRows<'a> {
     }
 }
 
-/// The chunk's live row at chunk-local ordinal `rem`: O(1) within a clean
-/// chunk, O(overlay entries) within an edited one — the walk maps the
-/// ordinal to a base offset (or into a replacement list) by visiting the
-/// overlay entries only: clean rows between entries contribute one live
-/// row per base row.
-fn live_row<'a>(
-    base: &'a [Tuple],
-    edits: Option<&'a BTreeMap<usize, Vec<Tuple>>>,
-    rem: usize,
-) -> Option<&'a Tuple> {
-    let Some(edits) = edits else {
-        return base.get(rem);
-    };
-    let mut live_before = 0usize;
-    let mut clean_start = 0usize;
-    for (&off, rep) in edits {
-        let clean = off - clean_start;
-        if rem < live_before + clean {
-            return base.get(clean_start + (rem - live_before));
-        }
-        live_before += clean;
-        if rem < live_before + rep.len() {
-            return rep.get(rem - live_before);
-        }
-        live_before += rep.len();
-        clean_start = off + 1;
-    }
-    base.get(clean_start + (rem - live_before))
-}
-
 /// Iterator over every live row of a store, in storage order.
 #[derive(Debug, Clone)]
 pub struct StoreIter<'a> {
@@ -632,10 +496,8 @@ impl<'a> Iterator for StoreIter<'a> {
             if self.chunk >= self.store.total_views() {
                 return None;
             }
-            // Park-on-touch: the one reader that borrows rows for the
-            // version's lifetime (see [`ChunkBase`]).
             self.rows = Some(match self.store.chunks.get(self.chunk) {
-                Some(c) => ChunkRows::new(c.base.slice(), c.edits.as_deref()),
+                Some(c) => ChunkRows::new(self.store.parked_rows(c), c.edits.as_deref()),
                 None => ChunkRows::new(&self.store.pending, None),
             });
             self.chunk += 1;
@@ -674,6 +536,9 @@ pub struct TupleStore {
     /// Columns carrying a keyed qualification index, sorted. Every sealed
     /// chunk holds a key map per entry; the pending tail is walked.
     indexed: Vec<usize>,
+    /// The pager every cold chunk of the store loads through — one per
+    /// store, so a fork bumps one `Arc` however many chunks are cold.
+    pager: Option<Arc<dyn ChunkPager>>,
     /// Armed by [`begin_journal`](Self::begin_journal): every mutation
     /// primitive records a [`JournalOp`]. `None` (the default) is
     /// zero-cost. Deliberately *not* carried across `clone()`: a journal
@@ -696,6 +561,7 @@ impl Clone for TupleStore {
             logical_writes: self.logical_writes,
             qual_work: self.qual_work,
             indexed: self.indexed.clone(),
+            pager: self.pager.clone(),
             journal: None,
         }
     }
@@ -718,6 +584,7 @@ impl TupleStore {
             logical_writes: 0,
             qual_work: 0,
             indexed: Vec::new(),
+            pager: None,
             journal: None,
         }
     }
@@ -729,9 +596,8 @@ impl TupleStore {
         // Move each tuple once, straight into its chunk.
         let mut rows = tuples.into_iter();
         while !rows.as_slice().is_empty() {
-            chunks.push(Chunk::dense(
-                rows.by_ref().take(TARGET_CHUNK_ROWS).collect(),
-            ));
+            let rows = rows.by_ref().take(TARGET_CHUNK_ROWS).collect();
+            chunks.push(Chunk::new(ChunkSource::Resident(rows), &[]));
         }
         TupleStore {
             chunks,
@@ -741,6 +607,7 @@ impl TupleStore {
             logical_writes: live as u64,
             qual_work: 0,
             indexed: Vec::new(),
+            pager: None,
             journal: None,
         }
     }
@@ -766,23 +633,21 @@ impl TupleStore {
         let mut sorted: Vec<usize> = indexed.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
+        let cold = |p: &ChunkPart| matches!(p.source, ChunkSource::Cold { .. });
+        assert!(
+            pager.is_some() || !parts.iter().any(cold),
+            "a cold chunk part needs a pager"
+        );
         let mut chunks = Vec::with_capacity(parts.len());
         let mut live_total = 0usize;
         for ChunkPart { source, edits } in parts {
-            let mut c = match source {
-                ChunkSource::Resident(base) => Chunk::dense_indexed(base, &sorted),
-                ChunkSource::Cold { id, len } => {
-                    let pager = pager.as_ref().expect("a cold chunk part needs a pager");
-                    Chunk::cold(Arc::clone(pager), id, len)
-                }
-            };
-            let overlay: usize = edits.values().map(Vec::len).sum();
-            let live = c.base.len() - edits.len() + overlay;
+            let mut c = Chunk::new(source, &sorted);
             if !edits.is_empty() {
+                let overlay: usize = edits.values().map(Vec::len).sum();
+                c.live = c.live - edits.len() + overlay;
                 c.edits = Some(Arc::new(edits));
-                c.live = live;
             }
-            live_total += live;
+            live_total += c.live;
             chunks.push(c);
         }
         TupleStore {
@@ -793,6 +658,7 @@ impl TupleStore {
             logical_writes: live_total as u64,
             qual_work: 0,
             indexed: sorted,
+            pager,
             journal: None,
         }
     }
@@ -806,13 +672,37 @@ impl TupleStore {
         self.chunks
             .iter()
             .map(|c| ChunkPart {
-                source: match &c.base {
-                    ChunkBase::Resident(a) => ChunkSource::Resident(Arc::clone(a)),
-                    ChunkBase::Cold { id, len, .. } => ChunkSource::Cold { id: *id, len: *len },
-                },
+                source: c.base.clone(),
                 edits: c.edits.as_deref().cloned().unwrap_or_default(),
             })
             .collect()
+    }
+
+    /// The pager the store's cold chunks load through, if any.
+    pub fn pager(&self) -> Option<&Arc<dyn ChunkPager>> {
+        self.pager.as_ref()
+    }
+
+    /// Pages every cold chunk in and keeps a copy of its rows resident,
+    /// then drops the pager: the store no longer reads, or pins, anything
+    /// the pager serves. Key maps, overlays and live counts are untouched,
+    /// so this is logically a no-op. A pager failure leaves the store
+    /// untouched.
+    pub fn make_resident(&mut self) -> Result<(), PagerError> {
+        let loaded = (0..self.chunks.len())
+            .map(|ci| match self.chunks[ci].base {
+                ChunkSource::Cold { .. } => Ok(Some(Arc::from(self.pin(ci)?.base.rows()))),
+                ChunkSource::Resident(_) => Ok(None),
+            })
+            .collect::<Result<Vec<_>, PagerError>>()?;
+        for (c, rows) in self.chunks.iter_mut().zip(loaded) {
+            if let Some(rows) = rows {
+                c.base = ChunkSource::Resident(rows);
+                c.parked.take();
+            }
+        }
+        self.pager = None;
+        Ok(())
     }
 
     /// Arms the mutation journal: from here on every mutation primitive
@@ -931,10 +821,8 @@ impl TupleStore {
         if self.indexed.contains(&col) {
             return Ok(());
         }
-        let maps = self
-            .chunks
-            .iter()
-            .map(|c| Ok(Arc::new(build_key_map(c.base.pinned()?.rows(), col))))
+        let maps = (0..self.chunks.len())
+            .map(|ci| Ok(Arc::new(build_key_map(self.pin(ci)?.base.rows(), col))))
             .collect::<Result<Vec<_>, PagerError>>()?;
         self.log(JournalOp::CreateKeyIndex(col));
         self.indexed.push(col);
@@ -971,7 +859,7 @@ impl TupleStore {
         }
         self.log(JournalOp::Seal);
         let tail = std::mem::take(&mut self.pending);
-        let chunk = Chunk::dense_indexed(tail.into(), &self.indexed);
+        let chunk = Chunk::new(ChunkSource::Resident(tail.into()), &self.indexed);
         self.write_work += (chunk.base.len() * self.indexed.len()) as u64;
         self.chunks.push(chunk);
     }
@@ -992,14 +880,52 @@ impl TupleStore {
         self.chunks.len() + usize::from(!self.pending.is_empty())
     }
 
-    /// View `ci`: a sealed chunk, or the pending tail at `chunks.len()`.
-    fn lazy_view(&self, ci: usize) -> LazyChunkView<'_> {
-        LazyChunkView {
-            inner: match self.chunks.get(ci) {
-                Some(c) => LazyInner::Sealed(c),
-                None => LazyInner::Pending(&self.pending),
-            },
+    /// Pins view `ci` — a sealed chunk, or the pending tail at
+    /// `chunks.len()` — through a transient pin: resident (or parked) rows
+    /// are borrowed, a cold base is paged in as an owned `Arc` released
+    /// with the pin.
+    fn pin(&self, ci: usize) -> Result<PinnedChunk<'_>, PagerError> {
+        let Some(c) = self.chunks.get(ci) else {
+            return Ok(PinnedChunk {
+                base: PinBase::Borrowed(&self.pending),
+                edits: None,
+                live: self.pending.len(),
+            });
+        };
+        let base = match (&c.base, c.parked.get()) {
+            (ChunkSource::Resident(rows), _) | (ChunkSource::Cold { .. }, Some(rows)) => {
+                PinBase::Borrowed(rows)
+            }
+            (&ChunkSource::Cold { id, len }, None) => PinBase::Owned(self.load(id, len)?),
+        };
+        Ok(PinnedChunk {
+            base,
+            edits: c.edits.as_deref(),
+            live: c.live,
+        })
+    }
+
+    /// Chunk `c`'s base rows as a borrow of this version — parking a cold
+    /// base on first touch. Panics on a pager failure (see [`Chunk`]);
+    /// only [`StoreIter`] reads this way.
+    fn parked_rows<'a>(&'a self, c: &'a Chunk) -> &'a [Tuple] {
+        match (&c.base, c.parked.get()) {
+            (ChunkSource::Resident(rows), _) | (ChunkSource::Cold { .. }, Some(rows)) => rows,
+            (&ChunkSource::Cold { id, len }, None) => {
+                let loaded = self
+                    .load(id, len)
+                    .unwrap_or_else(|e| panic!("cold chunk {id} failed to page in: {e}"));
+                c.parked.get_or_init(|| loaded)
+            }
         }
+    }
+
+    /// Pages cold chunk `id` in through the store's pager.
+    fn load(&self, id: u64, len: usize) -> Result<Arc<[Tuple]>, PagerError> {
+        let pager = self.pager.as_ref();
+        pager
+            .expect("a store with cold chunks has a pager")
+            .load(id, len)
     }
 
     /// The store's chunk views without loading anything: lengths and
@@ -1008,35 +934,42 @@ impl TupleStore {
     /// budget-honoring morsel source for scans over stores that may hold
     /// cold chunks.
     pub fn lazy_views(&self) -> Vec<LazyChunkView<'_>> {
-        (0..self.total_views()).map(|i| self.lazy_view(i)).collect()
+        (0..self.total_views())
+            .map(|ci| LazyChunkView { store: self, ci })
+            .collect()
     }
 
     /// Demotes resident sealed chunks to cold: every chunk whose base
     /// allocation `f` can name (returning its durable chunk id) drops its
-    /// rows in favor of a pager handle. Key maps, overlays and live counts
-    /// are untouched, so the demotion is logically a no-op — the pager
-    /// contract is that the id yields exactly the dropped rows. Returns
-    /// the number of chunks demoted.
+    /// rows, which `pager` — from here on the store's pager — serves
+    /// again. Key maps, overlays and live counts are untouched, so the
+    /// demotion is logically a no-op — the pager contract is that the id
+    /// yields exactly the dropped rows. A store holds one pager, so one
+    /// that already holds another demotes nothing. Returns the number of
+    /// chunks demoted.
     pub fn demote_where(
         &mut self,
         pager: &Arc<dyn ChunkPager>,
         mut f: impl FnMut(&Arc<[Tuple]>) -> Option<u64>,
     ) -> usize {
+        if self.pager.as_ref().is_some_and(|p| !Arc::ptr_eq(p, pager)) {
+            return 0;
+        }
         let mut demoted = 0;
         for c in &mut self.chunks {
-            let ChunkBase::Resident(base) = &c.base else {
+            let ChunkSource::Resident(base) = &c.base else {
                 continue;
             };
             if let Some(id) = f(base) {
-                let len = base.len();
-                c.base = ChunkBase::Cold {
-                    pager: Arc::clone(pager),
+                c.base = ChunkSource::Cold {
                     id,
-                    len,
-                    parked: OnceLock::new(),
+                    len: base.len(),
                 };
                 demoted += 1;
             }
+        }
+        if demoted > 0 {
+            self.pager = Some(Arc::clone(pager));
         }
         demoted
     }
@@ -1109,7 +1042,7 @@ impl TupleStore {
     ) -> Result<Vec<PlannedEdit>, E> {
         let mut plan = Vec::new();
         for ci in 0..self.total_views() {
-            let pin = self.lazy_view(ci).pin()?;
+            let pin = self.pin(ci)?;
             for off in 0..pin.base.rows().len() {
                 Self::plan_offset(&pin, ci, off, &mut f, &mut plan)?;
             }
@@ -1183,12 +1116,12 @@ impl TupleStore {
             if offs.is_empty() {
                 continue;
             }
-            visited += visit(&chunk.pin()?, ci, &offs)?;
+            visited += visit(&self.pin(ci)?, ci, &offs)?;
         }
         offs.clear();
         offs.extend(0..self.pending.len());
         let ci = self.chunks.len();
-        visited += visit(&self.lazy_view(ci).pin()?, ci, &offs)?;
+        visited += visit(&self.pin(ci)?, ci, &offs)?;
         Ok(Some(visited))
     }
 
@@ -1365,7 +1298,7 @@ impl TupleStore {
         }
         let mut tuples = Vec::with_capacity(self.live);
         for ci in 0..self.total_views() {
-            tuples.extend(self.lazy_view(ci).pin()?.iter().cloned());
+            tuples.extend(self.pin(ci)?.iter().cloned());
         }
         let work = self.write_work + tuples.len() as u64;
         let logical = self.logical_writes;
@@ -1394,43 +1327,27 @@ impl TupleStore {
     /// small chunks join runs; full clean chunks break them, so a fold
     /// never touches the table's healthy bulk.
     fn fragmented_runs(&self) -> Vec<std::ops::Range<usize>> {
+        // Per chunk: (joins a run, dirty, live rows).
+        let marks: Vec<(bool, bool, usize)> = self
+            .chunks
+            .iter()
+            .map(|c| {
+                let dirty = c.is_dirty();
+                (dirty || c.is_small(), dirty, c.live)
+            })
+            .collect();
         let mut runs = Vec::new();
-        let mut start = None::<usize>;
-        let mut dirty = false;
-        let mut live = 0usize;
-        let flush = |start: &mut Option<usize>,
-                     end: usize,
-                     dirty: &mut bool,
-                     live: &mut usize,
-                     runs: &mut Vec<std::ops::Range<usize>>| {
-            if let Some(s) = start.take() {
-                let len = end - s;
-                let ideal = live.div_ceil(TARGET_CHUNK_ROWS).max(1);
-                if *dirty || len > ideal + RUN_CHUNK_SLACK {
-                    runs.push(s..end);
-                }
+        let mut start = 0;
+        for group in marks.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + group.len();
+            let live: usize = group.iter().map(|m| m.2).sum();
+            let ideal = live.div_ceil(TARGET_CHUNK_ROWS).max(1);
+            let worth = group.iter().any(|m| m.1) || group.len() > ideal + RUN_CHUNK_SLACK;
+            if group[0].0 && worth {
+                runs.push(start..end);
             }
-            *dirty = false;
-            *live = 0;
-        };
-        for (i, c) in self.chunks.iter().enumerate() {
-            if c.is_dirty() || c.is_small() {
-                if start.is_none() {
-                    start = Some(i);
-                }
-                dirty |= c.is_dirty();
-                live += c.live;
-            } else {
-                flush(&mut start, i, &mut dirty, &mut live, &mut runs);
-            }
+            start = end;
         }
-        flush(
-            &mut start,
-            self.chunks.len(),
-            &mut dirty,
-            &mut live,
-            &mut runs,
-        );
         runs
     }
 
@@ -1458,18 +1375,24 @@ impl TupleStore {
         let mut folds = Vec::with_capacity(runs.len());
         for run in runs {
             let mut rows: Vec<Tuple> = Vec::new();
-            for c in &self.chunks[run.clone()] {
-                rows.extend(c.pin()?.iter().cloned());
+            for ci in run.clone() {
+                rows.extend(self.pin(ci)?.iter().cloned());
             }
             work += rows.len() as u64 * (1 + self.indexed.len() as u64);
             let mut folded = Vec::with_capacity(rows.len().div_ceil(TARGET_CHUNK_ROWS).max(1));
             while rows.len() > TARGET_CHUNK_ROWS {
                 let tail = rows.split_off(TARGET_CHUNK_ROWS);
-                folded.push(Chunk::dense_indexed(rows.into(), &self.indexed));
+                folded.push(Chunk::new(
+                    ChunkSource::Resident(rows.into()),
+                    &self.indexed,
+                ));
                 rows = tail;
             }
             if !rows.is_empty() {
-                folded.push(Chunk::dense_indexed(rows.into(), &self.indexed));
+                folded.push(Chunk::new(
+                    ChunkSource::Resident(rows.into()),
+                    &self.indexed,
+                ));
             }
             folds.push((run, folded));
         }
@@ -1504,10 +1427,7 @@ impl TupleStore {
         for c in &self.chunks {
             s.base_rows += c.base.len();
             s.dead_rows += c.edited_base_rows();
-            s.overlay_rows += c
-                .edits
-                .as_ref()
-                .map_or(0, |e| e.values().map(Vec::len).sum());
+            s.overlay_rows += c.overlay_rows();
         }
         s
     }
@@ -1731,7 +1651,7 @@ mod tests {
     fn chunk_views_cover_all_rows() {
         let mut s = TupleStore::from_tuples((0..1100).map(t).collect());
         s.push(t(5000));
-        // An overlay: a tombstone and a split, so `get` walks edits too.
+        // An overlay: a tombstone and a split, so the pins splice edits.
         s.edit(|tp| {
             Ok::<_, PagerError>(match tp.value(0).as_int() {
                 Some(3) => RowEdit::Remove,
@@ -1747,11 +1667,8 @@ mod tests {
         for v in &views {
             let pinned = v.pin().unwrap();
             assert_eq!(pinned.len(), v.len());
-            for (i, t) in pinned.iter().enumerate() {
-                assert_eq!(pinned.get(i), Some(t));
-                via_views.push(t.value(0).as_int().unwrap());
-            }
-            assert_eq!(pinned.get(pinned.len()), None);
+            assert_eq!(pinned.iter().count(), v.len());
+            via_views.extend(pinned.iter().map(|t| t.value(0).as_int().unwrap()));
         }
         assert_eq!(via_views, ints(&s));
     }
@@ -2269,6 +2186,34 @@ mod tests {
         assert_eq!(failing.indexed_columns(), &[] as &[usize]);
         assert_eq!(failing.summary().chunks, 2);
         assert_eq!(failing.summary().dead_rows, 200);
+    }
+
+    #[test]
+    fn make_resident_drops_the_pager() {
+        let pager = TestPager::of(vec![]);
+        let mut s = cold_store(&pager);
+        pager.fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(s.make_resident().is_err());
+        assert!(s.pager().is_some() && !s.lazy_views()[0].is_resident());
+        pager.fail.store(false, std::sync::atomic::Ordering::SeqCst);
+        s.make_resident().unwrap();
+        assert!(s.pager().is_none());
+        assert_eq!(pager.loads(), 1);
+        assert!(matches!(
+            s.chunk_parts()[0].source,
+            ChunkSource::Resident(_)
+        ));
+        assert_eq!(ints(&s), (0..600).collect::<Vec<_>>());
+        assert_eq!(pager.loads(), 1, "resident rows never page in again");
+        // A store holds one pager: a cold store under another pager
+        // demotes nothing.
+        let mut cold = cold_store(&pager);
+        let other: Arc<dyn ChunkPager> = TestPager::of(vec![]);
+        assert_eq!(cold.demote_where(&other, |_| Some(9)), 0);
+        assert!(Arc::ptr_eq(
+            cold.pager().unwrap(),
+            &(pager as Arc<dyn ChunkPager>)
+        ));
     }
 
     #[test]

@@ -395,6 +395,51 @@ fn recovered_database_preserves_indexes_and_accepts_writes() {
     assert_eq!(got2, expect2);
 }
 
+/// The key column of every row, in storage order.
+fn keys(rel: &OngoingRelation) -> Vec<i64> {
+    rel.iter().map(|t| t.value(0).as_int().unwrap()).collect()
+}
+
+#[test]
+fn a_table_from_another_database_persists_under_its_own_chunk_ids() {
+    let budget = |memory_budget| DurableOptions {
+        memory_budget,
+        ..opts(u64::MAX)
+    };
+    // Database A: a persisted 1 024-row `T`, reopened cold under 64 KiB.
+    let (home_a, home_b) = (TempDir::new("rec-foreign-a"), TempDir::new("rec-foreign-b"));
+    {
+        let a = Database::open_with(home_a.path(), budget(u64::MAX)).unwrap();
+        a.create_table("T", big_relation(2 * CHUNK)).unwrap();
+        a.persist().unwrap();
+    }
+    let a = Database::open_with(home_a.path(), budget(64 << 10)).unwrap();
+    let foreign = a.table("T").unwrap().data().clone();
+    assert!(foreign.pager().is_some(), "A's `T` must reopen cold");
+    // Database B first persists its own `U` (keys 100000 and up): its
+    // chunk ids start where A's did.
+    let mut u = OngoingRelation::new(schema());
+    for k in 100_000..100_000 + 2 * CHUNK as i64 {
+        let iv = OngoingInterval::from_until_now(tp(k % 97));
+        u.insert(vec![Value::Int(k), Value::Int(0), Value::Interval(iv)])
+            .unwrap();
+    }
+    {
+        let b = Database::open_with(home_b.path(), budget(u64::MAX)).unwrap();
+        b.create_table("U", u).unwrap();
+        b.persist().unwrap();
+        b.create_table("T", foreign).unwrap();
+        assert!(b.table("T").unwrap().data().pager().is_none());
+        b.persist().unwrap();
+    }
+    drop(a);
+    let b = Database::open_with(home_b.path(), budget(u64::MAX)).unwrap();
+    let want: Vec<i64> = (0..2 * CHUNK as i64).collect();
+    assert_eq!(keys(b.table("T").unwrap().data()), want);
+    let u_keys = keys(b.table("U").unwrap().data());
+    assert_eq!(u_keys.first(), Some(&100_000));
+}
+
 #[test]
 fn drop_table_is_durable() {
     let home = TempDir::new("rec-drop");
