@@ -19,14 +19,16 @@ use crate::point::OngoingPoint;
 use crate::set::IntervalSet;
 use crate::time::TimePoint;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// One affine piece: on `[start, next start)` the value is
 /// `coef · rt + offset`. The coefficients are `i128`, so one operation on
 /// `i64`-valued functions is exact up to the final clamp in
 /// [`eval`](Self::eval); the arithmetic saturates (at the `i128` limits)
 /// only in long chains of scalings.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 struct Segment {
     start: TimePoint,
     coef: i128,
@@ -51,7 +53,11 @@ impl Segment {
 
 /// An integer value that changes as time passes by, represented as a
 /// piecewise-affine function of the reference time.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Equality, hashing and ordering compare the *value* — the pieces as
+/// [`bind`](Self::bind) evaluates them (see `value_form`) — not the `i128`
+/// representation, so `constant(i64::MIN).neg() == constant(i64::MAX)`.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct OngoingInt {
     /// Non-empty; `segs[0].start == -∞`; starts strictly ascending; adjacent
     /// segments carry different affine functions (canonical form).
@@ -430,6 +436,61 @@ impl OngoingInt {
         &self.segs[idx]
     }
 
+    /// The form equality, hashing and ordering compare: the pieces as
+    /// [`bind`](Self::bind) evaluates them. A constant piece is clamped to
+    /// `i64`; a sloped piece is split where it reaches a limit into its
+    /// clamped constant ends and the sloped part between them (a sloped
+    /// part of one point becomes that point's constant); equal neighbours
+    /// are merged. Equal forms bind alike at every `rt`. One-point pieces
+    /// on the line of a sloped neighbour are not folded into it, so a few
+    /// equal values still compare unequal.
+    fn value_form(&self) -> Vec<Segment> {
+        let mut out: Vec<Segment> = Vec::with_capacity(self.segs.len());
+        let mut push = |start: i128, coef: i128, offset: i128| {
+            let seg = Segment {
+                start: TimePoint::new(start as i64),
+                coef,
+                offset,
+            };
+            if !out.last().is_some_and(|l| l.same_fn(&seg)) {
+                out.push(seg);
+            }
+        };
+        for (i, s) in self.segs.iter().enumerate() {
+            let first = i128::from(s.start.ticks());
+            let last = self
+                .segs
+                .get(i + 1)
+                .map_or(i128::from(i64::MAX), |n| i128::from(n.start.ticks()) - 1);
+            if s.coef == 0 {
+                push(first, 0, i128::from(clamp_i64(s.offset)));
+                continue;
+            }
+            // `eval` is monotone over the piece: the limit it starts at up
+            // to `p`, strictly between the limits on `[p, q)`, the other
+            // limit from `q` on.
+            let (from, to) = if s.coef > 0 {
+                (i64::MIN, i64::MAX)
+            } else {
+                (i64::MAX, i64::MIN)
+            };
+            let p = first_where(first, last, |rt| s.eval(rt) != from);
+            let q = first_where(p, last, |rt| s.eval(rt) == to);
+            if p > first {
+                push(first, 0, i128::from(from));
+            }
+            if q == p + 1 {
+                push(p, 0, i128::from(s.eval(TimePoint::new(p as i64))));
+            } else if q > p {
+                push(p, s.coef, s.offset);
+            }
+            if q <= last {
+                push(q, 0, i128::from(to));
+            }
+        }
+        out
+    }
+
     fn canonicalize(&mut self) {
         debug_assert!(!self.segs.is_empty());
         debug_assert!(self.segs[0].start == TimePoint::NEG_INF);
@@ -445,6 +506,49 @@ impl OngoingInt {
         }
         self.segs = out;
     }
+}
+
+impl PartialEq for OngoingInt {
+    fn eq(&self, other: &Self) -> bool {
+        self.value_form() == other.value_form()
+    }
+}
+
+impl Eq for OngoingInt {}
+
+impl Hash for OngoingInt {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.value_form().hash(state);
+    }
+}
+
+impl PartialOrd for OngoingInt {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A total order consistent with equality (by value form); it carries no
+/// temporal meaning.
+impl Ord for OngoingInt {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.value_form().cmp(&other.value_form())
+    }
+}
+
+/// The first `rt` in `[lo, hi]` at which the monotone `pred` (false, then
+/// true) holds, or `hi + 1` when it never does.
+fn first_where(mut lo: i128, hi: i128, pred: impl Fn(TimePoint) -> bool) -> i128 {
+    let mut hi = hi + 1;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(TimePoint::new(mid as i64)) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[inline]
@@ -564,6 +668,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn hash_of(x: &OngoingInt) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    /// Equality and hashing compare what `bind` returns, not the `i128`
+    /// pieces: on the limit grid, values that compare equal hash alike and
+    /// bind alike at every grid `rt`.
+    #[test]
+    fn equality_and_hashing_are_by_value() {
+        let (a, b) = (
+            OngoingInt::constant(i64::MIN).neg(),
+            OngoingInt::constant(i64::MAX),
+        );
+        assert_ne!(a.segs, b.segs);
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        let ticks = LIMIT_GRID.map(TimePoint::ticks);
+        let mut operands: Vec<OngoingInt> =
+            ticks.iter().map(|&v| OngoingInt::constant(v)).collect();
+        operands.extend(limit_grid_points().into_iter().map(OngoingInt::from_point));
+        let mut values = Vec::new();
+        for x in &operands {
+            values.push(x.clone());
+            values.push(x.neg());
+            values.extend(ticks.iter().map(|&k| x.scale(k)));
+            for y in &operands {
+                values.push(x.add(y));
+                values.push(x.sub(y));
+            }
+        }
+        values.sort_by_cached_key(OngoingInt::value_form);
+        let mut rewritten = 0;
+        for w in values.windows(2) {
+            let (x, y) = (&w[0], &w[1]);
+            if x != y {
+                continue;
+            }
+            rewritten += usize::from(x.segs != y.segs);
+            assert_eq!(hash_of(x), hash_of(y), "{x} == {y}");
+            for rt in LIMIT_GRID {
+                assert_eq!(x.bind(rt), y.bind(rt), "{x} == {y} at {rt}");
+            }
+        }
+        assert!(rewritten > 0, "no two representations of one value met");
     }
 
     fn op(a: i64, b: i64) -> OngoingPoint {

@@ -84,7 +84,6 @@ pub use obs::{
 };
 pub use plan::{JoinStrategy, LogicalPlan, PhysicalPlan, PlannerConfig, QueryBuilder};
 pub use sql::{explain_analyze, prepare, ExplainReport, Prepared, StatementResult};
-pub use stats::cost::QualPath;
 pub use stats::TableStatistics;
 pub use storage::durable::{DurableOptions, DurableStats};
 pub use storage::{CacheStats, ChunkCache, DiskError, RealFs, Vfs};

@@ -29,18 +29,16 @@
 //! O(table). The *read* side of a modification (deciding which rows
 //! qualify) matches: when the predicate carries an equality or range
 //! conjunct on a column with a keyed index
-//! ([`OngoingRelation::create_key_index`]), the modifier derives a
-//! [`KeyProbe`] and qualifies through the index in O(rows matching)
-//! instead of scanning the table — choosing index vs scan with the cost
-//! model's [`qualification_path`] over the storage layer's exact per-path
-//! work figures.
+//! ([`OngoingRelation::create_key_index`]) and the keyed walk is cheaper
+//! than the scan, [`OngoingRelation::key_probe`] returns a
+//! [`KeyProbe`](ongoing_relation::KeyProbe) and the modifier qualifies
+//! through the index in O(rows matching) instead of scanning the table.
+//! Reads lower a `KeyScan` through the same method, so both sides take
+//! the keyed path under one rule.
 
 use crate::error::{EngineError, Result};
-use crate::stats::cost::{qualification_path, QualPath};
 use ongoing_core::{ops, OngoingInterval, OngoingPoint, TimePoint};
-use ongoing_relation::value::cmp_values;
-use ongoing_relation::{CmpOp, Expr, KeyProbe, OngoingRelation, RowEdit, Tuple, Value};
-use std::ops::Bound;
+use ongoing_relation::{Expr, OngoingRelation, RowEdit, Tuple, Value};
 
 /// Edits an ongoing relation's valid-time attribute with now-relative
 /// semantics.
@@ -71,99 +69,6 @@ impl<'a> Modifier<'a> {
         Ok(())
     }
 
-    /// Derives the indexable component of `pred`: the tightest equality or
-    /// range condition any conjunct places on a key-indexed column.
-    /// Conjuncts are necessary conditions, so the probe is a sound pruning
-    /// condition for the whole predicate; the probe constant is typed
-    /// against the schema, so the *key* conjunct itself can never
-    /// type-error on a row the keyed pass skips. Errors raised by *other*
-    /// conjuncts surface lazily — only for rows the qualification actually
-    /// visits (as with any database access path, a predicate error on a
-    /// row the index prunes is never observed).
-    fn key_probe(&self, pred: &Expr) -> Option<KeyProbe> {
-        let schema = self.rel.schema();
-        let conjuncts = pred.conjuncts_ref();
-        for &col in self.rel.key_indexed_columns() {
-            let Ok(attr) = schema.attr(col) else { continue };
-            let mut eq: Option<Value> = None;
-            let mut lo: Bound<Value> = Bound::Unbounded;
-            let mut hi: Bound<Value> = Bound::Unbounded;
-            for c in &conjuncts {
-                let Expr::Cmp(op, l, r) = c else { continue };
-                let (i, v, op) = match (l.as_ref(), r.as_ref()) {
-                    (Expr::Col(i), Expr::Const(v)) => (*i, v, *op),
-                    // `const op col` reads as `col flipped-op const`.
-                    (Expr::Const(v), Expr::Col(i)) => (
-                        *i,
-                        v,
-                        match *op {
-                            CmpOp::Lt => CmpOp::Gt,
-                            CmpOp::Le => CmpOp::Ge,
-                            CmpOp::Gt => CmpOp::Lt,
-                            CmpOp::Ge => CmpOp::Le,
-                            eq_ne => eq_ne,
-                        },
-                    ),
-                    _ => continue,
-                };
-                if i != col || v.value_type() != attr.ty {
-                    continue;
-                }
-                match op {
-                    CmpOp::Eq => eq = Some(v.clone()),
-                    CmpOp::Le => tighten_upper(&mut hi, v, true),
-                    CmpOp::Lt => tighten_upper(&mut hi, v, false),
-                    CmpOp::Ge => tighten_lower(&mut lo, v, true),
-                    CmpOp::Gt => tighten_lower(&mut lo, v, false),
-                    CmpOp::Ne => {}
-                }
-            }
-            if let Some(key) = eq {
-                return Some(KeyProbe::Eq { col, key });
-            }
-            if !matches!((&lo, &hi), (Bound::Unbounded, Bound::Unbounded)) {
-                return Some(KeyProbe::Range { col, lo, hi });
-            }
-        }
-        None
-    }
-
-    /// The access path qualification of `pred` will take, with the
-    /// work-unit figures that drive the choice — for `EXPLAIN`-style
-    /// inspection and the cost-flip tests.
-    pub fn qualification(&self, pred: &Expr) -> QualPath {
-        if let Some(probe) = self.key_probe(pred) {
-            if let Some(est) = self.rel.qualification_estimate(&probe) {
-                return qualification_path(probe.col(), &est);
-            }
-        }
-        QualPath::Scan {
-            rows: self.rel.len() as u64,
-        }
-    }
-
-    /// Runs a row-edit pass qualified by `pred`: through the keyed index
-    /// when a probe exists and the cost model favors it, by full scan
-    /// otherwise. `f` sees exactly the rows it would see under a full
-    /// scan restricted to possibly-matching rows.
-    fn edit_qualified(
-        &mut self,
-        pred: &Expr,
-        mut f: impl FnMut(&Tuple) -> Result<RowEdit>,
-    ) -> Result<()> {
-        if let Some(probe) = self.key_probe(pred) {
-            if let Some(est) = self.rel.qualification_estimate(&probe) {
-                if qualification_path(probe.col(), &est).is_keyed()
-                    && self.rel.edit_tuples_where(&probe, &mut f)?.is_some()
-                {
-                    return Ok(());
-                }
-            }
-        }
-        self.rel.edit_tuples(f)?;
-        Ok(())
-    }
-
     /// Inserts a tuple whose validity starts at `start` and is open-ended:
     /// `VT = [start, now)`. `values` must contain a placeholder at the
     /// valid-time position (it is overwritten).
@@ -190,7 +95,9 @@ impl<'a> Modifier<'a> {
         let vt_col = self.vt_col;
         let cap = OngoingPoint::fixed(at);
         let mut modified = 0usize;
-        self.edit_qualified(pred, |t| -> Result<RowEdit> {
+        let rel = &mut *self.rel;
+        let probe = rel.key_probe(pred);
+        rel.edit_tuples(probe.as_ref(), |t| -> Result<RowEdit> {
             if !pred.eval_bool(t.values())? {
                 return Ok(RowEdit::Keep);
             }
@@ -235,7 +142,9 @@ impl<'a> Modifier<'a> {
         let vt_col = self.vt_col;
         let split = OngoingPoint::fixed(at);
         let mut modified = 0usize;
-        self.edit_qualified(pred, |t| -> Result<RowEdit> {
+        let rel = &mut *self.rel;
+        let probe = rel.key_probe(pred);
+        rel.edit_tuples(probe.as_ref(), |t| -> Result<RowEdit> {
             if !pred.eval_bool(t.values())? {
                 return Ok(RowEdit::Keep);
             }
@@ -277,7 +186,9 @@ impl<'a> Modifier<'a> {
     pub fn delete(&mut self, pred: &Expr) -> Result<usize> {
         self.check_fixed_pred(pred)?;
         let mut removed = 0usize;
-        self.edit_qualified(pred, |t| -> Result<RowEdit> {
+        let rel = &mut *self.rel;
+        let probe = rel.key_probe(pred);
+        rel.edit_tuples(probe.as_ref(), |t| -> Result<RowEdit> {
             Ok(if pred.eval_bool(t.values())? {
                 removed += 1;
                 RowEdit::Remove
@@ -286,50 +197,6 @@ impl<'a> Modifier<'a> {
             })
         })?;
         Ok(removed)
-    }
-}
-
-/// Tightens an upper bound: keeps the smaller limit; on equal limits the
-/// exclusive bound wins (it admits fewer rows).
-fn tighten_upper(hi: &mut Bound<Value>, v: &Value, inclusive: bool) {
-    use std::cmp::Ordering::*;
-    let tighter = match &*hi {
-        Bound::Unbounded => true,
-        Bound::Included(cur) => match cmp_values(v, cur) {
-            Less => true,
-            Equal => !inclusive,
-            Greater => false,
-        },
-        Bound::Excluded(cur) => cmp_values(v, cur) == Less,
-    };
-    if tighter {
-        *hi = if inclusive {
-            Bound::Included(v.clone())
-        } else {
-            Bound::Excluded(v.clone())
-        };
-    }
-}
-
-/// Tightens a lower bound: keeps the larger limit; on equal limits the
-/// exclusive bound wins.
-fn tighten_lower(lo: &mut Bound<Value>, v: &Value, inclusive: bool) {
-    use std::cmp::Ordering::*;
-    let tighter = match &*lo {
-        Bound::Unbounded => true,
-        Bound::Included(cur) => match cmp_values(v, cur) {
-            Greater => true,
-            Equal => !inclusive,
-            Less => false,
-        },
-        Bound::Excluded(cur) => cmp_values(v, cur) == Greater,
-    };
-    if tighter {
-        *lo = if inclusive {
-            Bound::Included(v.clone())
-        } else {
-            Bound::Excluded(v.clone())
-        };
     }
 }
 

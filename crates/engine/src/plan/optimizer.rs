@@ -13,6 +13,11 @@
 //! operators under a [`PlannerConfig`], whose join strategy lets tests and
 //! the `repro_*` binaries force one join algorithm against the others.
 //!
+//! A selection directly over a base scan lowers to a `KeyScan` exactly
+//! when [`OngoingRelation::key_probe`](ongoing_relation::OngoingRelation::key_probe)
+//! returns a probe — the same keyed-vs-scan decision modifications make —
+//! and to `Filter(SeqScan)` otherwise.
+//!
 //! # Cost-based strategy choice
 //!
 //! Under [`JoinStrategy::Auto`], joins over **analyzed** inputs (every base
@@ -24,13 +29,13 @@
 //! statistics it falls back to the classic fixed priority
 //! (hash > sweep > nested loops).
 
-use crate::catalog::{Database, Table};
+use crate::catalog::Database;
 use crate::error::Result;
 use crate::exec::ExecContext;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::physical::{sweepable_columns, PhysicalPlan};
 use crate::stats::cost;
-use ongoing_relation::{CmpOp, Expr, KeyProbe, Predicate, Schema, ValueType};
+use ongoing_relation::{Expr, Predicate, Schema, ValueType};
 use std::sync::Arc;
 
 /// Join algorithm selection policy.
@@ -76,28 +81,6 @@ impl PlannerConfig {
 /// Conjunction of a list of predicates (`None` when empty).
 fn and_all(preds: Vec<Expr>) -> Option<Expr> {
     preds.into_iter().reduce(Expr::and)
-}
-
-/// The key-equality probe of a conjunct, when it compares a key-indexed
-/// column of `table` against a constant of the column's type
-/// (`#i = const` or `const = #i`).
-fn key_eq_probe(c: &Expr, table: &Table) -> Option<KeyProbe> {
-    let (col, key) = match c {
-        Expr::Cmp(CmpOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
-            (Expr::Col(i), Expr::Const(v)) | (Expr::Const(v), Expr::Col(i)) => (*i, v.clone()),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    if !table.data().key_indexed_columns().contains(&col) {
-        return None;
-    }
-    // A cross-type comparison never drives the index: the probe must agree
-    // with the predicate on every row, which only type-matched keys do.
-    if table.data().schema().attr(col).ok()?.ty != key.value_type() {
-        return None;
-    }
-    Some(KeyProbe::Eq { col, key })
 }
 
 /// Logical rewrites: merge selections into joins, turn selected products
@@ -241,36 +224,23 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
         LogicalPlan::Select { input, pred } => {
             let schema = input.schema();
             // Key-scan opportunity: selection directly over a base scan
-            // with a key-equality conjunct on an indexed column. The
-            // store's qualification estimate is exact for the pinned
-            // version, so the gate needs no histogram: take the keyed path
-            // whenever it visits fewer rows than the scan.
+            // for which the relation picks the keyed access path (see
+            // `OngoingRelation::key_probe`, shared with the modifier).
             if let LogicalPlan::Scan {
                 ref table,
                 schema: ref scan_schema,
             } = *input
             {
                 let resolved = db.table(table)?;
-                let probe = pred
-                    .clone()
-                    .conjuncts()
-                    .iter()
-                    .find_map(|c| key_eq_probe(c, &resolved));
-                if let Some(probe) = probe {
-                    let q = resolved
-                        .data()
-                        .qualification_estimate(&probe)
-                        .expect("key_eq_probe only matches indexed columns");
-                    if q.keyed < q.scan {
-                        let (fixed, ongoing) = split_compiled(Some(pred), &schema);
-                        return Ok(PhysicalPlan::KeyScan {
-                            table: resolved,
-                            schema: scan_schema.clone(),
-                            probe,
-                            fixed,
-                            ongoing,
-                        });
-                    }
+                if let Some(probe) = resolved.data().key_probe(&pred) {
+                    let (fixed, ongoing) = split_compiled(Some(pred), &schema);
+                    return Ok(PhysicalPlan::KeyScan {
+                        table: resolved,
+                        schema: scan_schema.clone(),
+                        probe,
+                        fixed,
+                        ongoing,
+                    });
                 }
             }
             let (fixed, ongoing) = split_compiled(Some(pred), &schema);

@@ -96,10 +96,11 @@ pub enum PhysicalPlan {
         /// Output schema (possibly re-qualified names).
         schema: Schema,
     },
-    /// Key-map pre-filtered scan: candidates come from the store's
-    /// per-chunk keyed qualification indexes (the write path's `KeyMap`s,
-    /// also serving this one read path) via [`OngoingRelation::keyed_rows`];
-    /// the exact predicate is re-checked as residual.
+    /// Key-map pre-filtered scan, lowered exactly when
+    /// [`OngoingRelation::key_probe`] picks the keyed path (the decision
+    /// the modifier shares): candidates come from the store's per-chunk
+    /// key maps via [`OngoingRelation::keyed_rows`]; the exact predicate
+    /// is re-checked as residual.
     KeyScan {
         /// The resolved table.
         table: Arc<Table>,
@@ -449,20 +450,9 @@ impl PhysicalPlan {
                 // A cheap version fork, so what the lookup reads dies with
                 // the query.
                 let data = table.data().clone();
-                let rows = match data.keyed_rows(probe)? {
-                    Some((rows, visited)) => {
-                        stats.index_candidates += visited;
-                        stats.tuples_scanned += visited;
-                        rows
-                    }
-                    // The optimizer only lowers KeyScan when the pinned
-                    // version covers the probe column, but fall back to the
-                    // full scan rather than assume.
-                    None => {
-                        stats.tuples_scanned += data.len() as u64;
-                        collect_pinned(ctx, &data, Mode::Ongoing)?
-                    }
-                };
+                let (rows, visited) = data.keyed_rows(probe)?;
+                stats.index_candidates += visited;
+                stats.tuples_scanned += visited;
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let input = Positions {
                     len: rows.len(),

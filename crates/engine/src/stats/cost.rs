@@ -8,6 +8,12 @@
 //! `tests/cost_model.rs` compare [`NodeEstimate::work`] against the
 //! deterministic counters of an actual run and assert a bounded ratio.
 //!
+//! `KeyScan` estimates need no histogram: the store's
+//! [`QualEstimate`](ongoing_relation::QualEstimate) counts the rows the
+//! keyed walk visits exactly, and the keyed-vs-scan choice itself is
+//! [`OngoingRelation::key_probe`](ongoing_relation::OngoingRelation::key_probe),
+//! not this model.
+//!
 //! The optimizer uses the per-candidate helpers
 //! ([`hash_join_work`], [`sweep_join_work`], [`nested_loop_work`]) to
 //! enumerate join strategies and pick the cheapest; `EXPLAIN` rendering
@@ -233,17 +239,7 @@ fn cmp_selectivity(op: CmpOp, l: &Expr, r: &Expr, cols: &[ColEstimate]) -> f64 {
             _ => return None,
         };
         // Normalize to `col OP x`.
-        let op = if col_on_left {
-            op
-        } else {
-            match op {
-                CmpOp::Lt => CmpOp::Gt,
-                CmpOp::Le => CmpOp::Ge,
-                CmpOp::Gt => CmpOp::Lt,
-                CmpOp::Ge => CmpOp::Le,
-                other => other,
-            }
-        };
+        let op = if col_on_left { op } else { op.mirror() };
         Some(match op {
             CmpOp::Lt => hist.frac_lt(x),
             CmpOp::Le => hist.frac_le(x),
@@ -449,60 +445,6 @@ pub fn product_cols(left: &NodeEstimate, right: &NodeEstimate) -> Vec<ColEstimat
     let mut cols = left.cols.clone();
     cols.extend(right.cols.iter().cloned());
     cols
-}
-
-// ----------------------------------------------------------------------
-// Modification-qualification costing (the write path's access-path
-// choice).
-// ----------------------------------------------------------------------
-
-/// The qualification access path chosen for a `Modifier` predicate, with
-/// the work-unit figures (rows visited — the storage layer's
-/// `qual_work` currency, same system as [`WorkEstimate`]) that drove the
-/// choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QualPath {
-    /// Qualify through the keyed index: `keyed` rows visited (candidates
-    /// plus overlay deltas, pending tail and one probe per chunk) vs the
-    /// `scan` alternative.
-    Keyed {
-        /// The indexed column the probe addresses.
-        col: usize,
-        /// Work of the keyed path.
-        keyed: u64,
-        /// Work of the rejected full scan.
-        scan: u64,
-    },
-    /// Qualify by scanning every live row.
-    Scan {
-        /// Work of the scan (the live row count).
-        rows: u64,
-    },
-}
-
-impl QualPath {
-    /// Does the path use the keyed index?
-    pub fn is_keyed(&self) -> bool {
-        matches!(self, QualPath::Keyed { .. })
-    }
-}
-
-/// Chooses the qualification access path from the storage layer's *exact*
-/// per-path figures ([`ongoing_relation::QualEstimate`]) — exact because
-/// the per-chunk key maps can count matching rows without visiting them,
-/// so unlike the read-path join choice no histogram estimate is needed.
-/// The keyed path wins strictly: on ties (tiny tables, probes matching
-/// everything) the scan's better constants prevail.
-pub fn qualification_path(col: usize, est: &ongoing_relation::QualEstimate) -> QualPath {
-    if est.keyed < est.scan {
-        QualPath::Keyed {
-            col,
-            keyed: est.keyed,
-            scan: est.scan,
-        }
-    } else {
-        QualPath::Scan { rows: est.scan }
-    }
 }
 
 fn filter_work(

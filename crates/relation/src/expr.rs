@@ -44,6 +44,17 @@ impl CmpOp {
             CmpOp::Gt => ">",
         }
     }
+
+    /// The operator with its operands swapped: `a op b ⇔ b op.mirror() a`.
+    pub fn mirror(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
 }
 
 /// Errors raised during expression evaluation or type checking.

@@ -28,12 +28,23 @@
 //!
 //! A [`KeyProbe`] names the indexable component of a qualification
 //! predicate — an equality or range condition on one indexed column. The
-//! probe must be a *necessary* condition of the full predicate (callers
-//! derive it from a conjunct, which always is): rows failing the probe are
+//! probe must be a *necessary* condition of the full predicate (it is
+//! derived from conjuncts, which always are): rows failing the probe are
 //! skipped without evaluating the predicate.
+//!
+//! Reads and writes choose the keyed path through one method,
+//! [`OngoingRelation::key_probe`](crate::OngoingRelation::key_probe): it
+//! derives the probe from the predicate's conjuncts and returns it only
+//! when every chunk carries a key map for the column and the keyed walk
+//! visits fewer rows than the scan ([`QualEstimate`]). The optimizer
+//! lowers a `KeyScan` exactly when it returns a probe, and the `Modifier`
+//! edits through it.
 
+use crate::expr::{CmpOp, Expr};
+use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{cmp_values, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -45,13 +56,13 @@ use std::ops::Bound;
 pub struct IndexKey(pub Value);
 
 impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         cmp_values(&self.0, &other.0)
     }
 }
@@ -110,7 +121,7 @@ fn key_bound(b: &Bound<Value>) -> Bound<IndexKey> {
 /// `BTreeMap::range` panics on an inverted range, so they are answered
 /// with an empty candidate set instead.
 fn range_is_empty(lo: &Bound<Value>, hi: &Bound<Value>) -> bool {
-    use std::cmp::Ordering::*;
+    use Ordering::*;
     match (lo, hi) {
         (Bound::Unbounded, _) | (_, Bound::Unbounded) => false,
         (Bound::Included(l), Bound::Included(h)) => cmp_values(l, h) == Greater,
@@ -120,7 +131,71 @@ fn range_is_empty(lo: &Bound<Value>, hi: &Bound<Value>) -> bool {
     }
 }
 
+/// Keeps the tighter of `cur` and `new`, two bounds on the same side of
+/// a range (`upper`: the smaller limit wins); on equal limits the
+/// exclusive bound wins (it admits fewer rows).
+fn tighten(cur: &mut Bound<Value>, new: Bound<Value>, upper: bool) {
+    let (Bound::Included(v) | Bound::Excluded(v)) = &new else {
+        return;
+    };
+    let tighter = match &*cur {
+        Bound::Unbounded => true,
+        Bound::Included(c) | Bound::Excluded(c) => {
+            let ord = cmp_values(v, c);
+            let ord = if upper { ord } else { ord.reverse() };
+            ord == Ordering::Less || (ord == Ordering::Equal && matches!(new, Bound::Excluded(_)))
+        }
+    };
+    if tighter {
+        *cur = new;
+    }
+}
+
 impl KeyProbe {
+    /// The indexable component of `pred`: for the first column of `cols`
+    /// any conjunct constrains, the equality (the last `col = const`
+    /// conjunct) or else the tightest range its `<`, `<=`, `>`, `>=`
+    /// conjuncts imply, in either operand order. Conjuncts are necessary
+    /// conditions, so the probe is a sound pruning condition for the whole
+    /// predicate. A constant of another type than the column never drives
+    /// the probe, so the *key* conjunct itself cannot type-error on a row
+    /// the keyed walk skips; errors raised by other conjuncts surface only
+    /// for rows the walk visits (as with any index access path).
+    pub(crate) fn derive(pred: &Expr, schema: &Schema, cols: &[usize]) -> Option<KeyProbe> {
+        let conjuncts = pred.conjuncts_ref();
+        for &col in cols {
+            let Ok(attr) = schema.attr(col) else { continue };
+            let mut eq: Option<Value> = None;
+            let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
+            for c in &conjuncts {
+                let Expr::Cmp(op, l, r) = c else { continue };
+                let (i, v, op) = match (l.as_ref(), r.as_ref()) {
+                    (Expr::Col(i), Expr::Const(v)) => (*i, v, *op),
+                    (Expr::Const(v), Expr::Col(i)) => (*i, v, op.mirror()),
+                    _ => continue,
+                };
+                if i != col || v.value_type() != attr.ty {
+                    continue;
+                }
+                match op {
+                    CmpOp::Eq => eq = Some(v.clone()),
+                    CmpOp::Le => tighten(&mut hi, Bound::Included(v.clone()), true),
+                    CmpOp::Lt => tighten(&mut hi, Bound::Excluded(v.clone()), true),
+                    CmpOp::Ge => tighten(&mut lo, Bound::Included(v.clone()), false),
+                    CmpOp::Gt => tighten(&mut lo, Bound::Excluded(v.clone()), false),
+                    CmpOp::Ne => {}
+                }
+            }
+            if let Some(key) = eq {
+                return Some(KeyProbe::Eq { col, key });
+            }
+            if !matches!((&lo, &hi), (Bound::Unbounded, Bound::Unbounded)) {
+                return Some(KeyProbe::Range { col, lo, hi });
+            }
+        }
+        None
+    }
+
     /// The column the probe addresses.
     pub fn col(&self) -> usize {
         match self {
@@ -130,7 +205,7 @@ impl KeyProbe {
 
     /// Does a key value satisfy the probe?
     pub fn matches(&self, v: &Value) -> bool {
-        use std::cmp::Ordering::*;
+        use Ordering::*;
         match self {
             KeyProbe::Eq { key, .. } => v == key,
             KeyProbe::Range { lo, hi, .. } => {
@@ -187,9 +262,11 @@ impl KeyProbe {
 
 /// Exact (not estimated) per-path qualification work for one probe over
 /// one store version, in the store's deterministic work units (rows
-/// visited, plus one unit per chunk probed for the keyed path). The
-/// engine's cost model compares the two sides; the units are the same
-/// currency as [`crate::store::TupleStore::qual_work`].
+/// visited, plus one unit per chunk probed for the keyed path).
+/// [`OngoingRelation::key_probe`](crate::OngoingRelation::key_probe)
+/// takes the keyed path only when it is strictly cheaper (on ties the
+/// scan's better constants prevail); the units are the same currency as
+/// [`crate::store::TupleStore::qual_work`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QualEstimate {
     /// Work of the keyed path: `candidates + overlay + pending + chunks`.
@@ -199,16 +276,6 @@ pub struct QualEstimate {
     /// Base rows matching the probe (including superseded ones — their
     /// lookup cost is paid even though the overlay walk supersedes them).
     pub candidates: u64,
-}
-
-/// Outcome of a keyed edit pass ([`crate::store::TupleStore::edit_where`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyedEdit {
-    /// Storage entries written (same meaning as
-    /// [`crate::store::TupleStore::apply_edits`]'s return).
-    pub written: usize,
-    /// Rows the qualification actually visited.
-    pub visited: u64,
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub mod tuple;
 pub mod value;
 
 pub use expr::{CmpOp, EvalError, Expr, Row};
-pub use keyindex::{KeyProbe, KeyedEdit, QualEstimate};
+pub use keyindex::{KeyProbe, QualEstimate};
 pub use predicate::{Pair, Predicate};
 pub use relation::{FixedRelation, OngoingRelation};
 pub use schema::{Attribute, Schema, SchemaError};

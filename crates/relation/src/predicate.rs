@@ -194,7 +194,7 @@ impl Kernel {
         match e {
             Expr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
                 (Expr::Col(col), Expr::Const(v)) => Kernel::cmp(*col, *op, v),
-                (Expr::Const(v), Expr::Col(col)) => Kernel::cmp(*col, mirror(*op), v),
+                (Expr::Const(v), Expr::Col(col)) => Kernel::cmp(*col, op.mirror(), v),
                 _ => Kernel::Generic,
             },
             Expr::Temporal(pred, l, r) => match (l.as_ref(), r.as_ref()) {
@@ -283,17 +283,6 @@ fn holds(op: CmpOp, ord: Ordering) -> bool {
         CmpOp::Ne => ord.is_ne(),
         CmpOp::Ge => ord.is_ge(),
         CmpOp::Gt => ord.is_gt(),
-    }
-}
-
-/// The operator with its operands swapped: `a op b ⇔ b mirror(op) a`.
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Eq | CmpOp::Ne => op,
     }
 }
 

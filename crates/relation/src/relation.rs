@@ -1,6 +1,7 @@
 //! Ongoing relations (Definition 5) and their bind operator.
 
-use crate::keyindex::{KeyProbe, KeyedEdit, QualEstimate};
+use crate::expr::Expr;
+use crate::keyindex::{KeyProbe, QualEstimate};
 use crate::schema::{Schema, SchemaError};
 use crate::store::{
     ChunkPager, ChunkPart, JournalOp, LazyChunkView, PagerError, RowEdit, StoreIter, StoreSummary,
@@ -153,31 +154,21 @@ impl OngoingRelation {
         self.store.make_resident()
     }
 
-    /// Applies row-level edits: `f` visits every live tuple in storage
-    /// order and returns what should happen to it ([`RowEdit`]). The write
-    /// cost is O(rows touched) — untouched chunks stay shared with other
-    /// versions of this relation. Returns the number of storage entries
-    /// written; an error from `f` or the pager leaves the relation
-    /// untouched.
+    /// Applies row-level edits: `f` visits the live tuples in storage
+    /// order — every one with `None`, only those that can satisfy `probe`
+    /// otherwise (index candidates + overlay deltas + pending tail) — and
+    /// returns what should happen to each ([`RowEdit`]). `probe` must be a
+    /// necessary condition of `f`'s decision; take it from
+    /// [`key_probe`](Self::key_probe). The write cost is O(rows touched) —
+    /// untouched chunks stay shared with other versions of this relation.
+    /// Returns the number of storage entries written; an error from `f` or
+    /// the pager leaves the relation untouched.
     pub fn edit_tuples<E: From<PagerError>>(
         &mut self,
+        probe: Option<&KeyProbe>,
         f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
     ) -> Result<usize, E> {
-        self.store.edit(f)
-    }
-
-    /// [`edit_tuples`](Self::edit_tuples) qualified through the keyed
-    /// index instead of a full scan: only rows that can satisfy `probe`
-    /// are visited (index candidates + overlay deltas + pending tail).
-    /// Returns `None` when the probe's column carries no index. `probe`
-    /// must be a necessary condition of `f`'s decision — derive it from a
-    /// conjunct of the qualification predicate.
-    pub fn edit_tuples_where<E: From<PagerError>>(
-        &mut self,
-        probe: &KeyProbe,
-        f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
-    ) -> Result<Option<KeyedEdit>, E> {
-        self.store.edit_where(probe, f)
+        self.store.edit(probe, f)
     }
 
     /// Declares a keyed qualification index over `column`, which must hold
@@ -212,17 +203,31 @@ impl OngoingRelation {
 
     /// Exact qualification cost of `probe` per path (keyed vs scan), in
     /// the store's deterministic work units — `None` when the probe's
-    /// column carries no index. The engine's cost model compares the two.
+    /// column carries no index or some chunk has no key map for it.
     pub fn qualification_estimate(&self, probe: &KeyProbe) -> Option<QualEstimate> {
         self.store.qualification_estimate(probe)
     }
 
-    /// The live rows that can satisfy `probe`, in live (iteration) order,
-    /// plus the rows visited collecting them — the read-path counterpart
-    /// of [`edit_tuples_where`](Self::edit_tuples_where). Equals the full
-    /// scan filtered by [`KeyProbe::matches`] on the probe column; `None`
-    /// when the column carries no index, so callers fall back to a scan.
-    pub fn keyed_rows(&self, probe: &KeyProbe) -> Result<Option<(Vec<Tuple>, u64)>, PagerError> {
+    /// The keyed access path for a predicate over this relation — the one
+    /// place reads (`KeyScan`) and modifications decide it. For the first
+    /// key-indexed column any conjunct of `pred` constrains against a
+    /// constant of the column's type, the probe is that equality or else
+    /// the tightest range the `<`, `<=`, `>`, `>=` conjuncts imply (either
+    /// operand order). It is returned only when every chunk has a key map
+    /// for the column and the keyed walk is strictly cheaper than the scan
+    /// ([`qualification_estimate`](Self::qualification_estimate)); `None`
+    /// means scan. Costs O(#chunks · log chunk), never a row read.
+    pub fn key_probe(&self, pred: &Expr) -> Option<KeyProbe> {
+        let probe = KeyProbe::derive(pred, &self.schema, self.key_indexed_columns())?;
+        let est = self.qualification_estimate(&probe)?;
+        (est.keyed < est.scan).then_some(probe)
+    }
+
+    /// The live rows that satisfy `probe`, in live (iteration) order, plus
+    /// the rows visited collecting them — the read-path counterpart of
+    /// [`edit_tuples`](Self::edit_tuples). Equals the full scan filtered
+    /// by [`KeyProbe::matches`] on the probe column.
+    pub fn keyed_rows(&self, probe: &KeyProbe) -> Result<(Vec<Tuple>, u64), PagerError> {
         self.store.keyed_rows(probe)
     }
 
@@ -576,7 +581,7 @@ mod tests {
             col: 0,
             key: Value::Int(42),
         };
-        r.edit_tuples_where::<PagerError>(&probe, |t| {
+        r.edit_tuples::<PagerError>(Some(&probe), |t| {
             Ok(if t.value(0) == &Value::Int(42) {
                 RowEdit::Replace(vec![Tuple::base(vec![Value::Int(4242)])])
             } else {

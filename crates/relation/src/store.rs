@@ -41,7 +41,7 @@
 //! counter the storage benchmarks and the catalog's statistics-staleness
 //! accounting consume.
 
-use crate::keyindex::{build_key_map, KeyMap, KeyProbe, KeyedEdit, QualEstimate};
+use crate::keyindex::{build_key_map, KeyMap, KeyProbe, QualEstimate};
 use crate::tuple::Tuple;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -784,11 +784,11 @@ impl TupleStore {
     }
 
     /// Cumulative *qualification* work units: rows visited while deciding
-    /// which rows a modification touches ([`edit`](Self::edit) and
-    /// [`edit_where`](Self::edit_where)). Deterministic, like
-    /// [`write_work`](Self::write_work); the delta between two versions is
-    /// the exact read-side cost of qualifying the modifications between
-    /// them — the counter the keyed-index benchmarks assert on.
+    /// which rows a modification touches ([`edit`](Self::edit)).
+    /// Deterministic, like [`write_work`](Self::write_work); the delta
+    /// between two versions is the exact read-side cost of qualifying the
+    /// modifications between them — the counter the keyed-index
+    /// benchmarks assert on.
     pub fn qual_work(&self) -> u64 {
         self.qual_work
     }
@@ -1031,27 +1031,9 @@ impl TupleStore {
         }
     }
 
-    /// Scans the live rows in order, collecting the edits `f` requests —
-    /// without touching the store. Apply the plan with
-    /// [`apply_edits`](Self::apply_edits). Each chunk is read through one
-    /// transient pin. Errors from `f` or the pager abort the scan and
-    /// leave no trace.
-    pub fn plan_edits<E: From<PagerError>>(
-        &self,
-        mut f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
-    ) -> Result<Vec<PlannedEdit>, E> {
-        let mut plan = Vec::new();
-        for ci in 0..self.total_views() {
-            let pin = self.pin(ci)?;
-            for off in 0..pin.base.rows().len() {
-                Self::plan_offset(&pin, ci, off, &mut f, &mut plan)?;
-            }
-        }
-        Ok(plan)
-    }
-
     /// Exact qualification cost of `probe` on this version, per path —
-    /// `None` when the probe's column carries no index. Computing the
+    /// `None` when the probe's column carries no index or some chunk has
+    /// no key map for it (a chunk reopened cold). Computing the
     /// candidate count touches only the per-chunk key maps
     /// (O(#chunks · log chunk + matching keys)), never the rows.
     pub fn qualification_estimate(&self, probe: &KeyProbe) -> Option<QualEstimate> {
@@ -1072,47 +1054,44 @@ impl TupleStore {
         })
     }
 
-    /// The keyed candidate walk behind [`plan_edits_keyed`] and
-    /// [`keyed_rows`]: per sealed chunk, the key map's candidates not
-    /// superseded by the overlay plus every overlay offset (the overlay is
-    /// the unindexed delta), sorted into base-offset order; then every
-    /// offset of the pending tail. `visit(pin, chunk, offsets)` reads one
-    /// pinned chunk's offsets in order and returns the rows it visited
-    /// (one call per chunk keeps the per-row loop in the caller). The
-    /// offsets come from the key map and overlay alone, so a chunk with
+    /// The walk behind [`plan_edits`](Self::plan_edits) and
+    /// [`keyed_rows`](Self::keyed_rows): per sealed chunk, the base offsets
+    /// that can satisfy `probe` — with a key map for the probe's column,
+    /// the map's candidates not superseded by the overlay plus every
+    /// overlay offset (the overlay is the unindexed delta), sorted into
+    /// base-offset order; without a probe or a map, every base offset —
+    /// then every offset of the pending tail. `visit(pin, chunk, offsets)`
+    /// reads one pinned chunk's offsets in order and returns the rows it
+    /// visited (one call per chunk keeps the per-row loop in the caller).
+    /// The offsets come from the key map and overlay alone, so a chunk with
     /// none is skipped without a pin — a cold chunk with no candidates
-    /// never pages in. `None` when the probe's column carries no index
-    /// (or some chunk has no map for it), so the caller falls back to a
-    /// scan.
-    ///
-    /// [`plan_edits_keyed`]: Self::plan_edits_keyed
-    /// [`keyed_rows`]: Self::keyed_rows
-    fn keyed_walk<E: From<PagerError>>(
+    /// never pages in. Returns the rows visited.
+    fn walk<E: From<PagerError>>(
         &self,
-        probe: &KeyProbe,
+        probe: Option<&KeyProbe>,
         mut visit: impl FnMut(&PinnedChunk<'_>, usize, &[usize]) -> Result<u64, E>,
-    ) -> Result<Option<u64>, E> {
-        if !self.indexed.contains(&probe.col()) {
-            return Ok(None);
-        }
+    ) -> Result<u64, E> {
         let mut visited = 0u64;
         let mut offs: Vec<usize> = Vec::new();
         for (ci, chunk) in self.chunks.iter().enumerate() {
-            let Some(map) = chunk.keys.get(&probe.col()) else {
-                return Ok(None);
-            };
-            let edits = chunk.edits.as_deref();
             offs.clear();
-            offs.extend(
-                probe
-                    .candidates(map)
-                    .map(|o| o as usize)
-                    .filter(|o| edits.is_none_or(|e| !e.contains_key(o))),
-            );
-            if let Some(edits) = edits {
-                offs.extend(edits.keys().copied());
+            let map = probe.and_then(|p| chunk.keys.get(&p.col()));
+            match (probe, map) {
+                (Some(probe), Some(map)) => {
+                    let edits = chunk.edits.as_deref();
+                    offs.extend(
+                        probe
+                            .candidates(map)
+                            .map(|o| o as usize)
+                            .filter(|o| edits.is_none_or(|e| !e.contains_key(o))),
+                    );
+                    if let Some(edits) = edits {
+                        offs.extend(edits.keys().copied());
+                    }
+                    offs.sort_unstable();
+                }
+                _ => offs.extend(0..chunk.base.len()),
             }
-            offs.sort_unstable();
             if offs.is_empty() {
                 continue;
             }
@@ -1122,46 +1101,47 @@ impl TupleStore {
         offs.extend(0..self.pending.len());
         let ci = self.chunks.len();
         visited += visit(&self.pin(ci)?, ci, &offs)?;
-        Ok(Some(visited))
+        Ok(visited)
     }
 
-    /// [`plan_edits`](Self::plan_edits) through the keyed index: only rows
-    /// that can satisfy `probe` are visited (see the keyed walk: index
-    /// candidates in chunk bases, every overlay replacement row, and the
-    /// pending tail). Returns the plan plus the rows visited, or `None`
-    /// when the probe's column carries no index.
+    /// Collects the edits `f` requests for the live rows, in live order —
+    /// without touching the store — plus the rows visited. With `None`
+    /// every live row is visited; with a probe only the rows that can
+    /// satisfy it (index candidates in chunks with a key map for its
+    /// column, every row of a chunk without one, every overlay replacement
+    /// row and the pending tail). Apply the plan with
+    /// [`apply_edits`](Self::apply_edits). Each chunk is read through one
+    /// transient pin. Errors from `f` or the pager abort the pass and
+    /// leave no trace.
     ///
     /// **Contract**: `probe` must be a *necessary* condition of `f`'s
     /// decision (rows failing the probe would yield [`RowEdit::Keep`]).
-    /// Under that contract the produced plan is identical to the full-scan
-    /// plan — same entries, same order, same logical touch counts.
-    pub fn plan_edits_keyed<E: From<PagerError>>(
+    /// Under that contract the plan is identical with and without the
+    /// probe — same entries, same order, same logical touch counts.
+    pub fn plan_edits<E: From<PagerError>>(
         &self,
-        probe: &KeyProbe,
+        probe: Option<&KeyProbe>,
         mut f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
-    ) -> Result<Option<(Vec<PlannedEdit>, u64)>, E> {
+    ) -> Result<(Vec<PlannedEdit>, u64), E> {
         let mut plan = Vec::new();
-        let visited = self.keyed_walk(probe, |pin, ci, offs| {
+        let visited = self.walk(probe, |pin, ci, offs| {
             let mut visited = 0;
             for &off in offs {
                 visited += Self::plan_offset(pin, ci, off, &mut f, &mut plan)?;
             }
             Ok::<_, E>(visited)
         })?;
-        Ok(visited.map(|v| (plan, v)))
+        Ok((plan, visited))
     }
 
-    /// The live rows that can satisfy `probe`, in live (iteration) order,
-    /// plus the rows visited while collecting them — the read-path twin of
-    /// [`plan_edits_keyed`](Self::plan_edits_keyed), over the same keyed
-    /// walk. Each visited value is re-checked against the probe, so the
-    /// output equals the full scan filtered by [`KeyProbe::matches`] —
-    /// same rows, same order. `Ok(None)` when the probe's column carries
-    /// no index (or some chunk has no map for it), so the caller falls
-    /// back to a scan.
-    pub fn keyed_rows(&self, probe: &KeyProbe) -> Result<Option<(Vec<Tuple>, u64)>, PagerError> {
+    /// The live rows that satisfy `probe`, in live (iteration) order, plus
+    /// the rows visited while collecting them — the read-path twin of
+    /// [`plan_edits`](Self::plan_edits), over the same walk. Each visited
+    /// value is re-checked against the probe, so the output equals the
+    /// full scan filtered by [`KeyProbe::matches`] — same rows, same order.
+    pub fn keyed_rows(&self, probe: &KeyProbe) -> Result<(Vec<Tuple>, u64), PagerError> {
         let mut out = Vec::new();
-        let visited = self.keyed_walk(probe, |pin, _, offs| {
+        let visited = self.walk(Some(probe), |pin, _, offs| {
             let mut visited = 0;
             for &off in offs {
                 let rows = pin.rows_at(off);
@@ -1174,40 +1154,21 @@ impl TupleStore {
             }
             Ok::<_, PagerError>(visited)
         })?;
-        Ok(visited.map(|v| (out, v)))
+        Ok((out, visited))
     }
 
-    /// Full-scan qualification + edit in one step: plans with
-    /// [`plan_edits`](Self::plan_edits) (metering every live row in
-    /// [`qual_work`](Self::qual_work)) and applies. Returns the storage
+    /// Qualification + edit in one step: plans with
+    /// [`plan_edits`](Self::plan_edits), meters the rows visited in
+    /// [`qual_work`](Self::qual_work) and applies. Returns the storage
     /// entries written.
     pub fn edit<E: From<PagerError>>(
         &mut self,
+        probe: Option<&KeyProbe>,
         f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
     ) -> Result<usize, E> {
-        let plan = self.plan_edits(f)?;
-        self.qual_work += self.live as u64;
+        let (plan, visited) = self.plan_edits(probe, f)?;
+        self.qual_work += visited;
         Ok(self.apply_edits(plan))
-    }
-
-    /// Keyed qualification + edit in one step: plans with
-    /// [`plan_edits_keyed`](Self::plan_edits_keyed) (metering the rows
-    /// actually visited) and applies. `None` when the probe's column
-    /// carries no index — the caller decides whether to fall back to
-    /// [`edit`](Self::edit).
-    pub fn edit_where<E: From<PagerError>>(
-        &mut self,
-        probe: &KeyProbe,
-        f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
-    ) -> Result<Option<KeyedEdit>, E> {
-        match self.plan_edits_keyed(probe, f)? {
-            None => Ok(None),
-            Some((plan, visited)) => {
-                self.qual_work += visited;
-                let written = self.apply_edits(plan);
-                Ok(Some(KeyedEdit { written, visited }))
-            }
-        }
     }
 
     /// Applies a plan from [`plan_edits`](Self::plan_edits): copies the
@@ -1525,7 +1486,7 @@ mod tests {
     fn edits_tombstone_replace_and_split() {
         let mut s = TupleStore::from_tuples((0..10).map(t).collect());
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     3 => RowEdit::Remove,
                     5 => RowEdit::Replace(vec![t(50)]),
@@ -1533,7 +1494,8 @@ mod tests {
                     _ => RowEdit::Keep,
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(s.apply_edits(plan), 3);
         assert_eq!(ints(&s), vec![0, 1, 2, 4, 50, 6, 70, 71, 8, 9]);
         assert_eq!(s.len(), 10);
@@ -1543,25 +1505,27 @@ mod tests {
     fn edits_on_replacements_compose() {
         let mut s = TupleStore::from_tuples((0..4).map(t).collect());
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int() == Some(1) {
                     RowEdit::Replace(vec![t(10), t(11)])
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         // Now edit one member of the replacement list.
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int() == Some(10) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         assert_eq!(ints(&s), vec![0, 11, 2, 3]);
     }
@@ -1573,14 +1537,15 @@ mod tests {
         let chunks = base.summary().chunks;
         let mut fork = base.clone();
         let plan = fork
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int() == Some(1999) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         fork.apply_edits(plan);
         // Every chunk's base is still shared; only the last chunk's overlay
         // differs.
@@ -1594,14 +1559,15 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..10_000).map(t).collect());
         let before = s.write_work();
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int().unwrap() % 1000 == 0 {
                     RowEdit::Replace(vec![t(-1)])
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         let spent = s.write_work() - before;
         assert!(spent <= 2 * 10, "10-row edit cost {spent} work units");
@@ -1611,14 +1577,15 @@ mod tests {
     fn compact_preserves_sequence_and_folds_layout() {
         let mut s = TupleStore::from_tuples((0..1000).map(t).collect());
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     x if x % 3 == 0 => RowEdit::Remove,
                     x if x % 3 == 1 => RowEdit::Replace(vec![t(-x)]),
                     _ => RowEdit::Keep,
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         for i in 0..5 {
             s.push(t(10_000 + i));
@@ -1636,7 +1603,7 @@ mod tests {
     fn plan_error_leaves_store_untouched() {
         let s = TupleStore::from_tuples((0..10).map(t).collect());
         let before = ints(&s);
-        let r = s.plan_edits(|tp| {
+        let r = s.plan_edits(None, |tp| {
             if tp.value(0).as_int() == Some(5) {
                 Err(PagerError("boom".into()))
             } else {
@@ -1652,7 +1619,7 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..1100).map(t).collect());
         s.push(t(5000));
         // An overlay: a tombstone and a split, so the pins splice edits.
-        s.edit(|tp| {
+        s.edit(None, |tp| {
             Ok::<_, PagerError>(match tp.value(0).as_int() {
                 Some(3) => RowEdit::Remove,
                 Some(7) => RowEdit::Replace(vec![t(70), t(71)]),
@@ -1686,7 +1653,7 @@ mod tests {
         s.create_key_index(0).unwrap();
         // Fragment: tombstone, replace, split, plus a pending tail.
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     7 => RowEdit::Remove,
                     600 => RowEdit::Replace(vec![t(-600)]),
@@ -1694,7 +1661,8 @@ mod tests {
                     _ => RowEdit::Keep,
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         s.push(t(99_999));
         for probe in [eq_probe(3), eq_probe(-600), eq_probe(99_999), eq_probe(42)] {
@@ -1705,8 +1673,8 @@ mod tests {
                     RowEdit::Keep
                 })
             };
-            let scan_plan = s.plan_edits(f).unwrap();
-            let (keyed_plan, visited) = s.plan_edits_keyed(&probe, f).unwrap().unwrap();
+            let scan_plan = s.plan_edits(None, f).unwrap().0;
+            let (keyed_plan, visited) = s.plan_edits(Some(&probe), f).unwrap();
             assert_eq!(keyed_plan, scan_plan, "probe {probe:?}");
             assert!(
                 visited < s.len() as u64 / 2,
@@ -1722,7 +1690,7 @@ mod tests {
         s.create_key_index(0).unwrap();
         // Fragment: tombstone, replace into the probed key, split, pending.
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     7 => RowEdit::Remove,
                     13 => RowEdit::Replace(vec![t(42)]),
@@ -1730,7 +1698,8 @@ mod tests {
                     _ => RowEdit::Keep,
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         s.push(t(42));
         for probe in [
@@ -1748,7 +1717,7 @@ mod tests {
                 .filter(|tp| probe.matches(tp.value(0)))
                 .cloned()
                 .collect();
-            let (keyed, visited) = s.keyed_rows(&probe).unwrap().unwrap();
+            let (keyed, visited) = s.keyed_rows(&probe).unwrap();
             assert_eq!(keyed, scan, "probe {probe:?}");
             assert!(
                 visited < s.len() as u64,
@@ -1758,9 +1727,9 @@ mod tests {
     }
 
     #[test]
-    fn keyed_rows_require_an_index() {
+    fn keyed_rows_without_an_index_visit_every_row() {
         let s = TupleStore::from_tuples((0..10).map(t).collect());
-        assert!(s.keyed_rows(&eq_probe(3)).unwrap().is_none());
+        assert_eq!(s.keyed_rows(&eq_probe(3)).unwrap(), (vec![t(3)], 10));
     }
 
     #[test]
@@ -1768,33 +1737,39 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..10_000).map(t).collect());
         s.create_key_index(0).unwrap();
         let before = s.qual_work();
-        let r = s
-            .edit_where(&eq_probe(5_000), |tp| {
+        let written = s
+            .edit(Some(&eq_probe(5_000)), |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int() == Some(5_000) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap()
             .unwrap();
-        assert_eq!(r.written, 1);
-        assert_eq!(s.qual_work() - before, r.visited);
-        assert!(r.visited <= 8, "one-key edit visited {} rows", r.visited);
+        assert_eq!(written, 1);
+        let visited = s.qual_work() - before;
+        assert!(visited <= 8, "one-key edit visited {visited} rows");
         // The scan path meters every live row.
         let before = s.qual_work();
-        s.edit(|_| Ok::<_, PagerError>(RowEdit::Keep)).unwrap();
+        s.edit(None, |_| Ok::<_, PagerError>(RowEdit::Keep))
+            .unwrap();
         assert_eq!(s.qual_work() - before, s.len() as u64);
     }
 
     #[test]
-    fn edit_where_requires_an_index() {
+    fn edit_without_an_index_visits_every_row() {
         let mut s = TupleStore::from_tuples((0..10).map(t).collect());
-        assert!(s
-            .edit_where(&eq_probe(3), |_| Ok::<_, PagerError>(RowEdit::Keep))
-            .unwrap()
-            .is_none());
         assert!(s.qualification_estimate(&eq_probe(3)).is_none());
+        let remove_3 = |tp: &Tuple| {
+            Ok::<_, PagerError>(if tp.value(0).as_int() == Some(3) {
+                RowEdit::Remove
+            } else {
+                RowEdit::Keep
+            })
+        };
+        assert_eq!(s.edit(Some(&eq_probe(3)), remove_3).unwrap(), 1);
+        assert_eq!(s.qual_work(), 10);
+        assert_eq!(ints(&s), vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -1852,7 +1827,7 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..2 * TARGET_CHUNK_ROWS as i64).map(t).collect());
         // Dirty the second chunk past the 25 % trigger.
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 let x = tp.value(0).as_int().unwrap();
                 Ok::<_, PagerError>(if (600..740).contains(&x) {
                     RowEdit::Remove
@@ -1860,7 +1835,8 @@ mod tests {
                     RowEdit::Keep
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         let base = s.clone();
         assert!(s.should_compact_runs());
@@ -1898,14 +1874,15 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..1300).map(t).collect());
         s.create_key_index(0).unwrap();
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     7 => RowEdit::Remove,
                     600 => RowEdit::Replace(vec![t(-600), t(-601)]),
                     _ => RowEdit::Keep,
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         s.seal_pending();
         let rebuilt = TupleStore::from_parts(s.chunk_parts(), None, s.indexed_columns());
@@ -1934,14 +1911,15 @@ mod tests {
             fork.push(t(10_000 + i));
         }
         let plan = fork
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(match tp.value(0).as_int().unwrap() {
                     x if (100..400).contains(&x) => RowEdit::Remove,
                     500 => RowEdit::Replace(vec![t(1), t(2)]),
                     _ => RowEdit::Keep,
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         fork.apply_edits(plan);
         fork.create_key_index(0).unwrap(); // idempotent: must not journal
         fork.compact_runs().unwrap();
@@ -1975,14 +1953,15 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..5000).map(t).collect());
         s.begin_journal();
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int().unwrap() % 500 == 0 {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         s.compact().unwrap();
         let ops = s.take_journal().unwrap();
@@ -2003,14 +1982,15 @@ mod tests {
         let mut s = TupleStore::from_tuples((0..100).map(t).collect());
         assert!(!s.should_compact());
         let plan = s
-            .plan_edits(|tp| {
+            .plan_edits(None, |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int().unwrap() < 60 {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap();
+            .unwrap()
+            .0;
         s.apply_edits(plan);
         assert!(s.should_compact());
         s.compact().unwrap();
@@ -2111,7 +2091,7 @@ mod tests {
         // pages the cold chunk in and releases it.
         let mut s = cold_store(&pager);
         let cold = |s: &TupleStore| !s.lazy_views()[0].is_resident();
-        s.edit(|tp| {
+        s.edit(None, |tp| {
             Ok::<_, PagerError>(match tp.value(0).as_int() {
                 Some(3) => RowEdit::Replace(vec![t(-3)]),
                 _ => RowEdit::Keep,
@@ -2123,20 +2103,19 @@ mod tests {
         // A key-index build and a keyed edit do too.
         s.create_key_index(0).unwrap();
         assert!(cold(&s), "the key-index build parked the cold chunk");
-        let r = s
-            .edit_where(&eq_probe(5), |tp| {
+        let written = s
+            .edit(Some(&eq_probe(5)), |tp| {
                 Ok::<_, PagerError>(if tp.value(0).as_int() == Some(5) {
                     RowEdit::Remove
                 } else {
                     RowEdit::Keep
                 })
             })
-            .unwrap()
             .unwrap();
-        assert_eq!(r.written, 1);
+        assert_eq!(written, 1);
         assert!(cold(&s), "a keyed edit parked the cold chunk");
         assert_eq!(pager.loads(), 6);
-        let (rows, _) = s.keyed_rows(&eq_probe(-3)).unwrap().unwrap();
+        let (rows, _) = s.keyed_rows(&eq_probe(-3)).unwrap();
         assert_eq!(rows, vec![t(-3)]);
         assert!(cold(&s), "a keyed read parked the cold chunk");
         let mut want: Vec<i64> = (0..600).filter(|&x| x != 5).collect();
@@ -2172,8 +2151,8 @@ mod tests {
         // Every store-internal reader surfaces the failure as an error.
         let injected = Some(PagerError("injected".into()));
         let keep = |_: &Tuple| Ok::<_, PagerError>(RowEdit::Keep);
-        assert_eq!(s.plan_edits(keep).err(), injected);
-        assert_eq!(keyed.plan_edits_keyed(&eq_probe(5), keep).err(), injected);
+        assert_eq!(s.plan_edits(None, keep).err(), injected);
+        assert_eq!(keyed.plan_edits(Some(&eq_probe(5)), keep).err(), injected);
         assert_eq!(keyed.keyed_rows(&eq_probe(5)).err(), injected);
         let mut failing = s.clone();
         assert_eq!(failing.create_key_index(0).err(), injected);
@@ -2247,8 +2226,7 @@ mod tests {
         let est = s.qualification_estimate(&eq_probe(5)).unwrap();
         assert!(est.keyed < est.scan);
         let (plan, visited) = s
-            .plan_edits_keyed(&eq_probe(5), |_| Ok::<_, PagerError>(RowEdit::Remove))
-            .unwrap()
+            .plan_edits(Some(&eq_probe(5)), |_| Ok::<_, PagerError>(RowEdit::Remove))
             .unwrap();
         assert_eq!(plan.len(), 1);
         assert_eq!(visited, 1);

@@ -246,11 +246,7 @@ pub fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
             let key = |i: &OngoingInterval| (i.ts().a(), i.ts().b(), i.te().a(), i.te().b());
             key(x).cmp(&key(y))
         }
-        (Value::Count(x), Value::Count(y)) => {
-            let kx: Vec<_> = x.pieces().collect();
-            let ky: Vec<_> = y.pieces().collect();
-            kx.cmp(&ky)
-        }
+        (Value::Count(x), Value::Count(y)) => x.cmp(y),
         _ => rank(a).cmp(&rank(b)).then(Ordering::Equal),
     }
 }

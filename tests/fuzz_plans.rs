@@ -256,8 +256,9 @@ fn computed_projection(rng: &mut SmallRng, b: QueryBuilder) -> Option<QueryBuild
 }
 
 /// Plans that steer the optimizer into the access paths a random plan
-/// rarely reaches: a key-equality selection on the key-indexed `T1`
-/// (`KeyScan`), an `overlaps`/`starts`/`finishes` selection against a
+/// rarely reaches: a key-equality or key-range selection (either operand
+/// order, sometimes an empty range) on the key-indexed `T1` (`KeyScan`),
+/// an `overlaps`/`starts`/`finishes` selection against a
 /// window literal, a hash join building on a bare scan of the key-indexed
 /// `T1`, and an interval join (`SweepJoin`) — each with a random residual
 /// conjunct.
@@ -268,8 +269,17 @@ fn access_path_query(rng: &mut SmallRng, db: &Database) -> QueryBuilder {
             let b = QueryBuilder::scan_as(db, "T1", "K1").unwrap();
             let residual = random_pred(rng, b.schema());
             let key = rng.gen_range(0..4i64);
-            b.filter(|_| Ok(Expr::Col(0).eq(Expr::lit(key)).and(residual)))
-                .unwrap()
+            let (k, c) = (|| Expr::Col(0), |v: i64| Expr::lit(v));
+            let probe = match rng.gen_range(0..4) {
+                0 => k().eq(c(key)),
+                // key <= K < key + 1
+                1 => c(key).le(k()).and(k().lt(c(key + 1))),
+                // key - 1 < K <= key
+                2 => k().le(c(key)).and(c(key - 1).lt(k())),
+                // key < K < key: empty
+                _ => c(key).lt(k()).and(k().lt(c(key))),
+            };
+            b.filter(|_| Ok(probe.and(residual))).unwrap()
         }
         1 => {
             let b = QueryBuilder::scan_as(db, table, "I").unwrap();
@@ -331,6 +341,12 @@ fn assert_commutes(
                 seen.insert(op);
             }
         }
+        if explain
+            .lines()
+            .any(|l| l.contains("KeyScan") && l.contains(" in ("))
+        {
+            seen.insert(RANGE_KEY_SCAN);
+        }
         let ctx = cfg.exec_context();
         let ongoing = match phys.execute_with_stats(&ctx) {
             Ok((o, _)) => o,
@@ -346,6 +362,9 @@ fn assert_commutes(
         }
     }
 }
+
+/// Marks a plan whose `KeyScan` line shows a range probe.
+const RANGE_KEY_SCAN: &str = "KeyScan over a key range";
 
 /// EXPLAIN fragments of the operators the master-criterion fuzzer must
 /// reach.
@@ -390,7 +409,7 @@ fn random_plans_commute_with_bind() {
         let label = format!("access-path trial {trial}");
         assert_commutes(&db, &plan, &rts, &label, &mut seen);
     }
-    for op in OPERATORS {
+    for op in OPERATORS.iter().chain([&RANGE_KEY_SCAN]) {
         assert!(seen.contains(op), "no generated plan lowered {op}");
     }
     // Filters and join residuals in the shapes compiled predicates decide

@@ -12,18 +12,19 @@
 //!    touched) qualification work: flat (≤ 1.1×) across a 10× table-size
 //!    step, while the scan path grows ~10× (the PR's acceptance
 //!    criterion).
-//! 3. **Cost-based choice** — `Modifier` picks the index for selective
-//!    probes and falls back to the scan when the probe matches
-//!    everything, via the cost model's `qualification_path`.
+//! 3. **Cost-based choice** — `OngoingRelation::key_probe` (the one
+//!    keyed-vs-scan decision, shared by `Modifier` and `KeyScan`) picks
+//!    the index for selective probes and falls back to the scan when the
+//!    probe matches everything.
 //! 4. **Probe extraction** — equality and range conjuncts (either
 //!    operand order) drive the index; type-mismatched constants and
 //!    ongoing columns never do.
 
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
-use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
+use ongoing_relation::{Expr, KeyProbe, OngoingRelation, Schema, Tuple, Value};
 use ongoingdb::engine::modify::Modifier;
-use ongoingdb::engine::{Database, EngineError, QualPath};
+use ongoingdb::engine::{Database, EngineError};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -211,30 +212,30 @@ fn keyed_qualification_work_is_flat_across_table_sizes() {
 
 #[test]
 fn cost_model_flips_between_index_and_scan() {
-    let mut rel = seeded(4_000, true);
-    let m = Modifier::new(&mut rel, "VT").unwrap();
+    let rel = seeded(4_000, true);
     // Selective equality: keyed.
-    match m.qualification(&k_eq(17)) {
-        QualPath::Keyed { col, keyed, scan } => {
-            assert_eq!(col, 0);
-            assert!(keyed < scan, "keyed {keyed} must beat scan {scan}");
+    let probe = rel
+        .key_probe(&k_eq(17))
+        .expect("selective probe uses the index");
+    assert_eq!(
+        probe,
+        KeyProbe::Eq {
+            col: 0,
+            key: Value::Int(17)
         }
-        other => panic!("selective probe must use the index, got {other:?}"),
-    }
+    );
+    let est = rel.qualification_estimate(&probe).unwrap();
+    assert!(est.keyed < est.scan, "{est:?}");
     // A probe matching every row: the scan's constants win.
     let all = Expr::lit(-1i64).le(Expr::Col(0));
     assert!(
-        !m.qualification(&all).is_keyed(),
+        rel.key_probe(&all).is_none(),
         "probe matching everything must fall back to the scan"
     );
     // No usable conjunct (inequality only): scan.
-    assert!(!m
-        .qualification(&Expr::Col(0).ne(Expr::lit(5i64)))
-        .is_keyed());
+    assert!(rel.key_probe(&Expr::Col(0).ne(Expr::lit(5i64))).is_none());
     // Predicate on an unindexed column: scan.
-    assert!(!m
-        .qualification(&Expr::Col(1).eq(Expr::lit(3i64)))
-        .is_keyed());
+    assert!(rel.key_probe(&Expr::Col(1).eq(Expr::lit(3i64))).is_none());
 }
 
 #[test]
@@ -247,13 +248,12 @@ fn range_conjuncts_qualify_through_the_index() {
         .eq(Expr::lit(4i64))
         .and(Expr::lit(100i64).le(Expr::Col(0)))
         .and(Expr::Col(0).lt(Expr::lit(140i64)));
-    {
-        let m = Modifier::new(&mut indexed, "VT").unwrap();
-        match m.qualification(&pred) {
-            QualPath::Keyed { keyed, scan, .. } => assert!(keyed < scan / 10),
-            other => panic!("range probe must use the index, got {other:?}"),
-        }
-    }
+    let probe = indexed
+        .key_probe(&pred)
+        .expect("range probe uses the index");
+    assert!(matches!(probe, KeyProbe::Range { col: 0, .. }), "{probe:?}");
+    let est = indexed.qualification_estimate(&probe).unwrap();
+    assert!(est.keyed < est.scan / 10, "{est:?}");
     let qual_before = indexed.qual_work();
     let a = Modifier::new(&mut indexed, "VT")
         .unwrap()
@@ -303,8 +303,7 @@ fn type_mismatched_constants_never_drive_the_index() {
     // `K = "x"` on an Int column type-errors on every row under a scan;
     // the keyed path must not silently skip those rows instead.
     let mut rel = seeded(100, true);
-    let m = Modifier::new(&mut rel, "VT").unwrap();
-    assert!(!m.qualification(&Expr::Col(0).eq(Expr::lit("x"))).is_keyed());
+    assert!(rel.key_probe(&Expr::Col(0).eq(Expr::lit("x"))).is_none());
     let err = Modifier::new(&mut rel, "VT")
         .unwrap()
         .delete(&Expr::Col(0).eq(Expr::lit("x")));

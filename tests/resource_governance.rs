@@ -374,6 +374,57 @@ fn engine_readers_of_a_cold_table_stay_within_budget_and_leave_it_cold() {
 }
 
 #[test]
+fn keyed_read_of_a_cold_table_scans_within_budget_and_leaves_it_cold() {
+    // A key index on `T.K`, persisted; a budgeted reopen pages `T` in
+    // cold, and cold chunks carry no key maps, so the keyed path is not
+    // available and the read must plan a scan instead of failing.
+    let dir = TempDir::new("govern-keyed-read");
+    let budget = seed_out_of_core(dir.path());
+    {
+        let db = Database::open_with(dir.path(), opts(u64::MAX)).unwrap();
+        db.create_key_index("T", "K").unwrap();
+        db.persist().unwrap();
+    }
+    let text = "SELECT K, G FROM T WHERE K = 5";
+    let read = |memory_budget: u64| {
+        let db = Database::open_with(dir.path(), opts(memory_budget)).unwrap();
+        let ongoing = pinned_rows(&sql::query(&db, text).unwrap());
+        let plan = sql::plan_query(&db, text).unwrap();
+        let at = ongoingdb::engine::execute_at(&db, &plan, tp(RT)).unwrap();
+        let explain = match sql::run_statement(&db, &format!("EXPLAIN {text}")).unwrap() {
+            sql::StatementResult::Explained(text) => text,
+            other => panic!("EXPLAIN returned {other:?}"),
+        };
+        (db, (ongoing, at), explain)
+    };
+    let (db, answer, explain) = read(budget);
+    assert!(
+        explain.contains("Filter") && explain.contains("SeqScan") && !explain.contains("KeyScan"),
+        "a cold T must be read by a scan:\n{explain}"
+    );
+    assert!(t_is_cold(&db), "the keyed read left T's chunks resident");
+    let peak = db.durable_stats().unwrap().cache_peak_bytes;
+    assert!(
+        peak <= budget,
+        "peak resident {peak} exceeded budget {budget}"
+    );
+    let (_, want, resident_explain) = read(u64::MAX);
+    assert!(
+        resident_explain.contains("KeyScan"),
+        "a resident T must use its key index:\n{resident_explain}"
+    );
+    assert_eq!(want.0.len(), 1);
+    assert_eq!(answer, want, "the cold read diverged from the resident one");
+    // A keyed modification of the same cold table still commits.
+    let n = db
+        .modify_table("T", |rel| {
+            Modifier::new(rel, "VT")?.terminate(&Expr::Col(0).eq(Expr::lit(5i64)), tp(30))
+        })
+        .unwrap();
+    assert_eq!(n, 1);
+}
+
+#[test]
 fn disk_corruption_on_the_write_path_is_an_error_not_a_panic() {
     let dir = TempDir::new("govern-corrupt");
     let budget = seed_out_of_core(dir.path());

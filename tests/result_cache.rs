@@ -217,6 +217,7 @@ fn keyed_read_paths_match_the_unindexed_plans() {
     let cases = [
         "SELECT K, C, VT FROM T WHERE K = 7",
         "SELECT K, C, VT FROM T WHERE K = 7 AND C = 'x'",
+        "SELECT K, C, VT FROM T WHERE K >= 5 AND 8 > K AND C != 'y'",
         "SELECT S.K, T.C FROM S JOIN T ON S.K = T.K",
     ];
     for (i, sql) in cases.iter().enumerate() {
@@ -227,12 +228,13 @@ fn keyed_read_paths_match_the_unindexed_plans() {
             };
             let pi = compile(&indexed, &plan_query(&indexed, sql).unwrap(), &cfg).unwrap();
             let pp = compile(&plain, &plan_query(&plain, sql).unwrap(), &cfg).unwrap();
-            if i < 2 {
+            if i < 3 {
                 assert!(
                     pi.explain().contains("KeyScan"),
                     "case {i} should lower to a KeyScan:\n{}",
                     pi.explain()
                 );
+                assert_eq!(pi.explain().contains(" in ("), i == 2, "range probe");
             } else {
                 assert!(
                     pi.explain().contains("HashJoin"),

@@ -1,20 +1,27 @@
 //! Seeded byte-level fuzz of the SQL front end: no input text may panic
-//! the lexer, the parser or the planner.
+//! the lexer, the parser, the planner or the optimizer.
 //!
-//! Over 20 000 inputs go through [`plan_query`] against a one-table
-//! database — random bytes, random strings over the OngoingQL token
+//! Over 20 000 inputs go through [`plan_query`] and, when they plan,
+//! [`compile`] against a one-table database with a key index — once
+//! resident and once reopened cold under a small memory budget, where the
+//! chunks carry no key maps and the optimizer must fall back to a scan.
+//! The inputs are random bytes, random strings over the OngoingQL token
 //! alphabet, and truncations and one-byte mutations of valid queries.
 //! Each must come back as `Ok` or `Err`; a panic fails the test with the
-//! offending input.
+//! offending input. Nothing is executed: a 16-relation product of the
+//! 4-row table has 4^16 rows.
 
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
 use ongoing_relation::{OngoingRelation, Schema, Value};
+use ongoingdb::engine::plan::{compile, PlannerConfig};
 use ongoingdb::engine::sql::plan_query;
-use ongoingdb::engine::Database;
+use ongoingdb::engine::storage::{DurableOptions, TempDir};
+use ongoingdb::engine::{Database, Result};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 /// Valid queries over `T(K, C, OK, VT)`, covering the grammar: projections
 /// and aliases, every comparison and Table II predicate, the scalar
@@ -33,6 +40,14 @@ const VALID: &[&str] = &[
     "SELECT K FROM T WHERE START(VT) < DATE '2020-02-29' AND END(VT) > NOW",
     "SELECT K FROM T UNION SELECT K FROM T EXCEPT SELECT K FROM T WHERE OK = FALSE",
     "SELECT C FROM T WHERE C = 'it''s' -- trailing comment",
+];
+
+/// Seed queries whose range conjuncts on the key-indexed `K` derive a
+/// range probe. Checked like [`VALID`] but not mutated, so the mutation
+/// stream over `VALID` stays as it is.
+const KEY_RANGES: &[&str] = &[
+    "SELECT K FROM T WHERE K >= 1 AND K < 3",
+    "SELECT * FROM T WHERE 2 < K",
 ];
 
 /// Fragments the token-alphabet generator strings together.
@@ -103,7 +118,8 @@ const TOKENS: &[&str] = &[
     "\u{0}",
 ];
 
-fn fixture() -> Database {
+/// Creates the 4-row `T(K, C, OK, VT)` with a key index on `K` in `db`.
+fn populate(db: &Database) {
     let schema = Schema::builder()
         .int("K")
         .str("C")
@@ -120,9 +136,30 @@ fn fixture() -> Database {
         ])
         .unwrap();
     }
-    let db = Database::new();
     db.create_table("T", rel).unwrap();
+    db.create_key_index("T", "K").unwrap();
+}
+
+fn fixture() -> Database {
+    let db = Database::new();
+    populate(&db);
     db
+}
+
+/// The fixture persisted in `dir` and reopened under a budget below its
+/// one chunk, so `T`'s chunk is cold and has no key map.
+fn cold_fixture(dir: &Path) -> Database {
+    let opts = |memory_budget| DurableOptions {
+        fsync: false,
+        checkpoint_bytes: u64::MAX,
+        memory_budget,
+    };
+    {
+        let db = Database::open_with(dir, opts(u64::MAX)).unwrap();
+        populate(&db);
+        db.persist().unwrap();
+    }
+    Database::open_with(dir, opts(64)).unwrap()
 }
 
 fn random_bytes(rng: &mut SmallRng) -> String {
@@ -164,12 +201,33 @@ fn mutated_query(rng: &mut SmallRng) -> String {
 
 #[test]
 fn sql_front_end_never_panics() {
-    let db = fixture();
-    for sql in VALID {
-        if let Err(e) = plan_query(&db, sql) {
+    let dir = TempDir::new("sql-fuzz");
+    let dbs = [fixture(), cold_fixture(dir.path())];
+    let cfg = PlannerConfig::default();
+    // Plans `sql` against each fixture and compiles what plans.
+    let front_end = |sql: &str| -> Result<()> {
+        for db in &dbs {
+            compile(db, &plan_query(db, sql)?, &cfg)?;
+        }
+        Ok(())
+    };
+    for sql in VALID.iter().chain(KEY_RANGES) {
+        if let Err(e) = front_end(sql) {
             panic!("seed query must plan: {sql}: {e}");
         }
     }
+    // The fixtures reach both access paths: keyed when resident, a scan
+    // when cold.
+    let explain = |db: &Database| {
+        let plan = plan_query(db, "SELECT K FROM T WHERE K = 3").unwrap();
+        compile(db, &plan, &cfg).unwrap().explain()
+    };
+    assert!(explain(&dbs[0]).contains("KeyScan"), "{}", explain(&dbs[0]));
+    assert!(
+        !explain(&dbs[1]).contains("KeyScan"),
+        "{}",
+        explain(&dbs[1])
+    );
     let mut rng = SmallRng::seed_from_u64(20261018);
     let (mut ok, mut err) = (0usize, 0usize);
     for i in 0..21_000 {
@@ -178,7 +236,7 @@ fn sql_front_end_never_panics() {
             1 => random_tokens(&mut rng),
             _ => mutated_query(&mut rng),
         };
-        match catch_unwind(AssertUnwindSafe(|| plan_query(&db, &sql))) {
+        match catch_unwind(AssertUnwindSafe(|| front_end(&sql))) {
             Ok(Ok(_)) => ok += 1,
             Ok(Err(_)) => err += 1,
             Err(_) => panic!("input {i} panicked the SQL front end: {sql:?}"),
