@@ -4,6 +4,11 @@
 //! fluent [`QueryBuilder`], which resolves attribute names to positions as
 //! the plan grows — the same role the parser/analyzer plays in the paper's
 //! PostgreSQL prototype.
+//!
+//! As in the paper's algebra, `⋈_θ` is `σ_θ(×)`, so one node covers both:
+//! [`LogicalPlan::Join`] without a predicate is the Cartesian product. A
+//! logical plan has no rendering of its own; `EXPLAIN` shows the physical
+//! plan it compiles to (`compile(..)?.explain()`).
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
@@ -36,21 +41,15 @@ pub enum LogicalPlan {
         /// Pre-computed output schema.
         schema: Schema,
     },
-    /// Theta-join `⋈_θ` (σ_θ over the product, fused).
+    /// Theta-join `⋈_θ` (σ_θ over the product, fused); without a
+    /// predicate, the Cartesian product `×`.
     Join {
         /// Left input.
         left: Box<LogicalPlan>,
         /// Right input.
         right: Box<LogicalPlan>,
-        /// Join predicate over the concatenated schema.
-        pred: Expr,
-    },
-    /// Cartesian product `×`.
-    Product {
-        /// Left input.
-        left: Box<LogicalPlan>,
-        /// Right input.
-        right: Box<LogicalPlan>,
+        /// Join predicate over the concatenated schema (`None`: `×`).
+        pred: Option<Expr>,
     },
     /// Union `∪` (type-compatible inputs).
     Union {
@@ -88,67 +87,9 @@ impl LogicalPlan {
             LogicalPlan::Scan { schema, .. } => schema.clone(),
             LogicalPlan::Select { input, .. } => input.schema(),
             LogicalPlan::Project { schema, .. } => schema.clone(),
-            LogicalPlan::Join { left, right, .. } | LogicalPlan::Product { left, right } => {
-                left.schema().product(&right.schema())
-            }
+            LogicalPlan::Join { left, right, .. } => left.schema().product(&right.schema()),
             LogicalPlan::Union { left, .. } | LogicalPlan::Difference { left, .. } => left.schema(),
             LogicalPlan::Aggregate { schema, .. } => schema.clone(),
-        }
-    }
-
-    /// One-line-per-node plan rendering for tests and EXPLAIN-style output.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(0, &mut out);
-        out
-    }
-
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
-        match self {
-            LogicalPlan::Scan { table, .. } => {
-                out.push_str(&format!("{pad}Scan {table}\n"));
-            }
-            LogicalPlan::Select { input, pred } => {
-                out.push_str(&format!("{pad}Select {pred}\n"));
-                input.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Project { input, items, .. } => {
-                out.push_str(&format!("{pad}Project [{} cols]\n", items.len()));
-                input.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Join { left, right, pred } => {
-                out.push_str(&format!("{pad}Join {pred}\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Product { left, right } => {
-                out.push_str(&format!("{pad}Product\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Union { left, right } => {
-                out.push_str(&format!("{pad}Union\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Difference { left, right } => {
-                out.push_str(&format!("{pad}Difference\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_cols,
-                aggs,
-                ..
-            } => {
-                out.push_str(&format!(
-                    "{pad}Aggregate group by {group_cols:?} [{} aggs]\n",
-                    aggs.len()
-                ));
-                input.explain_into(depth + 1, out);
-            }
         }
     }
 }
@@ -223,19 +164,20 @@ impl QueryBuilder {
             plan: LogicalPlan::Join {
                 left: Box::new(self.plan),
                 right: Box::new(right.plan),
-                pred,
+                pred: Some(pred),
             },
             schema,
         })
     }
 
-    /// Appends a Cartesian product.
+    /// Appends a Cartesian product: a join without a predicate.
     pub fn product(self, right: QueryBuilder) -> Self {
         let schema = self.schema.product(&right.schema);
         QueryBuilder {
-            plan: LogicalPlan::Product {
+            plan: LogicalPlan::Join {
                 left: Box::new(self.plan),
                 right: Box::new(right.plan),
+                pred: None,
             },
             schema,
         }
@@ -423,10 +365,12 @@ mod tests {
             .unwrap()
             .build();
         assert_eq!(plan.schema().len(), 6);
-        let explain = plan.explain();
-        assert!(explain.contains("Join"));
-        assert!(explain.contains("Scan B"));
-        assert!(explain.contains("Scan P"));
+        let explain = crate::plan::compile(&db, &plan, &Default::default())
+            .unwrap()
+            .explain();
+        assert!(explain.contains("HashJoin"), "{explain}");
+        assert!(explain.contains("SeqScan B"), "{explain}");
+        assert!(explain.contains("SeqScan P"), "{explain}");
     }
 
     #[test]

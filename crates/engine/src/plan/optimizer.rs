@@ -12,6 +12,10 @@
 //! [`rewrite`] performs the logical rewrites; [`compile`] picks physical
 //! operators under a [`PlannerConfig`], whose join strategy lets tests and
 //! the `repro_*` binaries force one join algorithm against the others.
+//! A join lowers to one of two physical nodes: the hash join, which on no
+//! keys is the nested loop (`EXPLAIN`: `NestedLoopJoin`) — what a product,
+//! [`JoinStrategy::NestedLoop`] and every fallback compile to — or the
+//! envelope sweep join.
 //!
 //! A selection directly over a base scan lowers to a `KeyScan` exactly
 //! when [`OngoingRelation::key_probe`](ongoing_relation::OngoingRelation::key_probe)
@@ -29,16 +33,17 @@
 //! statistics it falls back to the classic fixed priority
 //! (hash > sweep > nested loops).
 
-use crate::catalog::Database;
-use crate::error::Result;
+use crate::catalog::{Database, Table};
+use crate::error::{EngineError, Result};
 use crate::exec::ExecContext;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::physical::{sweepable_columns, PhysicalPlan};
 use crate::stats::cost;
-use ongoing_relation::{Expr, Predicate, Schema, ValueType};
+use ongoing_relation::{Expr, Predicate, Schema, SchemaError, ValueType};
 use std::sync::Arc;
 
-/// Join algorithm selection policy.
+/// Join algorithm selection policy. "Nested loops" is the hash join on
+/// no keys, with every conjunct as its residual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Cost-based choice from collected statistics (see the
@@ -51,8 +56,8 @@ pub enum JoinStrategy {
     /// Force the envelope sweep join whenever a sweep-sound temporal
     /// conjunct exists (explicit override; nested loops otherwise).
     Sweep,
-    /// Force hash joins on fixed equality keys (explicit override; nested
-    /// loops otherwise).
+    /// Force hash joins on fixed equality keys (explicit override; on no
+    /// keys that is the nested loop).
     Hash,
 }
 
@@ -83,9 +88,15 @@ fn and_all(preds: Vec<Expr>) -> Option<Expr> {
     preds.into_iter().reduce(Expr::and)
 }
 
-/// Logical rewrites: merge selections into joins, turn selected products
-/// into joins, push single-side conjuncts below joins, and fuse stacked
-/// selections.
+/// The conjuncts of an optional predicate (none when absent) — the
+/// inverse of [`and_all`].
+fn conjuncts(pred: Option<Expr>) -> Vec<Expr> {
+    pred.map(|p| p.conjuncts()).unwrap_or_default()
+}
+
+/// Logical rewrites: merge selections into joins (a product is a join
+/// without a predicate), push single-side conjuncts below joins, and fuse
+/// stacked selections.
 pub fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     match plan {
         LogicalPlan::Select { input, pred } => match rewrite(*input) {
@@ -94,11 +105,10 @@ pub fn rewrite(plan: LogicalPlan) -> LogicalPlan {
                 right,
                 pred: jp,
             } => {
-                let mut cs = jp.conjuncts();
+                let mut cs = conjuncts(jp);
                 cs.extend(pred.conjuncts());
                 rewrite_join(*left, *right, cs)
             }
-            LogicalPlan::Product { left, right } => rewrite_join(*left, *right, pred.conjuncts()),
             LogicalPlan::Select {
                 input: inner,
                 pred: p2,
@@ -112,12 +122,8 @@ pub fn rewrite(plan: LogicalPlan) -> LogicalPlan {
             },
         },
         LogicalPlan::Join { left, right, pred } => {
-            rewrite_join(rewrite(*left), rewrite(*right), pred.conjuncts())
+            rewrite_join(rewrite(*left), rewrite(*right), conjuncts(pred))
         }
-        LogicalPlan::Product { left, right } => LogicalPlan::Product {
-            left: Box::new(rewrite(*left)),
-            right: Box::new(rewrite(*right)),
-        },
         LogicalPlan::Project {
             input,
             items,
@@ -151,7 +157,7 @@ pub fn rewrite(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// Distributes join conjuncts: single-side ones become selections below the
-/// join, the rest stay as the join predicate.
+/// join, the rest stay as the join predicate (none left: a product).
 fn rewrite_join(left: LogicalPlan, right: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
     let la = left.schema().len();
     let mut left_preds = Vec::new();
@@ -174,27 +180,17 @@ fn rewrite_join(left: LogicalPlan, right: LogicalPlan, conjuncts: Vec<Expr>) -> 
         }),
         None => input,
     };
-    let (left, right) = (select(left, left_preds), select(right, right_preds));
-    match and_all(join_preds) {
-        Some(pred) => LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            pred,
-        },
-        None => LogicalPlan::Product {
-            left: Box::new(left),
-            right: Box::new(right),
-        },
+    LogicalPlan::Join {
+        left: Box::new(select(left, left_preds)),
+        right: Box::new(select(right, right_preds)),
+        pred: and_all(join_preds),
     }
 }
 
 /// Splits an optional predicate into its fixed and ongoing conjuncts
 /// (Sec. VIII).
 fn split_pred(pred: Option<Expr>, schema: &Schema) -> (Option<Expr>, Option<Expr>) {
-    match pred {
-        None => (None, None),
-        Some(p) => p.split_fixed_ongoing(schema),
-    }
+    pred.map_or((None, None), |p| p.split_fixed_ongoing(schema))
 }
 
 /// [`split_pred`], each part compiled once into conjunct kernels here —
@@ -215,10 +211,24 @@ pub fn compile(db: &Database, plan: &LogicalPlan, cfg: &PlannerConfig) -> Result
     compile_node(db, rewritten, cfg)
 }
 
+/// The table a scan reads, provided it still has the attribute types the
+/// plan was built against: a plan built before `put_table` changed the
+/// table's schema is an error here, not a failure at execution.
+fn scan_table(db: &Database, table: &str, schema: &Schema) -> Result<Arc<Table>> {
+    let resolved = db.table(table)?;
+    if !resolved.schema().compatible_with(schema) {
+        return Err(EngineError::Schema(SchemaError::Mismatch(format!(
+            "table `{table}` is now {}, the plan scans it as {schema}",
+            resolved.schema()
+        ))));
+    }
+    Ok(resolved)
+}
+
 fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result<PhysicalPlan> {
     match plan {
         LogicalPlan::Scan { table, schema } => Ok(PhysicalPlan::SeqScan {
-            table: db.table(&table)?,
+            table: scan_table(db, &table, &schema)?,
             schema,
         }),
         LogicalPlan::Select { input, pred } => {
@@ -231,7 +241,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
                 schema: ref scan_schema,
             } = *input
             {
-                let resolved = db.table(table)?;
+                let resolved = scan_table(db, table, scan_schema)?;
                 if let Some(probe) = resolved.data().key_probe(&pred) {
                     let (fixed, ongoing) = split_compiled(Some(pred), &schema);
                     return Ok(PhysicalPlan::KeyScan {
@@ -262,18 +272,7 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
         LogicalPlan::Join { left, right, pred } => {
             let schema = left.schema().product(&right.schema());
             let la = left.schema().len();
-            let conjuncts = pred.conjuncts();
-            compile_join(db, *left, *right, conjuncts, &schema, la, cfg)
-        }
-        LogicalPlan::Product { left, right } => {
-            let l = compile_node(db, *left, cfg)?;
-            let r = compile_node(db, *right, cfg)?;
-            Ok(PhysicalPlan::NestedLoopJoin {
-                left: Box::new(l),
-                right: Box::new(r),
-                fixed: None,
-                ongoing: None,
-            })
+            compile_join(db, *left, *right, conjuncts(pred), &schema, la, cfg)
         }
         LogicalPlan::Union { left, right } => Ok(PhysicalPlan::Union {
             left: Box::new(compile_node(db, *left, cfg)?),
@@ -298,11 +297,12 @@ fn compile_node(db: &Database, plan: LogicalPlan, cfg: &PlannerConfig) -> Result
 }
 
 /// The physical join operators the optimizer enumerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 enum JoinChoice {
-    Hash,
-    Sweep,
-    Nested,
+    /// Hash join on these `(left, right)` keys; on none, the nested loop.
+    Hash(Vec<(usize, usize)>),
+    /// Envelope sweep join over these `(left, right-local)` columns.
+    Sweep(usize, usize),
 }
 
 fn compile_join(
@@ -343,45 +343,45 @@ fn compile_join(
         .find_map(|c| sweepable_columns(c, split_at))
         .filter(|&(i, j)| interval_type(i) && interval_type(split_at + j));
 
-    let choice = match cfg.join_strategy {
-        JoinStrategy::NestedLoop => JoinChoice::Nested,
-        JoinStrategy::Hash if !keys.is_empty() => JoinChoice::Hash,
-        JoinStrategy::Hash => JoinChoice::Nested,
-        JoinStrategy::Sweep if sweep.is_some() => JoinChoice::Sweep,
-        JoinStrategy::Sweep => JoinChoice::Nested,
-        JoinStrategy::Auto => choose_join(&l, &r, &keys, sweep, &conjuncts, &hash_residual, schema),
+    // Every fallback — no keys, no sweepable conjunct — is the nested
+    // loop: the hash join on no keys.
+    let choice = match (cfg.join_strategy, sweep) {
+        (JoinStrategy::NestedLoop, _) => JoinChoice::Hash(Vec::new()),
+        (JoinStrategy::Hash, _) => JoinChoice::Hash(keys),
+        (JoinStrategy::Sweep, Some((i, j))) => JoinChoice::Sweep(i, j),
+        (JoinStrategy::Sweep, None) => JoinChoice::Hash(Vec::new()),
+        (JoinStrategy::Auto, _) => {
+            choose_join(&l, &r, keys, sweep, &conjuncts, &hash_residual, schema)
+        }
     };
 
+    let (l, r) = (Box::new(l), Box::new(r));
     match choice {
-        JoinChoice::Hash => {
-            let (fixed, ongoing) = split_compiled(and_all(hash_residual), schema);
+        JoinChoice::Hash(keys) => {
+            // Without keys every conjunct is residual.
+            let residual = if keys.is_empty() {
+                conjuncts
+            } else {
+                hash_residual
+            };
+            let (fixed, ongoing) = split_compiled(and_all(residual), schema);
             Ok(PhysicalPlan::HashJoin {
-                left: Box::new(l),
-                right: Box::new(r),
+                left: l,
+                right: r,
                 keys,
                 fixed,
                 ongoing,
             })
         }
-        JoinChoice::Sweep => {
-            let (l_col, r_col) = sweep.expect("sweep choice implies a sweepable conjunct");
+        JoinChoice::Sweep(l_col, r_col) => {
             // The envelope pass is a pre-filter; the complete predicate
             // stays as residual.
             let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema);
             Ok(PhysicalPlan::SweepJoin {
-                left: Box::new(l),
-                right: Box::new(r),
+                left: l,
+                right: r,
                 l_col,
                 r_col,
-                fixed,
-                ongoing,
-            })
-        }
-        JoinChoice::Nested => {
-            let (fixed, ongoing) = split_compiled(and_all(conjuncts), schema);
-            Ok(PhysicalPlan::NestedLoopJoin {
-                left: Box::new(l),
-                right: Box::new(r),
                 fixed,
                 ongoing,
             })
@@ -394,14 +394,18 @@ fn compile_join(
 fn choose_join(
     l: &PhysicalPlan,
     r: &PhysicalPlan,
-    keys: &[(usize, usize)],
+    keys: Vec<(usize, usize)>,
     sweep: Option<(usize, usize)>,
     conjuncts: &[Expr],
     hash_residual: &[Expr],
     schema: &Schema,
 ) -> JoinChoice {
+    let heuristic = match sweep {
+        Some((i, j)) if keys.is_empty() => JoinChoice::Sweep(i, j),
+        _ => JoinChoice::Hash(keys.clone()),
+    };
     if keys.is_empty() && sweep.is_none() {
-        return JoinChoice::Nested;
+        return heuristic;
     }
     let le = cost::estimate(l);
     let re = cost::estimate(r);
@@ -409,43 +413,30 @@ fn choose_join(
         // Without statistics the estimates are defaults; keep the
         // pre-statistics priority so un-analyzed databases plan exactly as
         // before.
-        return if keys.is_empty() {
-            JoinChoice::Sweep
-        } else {
-            JoinChoice::Hash
-        };
+        return heuristic;
     }
     let cols = cost::product_cols(&le, &re);
-    let (nl_fixed, nl_ongoing) = split_pred(and_all(conjuncts.to_vec()), schema);
-    let nl = cost::nested_loop_work(&le, &re, nl_fixed.as_ref(), nl_ongoing.as_ref(), &cols)
-        .1
-        .total();
-    let mut best = (JoinChoice::Nested, nl);
+    let (fixed, ongoing) = split_pred(and_all(conjuncts.to_vec()), schema);
+    let (fixed, ongoing) = (fixed.as_ref(), ongoing.as_ref());
+    let nested = cost::hash_join_work(&le, &re, &[], fixed, ongoing, &cols);
+    let mut best = (JoinChoice::Hash(Vec::new()), nested.1.total());
     if let Some((l_col, r_col)) = sweep {
-        let w = cost::sweep_join_work(
-            &le,
-            &re,
-            l_col,
-            r_col,
-            nl_fixed.as_ref(),
-            nl_ongoing.as_ref(),
-            &cols,
-        )
-        .1
-        .total();
+        let w = cost::sweep_join_work(&le, &re, l_col, r_col, fixed, ongoing, &cols)
+            .1
+            .total();
         if w < best.1 {
-            best = (JoinChoice::Sweep, w);
+            best = (JoinChoice::Sweep(l_col, r_col), w);
         }
     }
     if !keys.is_empty() {
         let (h_fixed, h_ongoing) = split_pred(and_all(hash_residual.to_vec()), schema);
-        let w = cost::hash_join_work(&le, &re, keys, h_fixed.as_ref(), h_ongoing.as_ref(), &cols)
+        let w = cost::hash_join_work(&le, &re, &keys, h_fixed.as_ref(), h_ongoing.as_ref(), &cols)
             .1
             .total();
         // Ties go to the hash join: its un-counted constants (building the
         // table) are cheaper than the sweep's envelope sort.
         if w <= best.1 {
-            best = (JoinChoice::Hash, w);
+            best = (JoinChoice::Hash(keys), w);
         }
     }
     best.0

@@ -29,7 +29,7 @@
 //! # Compiled predicates
 //!
 //! Every operator predicate — the fixed and ongoing conjuncts of Filter,
-//! KeyScan and the three joins' residuals — is compiled once,
+//! KeyScan and the two joins' residuals — is compiled once,
 //! when [`compile`](crate::plan::compile) builds the plan, into an
 //! `Arc`-shared [`Predicate`]: per conjunct a kernel for the shapes the
 //! paper's queries use, with the conjunct's [`Expr`] as the fallback, so
@@ -132,21 +132,11 @@ pub enum PhysicalPlan {
         /// Output schema.
         schema: Schema,
     },
-    /// Tuple-at-a-time nested-loop join (outer side partitioned across
-    /// workers).
-    NestedLoopJoin {
-        /// Left (outer) input.
-        left: Box<PhysicalPlan>,
-        /// Right (inner) input.
-        right: Box<PhysicalPlan>,
-        /// Fixed-attribute conjunct.
-        fixed: Option<Arc<Predicate>>,
-        /// Ongoing-attribute conjunct.
-        ongoing: Option<Arc<Predicate>>,
-    },
     /// Hash join on fixed-attribute equality keys, with residual conjuncts.
     /// The build (right) side is collected and hashed once, in both modes;
-    /// probe partitions run concurrently.
+    /// probe partitions run concurrently. On no keys it is the nested-loop
+    /// join — one bucket holding every build row, every probe row paired
+    /// with all of it — and renders as `NestedLoopJoin`.
     HashJoin {
         /// Left (probe) input.
         left: Box<PhysicalPlan>,
@@ -215,8 +205,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Project { schema, .. }
             | PhysicalPlan::Aggregate { schema, .. } => schema.clone(),
             PhysicalPlan::Filter { input, .. } => input.schema(),
-            PhysicalPlan::NestedLoopJoin { left, right, .. }
-            | PhysicalPlan::HashJoin { left, right, .. }
+            PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::SweepJoin { left, right, .. } => left.schema().product(&right.schema()),
             PhysicalPlan::Union { left, .. } | PhysicalPlan::Difference { left, .. } => {
                 left.schema()
@@ -255,8 +244,7 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Aggregate { input, .. } => vec![input],
-            PhysicalPlan::NestedLoopJoin { left, right, .. }
-            | PhysicalPlan::HashJoin { left, right, .. }
+            PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::SweepJoin { left, right, .. }
             | PhysicalPlan::Union { left, right }
             | PhysicalPlan::Difference { left, right } => vec![left, right],
@@ -293,15 +281,22 @@ impl PhysicalPlan {
                 format!("Filter{}", preds(fixed, ongoing))
             }
             PhysicalPlan::Project { items, .. } => format!("Project [{} cols]", items.len()),
-            PhysicalPlan::NestedLoopJoin { fixed, ongoing, .. } => {
-                format!("NestedLoopJoin{}", preds(fixed, ongoing))
-            }
             PhysicalPlan::HashJoin {
                 keys,
                 fixed,
                 ongoing,
                 ..
-            } => format!("HashJoin on {keys:?}{}", preds(fixed, ongoing)),
+            } => {
+                // The keyless hash join keeps the nested loop's label: it
+                // is the EXPLAIN line, the span label per-operator timings
+                // key on and part of the result-cache fingerprint.
+                let op = if keys.is_empty() {
+                    "NestedLoopJoin".to_string()
+                } else {
+                    format!("HashJoin on {keys:?}")
+                };
+                format!("{op}{}", preds(fixed, ongoing))
+            }
             PhysicalPlan::SweepJoin {
                 l_col,
                 r_col,
@@ -434,11 +429,7 @@ impl PhysicalPlan {
                 // O(#chunks) reference bumps, not a row copy. Instantiated,
                 // it still holds the tuples with `rt ∉ RT`; every consumer
                 // skips them.
-                Ok(table
-                    .data()
-                    .clone()
-                    .with_schema(schema.clone())
-                    .expect("scan schema is a rename of the table schema"))
+                Ok(table.data().clone().with_schema(schema.clone())?)
             }
             PhysicalPlan::KeyScan {
                 table,
@@ -512,25 +503,13 @@ impl PhysicalPlan {
                 let tuples = run_morsels(ctx, input, MIN_MORSEL, stats)?;
                 Ok(assemble_tuples(schema.clone(), tuples))
             }
-            PhysicalPlan::NestedLoopJoin {
+            PhysicalPlan::HashJoin {
                 left,
                 right,
+                keys,
                 fixed,
                 ongoing,
-            }
-            | PhysicalPlan::HashJoin {
-                left,
-                right,
-                fixed,
-                ongoing,
-                ..
             } => {
-                // A nested-loop join is the keyless hash join: one bucket
-                // holding every build row, probed in order.
-                let keys: &[(usize, usize)] = match self {
-                    PhysicalPlan::HashJoin { keys, .. } => keys,
-                    _ => &[],
-                };
                 let l = left.run(mode, ctx, stats)?;
                 let r = right.run(mode, ctx, stats)?;
                 let schema = l.schema().product(r.schema());
@@ -547,13 +526,13 @@ impl PhysicalPlan {
                     let key: Vec<Value> = keys.iter().map(|&(_, j)| rt_.value(j).clone()).collect();
                     table.entry(key).or_default().push(i);
                 }
+                // Keyless, every probe row meets the whole build side.
                 let min_chunk = if keys.is_empty() {
                     outer_min_chunk(rows.len())
                 } else {
                     MIN_MORSEL
                 };
-                let keys = keys.to_vec();
-                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
+                let (keys, fixed, ongoing) = (keys.clone(), fixed.clone(), ongoing.clone());
                 let input = Chunks::new(l, move |pinned, out, local| {
                     let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for lt in pinned.iter().filter(|t| mode.keeps(t)) {

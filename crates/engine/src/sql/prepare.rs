@@ -5,8 +5,9 @@
 //! physical plan for as long as it stays valid. A cached plan is reused
 //! only when *nothing it depended on* has changed:
 //!
-//! - every referenced table still resolves to the **same** `Arc<Table>`
-//!   (publications swap the table `Arc`, so a publication invalidates),
+//! - every table the compiled plan reads still resolves to the **same**
+//!   `Arc<Table>` the plan embeds (publications swap the table `Arc`, so
+//!   a publication invalidates),
 //! - every table's optimizer statistics are still the same
 //!   `Arc<TableStatistics>` (an `ANALYZE` swaps the stats `Arc`, which can
 //!   flip join-order or algorithm choices, so it invalidates too),
@@ -19,13 +20,13 @@
 
 use crate::catalog::{Database, Table};
 use crate::error::{EngineError, Result};
+use crate::exec::rescache;
 use crate::exec::ExecStats;
 use crate::plan::{PhysicalPlan, PlannerConfig};
-use crate::sql::ast::{Query, SelectStmt};
+use crate::sql::ast::Query;
 use crate::sql::{compile_query, execute_compiled, parser};
 use crate::stats::TableStatistics;
 use ongoing_relation::OngoingRelation;
-use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// Metric counting plan-cache hits across all prepared statements.
@@ -141,12 +142,17 @@ impl Prepared {
             .counter(PREPARED_MISSES_METRIC)
             .inc();
         let phys = Arc::new(compile_query(db, &self.query, cfg)?);
-        let mut deps = Vec::new();
-        for name in table_names(&self.query) {
-            let table = db.table(&name)?;
-            let stats = table.statistics();
-            deps.push(Dep { name, table, stats });
-        }
+        // The versions the plan embeds, not a second lookup by name: a
+        // publication in between would pair the new version with a plan
+        // that still reads the old one.
+        let deps = rescache::plan_tables(&phys)
+            .into_iter()
+            .map(|table| Dep {
+                name: table.name().to_string(),
+                stats: table.statistics(),
+                table,
+            })
+            .collect();
         *guard = Some(CachedPlan {
             cfg_key,
             deps,
@@ -154,28 +160,6 @@ impl Prepared {
         });
         Ok(phys)
     }
-}
-
-/// Every catalog table name a query references (deduplicated, ordered).
-fn table_names(q: &Query) -> BTreeSet<String> {
-    fn walk(q: &Query, out: &mut BTreeSet<String>) {
-        match q {
-            Query::Select(s) => select_names(s, out),
-            Query::Union(l, r) | Query::Except(l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-        }
-    }
-    fn select_names(s: &SelectStmt, out: &mut BTreeSet<String>) {
-        out.insert(s.from.table.clone());
-        for (t, _) in &s.joins {
-            out.insert(t.table.clone());
-        }
-    }
-    let mut out = BTreeSet::new();
-    walk(q, &mut out);
-    out
 }
 
 #[cfg(test)]

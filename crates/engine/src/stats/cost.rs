@@ -15,8 +15,9 @@
 //! not this model.
 //!
 //! The optimizer uses the per-candidate helpers
-//! ([`hash_join_work`], [`sweep_join_work`], [`nested_loop_work`]) to
-//! enumerate join strategies and pick the cheapest; `EXPLAIN` rendering
+//! ([`hash_join_work`], [`sweep_join_work`]) to enumerate join strategies
+//! and pick the cheapest — a nested loop is [`hash_join_work`] on no keys,
+//! `|L|·|R|` candidate pairs; `EXPLAIN` rendering
 //! ([`explain`](crate::plan::PhysicalPlan::explain) and
 //! [`explain_analyzed`](crate::plan::PhysicalPlan::explain_analyzed)) uses
 //! [`estimate`] to show estimated rows and work next to the actual
@@ -30,11 +31,12 @@
 //! optimizer then keeps the classic heuristic priority (hash > sweep >
 //! nested loops) instead of trusting made-up numbers.
 
+use crate::catalog::Table;
 use crate::plan::physical::PhysicalPlan;
 use crate::stats::{const_envelope, FixedSummary, IntervalSummary};
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_relation::algebra::ProjItem;
-use ongoing_relation::{CmpOp, Expr, Predicate, Value};
+use ongoing_relation::{CmpOp, Expr, Predicate, Schema, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -362,7 +364,7 @@ fn residual_work(
 }
 
 /// Estimated candidate pairs of a hash join on `keys`: uniform-key model
-/// `|L|·|R| / Π max(d_l, d_r)`.
+/// `|L|·|R| / Π max(d_l, d_r)` — `|L|·|R|` on no keys (a nested loop).
 pub fn hash_join_pairs(left: &NodeEstimate, right: &NodeEstimate, keys: &[(usize, usize)]) -> f64 {
     let mut denom = 1.0f64;
     for &(i, j) in keys {
@@ -429,17 +431,6 @@ pub fn sweep_join_work(
     (rows, work)
 }
 
-/// Top-node work of a nested-loop join candidate.
-pub fn nested_loop_work(
-    left: &NodeEstimate,
-    right: &NodeEstimate,
-    fixed: Option<&Expr>,
-    ongoing: Option<&Expr>,
-    cols: &[ColEstimate],
-) -> (f64, WorkEstimate) {
-    residual_work(left.rows * right.rows, fixed, ongoing, cols)
-}
-
 /// Concatenated column estimates of a join product.
 pub fn product_cols(left: &NodeEstimate, right: &NodeEstimate) -> Vec<ColEstimate> {
     let mut cols = left.cols.clone();
@@ -475,6 +466,29 @@ fn source(p: &Option<Arc<Predicate>>) -> Option<&Expr> {
     p.as_deref().map(Predicate::source)
 }
 
+/// A base scan's column estimates — seeded from the table's statistics,
+/// or unknown over `rows` rows when it has none — and whether the table
+/// is analyzed.
+fn scan_cols(table: &Table, schema: &Schema, rows: f64) -> (bool, Vec<ColEstimate>) {
+    let stats = table.statistics();
+    let table_rows = table.data().len() as f64;
+    let cols = (0..schema.len())
+        .map(|i| match &stats {
+            Some(s) => ColEstimate {
+                distinct: s
+                    .fixed(i)
+                    .map(|f| f.distinct as f64)
+                    .unwrap_or(table_rows)
+                    .max(1.0),
+                fixed: s.fixed(i).cloned(),
+                interval: s.interval(i).cloned(),
+            },
+            None => ColEstimate::unknown(rows),
+        })
+        .collect();
+    (stats.is_some(), cols)
+}
+
 /// Estimates rows and work units for every operator of a physical plan
 /// (ongoing-mode execution). Statistics come from the `Arc<Table>` handles
 /// embedded in the scans; un-analyzed tables yield default estimates with
@@ -483,33 +497,12 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
     match plan {
         PhysicalPlan::SeqScan { table, schema } => {
             let rows = table.data().len() as f64;
-            let stats = table.statistics();
-            let cols = match &stats {
-                Some(s) => schema
-                    .attrs()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| ColEstimate {
-                        distinct: s
-                            .fixed(i)
-                            .map(|f| f.distinct as f64)
-                            .unwrap_or(rows)
-                            .max(1.0),
-                        fixed: s.fixed(i).cloned(),
-                        interval: s.interval(i).cloned(),
-                    })
-                    .collect(),
-                None => schema
-                    .attrs()
-                    .iter()
-                    .map(|_| ColEstimate::unknown(rows))
-                    .collect(),
-            };
+            let (analyzed, cols) = scan_cols(table, schema, rows);
             let w = WorkEstimate {
                 tuples_scanned: rows,
                 ..WorkEstimate::default()
             };
-            NodeEstimate::leaf(rows, w, stats.is_some(), cols)
+            NodeEstimate::leaf(rows, w, analyzed, cols)
         }
         PhysicalPlan::KeyScan {
             table,
@@ -518,8 +511,6 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
             fixed,
             ongoing,
         } => {
-            let rows = table.data().len() as f64;
-            let stats = table.statistics();
             // Exact for this version: the visited count comes straight from
             // the store's per-chunk key maps (candidates + overlay +
             // pending + map lookups), no histogram needed.
@@ -527,35 +518,13 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
                 .data()
                 .qualification_estimate(probe)
                 .map(|q| q.keyed as f64)
-                .unwrap_or(rows);
-            let cols: Vec<ColEstimate> = match &stats {
-                Some(s) => schema
-                    .attrs()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| {
-                        ColEstimate {
-                            distinct: s
-                                .fixed(i)
-                                .map(|f| f.distinct as f64)
-                                .unwrap_or(rows)
-                                .max(1.0),
-                            fixed: s.fixed(i).cloned(),
-                            interval: s.interval(i).cloned(),
-                        }
-                        .scaled(visited)
-                    })
-                    .collect(),
-                None => schema
-                    .attrs()
-                    .iter()
-                    .map(|_| ColEstimate::unknown(visited))
-                    .collect(),
-            };
+                .unwrap_or(table.data().len() as f64);
+            let (analyzed, cols) = scan_cols(table, schema, visited);
+            let cols: Vec<_> = cols.iter().map(|c| c.scaled(visited)).collect();
             let (out_rows, mut w) = filter_work(visited, source(fixed), source(ongoing), &cols);
             w.index_candidates += visited;
             w.tuples_scanned += visited;
-            NodeEstimate::leaf(out_rows, w, stats.is_some(), cols)
+            NodeEstimate::leaf(out_rows, w, analyzed, cols)
         }
         PhysicalPlan::Filter {
             input,
@@ -582,18 +551,6 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
                 })
                 .collect();
             NodeEstimate::with_children(rows, WorkEstimate::default(), cols, vec![child])
-        }
-        PhysicalPlan::NestedLoopJoin {
-            left,
-            right,
-            fixed,
-            ongoing,
-        } => {
-            let (l, r) = (estimate(left), estimate(right));
-            let cols = product_cols(&l, &r);
-            let (rows, w) = nested_loop_work(&l, &r, source(fixed), source(ongoing), &cols);
-            let cols = cols.iter().map(|c| c.scaled(rows)).collect();
-            NodeEstimate::with_children(rows, w, cols, vec![l, r])
         }
         PhysicalPlan::HashJoin {
             left,

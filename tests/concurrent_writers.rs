@@ -18,6 +18,9 @@
 //! 4. **Nested publications are refused** — a closure that publishes to
 //!    the catalog gets [`EngineError::NestedPublication`], without
 //!    deadlock, and nothing it tried is applied.
+//! 5. **Prepared statements follow publications** — a statement
+//!    re-executed beside a writer answers from the latest version once
+//!    the writer stops.
 
 use ongoing_bench::naive;
 use ongoing_core::time::tp;
@@ -622,4 +625,44 @@ fn eight_writers_under_a_tight_memory_budget_evict_and_stay_exact() {
         sorted(replay),
         "budgeted table diverged from the serialized naive replay"
     );
+}
+
+#[test]
+fn a_prepared_statement_re_executed_beside_a_writer_ends_on_the_latest_version() {
+    use ongoingdb::engine::sql::{prepare, query};
+    let db = Database::new();
+    db.create_table(
+        "T",
+        OngoingRelation::from_tuples(schema(), base_rows(4)).unwrap(),
+    )
+    .unwrap();
+    let sql = "SELECT K, G FROM T WHERE G >= 0";
+    let stmt = prepare(&db, sql).unwrap();
+    let done = AtomicBool::new(false);
+    let executions = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                stmt.execute(&db).unwrap();
+                executions.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while executions.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        for k in 0..200i64 {
+            db.modify_table("T", |rel| {
+                Modifier::new(rel, "VT")?.insert_open(
+                    vec![Value::Int(k), Value::Int(k), Value::Bool(false)],
+                    tp(k % 40),
+                )
+            })
+            .unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    let rows = |rel: OngoingRelation| sorted(rel.iter().cloned().collect());
+    let fresh = rows(query(&db, sql).unwrap());
+    assert_eq!(fresh.len(), 4 + 200);
+    assert_eq!(rows(stmt.execute(&db).unwrap()), fresh);
 }

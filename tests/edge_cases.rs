@@ -213,6 +213,38 @@ fn type_errors_surface_through_execution() {
     assert!(matches!(execute(&db, &plan), Err(EngineError::Eval(_))));
 }
 
+#[test]
+fn a_plan_built_before_a_schema_change_is_an_error_not_a_panic() {
+    use ongoingdb::engine::{MaterializedView, RefreshOutcome};
+    let db = empty_db();
+    let two_ints = |n: i64| {
+        let mut t = OngoingRelation::new(Schema::builder().int("A").int("B").build());
+        for i in 0..n {
+            t.insert(vec![Value::Int(i), Value::Int(-i)]).unwrap();
+        }
+        t
+    };
+    db.create_table("T", two_ints(2)).unwrap();
+    let plan = QueryBuilder::scan(&db, "T").unwrap().build();
+    let mut view =
+        MaterializedView::create(&db, "v", plan.clone(), PlannerConfig::default()).unwrap();
+    // `T` now has one column: the plan's scan schema no longer fits.
+    let mut one_int = OngoingRelation::new(Schema::builder().int("A").build());
+    one_int.insert(vec![Value::Int(7)]).unwrap();
+    db.put_table("T", one_int).unwrap();
+    assert!(matches!(view.refresh(&db), Err(EngineError::Schema(_))));
+    assert!(matches!(execute(&db, &plan), Err(EngineError::Schema(_))));
+    assert!(matches!(
+        execute_at(&db, &plan, tp(0)),
+        Err(EngineError::Schema(_))
+    ));
+    // A compatible `T` makes the view refresh again.
+    db.put_table("T", two_ints(3)).unwrap();
+    assert_eq!(view.refresh(&db).unwrap(), RefreshOutcome::Recomputed);
+    assert_eq!(view.len(), 3);
+    assert_eq!(execute(&db, &plan).unwrap().len(), 3);
+}
+
 // ---------------------------------------------------------------------
 // Instantiated-mode specifics.
 // ---------------------------------------------------------------------

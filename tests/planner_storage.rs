@@ -3,11 +3,14 @@
 //! data.
 
 use ongoing_core::allen::TemporalPredicate;
+use ongoing_core::time::tp;
+use ongoing_core::OngoingInterval;
 use ongoing_datasets::{synthetic, SyntheticConfig};
-use ongoing_relation::{algebra, Expr, OngoingRelation, Tuple};
+use ongoing_relation::{algebra, Expr, OngoingRelation, Schema, Tuple, Value};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
 use ongoingdb::engine::storage::{chunkfile, layout};
-use ongoingdb::engine::{queries, Database, QueryBuilder};
+use ongoingdb::engine::{queries, Database, ExecContext, QueryBuilder, TraceCollector};
+use std::sync::Arc;
 
 fn db_with_dex(n: usize) -> Database {
     let db = Database::new();
@@ -168,4 +171,83 @@ fn all_join_strategies_agree_on_mozilla_complex_join() {
     }
     assert_eq!(sizes[0], sizes[1]);
     assert_eq!(sizes[0], sizes[2]);
+}
+
+/// `L` and `R`, each `(K INT, VT INTERVAL)` with three rows.
+fn db_with_two_tables() -> Database {
+    let db = Database::new();
+    for name in ["L", "R"] {
+        let mut rel = OngoingRelation::new(Schema::builder().int("K").interval("VT").build());
+        for i in 0..3i64 {
+            let vt = OngoingInterval::from_until_now(tp(i));
+            rel.insert(vec![Value::Int(i % 2), Value::Interval(vt)])
+                .unwrap();
+        }
+        db.create_table(name, rel).unwrap();
+    }
+    db
+}
+
+/// The join operator's line is at once the `EXPLAIN` line, the span label
+/// the per-operator timings key on and a part of the result-cache
+/// fingerprint, so each join plan's line is pinned byte for byte: the
+/// root span label of a traced run and the first `EXPLAIN` line up to its
+/// estimates.
+#[test]
+fn join_labels_are_pinned_in_spans_and_explain() {
+    let db = db_with_two_tables();
+    let scans = || {
+        (
+            QueryBuilder::scan_as(&db, "L", "L").unwrap(),
+            QueryBuilder::scan_as(&db, "R", "R").unwrap(),
+        )
+    };
+    let join = |pred: fn(&Schema) -> Expr| {
+        let (l, r) = scans();
+        l.join(r, |s| Ok(pred(s))).unwrap().build()
+    };
+    let key_eq = |s: &Schema| {
+        Expr::col(s, "L.K")
+            .unwrap()
+            .eq(Expr::col(s, "R.K").unwrap())
+    };
+    let overlap = |s: &Schema| {
+        Expr::col(s, "L.VT")
+            .unwrap()
+            .overlaps(Expr::col(s, "R.VT").unwrap())
+    };
+    let product = {
+        let (l, r) = scans();
+        l.product(r).build()
+    };
+    let cases = [
+        (product, JoinStrategy::Auto, "NestedLoopJoin"),
+        (
+            join(key_eq),
+            JoinStrategy::NestedLoop,
+            "NestedLoopJoin fixed: (#0 = #2)",
+        ),
+        (join(key_eq), JoinStrategy::Auto, "HashJoin on [(0, 0)]"),
+        (
+            join(overlap),
+            JoinStrategy::Sweep,
+            "SweepJoin envelopes #1 x #1 ongoing: (#1 overlaps #3)",
+        ),
+    ];
+    for (plan, join_strategy, label) in cases {
+        let cfg = PlannerConfig {
+            join_strategy,
+            ..PlannerConfig::default()
+        };
+        let phys = compile(&db, &plan, &cfg).unwrap();
+        let explain = phys.explain();
+        let first = explain.lines().next().unwrap();
+        let (line, _) = first.split_once("  (est rows≈").unwrap();
+        assert_eq!(line, label, "{explain}");
+        let tracer = Arc::new(TraceCollector::new());
+        let ctx = ExecContext::serial().with_trace(Arc::clone(&tracer));
+        phys.execute_with_stats(&ctx).unwrap();
+        let root = tracer.finish().pop().expect("root span");
+        assert_eq!(root.label, label);
+    }
 }
