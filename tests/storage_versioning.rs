@@ -16,9 +16,13 @@
 //! 4. **Deltas are exact** — `compact()` is semantically a no-op, and the
 //!    staleness accounting counts a one-row edit as one row no matter
 //!    where in the table the row sits (the positional-diff regression).
+//! 5. **Publication is O(delta)** — a fixed-size edit costs the same
+//!    store write units and WAL payload on a 10 k- and a 100 k-row table,
+//!    and sustained churn never spends O(table) on one publication.
 //!
-//! Plus a differential property test: random `Modifier` sequences against
-//! a naive `Vec<Tuple>` re-implementation of the same semantics.
+//! Plus differential checks: random `Modifier` sequences and a sustained
+//! catalog churn against a naive `Vec<Tuple>` re-implementation of the
+//! same semantics.
 
 use ongoing_core::date::md;
 use ongoing_core::time::tp;
@@ -27,7 +31,8 @@ use ongoing_relation::{Expr, OngoingRelation, Schema, Tuple, Value};
 use ongoingdb::datasets::synthetic::{generate, SyntheticConfig};
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::plan::{compile, PlannerConfig};
-use ongoingdb::engine::{Database, EngineError, ExecContext};
+use ongoingdb::engine::storage::TempDir;
+use ongoingdb::engine::{Database, DurableOptions, EngineError, ExecContext};
 use ongoingdb::engine::{LogicalPlan, QueryBuilder};
 use proptest::prelude::*;
 
@@ -376,7 +381,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 // The naive model — the pre-refactor semantics over a plain `Vec<Tuple>`
-// — lives in `ongoing_bench::naive`, shared with `repro_churn`'s replay.
+// — lives in `ongoing_bench::naive`, shared with the churn replay below
+// and with `tests/recovery.rs` and `tests/concurrent_writers.rs`.
 use ongoing_bench::naive as model;
 
 proptest! {
@@ -436,6 +442,75 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// O(delta) publication: a fixed-size edit's cost tracks the rows it
+// touches, in the store and in the WAL, not the table it edits.
+// ---------------------------------------------------------------------
+
+/// Across a 10x table-size step, a fixed-size edit's units (`delta`, at
+/// the small and the large size) stay flat within 1.1x, while the
+/// whole-table path (`table`: one unit per tuple copied or rewritten)
+/// grows at least 8x.
+fn assert_odelta_contract(what: &str, delta: [u64; 2], table: [u64; 2]) {
+    let flat = delta[1] as f64 / delta[0] as f64;
+    assert!(
+        flat <= 1.1,
+        "{what}: a fixed-size edit must stay flat across a 10x table-size step \
+         (got {flat:.2}x: {delta:?})"
+    );
+    let growth = table[1] as f64 / table[0] as f64;
+    assert!(
+        growth >= 8.0,
+        "{what}: the whole-table path must grow with the table (got {growth:.2}x: {table:?})"
+    );
+}
+
+/// A durable 10-row `terminate` on a 10 k- and a 100 k-row table: the
+/// store's write units and the one WAL record's tuple payload both stay
+/// flat, where cloning the relation (the pre-refactor write path) or
+/// rewriting its image per commit costs one unit per tuple.
+#[test]
+fn a_fixed_edit_is_o_delta_in_the_store_and_in_the_wal() {
+    let sizes = [10_000usize, 100_000];
+    let (mut write_units, mut wal_tuples) = ([0u64; 2], [0u64; 2]);
+    for (i, &n) in sizes.iter().enumerate() {
+        let dir = TempDir::new("odelta");
+        let db = Database::open_with(
+            dir.path(),
+            DurableOptions {
+                fsync: false,
+                checkpoint_bytes: u64::MAX,
+                ..DurableOptions::default()
+            },
+        )
+        .unwrap();
+        db.create_table("T", big_relation(n)).unwrap();
+        let (work0, wal0) = (
+            db.table("T").unwrap().data().write_work(),
+            db.durable_stats().unwrap(),
+        );
+        db.modify_table("T", |rel| {
+            let mut m = Modifier::new(rel, "VT")?;
+            for j in 0..10 {
+                m.terminate(&k_eq((n / 2 + j * 13) as i64), tp(3_000))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let wal1 = db.durable_stats().unwrap();
+        assert_eq!(
+            wal1.wal_records - wal0.wal_records,
+            1,
+            "one publication appends exactly one WAL record"
+        );
+        write_units[i] = db.table("T").unwrap().data().write_work() - work0;
+        wal_tuples[i] = wal1.wal_tuples - wal0.wal_tuples;
+    }
+    let table = sizes.map(|n| n as u64);
+    assert_odelta_contract("store write units", write_units, table);
+    assert_odelta_contract("WAL tuples", wal_tuples, table);
+}
+
+// ---------------------------------------------------------------------
 // Catalog-level churn sanity: sustained modifications stay O(delta) and
 // the auto-compaction policy keeps fragmentation bounded.
 // ---------------------------------------------------------------------
@@ -445,6 +520,9 @@ fn sustained_churn_keeps_fragmentation_bounded() {
     let db = Database::new();
     db.create_table("T", big_relation(2 * CHUNK)).unwrap();
     let base_work = db.table("T").unwrap().data().write_work();
+    // The same rounds over the naive model, and a version pinned mid-churn.
+    let mut replay: Vec<Tuple> = db.table("T").unwrap().data().iter().cloned().collect();
+    let mut pinned = None;
     for round in 0..300i64 {
         db.modify_table("T", |rel| {
             let mut m = Modifier::new(rel, "VT")?;
@@ -460,6 +538,13 @@ fn sustained_churn_keeps_fragmentation_bounded() {
             Ok(())
         })
         .unwrap();
+        model::insert_open(&mut replay, 500_000 + round, round % 13, tp(round % 90));
+        model::terminate(&mut replay, round % 700, tp(round % 90 + 1));
+        if round == 150 {
+            let table = db.table("T").unwrap();
+            let rows: Vec<Tuple> = table.data().iter().cloned().collect();
+            pinned = Some((table, rows));
+        }
     }
     let data = db.table("T").unwrap().data().clone();
     let s = data.storage_summary();
@@ -469,6 +554,13 @@ fn sustained_churn_keeps_fragmentation_bounded() {
         s.chunks <= ideal + slack + 1,
         "compaction policy failed to bound chunk count: {s:?}"
     );
+    // Snapshot isolation across 150 later publications, folds included.
+    let (table, rows) = pinned.expect("pinned mid-churn");
+    let now: Vec<Tuple> = table.data().iter().cloned().collect();
+    assert_eq!(now, rows, "pinned snapshot drifted");
+    // The churned table equals the naive replay, in order.
+    let live: Vec<Tuple> = data.iter().cloned().collect();
+    assert_eq!(live, replay, "churned table diverged from the naive replay");
     // Total physical write work stays far below 300 × O(table) — the
     // pre-refactor cost of 300 whole-table clones.
     let spent = data.write_work() - base_work;
