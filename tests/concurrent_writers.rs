@@ -7,7 +7,8 @@
 //!
 //! 1. **No lost or duplicated updates** — N writer threads × M rounds of
 //!    `modify_table` (inserts, terminates, sequenced updates, deletes on
-//!    disjoint key spaces) all commit, each closure running once; the
+//!    disjoint key spaces) all commit, each closure running once and each
+//!    publication observed once in `ongoingdb_writer_wait_us`; the
 //!    final table equals a serialized naive replay (`ongoing_bench::naive`)
 //!    of the same operations — every committed round applied exactly once.
 //! 2. **No torn versions** — every round publishes a *pair* of marker
@@ -222,6 +223,18 @@ fn eight_writers_fifty_rounds_no_lost_updates() {
         runs.load(Ordering::Relaxed),
         (WRITERS * ROUNDS) as u64,
         "every closure runs exactly once per commit"
+    );
+    // One publication per commit plus the two setup publications
+    // (create_table, create_key_index), each one writer-gate wait.
+    let snap = db.metrics_snapshot();
+    let publications = snap.value("ongoingdb_publications");
+    assert_eq!(publications, (WRITERS * ROUNDS) as u64 + 2);
+    assert_eq!(
+        snap.histogram("ongoingdb_writer_wait_us")
+            .expect("writer-wait histogram")
+            .count,
+        publications,
+        "one writer-wait observation per publication"
     );
 }
 
