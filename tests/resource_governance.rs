@@ -6,7 +6,8 @@
 //!    cache's byte budget reopens *cold* (`tuples_loaded == 0` until first
 //!    access) and scans/joins with peak resident cache bytes at or below
 //!    the budget — producing results identical to an unbounded reopen of
-//!    the same directory.
+//!    the same directory. Paging is deterministic: identical serial
+//!    passes leave identical cache counters.
 //! 2. **Deadlines & cancellation are cooperative and clean.** An expired
 //!    deadline or a cancelled [`QueryControl`] surfaces within one morsel
 //!    as a typed error ([`EngineError::DeadlineExceeded`] /
@@ -82,14 +83,10 @@ type Answer = (Vec<Tuple>, Vec<Vec<Value>>);
 /// build side is a bare scan of it, its union with itself, its difference
 /// with the small table and a grouped count — each run ongoing and
 /// instantiated.
-fn run_queries(db: &Database) -> Vec<(&'static str, Answer)> {
-    // Two workers: parallel paging coverage while keeping worst-case
-    // concurrent pins (one morsel per worker) well inside any budget the
-    // caller derives from the table size — peak ≤ budget must hold on
-    // machines of any core count.
+fn run_queries(db: &Database, parallelism: usize) -> Vec<(&'static str, Answer)> {
     let cfg = PlannerConfig {
         join_strategy: JoinStrategy::Hash,
-        parallelism: 2,
+        parallelism,
     };
     let run = |plan: LogicalPlan| -> Answer {
         let phys = compile(db, &plan, &cfg).unwrap();
@@ -186,7 +183,11 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
             "budgeted open must materialize nothing"
         );
 
-        let out = run_queries(&db);
+        // Two workers: parallel paging coverage while keeping worst-case
+        // concurrent pins (one morsel per worker) well inside any budget
+        // derived from the table size — peak ≤ budget must hold on
+        // machines of any core count.
+        let out = run_queries(&db, 2);
         let stats = db.durable_stats().unwrap();
         assert!(
             stats.cache_peak_bytes <= budget,
@@ -206,7 +207,7 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
 
     // Unbounded reopen of the same directory: bit-identical results.
     let db = Database::open_with(dir.path(), opts(u64::MAX)).unwrap();
-    let full = run_queries(&db);
+    let full = run_queries(&db, 2);
     assert_eq!(answers.len(), full.len());
     for ((name, got), (_, want)) in answers.iter().zip(&full) {
         assert_eq!(got.0, want.0, "budgeted ongoing {name} result diverged");
@@ -232,6 +233,39 @@ fn out_of_core_scan_and_join_match_unbounded_within_budget() {
         // Every tuple is alive at RT and no predicate reads VT.
         assert_eq!(rows.len(), m, "at-rt {name}");
     }
+}
+
+/// Paging is deterministic: two identical serial passes over a budgeted
+/// reopen give the same answers and the same cache counters, and the
+/// metrics registry reports exactly the counters `DurableStats` holds.
+#[test]
+fn budgeted_passes_leave_identical_cache_counters() {
+    let dir = TempDir::new("govern-counters");
+    let budget = seed_out_of_core(dir.path());
+    let pass = || {
+        let db = Database::open_with(dir.path(), opts(budget)).unwrap();
+        let answers = run_queries(&db, 1);
+        let s = db.durable_stats().unwrap();
+        let counters = [
+            ("ongoingdb_cache_hits", s.cache_hits),
+            ("ongoingdb_cache_misses", s.cache_misses),
+            ("ongoingdb_cache_evictions", s.cache_evictions),
+            ("ongoingdb_cache_peak_bytes", s.cache_peak_bytes),
+        ];
+        let registry = db.metrics_snapshot();
+        for (name, value) in counters {
+            assert_eq!(registry.value(name), value, "registry disagrees on {name}");
+        }
+        (answers, counters)
+    };
+    let (answers, counters) = pass();
+    assert!(counters[2].1 > 0, "a 4×-budget pass must evict");
+    let (again, counters_again) = pass();
+    assert_eq!(answers, again, "budgeted answers not reproducible");
+    assert_eq!(
+        counters, counters_again,
+        "cache counters must be deterministic across identical passes"
+    );
 }
 
 #[test]
