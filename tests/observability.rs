@@ -10,7 +10,8 @@
 //!    root span equals `execute_with_stats`' totals exactly, and
 //!    per-operator self work plus child work reconstructs them.
 //! 3. **Exposition is complete**: `metrics_text()` lists every core
-//!    executor, store, and durability metric under its stable name.
+//!    executor, store, durability, writer, worker-pool, prepared-statement
+//!    and result-cache metric under its stable name.
 //! 4. **The event ring stays bounded and ordered** under concurrent
 //!    writers: sequence numbers strictly increase, the ring never exceeds
 //!    its capacity, and `dropped()` accounts for the rest.
@@ -21,11 +22,16 @@
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
 use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
+use ongoingdb::engine::exec::{
+    RESULT_CACHE_BYTES_METRIC, RESULT_CACHE_EVICTIONS_METRIC, RESULT_CACHE_HITS_METRIC,
+    RESULT_CACHE_MISSES_METRIC,
+};
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::obs::{
     EventLog, DURABLE_METRIC_NAMES, EXEC_METRIC_NAMES, STORE_METRIC_NAMES,
 };
-use ongoingdb::engine::sql::{explain_analyze, run_statement, StatementResult};
+use ongoingdb::engine::sql::prepare::{PREPARED_HITS_METRIC, PREPARED_MISSES_METRIC};
+use ongoingdb::engine::sql::{explain_analyze, prepare, run_statement, StatementResult};
 use ongoingdb::engine::storage::{FaultKind, FaultMode, FaultPlan, FaultVfs, TempDir};
 use ongoingdb::engine::{Database, DurableOptions, EngineEvent, MetricsSnapshot, PlannerConfig};
 use std::sync::Arc;
@@ -179,6 +185,44 @@ fn metrics_text_exposes_every_core_metric() {
     }
     // Registry counters folded by the query path are present too.
     assert!(text.contains("\nongoingdb_queries 1"));
+
+    // A prepared statement fanned out on the shared pool (several
+    // morsels) and a repeated (cached) read populate the service metrics,
+    // which join the same exposition.
+    db.create_table("U", seeded(4_096)).unwrap();
+    let parallel = PlannerConfig {
+        parallelism: 2,
+        ..PlannerConfig::default()
+    };
+    prepare(&db, "SELECT K FROM U WHERE G = 2")
+        .unwrap()
+        .execute_with(&db, &parallel)
+        .unwrap();
+    run_statement(&db, "SELECT K FROM T WHERE G = 1").unwrap();
+    let text = db.metrics_text();
+    for name in [
+        "ongoingdb_publications",
+        "ongoingdb_writer_wait_us",
+        "ongoingdb_pool_threads",
+        "ongoingdb_pool_queue_depth",
+        "ongoingdb_pool_tasks_executed",
+        "ongoingdb_pool_tasks_stolen",
+        "ongoingdb_pool_tasks_dropped",
+        "ongoingdb_pool_queries",
+        "ongoingdb_pool_admission_waits",
+        "ongoingdb_pool_admission_wait_us",
+        PREPARED_HITS_METRIC,
+        PREPARED_MISSES_METRIC,
+        RESULT_CACHE_HITS_METRIC,
+        RESULT_CACHE_MISSES_METRIC,
+        RESULT_CACHE_EVICTIONS_METRIC,
+        RESULT_CACHE_BYTES_METRIC,
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {name} ")),
+            "exposition missing {name}:\n{text}"
+        );
+    }
 }
 
 #[test]
