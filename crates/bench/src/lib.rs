@@ -1,4 +1,5 @@
-//! Harness utilities shared by the `repro-*` binaries.
+//! Harness utilities shared by the `repro_*` binaries, plus the shared
+//! test fixtures [`naive`] and [`shapes`].
 //!
 //! Every binary prints the rows/series of one table or figure of the
 //! paper's evaluation (Sec. IX). Scales default to laptop-friendly sizes;
@@ -15,7 +16,7 @@ pub mod shapes;
 
 use ongoing_core::TimePoint;
 use ongoing_engine::plan::{compile, PlannerConfig};
-use ongoing_engine::{Database, ExecStats, LogicalPlan, PhysicalPlan};
+use ongoing_engine::{Database, ExecStats, LogicalPlan};
 use ongoing_relation::{FixedRelation, OngoingRelation};
 use std::time::{Duration, Instant};
 
@@ -128,11 +129,6 @@ pub fn time_bind(result: &OngoingRelation, rt: TimePoint, runs: usize) -> Durati
     measure(runs, || result.bind_rows(rt))
 }
 
-/// The physical plan for inspection.
-pub fn physical(db: &Database, plan: &LogicalPlan, cfg: &PlannerConfig) -> PhysicalPlan {
-    compile(db, plan, cfg).expect("plan compiles")
-}
-
 /// Smallest number of instantiations after which computing the ongoing
 /// result once plus `n` binds beats `n` Clifford evaluations:
 /// `min n : t_ongoing + n·t_bind <= n·t_clifford` (∞ → `None` when binds
@@ -201,26 +197,6 @@ pub fn row(cells: &[String], widths: &[usize]) {
         line.push_str(&format!("{c:<w$}  ", w = w));
     }
     println!("{}", line.trim_end());
-}
-
-/// The storage layer's O(delta)-vs-O(table) write contract, shared by
-/// `repro_churn` and `repro_recovery` so the thresholds cannot drift:
-/// across a 10x table-size step, a fixed-size edit's deterministic write
-/// units must stay flat (<= 1.1x) while the pre-refactor clone path (one
-/// unit per tuple snapshotted) must grow with the table (>= 8x).
-/// `cow` and `clone_path` hold the measured units at the small and large
-/// size, in order. Panics on violation.
-pub fn assert_odelta_contract(cow: &[u64; 2], clone_path: &[u64; 2]) {
-    let flat = cow[1] as f64 / cow[0] as f64;
-    assert!(
-        flat <= 1.1,
-        "fixed-size edit must stay flat across a 10x table-size step (got {flat:.2}x: {cow:?})"
-    );
-    let growth = clone_path[1] as f64 / clone_path[0] as f64;
-    assert!(
-        growth >= 8.0,
-        "the clone path must grow with the table (got {growth:.2}x: {clone_path:?})"
-    );
 }
 
 /// Prints a header row plus separator.

@@ -2,7 +2,9 @@
 //! `Vec<Tuple>` — the pre-refactor write path (iterate, rebuild, in
 //! order), kept as the shared differential oracle for the copy-on-write
 //! store: `tests/storage_versioning.rs` proptests `Modifier` sequences
-//! against it and `repro_churn` replays its churn workload through it.
+//! and replays a sustained churn through it, and `tests/recovery.rs`,
+//! `tests/concurrent_writers.rs` and perfbench's `durable_churn` check
+//! their tables against it.
 //!
 //! All functions assume the 3-column layout the storage workloads use:
 //! an integer key at column 0, an integer payload at column 1, and the

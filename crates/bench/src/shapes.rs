@@ -1,10 +1,10 @@
 //! The cost-model calibration grid: deterministic synthetic data shapes.
 //!
-//! Shared by `repro_costmodel` and the `tests/cost_model.rs` property
-//! tests so both drive the *same* workloads — varied interval length,
-//! start-point spread (overlap density), equality-key skew, and ongoing
-//! mix. Generation is arithmetic (no RNG), so a shape is reproducible from
-//! its parameters alone and identical at every thread count.
+//! The workloads of the `tests/cost_model.rs` property tests — varied
+//! interval length, start-point spread (overlap density), equality-key
+//! skew, and ongoing mix. Generation is arithmetic (no RNG), so a shape
+//! is reproducible from its parameters alone and identical at every
+//! thread count.
 
 use ongoing_core::{OngoingInterval, TimePoint};
 use ongoing_engine::{Database, LogicalPlan, QueryBuilder};
@@ -119,7 +119,7 @@ pub fn sweep_wins(rows: usize) -> Shape {
 
 /// Deterministic relation for a shape: `(ID, K, VT)`; `phase` offsets the
 /// start points so the two join sides differ.
-pub fn relation(shape: &Shape, phase: i64) -> OngoingRelation {
+fn relation(shape: &Shape, phase: i64) -> OngoingRelation {
     let schema = Schema::builder().int("ID").int("K").interval("VT").build();
     let mut rel = OngoingRelation::new(schema);
     let span = ((HISTORY_DAYS as f64 * shape.spread) as i64).max(1);

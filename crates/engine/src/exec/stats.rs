@@ -4,8 +4,8 @@
 //! shared machines; the *work units* an operator performs are not. Every
 //! executor threads an [`ExecStats`] accumulator through its operators —
 //! per-worker local counters under partition-parallel execution, folded at
-//! join points — so the tests and the `repro_*` binaries can assert on
-//! deterministic counts (tuples scanned, pairs compared, interval-set
+//! join points — so the test suites and the paper's `repro_*` binaries
+//! can assert on deterministic counts (tuples scanned, pairs compared, interval-set
 //! merges) instead of durations. The counters are identical for every
 //! `parallelism` setting: partitioning only changes *who* counts a work
 //! unit, never *whether* it is counted.
@@ -20,8 +20,8 @@ use std::ops::AddAssign;
 /// paper's runtime comparisons measure.
 ///
 /// **Counted operators:** scans, filters, and joins — the operators the
-/// paper's evaluation queries (Sec. IX) consist of and the `repro_*`
-/// assertions depend on. `Project`, `Union`, `Difference` and `Aggregate`
+/// paper's evaluation queries (Sec. IX) consist of and the figures'
+/// work-unit assertions depend on. `Project`, `Union`, `Difference` and `Aggregate`
 /// contribute no work units of their own (their children's scans/filters/joins still count), so
 /// [`total_work`](ExecStats::total_work) is a wall-clock stand-in only for
 /// plans dominated by the counted operators.

@@ -4,9 +4,9 @@
 //! quantities the executors *measure* in [`ExecStats`](crate::exec::ExecStats):
 //! tuples scanned, tuples filtered, candidate pairs compared, key-map
 //! candidates and interval-set merges. Estimating in the measured unit
-//! system is what makes the model *calibratable*: `repro_costmodel` and
-//! `tests/cost_model.rs` compare [`NodeEstimate::work`] against the
-//! deterministic counters of an actual run and assert a bounded ratio.
+//! system is what makes the model *calibratable*: `tests/cost_model.rs`
+//! compares [`NodeEstimate::work`] against the deterministic counters of
+//! an actual run and asserts a bounded ratio.
 //!
 //! `KeyScan` estimates need no histogram: the store's
 //! [`QualEstimate`](ongoing_relation::QualEstimate) counts the rows the

@@ -85,8 +85,9 @@ impl Default for DurableOptions {
     }
 }
 
-/// Counters describing the durable layer's work — what the recovery bench
-/// asserts O(delta) publication and lazy loading on. All counts are for
+/// Counters describing the durable layer's work — what
+/// `tests/storage_versioning.rs` and `tests/recovery.rs` assert O(delta)
+/// publication and lazy loading on. All counts are for
 /// this process's lifetime (they restart at zero on open).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurableStats {
@@ -113,8 +114,8 @@ pub struct DurableStats {
     pub cache_evictions: u64,
     /// Bytes currently resident in the chunk cache.
     pub cache_resident_bytes: u64,
-    /// High-water mark of resident chunk-cache bytes — what the
-    /// out-of-core repro asserts stays at or below the budget.
+    /// High-water mark of resident chunk-cache bytes — what
+    /// `tests/resource_governance.rs` asserts stays at or below the budget.
     pub cache_peak_bytes: u64,
 }
 
