@@ -126,7 +126,7 @@ pub fn time_clifford_stats(
 /// Measures instantiating a materialized ongoing result at `rt` (a bind
 /// pass over the stored tuples; no query evaluation, no canonicalization).
 pub fn time_bind(result: &OngoingRelation, rt: TimePoint, runs: usize) -> Duration {
-    measure(runs, || result.bind_rows(rt))
+    measure(runs, || result.bind_rows(rt).expect("bind"))
 }
 
 /// Smallest number of instantiations after which computing the ongoing

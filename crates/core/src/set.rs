@@ -341,16 +341,6 @@ impl IntervalSet {
         }
     }
 
-    /// The earliest contained time point, if any.
-    pub fn first_point(&self) -> Option<TimePoint> {
-        self.ranges.first().map(|r| r.ts)
-    }
-
-    /// The exclusive upper bound of the latest range, if any.
-    pub fn last_bound(&self) -> Option<TimePoint> {
-        self.ranges.last().map(|r| r.te)
-    }
-
     /// Total number of contained time points; saturates at `i64::MAX` when a
     /// domain limit is involved.
     pub fn total_duration(&self) -> i64 {

@@ -7,23 +7,26 @@
 //! re-computed after time passes.
 //!
 //! In this engine the baseline is the instantiated execution mode
-//! ([`PhysicalPlan::execute_at_with_stats`](crate::plan::PhysicalPlan::execute_at_with_stats),
-//! or [`execute_at`](crate::execute_at) from a logical plan): operators
+//! ([`PhysicalPlan::execute_at_with_stats`](crate::plan::PhysicalPlan::execute_at_with_stats);
+//! clients reach it through [`execute_at`](crate::execute_at) from a
+//! logical plan or [`sql::query_at`](crate::sql::query_at) from text,
+//! which run it through the same metered seam as ongoing queries): operators
 //! pass the stored tuples and every predicate binds an ongoing operand at
 //! `rt` the moment it reads it (the paper implements the bind operator as
 //! a C kernel function for the same effect), so all predicates run on
 //! fixed values via the fixed-interval fast path. Rows of fixed values are
 //! built only at the plan root and at the Difference and Aggregate
-//! barriers, so tuples a query discards are never instantiated. This
-//! module adds the evaluation conveniences: `Cliff_max`, the paper's
-//! "reference time greater than the latest end point" (the typical use
-//! case of reference times close to the current time), and whole-database
-//! instantiation.
+//! barriers, so tuples a query discards are never instantiated. What a
+//! system following Clifford's approach materializes for a whole relation
+//! is its bind, [`OngoingRelation::bind_rows`]. This module adds the
+//! evaluation convenience `Cliff_max`, the paper's "reference time greater
+//! than the latest end point" (the typical use case of reference times
+//! close to the current time).
 
 use crate::catalog::Database;
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use ongoing_core::{TimePoint, TimeRange};
-use ongoing_relation::{FixedRelation, OngoingRelation, Value};
+use ongoing_relation::{OngoingRelation, Value};
 
 /// The latest *finite* time point mentioned by any temporal attribute or
 /// reference time of the relation. Reads one transient chunk pin at a
@@ -80,23 +83,6 @@ pub fn cliff_max_reference_time(db: &Database) -> Result<TimePoint> {
         }
     }
     Ok(latest.map_or(TimePoint::new(0), |l| l.succ()))
-}
-
-/// Instantiates a whole relation at `rt` into a fixed relation with the
-/// same schema shape (ongoing attributes become spans), dropping tuples
-/// dead at `rt`. This is what a system following Clifford's approach would
-/// materialize. Binds one transient chunk pin at a time, so a cold
-/// relation stays cold and a pager failure is an error. `rt = ∞` is
-/// [`EngineError::InfiniteReferenceTime`]: no tuple's `RT` contains it.
-pub fn instantiate_relation(rel: &OngoingRelation, rt: TimePoint) -> Result<FixedRelation> {
-    if rt.is_pos_inf() {
-        return Err(EngineError::InfiniteReferenceTime);
-    }
-    let mut rows = Vec::new();
-    for view in rel.lazy_views() {
-        rows.extend(view.pin()?.iter().filter_map(|t| t.bind(rt)));
-    }
-    Ok(FixedRelation::from_rows(rows))
 }
 
 #[cfg(test)]

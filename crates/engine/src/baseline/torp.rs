@@ -15,15 +15,13 @@
 //! passes by.
 //!
 //! This module embeds `Tf` into `Ω` (every `Tf` point *is* an ongoing
-//! point), implements `min`/`max`/intersection the way Torp et al. can —
-//! returning `None` where the result leaves `Tf` — and exposes the
-//! Clifford fallback for predicate queries.
+//! point) and implements `min`/`max`/intersection the way Torp et al. can —
+//! returning `None` where the result leaves `Tf`. Their fallback for
+//! predicate queries is Clifford's instantiated execution, so its runtime
+//! and invalidation behaviour are those of [`execute_at`](crate::execute_at)
+//! and [`sql::query_at`](crate::sql::query_at).
 
-use crate::catalog::Database;
-use crate::error::Result;
-use crate::plan::LogicalPlan;
 use ongoing_core::{ops, OngoingInterval, OngoingPoint, PointKind, TimePoint};
-use ongoing_relation::FixedRelation;
 use std::fmt;
 
 /// A time point of Torp's domain `Tf`.
@@ -129,14 +127,6 @@ impl fmt::Display for TfInterval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {})", self.ts, self.te)
     }
-}
-
-/// Queries with predicates on ongoing attributes cannot be answered within
-/// `Tf`; Torp et al. resort to Clifford's approach (Sec. III). The runtime
-/// and invalidation behaviour are therefore identical to
-/// [`execute_at`](crate::execute_at).
-pub fn run_query_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<FixedRelation> {
-    crate::execute_at(db, plan, rt)
 }
 
 #[cfg(test)]

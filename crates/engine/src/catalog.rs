@@ -247,11 +247,6 @@ impl Database {
         })
     }
 
-    /// Is this database durable?
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
     /// The durable database directory, if durable.
     pub fn path(&self) -> Option<&Path> {
         self.durable.as_ref().map(|d| d.dir())

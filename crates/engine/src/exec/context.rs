@@ -171,7 +171,7 @@ impl ExecContext {
     }
 
     /// This context with an event log attached, so pool registration
-    /// records `QueryQueued`/`AdmissionWait` events.
+    /// records a `QueryQueued` event.
     pub(crate) fn with_events(self, events: Arc<crate::obs::EventLog>) -> Self {
         self.session.set_events(events);
         self

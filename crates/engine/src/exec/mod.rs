@@ -8,7 +8,7 @@ pub(crate) mod sched;
 pub mod stats;
 
 pub use context::{ExecContext, QueryControl, THREADS_ENV};
-pub use pool::{PoolSession, WorkerPool, POOL_MAX_QUERIES_ENV};
+pub use pool::{PoolSession, WorkerPool};
 pub use rescache::{
     ResultCache, DEFAULT_RESULT_CACHE_BUDGET, RESULT_CACHE_BUDGET_ENV, RESULT_CACHE_BYTES_METRIC,
     RESULT_CACHE_EVICTIONS_METRIC, RESULT_CACHE_HITS_METRIC, RESULT_CACHE_MISSES_METRIC,

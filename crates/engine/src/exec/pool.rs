@@ -34,24 +34,16 @@
 //! Governance and observability integrate at the natural seams: the
 //! query's [`QueryControl`] is checked when a morsel is *dequeued* (a
 //! cancelled query's queued morsels are dropped, not executed, counted in
-//! `ongoingdb_pool_tasks_dropped`), admission waits land in the
-//! `ongoingdb_pool_admission_wait_us` histogram plus an
-//! [`AdmissionWait`](crate::obs::EngineEvent) event, and every
-//! registration records a [`QueryQueued`](crate::obs::EngineEvent) event.
+//! `ongoingdb_pool_tasks_dropped`), and every registration records a
+//! [`QueryQueued`](crate::obs::EngineEvent) event.
 
 use crate::error::Result;
 use crate::exec::context::QueryControl;
 use crate::exec::sched::{QueryQueue, Scheduler, Task};
 use crate::obs::events::{EngineEvent, EventLog};
-use crate::obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
+use crate::obs::metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Environment variable bounding how many queries may be *registered* with
-/// the pool at once; further queries wait for admission. Unset or `0`
-/// means unbounded.
-pub const POOL_MAX_QUERIES_ENV: &str = "ONGOINGDB_POOL_MAX_QUERIES";
 
 /// Handles into the pool's private metrics registry, cached so the hot
 /// path never touches the registry's name map.
@@ -72,11 +64,6 @@ struct PoolMetrics {
     tasks_dropped: Counter,
     /// `ongoingdb_pool_queries` — queries ever registered.
     queries: Counter,
-    /// `ongoingdb_pool_admission_waits` — registrations that had to wait
-    /// for an admission slot.
-    admission_waits: Counter,
-    /// `ongoingdb_pool_admission_wait_us` — admission wait durations (µs).
-    admission_wait_us: Histogram,
 }
 
 impl PoolMetrics {
@@ -89,8 +76,6 @@ impl PoolMetrics {
             tasks_stolen: registry.counter("ongoingdb_pool_tasks_stolen"),
             tasks_dropped: registry.counter("ongoingdb_pool_tasks_dropped"),
             queries: registry.counter("ongoingdb_pool_queries"),
-            admission_waits: registry.counter("ongoingdb_pool_admission_waits"),
-            admission_wait_us: registry.histogram("ongoingdb_pool_admission_wait_us"),
             registry,
         }
     }
@@ -145,19 +130,11 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// A pool with `threads` workers (clamped to at least 1) and the
-    /// admission limit from `ONGOINGDB_POOL_MAX_QUERIES` (unbounded when
-    /// unset).
+    /// A pool with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Arc<WorkerPool> {
-        WorkerPool::with_limits(threads, env_max_queries())
-    }
-
-    /// A pool with `threads` workers admitting at most `max_queries`
-    /// concurrent queries (`None` = unbounded).
-    pub fn with_limits(threads: usize, max_queries: Option<usize>) -> Arc<WorkerPool> {
         let threads = threads.max(1);
         let core = Arc::new(PoolCore {
-            sched: Scheduler::new(max_queries.unwrap_or(usize::MAX)),
+            sched: Scheduler::new(),
             metrics: PoolMetrics::new(),
             threads,
         });
@@ -212,12 +189,6 @@ impl WorkerPool {
         self.core.sched.depth()
     }
 
-    /// The admission limit: how many queries may be registered at once
-    /// (`usize::MAX` when unbounded).
-    pub fn max_queries(&self) -> usize {
-        self.core.sched.limit()
-    }
-
     /// A snapshot of the pool's `ongoingdb_pool_*` metrics, for merging
     /// into a database-wide exposition.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -228,29 +199,21 @@ impl WorkerPool {
         self.core.metrics.registry.snapshot()
     }
 
-    /// Registers a query with the scheduler, recording admission metrics
-    /// and events.
+    /// Registers a query with the scheduler, recording a `QueryQueued`
+    /// event.
     fn register_query(
         &self,
         control: QueryControl,
         events: Option<&Arc<EventLog>>,
-    ) -> Result<Arc<QueryQueue>> {
-        let (queue, waited) = self.core.sched.register(control)?;
+    ) -> Arc<QueryQueue> {
+        let queue = self.core.sched.register(control);
         self.core.metrics.queries.inc();
         if let Some(log) = events {
             log.record(EngineEvent::QueryQueued {
                 active: self.core.sched.active_queries() as u64,
             });
         }
-        if waited > Duration::ZERO {
-            let wait_us = waited.as_micros().min(u64::MAX as u128) as u64;
-            self.core.metrics.admission_waits.inc();
-            self.core.metrics.admission_wait_us.observe(wait_us);
-            if let Some(log) = events {
-                log.record(EngineEvent::AdmissionWait { wait_us });
-            }
-        }
-        Ok(queue)
+        queue
     }
 }
 
@@ -264,12 +227,6 @@ impl Drop for WorkerPool {
 }
 
 static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-
-fn env_max_queries() -> Option<usize> {
-    crate::env_setting(POOL_MAX_QUERIES_ENV)
-        .filter(|&n| n > 0)
-        .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
-}
 
 /// Completion latch for one submitted batch: slot-indexed results plus a
 /// countdown, so the submitter can wait for exactly its own morsels.
@@ -375,14 +332,14 @@ impl PoolSession {
         }
     }
 
-    /// Attaches an event log so registration records `QueryQueued` /
-    /// `AdmissionWait` events.
+    /// Attaches an event log so registration records a `QueryQueued`
+    /// event.
     pub(crate) fn set_events(&self, events: Arc<EventLog>) {
         self.state.lock().expect("session lock").events = Some(events);
     }
 
     /// Resolves the pool and this query's queue, registering on first use.
-    fn attach(&self, control: &QueryControl) -> Result<(Arc<WorkerPool>, Arc<QueryQueue>)> {
+    fn attach(&self, control: &QueryControl) -> (Arc<WorkerPool>, Arc<QueryQueue>) {
         let mut state = self.state.lock().expect("session lock");
         let pool = match &state.pool {
             PoolRef::Ready(pool) => Arc::clone(pool),
@@ -395,12 +352,12 @@ impl PoolSession {
         let queue = match &state.queue {
             Some(queue) => Arc::clone(queue),
             None => {
-                let queue = pool.register_query(control.clone(), state.events.as_ref())?;
+                let queue = pool.register_query(control.clone(), state.events.as_ref());
                 state.queue = Some(Arc::clone(&queue));
                 queue
             }
         };
-        Ok((pool, queue))
+        (pool, queue)
     }
 
     /// Runs a batch of morsels on the pool and returns their results in
@@ -417,7 +374,7 @@ impl PoolSession {
         parallelism: usize,
         morsels: Vec<Morsel<T>>,
     ) -> Result<Vec<T>> {
-        let (pool, queue) = self.attach(control)?;
+        let (pool, queue) = self.attach(control);
         queue.set_parallelism(parallelism);
         let set = TaskSet::new(morsels.len());
         let tasks: Vec<Task> = morsels
@@ -457,6 +414,7 @@ mod tests {
     use super::*;
     use crate::error::EngineError;
     use std::sync::atomic::Ordering;
+    use std::time::Duration;
 
     fn session_on(pool: &Arc<WorkerPool>) -> Arc<PoolSession> {
         let session = PoolSession::auto(1);

@@ -7,13 +7,6 @@
 //! other active query gets a morsel in between, so a short query finishes
 //! while a long one is still in flight (morsel-granularity fairness).
 //!
-//! Admission is a simple bound on the number of *registered* queues: when
-//! [`Scheduler::register`] would exceed the limit, the registering thread
-//! waits (polling its [`QueryControl`] so cancellation and deadlines still
-//! win) until a running query unregisters. The wait duration is returned so
-//! the pool can record it in the `ongoingdb_pool_admission_wait_us`
-//! histogram and the event ring.
-//!
 //! A query's morsels run at most `parallelism` at a time: pool workers
 //! take at most `parallelism - 1` of them concurrently
 //! ([`QueryQueue::set_parallelism`]), and the submitting thread, which
@@ -34,7 +27,7 @@ use crate::exec::context::QueryControl;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A type-erased morsel task. Invoked with `Ok(())` to execute, or with the
 /// control error when the owning query was cancelled before dispatch — the
@@ -106,10 +99,6 @@ pub(crate) struct Scheduler {
     state: Mutex<SchedState>,
     /// Workers sleep here when every queue is empty.
     work_ready: Condvar,
-    /// Admission waiters sleep here when the active-query limit is reached.
-    admit_ready: Condvar,
-    /// Maximum registered queues (admission bound).
-    limit: usize,
     next_id: AtomicU64,
     /// Total queued-but-undelivered tasks across all queues.
     depth: AtomicUsize,
@@ -118,49 +107,24 @@ pub(crate) struct Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("limit", &self.limit)
             .field("depth", &self.depth.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Scheduler {
-    /// A scheduler admitting at most `limit` concurrent queries (clamped to
-    /// at least 1).
-    pub(crate) fn new(limit: usize) -> Scheduler {
+    /// A scheduler with no registered queries.
+    pub(crate) fn new() -> Scheduler {
         Scheduler {
             state: Mutex::new(SchedState::default()),
             work_ready: Condvar::new(),
-            admit_ready: Condvar::new(),
-            limit: limit.max(1),
             next_id: AtomicU64::new(0),
             depth: AtomicUsize::new(0),
         }
     }
 
-    /// The admission bound.
-    pub(crate) fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Registers a new query queue, waiting for an admission slot when the
-    /// bound is reached. Returns the queue and how long admission blocked
-    /// (zero when a slot was free). The wait polls `control`, so a
-    /// cancelled or past-deadline query errors out instead of queueing
-    /// forever.
-    pub(crate) fn register(&self, control: QueryControl) -> Result<(Arc<QueryQueue>, Duration)> {
-        let start = Instant::now();
-        let mut blocked = false;
-        let mut state = self.state.lock().expect("scheduler lock");
-        while state.queues.len() >= self.limit {
-            control.check()?;
-            blocked = true;
-            let (next, _) = self
-                .admit_ready
-                .wait_timeout(state, Duration::from_millis(5))
-                .expect("scheduler lock");
-            state = next;
-        }
+    /// Registers a new query queue, governed by `control`.
+    pub(crate) fn register(&self, control: QueryControl) -> Arc<QueryQueue> {
         let queue = Arc::new(QueryQueue {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             control,
@@ -168,13 +132,12 @@ impl Scheduler {
             worker_cap: AtomicUsize::new(usize::MAX),
             in_workers: AtomicUsize::new(0),
         });
-        state.queues.push(Arc::clone(&queue));
-        let waited = if blocked {
-            start.elapsed()
-        } else {
-            Duration::ZERO
-        };
-        Ok((queue, waited))
+        self.state
+            .lock()
+            .expect("scheduler lock")
+            .queues
+            .push(Arc::clone(&queue));
+        queue
     }
 
     /// Removes a query queue (on session drop). Any tasks still pending are
@@ -197,8 +160,6 @@ impl Scheduler {
                 state.cursor = 0;
             }
         }
-        drop(state);
-        self.admit_ready.notify_all();
     }
 
     /// Enqueues a batch of tasks on `queue` and wakes sleeping workers.
@@ -285,7 +246,6 @@ impl Scheduler {
     pub(crate) fn shutdown(&self) {
         self.state.lock().expect("scheduler lock").shutdown = true;
         self.work_ready.notify_all();
-        self.admit_ready.notify_all();
     }
 }
 
@@ -305,9 +265,9 @@ mod tests {
 
     #[test]
     fn round_robin_alternates_between_queues() {
-        let sched = Scheduler::new(8);
-        let (qa, _) = sched.register(QueryControl::unbounded()).unwrap();
-        let (qb, _) = sched.register(QueryControl::unbounded()).unwrap();
+        let sched = Scheduler::new();
+        let qa = sched.register(QueryControl::unbounded());
+        let qb = sched.register(QueryControl::unbounded());
         let ran = Arc::new(AtomicUsize::new(0));
         sched.submit(&qa, (0..4).map(|_| noop_task(&ran)).collect());
         sched.submit(&qb, vec![noop_task(&ran)]);
@@ -322,33 +282,5 @@ mod tests {
         assert_eq!(order, vec![qa.id(), qb.id(), qa.id(), qa.id(), qa.id()]);
         assert_eq!(ran.load(Ordering::Relaxed), 5);
         assert_eq!(sched.depth(), 0);
-    }
-
-    #[test]
-    fn admission_limit_blocks_until_unregister() {
-        let sched = Arc::new(Scheduler::new(1));
-        let (first, wait) = sched.register(QueryControl::unbounded()).unwrap();
-        assert_eq!(wait, Duration::ZERO.max(wait)); // first admit should not block meaningfully
-        let sched2 = Arc::clone(&sched);
-        let waiter = std::thread::spawn(move || {
-            let (_q, waited) = sched2.register(QueryControl::unbounded()).unwrap();
-            waited
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        sched.unregister(first.id());
-        let waited = waiter.join().unwrap();
-        assert!(
-            waited >= Duration::from_millis(10),
-            "second register should have waited for the slot, waited {waited:?}"
-        );
-    }
-
-    #[test]
-    fn admission_wait_honors_cancellation() {
-        let sched = Scheduler::new(1);
-        let (_held, _) = sched.register(QueryControl::unbounded()).unwrap();
-        let control = QueryControl::unbounded();
-        control.cancel();
-        assert!(sched.register(control).is_err());
     }
 }

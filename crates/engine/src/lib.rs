@@ -74,8 +74,8 @@ pub mod storage;
 pub use catalog::{Database, Table};
 pub use error::{EngineError, Result};
 pub use exec::{
-    ExecContext, ExecStats, QueryControl, ResultCache, WorkerPool, POOL_MAX_QUERIES_ENV,
-    RESULT_CACHE_BUDGET_ENV, THREADS_ENV,
+    ExecContext, ExecStats, QueryControl, ResultCache, WorkerPool, RESULT_CACHE_BUDGET_ENV,
+    THREADS_ENV,
 };
 pub use matview::{MaterializedView, RefreshOutcome};
 pub use obs::{
@@ -113,21 +113,29 @@ pub(crate) fn parse_setting(var: &str, raw: &str) -> std::result::Result<u64, St
 }
 
 /// Compiles and executes a logical plan in ongoing mode with the default
-/// planner configuration (auto parallelism — see [`ExecContext`]).
+/// planner configuration (auto parallelism — see [`ExecContext`]),
+/// through the same seam as [`sql::query`]: per-query metrics are
+/// recorded under the root operator's `EXPLAIN` line, and the result
+/// cache is consulted.
 pub fn execute(db: &Database, plan: &LogicalPlan) -> Result<OngoingRelation> {
-    let cfg = PlannerConfig::default();
-    let phys = plan::optimizer::compile(db, plan, &cfg)?;
-    Ok(phys.execute_with_stats(&cfg.exec_context())?.0)
+    run_plan(db, plan, sql::Ongoing)
 }
 
 /// Compiles and executes a logical plan with the Clifford baseline:
 /// ongoing attributes are instantiated at `rt` when accessed; the result
-/// is valid only at `rt`. `rt = ∞` is
-/// [`EngineError::InfiniteReferenceTime`].
+/// is valid only at `rt`, and is a set (sorted and deduplicated), like
+/// [`sql::query_at`]. Metered like [`execute`], but never cached. `rt = ∞`
+/// is [`EngineError::InfiniteReferenceTime`].
 pub fn execute_at(db: &Database, plan: &LogicalPlan, rt: TimePoint) -> Result<FixedRelation> {
+    run_plan(db, plan, sql::At(rt))
+}
+
+/// Compiles `plan` under the default configuration and runs it in `mode`
+/// through the execution seam, labelled by its root operator.
+fn run_plan<M: sql::Mode>(db: &Database, plan: &LogicalPlan, mode: M) -> Result<M::Output> {
     let cfg = PlannerConfig::default();
     let phys = plan::optimizer::compile(db, plan, &cfg)?;
-    Ok(phys.execute_at_with_stats(rt, &cfg.exec_context())?.0)
+    sql::execute_compiled(db, &phys, &cfg, &phys.node_line(), mode, None).map(|(out, _)| out)
 }
 
 #[cfg(test)]

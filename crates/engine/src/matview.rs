@@ -10,12 +10,16 @@
 //! The Fig. 11/12 experiments measure the *amortization point*: after how
 //! many instantiated snapshots the (more expensive) ongoing evaluation plus
 //! cheap binds beats Clifford's re-evaluation per reference time.
+//!
+//! A view computes its result through the same seam as every client query
+//! (`sql::execute_compiled`, labelled `matview:<name>`), and instantiates
+//! it with [`OngoingRelation::bind_rows`], the one bind of a relation.
 
-use crate::baseline::clifford;
 use crate::catalog::{Database, Table};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::exec::rescache;
 use crate::plan::{compile, LogicalPlan, PlannerConfig};
+use crate::sql::{execute_compiled, Ongoing};
 use ongoing_core::TimePoint;
 use ongoing_relation::{FixedRelation, OngoingRelation};
 use std::sync::Arc;
@@ -111,10 +115,13 @@ impl MaterializedView {
     /// Instantiates the materialized result at `rt` — a single bind pass
     /// over the stored tuples, no query evaluation. A result that shares
     /// cold chunks with a table is read one transient pin at a time (see
-    /// [`clifford::instantiate_relation`]), so it stays cold. `rt = ∞` is
-    /// [`EngineError::InfiniteReferenceTime`](crate::EngineError::InfiniteReferenceTime).
+    /// [`OngoingRelation::bind_rows`]), so it stays cold. `rt = ∞` is
+    /// [`EngineError::InfiniteReferenceTime`]: no tuple's `RT` contains it.
     pub fn instantiate(&self, rt: TimePoint) -> Result<FixedRelation> {
-        clifford::instantiate_relation(&self.result, rt)
+        if rt.is_pos_inf() {
+            return Err(EngineError::InfiniteReferenceTime);
+        }
+        Ok(FixedRelation::from_rows(self.result.bind_rows(rt)?))
     }
 
     /// Number of materialized (ongoing) tuples.
@@ -147,7 +154,7 @@ fn compute(
         .map(|t| (t.name().to_string(), t))
         .collect();
     let label = format!("matview:{name}");
-    let (result, _stats) = crate::sql::execute_compiled(db, &phys, config, &label, None)?;
+    let (result, _stats) = execute_compiled(db, &phys, config, &label, Ongoing, None)?;
     Ok((result, deps))
 }
 

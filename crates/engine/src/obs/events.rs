@@ -78,12 +78,6 @@ pub enum EngineEvent {
         /// Queries registered with the pool after this one joined.
         active: u64,
     },
-    /// A query waited for a pool admission slot
-    /// (`ONGOINGDB_POOL_MAX_QUERIES` reached).
-    AdmissionWait {
-        /// How long admission blocked, in microseconds.
-        wait_us: u64,
-    },
     /// The versioned result cache evicted an entry to stay under budget.
     ResultCacheEviction {
         /// Estimated bytes released.
@@ -105,7 +99,6 @@ impl EngineEvent {
             EngineEvent::DeadlineExceeded { .. } => "deadline_exceeded",
             EngineEvent::Cancelled { .. } => "cancelled",
             EngineEvent::QueryQueued { .. } => "query_queued",
-            EngineEvent::AdmissionWait { .. } => "admission_wait",
             EngineEvent::ResultCacheEviction { .. } => "result_cache_eviction",
         }
     }
@@ -156,9 +149,6 @@ impl EventRecord {
             ),
             EngineEvent::QueryQueued { active } => {
                 format!("{{\"seq\":{seq},\"kind\":\"query_queued\",\"active\":{active}}}")
-            }
-            EngineEvent::AdmissionWait { wait_us } => {
-                format!("{{\"seq\":{seq},\"kind\":\"admission_wait\",\"wait_us\":{wait_us}}}")
             }
             EngineEvent::ResultCacheEviction { bytes, cost } => format!(
                 "{{\"seq\":{seq},\"kind\":\"result_cache_eviction\",\"bytes\":{bytes},\"cost\":{cost}}}"
@@ -307,11 +297,6 @@ impl EventLog {
         let path = path.into();
         let len = vfs.read(&path).map(|b| b.len() as u64).unwrap_or(0);
         self.inner.lock().sink = Some(Sink { vfs, path, len });
-    }
-
-    /// Detaches the sink, if any.
-    pub fn clear_sink(&self) {
-        self.inner.lock().sink = None;
     }
 }
 

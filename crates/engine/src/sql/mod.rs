@@ -19,8 +19,15 @@
 //! `FINISHES`, `DURING`, `EQUALS`); `INTERSECTION(a, b)`, `START(iv)` and
 //! `END(iv)` are scalar functions.
 //!
-//! Beyond queries, [`run_statement`] also accepts `ANALYZE [table]`, which
-//! collects the optimizer statistics of the [`crate::stats`] subsystem.
+//! [`query`] runs a query in ongoing mode and [`query_at`] at one reference
+//! time, returning a deduplicated set valid only there. Beyond queries,
+//! [`run_statement`] also accepts `ANALYZE [table]`, which collects the
+//! optimizer statistics of the [`crate::stats`] subsystem, and
+//! `EXPLAIN [ANALYZE]`; [`prepare()`] keeps a compiled plan across runs.
+//! Every compiled plan a client runs, in either mode — these entry points,
+//! materialized views and [`crate::execute`]/[`crate::execute_at`] — goes
+//! through one seam, `execute_compiled`, which records the same per-query
+//! metrics for both modes; only ongoing runs use the result cache.
 //!
 //! A statement holds at most 128 boolean terms and names at most 16
 //! relations; larger ones are parse errors, since every pass after the
@@ -35,20 +42,22 @@ pub use prepare::{prepare, Prepared};
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
-use crate::exec::{rescache, ExecStats};
+use crate::exec::{rescache, ExecContext, ExecStats};
 use crate::obs::{EngineEvent, SpanNode, TraceCollector};
 use crate::plan::{LogicalPlan, PhysicalPlan, PlannerConfig, QueryBuilder};
 use crate::stats::TableStatistics;
 use ast::{AstExpr, Query, SelectStmt, Statement};
+use ongoing_core::TimePoint;
 use ongoing_relation::algebra::ProjItem;
-use ongoing_relation::{Expr, Schema};
+use ongoing_relation::{Expr, FixedRelation, OngoingRelation, Schema};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Parses and plans an OngoingQL query against a database.
 ///
-/// Use [`crate::execute`] / [`crate::execute_at`] (or compile with a custom
-/// [`crate::PlannerConfig`]) to run the returned plan.
+/// [`query`] and [`query_at`] run text directly; run the returned plan with
+/// [`crate::execute`] / [`crate::execute_at`] (or compile it with a custom
+/// [`crate::PlannerConfig`]).
 pub fn plan_query(db: &Database, sql: &str) -> Result<LogicalPlan> {
     let query = parser::parse(sql).map_err(|e| EngineError::Plan(e.to_string()))?;
     plan(db, &query)
@@ -58,11 +67,29 @@ pub fn plan_query(db: &Database, sql: &str) -> Result<LogicalPlan> {
 /// Runs through the shared execution seam, so per-query metrics are
 /// recorded and the result cache is consulted, exactly like
 /// [`run_statement`] and prepared statements.
-pub fn query(db: &Database, sql: &str) -> Result<ongoing_relation::OngoingRelation> {
+pub fn query(db: &Database, sql: &str) -> Result<OngoingRelation> {
+    run_query(db, sql, Ongoing)
+}
+
+/// Parses, plans and executes at reference time `rt` — OngoingQL's
+/// instantiated entry point (Clifford's baseline). The result is a
+/// **set**: a sorted, deduplicated [`FixedRelation`], like
+/// [`crate::execute_at`], valid only at `rt`; it equals
+/// [`query`]`(db, sql)?.bind(rt)` — the paper's `∥Q(D)∥rt ≡ Q(∥D∥rt)`.
+/// Runs through the same seam as [`query`], so it records the same
+/// per-query metrics, but never touches the result cache. `rt = ∞` is
+/// [`EngineError::InfiniteReferenceTime`].
+pub fn query_at(db: &Database, sql: &str, rt: TimePoint) -> Result<FixedRelation> {
+    run_query(db, sql, At(rt))
+}
+
+/// Parses, plans and executes `sql` in `mode` under the default
+/// configuration, labelled by its text.
+fn run_query<M: Mode>(db: &Database, sql: &str, mode: M) -> Result<M::Output> {
     let q = parser::parse(sql).map_err(|e| EngineError::Plan(e.to_string()))?;
     let cfg = PlannerConfig::default();
     let phys = compile_query(db, &q, &cfg)?;
-    execute_compiled(db, &phys, &cfg, sql, None).map(|(rel, _)| rel)
+    execute_compiled(db, &phys, &cfg, sql, mode, None).map(|(out, _)| out)
 }
 
 /// The outcome of executing a top-level statement.
@@ -88,7 +115,7 @@ pub fn run_statement(db: &Database, sql: &str) -> Result<StatementResult> {
     match stmt {
         Statement::Query(q) => {
             let phys = compile_query(db, &q, &cfg)?;
-            let (rel, _) = execute_compiled(db, &phys, &cfg, sql, None)?;
+            let (rel, _) = execute_compiled(db, &phys, &cfg, sql, Ongoing, None)?;
             Ok(StatementResult::Rows(rel))
         }
         Statement::Analyze(Some(table)) => {
@@ -145,52 +172,103 @@ pub(crate) fn compile_query(db: &Database, q: &Query, cfg: &PlannerConfig) -> Re
     crate::plan::optimizer::compile(db, &plan(db, q)?, cfg)
 }
 
-/// Executes an already-compiled physical plan under `cfg` — the one
-/// function that runs a compiled plan for one-shot queries, `EXPLAIN
-/// ANALYZE`, prepared statements and materialized view refreshes. It
-/// records query metrics and pool scheduling events through the database's
-/// observability layer, and deadline and cancellation failures in its
-/// event log.
+/// The mode argument of [`execute_compiled`]: [`Ongoing`], or [`At`] a
+/// reference time. The modes differ in what a run returns and in whether
+/// it goes through the result cache; the seam meters both alike.
+pub(crate) trait Mode {
+    /// What a run returns.
+    type Output;
+    /// Runs `phys` under `ctx` in this mode.
+    fn run(
+        self,
+        db: &Database,
+        phys: &PhysicalPlan,
+        cfg: &PlannerConfig,
+        ctx: &ExecContext,
+    ) -> Result<(Self::Output, ExecStats)>;
+}
+
+/// Ongoing execution: the result stays valid at every reference time.
 ///
 /// This is the result-cache seam: before executing, the database's
 /// [`ResultCache`](crate::exec::ResultCache) is consulted under the plan's
 /// structural fingerprint and the exact table versions it embeds. A hit
 /// returns the cached relation **and the stored work counters** — the same
 /// per-query metrics are recorded either way, so deterministic work-unit
-/// assertions hold with the cache on or off. A run with a `trace`
-/// collector attached neither probes nor fills the cache: `EXPLAIN
-/// ANALYZE` always executes for real.
-pub(crate) fn execute_compiled(
+/// assertions hold with the cache on or off. A traced run neither probes
+/// nor fills the cache: `EXPLAIN ANALYZE` always executes for real.
+pub(crate) struct Ongoing;
+
+impl Mode for Ongoing {
+    type Output = OngoingRelation;
+
+    fn run(
+        self,
+        db: &Database,
+        phys: &PhysicalPlan,
+        cfg: &PlannerConfig,
+        ctx: &ExecContext,
+    ) -> Result<(OngoingRelation, ExecStats)> {
+        let cache = db.result_cache();
+        if cache.budget() == 0 || ctx.trace.is_some() {
+            return phys.execute_with_stats(ctx);
+        }
+        let obs = db.observability();
+        let key = rescache::plan_fingerprint(phys, cfg);
+        let deps = rescache::plan_tables(phys);
+        if let Some(hit) = cache.lookup(&key, &deps, obs) {
+            return Ok(hit);
+        }
+        let (rel, stats) = phys.execute_with_stats(ctx)?;
+        let deps = deps.iter().map(Arc::downgrade).collect();
+        cache.insert(key, deps, &rel, stats, obs);
+        Ok((rel, stats))
+    }
+}
+
+/// Instantiated execution at a reference time — Clifford's baseline. The
+/// result is the sorted, deduplicated [`FixedRelation`], valid only at
+/// that `rt`, so it is never cached. `rt = ∞` is
+/// [`EngineError::InfiniteReferenceTime`].
+pub(crate) struct At(pub(crate) TimePoint);
+
+impl Mode for At {
+    type Output = FixedRelation;
+
+    fn run(
+        self,
+        _: &Database,
+        phys: &PhysicalPlan,
+        _: &PlannerConfig,
+        ctx: &ExecContext,
+    ) -> Result<(FixedRelation, ExecStats)> {
+        phys.execute_at_with_stats(self.0, ctx)
+    }
+}
+
+/// Executes an already-compiled physical plan under `cfg` in `mode` — the
+/// one function that runs a compiled plan for a client: one-shot queries
+/// in both modes, `EXPLAIN ANALYZE`, prepared statements, materialized
+/// view refreshes and [`crate::execute`]/[`crate::execute_at`]. Every
+/// successful run records the same per-query metrics under `label`, and
+/// pool scheduling events, through the database's observability layer;
+/// deadline and cancellation failures land in its event log.
+pub(crate) fn execute_compiled<M: Mode>(
     db: &Database,
     phys: &PhysicalPlan,
     cfg: &PlannerConfig,
     label: &str,
+    mode: M,
     trace: Option<Arc<TraceCollector>>,
-) -> Result<(ongoing_relation::OngoingRelation, ExecStats)> {
-    let cache = db.result_cache();
+) -> Result<(M::Output, ExecStats)> {
     let obs = db.observability();
     let start = Instant::now();
-    let cached_key = if cache.budget() > 0 && trace.is_none() {
-        let key = rescache::plan_fingerprint(phys, cfg);
-        let deps = rescache::plan_tables(phys);
-        if let Some((rel, stats)) = cache.lookup(&key, &deps, obs) {
-            db.record_query(label, &stats, start.elapsed());
-            return Ok((rel, stats));
-        }
-        Some((key, deps))
-    } else {
-        None
-    };
     let mut ctx = cfg.exec_context().with_events(Arc::clone(&obs.events));
     ctx.trace = trace;
-    match phys.execute_with_stats(&ctx) {
-        Ok((rel, stats)) => {
+    match mode.run(db, phys, cfg, &ctx) {
+        Ok((out, stats)) => {
             db.record_query(label, &stats, start.elapsed());
-            if let Some((key, deps)) = cached_key {
-                let deps = deps.iter().map(Arc::downgrade).collect();
-                cache.insert(key, deps, &rel, stats, obs);
-            }
-            Ok((rel, stats))
+            Ok((out, stats))
         }
         Err(e) => {
             let context = label.to_string();
@@ -219,7 +297,7 @@ fn analyze_query(
     let phys = compile_query(db, q, cfg)?;
     let tracer = Arc::new(TraceCollector::new());
     let start = Instant::now();
-    let (rel, stats) = execute_compiled(db, &phys, cfg, label, Some(Arc::clone(&tracer)))?;
+    let (rel, stats) = execute_compiled(db, &phys, cfg, label, Ongoing, Some(Arc::clone(&tracer)))?;
     let wall = start.elapsed();
     let root = tracer
         .finish()
@@ -571,6 +649,42 @@ mod tests {
             report.root.self_work.total_work() + child_total,
             report.stats.total_work()
         );
+    }
+
+    #[test]
+    fn query_at_is_query_bound_at_rt() {
+        let db = fig1_db();
+        let rts = [
+            TimePoint::NEG_INF,
+            md(1, 1),
+            md(1, 25),
+            md(1, 26),
+            md(8, 15),
+            md(8, 16),
+            md(8, 21),
+            md(8, 22),
+            md(12, 31),
+            TimePoint::MAX_FINITE,
+        ];
+        for sql in [
+            "SELECT B.BID, B.VT, P.PID, L.Name, INTERSECTION(B.VT, L.VT) AS Resp \
+             FROM B JOIN P ON B.C = P.C AND B.VT BEFORE P.VT \
+             JOIN L ON B.C = L.C AND B.VT OVERLAPS L.VT \
+             WHERE B.C = 'Spam filter'",
+            "SELECT BID FROM B WHERE VT OVERLAPS PERIOD(DATE '2019-08-01', DATE '2019-09-01')",
+            "SELECT C FROM B UNION SELECT C FROM L",
+            "SELECT BID FROM B EXCEPT SELECT BID FROM B WHERE NOW <= END(VT)",
+            "SELECT * FROM L",
+        ] {
+            let ongoing = query(&db, sql).unwrap();
+            for rt in rts {
+                assert_eq!(
+                    query_at(&db, sql, rt).unwrap(),
+                    ongoing.bind(rt),
+                    "{sql} at rt={rt}"
+                );
+            }
+        }
     }
 
     #[test]

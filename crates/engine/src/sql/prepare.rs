@@ -24,7 +24,7 @@ use crate::exec::rescache;
 use crate::exec::ExecStats;
 use crate::plan::{PhysicalPlan, PlannerConfig};
 use crate::sql::ast::Query;
-use crate::sql::{compile_query, execute_compiled, parser};
+use crate::sql::{compile_query, execute_compiled, parser, Ongoing};
 use crate::stats::TableStatistics;
 use ongoing_relation::OngoingRelation;
 use std::sync::{Arc, Mutex};
@@ -116,7 +116,7 @@ impl Prepared {
         cfg: &PlannerConfig,
     ) -> Result<(OngoingRelation, ExecStats)> {
         let phys = self.plan_for(db, cfg)?;
-        execute_compiled(db, &phys, cfg, &self.text, None)
+        execute_compiled(db, &phys, cfg, &self.text, Ongoing, None)
     }
 
     /// Returns the cached physical plan if the database still matches the

@@ -239,11 +239,6 @@ impl FaultVfs {
         }
     }
 
-    /// Calls made so far.
-    pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::SeqCst)
-    }
-
     /// Faults actually injected so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::SeqCst)

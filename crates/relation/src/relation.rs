@@ -393,18 +393,27 @@ impl OngoingRelation {
     /// Requires `rt < ∞`: `RT` is a set of half-open ranges `[ts, te)`, so
     /// no tuple is alive at `∞` and the result there is always empty.
     /// `MAX_FINITE` is the latest reference time.
+    ///
+    /// # Panics
+    /// On a pager failure; [`bind_rows`](Self::bind_rows) returns it.
     pub fn bind(&self, rt: TimePoint) -> FixedRelation {
-        FixedRelation::from_rows(self.bind_rows(rt))
+        let rows = self.bind_rows(rt).unwrap_or_else(|e| panic!("bind: {e}"));
+        FixedRelation::from_rows(rows)
     }
 
     /// The raw row bag of `∥R∥rt`, without the canonicalizing sort/dedup of
     /// [`bind`](Self::bind) — what a system hands to an application when
     /// instantiating a materialized ongoing result (and what the benchmark
     /// harness times, so the comparison against re-evaluation does not
-    /// charge either side for canonicalization). Requires `rt < ∞`, like
-    /// [`bind`](Self::bind).
-    pub fn bind_rows(&self, rt: TimePoint) -> Vec<Vec<Value>> {
-        self.iter().filter_map(|t| t.bind(rt)).collect()
+    /// charge either side for canonicalization). Reads one transient chunk
+    /// pin at a time, so a cold relation stays cold, and a pager failure is
+    /// an error. Requires `rt < ∞`, like [`bind`](Self::bind).
+    pub fn bind_rows(&self, rt: TimePoint) -> Result<Vec<Vec<Value>>, PagerError> {
+        let mut rows = Vec::new();
+        for view in self.lazy_views() {
+            rows.extend(view.pin()?.iter().filter_map(|t| t.bind(rt)));
+        }
+        Ok(rows)
     }
 
     /// Merges tuples with identical attribute values by unioning their

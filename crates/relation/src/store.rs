@@ -76,10 +76,6 @@ impl StoreWork {
 /// clone) against scan fan-out granularity.
 pub const TARGET_CHUNK_ROWS: usize = 512;
 
-/// Compaction trigger: dead rows (tombstoned or superseded base rows)
-/// exceeding this fraction of the live row count.
-pub const COMPACT_DEAD_FRAC: f64 = 0.5;
-
 /// Compaction trigger: minimum chunk-count slack beyond the dense ideal
 /// (`ceil(live / TARGET_CHUNK_ROWS)`). Every small insert batch seals into
 /// its own chunk, so sustained churn grows the chunk list until a compact
@@ -1367,14 +1363,17 @@ impl TupleStore {
     }
 
     /// Should the catalog fold this version before publishing it? True when
-    /// dead rows exceed [`COMPACT_DEAD_FRAC`] of the live count or the
-    /// chunk list has outgrown the dense ideal by
-    /// [`COMPACT_CHUNK_SLACK`].
+    /// the chunk list has outgrown the dense ideal by
+    /// [`COMPACT_CHUNK_SLACK`] — the scattered small chunks that
+    /// [`compact_runs`](Self::compact_runs) leaves in place, because full
+    /// clean chunks separate them. The catalog asks only after
+    /// `compact_runs`, which leaves no dirty chunk: each chunk's dead plus
+    /// overlay rows are then at most [`RUN_DIRTY_FRAC`] of its base, so
+    /// the table's are at most a third of its live rows, and a dead-row
+    /// trigger has nothing left to catch.
     pub fn should_compact(&self) -> bool {
-        let s = self.summary();
-        let ideal = self.live.div_ceil(TARGET_CHUNK_ROWS.max(1)).max(1);
-        s.chunks > ideal + COMPACT_CHUNK_SLACK.max(ideal)
-            || (s.dead_rows + s.overlay_rows) as f64 > COMPACT_DEAD_FRAC * (self.live.max(1)) as f64
+        let ideal = self.live.div_ceil(TARGET_CHUNK_ROWS).max(1);
+        self.chunks.len() > ideal + COMPACT_CHUNK_SLACK.max(ideal)
     }
 
     /// Physical-layout summary.
@@ -1979,6 +1978,9 @@ mod tests {
 
     #[test]
     fn should_compact_on_dead_fraction() {
+        // The catalog folds runs first: a chunk with 60 % of its rows
+        // deleted is dirty, so run folding removes the dead rows and the
+        // whole-table fold has nothing left to do.
         let mut s = TupleStore::from_tuples((0..100).map(t).collect());
         assert!(!s.should_compact());
         let plan = s
@@ -1992,9 +1994,76 @@ mod tests {
             .unwrap()
             .0;
         s.apply_edits(plan);
+        s.compact_runs().unwrap();
+        assert_eq!(s.summary().dead_rows, 0);
+        assert!(!s.should_compact());
+        // What run folding leaves in place — pairs of small chunks between
+        // full clean ones — still trips the chunk-count trigger.
+        let mut s = TupleStore::new();
+        for round in 0..40 {
+            for i in 0..TARGET_CHUNK_ROWS as i64 {
+                s.push(t(round * 10_000 + i));
+            }
+            for extra in 0..2 {
+                s.push(t(round * 10_000 + 5_000 + extra));
+                s.seal_pending();
+            }
+        }
+        assert_eq!(s.compact_runs().unwrap(), 0);
         assert!(s.should_compact());
         s.compact().unwrap();
         assert!(!s.should_compact());
+    }
+
+    #[test]
+    fn run_folding_bounds_dead_and_overlay_rows_by_a_third_of_live() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..20 {
+            let rows = (next(4) as i64 + 1) * TARGET_CHUNK_ROWS as i64;
+            let mut s = TupleStore::from_tuples((0..rows).map(t).collect());
+            let mut fresh = rows;
+            for _ in 0..30 {
+                match next(3) {
+                    0 => {
+                        for _ in 0..next(64) + 1 {
+                            s.push(t(fresh));
+                            fresh += 1;
+                        }
+                        s.seal_pending();
+                    }
+                    kind => {
+                        let rate = next(8) + 2;
+                        let mut pick = |_: &Tuple| next(rate) == 0;
+                        let plan = s
+                            .plan_edits(None, |tp| {
+                                Ok::<_, PagerError>(match (pick(tp), kind) {
+                                    (false, _) => RowEdit::Keep,
+                                    (true, 1) => RowEdit::Remove,
+                                    (true, _) => RowEdit::Replace(vec![tp.clone(), tp.clone()]),
+                                })
+                            })
+                            .unwrap()
+                            .0;
+                        s.apply_edits(plan);
+                    }
+                }
+                s.compact_runs().unwrap();
+                let sum = s.summary();
+                assert!(
+                    3 * (sum.dead_rows + sum.overlay_rows) <= s.len(),
+                    "dead {} + overlay {} > live {} / 3",
+                    sum.dead_rows,
+                    sum.overlay_rows,
+                    s.len()
+                );
+            }
+        }
     }
 
     /// In-memory pager for cold-chunk tests: serves chunks from a map and

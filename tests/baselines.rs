@@ -163,12 +163,6 @@ fn torp_handles_modifications_but_not_predicates() {
     // impossible and queries fall back to Clifford.
     let grown = torp::TfPoint::MaxNow(md(3, 1));
     assert_eq!(grown.min(torp::TfPoint::Fixed(md(8, 1))), None);
-    let db = running_example_db();
-    let plan = before_patch_201(&db);
-    assert_eq!(
-        torp::run_query_at(&db, &plan, md(5, 14)).unwrap(),
-        execute_at(&db, &plan, md(5, 14)).unwrap()
-    );
 }
 
 #[test]
@@ -197,15 +191,6 @@ fn table_i_closure_summary() {
             }
         }
     }
-}
-
-#[test]
-fn instantiate_relation_is_bind() {
-    let db = running_example_db();
-    let b = db.table("B").unwrap();
-    let snap = clifford::instantiate_relation(b.data(), md(5, 14)).unwrap();
-    assert_eq!(snap, b.data().bind(md(5, 14)));
-    assert_eq!(snap.len(), 2);
 }
 
 #[test]

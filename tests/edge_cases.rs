@@ -388,9 +388,8 @@ fn infinite_reference_time_is_rejected_at_every_entry_point() {
     // `∞` is not a reference time: `RT` is a set of half-open ranges, so a
     // table would bind empty there. Every instantiated entry point says
     // so with a typed error and still answers at `MAX_FINITE`.
-    use ongoingdb::engine::baseline::clifford;
     use ongoingdb::engine::plan::compile;
-    use ongoingdb::engine::MaterializedView;
+    use ongoingdb::engine::{sql, MaterializedView};
     let db = empty_db();
     let mut t = OngoingRelation::new(Schema::builder().int("K").interval("VT").build());
     t.insert(vec![
@@ -404,13 +403,12 @@ fn infinite_reference_time_is_rejected_at_every_entry_point() {
     let phys = compile(&db, &plan, &cfg).unwrap();
     let ctx = cfg.exec_context();
     let view = MaterializedView::create(&db, "v", plan.clone(), cfg).unwrap();
-    let table = db.table("T").unwrap();
     let counts = |rt: TimePoint| {
         [
             execute_at(&db, &plan, rt).map(|r| r.len()),
+            sql::query_at(&db, "SELECT * FROM T", rt).map(|r| r.len()),
             phys.execute_at_with_stats(rt, &ctx).map(|(r, _)| r.len()),
             phys.rows_at_with_stats(rt, &ctx).map(|(r, _)| r.len()),
-            clifford::instantiate_relation(table.data(), rt).map(|r| r.len()),
             view.instantiate(rt).map(|r| r.len()),
         ]
     };

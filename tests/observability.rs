@@ -18,6 +18,9 @@
 //! 5. **The JSONL sink survives transient write faults** through the
 //!    `Vfs` seam: a torn or failed append is retried; no event line is
 //!    lost or duplicated.
+//! 6. **Every client entry point is metered once, in both modes**: one
+//!    query, its executor counters and one event per call; only ongoing
+//!    runs probe the result cache.
 
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
@@ -31,9 +34,12 @@ use ongoingdb::engine::obs::{
     EventLog, DURABLE_METRIC_NAMES, EXEC_METRIC_NAMES, STORE_METRIC_NAMES,
 };
 use ongoingdb::engine::sql::prepare::{PREPARED_HITS_METRIC, PREPARED_MISSES_METRIC};
-use ongoingdb::engine::sql::{explain_analyze, prepare, run_statement, StatementResult};
+use ongoingdb::engine::sql::{self, explain_analyze, prepare, run_statement, StatementResult};
 use ongoingdb::engine::storage::{FaultKind, FaultMode, FaultPlan, FaultVfs, TempDir};
-use ongoingdb::engine::{Database, DurableOptions, EngineEvent, MetricsSnapshot, PlannerConfig};
+use ongoingdb::engine::{
+    execute, execute_at, Database, DurableOptions, EngineEvent, ExecStats, MaterializedView,
+    MetricsSnapshot, PlannerConfig,
+};
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -159,6 +165,92 @@ fn explain_analyze_actuals_match_executor_counters() {
 }
 
 #[test]
+fn every_client_entry_point_records_one_query_in_both_modes() {
+    let db = fixture();
+    let cfg = PlannerConfig::default();
+    let text = "SELECT T.K, S.G FROM T JOIN S ON T.K = S.K WHERE T.G = 2";
+    let rt = tp(30);
+    let plan = sql::plan_query(&db, text).unwrap();
+    let phys = ongoingdb::engine::plan::compile(&db, &plan, &cfg).unwrap();
+    let (_, ongoing) = phys.execute_with_stats(&cfg.exec_context()).unwrap();
+    let (_, at_rt) = phys.execute_at_with_stats(rt, &cfg.exec_context()).unwrap();
+    assert!(ongoing.total_work() > 0 && at_rt.total_work() > 0);
+    let stmt = prepare(&db, text).unwrap();
+    let cached = db.result_cache().budget() > 0;
+    type Run<'a> = Box<dyn Fn() + 'a>;
+    let entries: [(&str, Run<'_>, ExecStats, bool); 6] = [
+        (
+            "sql::query",
+            Box::new(|| drop(sql::query(&db, text).unwrap())),
+            ongoing,
+            true,
+        ),
+        (
+            "sql::query_at",
+            Box::new(|| drop(sql::query_at(&db, text, rt).unwrap())),
+            at_rt,
+            false,
+        ),
+        (
+            "execute",
+            Box::new(|| drop(execute(&db, &plan).unwrap())),
+            ongoing,
+            true,
+        ),
+        (
+            "execute_at",
+            Box::new(|| drop(execute_at(&db, &plan, rt).unwrap())),
+            at_rt,
+            false,
+        ),
+        (
+            "Prepared::execute",
+            Box::new(|| drop(stmt.execute(&db).unwrap())),
+            ongoing,
+            true,
+        ),
+        (
+            "MaterializedView::create",
+            Box::new(|| {
+                drop(MaterializedView::create(&db, "v", plan.clone(), cfg.clone()).unwrap())
+            }),
+            ongoing,
+            true,
+        ),
+    ];
+    let slow_queries = || {
+        db.recent_events()
+            .iter()
+            .filter(|r| matches!(r.event, EngineEvent::SlowQuery { .. }))
+            .count()
+    };
+    for (name, run, stats, ongoing_mode) in entries {
+        let (before, events) = (db.metrics_snapshot(), slow_queries());
+        run();
+        let after = db.metrics_snapshot();
+        let delta = |metric: &str| after.value(metric) - before.value(metric);
+        assert_eq!(delta("ongoingdb_queries"), 1, "{name}");
+        assert_eq!(slow_queries(), events + 1, "{name}: one event per query");
+        let want = [
+            stats.tuples_scanned,
+            stats.tuples_filtered,
+            stats.pairs_compared,
+            stats.index_candidates,
+            stats.intervals_merged,
+        ];
+        for (metric, want) in EXEC_METRIC_NAMES.into_iter().zip(want) {
+            assert_eq!(delta(metric), want, "{name}: {metric}");
+        }
+        let probes = delta(RESULT_CACHE_HITS_METRIC) + delta(RESULT_CACHE_MISSES_METRIC);
+        assert_eq!(
+            probes,
+            u64::from(ongoing_mode && cached),
+            "{name}: result-cache probes"
+        );
+    }
+}
+
+#[test]
 fn metrics_text_exposes_every_core_metric() {
     let dir = TempDir::new("obs-exposition");
     let db = Database::open_with(
@@ -209,8 +301,6 @@ fn metrics_text_exposes_every_core_metric() {
         "ongoingdb_pool_tasks_stolen",
         "ongoingdb_pool_tasks_dropped",
         "ongoingdb_pool_queries",
-        "ongoingdb_pool_admission_waits",
-        "ongoingdb_pool_admission_wait_us",
         PREPARED_HITS_METRIC,
         PREPARED_MISSES_METRIC,
         RESULT_CACHE_HITS_METRIC,
