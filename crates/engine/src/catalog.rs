@@ -353,10 +353,9 @@ impl Database {
     }
 
     /// Folds one finished query into the metrics registry and — past the
-    /// slow-query threshold — the event ring. The `sql`/API entry points
-    /// call this automatically; callers driving compiled plans by hand can
-    /// report through it too.
-    pub fn record_query(&self, label: &str, stats: &ExecStats, wall: Duration) {
+    /// slow-query threshold — the event ring. Called by the one execution
+    /// seam, [`crate::sql::execute_compiled`], after every successful run.
+    pub(crate) fn record_query(&self, label: &str, stats: &ExecStats, wall: Duration) {
         self.obs.observe_query(label, stats, wall.as_nanos() as u64);
     }
 
@@ -430,7 +429,7 @@ impl Database {
     /// [`EngineError::NestedPublication`]. The fork shares all untouched
     /// chunks with the published version, so a modification costs
     /// O(rows touched), not O(table); when the accumulated delta outgrows
-    /// the storage policy ([`ongoing_relation::store`]) fragmented chunk
+    /// the storage policy ([`ongoing_relation::relation`]) fragmented chunk
     /// *runs* are folded before publication (O(fragmented run), with the
     /// whole-table fold kept only as a policy backstop).
     ///

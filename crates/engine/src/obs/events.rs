@@ -3,9 +3,9 @@
 //!
 //! Events capture the *discrete* things the engine does — a publication
 //! landed, a checkpoint folded the WAL, the cache evicted a chunk, a
-//! transient I/O fault was absorbed, a query ran
-//! slow or hit its deadline. Counters (the metrics registry) answer "how
-//! much"; the event ring answers "what happened, in what order".
+//! transient I/O fault was absorbed, a query ran slow. Counters (the
+//! metrics registry) answer "how much"; the event ring answers "what
+//! happened, in what order".
 //!
 //! The ring holds the most recent [`EventLog::capacity`] records; older
 //! records fall off the front but their monotone sequence numbers keep
@@ -63,16 +63,6 @@ pub enum EngineEvent {
         /// Deterministic work units the query cost.
         work: u64,
     },
-    /// A query hit its deadline.
-    DeadlineExceeded {
-        /// What timed out (the query text).
-        context: String,
-    },
-    /// A query was cooperatively cancelled.
-    Cancelled {
-        /// What was cancelled.
-        context: String,
-    },
     /// A query registered a task queue with the shared worker pool.
     QueryQueued {
         /// Queries registered with the pool after this one joined.
@@ -96,8 +86,6 @@ impl EngineEvent {
             EngineEvent::Eviction { .. } => "eviction",
             EngineEvent::WalFaultRetry { .. } => "wal_fault_retry",
             EngineEvent::SlowQuery { .. } => "slow_query",
-            EngineEvent::DeadlineExceeded { .. } => "deadline_exceeded",
-            EngineEvent::Cancelled { .. } => "cancelled",
             EngineEvent::QueryQueued { .. } => "query_queued",
             EngineEvent::ResultCacheEviction { .. } => "result_cache_eviction",
         }
@@ -138,14 +126,6 @@ impl EventRecord {
             } => format!(
                 "{{\"seq\":{seq},\"kind\":\"slow_query\",\"query\":{},\"wall_ns\":{wall_ns},\"work\":{work}}}",
                 json_str(query)
-            ),
-            EngineEvent::DeadlineExceeded { context } => format!(
-                "{{\"seq\":{seq},\"kind\":\"deadline_exceeded\",\"context\":{}}}",
-                json_str(context)
-            ),
-            EngineEvent::Cancelled { context } => format!(
-                "{{\"seq\":{seq},\"kind\":\"cancelled\",\"context\":{}}}",
-                json_str(context)
             ),
             EngineEvent::QueryQueued { active } => {
                 format!("{{\"seq\":{seq},\"kind\":\"query_queued\",\"active\":{active}}}")

@@ -249,8 +249,10 @@ impl QueryBuilder {
 
     /// Grouped aggregation: group on the named (fixed) attributes and
     /// compute each aggregate as an ongoing integer. Output attribute names
-    /// are the group names followed by `names` (one per aggregate; pass
-    /// ``&[]`-style defaults via [`AggFn::default_name`] if preferred).[]`-style defaults via `AggFn::default_name` if preferred).
+    /// are the group names followed by `names`, exactly one per aggregate
+    /// ([`AggFn::default_name`] gives a conventional one).
+    ///
+    /// [`AggFn::default_name`]: ongoing_relation::aggregate::AggFn::default_name
     pub fn aggregate(
         self,
         group_names: &[&str],

@@ -721,8 +721,14 @@ impl PhysicalPlan {
                     for a in aggs {
                         let v = match a {
                             AggFn::CountStar => members.len() as i64,
+                            // Exact in `i128`, clamped once — the ongoing
+                            // `SumInt`'s saturation at bind.
                             AggFn::SumInt(col) => {
-                                members.iter().map(|r| r[*col].as_int().unwrap_or(0)).sum()
+                                let sum: i128 = members
+                                    .iter()
+                                    .map(|r| i128::from(r[*col].as_int().unwrap_or(0)))
+                                    .sum();
+                                sum.clamp(i64::MIN.into(), i64::MAX.into()) as i64
                             }
                         };
                         vals.push(Value::Int(v));

@@ -43,7 +43,7 @@ pub use prepare::{prepare, Prepared};
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::exec::{rescache, ExecContext, ExecStats};
-use crate::obs::{EngineEvent, SpanNode, TraceCollector};
+use crate::obs::{SpanNode, TraceCollector};
 use crate::plan::{LogicalPlan, PhysicalPlan, PlannerConfig, QueryBuilder};
 use crate::stats::TableStatistics;
 use ast::{AstExpr, Query, SelectStmt, Statement};
@@ -251,8 +251,7 @@ impl Mode for At {
 /// in both modes, `EXPLAIN ANALYZE`, prepared statements, materialized
 /// view refreshes and [`crate::execute`]/[`crate::execute_at`]. Every
 /// successful run records the same per-query metrics under `label`, and
-/// pool scheduling events, through the database's observability layer;
-/// deadline and cancellation failures land in its event log.
+/// pool scheduling events, through the database's observability layer.
 pub(crate) fn execute_compiled<M: Mode>(
     db: &Database,
     phys: &PhysicalPlan,
@@ -265,24 +264,9 @@ pub(crate) fn execute_compiled<M: Mode>(
     let start = Instant::now();
     let mut ctx = cfg.exec_context().with_events(Arc::clone(&obs.events));
     ctx.trace = trace;
-    match mode.run(db, phys, cfg, &ctx) {
-        Ok((out, stats)) => {
-            db.record_query(label, &stats, start.elapsed());
-            Ok((out, stats))
-        }
-        Err(e) => {
-            let context = label.to_string();
-            let event = match e {
-                EngineError::DeadlineExceeded => Some(EngineEvent::DeadlineExceeded { context }),
-                EngineError::Cancelled => Some(EngineEvent::Cancelled { context }),
-                _ => None,
-            };
-            if let Some(event) = event {
-                obs.events.record(event);
-            }
-            Err(e)
-        }
-    }
+    let (out, stats) = mode.run(db, phys, cfg, &ctx)?;
+    db.record_query(label, &stats, start.elapsed());
+    Ok((out, stats))
 }
 
 /// Compiles a parsed query, executes it through [`execute_compiled`] under

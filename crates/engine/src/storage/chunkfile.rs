@@ -1,7 +1,8 @@
-//! On-disk chunk files: one sealed, immutable `TupleStore` chunk each.
+//! On-disk chunk files: one sealed, immutable
+//! [`OngoingRelation`](ongoing_relation::OngoingRelation) chunk each.
 //!
 //! A chunk file holds the *base* rows of one sealed chunk — exactly the
-//! `Arc<[Tuple]>` allocation the store shares between versions — encoded
+//! `Arc<[Tuple]>` allocation a relation shares between versions — encoded
 //! with the tuple codec and guarded by a trailing CRC-32. Chunk files are
 //! written once (at checkpoint time, or when a full-state WAL record needs
 //! them), never appended to, and deleted only by checkpoint garbage

@@ -6,8 +6,8 @@
 //! temporal-manipulation systems treat update qualification as an indexed
 //! operation instead; this module brings the storage layer in line.
 //!
-//! The index follows the store's chunked copy-on-write layout
-//! ([`crate::store`]):
+//! The index follows the relation's chunked copy-on-write layout
+//! ([`crate::relation`]):
 //!
 //! * **Per-chunk key maps** — every sealed chunk carries an immutable
 //!   [`KeyMap`] per indexed column, mapping key value → base offsets.
@@ -68,7 +68,7 @@ impl Ord for IndexKey {
 }
 
 /// One chunk's immutable key → base-offset index. Offsets are chunk-local
-/// (`u32` — chunks hold at most [`crate::store::TARGET_CHUNK_ROWS`] rows)
+/// (`u32` — chunks hold at most [`crate::TARGET_CHUNK_ROWS`] rows)
 /// and stored in ascending order per key.
 pub type KeyMap = BTreeMap<IndexKey, Vec<u32>>;
 
@@ -261,12 +261,12 @@ impl KeyProbe {
 }
 
 /// Exact (not estimated) per-path qualification work for one probe over
-/// one store version, in the store's deterministic work units (rows
+/// one relation version, in its deterministic work units (rows
 /// visited, plus one unit per chunk probed for the keyed path).
 /// [`OngoingRelation::key_probe`](crate::OngoingRelation::key_probe)
 /// takes the keyed path only when it is strictly cheaper (on ties the
 /// scan's better constants prevail); the units are the same currency as
-/// [`crate::store::TupleStore::qual_work`].
+/// [`OngoingRelation::qual_work`](crate::OngoingRelation::qual_work).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QualEstimate {
     /// Work of the keyed path: `candidates + overlay + pending + chunks`.

@@ -53,21 +53,23 @@ pub mod keyindex;
 pub mod predicate;
 pub mod relation;
 pub mod schema;
-pub mod store;
 pub mod tuple;
 pub mod value;
 
 pub use expr::{CmpOp, EvalError, Expr, Row};
 pub use keyindex::{KeyProbe, QualEstimate};
 pub use predicate::{Pair, Predicate};
-pub use relation::{FixedRelation, OngoingRelation};
-pub use schema::{Attribute, Schema, SchemaError};
-pub use store::{
-    ChunkPager, ChunkPart, ChunkSource, JournalOp, LazyChunkView, PagerError, PinnedChunk, RowEdit,
-    StoreSummary, StoreWork, TupleStore, TARGET_CHUNK_ROWS,
+pub use relation::{
+    ChunkPager, ChunkPart, ChunkSource, FixedRelation, JournalOp, LazyChunkView, OngoingRelation,
+    PagerError, PinnedChunk, RowEdit, StoreSummary, StoreWork, TARGET_CHUNK_ROWS,
 };
+pub use schema::{Attribute, Schema, SchemaError};
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};
 
 // Re-export the temporal predicate enum; it appears in `Expr`.
 pub use ongoing_core::allen::TemporalPredicate;
+
+// The storage unit tests (see `store/mod.rs`).
+#[cfg(test)]
+mod store;

@@ -1,41 +1,175 @@
-//! Ongoing relations (Definition 5) and their bind operator.
+//! Ongoing relations (Definition 5), their versioned chunked storage and
+//! the bind operator.
+//!
+//! An ongoing database exists to *absorb change*: tuples are inserted,
+//! terminated and updated continuously while readers keep pinned snapshots
+//! (Sec. III / VII of the paper). A flat `Vec<Tuple>` would force every
+//! modification to clone the whole relation — O(table) per write. An
+//! [`OngoingRelation`] instead stores its tuples as a version tree over
+//! immutable chunks:
+//!
+//! * **Chunks** — immutable `Arc<[Tuple]>` runs of rows. Versions share
+//!   them; nobody ever mutates a sealed chunk.
+//! * **Edit overlays** — a per-chunk `BTreeMap<row offset, replacements>`
+//!   (an empty replacement list is a tombstone; a multi-tuple list is a
+//!   split, e.g. a sequenced update's old/new versions). Overlays are
+//!   themselves `Arc`-shared and copied only by the first version that
+//!   touches the chunk.
+//! * **Pending tail** — an owned `Vec<Tuple>` absorbing inserts; it is
+//!   sealed into a chunk when it reaches [`TARGET_CHUNK_ROWS`] (or when the
+//!   catalog freezes the version for publication).
+//!
+//! Cloning a relation is the *fork* operation: O(#chunks) reference bumps
+//! plus a copy of the (bounded) pending tail. A modification then touches
+//! only the chunks holding edited rows, so a writer costs O(rows touched),
+//! not O(table). [`OngoingRelation::compact`] folds overlays and
+//! fragmented chunks back into dense chunks; it changes the physical
+//! layout only, never the logical tuple sequence.
+//!
+//! A sealed chunk's base ([`ChunkSource`]) may be *cold*: durable identity
+//! only, its rows paged in through the relation's one [`ChunkPager`].
+//! Every read of a version pins one chunk at a time and releases it
+//! ([`PinnedChunk`]) — the executors' morsels through
+//! [`OngoingRelation::lazy_views`], and inside this module the edit
+//! planners, keyed lookups, key-index builds and folds. A pager failure is
+//! a [`PagerError`], never a panic. Only the borrowing
+//! [`OngoingRelation::iter`] keeps what it touched resident for the
+//! version's lifetime.
+//!
+//! All physical write work (tuples appended, overlay entries written,
+//! overlay copy-on-write, tail copies on fork, compaction copies) is
+//! metered in [`OngoingRelation::write_work`] — the deterministic
+//! work-unit counter the storage tests and the catalog's
+//! statistics-staleness accounting consume.
+//!
+//! The code is split along these seams: `chunk` (bases, overlays, pins
+//! and the pager), `edit` (row edits, key probes and the candidate walk),
+//! `journal` (the write-ahead journal and the physical parts), `compaction`
+//! (the fold policy) and `iter` (the borrowing iterator and the chunk
+//! parking it needs).
 
-use crate::expr::Expr;
-use crate::keyindex::{KeyProbe, QualEstimate};
-use crate::schema::{Schema, SchemaError};
-use crate::store::{
-    ChunkPager, ChunkPart, JournalOp, LazyChunkView, PagerError, RowEdit, StoreIter, StoreSummary,
-    TupleStore,
+mod chunk;
+mod compaction;
+mod edit;
+mod iter;
+mod journal;
+
+pub use chunk::{
+    ChunkPager, ChunkPart, ChunkRows, ChunkSource, LazyChunkView, PagerError, PinnedChunk,
+    TARGET_CHUNK_ROWS,
 };
+pub use compaction::{COMPACT_CHUNK_SLACK, RUN_CHUNK_SLACK, RUN_DIRTY_FRAC};
+pub use edit::RowEdit;
+pub use iter::StoreIter;
+pub use journal::JournalOp;
+
+use crate::schema::{Schema, SchemaError};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use crate::value::ValueType;
+use chunk::{dense_chunks, Chunk};
 use ongoing_core::{IntervalSet, TimePoint};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// The three deterministic write-path counters as one snapshot — see
+/// [`OngoingRelation::work_counters`]. Summable across tables with
+/// [`StoreWork::add`], which is how a catalog-wide metrics view rolls the
+/// per-table counters up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreWork {
+    /// Physical write work units ([`OngoingRelation::write_work`]).
+    pub write_work: u64,
+    /// Logical row writes ([`OngoingRelation::logical_writes`]).
+    pub logical_writes: u64,
+    /// Qualification work units ([`OngoingRelation::qual_work`]).
+    pub qual_work: u64,
+}
+
+impl StoreWork {
+    /// Folds `other` into this snapshot (field-wise sum).
+    pub fn add(&mut self, other: &StoreWork) {
+        self.write_work += other.write_work;
+        self.logical_writes += other.logical_writes;
+        self.qual_work += other.qual_work;
+    }
+}
+
+/// Physical-layout observability: what a version is made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreSummary {
+    /// Sealed chunks in the version.
+    pub chunks: usize,
+    /// Live rows (what [`OngoingRelation::len`] reports).
+    pub live_rows: usize,
+    /// Rows held in sealed chunk bases (including superseded ones).
+    pub base_rows: usize,
+    /// Replacement rows held in edit overlays.
+    pub overlay_rows: usize,
+    /// Base rows superseded by an overlay entry (tombstoned or replaced).
+    pub dead_rows: usize,
+    /// Rows in the open pending tail.
+    pub pending_rows: usize,
+}
+
 /// An ongoing relation: a schema plus a finite set of tuples, each carrying
 /// a reference-time attribute `RT`.
 ///
-/// Tuples live in a versioned, chunked copy-on-write [`TupleStore`]
-/// (see [`crate::store`]): cloning a relation shares all sealed chunks, and
-/// row-level edits through [`edit_tuples`](Self::edit_tuples) cost
-/// O(rows touched) instead of O(table). Engine readers pin one chunk at a
-/// time ([`lazy_views`](Self::lazy_views)); [`iter`](Self::iter) borrows
-/// every row for the relation's lifetime.
-#[derive(Debug, Clone)]
+/// The tuples live in shared immutable chunks, per-version edit overlays
+/// and an owned pending tail (see the [module docs](self)): cloning a
+/// relation shares all sealed chunks, and row-level edits through
+/// [`edit_tuples`](Self::edit_tuples) cost O(rows touched) instead of
+/// O(table). Engine readers pin one chunk at a time
+/// ([`lazy_views`](Self::lazy_views)); [`iter`](Self::iter) borrows every
+/// row for the relation's lifetime.
+#[derive(Debug)]
 pub struct OngoingRelation {
     schema: Schema,
-    store: TupleStore,
+    chunks: Vec<Chunk>,
+    pending: Vec<Tuple>,
+    live: usize,
+    write_work: u64,
+    logical_writes: u64,
+    qual_work: u64,
+    /// Columns carrying a keyed qualification index, sorted. Every sealed
+    /// chunk holds a key map per entry; the pending tail is walked.
+    indexed: Vec<usize>,
+    /// The pager every cold chunk of the relation loads through — one per
+    /// relation, so a fork bumps one `Arc` however many chunks are cold.
+    pager: Option<Arc<dyn ChunkPager>>,
+    /// Armed by [`begin_journal`](Self::begin_journal): every mutation
+    /// primitive records a [`JournalOp`]. `None` (the default) is
+    /// zero-cost. Deliberately *not* carried across `clone()`: a journal
+    /// is complete only for mutations made through this very relation, so
+    /// a closure that swaps in a clone (or a rebuilt relation) severs it —
+    /// the durable catalog then falls back to a full-state record.
+    journal: Option<Vec<JournalOp>>,
+}
+
+impl Clone for OngoingRelation {
+    fn clone(&self) -> OngoingRelation {
+        OngoingRelation {
+            schema: self.schema.clone(),
+            chunks: self.chunks.clone(),
+            pending: self.pending.clone(),
+            live: self.live,
+            // The fork physically copies the pending tail (bounded by
+            // TARGET_CHUNK_ROWS for sealed relations); meter it. Logically
+            // nothing changed, so `logical_writes` carries over as-is.
+            write_work: self.write_work + self.pending.len() as u64,
+            logical_writes: self.logical_writes,
+            qual_work: self.qual_work,
+            indexed: self.indexed.clone(),
+            pager: self.pager.clone(),
+            journal: None,
+        }
+    }
 }
 
 impl PartialEq for OngoingRelation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema
-            && self.store.len() == other.store.len()
-            && self.store.iter().eq(other.store.iter())
+        self.schema == other.schema && self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -49,10 +183,7 @@ impl<'de> serde::Deserialize<'de> for OngoingRelation {}
 impl OngoingRelation {
     /// An empty relation over `schema`.
     pub fn new(schema: Schema) -> Self {
-        OngoingRelation {
-            schema,
-            store: TupleStore::new(),
-        }
+        OngoingRelation::dense(schema, Vec::new())
     }
 
     /// Builds a relation from pre-made tuples (arity-checked), sealed into
@@ -67,10 +198,24 @@ impl OngoingRelation {
                 )));
             }
         }
-        Ok(OngoingRelation {
+        Ok(OngoingRelation::dense(schema, tuples))
+    }
+
+    /// `tuples` sealed into dense chunks, unchecked.
+    fn dense(schema: Schema, tuples: Vec<Tuple>) -> Self {
+        let live = tuples.len();
+        OngoingRelation {
             schema,
-            store: TupleStore::from_tuples(tuples),
-        })
+            chunks: dense_chunks(tuples),
+            pending: Vec::new(),
+            live,
+            write_work: live as u64,
+            logical_writes: live as u64,
+            qual_work: 0,
+            indexed: Vec::new(),
+            pager: None,
+            journal: None,
+        }
     }
 
     /// Inserts a base tuple with the trivial reference time `{(-∞, ∞)}` —
@@ -96,7 +241,7 @@ impl OngoingRelation {
         if rt.is_empty() {
             return Ok(());
         }
-        self.store.push(Tuple::with_rt(values, rt));
+        self.append(Tuple::with_rt(values, rt));
         Ok(())
     }
 
@@ -104,8 +249,39 @@ impl OngoingRelation {
     pub fn push(&mut self, tuple: Tuple) {
         debug_assert_eq!(tuple.arity(), self.schema.len());
         if !tuple.rt().is_empty() {
-            self.store.push(tuple);
+            self.append(tuple);
         }
+    }
+
+    /// Appends a row to the pending tail, sealing the tail into a chunk at
+    /// [`TARGET_CHUNK_ROWS`].
+    fn append(&mut self, tuple: Tuple) {
+        if self.journal.is_some() {
+            self.log(JournalOp::Append(tuple.clone()));
+        }
+        self.pending.push(tuple);
+        self.live += 1;
+        self.write_work += 1;
+        self.logical_writes += 1;
+        if self.pending.len() >= TARGET_CHUNK_ROWS {
+            self.seal_pending();
+        }
+    }
+
+    /// Seals the pending insert tail into an immutable chunk so clones of
+    /// this relation are pure reference bumps (no copies: the tail buffer
+    /// is moved; indexed relations additionally build the new chunk's key
+    /// maps, metered per row). Catalog registration seals so that forking
+    /// a published version never copies rows.
+    pub fn seal_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.log(JournalOp::Seal);
+        let tail = std::mem::take(&mut self.pending);
+        let chunk = Chunk::new(ChunkSource::Resident(tail.into()), &self.indexed);
+        self.write_work += (chunk.base.len() * self.indexed.len()) as u64;
+        self.chunks.push(chunk);
     }
 
     /// The schema `(A, RT)`.
@@ -113,255 +289,94 @@ impl OngoingRelation {
         &self.schema
     }
 
-    /// The tuples in storage order, borrowed for the relation's lifetime:
-    /// a cold chunk is paged in on first touch and stays resident with
-    /// this version (see [`crate::store::TupleStore::iter`]). Readers that
-    /// must honor the memory budget pin chunks through
-    /// [`lazy_views`](Self::lazy_views) instead.
-    pub fn iter(&self) -> StoreIter<'_> {
-        self.store.iter()
-    }
-
-    /// The store's chunk views without loading anything: rows are paged in
-    /// per view by [`LazyChunkView::pin`] and released with the pin — the
-    /// memory-budget-honoring morsel source (see
-    /// [`crate::store::TupleStore::lazy_views`]).
-    pub fn lazy_views(&self) -> Vec<LazyChunkView<'_>> {
-        self.store.lazy_views()
-    }
-
-    /// Demotes resident sealed chunks to cold pager references (see
-    /// [`crate::store::TupleStore::demote_where`]): `f` names each base
-    /// allocation's durable chunk id, or `None` to keep it resident.
-    /// Logically a no-op; returns the number of chunks demoted.
-    pub fn demote_where(
-        &mut self,
-        pager: &Arc<dyn ChunkPager>,
-        f: impl FnMut(&Arc<[Tuple]>) -> Option<u64>,
-    ) -> usize {
-        self.store.demote_where(pager, f)
-    }
-
-    /// The pager this relation's cold chunks load through, if any.
-    pub fn pager(&self) -> Option<&Arc<dyn ChunkPager>> {
-        self.store.pager()
-    }
-
-    /// Pages every cold chunk in and keeps it resident, dropping the pager
-    /// (see [`crate::store::TupleStore::make_resident`]). Logically a
-    /// no-op; a pager failure leaves the relation untouched.
-    pub fn make_resident(&mut self) -> Result<(), PagerError> {
-        self.store.make_resident()
-    }
-
-    /// Applies row-level edits: `f` visits the live tuples in storage
-    /// order — every one with `None`, only those that can satisfy `probe`
-    /// otherwise (index candidates + overlay deltas + pending tail) — and
-    /// returns what should happen to each ([`RowEdit`]). `probe` must be a
-    /// necessary condition of `f`'s decision; take it from
-    /// [`key_probe`](Self::key_probe). The write cost is O(rows touched) —
-    /// untouched chunks stay shared with other versions of this relation.
-    /// Returns the number of storage entries written; an error from `f` or
-    /// the pager leaves the relation untouched.
-    pub fn edit_tuples<E: From<PagerError>>(
-        &mut self,
-        probe: Option<&KeyProbe>,
-        f: impl FnMut(&Tuple) -> Result<RowEdit, E>,
-    ) -> Result<usize, E> {
-        self.store.edit(probe, f)
-    }
-
-    /// Declares a keyed qualification index over `column`, which must hold
-    /// a fixed scalar type (`Int`, `Str`, `Bool` or `Time`) — key lookup
-    /// on reference-time-dependent values would make *which rows an edit
-    /// addresses* depend on the reference time, which the modification
-    /// model forbids (Sec. III). Maintained incrementally from here on
-    /// (see [`crate::keyindex`]); idempotent. Cold chunks are read through
-    /// transient pins; a pager failure leaves the relation untouched.
-    pub fn create_key_index<E: From<SchemaError> + From<PagerError>>(
-        &mut self,
-        column: usize,
-    ) -> Result<(), E> {
-        let attr = self.schema.attr(column)?;
-        if !matches!(
-            attr.ty,
-            ValueType::Int | ValueType::Str | ValueType::Bool | ValueType::Time
-        ) {
-            return Err(SchemaError::Mismatch(format!(
-                "key index requires a fixed scalar column; `{}` is {:?}",
-                attr.name, attr.ty
-            ))
-            .into());
-        }
-        Ok(self.store.create_key_index(column)?)
-    }
-
-    /// Columns carrying a keyed qualification index, sorted.
-    pub fn key_indexed_columns(&self) -> &[usize] {
-        self.store.indexed_columns()
-    }
-
-    /// Exact qualification cost of `probe` per path (keyed vs scan), in
-    /// the store's deterministic work units — `None` when the probe's
-    /// column carries no index or some chunk has no key map for it.
-    pub fn qualification_estimate(&self, probe: &KeyProbe) -> Option<QualEstimate> {
-        self.store.qualification_estimate(probe)
-    }
-
-    /// The keyed access path for a predicate over this relation — the one
-    /// place reads (`KeyScan`) and modifications decide it. For the first
-    /// key-indexed column any conjunct of `pred` constrains against a
-    /// constant of the column's type, the probe is that equality or else
-    /// the tightest range the `<`, `<=`, `>`, `>=` conjuncts imply (either
-    /// operand order). It is returned only when every chunk has a key map
-    /// for the column and the keyed walk is strictly cheaper than the scan
-    /// ([`qualification_estimate`](Self::qualification_estimate)); `None`
-    /// means scan. Costs O(#chunks · log chunk), never a row read.
-    pub fn key_probe(&self, pred: &Expr) -> Option<KeyProbe> {
-        let probe = KeyProbe::derive(pred, &self.schema, self.key_indexed_columns())?;
-        let est = self.qualification_estimate(&probe)?;
-        (est.keyed < est.scan).then_some(probe)
-    }
-
-    /// The live rows that satisfy `probe`, in live (iteration) order, plus
-    /// the rows visited collecting them — the read-path counterpart of
-    /// [`edit_tuples`](Self::edit_tuples). Equals the full scan filtered
-    /// by [`KeyProbe::matches`] on the probe column.
-    pub fn keyed_rows(&self, probe: &KeyProbe) -> Result<(Vec<Tuple>, u64), PagerError> {
-        self.store.keyed_rows(probe)
-    }
-
-    /// Cumulative qualification work units (rows visited while deciding
-    /// which rows modifications touch); the difference between a fork and
-    /// its base is the exact read-side qualification cost between them.
-    pub fn qual_work(&self) -> u64 {
-        self.store.qual_work()
-    }
-
-    /// Folds delta overlays and fragmented chunks into dense chunks — a
-    /// semantic no-op that resets fork cost and scan fragmentation.
-    pub fn compact(&mut self) -> Result<(), PagerError> {
-        self.store.compact()
-    }
-
-    /// Partial compaction: folds only fragmented chunk *runs* (heavily
-    /// overlaid chunks, runs of undersized insert-batch chunks), costing
-    /// O(fragmented rows) instead of O(table). Returns the write work
-    /// spent. Semantically a no-op, like [`compact`](Self::compact).
-    pub fn compact_runs(&mut self) -> Result<u64, PagerError> {
-        self.store.compact_runs()
-    }
-
-    /// Does the storage policy recommend a partial (run-level) fold (see
-    /// [`crate::store::TupleStore::should_compact_runs`])?
-    pub fn should_compact_runs(&self) -> bool {
-        self.store.should_compact_runs()
-    }
-
-    /// Seals the pending insert tail into an immutable chunk so clones of
-    /// this relation are pure reference bumps.
-    pub fn seal_pending(&mut self) {
-        self.store.seal_pending();
-    }
-
-    /// Arms the store's mutation journal (see
-    /// [`crate::store::TupleStore::begin_journal`]): every mutation from
-    /// here on records a [`JournalOp`] the persistence layer can
-    /// write-ahead-log.
-    pub fn begin_journal(&mut self) {
-        self.store.begin_journal();
-    }
-
-    /// Takes the accumulated mutation journal, disarming it. `None` when
-    /// no journal was armed or when it was severed by a wholesale relation
-    /// replacement (clones never inherit a journal).
-    pub fn take_journal(&mut self) -> Option<Vec<JournalOp>> {
-        self.store.take_journal()
-    }
-
-    /// Replays journaled mutations against this relation (see
-    /// [`crate::store::TupleStore::apply_journal`]).
-    pub fn apply_journal(&mut self, ops: Vec<JournalOp>) -> Result<(), PagerError> {
-        self.store.apply_journal(ops)
-    }
-
-    /// Serialization views of the store's sealed chunks (the pending tail
-    /// is excluded; persistence operates on sealed versions).
-    pub fn chunk_parts(&self) -> Vec<ChunkPart> {
-        self.store.chunk_parts()
-    }
-
-    /// Rebuilds a relation from its physical parts — the inverse of
-    /// [`chunk_parts`](Self::chunk_parts), used by crash recovery. Key
-    /// maps for `indexed` are rebuilt eagerly for resident parts; cold
-    /// parts page in on demand through `pager`, so recovering an
-    /// out-of-core table reads no rows (see
-    /// [`crate::store::TupleStore::from_parts`]).
-    pub fn from_parts(
-        schema: Schema,
-        parts: Vec<ChunkPart>,
-        pager: Option<Arc<dyn ChunkPager>>,
-        indexed: &[usize],
-    ) -> Self {
-        OngoingRelation {
-            schema,
-            store: TupleStore::from_parts(parts, pager, indexed),
-        }
-    }
-
-    /// Does the storage policy recommend folding this version (see
-    /// [`crate::store::TupleStore::should_compact`])?
-    pub fn should_compact(&self) -> bool {
-        self.store.should_compact()
-    }
-
-    /// Cumulative physical write work units of the underlying store; the
-    /// difference between a fork and its base is the exact physical cost
-    /// of the modifications between them.
-    pub fn write_work(&self) -> u64 {
-        self.store.write_work()
-    }
-
-    /// Cumulative logical row writes (rows appended, replaced or
-    /// tombstoned — no physical bookkeeping); the difference between a
-    /// fork and its base is exactly the number of rows the modifications
-    /// between them touched.
-    pub fn logical_writes(&self) -> u64 {
-        self.store.logical_writes()
-    }
-
-    /// All three write-path counters of the underlying store as one
-    /// snapshot — see [`crate::store::TupleStore::work_counters`].
-    pub fn work_counters(&self) -> crate::store::StoreWork {
-        self.store.work_counters()
-    }
-
-    /// O(1) lineage probe: is this relation's store a direct descendant
-    /// of `base`'s (sharing its first sealed chunk)? See
-    /// [`crate::store::TupleStore::derives_from`].
-    pub fn derives_from(&self, base: &OngoingRelation) -> bool {
-        self.store.derives_from(&base.store)
-    }
-
-    /// Physical-layout summary of the underlying store.
-    pub fn storage_summary(&self) -> StoreSummary {
-        self.store.summary()
-    }
-
-    /// Number of sealed chunks physically shared with `other` — how much
-    /// storage a version re-uses from the version it was forked off.
-    pub fn shares_chunks_with(&self, other: &OngoingRelation) -> usize {
-        self.store.shared_chunks(&other.store)
-    }
-
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.live
     }
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.live == 0
+    }
+
+    /// Cumulative physical write work units (tuples appended or copied,
+    /// overlay entries written, fork/compaction copies). Deterministic:
+    /// depends only on the operation sequence, never on timing or thread
+    /// count. The difference between a fork and its base is the exact
+    /// physical cost of the modifications between them.
+    pub fn write_work(&self) -> u64 {
+        self.write_work
+    }
+
+    /// Cumulative *logical* row writes: rows appended, replaced or
+    /// tombstoned. Unlike [`write_work`](Self::write_work) this excludes
+    /// physical bookkeeping (overlay copy-on-write, fork tail copies,
+    /// compaction), so the difference between a fork and its base is
+    /// exactly the number of rows the modifications between them touched —
+    /// what the catalog's statistics-staleness accounting needs.
+    pub fn logical_writes(&self) -> u64 {
+        self.logical_writes
+    }
+
+    /// Cumulative *qualification* work units: rows visited while deciding
+    /// which rows a modification touches
+    /// ([`edit_tuples`](Self::edit_tuples)). Deterministic, like
+    /// [`write_work`](Self::write_work); the difference between a fork and
+    /// its base is the exact read-side qualification cost between them —
+    /// the counter the keyed-index tests assert on.
+    pub fn qual_work(&self) -> u64 {
+        self.qual_work
+    }
+
+    /// All three write-path counters as one value — what the engine's
+    /// metrics registry reads per table. See [`write_work`](Self::write_work),
+    /// [`logical_writes`](Self::logical_writes) and
+    /// [`qual_work`](Self::qual_work) for the individual semantics.
+    pub fn work_counters(&self) -> StoreWork {
+        StoreWork {
+            write_work: self.write_work,
+            logical_writes: self.logical_writes,
+            qual_work: self.qual_work,
+        }
+    }
+
+    /// Physical-layout summary.
+    pub fn storage_summary(&self) -> StoreSummary {
+        let mut s = StoreSummary {
+            chunks: self.chunks.len(),
+            live_rows: self.live,
+            pending_rows: self.pending.len(),
+            ..StoreSummary::default()
+        };
+        for c in &self.chunks {
+            s.base_rows += c.base.len();
+            s.dead_rows += c.edited_base_rows();
+            s.overlay_rows += c.overlay_rows();
+        }
+        s
+    }
+
+    /// O(1) lineage probe: does this relation still hold `base`'s first
+    /// sealed chunk allocation? Row edits never replace a base chunk (they
+    /// only copy overlays) and inserts only append, so a direct descendant
+    /// of `base` always shares it; a wholesale rebuild — or a compaction,
+    /// which already paid O(table) itself — does not.
+    pub fn derives_from(&self, base: &OngoingRelation) -> bool {
+        match (self.chunks.first(), base.chunks.first()) {
+            (Some(a), Some(b)) => a.base.same_alloc(&b.base),
+            _ => false,
+        }
+    }
+
+    /// Number of sealed chunks whose base storage is physically shared
+    /// (same allocation) with `other` — how much storage a version re-uses
+    /// from the version it was forked off. Quadratic in the chunk counts;
+    /// meant for tests and diagnostics.
+    pub fn shares_chunks_with(&self, other: &OngoingRelation) -> usize {
+        self.chunks
+            .iter()
+            .filter(|a| other.chunks.iter().any(|b| a.base.same_alloc(&b.base)))
+            .count()
     }
 
     /// Replaces the schema (names only — used by `qualify`/rename).
@@ -371,19 +386,13 @@ impl OngoingRelation {
                 "rename must preserve attribute types".into(),
             ));
         }
-        Ok(OngoingRelation {
-            schema,
-            store: self.store,
-        })
+        Ok(OngoingRelation { schema, ..self })
     }
 
     /// Qualifies all attribute names with a relation alias (`B.VT`).
     pub fn qualify(self, rel: &str) -> Self {
         let schema = self.schema.qualify(rel);
-        OngoingRelation {
-            schema,
-            store: self.store,
-        }
+        OngoingRelation { schema, ..self }
     }
 
     /// The bind operator `∥R∥rt` (Sec. VII-A): instantiates every ongoing
@@ -438,10 +447,7 @@ impl OngoingRelation {
             .into_iter()
             .map(|t| Tuple::with_rt(t.values().to_vec(), groups[t.values()].clone()))
             .collect();
-        OngoingRelation {
-            schema: self.schema.clone(),
-            store: TupleStore::from_tuples(tuples),
-        }
+        OngoingRelation::dense(self.schema.clone(), tuples)
     }
 
     /// Renders the relation like the paper's figures (one row per tuple,
@@ -553,6 +559,7 @@ impl FixedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyindex::KeyProbe;
     use ongoing_core::time::tp;
     use ongoing_core::OngoingInterval;
 
@@ -576,7 +583,6 @@ mod tests {
 
     #[test]
     fn tuples_after_edit_on_fragmented_store_reflects_the_edit() {
-        use crate::store::RowEdit;
         let schema = Schema::builder().int("X").build();
         let mut r = OngoingRelation::new(schema);
         for i in 0..600i64 {

@@ -74,6 +74,35 @@ fn aggregate_commutes_with_bind() {
 }
 
 #[test]
+fn at_rt_sum_saturates_at_the_i64_limits_like_the_ongoing_sum() {
+    // `∥γ(R)∥rt ≡ γF(∥R∥rt)` at the limits: the ongoing `SumInt` adds
+    // exactly and clamps once at bind, so the instantiated aggregate must
+    // saturate too, never wrap or overflow.
+    let db = Database::new();
+    let schema = Schema::builder().int("N").str("C").build();
+    let mut r = OngoingRelation::new(schema);
+    for (n, c) in [
+        (i64::MAX, "max"),
+        (1, "max"),
+        (i64::MIN, "min"),
+        (-1, "min"),
+    ] {
+        r.insert(vec![Value::Int(n), Value::str(c)]).unwrap();
+    }
+    db.create_table("T", r).unwrap();
+    let plan = QueryBuilder::scan(&db, "T")
+        .unwrap()
+        .aggregate(&["C"], vec![AggFn::SumInt(0)], vec!["total".into()])
+        .unwrap()
+        .build();
+    let rt = tp(3);
+    let at_rt = execute_at(&db, &plan, rt).unwrap();
+    assert_eq!(execute(&db, &plan).unwrap().bind(rt), at_rt);
+    assert!(at_rt.contains(&[Value::str("max"), Value::Int(i64::MAX)]));
+    assert!(at_rt.contains(&[Value::str("min"), Value::Int(i64::MIN)]));
+}
+
+#[test]
 fn aggregate_values_track_reference_time() {
     let db = sample_db();
     let plan = agg_plan(&db);

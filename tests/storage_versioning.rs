@@ -354,6 +354,50 @@ fn staleness_counts_logical_rows_not_overlay_copies() {
     );
 }
 
+#[test]
+fn restoring_an_older_pinned_version_counts_every_row_as_touched() {
+    // The older version still shares the first chunk with the current one,
+    // so the lineage probe alone would take it for a descendant; its
+    // logical-write counter ran backwards, and that regression must count
+    // as a wholesale rebuild (every row touched), not an underflow.
+    let dir = TempDir::new("restore_old");
+    let opts = DurableOptions {
+        fsync: false,
+        checkpoint_bytes: u64::MAX,
+        ..DurableOptions::default()
+    };
+    let db = Database::open_with(dir.path(), opts).unwrap();
+    db.create_table("T", big_relation(1_000)).unwrap();
+    let old = db.table("T").unwrap();
+    for k in [10, 700] {
+        db.modify_table("T", |rel| Modifier::new(rel, "VT")?.delete(&k_eq(k)))
+            .unwrap();
+    }
+    assert_eq!(db.analyze("T").unwrap().rows, 998);
+    assert!(db.table("T").unwrap().data().derives_from(old.data()));
+
+    let wal0 = db.durable_stats().unwrap().wal_records;
+    db.modify_table("T", |rel| {
+        *rel = old.data().clone();
+        Ok(())
+    })
+    .unwrap();
+    let restored = db.table("T").unwrap();
+    assert_eq!(restored.data(), old.data());
+    assert_eq!(
+        restored.statistics().unwrap().rows,
+        1_000,
+        "a counter regression counts every row, so the statistics refresh"
+    );
+    assert_eq!(db.durable_stats().unwrap().wal_records - wal0, 1);
+
+    let want: Vec<Tuple> = old.data().iter().cloned().collect();
+    drop((restored, old, db));
+    let db = Database::open_with(dir.path(), opts).unwrap();
+    let got: Vec<Tuple> = db.table("T").unwrap().data().iter().cloned().collect();
+    assert_eq!(got, want);
+}
+
 // ---------------------------------------------------------------------
 // 5. Differential property test: Modifier over the COW store vs a naive
 //    Vec<Tuple> re-implementation of the same semantics.
@@ -549,7 +593,7 @@ fn sustained_churn_keeps_fragmentation_bounded() {
     let data = db.table("T").unwrap().data().clone();
     let s = data.storage_summary();
     let ideal = data.len().div_ceil(CHUNK);
-    let slack = ongoing_relation::store::COMPACT_CHUNK_SLACK.max(ideal);
+    let slack = ongoing_relation::relation::COMPACT_CHUNK_SLACK.max(ideal);
     assert!(
         s.chunks <= ideal + slack + 1,
         "compaction policy failed to bound chunk count: {s:?}"
@@ -615,7 +659,7 @@ fn churn_folds_are_run_sized_not_table_sized() {
     let s = data.storage_summary();
     let ideal = data.len().div_ceil(CHUNK);
     assert!(
-        s.chunks <= ideal + ongoing_relation::store::COMPACT_CHUNK_SLACK.max(ideal) + 1,
+        s.chunks <= ideal + ongoing_relation::relation::COMPACT_CHUNK_SLACK.max(ideal) + 1,
         "partial compaction failed to bound fragmentation: {s:?}"
     );
 }
@@ -668,7 +712,7 @@ fn keyed_churn_at_scale_stays_o_delta() {
         (max_spike as f64) < rows as f64 / 20.0,
         "publication spike {max_spike} wu ≈ O(table): partial compaction regressed"
     );
-    let slack = ongoing_relation::store::COMPACT_CHUNK_SLACK.max(ideal);
+    let slack = ongoing_relation::relation::COMPACT_CHUNK_SLACK.max(ideal);
     assert!(
         max_chunks <= ideal + slack + 1,
         "fragmentation escaped the policy (peak {max_chunks}, ideal {ideal})"
