@@ -438,10 +438,9 @@ impl PhysicalPlan {
                 fixed,
                 ongoing,
             } => {
-                // A cheap version fork, so what the lookup reads dies with
-                // the query.
-                let data = table.data().clone();
-                let (rows, visited) = data.keyed_rows(probe)?;
+                // Reads the published version in place: the lookup pins
+                // one chunk at a time, so nothing it loads outlives it.
+                let (rows, visited) = table.data().keyed_rows(probe)?;
                 stats.index_candidates += visited;
                 stats.tuples_scanned += visited;
                 let (fixed, ongoing) = (fixed.clone(), ongoing.clone());

@@ -512,8 +512,8 @@ pub fn estimate(plan: &PhysicalPlan) -> NodeEstimate {
             ongoing,
         } => {
             // Exact for this version: the visited count comes straight from
-            // the store's per-chunk key maps (candidates + overlay +
-            // pending + map lookups), no histogram needed.
+            // the store's key maps (base and overlay candidates + pending
+            // tail + one lookup per chunk), no histogram needed.
             let visited = table
                 .data()
                 .qualification_estimate(probe)

@@ -14,17 +14,20 @@
 //!   Chunk bases never mutate, so a key map is built once (when the chunk
 //!   is sealed or folded) and shared by every version holding the chunk —
 //!   forks copy nothing.
-//! * **Overlay walk** — rows superseded or produced by a chunk's edit
-//!   overlay are not in the base map; keyed qualification visits the
-//!   overlay entries directly. The overlay *is* the delta, so this costs
-//!   O(overlay), which the compaction policy keeps bounded.
-//! * **Pending tail** — the open insert tail (≤ one chunk of rows) is
-//!   walked unconditionally.
+//! * **Overlay key maps** — a chunk's edit overlay carries its own
+//!   [`KeyMap`] per indexed column, filing each base offset under the keys
+//!   of its *replacement* rows (so an update that reassigns the key stays
+//!   addressable by the new key). It lives behind the overlay's one `Arc`,
+//!   so the overlay's copy-on-write copies it too, and each row edit
+//!   maintains it in O(delta · log): the replaced list's keys out, the new
+//!   list's keys in. Base offsets the overlay supersedes are skipped.
+//! * **Pending tail** — the open insert tail is walked unconditionally.
+//!   It carries no key map because every published version has an empty
+//!   tail (the catalog seals before publishing); only a version under
+//!   modification holds one, bounded by one chunk of rows.
 //!
-//! Keyed qualification therefore costs O(rows matching + overlay rows +
-//! pending rows + #chunks) instead of O(table), with *zero* incremental
-//! maintenance on row edits — the structure that changes per version (the
-//! overlay) is exactly the structure that is walked instead of indexed.
+//! Keyed qualification therefore costs O(rows matching + pending rows +
+//! #chunks) instead of O(table).
 //!
 //! A [`KeyProbe`] names the indexable component of a qualification
 //! predicate — an equality or range condition on one indexed column. The
@@ -67,9 +70,11 @@ impl Ord for IndexKey {
     }
 }
 
-/// One chunk's immutable key → base-offset index. Offsets are chunk-local
-/// (`u32` — chunks hold at most [`crate::TARGET_CHUNK_ROWS`] rows)
-/// and stored in ascending order per key.
+/// A key → base-offset index over one chunk: over its immutable base, or
+/// over its overlay's replacement rows (filed under their base offset).
+/// Offsets are chunk-local (`u32` — chunks hold at most
+/// [`crate::TARGET_CHUNK_ROWS`] rows) and stored ascending and distinct
+/// per key.
 pub type KeyMap = BTreeMap<IndexKey, Vec<u32>>;
 
 /// Builds the key map of a sealed chunk base for one column.
@@ -81,6 +86,30 @@ pub(crate) fn build_key_map(base: &[Tuple], col: usize) -> KeyMap {
             .push(off as u32);
     }
     map
+}
+
+/// Files `off` under `key`, keeping the key's offsets ascending and
+/// distinct. O(log |map| + offsets under the key).
+pub(crate) fn add_key(map: &mut KeyMap, key: &Value, off: usize) {
+    let offs = map.entry(IndexKey(key.clone())).or_default();
+    if let Err(i) = offs.binary_search(&(off as u32)) {
+        offs.insert(i, off as u32);
+    }
+}
+
+/// Withdraws `off` from `key`, dropping the key once it files nothing.
+/// Withdrawing an offset the key does not file is a no-op.
+pub(crate) fn remove_key(map: &mut KeyMap, key: &Value, off: usize) {
+    let key = IndexKey(key.clone());
+    let Some(offs) = map.get_mut(&key) else {
+        return;
+    };
+    if let Ok(i) = offs.binary_search(&(off as u32)) {
+        offs.remove(i);
+    }
+    if offs.is_empty() {
+        map.remove(&key);
+    }
 }
 
 /// The indexable component of a qualification predicate: an equality or
@@ -269,12 +298,14 @@ impl KeyProbe {
 /// [`OngoingRelation::qual_work`](crate::OngoingRelation::qual_work).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QualEstimate {
-    /// Work of the keyed path: `candidates + overlay + pending + chunks`.
+    /// Work of the keyed path: `candidates + pending + chunks` — the rows
+    /// the keyed walk visits, plus one key-map probe per sealed chunk.
     pub keyed: u64,
     /// Work of the full-scan path: every live row.
     pub scan: u64,
-    /// Base rows matching the probe (including superseded ones — their
-    /// lookup cost is paid even though the overlay walk supersedes them).
+    /// Live sealed rows the keyed walk visits: base rows whose key matches
+    /// and that no overlay entry supersedes, plus every replacement list
+    /// holding a matching key (a list is visited whole).
     pub candidates: u64,
 }
 

@@ -2,11 +2,12 @@
 //!
 //! A sealed chunk is an immutable base ([`ChunkSource`]: resident rows, or
 //! a cold durable identity the relation's one [`ChunkPager`] pages in) plus
-//! an `Arc`-shared overlay of row edits. Readers pin one chunk at a time
-//! ([`PinnedChunk`]) and release it; a pager failure is a [`PagerError`].
+//! an `Arc`-shared, key-indexed overlay of row edits. Readers pin one chunk
+//! at a time ([`PinnedChunk`]) and release it; a pager failure is a
+//! [`PagerError`].
 
 use super::OngoingRelation;
-use crate::keyindex::{build_key_map, KeyMap};
+use crate::keyindex::{add_key, build_key_map, remove_key, KeyMap};
 use crate::tuple::Tuple;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -188,6 +189,71 @@ impl ChunkSource {
     }
 }
 
+/// A chunk's edit overlay: the replacement rows per base offset, their key
+/// maps and their count — one value, so the copy-on-write of a shared
+/// overlay copies all three together.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Overlay {
+    /// `base` offset → replacement rows (empty = tombstone).
+    pub(super) rows: BTreeMap<usize, Vec<Tuple>>,
+    /// Per indexed column: each replacement row's own key → the base
+    /// offsets whose replacement list holds it. One entry per column the
+    /// relation indexes, so keyed walks visit only matching lists.
+    pub(super) keys: BTreeMap<usize, KeyMap>,
+    /// Replacement rows held: the sum of the list lengths in `rows`.
+    pub(super) len: usize,
+}
+
+impl Overlay {
+    /// An overlay over `rows`, indexed on `cols`. O(overlay · log).
+    pub(super) fn new(rows: BTreeMap<usize, Vec<Tuple>>, cols: &[usize]) -> Overlay {
+        let mut o = Overlay {
+            len: rows.values().map(Vec::len).sum(),
+            rows,
+            keys: BTreeMap::new(),
+        };
+        for &col in cols {
+            o.index(col);
+        }
+        o
+    }
+
+    /// Indexes every replacement row on `col` as well; returns the rows
+    /// indexed. A no-op for a column the overlay already indexes.
+    pub(super) fn index(&mut self, col: usize) -> usize {
+        if self.keys.contains_key(&col) {
+            return 0;
+        }
+        let mut map = KeyMap::new();
+        for (&off, list) in &self.rows {
+            for t in list {
+                add_key(&mut map, t.value(col), off);
+            }
+        }
+        self.keys.insert(col, map);
+        self.len
+    }
+
+    /// Writes `list` at base offset `off` and returns the list it replaces
+    /// (`None`: the offset showed its base row). The key maps drop the old
+    /// list's keys and file the new list's, so the cost is O((old + new)
+    /// · log), never O(overlay).
+    pub(super) fn write(&mut self, off: usize, list: Vec<Tuple>) -> Option<Vec<Tuple>> {
+        for (&col, map) in &mut self.keys {
+            for t in self.rows.get(&off).into_iter().flatten() {
+                remove_key(map, t.value(col), off);
+            }
+            for t in &list {
+                add_key(map, t.value(col), off);
+            }
+        }
+        self.len += list.len();
+        let old = self.rows.insert(off, list);
+        self.len -= old.as_ref().map_or(0, Vec::len);
+        old
+    }
+}
+
 /// One immutable chunk plus its shared edit overlay.
 ///
 /// Every read of a version goes through a **transient pin**
@@ -201,17 +267,17 @@ pub(super) struct Chunk {
     /// A cold base's rows, parked by [`OngoingRelation::iter`] on first
     /// touch; a clone starts empty.
     pub(super) parked: super::iter::Parked,
-    /// `base` offset → replacement rows (empty = tombstone). `None` means
-    /// the chunk is clean. Shared between versions; copied on first write.
-    pub(super) edits: Option<Arc<BTreeMap<usize, Vec<Tuple>>>>,
+    /// The edit overlay; `None` means the chunk is clean. Shared between
+    /// versions; copied on first write.
+    pub(super) overlay: Option<Arc<Overlay>>,
     /// Live rows the chunk contributes (base minus edited, plus
     /// replacements) — cached so partitioning and `len` stay O(#chunks).
     pub(super) live: usize,
     /// Keyed qualification indexes over `base`, one per indexed column.
     /// Immutable once built (bases never mutate) and `Arc`-shared by every
-    /// version holding the chunk; the overlay is deliberately *not*
-    /// indexed — keyed qualification walks it directly (see
-    /// [`crate::keyindex`]).
+    /// version holding the chunk. The overlay's replacement rows are
+    /// indexed in the overlay itself ([`Overlay::keys`]); see
+    /// [`crate::keyindex`].
     pub(super) keys: BTreeMap<usize, Arc<KeyMap>>,
 }
 
@@ -232,7 +298,7 @@ impl Chunk {
             live: base.len(),
             base,
             parked: Default::default(),
-            edits: None,
+            overlay: None,
             keys,
         }
     }
@@ -242,16 +308,19 @@ impl Chunk {
         matches!(self.base, ChunkSource::Resident(_)) || self.parked.get().is_some()
     }
 
-    /// Base rows superseded by the overlay.
-    pub(super) fn edited_base_rows(&self) -> usize {
-        self.edits.as_ref().map_or(0, |e| e.len())
+    /// The overlay's replacement rows, if the chunk has an overlay.
+    pub(super) fn edits(&self) -> Option<&BTreeMap<usize, Vec<Tuple>>> {
+        self.overlay.as_deref().map(|o| &o.rows)
     }
 
-    /// Replacement rows held in the overlay.
+    /// Base rows superseded by the overlay. O(1).
+    pub(super) fn edited_base_rows(&self) -> usize {
+        self.edits().map_or(0, BTreeMap::len)
+    }
+
+    /// Replacement rows held in the overlay. O(1).
     pub(super) fn overlay_rows(&self) -> usize {
-        self.edits
-            .as_ref()
-            .map_or(0, |e| e.values().map(Vec::len).sum())
+        self.overlay.as_ref().map_or(0, |o| o.len)
     }
 }
 
@@ -353,7 +422,7 @@ impl OngoingRelation {
         };
         Ok(PinnedChunk {
             base,
-            edits: c.edits.as_deref(),
+            edits: c.edits(),
             live: c.live,
         })
     }

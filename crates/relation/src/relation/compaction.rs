@@ -69,7 +69,9 @@ impl OngoingRelation {
             .chunks
             .split_last()
             .is_none_or(|(_, init)| init.iter().all(|c| c.base.len() == TARGET_CHUNK_ROWS));
-        if self.pending.is_empty() && dense_prefix && self.chunks.iter().all(|c| c.edits.is_none())
+        if self.pending.is_empty()
+            && dense_prefix
+            && self.chunks.iter().all(|c| c.overlay.is_none())
         {
             return Ok(());
         }

@@ -4,14 +4,14 @@
 //! [`RowEdit`] per touched row, then applied by writing the edits into the
 //! touched chunks' overlays (copy-on-write) — so a failed planning pass
 //! leaves the relation untouched, and the write costs O(rows touched).
-//! With a [`KeyProbe`] the visit walks only the index candidates, the
-//! overlay and the pending tail (see [`crate::keyindex`]).
+//! With a [`KeyProbe`] the visit walks only the base and overlay index
+//! candidates and the pending tail (see [`crate::keyindex`]).
 
-use super::chunk::{PagerError, PinnedChunk};
+use super::chunk::{Chunk, Overlay, PagerError, PinnedChunk};
 use super::journal::JournalOp;
 use super::OngoingRelation;
 use crate::expr::Expr;
-use crate::keyindex::{build_key_map, KeyProbe, QualEstimate};
+use crate::keyindex::{build_key_map, KeyMap, KeyProbe, QualEstimate};
 use crate::schema::SchemaError;
 use crate::tuple::Tuple;
 use crate::value::ValueType;
@@ -52,12 +52,14 @@ impl OngoingRelation {
     /// on reference-time-dependent values would make *which rows an edit
     /// addresses* depend on the reference time, which the modification
     /// model forbids (Sec. III). Every sealed chunk gets an immutable key
-    /// map (O(table log chunk) once), and every chunk sealed or folded
-    /// from now on builds its map incrementally — O(chunk) at seal time,
-    /// never again. Idempotent. The build is metered in
-    /// [`write_work`](Self::write_work) at one unit per row indexed. Cold
-    /// chunks are read through transient pins; only the key maps stay. A
-    /// pager failure leaves the relation untouched.
+    /// map (O(table log chunk) once) and every overlay a key map over its
+    /// replacement rows; every chunk sealed or folded from now on builds
+    /// its map incrementally — O(chunk) at seal time, never again — and
+    /// every row edit maintains its overlay's map in O(delta · log).
+    /// Idempotent. The build is metered in [`write_work`](Self::write_work)
+    /// at one unit per row indexed, base or overlay. Cold chunks are read
+    /// through transient pins; only the key maps stay. A pager failure
+    /// leaves the relation untouched.
     pub fn create_key_index<E: From<SchemaError> + From<PagerError>>(
         &mut self,
         column: usize,
@@ -91,6 +93,9 @@ impl OngoingRelation {
         for (c, map) in self.chunks.iter_mut().zip(maps) {
             self.write_work += c.base.len() as u64;
             c.keys.insert(col, map);
+            if let Some(overlay) = &mut c.overlay {
+                self.write_work += Arc::make_mut(overlay).index(col) as u64;
+            }
         }
         Ok(())
     }
@@ -98,22 +103,32 @@ impl OngoingRelation {
     /// Exact qualification cost of `probe` per path (keyed vs scan), in
     /// the relation's deterministic work units — `None` when the probe's
     /// column carries no index or some chunk has no key map for it (a
-    /// chunk reopened cold). Computing the candidate count touches only
-    /// the per-chunk key maps (O(#chunks · log chunk + matching keys)),
-    /// never the rows.
+    /// chunk reopened cold). `keyed` is exactly the rows the keyed walk
+    /// visits plus one unit per sealed chunk. Computing it touches only
+    /// the key maps and the overlays' list lengths (O(#chunks · log chunk
+    /// + matching keys)), never the rows.
     pub fn qualification_estimate(&self, probe: &KeyProbe) -> Option<QualEstimate> {
         if !self.indexed.contains(&probe.col()) {
             return None;
         }
         let mut candidates = 0u64;
-        let mut overlay = 0u64;
+        let mut offs = Vec::new();
         for c in &self.chunks {
-            candidates += probe.candidate_count(c.keys.get(&probe.col())?);
-            overlay += c.overlay_rows() as u64;
+            let map = c.keys.get(&probe.col())?;
+            let Some(edits) = c.edits() else {
+                candidates += probe.candidate_count(map);
+                continue;
+            };
+            offs.clear();
+            keyed_offsets(c, probe, map, &mut offs);
+            candidates += offs
+                .iter()
+                .map(|o| edits.get(o).map_or(1, Vec::len) as u64)
+                .sum::<u64>();
         }
         let pending = self.pending.len() as u64;
         Some(QualEstimate {
-            keyed: candidates + overlay + pending + self.chunks.len() as u64,
+            keyed: candidates + pending + self.chunks.len() as u64,
             scan: self.live as u64,
             candidates,
         })
@@ -194,13 +209,12 @@ impl OngoingRelation {
     /// The walk behind [`plan_edits`](Self::plan_edits) and
     /// [`keyed_rows`](Self::keyed_rows): per sealed chunk, the base offsets
     /// that can satisfy `probe` — with a key map for the probe's column,
-    /// the map's candidates not superseded by the overlay plus every
-    /// overlay offset (the overlay is the unindexed delta), sorted into
-    /// base-offset order; without a probe or a map, every base offset —
-    /// then every offset of the pending tail. `visit(pin, chunk, offsets)`
-    /// reads one pinned chunk's offsets in order and returns the rows it
-    /// visited (one call per chunk keeps the per-row loop in the caller).
-    /// The offsets come from the key map and overlay alone, so a chunk with
+    /// those [`keyed_offsets`] names; without a probe or a map, every base
+    /// offset — then every offset of the pending tail, which has no key
+    /// map (a published version's tail is empty). `visit(pin, chunk,
+    /// offsets)` reads one pinned chunk's offsets in order and returns the
+    /// rows it visited (one call per chunk keeps the per-row loop in the
+    /// caller). The offsets come from the key maps alone, so a chunk with
     /// none is skipped without a pin — a cold chunk with no candidates
     /// never pages in. Returns the rows visited.
     fn walk<E: From<PagerError>>(
@@ -212,22 +226,9 @@ impl OngoingRelation {
         let mut offs: Vec<usize> = Vec::new();
         for (ci, chunk) in self.chunks.iter().enumerate() {
             offs.clear();
-            let map = probe.and_then(|p| chunk.keys.get(&p.col()));
-            match (probe, map) {
-                (Some(probe), Some(map)) => {
-                    let edits = chunk.edits.as_deref();
-                    offs.extend(
-                        probe
-                            .candidates(map)
-                            .map(|o| o as usize)
-                            .filter(|o| edits.is_none_or(|e| !e.contains_key(o))),
-                    );
-                    if let Some(edits) = edits {
-                        offs.extend(edits.keys().copied());
-                    }
-                    offs.sort_unstable();
-                }
-                _ => offs.extend(0..chunk.base.len()),
+            match probe.and_then(|p| Some((p, chunk.keys.get(&p.col())?))) {
+                Some((probe, map)) => keyed_offsets(chunk, probe, map, &mut offs),
+                None => offs.extend(0..chunk.base.len()),
             }
             if offs.is_empty() {
                 continue;
@@ -244,9 +245,9 @@ impl OngoingRelation {
     /// Collects the edits `f` requests for the live rows, in live order —
     /// without touching the relation — plus the rows visited. With `None`
     /// every live row is visited; with a probe only the rows that can
-    /// satisfy it (index candidates in chunks with a key map for its
-    /// column, every row of a chunk without one, every overlay replacement
-    /// row and the pending tail). Apply the plan with
+    /// satisfy it (base and overlay index candidates in chunks with a key
+    /// map for its column, every row of a chunk without one, and the
+    /// pending tail). Apply the plan with
     /// [`apply_edits`](Self::apply_edits). Each chunk is read through one
     /// transient pin. Errors from `f` or the pager abort the pass and
     /// leave no trace.
@@ -297,7 +298,7 @@ impl OngoingRelation {
 
     /// Applies row-level edits: `f` visits the live tuples in storage
     /// order — every one with `None`, only those that can satisfy `probe`
-    /// otherwise (index candidates + overlay deltas + pending tail) — and
+    /// otherwise (base and overlay index candidates + pending tail) — and
     /// returns what should happen to each ([`RowEdit`]). `probe` must be a
     /// necessary condition of `f`'s decision; take it from
     /// [`key_probe`](Self::key_probe). The rows visited are metered in
@@ -317,9 +318,11 @@ impl OngoingRelation {
 
     /// Applies a plan from [`plan_edits`](Self::plan_edits): copies the
     /// overlay of every touched chunk (copy-on-write; untouched chunks stay
-    /// shared with other versions) and writes the new entries. Returns the
-    /// number of overlay entries written. Cost is O(rows touched + overlay
-    /// of touched chunks), independent of table size.
+    /// shared with other versions) and writes the new entries, keeping the
+    /// overlay's key maps current. Returns the number of overlay entries
+    /// written. Cost is O(rows touched · log + overlay of touched chunks),
+    /// independent of table size. The key-map upkeep is not metered: it is
+    /// proportional to the rows written, which are.
     pub(crate) fn apply_edits(&mut self, plan: Vec<PlannedEdit>) -> usize {
         if plan.is_empty() {
             return 0;
@@ -360,14 +363,15 @@ impl OngoingRelation {
                 // is performed (and charged) here, not via `make_mut`, so
                 // the charge matches the copy exactly even if another
                 // holder of the overlay appears or vanishes concurrently.
-                let shared = chunk.edits.get_or_insert_with(Default::default);
+                let shared = chunk.overlay.get_or_insert_with(|| {
+                    Arc::new(Overlay::new(Default::default(), &self.indexed))
+                });
                 if Arc::get_mut(shared).is_none() {
-                    work += shared.values().map(|r| r.len() as u64).sum::<u64>().max(1);
+                    work += (shared.len as u64).max(1);
                     *shared = Arc::new((**shared).clone());
                 }
-                let edits = Arc::get_mut(shared).expect("overlay is uniquely owned here");
-                let was = edits.get(&off).map_or(1, Vec::len);
-                edits.insert(off, replacement);
+                let overlay = Arc::get_mut(shared).expect("overlay is uniquely owned here");
+                let was = overlay.write(off, replacement).map_or(1, |old| old.len());
                 chunk.live = chunk.live + now - was;
                 live_delta += now as i64 - was as i64;
             } else {
@@ -382,4 +386,26 @@ impl OngoingRelation {
         self.live = (self.live as i64 + live_delta) as usize;
         written
     }
+}
+
+/// The base offsets of `chunk` the keyed walk visits for `probe`, given the
+/// base key map `map` for the probe's column — ascending and distinct, in
+/// `offs` (which the caller clears): base candidates the overlay does not
+/// supersede, plus every offset whose replacement list holds a matching
+/// key (filed there under the replacement row's own key, so a reassigned
+/// key is found by its new value). Tombstones and lists without a
+/// matching key are skipped. O(matches · log).
+fn keyed_offsets(chunk: &Chunk, probe: &KeyProbe, map: &KeyMap, offs: &mut Vec<usize>) {
+    let overlay = chunk.overlay.as_deref();
+    offs.extend(
+        probe
+            .candidates(map)
+            .map(|o| o as usize)
+            .filter(|o| overlay.is_none_or(|ov| !ov.rows.contains_key(o))),
+    );
+    if let Some(keys) = overlay.and_then(|ov| ov.keys.get(&probe.col())) {
+        offs.extend(probe.candidates(keys).map(|o| o as usize));
+    }
+    offs.sort_unstable();
+    offs.dedup();
 }

@@ -59,7 +59,7 @@ impl<'a> Iterator for StoreIter<'a> {
                 return None;
             }
             self.rows = Some(match self.rel.chunks.get(self.chunk) {
-                Some(c) => ChunkRows::new(self.rel.parked_rows(c), c.edits.as_deref()),
+                Some(c) => ChunkRows::new(self.rel.parked_rows(c), c.edits()),
                 None => ChunkRows::new(&self.rel.pending, None),
             });
             self.chunk += 1;

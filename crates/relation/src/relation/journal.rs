@@ -6,7 +6,7 @@
 //! the ops against a relation rebuilt from the same [`ChunkPart`]s
 //! reproduces the journaling relation's exact layout.
 
-use super::chunk::{Chunk, ChunkPager, ChunkPart, ChunkSource, PagerError};
+use super::chunk::{Chunk, ChunkPager, ChunkPart, ChunkSource, Overlay, PagerError};
 use super::edit::{PlannedEdit, RowEdit};
 use super::OngoingRelation;
 use crate::schema::Schema;
@@ -106,7 +106,7 @@ impl OngoingRelation {
             .iter()
             .map(|c| ChunkPart {
                 source: c.base.clone(),
-                edits: c.edits.as_deref().cloned().unwrap_or_default(),
+                edits: c.edits().cloned().unwrap_or_default(),
             })
             .collect()
     }
@@ -120,10 +120,11 @@ impl OngoingRelation {
     ///
     /// A cold part contributes only its durable identity and is paged in
     /// on demand through `pager`, so recovering an out-of-core table is
-    /// O(#chunks) with zero row reads. Cold chunks skip key-map
+    /// O(#chunks + overlay) with zero row reads. Cold bases skip key-map
     /// construction (it would force a page-in); keyed qualification falls
-    /// back to a scan for them. Panics if a cold part comes without a
-    /// pager.
+    /// back to a scan for them. Overlays are in memory, so every overlay's
+    /// key maps are rebuilt, cold base or not. Panics if a cold part comes
+    /// without a pager.
     pub fn from_parts(
         schema: Schema,
         parts: Vec<ChunkPart>,
@@ -143,9 +144,9 @@ impl OngoingRelation {
         for ChunkPart { source, edits } in parts {
             let mut c = Chunk::new(source, &sorted);
             if !edits.is_empty() {
-                let overlay: usize = edits.values().map(Vec::len).sum();
-                c.live = c.live - edits.len() + overlay;
-                c.edits = Some(Arc::new(edits));
+                let overlay = Overlay::new(edits, &sorted);
+                c.live = c.live - overlay.rows.len() + overlay.len;
+                c.overlay = Some(Arc::new(overlay));
             }
             live_total += c.live;
             chunks.push(c);

@@ -12,9 +12,10 @@
 //!   them; nobody ever mutates a sealed chunk.
 //! * **Edit overlays** — a per-chunk `BTreeMap<row offset, replacements>`
 //!   (an empty replacement list is a tombstone; a multi-tuple list is a
-//!   split, e.g. a sequenced update's old/new versions). Overlays are
-//!   themselves `Arc`-shared and copied only by the first version that
-//!   touches the chunk.
+//!   split, e.g. a sequenced update's old/new versions), with key maps
+//!   over its replacement rows for keyed lookups. Overlays are themselves
+//!   `Arc`-shared and copied only by the first version that touches the
+//!   chunk.
 //! * **Pending tail** — an owned `Vec<Tuple>` absorbing inserts; it is
 //!   sealed into a chunk when it reaches [`TARGET_CHUNK_ROWS`] (or when the
 //!   catalog freezes the version for publication).
@@ -133,7 +134,8 @@ pub struct OngoingRelation {
     logical_writes: u64,
     qual_work: u64,
     /// Columns carrying a keyed qualification index, sorted. Every sealed
-    /// chunk holds a key map per entry; the pending tail is walked.
+    /// chunk and every overlay holds a key map per entry; the pending tail
+    /// is walked.
     indexed: Vec<usize>,
     /// The pager every cold chunk of the relation loads through — one per
     /// relation, so a fork bumps one `Arc` however many chunks are cold.

@@ -4,14 +4,18 @@
 //! modification visits*, never which rows it edits. This suite pins that:
 //!
 //! 1. **Differential property test** — random `Modifier` sequences
-//!    (inserts / terminates / sequenced updates / deletes interleaved
-//!    with full and partial compaction) over an indexed and an unindexed
-//!    relation produce identical tuple sequences, identical modified
-//!    counts and identical logical-write counts after every step.
+//!    (inserts / terminates / sequenced updates, some reassigning the key
+//!    / deletes interleaved with seals, full and partial compaction, edits
+//!    on a fork, a late second index, a parts round trip and a journal
+//!    replay) over an indexed and an unindexed relation produce identical
+//!    tuple sequences, identical modified counts and identical
+//!    logical-write counts after every step; and after every step each
+//!    keyed read and keyed edit equals its scan (same rows, same order).
 //! 2. **Work units** — a fixed 10-row keyed modification costs O(rows
 //!    touched) qualification work: flat (≤ 1.1×) across a 10× table-size
-//!    step, while the scan path grows ~10× (the PR's acceptance
-//!    criterion).
+//!    step, while the scan path grows ~10×; and a keyed read or edit of
+//!    one key visits only its matching rows plus one probe per chunk, how
+//!    many edits the overlays hold notwithstanding.
 //! 3. **Cost-based choice** — `OngoingRelation::key_probe` (the one
 //!    keyed-vs-scan decision, shared by `Modifier` and `KeyScan`) picks
 //!    the index for selective probes and falls back to the scan when the
@@ -22,10 +26,13 @@
 
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
-use ongoing_relation::{Expr, KeyProbe, OngoingRelation, Schema, Tuple, Value};
+use ongoing_relation::{
+    Expr, KeyProbe, OngoingRelation, PagerError, RowEdit, Schema, Tuple, Value,
+};
 use ongoingdb::engine::modify::Modifier;
 use ongoingdb::engine::{Database, EngineError};
 use proptest::prelude::*;
+use std::ops::Bound;
 
 fn schema() -> Schema {
     Schema::builder().int("K").int("G").interval("VT").build()
@@ -60,17 +67,54 @@ fn seeded(rows: usize, indexed: bool) -> OngoingRelation {
 
 #[derive(Debug, Clone)]
 enum Op {
-    InsertOpen { k: i64, start: i64 },
-    Terminate { k: i64, at: i64 },
-    TerminateRange { lo: i64, hi: i64, at: i64 },
-    Update { k: i64, g: i64, at: i64 },
-    Delete { k: i64 },
+    InsertOpen {
+        k: i64,
+        start: i64,
+    },
+    Terminate {
+        k: i64,
+        at: i64,
+    },
+    TerminateRange {
+        lo: i64,
+        hi: i64,
+        at: i64,
+    },
+    Update {
+        k: i64,
+        g: i64,
+        at: i64,
+    },
+    /// A sequenced update that reassigns the indexed key: a two-row split
+    /// whose new version carries key `to`.
+    Rekey {
+        k: i64,
+        to: i64,
+        at: i64,
+    },
+    Delete {
+        k: i64,
+    },
+    Seal,
     Compact,
     CompactRuns,
+    /// Terminate `k` on a fork of the indexed relation; the parent's keyed
+    /// answers must not move (the overlay and its key maps are copied on
+    /// write), and the fork's must equal its scan.
+    ForkTerminate {
+        k: i64,
+        at: i64,
+    },
+    /// Index `G` on the indexed relation, over whatever overlays it holds.
+    IndexG,
+    /// Seal both relations, replay the indexed relation's journal onto
+    /// the parts it started from and check the layout matches, then
+    /// rebuild the indexed relation from its own parts.
+    RoundTrip,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    let k = 0i64..24;
+    let k = 0i64..30;
     prop_oneof![
         (k.clone(), 0i64..60).prop_map(|(k, start)| Op::InsertOpen { k, start }),
         (k.clone(), 0i64..60).prop_map(|(k, at)| Op::Terminate { k, at }),
@@ -80,12 +124,20 @@ fn arb_op() -> impl Strategy<Value = Op> {
             at
         }),
         (k.clone(), 0i64..9, 0i64..60).prop_map(|(k, g, at)| Op::Update { k, g, at }),
-        k.prop_map(|k| Op::Delete { k }),
+        (k.clone(), k.clone(), 0i64..60).prop_map(|(k, to, at)| Op::Rekey { k, to, at }),
+        k.clone().prop_map(|k| Op::Delete { k }),
+        (0u8..1).prop_map(|_| Op::Seal),
         (0u8..1).prop_map(|_| Op::Compact),
         (0u8..1).prop_map(|_| Op::CompactRuns),
+        (k, 0i64..60).prop_map(|(k, at)| Op::ForkTerminate { k, at }),
+        (0u8..1).prop_map(|_| Op::IndexG),
+        (0u8..1).prop_map(|_| Op::RoundTrip),
     ]
 }
 
+/// Applies `op` to a relation; returns the rows it reported modified. The
+/// ops that act on the indexed relation alone (`ForkTerminate`, `IndexG`,
+/// `RoundTrip`) are no-ops here: the property test drives them itself.
 fn apply(rel: &mut OngoingRelation, op: &Op) -> usize {
     let mut m = Modifier::new(rel, "VT").unwrap();
     match op {
@@ -109,7 +161,15 @@ fn apply(rel: &mut OngoingRelation, op: &Op) -> usize {
         Op::Update { k, g, at } => m
             .update(&k_eq(*k), &[(1, Value::Int(*g))], tp(*at))
             .unwrap(),
+        Op::Rekey { k, to, at } => m
+            .update(&k_eq(*k), &[(0, Value::Int(*to))], tp(*at))
+            .unwrap(),
         Op::Delete { k } => m.delete(&k_eq(*k)).unwrap(),
+        Op::Seal | Op::RoundTrip => {
+            rel.seal_pending();
+            0
+        }
+        Op::ForkTerminate { .. } | Op::IndexG => 0,
         Op::Compact => {
             rel.compact().unwrap();
             0
@@ -117,6 +177,83 @@ fn apply(rel: &mut OngoingRelation, op: &Op) -> usize {
         Op::CompactRuns => {
             rel.compact_runs().unwrap();
             0
+        }
+    }
+}
+
+/// The probes every step checks: keys on `K` that ops address (and
+/// rekey to), a `K` range, and keys on `G` (indexed once `IndexG` ran).
+fn probes() -> Vec<KeyProbe> {
+    let eq = |col, key: i64| KeyProbe::Eq {
+        col,
+        key: Value::Int(key),
+    };
+    vec![
+        eq(0, 0),
+        eq(0, 5),
+        eq(0, 13),
+        eq(0, 29),
+        KeyProbe::Range {
+            col: 0,
+            lo: Bound::Included(Value::Int(3)),
+            hi: Bound::Excluded(Value::Int(9)),
+        },
+        eq(1, 1),
+        eq(1, 4),
+    ]
+}
+
+/// The keyed answers of `rel` for every probe in [`probes`].
+fn keyed_answers(rel: &OngoingRelation) -> Vec<Vec<Tuple>> {
+    probes()
+        .iter()
+        .map(|p| rel.keyed_rows(p).unwrap().0)
+        .collect()
+}
+
+/// Every keyed read and keyed edit of `rel` equals its scan. Reads: the
+/// scan filtered by the probe, same rows, same order. Edits: applying the
+/// same decision to two forks — one qualifying through the probe, one
+/// scanning — writes the same entries (same count, same logical writes,
+/// same sequence and physical layout). When the probe's column is
+/// indexed, the keyed edit's qualification work is exactly the estimate's
+/// keyed work less one unit per chunk.
+fn assert_keyed_equals_scan(rel: &OngoingRelation) {
+    for probe in probes() {
+        let col = probe.col();
+        let scan: Vec<Tuple> = rel
+            .iter()
+            .filter(|t| probe.matches(t.value(col)))
+            .cloned()
+            .collect();
+        let (keyed, _) = rel.keyed_rows(&probe).unwrap();
+        prop_assert_eq!(&keyed, &scan, "keyed read {:?}", &probe);
+        // Split matching rows with an odd other key, drop even ones.
+        let other = 1 - col;
+        let f = |t: &Tuple| {
+            Ok::<_, PagerError>(if !probe.matches(t.value(col)) {
+                RowEdit::Keep
+            } else if t.value(other).as_int().unwrap_or(0) % 2 != 0 {
+                RowEdit::Replace(vec![t.clone(), t.clone()])
+            } else {
+                RowEdit::Remove
+            })
+        };
+        let (mut by_key, mut by_scan) = (rel.clone(), rel.clone());
+        let written_key = by_key.edit_tuples(Some(&probe), f).unwrap();
+        let written_scan = by_scan.edit_tuples(None, f).unwrap();
+        prop_assert_eq!(written_key, written_scan, "keyed edit {:?}", &probe);
+        prop_assert_eq!(
+            by_key.logical_writes() - rel.logical_writes(),
+            by_scan.logical_writes() - rel.logical_writes()
+        );
+        prop_assert!(by_key.iter().eq(by_scan.iter()), "keyed edit {:?}", &probe);
+        prop_assert_eq!(by_key.storage_summary(), by_scan.storage_summary());
+        let (pk, ps) = (by_key.chunk_parts(), by_scan.chunk_parts());
+        prop_assert!(pk.iter().map(|p| &p.edits).eq(ps.iter().map(|p| &p.edits)));
+        if let Some(est) = rel.qualification_estimate(&probe) {
+            let chunks = rel.storage_summary().chunks as u64;
+            prop_assert_eq!(by_key.qual_work() - rel.qual_work(), est.keyed - chunks);
         }
     }
 }
@@ -129,9 +266,50 @@ proptest! {
     ) {
         let mut indexed = seeded(seed_rows, true);
         let mut scanned = seeded(seed_rows, false);
+        // The parts and indexed columns the journal replays onto: the
+        // indexed relation as it stood when its journal was armed.
+        let mut origin = (indexed.chunk_parts(), indexed.key_indexed_columns().to_vec());
+        indexed.begin_journal();
         for op in &ops {
+            let writes = (indexed.logical_writes(), scanned.logical_writes());
             let n_indexed = apply(&mut indexed, op);
             let n_scanned = apply(&mut scanned, op);
+            match op {
+                Op::ForkTerminate { k, at } => {
+                    let before = keyed_answers(&indexed);
+                    let mut fork = indexed.clone();
+                    Modifier::new(&mut fork, "VT")
+                        .unwrap()
+                        .terminate(&k_eq(*k), tp(*at))
+                        .unwrap();
+                    assert_keyed_equals_scan(&fork);
+                    prop_assert_eq!(
+                        keyed_answers(&indexed),
+                        before,
+                        "a fork's edit moved its parent"
+                    );
+                }
+                Op::IndexG => indexed.create_key_index::<EngineError>(1).unwrap(),
+                Op::RoundTrip => {
+                    let ops = indexed.take_journal().expect("journal armed");
+                    let (parts, cols) = origin;
+                    let mut replayed =
+                        OngoingRelation::from_parts(schema(), parts, None, &cols);
+                    replayed.apply_journal(ops).unwrap();
+                    prop_assert_eq!(
+                        replayed.key_indexed_columns(),
+                        indexed.key_indexed_columns()
+                    );
+                    prop_assert_eq!(replayed.storage_summary(), indexed.storage_summary());
+                    prop_assert!(replayed.iter().eq(indexed.iter()));
+                    assert_keyed_equals_scan(&replayed);
+                    origin = (indexed.chunk_parts(), indexed.key_indexed_columns().to_vec());
+                    indexed =
+                        OngoingRelation::from_parts(schema(), origin.0.clone(), None, &origin.1);
+                    indexed.begin_journal();
+                }
+                _ => {}
+            }
             // Identical modified counts (the "selected ordinals") …
             prop_assert_eq!(n_indexed, n_scanned, "modified counts diverged on {:?}", op);
             // … identical tuple sequences …
@@ -139,10 +317,18 @@ proptest! {
             let a: Vec<Tuple> = indexed.iter().cloned().collect();
             let b: Vec<Tuple> = scanned.iter().cloned().collect();
             prop_assert_eq!(&a, &b, "sequences diverged after {:?}", op);
-            // … and identical logical-write counts (physical write_work
+            // … identical logical-write counts (physical write_work
             // legitimately differs: the indexed store meters its index
-            // builds).
-            prop_assert_eq!(indexed.logical_writes(), scanned.logical_writes());
+            // builds; a parts rebuild restarts the counters) …
+            if !matches!(op, Op::RoundTrip) {
+                prop_assert_eq!(
+                    indexed.logical_writes() - writes.0,
+                    scanned.logical_writes() - writes.1
+                );
+            }
+            // … and every keyed read and edit equals its scan.
+            assert_keyed_equals_scan(&indexed);
+            assert_keyed_equals_scan(&scanned);
         }
         // Instantiations agree everywhere (the paper's criterion).
         for rt in (-2i64..70).step_by(9) {
@@ -204,6 +390,77 @@ fn keyed_qualification_work_is_flat_across_table_sizes() {
         "keyed qualification {} wu is not O(rows touched)",
         keyed[1]
     );
+}
+
+#[test]
+fn keyed_reads_and_edits_visit_only_matching_rows_however_large_the_overlay() {
+    // 10 240 indexed rows (20 full chunks) with 2 000 scattered single-row
+    // updates left unfolded in the overlays.
+    let mut rel = seeded(10_240, true);
+    let chunks = rel.storage_summary().chunks as u64;
+    assert_eq!(chunks, 20);
+    let eq = |k: i64| KeyProbe::Eq {
+        col: 0,
+        key: Value::Int(k),
+    };
+    let bump = |t: &Tuple| {
+        let mut values = t.values().to_vec();
+        values[1] = Value::Int(values[1].as_int().unwrap() + 100);
+        Tuple::with_rt(values, t.rt().clone())
+    };
+    rel.edit_tuples(None, |t| {
+        let k = t.value(0).as_int().unwrap();
+        Ok::<_, PagerError>(if k % 5 == 0 && k < 10_000 {
+            RowEdit::Replace(vec![bump(t)])
+        } else {
+            RowEdit::Keep
+        })
+    })
+    .unwrap();
+    assert_eq!(rel.storage_summary().overlay_rows, 2_000);
+    // One updated key (its row lives in an overlay) and one untouched key.
+    for k in [5_000i64, 5_001] {
+        let probe = eq(k);
+        let est = rel.qualification_estimate(&probe).unwrap();
+        let (rows, visited) = rel.keyed_rows(&probe).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert!(
+            visited <= rows.len() as u64 + chunks,
+            "keyed read of {k} visited {visited} rows"
+        );
+        assert_eq!(est.keyed, visited + chunks, "{est:?}");
+        let before = rel.qual_work();
+        let mut fork = rel.clone();
+        let written = fork
+            .edit_tuples(Some(&probe), |t| {
+                Ok::<_, PagerError>(if t.value(0).as_int() == Some(k) {
+                    RowEdit::Remove
+                } else {
+                    RowEdit::Keep
+                })
+            })
+            .unwrap();
+        assert_eq!(written, 1);
+        let edit_visited = fork.qual_work() - before;
+        assert!(
+            edit_visited <= 1 + chunks,
+            "keyed edit of {k} visited {edit_visited} rows"
+        );
+        assert_eq!(edit_visited, visited);
+    }
+    // Reassigning an updated row's key refiles it: the old key visits
+    // nothing, the new key visits the one row.
+    rel.edit_tuples(Some(&eq(5_005)), |t| {
+        let mut values = t.values().to_vec();
+        values[0] = Value::Int(-5_005);
+        Ok::<_, PagerError>(RowEdit::Replace(vec![Tuple::with_rt(
+            values,
+            t.rt().clone(),
+        )]))
+    })
+    .unwrap();
+    assert_eq!(rel.keyed_rows(&eq(5_005)).unwrap(), (vec![], 0));
+    assert_eq!(rel.keyed_rows(&eq(-5_005)).unwrap().1, 1);
 }
 
 // ---------------------------------------------------------------------
