@@ -15,8 +15,8 @@
 //! `rt` the moment it reads it (the paper implements the bind operator as
 //! a C kernel function for the same effect), so all predicates run on
 //! fixed values via the fixed-interval fast path. Rows of fixed values are
-//! built only at the plan root and at the Difference and Aggregate
-//! barriers, so tuples a query discards are never instantiated. What a
+//! built only at the plan root and where a set operator binds its inputs
+//! to run the ongoing mode's arm, so discarded tuples stay unbound. What a
 //! system following Clifford's approach materializes for a whole relation
 //! is its bind, [`OngoingRelation::bind_rows`]. This module adds the
 //! evaluation convenience `Cliff_max`, the paper's "reference time greater

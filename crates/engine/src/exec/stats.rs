@@ -19,10 +19,9 @@ use std::ops::AddAssign;
 /// `intervals_merged` stays 0 there — exactly the cost asymmetry the
 /// paper's runtime comparisons measure.
 ///
-/// **Counted operators:** scans, filters, and joins — the operators the
-/// paper's evaluation queries (Sec. IX) consist of and the figures'
-/// work-unit assertions depend on. `Project`, `Union`, `Difference` and `Aggregate`
-/// contribute no work units of their own (their children's scans/filters/joins still count), so
+/// **Counted operators:** scans, filters, joins (the paper's Sec. IX
+/// queries) and the `tuple_eq` calls of `Difference` and `Aggregate`.
+/// `Project` and `Union` contribute no work units of their own, so
 /// [`total_work`](ExecStats::total_work) is a wall-clock stand-in only for
 /// plans dominated by the counted operators.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +34,7 @@ pub struct ExecStats {
     pub tuples_filtered: u64,
     /// Join candidate pairs evaluated (all pairs for nested loops, probe
     /// hits for the hash join, envelope-overlapping pairs for the sweep
-    /// join).
+    /// join) and the set operators' `tuple_eq` calls.
     pub pairs_compared: u64,
     /// Key-map candidates examined (`KeyScan`).
     pub index_candidates: u64,

@@ -12,9 +12,9 @@
 //!   chosen reference time `rt`; every predicate binds an ongoing operand at
 //!   `rt` the moment it reads it ([`Expr::eval_bool_at`]), so it runs on
 //!   fixed values with the fixed-interval fast path and no reference-time
-//!   bookkeeping happens at all. Rows of fixed values are built only where
-//!   fixed values are needed: at the plan root and at the Difference and
-//!   Aggregate barriers. The result is only valid at that reference time.
+//!   bookkeeping happens at all. Rows of fixed values are built only at the
+//!   plan root and where a set operator binds its inputs. The result is
+//!   only valid at that reference time.
 //!
 //! Every execution takes its [`ExecContext`] from the caller.
 //!
@@ -25,6 +25,14 @@
 //! A `SeqScan` is a version fork of its table in both modes, so its traced
 //! span reports the version's row count (instantiated, that includes the
 //! tuples with `rt ∉ RT` its consumers skip).
+//!
+//! # Set operators
+//!
+//! Union, Difference and Aggregate have one arm each for both modes, which
+//! at `rt` first binds its input tuples. Theorem 2's `tuple_eq` runs only
+//! among tuples equal on the columns fixed in the mode. Ongoing results are
+//! `relation::algebra`'s and `aggregate_relation`'s, order and `RT`
+//! included; only the `COUNT`/`SUM` arithmetic differs by mode.
 //!
 //! # Compiled predicates
 //!
@@ -67,12 +75,15 @@ use crate::error::{EngineError, Result};
 use crate::exec::pool::Morsel;
 use crate::exec::{ExecContext, ExecStats, QueryControl};
 use ongoing_core::allen::TemporalPredicate;
-use ongoing_core::{IntervalSet, TimePoint};
+use ongoing_core::{IntervalSet, OngoingBool, OngoingInt, TimePoint};
+use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::algebra::{self, ProjItem};
+use ongoing_relation::value::cmp_values;
 use ongoing_relation::{
     Expr, FixedRelation, KeyProbe, OngoingRelation, Pair, PinnedChunk, Predicate, Row, Schema,
     Tuple, Value,
 };
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -190,7 +201,7 @@ pub enum PhysicalPlan {
         /// Group-by columns.
         group_cols: Vec<usize>,
         /// Aggregate functions.
-        aggs: Vec<ongoing_relation::aggregate::AggFn>,
+        aggs: Vec<AggFn>,
         /// Output schema.
         schema: Schema,
     },
@@ -332,10 +343,9 @@ impl PhysicalPlan {
     /// "instantiate `now` when accessed": operators pass stored tuples,
     /// every predicate binds an ongoing operand at `rt` the moment it
     /// reads it, and rows of fixed values are built only at the plan root
-    /// and at the Difference and Aggregate barriers. The result is valid
-    /// only at `rt`. Returns the canonical (sorted, deduplicated) relation
-    /// and the work-unit accounting (`intervals_merged` stays 0: the
-    /// baseline never touches interval sets). `rt = ∞` is
+    /// and where a set operator binds its inputs. The result is valid only
+    /// at `rt`. Returns the canonical (sorted, deduplicated) relation and
+    /// the work-unit accounting (`intervals_merged` stays 0). `rt = ∞` is
     /// [`EngineError::InfiniteReferenceTime`]: no tuple's `RT` contains it.
     pub fn execute_at_with_stats(
         &self,
@@ -348,8 +358,9 @@ impl PhysicalPlan {
 
     /// Instantiated execution returning the raw row bag in execution
     /// order — before [`FixedRelation`] sorts and deduplicates it — plus
-    /// work-unit accounting. Rejects `rt = ∞` like
-    /// [`execute_at_with_stats`](Self::execute_at_with_stats).
+    /// work-unit accounting. Union and Aggregate deduplicate their bound
+    /// rows, and an Aggregate's groups follow input order, not sorted
+    /// order. Rejects `rt = ∞` like [`execute_at_with_stats`](Self::execute_at_with_stats).
     pub fn rows_at_with_stats(
         &self,
         rt: TimePoint,
@@ -358,8 +369,28 @@ impl PhysicalPlan {
         if rt.is_pos_inf() {
             return Err(EngineError::InfiniteReferenceTime);
         }
-        let mut stats = ExecStats::default();
-        let rows = self.rows_at_stats(rt, ctx, &mut stats)?;
+        let (mut stats, mode) = (ExecStats::default(), Mode::At(rt));
+        // The root builds the rows: a projection binds its items straight
+        // into them, any other operator's tuples are bound whole.
+        let rows = self.traced(ctx, &mut stats, Vec::len, |stats| {
+            let (rel, items) = match self {
+                PhysicalPlan::Project { input, items, .. } => {
+                    (input.run(mode, ctx, stats)?, items.clone())
+                }
+                _ => {
+                    let rel = self.run_impl(mode, ctx, stats)?;
+                    let all = (0..rel.schema().len()).map(ProjItem::Col).collect();
+                    (rel, all)
+                }
+            };
+            let input = Chunks::new(rel, move |pinned, out, _| {
+                for t in pinned.iter().filter(|t| mode.keeps(t)) {
+                    out.push(project_values(t, &items, mode)?);
+                }
+                Ok(())
+            });
+            run_morsels(ctx, input, MIN_MORSEL, stats)
+        })?;
         Ok((rows, stats))
     }
 
@@ -519,7 +550,7 @@ impl PhysicalPlan {
                 // pins, so only the smaller side should be the build side.
                 // Keys are fixed-type columns (the optimizer keys on nothing
                 // else), so a stored key is its own instantiation.
-                let rows = collect_pinned(ctx, &r, mode)?;
+                let rows = collect_pinned(ctx, &r, mode, Tuple::clone)?;
                 let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
                 for (i, rt_) in rows.iter().enumerate() {
                     let key: Vec<Value> = keys.iter().map(|&(_, j)| rt_.value(j).clone()).collect();
@@ -561,8 +592,8 @@ impl PhysicalPlan {
                 let schema = l.schema().product(r.schema());
                 // Both sides materialize as owned shallow clones so the
                 // sweep morsels can share rows and envelope lists.
-                let l_rows = collect_pinned(ctx, &l, mode)?;
-                let r_rows = collect_pinned(ctx, &r, mode)?;
+                let l_rows = collect_pinned(ctx, &l, mode, Tuple::clone)?;
+                let r_rows = collect_pinned(ctx, &r, mode, Tuple::clone)?;
                 let le = envelopes(&l_rows, *l_col, mode)?;
                 let re = envelopes(&r_rows, *r_col, mode)?;
                 let min_chunk = sweep_min_chunk(re.len(), ctx.parallelism);
@@ -586,163 +617,63 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Union { left, right } => {
                 let l = left.run(mode, ctx, stats)?;
-                let r = right.run(mode, ctx, stats)?;
-                match mode {
-                    Mode::Ongoing => {
-                        let (l, r) = (resident(ctx, l)?, resident(ctx, r)?);
-                        algebra::union(&l, &r).map_err(EngineError::Schema)
-                    }
-                    // A bag, like the fixed union: both inputs in order,
-                    // duplicates removed only by `FixedRelation`.
-                    Mode::At(_) => {
-                        let mut tuples = collect_pinned(ctx, &l, mode)?;
-                        tuples.extend(collect_pinned(ctx, &r, mode)?);
-                        OngoingRelation::from_tuples(l.schema().clone(), tuples)
-                            .map_err(EngineError::Schema)
-                    }
-                }
+                let mut tuples = set_input(ctx, &l, mode)?;
+                tuples.extend(set_input(ctx, &right.run(mode, ctx, stats)?, mode)?);
+                Ok(assemble_tuples(l.schema().clone(), coalesce(tuples)))
             }
-            PhysicalPlan::Difference { left, right } => match mode {
-                Mode::Ongoing => {
-                    let l = resident(ctx, left.run(mode, ctx, stats)?)?;
-                    let r = resident(ctx, right.run(mode, ctx, stats)?)?;
-                    algebra::difference(&l, &r).map_err(EngineError::Schema)
-                }
-                Mode::At(rt) => self.barrier_tuples_at(rt, ctx, stats),
-            },
+            PhysicalPlan::Difference { left, right } => {
+                let l = left.run(mode, ctx, stats)?;
+                let r = right.run(mode, ctx, stats)?;
+                // `S` first: an `L` tuple meets the `S` tuples of its bucket.
+                let mut all = set_input(ctx, &r, mode)?;
+                let split = all.len();
+                all.extend(set_input(ctx, &l, mode)?);
+                let compared = |i, j| j < split && split <= i;
+                let kept = dedup(&all, l.schema(), mode, compared, stats);
+                let out = all
+                    .iter()
+                    .zip(kept)
+                    .skip(split)
+                    .filter(|(_, rt)| !rt.is_empty())
+                    .map(|(t, rt)| t.restricted(rt))
+                    .collect();
+                Ok(assemble_tuples(l.schema().clone(), out))
+            }
             PhysicalPlan::Aggregate {
                 input,
                 group_cols,
                 aggs,
                 schema,
-            } => match mode {
-                Mode::Ongoing => {
-                    let rel = resident(ctx, input.run(mode, ctx, stats)?)?;
-                    let names: Vec<String> = schema
-                        .attrs()
-                        .iter()
-                        .skip(group_cols.len())
-                        .map(|a| a.name.clone())
-                        .collect();
-                    let agg = ongoing_relation::aggregate::aggregate_relation(
-                        &rel, group_cols, aggs, &names,
-                    )
-                    .map_err(EngineError::Schema)?;
-                    agg.with_schema(schema.clone()).map_err(EngineError::Schema)
-                }
-                Mode::At(rt) => self.barrier_tuples_at(rt, ctx, stats),
-            },
-        }
-    }
-
-    /// A Difference or Aggregate inside an instantiated plan: its rows of
-    /// fixed values, passed on as tuples.
-    fn barrier_tuples_at(
-        &self,
-        rt: TimePoint,
-        ctx: &ExecContext,
-        stats: &mut ExecStats,
-    ) -> Result<OngoingRelation> {
-        let rows = self.rows_at_impl(rt, ctx, stats)?;
-        OngoingRelation::from_tuples(self.schema(), rows.into_iter().map(Tuple::base).collect())
-            .map_err(EngineError::Schema)
-    }
-
-    /// The operator's instantiated rows (a traced span when tracing).
-    fn rows_at_stats(
-        &self,
-        rt: TimePoint,
-        ctx: &ExecContext,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<Value>>> {
-        self.traced(ctx, stats, Vec::len, |stats| {
-            self.rows_at_impl(rt, ctx, stats)
-        })
-    }
-
-    /// Where instantiated rows are built: the plan root, and the two
-    /// barriers that need fixed values — Difference (row equality) and
-    /// Aggregate (grouping on fixed keys). Every other operator passes
-    /// stored tuples (see [`run`](Self::run)); the root binds them.
-    fn rows_at_impl(
-        &self,
-        rt: TimePoint,
-        ctx: &ExecContext,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<Value>>> {
-        ctx.control.check()?;
-        let mode = Mode::At(rt);
-        match self {
-            PhysicalPlan::Project { input, items, .. } => {
-                // A projection at the root binds its items straight into
-                // the output rows.
-                let rel = input.run(mode, ctx, stats)?;
-                let items = items.clone();
-                let input = Chunks::new(rel, move |pinned, out, _| {
-                    for t in pinned.iter().filter(|t| mode.keeps(t)) {
-                        out.push(project_values(t, &items, mode)?);
-                    }
-                    Ok(())
-                });
-                run_morsels(ctx, input, MIN_MORSEL, stats)
-            }
-            PhysicalPlan::Difference { left, right } => {
-                let l = left.rows_at_stats(rt, ctx, stats)?;
-                let r = FixedRelation::from_rows(right.rows_at_stats(rt, ctx, stats)?);
-                Ok(l.into_iter().filter(|row| !r.contains(row)).collect())
-            }
-            PhysicalPlan::Aggregate {
-                input,
-                group_cols,
-                aggs,
-                ..
             } => {
-                // Fixed grouped aggregation over the instantiated rows —
-                // the semantics the ongoing operator must instantiate to.
-                use ongoing_relation::aggregate::AggFn;
-                let rows = FixedRelation::from_rows(input.rows_at_stats(rt, ctx, stats)?);
-                let mut order: Vec<Vec<Value>> = Vec::new();
-                let mut groups: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::new();
-                for row in rows.rows() {
-                    let key: Vec<Value> = group_cols.iter().map(|&c| row[c].clone()).collect();
-                    match groups.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(row),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            order.push(e.key().clone());
-                            e.insert(vec![row]);
-                        }
-                    }
+                let rel = input.run(mode, ctx, stats)?;
+                // Set semantics: identical rows coalesce, and a member
+                // counts only where no earlier member of its bucket
+                // instantiates equal while alive. Group columns are
+                // fixed-typed (the plan builder rejects others), so a
+                // bucket lies within one group.
+                let members = coalesce(set_input(ctx, &rel, mode)?);
+                let counted = dedup(&members, rel.schema(), mode, |_, _| true, stats);
+                let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+                let mut groups: Vec<Vec<usize>> = Vec::new();
+                for (i, t) in members.iter().enumerate() {
+                    let key = group_cols.iter().map(|&c| t.value(c).clone()).collect();
+                    let g = *index.entry(key).or_insert_with(|| {
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    });
+                    groups[g].push(i);
                 }
-                let mut out = Vec::with_capacity(order.len());
-                for key in order {
-                    let members = &groups[&key];
-                    let mut vals = key;
-                    for a in aggs {
-                        let v = match a {
-                            AggFn::CountStar => members.len() as i64,
-                            // Exact in `i128`, clamped once — the ongoing
-                            // `SumInt`'s saturation at bind.
-                            AggFn::SumInt(col) => {
-                                let sum: i128 = members
-                                    .iter()
-                                    .map(|r| i128::from(r[*col].as_int().unwrap_or(0)))
-                                    .sum();
-                                sum.clamp(i64::MIN.into(), i64::MAX.into()) as i64
-                            }
-                        };
-                        vals.push(Value::Int(v));
-                    }
-                    out.push(vals);
-                }
-                Ok(out)
-            }
-            _ => {
-                let rel = self.run_impl(mode, ctx, stats)?;
-                let input = Chunks::new(rel, move |pinned, out, _| {
-                    out.extend(pinned.iter().filter_map(|t| t.bind(rt)));
-                    Ok(())
+                let out = groups.iter().map(|g| {
+                    let key = group_cols.iter().map(|&c| members[g[0]].value(c).clone());
+                    let parts = || g.iter().map(|&i| (members[i].values(), &counted[i]));
+                    let values = aggs.iter().map(|a| aggregate(a, parts(), mode));
+                    // The group exists where any member is alive.
+                    let rt = g
+                        .iter()
+                        .fold(IntervalSet::empty(), |acc, &i| acc.union(members[i].rt()));
+                    Tuple::with_rt(key.chain(values).collect(), rt)
                 });
-                run_morsels(ctx, input, MIN_MORSEL, stats)
+                Ok(assemble_tuples(schema.clone(), out.collect()))
             }
         }
     }
@@ -969,33 +900,128 @@ fn assemble_tuples(schema: Schema, tuples: Vec<Tuple>) -> OngoingRelation {
     OngoingRelation::from_tuples(schema, tuples).expect("morsel outputs match the operator schema")
 }
 
-/// The tuples of `rel` that take part in `mode`, as owned shallow clones
-/// (payloads are `Arc`-shared) — how an operator materializes an input it
-/// indexes or revisits (a join's build, inner or sweep side). Reads
-/// through lazy per-chunk pins like the morsel driver, never the
-/// park-on-touch [`OngoingRelation::iter`], so a cold input pages in one
-/// chunk at a time within the cache budget and a pager failure is an
-/// error, not a panic; the control token is polled per chunk.
-fn collect_pinned(ctx: &ExecContext, rel: &OngoingRelation, mode: Mode) -> Result<Vec<Tuple>> {
+/// The tuples of `rel` that take part in `mode`, each through `each` —
+/// how an operator materializes an input it indexes or revisits (a join
+/// side, a set operator's inputs). Reads through lazy per-chunk pins like
+/// the morsel driver, never the park-on-touch [`OngoingRelation::iter`],
+/// so a cold input pages in one chunk at a time within the cache budget
+/// and a pager failure is an error; the control token is polled per chunk.
+fn collect_pinned<T>(
+    ctx: &ExecContext,
+    rel: &OngoingRelation,
+    mode: Mode,
+    each: impl Fn(&Tuple) -> T,
+) -> Result<Vec<T>> {
     let mut out = Vec::with_capacity(rel.len());
     for view in rel.lazy_views() {
         ctx.control.check()?;
-        out.extend(view.pin()?.iter().filter(|t| mode.keeps(t)).cloned());
+        out.extend(view.pin()?.iter().filter(|t| mode.keeps(t)).map(&each));
     }
     Ok(out)
 }
 
-/// `rel` with every row resident — how an ongoing Union, Difference or
-/// Aggregate hands a possibly cold input to `relation::algebra`, whose
-/// operators read through [`OngoingRelation::iter`]. An input already in
-/// memory is returned as it is; one with a cold chunk is read through
-/// [`collect_pinned`].
-fn resident(ctx: &ExecContext, rel: OngoingRelation) -> Result<OngoingRelation> {
-    if rel.lazy_views().iter().all(|v| v.is_resident()) {
-        return Ok(rel);
+/// A set operator's input: at `rt`, each tuple bound into a base tuple of
+/// fixed values (sharing them if they are all fixed already).
+fn set_input(ctx: &ExecContext, rel: &OngoingRelation, mode: Mode) -> Result<Vec<Tuple>> {
+    let fixed = |v: &Value| !matches!(v, Value::Point(_) | Value::Interval(_) | Value::Count(_));
+    collect_pinned(ctx, rel, mode, |t| match mode {
+        Mode::At(_) if t.values().iter().all(fixed) => t.restricted(IntervalSet::full()),
+        Mode::At(rt) => Tuple::base(t.values().iter().map(|v| v.bind(rt)).collect::<Arc<_>>()),
+        Mode::Ongoing => t.clone(),
+    })
+}
+
+/// Calls `f` with each run of positions of `tuples` equal at `cols`, a
+/// run's positions ascending. Runs come from a sort, whose comparisons
+/// stop at the first differing column; a hash would read every byte of a
+/// long string.
+fn for_each_run(tuples: &[Tuple], cols: &[usize], f: impl FnMut(&[usize])) {
+    let cmp = |&a: &usize, &b: &usize| {
+        let (a, b) = (tuples[a].values(), tuples[b].values());
+        let mut c = cols.iter().map(|&c| cmp_values(&a[c], &b[c]));
+        c.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    };
+    let mut order: Vec<usize> = (0..tuples.len()).collect();
+    order.sort_unstable_by(|a, b| cmp(a, b).then(a.cmp(b)));
+    order.chunk_by(|a, b| cmp(a, b).is_eq()).for_each(f);
+}
+
+/// Tuples with identical values merged into their first occurrence, their
+/// `RT`s unioned in input order.
+fn coalesce(tuples: Vec<Tuple>) -> Vec<Tuple> {
+    let all: Vec<usize> = (0..tuples.first().map_or(0, Tuple::arity)).collect();
+    let mut out = Vec::with_capacity(tuples.len());
+    for_each_run(&tuples, &all, |run| {
+        let rt = |acc: IntervalSet, &i: &usize| acc.union(tuples[i].rt());
+        let rt = run[1..].iter().fold(tuples[run[0]].rt().clone(), rt);
+        out.push((run[0], tuples[run[0]].restricted(rt)));
+    });
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Per tuple `i`, Theorem 2's `t.RT ∧ ¬⋁ₛ(tuple_eq(t, s) ∧ s.RT)` over the
+/// earlier tuples `j` of its bucket that `compared(i, j)` admits, one
+/// `pairs_compared` per `tuple_eq`. A bucket shares the columns fixed in
+/// `mode` (fixed-typed ones ongoing, like hash join keys; all at `rt`):
+/// tuples whose fixed columns differ are equal at no reference time.
+fn dedup(
+    tuples: &[Tuple],
+    schema: &Schema,
+    mode: Mode,
+    compared: impl Fn(usize, usize) -> bool,
+    stats: &mut ExecStats,
+) -> Vec<IntervalSet> {
+    let fixed = |c: &usize| matches!(mode, Mode::At(_)) || !schema.attrs()[*c].ty.is_ongoing();
+    let cols: Vec<usize> = (0..schema.len()).filter(fixed).collect();
+    let mut out = vec![IntervalSet::empty(); tuples.len()];
+    for_each_run(tuples, &cols, |bucket| {
+        for (k, &i) in bucket.iter().enumerate() {
+            let (t, mut removed) = (&tuples[i], OngoingBool::always_false());
+            let candidates = bucket[..k].iter().filter(|&&j| compared(i, j));
+            for s in candidates.map(|&j| &tuples[j]) {
+                if removed.is_always_true() {
+                    break;
+                }
+                stats.pairs_compared += 1;
+                let eq = algebra::tuple_eq(t.values(), s.values());
+                if !eq.is_always_false() {
+                    removed = removed.or(&eq.and(&OngoingBool::from_set(s.rt().clone())));
+                }
+            }
+            out[i] = match removed.is_always_false() {
+                true => t.rt().clone(),
+                false => t.rt().intersect(&removed.not().into_true_set()),
+            };
+        }
+    });
+    out
+}
+
+/// One `COUNT(*)` or `SUM` over a group's members, each with the times it
+/// counts at — the one arithmetic that differs by mode: an ongoing integer
+/// ongoing; at `rt`, an exact `i128` clamped once like the ongoing sum.
+fn aggregate<'a>(
+    agg: &AggFn,
+    members: impl Iterator<Item = (&'a [Value], &'a IntervalSet)>,
+    mode: Mode,
+) -> Value {
+    let weighted = members.map(|(values, rt)| match agg {
+        AggFn::CountStar => (1, rt),
+        AggFn::SumInt(col) => (values[*col].as_int().unwrap_or(0), rt),
+    });
+    match mode {
+        Mode::Ongoing => Value::Count(weighted.fold(OngoingInt::constant(0), |acc, (w, rt)| {
+            acc.add(&OngoingInt::indicator(rt).scale(w))
+        })),
+        Mode::At(at) => {
+            let sum: i128 = weighted
+                .filter(|(_, rt)| rt.contains(at))
+                .map(|(w, _)| i128::from(w))
+                .sum();
+            Value::Int(sum.clamp(i64::MIN.into(), i64::MAX.into()) as i64)
+        }
     }
-    let tuples = collect_pinned(ctx, &rel, Mode::Ongoing)?;
-    OngoingRelation::from_tuples(rel.schema().clone(), tuples).map_err(EngineError::Schema)
 }
 
 // ----------------------------------------------------------------------
@@ -1386,6 +1412,52 @@ mod tests {
             let root = tracer.finish();
             let scan = find(&root[0], "SeqScan L").expect("a scan of L");
             assert_eq!(scan.rows, 20, "case {i}");
+        }
+    }
+
+    /// The set operators run `tuple_eq` only within a bucket of equal
+    /// fixed columns: `EXCEPT` on unique keys costs at most one pair per
+    /// input row and a grouped `COUNT` at most one per input row, in both
+    /// modes. Comparing every pair would cost millions here.
+    #[test]
+    fn set_operators_compare_only_within_fixed_column_buckets() {
+        const N: i64 = 8_000;
+        let schema = Schema::builder().int("ID").int("G").interval("VT").build();
+        let mut rel = OngoingRelation::new(schema);
+        for i in 0..N {
+            let vt = OngoingInterval::from_until_now(tp(i % 100));
+            rel.insert(vec![Value::Int(i), Value::Int(i % 10), Value::Interval(vt)])
+                .unwrap();
+        }
+        let db = Database::new();
+        db.create_table("B", rel).unwrap();
+        let scan = || QueryBuilder::scan(&db, "B").unwrap();
+        let low = scan()
+            .filter(|s| Ok(Expr::col(s, "ID")?.lt(Expr::lit(N / 2))))
+            .unwrap();
+        let except = scan().difference(low).unwrap().build();
+        let grouped = scan()
+            .aggregate(&["G"], vec![AggFn::CountStar], vec!["N".into()])
+            .unwrap()
+            .build();
+        let cases = [
+            ("except", except, N + N / 2, N / 2),
+            ("count", grouped, N, 10),
+        ];
+        for (name, plan, bound, len) in cases {
+            let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
+            let ctx = ExecContext::serial();
+            let (ongoing, ongoing_stats) = phys.execute_with_stats(&ctx).unwrap();
+            let (fixed, at_rt_stats) = phys.execute_at_with_stats(tp(50), &ctx).unwrap();
+            assert_eq!(ongoing.len() as i64, len, "{name}");
+            assert_eq!(fixed.len() as i64, len, "{name}");
+            for (mode, stats) in [("ongoing", ongoing_stats), ("at rt", at_rt_stats)] {
+                assert!(
+                    stats.pairs_compared <= bound as u64,
+                    "{name} {mode}: {} pairs for {bound} input rows",
+                    stats.pairs_compared
+                );
+            }
         }
     }
 }

@@ -25,7 +25,7 @@ pub struct Tuple {
 
 impl Tuple {
     /// A base tuple: values with the trivial reference time `{(-∞, ∞)}`.
-    pub fn base(values: Vec<Value>) -> Self {
+    pub fn base(values: impl Into<Arc<[Value]>>) -> Self {
         Tuple {
             values: values.into(),
             rt: IntervalSet::full(),

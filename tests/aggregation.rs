@@ -5,7 +5,7 @@
 use ongoing_core::time::tp;
 use ongoing_core::{IntervalSet, OngoingInt, OngoingInterval, TimePoint};
 use ongoing_relation::aggregate::AggFn;
-use ongoing_relation::{Expr, OngoingRelation, Schema, Value};
+use ongoing_relation::{Expr, FixedRelation, OngoingRelation, Schema, Value};
 use ongoingdb::engine::{execute, execute_at, Database, QueryBuilder};
 
 fn sample_db() -> Database {
@@ -96,10 +96,12 @@ fn at_rt_sum_saturates_at_the_i64_limits_like_the_ongoing_sum() {
         .unwrap()
         .build();
     let rt = tp(3);
-    let at_rt = execute_at(&db, &plan, rt).unwrap();
-    assert_eq!(execute(&db, &plan).unwrap().bind(rt), at_rt);
-    assert!(at_rt.contains(&[Value::str("max"), Value::Int(i64::MAX)]));
-    assert!(at_rt.contains(&[Value::str("min"), Value::Int(i64::MIN)]));
+    let expected = FixedRelation::from_rows(vec![
+        vec![Value::str("max"), Value::Int(i64::MAX)],
+        vec![Value::str("min"), Value::Int(i64::MIN)],
+    ]);
+    assert_eq!(execute_at(&db, &plan, rt).unwrap(), expected);
+    assert_eq!(execute(&db, &plan).unwrap().bind(rt), expected);
 }
 
 #[test]

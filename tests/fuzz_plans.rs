@@ -16,11 +16,11 @@
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::time::tp;
 use ongoing_core::{IntervalSet, OngoingInterval, OngoingPoint, TimePoint};
-use ongoing_relation::aggregate::AggFn;
+use ongoing_relation::aggregate::{aggregate_relation, AggFn};
 use ongoing_relation::algebra::ProjItem;
-use ongoing_relation::{algebra, CmpOp, Expr, OngoingRelation, Schema, Value, ValueType};
+use ongoing_relation::{algebra, CmpOp, Expr, OngoingRelation, Schema, Tuple, Value, ValueType};
 use ongoingdb::engine::plan::{compile, JoinStrategy, PlannerConfig};
-use ongoingdb::engine::{execute, Database, EngineError, LogicalPlan, QueryBuilder};
+use ongoingdb::engine::{execute, execute_at, Database, EngineError, LogicalPlan, QueryBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -368,13 +368,16 @@ const RANGE_KEY_SCAN: &str = "KeyScan over a key range";
 
 /// EXPLAIN fragments of the operators the master-criterion fuzzer must
 /// reach.
-const OPERATORS: [&str; 6] = [
+const OPERATORS: [&str; 9] = [
     "SeqScan",
     "KeyScan",
     "NestedLoopJoin",
     "HashJoin",
     "SweepJoin",
     "Project",
+    "Union",
+    "Difference",
+    "Aggregate",
 ];
 
 #[test]
@@ -408,9 +411,6 @@ fn random_plans_commute_with_bind() {
         let plan = access_path_query(&mut rng, &db).build();
         let label = format!("access-path trial {trial}");
         assert_commutes(&db, &plan, &rts, &label, &mut seen);
-    }
-    for op in OPERATORS.iter().chain([&RANGE_KEY_SCAN]) {
-        assert!(seen.contains(op), "no generated plan lowered {op}");
     }
     // Filters and join residuals in the shapes compiled predicates decide
     // directly, over tables holding both fixed and ongoing `VT` values,
@@ -452,6 +452,101 @@ fn random_plans_commute_with_bind() {
             );
         }
     }
+    // Union, Difference and Aggregate over the same tables, each with a
+    // key duplicated under different ongoing values ([0, now) and
+    // [0, 5)), and over their `VT` alone (no fixed-typed column). The
+    // ongoing result must be the reference operator's exactly, tuple
+    // order and `RT` included; at every `rt`, the instantiated result
+    // must be the reference result's bind.
+    let sets: Vec<OngoingRelation> = tables
+        .iter()
+        .enumerate()
+        .map(|(i, m)| with_duplicate_key(m, i == 0))
+        .collect();
+    let sets: Vec<OngoingRelation> = sets
+        .iter()
+        .cloned()
+        .chain(sets.iter().map(vt_only))
+        .collect();
+    for (i, rel) in sets.iter().enumerate() {
+        db.create_table(&format!("S{i}"), rel.clone()).unwrap();
+    }
+    let scan = |i: usize| QueryBuilder::scan(&db, &format!("S{i}")).unwrap();
+    let mut rng = SmallRng::seed_from_u64(20261020);
+    for trial in 0..36 {
+        // S0, S1 are (K, C, VT); S2, S3 their `VT` alone.
+        let family = 2 * rng.gen_range(0..2usize);
+        let (l, r) = (
+            family + rng.gen_range(0..2usize),
+            family + rng.gen_range(0..2usize),
+        );
+        let (plan, oracle) = match trial % 3 {
+            0 => (
+                scan(l).union(scan(r)).unwrap(),
+                algebra::union(&sets[l], &sets[r]).unwrap(),
+            ),
+            1 => (
+                scan(l).difference(scan(r)).unwrap(),
+                algebra::difference(&sets[l], &sets[r]).unwrap(),
+            ),
+            _ => {
+                let (group, aggs) = match (family, rng.gen_range(0..3)) {
+                    (0, 0) => (vec![0], vec![AggFn::SumInt(0)]),
+                    (0, g) => (vec![g - 1], vec![AggFn::CountStar]),
+                    _ => (vec![], vec![AggFn::CountStar]),
+                };
+                let names = vec!["agg".to_string()];
+                let group_names: Vec<&str> = group.iter().map(|&c| ["K", "C"][c]).collect();
+                (
+                    scan(l)
+                        .aggregate(&group_names, aggs.clone(), names.clone())
+                        .unwrap(),
+                    aggregate_relation(&sets[l], &group, &aggs, &names).unwrap(),
+                )
+            }
+        };
+        let plan = plan.build();
+        let label = format!("set trial {trial}");
+        assert_commutes(&db, &plan, &rts, &label, &mut seen);
+        let got: Vec<Tuple> = execute(&db, &plan).unwrap().iter().cloned().collect();
+        let want: Vec<Tuple> = oracle.iter().cloned().collect();
+        assert_eq!(got, want, "{label} vs the reference operator");
+        for &rt in &rts {
+            assert_eq!(
+                execute_at(&db, &plan, rt).unwrap(),
+                oracle.bind(rt),
+                "{label} vs the reference operator at rt={rt}"
+            );
+        }
+    }
+    for op in OPERATORS.iter().chain([&RANGE_KEY_SCAN]) {
+        assert!(seen.contains(op), "no generated plan lowered {op}");
+    }
+}
+
+/// `rel` plus `(1, "x", [0, 5))` and, if `both`, `(1, "x", [0, now))`:
+/// one fixed key under two ongoing values that instantiate equal at 5.
+fn with_duplicate_key(rel: &OngoingRelation, both: bool) -> OngoingRelation {
+    let mut rel = rel.clone();
+    let mut add = |vt| {
+        rel.insert(vec![Value::Int(1), Value::str("x"), Value::Interval(vt)])
+            .unwrap()
+    };
+    add(OngoingInterval::fixed(tp(0), tp(5)));
+    if both {
+        add(OngoingInterval::from_until_now(tp(0)));
+    }
+    rel
+}
+
+/// The `VT` column of a (K, C, VT) relation alone, `RT`s kept.
+fn vt_only(rel: &OngoingRelation) -> OngoingRelation {
+    let mut out = OngoingRelation::new(Schema::builder().interval("VT").build());
+    for t in rel.iter() {
+        out.insert_with_rt(vec![t.value(2).clone()], t.rt().clone())
+            .unwrap();
+    }
+    out
 }
 
 /// A relation over (K: Int, C: Str, VT: OngoingInterval) whose `VT` is a
