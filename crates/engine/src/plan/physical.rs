@@ -373,19 +373,19 @@ impl PhysicalPlan {
         // The root builds the rows: a projection binds its items straight
         // into them, any other operator's tuples are bound whole.
         let rows = self.traced(ctx, &mut stats, Vec::len, |stats| {
-            let (rel, items) = match self {
+            let (rel, proj) = match self {
                 PhysicalPlan::Project { input, items, .. } => {
-                    (input.run(mode, ctx, stats)?, items.clone())
+                    (input.run(mode, ctx, stats)?, Projector::new(items))
                 }
                 _ => {
                     let rel = self.run_impl(mode, ctx, stats)?;
-                    let all = (0..rel.schema().len()).map(ProjItem::Col).collect();
+                    let all = Projector::Columns((0..rel.schema().len()).collect());
                     (rel, all)
                 }
             };
             let input = Chunks::new(rel, move |pinned, out, _| {
                 for t in pinned.iter().filter(|t| mode.keeps(t)) {
-                    out.push(project_values(t, &items, mode)?);
+                    out.push(proj.row(t, mode)?);
                 }
                 Ok(())
             });
@@ -522,10 +522,10 @@ impl PhysicalPlan {
                 schema,
             } => {
                 let rel = input.run(mode, ctx, stats)?;
-                let items = items.clone();
+                let proj = Projector::new(items);
                 let input = Chunks::new(rel, move |pinned, out, _| {
                     for t in pinned.iter().filter(|t| mode.keeps(t)) {
-                        let values = project_values(t, &items, mode)?;
+                        let values: Arc<[Value]> = proj.row(t, mode)?;
                         out.push(Tuple::with_rt(values, t.rt().clone()));
                     }
                     Ok(())
@@ -671,7 +671,7 @@ impl PhysicalPlan {
                     let rt = g
                         .iter()
                         .fold(IntervalSet::empty(), |acc, &i| acc.union(members[i].rt()));
-                    Tuple::with_rt(key.chain(values).collect(), rt)
+                    Tuple::with_rt(key.chain(values).collect::<Arc<[Value]>>(), rt)
                 });
                 Ok(assemble_tuples(schema.clone(), out.collect()))
             }
@@ -1179,22 +1179,53 @@ fn join_pair_into(
     Ok(())
 }
 
-/// A tuple's projected values. Ongoing, pass-through columns are shared
-/// and computed items evaluated as ongoing scalars; at `rt`, every output
-/// value is instantiated (computed items over operands bound when read).
-fn project_values(t: &Tuple, items: &[ProjItem], mode: Mode) -> Result<Vec<Value>> {
-    let mut values = Vec::with_capacity(items.len());
-    for item in items {
-        values.push(match (item, mode) {
-            (ProjItem::Col(i), Mode::Ongoing) => t.value(*i).clone(),
-            (ProjItem::Col(i), Mode::At(rt)) => t.value(*i).bind(rt),
-            (ProjItem::Named { expr, .. }, Mode::Ongoing) => expr.eval_scalar(t.values())?,
-            (ProjItem::Named { expr, .. }, Mode::At(rt)) => {
-                expr.eval_scalar_at(t.values(), rt)?.bind(rt)
-            }
-        });
+/// A projection's items, split once per run into the infallible case
+/// and the general one.
+enum Projector {
+    /// Only pass-through columns: a row collects from a slice-backed map,
+    /// straight into its one allocation.
+    Columns(Vec<usize>),
+    /// At least one computed item.
+    Items(Vec<ProjItem>),
+}
+
+impl Projector {
+    fn new(items: &[ProjItem]) -> Self {
+        let col = |item: &ProjItem| match item {
+            ProjItem::Col(i) => Some(*i),
+            ProjItem::Named { .. } => None,
+        };
+        match items.iter().map(col).collect() {
+            Some(cols) => Projector::Columns(cols),
+            None => Projector::Items(items.to_vec()),
+        }
     }
-    Ok(values)
+
+    /// A tuple's projected values. Ongoing, pass-through columns are
+    /// shared and computed items evaluated as ongoing scalars; at `rt`,
+    /// every output value is instantiated (computed items over operands
+    /// bound when read).
+    fn row<C: FromIterator<Value>>(&self, t: &Tuple, mode: Mode) -> Result<C> {
+        let col = |i: usize| match mode {
+            Mode::Ongoing => t.value(i).clone(),
+            Mode::At(rt) => t.value(i).bind(rt),
+        };
+        match self {
+            Projector::Columns(cols) => Ok(cols.iter().map(|&i| col(i)).collect()),
+            Projector::Items(items) => items
+                .iter()
+                .map(|item| match (item, mode) {
+                    (ProjItem::Col(i), _) => Ok(col(*i)),
+                    (ProjItem::Named { expr, .. }, Mode::Ongoing) => {
+                        Ok(expr.eval_scalar(t.values())?)
+                    }
+                    (ProjItem::Named { expr, .. }, Mode::At(rt)) => {
+                        Ok(expr.eval_scalar_at(t.values(), rt)?.bind(rt))
+                    }
+                })
+                .collect(),
+        }
+    }
 }
 
 /// `(envelope start, envelope end, position)` for a tuple list, skipping

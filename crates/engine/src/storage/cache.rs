@@ -5,9 +5,15 @@
 //! holds them under a byte budget, so a table several times larger than
 //! the budget scans with bounded resident chunk bytes. Entries are charged
 //! at their *file* size (deterministic — it depends only on the rows, not
-//! on allocator layout) and evicted least-recently-used with a frequency
-//! bias: entries that have proven themselves (more uses) outrank one-touch
-//! scan traffic of the same age.
+//! on allocator layout) and evicted least-recently-used, with uses as a
+//! tie-break that only matters for an entry hit before it ages out.
+//!
+//! **Not scan-resistant.** A repeated scan of a table larger than the
+//! budget evicts every chunk before its second use, so no entry ever
+//! collects a second use and the policy is plain LRU: the traced
+//! `outofcore_scan` benchmark, a 96-chunk table four times the budget,
+//! reads `cache.hit_ratio` 0.0 and misses every chunk on every scan.
+//! ROADMAP item 12 proposes an admission rule that fixes this.
 //!
 //! **Pinning.** An entry whose `Arc` is held outside the cache — a scan's
 //! transient pin, or a store version that parked the chunk — is never
@@ -194,8 +200,11 @@ impl ChunkCache {
 
     /// Evicts unpinned entries until resident bytes fit the budget.
     /// Victims are picked by `(uses bucket, last_used)` — one-touch
-    /// entries go before proven ones, oldest first — which is fully
-    /// deterministic for a serial access sequence. When every entry is
+    /// entries go before hit ones, oldest first — which is fully
+    /// deterministic for a serial access sequence. This protects nothing
+    /// from a scan larger than the budget: its chunks are evicted before
+    /// their second use, so every entry stays one-touch and the order is
+    /// plain LRU (see the module docs). When every entry is
     /// pinned the cache stays over budget: the memory is held by the pins
     /// regardless, and dropping map entries would only lose sharing.
     fn evict_to_budget(inner: &mut CacheInner, budget: u64) {

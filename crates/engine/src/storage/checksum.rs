@@ -4,13 +4,20 @@
 //! payload so recovery can tell three states apart: intact, *torn* (an
 //! append the crash cut short) and *corrupt* (complete bytes that fail
 //! their checksum). Hand-rolled because the workspace vendors no CRC
-//! crate; the table is built at compile time.
+//! crate; the tables are built at compile time.
+//!
+//! Every chunk page-in verifies its file, so the loop runs at memory
+//! speed: slicing-by-16 folds 16 input bytes per step through 16
+//! lookup tables (16 KiB), where the bytewise loop takes one table
+//! lookup and a dependent shift per byte. The result is bit-identical.
 
 /// The standard reflected CRC-32 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the bytewise table; `TABLES[k][b]` is the CRC
+/// contribution of byte `b` followed by `k` zero bytes.
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,19 +30,52 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 16] = build_tables();
 
 /// CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        // The running CRC folds into the block's first four bytes; byte
+        // `j` then sits `15 - j` bytes before the block's end.
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -44,11 +84,63 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The textbook bit-at-a-time CRC-32, independent of the tables.
+    fn bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// A deterministic pseudo-random buffer (xorshift64).
+    fn seeded(len: usize, mut seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn known_vectors() {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    }
+
+    #[test]
+    fn matches_the_bitwise_reference_at_every_length() {
+        let data = seeded(257, 1);
+        for len in 0..=data.len() {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "length {len}");
+        }
+    }
+
+    #[test]
+    fn matches_the_bitwise_reference_at_every_start_offset() {
+        let data = seeded(300, 2);
+        for start in 0..16 {
+            for end in [start, start + 15, start + 16, start + 17, data.len()] {
+                let s = &data[start..end];
+                assert_eq!(crc32(s), bitwise(s), "bytes {start}..{end}");
+            }
+        }
     }
 
     #[test]

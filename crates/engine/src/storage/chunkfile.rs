@@ -24,7 +24,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::storage::checksum::crc32;
-use crate::storage::codec::{capacity, decode_tuple, encode_tuple, MIN_TUPLE_BYTES};
+use crate::storage::codec::{capacity, decode_tuple, put_framed_tuple, MIN_TUPLE_BYTES};
 use crate::storage::vfs::{with_retry, DiskError, Vfs};
 use bytes::{Buf, BufMut};
 use ongoing_relation::Tuple;
@@ -39,9 +39,7 @@ pub fn encode_chunk(rows: &[Tuple]) -> Vec<u8> {
     buf.put_u32_le(CHUNK_MAGIC);
     buf.put_u32_le(rows.len() as u32);
     for t in rows {
-        let bytes = encode_tuple(t);
-        buf.put_u32_le(bytes.len() as u32);
-        buf.put_slice(&bytes);
+        put_framed_tuple(&mut buf, t);
     }
     let crc = crc32(&buf);
     buf.put_u32_le(crc);
@@ -134,7 +132,7 @@ pub fn read_chunk(vfs: &dyn Vfs, path: &Path, len: usize) -> Result<(Vec<Tuple>,
 mod tests {
     use super::*;
     use ongoing_core::time::tp;
-    use ongoing_core::{IntervalSet, OngoingInterval};
+    use ongoing_core::{IntervalSet, OngoingInt, OngoingInterval, OngoingPoint, TimePoint};
     use ongoing_relation::Value;
 
     fn rows() -> Vec<Tuple> {
@@ -189,5 +187,50 @@ mod tests {
                 "cut at {cut} went undetected"
             );
         }
+    }
+
+    /// Every value kind, a multi-range `RT` and a wide ongoing integer.
+    fn golden_rows() -> Vec<Tuple> {
+        let now = OngoingInt::from_point(OngoingPoint::now());
+        vec![
+            Tuple::with_rt(
+                vec![
+                    Value::Int(-42),
+                    Value::str("héllo"),
+                    Value::Bool(true),
+                    Value::Time(tp(123)),
+                ],
+                IntervalSet::from_ranges([(tp(0), tp(5)), (tp(10), TimePoint::POS_INF)]),
+            ),
+            Tuple::base(vec![
+                Value::Span(tp(1), tp(9)),
+                Value::Point(OngoingPoint::now()),
+                Value::Interval(OngoingInterval::from_until_now(tp(7))),
+            ]),
+            Tuple::base(vec![
+                Value::Count(OngoingInt::constant(3)),
+                Value::Count(now.sub(&OngoingInt::constant(i64::MIN))),
+            ]),
+        ]
+    }
+
+    /// `encode_chunk(&golden_rows())` as the per-tuple-buffer encoder
+    /// wrote it before the codec encoded in place: chunk files on disk
+    /// must keep decoding, and the encoder must keep writing exactly
+    /// these bytes.
+    const GOLDEN_CHUNK: &str = "\
+        4f4443310300000045000000040000d6ffffffffffffff010600000068c3a96c6c6f0201037b0000\
+        000000000002000000000000000000000005000000000000000a00000000000000ffffffffffffff\
+        7f5900000003000401000000000000000900000000000000050000000000000080ffffffffffffff\
+        7f06070000000000000007000000000000000000000000000080ffffffffffffff7f010000000000\
+        000000000080ffffffffffffff7f6000000002000701000000000000000000008000000000000000\
+        00030000000000000008010000000000000000000080010000000000000000000000000000000000\
+        0000000000800000000000000000010000000000000000000080ffffffffffffff7fa587847e";
+
+    #[test]
+    fn golden_image_decodes_and_reencodes_byte_for_byte() {
+        let golden = crate::storage::unhex(GOLDEN_CHUNK);
+        assert_eq!(decode_chunk(&golden).unwrap(), golden_rows());
+        assert_eq!(encode_chunk(&golden_rows()), golden);
     }
 }

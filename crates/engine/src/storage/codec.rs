@@ -11,7 +11,7 @@
 //! round-trip losslessly).
 
 use crate::error::{EngineError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 use ongoing_core::{IntervalSet, OngoingInt, OngoingInterval, OngoingPoint, TimePoint};
 use ongoing_relation::{Tuple, Value};
 
@@ -27,7 +27,7 @@ const TAG_ONGOING_INT: u8 = 7;
 /// at the domain limits); the compact tag above keeps `i64` ones.
 const TAG_ONGOING_INT_WIDE: u8 = 8;
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(x) => {
             buf.put_u8(TAG_INT);
@@ -88,85 +88,93 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-fn get_value(buf: &mut impl Buf) -> Result<Value> {
-    if buf.remaining() < 1 {
-        return Err(EngineError::Storage("truncated value".into()));
-    }
-    let tag = buf.get_u8();
-    let need = |buf: &mut dyn Buf, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(EngineError::Storage("truncated value payload".into()))
-        } else {
-            Ok(())
-        }
-    };
+/// Splits the next `n` bytes off `buf`, or fails naming `what` was cut
+/// short.
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+    let (head, rest) = buf
+        .split_at_checked(n)
+        .ok_or_else(|| EngineError::Storage(format!("truncated {what}")))?;
+    *buf = rest;
+    Ok(head)
+}
+
+/// The next `N` bytes of `buf` as an array.
+fn take_array<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N]> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| EngineError::Storage(format!("truncated {what}")))?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// The next `N` little-endian `i64` words of `buf`, after one bounds
+/// check.
+fn take_words<const N: usize>(buf: &mut &[u8]) -> Result<[i64; N]> {
+    let (words, _) = take(buf, 8 * N, "value payload")?.as_chunks::<8>();
+    Ok(std::array::from_fn(|i| i64::from_le_bytes(words[i])))
+}
+
+fn take_u32(buf: &mut &[u8], what: &str) -> Result<usize> {
+    Ok(u32::from_le_bytes(take_array(buf, what)?) as usize)
+}
+
+fn point(a: i64, b: i64) -> Result<OngoingPoint> {
+    OngoingPoint::new(TimePoint::new(a), TimePoint::new(b))
+        .map_err(|e| EngineError::Storage(e.to_string()))
+}
+
+fn get_value(buf: &mut &[u8]) -> Result<Value> {
+    let [tag] = take_array(buf, "value")?;
     match tag {
         TAG_INT => {
-            need(buf, 8)?;
-            Ok(Value::Int(buf.get_i64_le()))
+            let [x] = take_words(buf)?;
+            Ok(Value::Int(x))
         }
         TAG_STR => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let mut raw = vec![0u8; len];
-            buf.copy_to_slice(&mut raw);
-            let s = String::from_utf8(raw)
+            let len = take_u32(buf, "value payload")?;
+            let raw = take(buf, len, "value payload")?;
+            let s = std::str::from_utf8(raw)
                 .map_err(|_| EngineError::Storage("invalid utf-8 string".into()))?;
-            Ok(Value::str(&s))
+            Ok(Value::str(s))
         }
         TAG_BOOL => {
-            need(buf, 1)?;
-            Ok(Value::Bool(buf.get_u8() != 0))
+            let [b] = take_array(buf, "value payload")?;
+            Ok(Value::Bool(b != 0))
         }
         TAG_TIME => {
-            need(buf, 8)?;
-            Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
+            let [t] = take_words(buf)?;
+            Ok(Value::Time(TimePoint::new(t)))
         }
         TAG_SPAN => {
-            need(buf, 16)?;
-            let s = TimePoint::new(buf.get_i64_le());
-            let e = TimePoint::new(buf.get_i64_le());
-            Ok(Value::Span(s, e))
+            let [s, e] = take_words(buf)?;
+            Ok(Value::Span(TimePoint::new(s), TimePoint::new(e)))
         }
         TAG_POINT => {
-            need(buf, 16)?;
-            let a = TimePoint::new(buf.get_i64_le());
-            let b = TimePoint::new(buf.get_i64_le());
-            let p = OngoingPoint::new(a, b).map_err(|e| EngineError::Storage(e.to_string()))?;
-            Ok(Value::Point(p))
+            let [a, b] = take_words(buf)?;
+            Ok(Value::Point(point(a, b)?))
         }
         TAG_INTERVAL => {
-            need(buf, 32)?;
-            let tsa = TimePoint::new(buf.get_i64_le());
-            let tsb = TimePoint::new(buf.get_i64_le());
-            let tea = TimePoint::new(buf.get_i64_le());
-            let teb = TimePoint::new(buf.get_i64_le());
-            let ts =
-                OngoingPoint::new(tsa, tsb).map_err(|e| EngineError::Storage(e.to_string()))?;
-            let te =
-                OngoingPoint::new(tea, teb).map_err(|e| EngineError::Storage(e.to_string()))?;
-            Ok(Value::Interval(OngoingInterval::new(ts, te)))
+            let [tsa, tsb, tea, teb] = take_words(buf)?;
+            Ok(Value::Interval(OngoingInterval::new(
+                point(tsa, tsb)?,
+                point(tea, teb)?,
+            )))
         }
         TAG_ONGOING_INT | TAG_ONGOING_INT_WIDE => {
             let wide = tag == TAG_ONGOING_INT_WIDE;
             let piece = if wide { 8 + 2 * 16 } else { 3 * 8 };
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut pieces = Vec::with_capacity(capacity(n, buf.remaining(), piece));
+            let n = take_u32(buf, "value payload")?;
+            let mut pieces = Vec::with_capacity(capacity(n, buf.len(), piece));
             for _ in 0..n {
-                need(buf, piece)?;
-                let start = TimePoint::new(buf.get_i64_le());
-                let [coef, offset] = [(); 2].map(|()| {
-                    if wide {
-                        let mut raw = [0u8; 16];
-                        buf.copy_to_slice(&mut raw);
-                        i128::from_le_bytes(raw)
-                    } else {
-                        i128::from(buf.get_i64_le())
-                    }
-                });
-                pieces.push((start, coef, offset));
+                if wide {
+                    let [start] = take_words(buf)?;
+                    let coef = i128::from_le_bytes(take_array(buf, "value payload")?);
+                    let offset = i128::from_le_bytes(take_array(buf, "value payload")?);
+                    pieces.push((TimePoint::new(start), coef, offset));
+                } else {
+                    let [start, coef, offset] = take_words(buf)?;
+                    pieces.push((TimePoint::new(start), coef.into(), offset.into()));
+                }
             }
             let c = OngoingInt::from_pieces(pieces)
                 .ok_or_else(|| EngineError::Storage("malformed ongoing integer".into()))?;
@@ -188,12 +196,11 @@ pub(crate) fn capacity(count: usize, remaining: usize, min_bytes: usize) -> usiz
     count.min(remaining / min_bytes)
 }
 
-/// Encodes a tuple (values + `RT`) into bytes.
-pub fn encode_tuple(t: &Tuple) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+/// Appends the encoding of a tuple (values + `RT`) to `buf`.
+fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     buf.put_u16_le(t.arity() as u16);
     for v in t.values() {
-        put_value(&mut buf, v);
+        put_value(buf, v);
     }
     let rt = t.rt();
     buf.put_u32_le(rt.cardinality() as u32);
@@ -201,33 +208,41 @@ pub fn encode_tuple(t: &Tuple) -> Bytes {
         buf.put_i64_le(r.ts().ticks());
         buf.put_i64_le(r.te().ticks());
     }
-    buf.freeze()
+}
+
+/// Encodes a tuple (values + `RT`) into bytes.
+pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    put_tuple(&mut buf, t);
+    buf
+}
+
+/// Appends `t` to `buf` as chunk files and WAL records frame it: a `u32`
+/// length prefix, then [`encode_tuple`]'s bytes. The tuple is encoded in
+/// place and the prefix back-patched, so no per-tuple buffer is built.
+pub(crate) fn put_framed_tuple(buf: &mut Vec<u8>, t: &Tuple) {
+    let at = buf.len();
+    buf.put_u32_le(0);
+    put_tuple(buf, t);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decodes a tuple encoded by [`encode_tuple`].
 pub fn decode_tuple(mut buf: &[u8]) -> Result<Tuple> {
-    if buf.remaining() < 2 {
-        return Err(EngineError::Storage("truncated tuple".into()));
-    }
-    let arity = buf.get_u16_le() as usize;
+    let arity = u16::from_le_bytes(take_array(&mut buf, "tuple")?) as usize;
     // A value encodes to at least its tag byte.
-    let mut values = Vec::with_capacity(capacity(arity, buf.remaining(), 1));
+    let mut values = Vec::with_capacity(capacity(arity, buf.len(), 1));
     for _ in 0..arity {
         values.push(get_value(&mut buf)?);
     }
-    if buf.remaining() < 4 {
-        return Err(EngineError::Storage("truncated RT".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut ranges = Vec::with_capacity(capacity(n, buf.remaining(), 16));
-    for _ in 0..n {
-        if buf.remaining() < 16 {
-            return Err(EngineError::Storage("truncated RT range".into()));
-        }
-        let ts = TimePoint::new(buf.get_i64_le());
-        let te = TimePoint::new(buf.get_i64_le());
-        ranges.push((ts, te));
-    }
+    let n = take_u32(&mut buf, "RT")?;
+    let raw = take(&mut buf, n.saturating_mul(16), "RT range")?;
+    let (words, _) = raw.as_chunks::<8>();
+    let ranges = words.as_chunks::<2>().0.iter().map(|&[ts, te]| {
+        let tp = |w| TimePoint::new(i64::from_le_bytes(w));
+        (tp(ts), tp(te))
+    });
     Ok(Tuple::with_rt(values, IntervalSet::from_ranges(ranges)))
 }
 
@@ -316,7 +331,7 @@ mod tests {
     #[test]
     fn invalid_point_is_an_error() {
         // Hand-craft a point with a > b.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u16_le(1);
         buf.put_u8(5); // TAG_POINT
         buf.put_i64_le(9);

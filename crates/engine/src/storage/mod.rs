@@ -23,6 +23,16 @@ pub use fault::{FaultFs, FaultKind, FaultMode, FaultPlan, FaultVfs, OpKind, Temp
 pub use layout::{measure_relation, measure_tuple, RelationFootprint, TupleFootprint};
 pub use vfs::{DiskError, RealFs, Vfs};
 
+/// The bytes a hex literal spells — how the golden-image tests pin the
+/// on-disk formats.
+#[cfg(test)]
+pub(crate) fn unhex(hex: &str) -> Vec<u8> {
+    hex.as_bytes()
+        .chunks(2)
+        .map(|p| u8::from_str_radix(std::str::from_utf8(p).expect("ascii"), 16).expect("hex"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::checksum::crc32;

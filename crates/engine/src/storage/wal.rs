@@ -37,7 +37,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::storage::checksum::crc32;
-use crate::storage::codec::{capacity, decode_tuple, encode_tuple, MIN_TUPLE_BYTES};
+use crate::storage::codec::{capacity, decode_tuple, put_framed_tuple, MIN_TUPLE_BYTES};
 use crate::storage::vfs::{with_retry, with_retry_counted, DiskError, Vfs};
 use bytes::{Buf, BufMut};
 use ongoing_relation::{Attribute, JournalOp, Schema, Tuple, ValueType};
@@ -154,12 +154,6 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
     String::from_utf8(raw).map_err(|_| corrupt("invalid utf-8 string"))
 }
 
-fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
-    let bytes = encode_tuple(t);
-    buf.put_u32_le(bytes.len() as u32);
-    buf.put_slice(&bytes);
-}
-
 /// The fewest bytes a framed tuple takes: its length prefix and the
 /// shortest encoding.
 const MIN_FRAMED_TUPLE: usize = 4 + MIN_TUPLE_BYTES;
@@ -179,7 +173,7 @@ fn put_overlay(buf: &mut Vec<u8>, overlay: &BTreeMap<usize, Vec<Tuple>>) {
         buf.put_u32_le(off as u32);
         buf.put_u32_le(rows.len() as u32);
         for t in rows {
-            put_tuple(buf, t);
+            put_framed_tuple(buf, t);
         }
     }
 }
@@ -268,7 +262,7 @@ fn put_op(buf: &mut Vec<u8>, op: &JournalOp) {
     match op {
         JournalOp::Append(t) => {
             buf.put_u8(OP_APPEND);
-            put_tuple(buf, t);
+            put_framed_tuple(buf, t);
         }
         JournalOp::Edits(entries) => {
             buf.put_u8(OP_EDITS);
@@ -279,7 +273,7 @@ fn put_op(buf: &mut Vec<u8>, op: &JournalOp) {
                 buf.put_u64_le(*touched);
                 buf.put_u32_le(rows.len() as u32);
                 for t in rows {
-                    put_tuple(buf, t);
+                    put_framed_tuple(buf, t);
                 }
             }
         }
@@ -329,25 +323,30 @@ fn get_op(buf: &mut &[u8]) -> Result<JournalOp> {
 /// Encodes a record payload (without frame or sequence number).
 pub fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
+    put_payload(&mut buf, rec);
+    buf
+}
+
+/// Appends a record payload to `buf`.
+fn put_payload(buf: &mut Vec<u8>, rec: &WalRecord) {
     match rec {
         WalRecord::TableState(state) => {
             buf.put_u8(TAG_TABLE_STATE);
-            put_table_state(&mut buf, state);
+            put_table_state(buf, state);
         }
         WalRecord::Commit { table, ops } => {
             buf.put_u8(TAG_COMMIT);
-            put_str(&mut buf, table);
+            put_str(buf, table);
             buf.put_u32_le(ops.len() as u32);
             for op in ops {
-                put_op(&mut buf, op);
+                put_op(buf, op);
             }
         }
         WalRecord::DropTable { table } => {
             buf.put_u8(TAG_DROP);
-            put_str(&mut buf, table);
+            put_str(buf, table);
         }
     }
-    buf
 }
 
 /// Decodes a record payload.
@@ -508,14 +507,15 @@ impl WalWriter {
         fsync: bool,
     ) -> std::result::Result<(u64, u64), DiskError> {
         let seq = self.next_seq;
-        let payload = encode_payload(rec);
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.put_u64_le(seq);
-        body.put_slice(&payload);
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.put_u32_le(body.len() as u32);
-        frame.put_u32_le(crc32(&body));
-        frame.put_slice(&body);
+        // The body is encoded in place; its length and CRC are
+        // back-patched into the header.
+        let mut frame = Vec::with_capacity(64);
+        frame.put_u64_le(0);
+        frame.put_u64_le(seq);
+        put_payload(&mut frame, rec);
+        let (header, body) = frame.split_at_mut(8);
+        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(body).to_le_bytes());
         let (vfs, path, len) = (&self.vfs, &self.path, self.len);
         let (_, attempts) = with_retry_counted(
             || vfs.append(path, &frame),
@@ -676,5 +676,50 @@ mod tests {
             scan_bytes(&bad),
             Err(EngineError::CorruptStorage(_))
         ));
+    }
+
+    /// A commit carrying tuples through both framed-tuple paths.
+    fn golden_record() -> WalRecord {
+        WalRecord::Commit {
+            table: "T".into(),
+            ops: vec![
+                JournalOp::Append(Tuple::with_rt(
+                    vec![Value::Int(7), Value::str("ab")],
+                    ongoing_core::IntervalSet::range(
+                        ongoing_core::time::tp(2),
+                        ongoing_core::time::tp(9),
+                    ),
+                )),
+                JournalOp::Edits(vec![(
+                    0,
+                    1,
+                    vec![Tuple::base(vec![Value::Int(8), Value::str("")])],
+                    3,
+                )]),
+                JournalOp::Seal,
+            ],
+        }
+    }
+
+    /// `golden_record()` appended as sequence number 7 by the writer
+    /// before frames were encoded in place: logs on disk must keep
+    /// scanning, and the writer must keep appending exactly these bytes.
+    const GOLDEN_FRAME: &str = "\
+        7f00000019b9eddd0700000000000000020100000054030000000026000000020000070000000000\
+        00000102000000616201000000020000000000000009000000000000000101000000000000000100\
+        00000300000000000000010000002400000002000008000000000000000100000000010000000000\
+        000000000080ffffffffffffff7f02";
+
+    #[test]
+    fn golden_frame_scans_and_reappends_byte_for_byte() {
+        let golden = crate::storage::unhex(GOLDEN_FRAME);
+        let (records, tail) = scan_bytes(&golden).unwrap();
+        assert_eq!(tail, WalTail::Clean);
+        assert_eq!(records, vec![(7, golden.len() as u64, golden_record())]);
+        let dir = crate::storage::fault::TempDir::new("wal-golden");
+        let path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(vfs(), &path, 0, 7).unwrap();
+        w.append(&golden_record(), false).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
     }
 }

@@ -33,7 +33,7 @@ impl Tuple {
     }
 
     /// A tuple with an explicit reference time.
-    pub fn with_rt(values: Vec<Value>, rt: IntervalSet) -> Self {
+    pub fn with_rt(values: impl Into<Arc<[Value]>>, rt: IntervalSet) -> Self {
         Tuple {
             values: values.into(),
             rt,
