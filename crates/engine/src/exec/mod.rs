@@ -2,6 +2,7 @@
 //! and its fair morsel scheduler, the result cache, and work-unit stats.
 
 pub mod context;
+pub(crate) mod keyed;
 pub mod pool;
 pub mod rescache;
 pub(crate) mod sched;

@@ -16,7 +16,8 @@
 //! and `L` is an inflation floor raised to each victim's `H` — cheap,
 //! large, rarely-hit entries go first, and long-idle entries eventually
 //! fall below fresh ones no matter how expensive they were. Ties break on
-//! the smallest key, so eviction order is deterministic.
+//! the smallest key, so eviction order is deterministic. An ordered index
+//! of `(H, key)` beside the entry map yields each victim in O(log n).
 //!
 //! A hit returns a shallow copy-on-write fork of the cached relation
 //! *plus the stored [`ExecStats`]* — callers fold the same per-query
@@ -30,7 +31,8 @@ use crate::exec::ExecStats;
 use crate::obs::{EngineEvent, Obs};
 use crate::plan::{PhysicalPlan, PlannerConfig};
 use ongoing_relation::{OngoingRelation, PagerError, Tuple, Value};
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -67,12 +69,55 @@ struct Entry {
     h: f64,
 }
 
+/// An entry's GDSF rank `H`, finite and ≥ 0, so `total_cmp` orders it.
+#[derive(Debug, Clone, Copy)]
+struct Rank(f64);
+
+impl PartialEq for Rank {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Rank {}
+
+impl PartialOrd for Rank {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Rank {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    entries: HashMap<String, Entry>,
+    entries: HashMap<Arc<str>, Entry>,
+    /// Every entry's `(H, key)`: the first is the next victim.
+    ranks: BTreeSet<(Rank, Arc<str>)>,
     bytes: u64,
     /// The GDSF inflation floor: raised to each victim's `H`.
     l: f64,
+}
+
+impl Inner {
+    /// Removes `key`'s entry and its rank, releasing its bytes.
+    fn take(&mut self, key: &str) -> Option<(Arc<str>, Entry)> {
+        let (key, e) = self.entries.remove_entry(key)?;
+        self.ranks.remove(&(Rank(e.h), Arc::clone(&key)));
+        self.bytes -= e.bytes;
+        Some((key, e))
+    }
+
+    /// Adds `e` under `key`, ranked by its `H`.
+    fn put(&mut self, key: Arc<str>, e: Entry) {
+        self.ranks.insert((Rank(e.h), Arc::clone(&key)));
+        self.bytes += e.bytes;
+        self.entries.insert(key, e);
+    }
 }
 
 /// A per-database versioned result cache — see the [module docs](self).
@@ -128,7 +173,16 @@ impl ResultCache {
     pub fn clear(&self) {
         let mut g = self.lock();
         g.entries.clear();
+        g.ranks.clear();
         g.bytes = 0;
+    }
+
+    /// The resident keys, ascending.
+    #[cfg(test)]
+    fn keys(&self) -> Vec<String> {
+        let mut keys: Vec<String> = self.lock().entries.keys().map(|k| k.to_string()).collect();
+        keys.sort();
+        keys
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -152,21 +206,17 @@ impl ResultCache {
             return None;
         }
         let mut g = self.lock();
-        let l = g.l;
-        let stale = match g.entries.get_mut(key) {
-            Some(e) if deps_valid(&e.deps, deps) => {
+        match g.take(key) {
+            Some((key, mut e)) if deps_valid(&e.deps, deps) => {
                 e.freq += 1;
-                e.h = l + (e.freq as f64) * e.cost / e.bytes.max(1) as f64;
+                e.h = g.l + (e.freq as f64) * e.cost / e.bytes.max(1) as f64;
+                let hit = (e.rel.clone(), e.stats);
+                g.put(key, e);
                 obs.metrics.counter(RESULT_CACHE_HITS_METRIC).inc();
-                return Some((e.rel.clone(), e.stats));
+                return Some(hit);
             }
-            Some(_) => true,
-            None => false,
-        };
-        if stale {
-            let e = g.entries.remove(key).expect("stale entry is present");
-            g.bytes -= e.bytes;
-            obs.metrics.gauge(RESULT_CACHE_BYTES_METRIC).set(g.bytes);
+            Some(_) => obs.metrics.gauge(RESULT_CACHE_BYTES_METRIC).set(g.bytes),
+            None => {}
         }
         obs.metrics.counter(RESULT_CACHE_MISSES_METRIC).inc();
         None
@@ -195,24 +245,14 @@ impl ResultCache {
         }
         let cost = stats.total_work() as f64;
         let mut g = self.lock();
-        if let Some(old) = g.entries.remove(&key) {
-            g.bytes -= old.bytes;
-        }
+        g.take(&key);
         while g.bytes + bytes > self.budget {
             // Deterministic victim: minimum H, ties on the smallest key.
-            let victim = g
-                .entries
-                .iter()
-                .min_by(|a, b| {
-                    a.1.h
-                        .partial_cmp(&b.1.h)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0.cmp(b.0))
-                })
-                .map(|(k, _)| k.clone());
-            let Some(k) = victim else { break };
-            let e = g.entries.remove(&k).expect("victim is present");
-            g.bytes -= e.bytes;
+            let Some((_, victim)) = g.ranks.first() else {
+                break;
+            };
+            let victim = Arc::clone(victim);
+            let (_, e) = g.take(&victim).expect("a ranked entry is present");
             g.l = g.l.max(e.h);
             obs.metrics.counter(RESULT_CACHE_EVICTIONS_METRIC).inc();
             obs.events.record(EngineEvent::ResultCacheEviction {
@@ -221,19 +261,16 @@ impl ResultCache {
             });
         }
         let h = g.l + cost / bytes.max(1) as f64;
-        g.bytes += bytes;
-        g.entries.insert(
-            key,
-            Entry {
-                deps,
-                rel: rel.clone(),
-                stats,
-                bytes,
-                cost,
-                freq: 1,
-                h,
-            },
-        );
+        let e = Entry {
+            deps,
+            rel: rel.clone(),
+            stats,
+            bytes,
+            cost,
+            freq: 1,
+            h,
+        };
+        g.put(key.into(), e);
         obs.metrics.gauge(RESULT_CACHE_BYTES_METRIC).set(g.bytes);
     }
 }
@@ -464,6 +501,86 @@ mod tests {
         assert!(cache.lookup("c", &deps, &obs).is_some());
         assert_eq!(obs.metrics.counter(RESULT_CACHE_EVICTIONS_METRIC).get(), 1);
         assert!(cache.resident_bytes() <= cache.budget());
+    }
+
+    /// GDSF replayed with a full scan for each victim: `(H, freq, cost)`
+    /// per key, every entry `bytes` large.
+    struct Reference {
+        entries: std::collections::BTreeMap<String, (f64, u64, f64)>,
+        l: f64,
+    }
+
+    impl Reference {
+        fn lookup(&mut self, key: &str, bytes: u64) {
+            if let Some((h, freq, cost)) = self.entries.get_mut(key) {
+                *freq += 1;
+                *h = self.l + (*freq as f64) * *cost / bytes as f64;
+            }
+        }
+
+        fn insert(&mut self, key: &str, cost: f64, bytes: u64, room: usize) {
+            self.entries.remove(key);
+            while self.entries.len() >= room {
+                let (victim, h) = self
+                    .entries
+                    .iter()
+                    .map(|(k, &(h, _, _))| (k.clone(), h))
+                    .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
+                    .expect("a full cache has entries");
+                self.entries.remove(&victim);
+                self.l = self.l.max(h);
+            }
+            let h = self.l + cost / bytes as f64;
+            self.entries.insert(key.to_string(), (h, 1, cost));
+        }
+    }
+
+    /// Many entries tie on `H` (equal sizes, two costs): the ordered
+    /// index must pick the full scan's victim every time — minimum `H`,
+    /// ties to the smallest key.
+    #[test]
+    fn eviction_matches_a_full_scan_reference_through_ties() {
+        let db = db_with_table(20);
+        let obs = Obs::default();
+        let plan = plan_for(&db);
+        let deps = plan_tables(&plan);
+        let (rel, _) = plan
+            .execute_with_stats(&crate::ExecContext::from_env())
+            .unwrap();
+        let one = estimate_relation_bytes(&rel).unwrap();
+        let room = 4;
+        let cache = ResultCache::with_budget(one * room as u64 + one / 2);
+        let mut reference = Reference {
+            entries: Default::default(),
+            l: 0.0,
+        };
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        for step in 0..2_000 {
+            let key = format!("k{}", next(12));
+            if next(3) == 0 {
+                let cost = [10, 20][next(2) as usize];
+                let stats = ExecStats {
+                    tuples_scanned: cost,
+                    ..ExecStats::default()
+                };
+                let weak = deps.iter().map(Arc::downgrade).collect();
+                cache.insert(key.clone(), weak, &rel, stats, &obs);
+                reference.insert(&key, cost as f64, one, room);
+            } else {
+                let hit = cache.lookup(&key, &deps, &obs).is_some();
+                assert_eq!(hit, reference.entries.contains_key(&key), "step {step}");
+                reference.lookup(&key, one);
+            }
+            let want: Vec<String> = reference.entries.keys().cloned().collect();
+            assert_eq!(cache.keys(), want, "step {step}");
+        }
+        assert!(obs.metrics.counter(RESULT_CACHE_EVICTIONS_METRIC).get() > 100);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl Histogram {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum MetricCell {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
@@ -122,17 +122,24 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The cell named `name` (a shared handle), registering `new()` under
+    /// it on first use. A registered name is found by `&str`; only a new
+    /// one allocates its `String`.
+    fn cell(&self, name: &str, new: impl FnOnce() -> MetricCell) -> MetricCell {
+        let mut cells = self.cells.lock();
+        if let Some(cell) = cells.get(name) {
+            return cell.clone();
+        }
+        cells.entry(name.to_string()).or_insert_with(new).clone()
+    }
+
     /// The counter named `name`, registering it (at zero) on first use.
     ///
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut cells = self.cells.lock();
-        let cell = cells
-            .entry(name.to_string())
-            .or_insert_with(|| MetricCell::Counter(Arc::new(AtomicU64::new(0))));
-        match cell {
-            MetricCell::Counter(c) => Counter(Arc::clone(c)),
+        match self.cell(name, || MetricCell::Counter(Arc::new(AtomicU64::new(0)))) {
+            MetricCell::Counter(c) => Counter(c),
             _ => panic!("metric {name} already registered with a different kind"),
         }
     }
@@ -142,12 +149,8 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut cells = self.cells.lock();
-        let cell = cells
-            .entry(name.to_string())
-            .or_insert_with(|| MetricCell::Gauge(Arc::new(AtomicU64::new(0))));
-        match cell {
-            MetricCell::Gauge(g) => Gauge(Arc::clone(g)),
+        match self.cell(name, || MetricCell::Gauge(Arc::new(AtomicU64::new(0)))) {
+            MetricCell::Gauge(g) => Gauge(g),
             _ => panic!("metric {name} already registered with a different kind"),
         }
     }
@@ -157,12 +160,10 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut cells = self.cells.lock();
-        let cell = cells
-            .entry(name.to_string())
-            .or_insert_with(|| MetricCell::Histogram(Arc::new(HistogramCore::default())));
-        match cell {
-            MetricCell::Histogram(h) => Histogram(Arc::clone(h)),
+        match self.cell(name, || {
+            MetricCell::Histogram(Arc::new(HistogramCore::default()))
+        }) {
+            MetricCell::Histogram(h) => Histogram(h),
             _ => panic!("metric {name} already registered with a different kind"),
         }
     }

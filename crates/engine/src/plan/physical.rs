@@ -34,6 +34,21 @@
 //! `relation::algebra`'s and `aggregate_relation`'s, order and `RT`
 //! included; only the `COUNT`/`SUM` arithmetic differs by mode.
 //!
+//! # Hash join
+//!
+//! The build side goes into the engine's keyed row table
+//! (`exec::keyed::KeyedRows`), which both modes share and the Aggregate
+//! uses as its group index. Each build row's key columns are hashed in
+//! place by one fixed, unseeded word-at-a-time hasher, and a probe hashes
+//! its own key columns the same way and compares them with `Value`'s `==`
+//! where they lie: no side builds an owned key. Rows are chained back to
+//! front, so a probe meets its matches in build order, exactly as the
+//! bucket of a keyed map would list them. Equal hashes of unequal keys
+//! cost one key comparison and never reach `join_pair_into`, so a
+//! collision costs time but never gives a wrong pair, and results, row
+//! order and work units do not depend on the hash. With no keys every
+//! build row sits in one chain: the nested loop.
+//!
 //! # Compiled predicates
 //!
 //! Every operator predicate — the fixed and ongoing conjuncts of Filter,
@@ -72,6 +87,7 @@
 
 use crate::catalog::Table;
 use crate::error::{EngineError, Result};
+use crate::exec::keyed::KeyedRows;
 use crate::exec::pool::Morsel;
 use crate::exec::{ExecContext, ExecStats, QueryControl};
 use ongoing_core::allen::TemporalPredicate;
@@ -84,7 +100,6 @@ use ongoing_relation::{
     Tuple, Value,
 };
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -144,10 +159,13 @@ pub enum PhysicalPlan {
         schema: Schema,
     },
     /// Hash join on fixed-attribute equality keys, with residual conjuncts.
-    /// The build (right) side is collected and hashed once, in both modes;
-    /// probe partitions run concurrently. On no keys it is the nested-loop
-    /// join — one bucket holding every build row, every probe row paired
-    /// with all of it — and renders as `NestedLoopJoin`.
+    /// The build (right) side is collected once into a keyed row table, in
+    /// both modes: key columns are hashed and compared in place, and each
+    /// probe row meets its equal-key build rows in build order (see the
+    /// [module docs](self#hash-join)); probe partitions run concurrently.
+    /// On no keys it is the nested-loop join — one chain holding every
+    /// build row, every probe row paired with all of it — and renders as
+    /// `NestedLoopJoin`.
     HashJoin {
         /// Left (probe) input.
         left: Box<PhysicalPlan>,
@@ -544,34 +562,27 @@ impl PhysicalPlan {
                 let r = right.run(mode, ctx, stats)?;
                 let schema = l.schema().product(r.schema());
                 // Build once on the right side into owned rows (shallow
-                // clones; payloads are `Arc`-shared) keyed by position, so
-                // the probe morsels can share build rows and table without
+                // clones; payloads are `Arc`-shared) chained by key hash,
+                // so the probe morsels can share the table without
                 // borrows; the probe side streams through lazy per-chunk
                 // pins, so only the smaller side should be the build side.
                 // Keys are fixed-type columns (the optimizer keys on nothing
                 // else), so a stored key is its own instantiation.
                 let rows = collect_pinned(ctx, &r, mode, Tuple::clone)?;
-                let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
-                for (i, rt_) in rows.iter().enumerate() {
-                    let key: Vec<Value> = keys.iter().map(|&(_, j)| rt_.value(j).clone()).collect();
-                    table.entry(key).or_default().push(i);
-                }
+                let (l_cols, r_cols): (Vec<_>, _) = keys.iter().copied().unzip();
+                let table = KeyedRows::build(rows, r_cols);
                 // Keyless, every probe row meets the whole build side.
                 let min_chunk = if keys.is_empty() {
-                    outer_min_chunk(rows.len())
+                    outer_min_chunk(table.rows().len())
                 } else {
                     MIN_MORSEL
                 };
-                let (keys, fixed, ongoing) = (keys.clone(), fixed.clone(), ongoing.clone());
+                let (fixed, ongoing) = (fixed.clone(), ongoing.clone());
                 let input = Chunks::new(l, move |pinned, out, local| {
                     let (f, o) = (fixed.as_deref(), ongoing.as_deref());
                     for lt in pinned.iter().filter(|t| mode.keeps(t)) {
-                        let key: Vec<Value> =
-                            keys.iter().map(|&(i, _)| lt.value(i).clone()).collect();
-                        if let Some(matches) = table.get(&key) {
-                            for &ri in matches {
-                                join_pair_into(out, lt, &rows[ri], f, o, mode, local)?;
-                            }
+                        for ri in table.matches(lt.values(), &l_cols) {
+                            join_pair_into(out, lt, &table.rows()[ri], f, o, mode, local)?;
                         }
                     }
                     Ok(())
@@ -653,15 +664,20 @@ impl PhysicalPlan {
                 // bucket lies within one group.
                 let members = coalesce(set_input(ctx, &rel, mode)?);
                 let counted = dedup(&members, rel.schema(), mode, |_, _| true, stats);
-                let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+                // A group is its first member: the first equal row of the
+                // member's chain. Groups follow first-seen order.
+                let index = KeyedRows::build(members, group_cols.clone());
+                let members = index.rows();
+                let mut group_of = vec![usize::MAX; members.len()];
                 let mut groups: Vec<Vec<usize>> = Vec::new();
                 for (i, t) in members.iter().enumerate() {
-                    let key = group_cols.iter().map(|&c| t.value(c).clone()).collect();
-                    let g = *index.entry(key).or_insert_with(|| {
+                    // A member matches its own key, so `i` is never used.
+                    let first = index.matches(t.values(), group_cols).next().unwrap_or(i);
+                    if first == i {
+                        group_of[i] = groups.len();
                         groups.push(Vec::new());
-                        groups.len() - 1
-                    });
-                    groups[g].push(i);
+                    }
+                    groups[group_of[first]].push(i);
                 }
                 let out = groups.iter().map(|g| {
                     let key = group_cols.iter().map(|&c| members[g[0]].value(c).clone());

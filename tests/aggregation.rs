@@ -6,7 +6,8 @@ use ongoing_core::time::tp;
 use ongoing_core::{IntervalSet, OngoingInt, OngoingInterval, TimePoint};
 use ongoing_relation::aggregate::AggFn;
 use ongoing_relation::{Expr, FixedRelation, OngoingRelation, Schema, Value};
-use ongoingdb::engine::{execute, execute_at, Database, QueryBuilder};
+use ongoingdb::engine::plan::{compile, PlannerConfig};
+use ongoingdb::engine::{execute, execute_at, Database, ExecContext, QueryBuilder};
 
 fn sample_db() -> Database {
     let db = Database::new();
@@ -213,4 +214,46 @@ fn aggregate_over_selection_pipeline() {
             "rt={rt}"
         );
     }
+}
+
+/// Groups come out in the order their first member appears in the input,
+/// in both modes: the grouping index must resolve each member to its
+/// group's first member, not to a later or an arbitrary one.
+#[test]
+fn groups_follow_first_seen_order_in_both_modes() {
+    let schema = Schema::builder().str("S").int("K").int("V").build();
+    let mut r = OngoingRelation::new(schema);
+    let names = ["delta", "alpha", "charlie", "bravo"];
+    let mut first_seen: Vec<(String, i64)> = Vec::new();
+    for i in 0..300i64 {
+        // A scrambled walk over 12 groups, so first-seen order is neither
+        // sorted nor the order of any key column.
+        let (s, k) = (names[((i * 7 + i / 5) % 4) as usize], (i * i + 3) % 3);
+        if !first_seen.contains(&(s.to_string(), k)) {
+            first_seen.push((s.to_string(), k));
+        }
+        r.insert(vec![Value::str(s), Value::Int(k), Value::Int(i)])
+            .unwrap();
+    }
+    assert!(first_seen.len() > 6, "{first_seen:?}");
+    let db = Database::new();
+    db.create_table("G", r).unwrap();
+    let plan = QueryBuilder::scan(&db, "G")
+        .unwrap()
+        .aggregate(&["S", "K"], vec![AggFn::CountStar], vec!["n".into()])
+        .unwrap()
+        .build();
+    let phys = compile(&db, &plan, &PlannerConfig::default()).unwrap();
+    let key = |values: &[Value]| match values {
+        [Value::Str(s), Value::Int(k), ..] => (s.to_string(), *k),
+        other => panic!("unexpected group row {other:?}"),
+    };
+    let (ongoing, _) = phys.execute_with_stats(&ExecContext::serial()).unwrap();
+    let order: Vec<_> = ongoing.iter().map(|t| key(t.values())).collect();
+    assert_eq!(order, first_seen, "ongoing");
+    let (rows, _) = phys
+        .rows_at_with_stats(tp(0), &ExecContext::serial())
+        .unwrap();
+    let order: Vec<_> = rows.iter().map(|row| key(row)).collect();
+    assert_eq!(order, first_seen, "at rt");
 }
