@@ -69,12 +69,6 @@ impl OngoingBool {
         &self.st
     }
 
-    /// The false-set `Sf = T \ St` (materialized on demand).
-    #[inline]
-    pub fn false_set(&self) -> IntervalSet {
-        self.st.complement()
-    }
-
     /// Consumes the boolean, returning its true-set — used when restricting
     /// a tuple's reference time (Theorem 2).
     #[inline]
@@ -194,7 +188,7 @@ mod tests {
     #[test]
     fn negation_swaps_st_and_sf() {
         let x = ob(&[(0, 10)]);
-        assert_eq!(x.not().true_set(), &x.false_set());
+        assert_eq!(x.not().true_set(), &x.true_set().complement());
         assert_eq!(x.not().not(), x);
     }
 

@@ -11,7 +11,6 @@
 //! recent ongoing start points (the Fig. 7 skew) gets proportionally many
 //! buckets — which a fixed-width histogram would smear out.
 
-use crate::time::TimePoint;
 use serde::{Deserialize, Serialize};
 
 /// Default number of buckets used by the engine's `ANALYZE`.
@@ -50,11 +49,6 @@ impl PointHistogram {
             fences.push(values[idx]);
         }
         PointHistogram { fences, total }
-    }
-
-    /// Builds the sketch from time points (via their tick counts).
-    pub fn build_points(values: impl IntoIterator<Item = TimePoint>, buckets: usize) -> Self {
-        Self::build(values.into_iter().map(|t| t.ticks()).collect(), buckets)
     }
 
     /// Number of summarized values.
@@ -192,15 +186,6 @@ mod tests {
         assert_eq!(h.frac_le(7), 1.0);
         assert_eq!(h.frac_in(0, 100), 1.0);
         assert_eq!(h.median(), Some(7));
-    }
-
-    #[test]
-    fn build_points_uses_ticks() {
-        use crate::time::tp;
-        let h = PointHistogram::build_points([tp(1), tp(2), tp(3)], 4);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(3));
     }
 
     #[test]

@@ -39,23 +39,6 @@ pub enum EngineError {
     /// An operating-system I/O failure in the durable storage layer
     /// (stringified: `std::io::Error` is neither `Clone` nor `PartialEq`).
     Io(String),
-    /// The named materialized view does not exist.
-    UnknownView(String),
-    /// The query was cancelled through its
-    /// [`QueryControl`](crate::exec::QueryControl) token. Cooperative:
-    /// executors poll at morsel boundaries, so cancellation surfaces
-    /// within one morsel of work. Queries only: publications take no
-    /// control token.
-    Cancelled,
-    /// The query's deadline passed before it completed. Like
-    /// [`Cancelled`](Self::Cancelled) this is checked cooperatively at
-    /// morsel boundaries. Queries only: a publication waits for its
-    /// table's writer gate without a deadline.
-    DeadlineExceeded,
-    /// A resource budget was exhausted in a way the engine could not
-    /// absorb (e.g. a single pinned working set larger than the chunk
-    /// cache can ever hold).
-    ResourceExhausted(String),
 }
 
 impl fmt::Display for EngineError {
@@ -76,10 +59,6 @@ impl fmt::Display for EngineError {
             EngineError::Storage(m) => write!(f, "storage error: {m}"),
             EngineError::CorruptStorage(m) => write!(f, "corrupt storage: {m}"),
             EngineError::Io(m) => write!(f, "i/o error: {m}"),
-            EngineError::UnknownView(n) => write!(f, "unknown materialized view `{n}`"),
-            EngineError::Cancelled => write!(f, "query cancelled"),
-            EngineError::DeadlineExceeded => write!(f, "deadline exceeded"),
-            EngineError::ResourceExhausted(m) => write!(f, "resource exhausted: {m}"),
         }
     }
 }

@@ -1,97 +1,17 @@
-//! Execution context: the parallelism knob and the cancellation/deadline
-//! token for the physical executors.
+//! Execution context: the parallelism knob, span collector and pool
+//! session for the physical executors.
 //!
 //! Every executor entry point takes an [`ExecContext`] describing *how* to
-//! run (number of worker threads, governance token); the operator tree
+//! run (number of worker threads, tracing, pool attachment); the operator tree
 //! describes *what* to run. Results and [`ExecStats`](crate::exec::ExecStats)
 //! work-unit counts are identical for every parallelism setting —
 //! partitioning is purely a wall-clock optimization.
 
-use crate::error::{EngineError, Result};
 use crate::exec::pool::{PoolSession, WorkerPool};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
 
-#[derive(Debug, Default)]
-struct ControlState {
-    cancelled: AtomicBool,
-    /// Absolute deadline, fixed at construction.
-    deadline: Option<Instant>,
-}
-
-/// Shared cancellation + deadline token for one query (or modification).
-///
-/// Cloning shares the token: the caller keeps one handle and may
-/// [`cancel`](Self::cancel) from any thread while executors poll
-/// [`check`](Self::check) cooperatively at morsel boundaries — so a
-/// cancellation (or an expired deadline) surfaces within one morsel of
-/// work as [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`],
-/// never mid-tuple and never by unwinding.
-#[derive(Debug, Clone, Default)]
-pub struct QueryControl {
-    inner: Arc<ControlState>,
-}
-
-impl QueryControl {
-    /// A token with no deadline that nobody cancels — the default for
-    /// contexts that never set one.
-    pub fn unbounded() -> QueryControl {
-        QueryControl::default()
-    }
-
-    /// A token that expires at the absolute instant `deadline`.
-    pub fn with_deadline(deadline: Instant) -> QueryControl {
-        QueryControl {
-            inner: Arc::new(ControlState {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(deadline),
-            }),
-        }
-    }
-
-    /// A token that expires `timeout` from now. A zero timeout is legal:
-    /// the very first morsel-boundary check fails, making it the
-    /// "already expired" probe the governance tests use.
-    pub fn with_timeout(timeout: Duration) -> QueryControl {
-        QueryControl::with_deadline(Instant::now() + timeout)
-    }
-
-    /// Requests cancellation. Idempotent; takes effect at the next
-    /// cooperative check on any thread sharing the token.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Has [`cancel`](Self::cancel) been called?
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// The absolute deadline, if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
-    /// The cooperative poll: `Err(Cancelled)` once cancelled,
-    /// `Err(DeadlineExceeded)` once past the deadline, else `Ok(())`.
-    /// Cancellation wins over an expired deadline (it is the explicit
-    /// signal). Unbounded uncancelled tokens cost two relaxed loads.
-    pub fn check(&self) -> Result<()> {
-        if self.inner.cancelled.load(Ordering::Relaxed) {
-            return Err(EngineError::Cancelled);
-        }
-        if let Some(d) = self.inner.deadline {
-            if Instant::now() >= d {
-                return Err(EngineError::DeadlineExceeded);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// How many worker threads the executors may use, plus the query's
-/// governance token.
+/// How many worker threads the executors may use, plus the query's span
+/// collector and pool session.
 ///
 /// Resolution order for the worker count: an explicit knob (e.g.
 /// [`PlannerConfig::parallelism`](crate::PlannerConfig)) beats the
@@ -102,8 +22,6 @@ pub struct ExecContext {
     /// Number of worker threads partition-parallel operators may fan out
     /// to. `1` executes every operator inline on the calling thread.
     pub parallelism: usize,
-    /// Cancellation + deadline token, polled at morsel boundaries.
-    pub control: QueryControl,
     /// Optional span collector: when set, every operator records a
     /// [`SpanNode`](crate::obs::SpanNode) (actual rows, per-operator work
     /// units, wall ns) — the machinery behind `EXPLAIN ANALYZE`. `None`
@@ -133,33 +51,20 @@ fn cached_env_threads() -> Option<usize> {
 }
 
 impl ExecContext {
-    /// A context with exactly `parallelism` workers (clamped to at least 1)
-    /// and an unbounded [`QueryControl`].
+    /// A context with exactly `parallelism` workers (clamped to at least 1).
     pub fn new(parallelism: usize) -> Self {
         let parallelism = parallelism.max(1);
         ExecContext {
             parallelism,
-            control: QueryControl::unbounded(),
             trace: None,
             session: PoolSession::auto(parallelism),
         }
-    }
-
-    /// This context with `control` as its governance token (builder style).
-    pub fn with_control(mut self, control: QueryControl) -> Self {
-        self.control = control;
-        self
     }
 
     /// This context with `trace` collecting per-operator spans.
     pub fn with_trace(mut self, trace: Arc<crate::obs::TraceCollector>) -> Self {
         self.trace = Some(trace);
         self
-    }
-
-    /// This context with a fresh token expiring `timeout` from now.
-    pub fn with_timeout(self, timeout: Duration) -> Self {
-        self.with_control(QueryControl::with_timeout(timeout))
     }
 
     /// This context pinned to a specific [`WorkerPool`] instead of the

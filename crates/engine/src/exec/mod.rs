@@ -1,4 +1,4 @@
-//! Execution support: context/governance tokens, the shared worker pool
+//! Execution support: the execution context, the shared worker pool
 //! and its fair morsel scheduler, the result cache, and work-unit stats.
 
 pub mod context;
@@ -8,7 +8,7 @@ pub mod rescache;
 pub(crate) mod sched;
 pub mod stats;
 
-pub use context::{ExecContext, QueryControl, THREADS_ENV};
+pub use context::{ExecContext, THREADS_ENV};
 pub use pool::{PoolSession, WorkerPool};
 pub use rescache::{
     ResultCache, DEFAULT_RESULT_CACHE_BUDGET, RESULT_CACHE_BUDGET_ENV, RESULT_CACHE_BYTES_METRIC,

@@ -31,14 +31,10 @@
 //! order — exactly the semantics the old scoped-thread driver had — so
 //! results and `ExecStats` work units are bit-identical at every pool size.
 //!
-//! Governance and observability integrate at the natural seams: the
-//! query's [`QueryControl`] is checked when a morsel is *dequeued* (a
-//! cancelled query's queued morsels are dropped, not executed, counted in
-//! `ongoingdb_pool_tasks_dropped`), and every registration records a
-//! [`QueryQueued`](crate::obs::EngineEvent) event.
+//! Every registration records a [`QueryQueued`](crate::obs::EngineEvent)
+//! event.
 
 use crate::error::Result;
-use crate::exec::context::QueryControl;
 use crate::exec::sched::{QueryQueue, Scheduler, Task};
 use crate::obs::events::{EngineEvent, EventLog};
 use crate::obs::metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
@@ -59,9 +55,6 @@ struct PoolMetrics {
     /// `ongoingdb_pool_tasks_stolen` — morsels run by the submitting
     /// thread itself while helping drain its own queue.
     tasks_stolen: Counter,
-    /// `ongoingdb_pool_tasks_dropped` — morsels dropped at dequeue because
-    /// their query was cancelled or past its deadline.
-    tasks_dropped: Counter,
     /// `ongoingdb_pool_queries` — queries ever registered.
     queries: Counter,
 }
@@ -74,7 +67,6 @@ impl PoolMetrics {
             queue_depth: registry.gauge("ongoingdb_pool_queue_depth"),
             tasks_executed: registry.counter("ongoingdb_pool_tasks_executed"),
             tasks_stolen: registry.counter("ongoingdb_pool_tasks_stolen"),
-            tasks_dropped: registry.counter("ongoingdb_pool_tasks_dropped"),
             queries: registry.counter("ongoingdb_pool_queries"),
             registry,
         }
@@ -88,23 +80,13 @@ struct PoolCore {
 }
 
 impl PoolCore {
-    /// Runs one dequeued morsel: gate on the owning query's control token
-    /// (dropped, not executed, when it has tripped), then execute and
-    /// account.
-    fn run(&self, task: Task, queue: &QueryQueue, stolen: bool) {
+    /// Runs one dequeued morsel and accounts for it.
+    fn run(&self, task: Task, stolen: bool) {
         self.metrics.queue_depth.set(self.sched.depth() as u64);
-        match queue.control().check() {
-            Ok(()) => {
-                task(Ok(()));
-                self.metrics.tasks_executed.inc();
-                if stolen {
-                    self.metrics.tasks_stolen.inc();
-                }
-            }
-            Err(e) => {
-                task(Err(e));
-                self.metrics.tasks_dropped.inc();
-            }
+        task();
+        self.metrics.tasks_executed.inc();
+        if stolen {
+            self.metrics.tasks_stolen.inc();
         }
     }
 }
@@ -146,7 +128,7 @@ impl WorkerPool {
                 .name(format!("ongoingdb-worker-{i}"))
                 .spawn(move || {
                     while let Some((task, queue)) = core.sched.next_task() {
-                        core.run(task, &queue, false);
+                        core.run(task, false);
                         core.sched.finished(&queue);
                     }
                 })
@@ -201,12 +183,8 @@ impl WorkerPool {
 
     /// Registers a query with the scheduler, recording a `QueryQueued`
     /// event.
-    fn register_query(
-        &self,
-        control: QueryControl,
-        events: Option<&Arc<EventLog>>,
-    ) -> Arc<QueryQueue> {
-        let queue = self.core.sched.register(control);
+    fn register_query(&self, events: Option<&Arc<EventLog>>) -> Arc<QueryQueue> {
+        let queue = self.core.sched.register();
         self.core.metrics.queries.inc();
         if let Some(log) = events {
             log.record(EngineEvent::QueryQueued {
@@ -339,7 +317,7 @@ impl PoolSession {
     }
 
     /// Resolves the pool and this query's queue, registering on first use.
-    fn attach(&self, control: &QueryControl) -> (Arc<WorkerPool>, Arc<QueryQueue>) {
+    fn attach(&self) -> (Arc<WorkerPool>, Arc<QueryQueue>) {
         let mut state = self.state.lock().expect("session lock");
         let pool = match &state.pool {
             PoolRef::Ready(pool) => Arc::clone(pool),
@@ -352,7 +330,7 @@ impl PoolSession {
         let queue = match &state.queue {
             Some(queue) => Arc::clone(queue),
             None => {
-                let queue = pool.register_query(control.clone(), state.events.as_ref());
+                let queue = pool.register_query(state.events.as_ref());
                 state.queue = Some(Arc::clone(&queue));
                 queue
             }
@@ -370,11 +348,10 @@ impl PoolSession {
     /// once: the caller plus up to `parallelism - 1` pool workers.
     pub(crate) fn run_morsels<T: Send + 'static>(
         &self,
-        control: &QueryControl,
         parallelism: usize,
         morsels: Vec<Morsel<T>>,
     ) -> Result<Vec<T>> {
-        let (pool, queue) = self.attach(control);
+        let (pool, queue) = self.attach();
         queue.set_parallelism(parallelism);
         let set = TaskSet::new(morsels.len());
         let tasks: Vec<Task> = morsels
@@ -382,19 +359,12 @@ impl PoolSession {
             .enumerate()
             .map(|(i, morsel)| {
                 let set = Arc::clone(&set);
-                let task: Task = Box::new(move |gate: Result<()>| {
-                    let result = match gate {
-                        Ok(()) => morsel(),
-                        Err(e) => Err(e),
-                    };
-                    set.complete(i, result);
-                });
-                task
+                Box::new(move || set.complete(i, morsel())) as Task
             })
             .collect();
         pool.core.sched.submit(&queue, tasks);
         while let Some(task) = pool.core.sched.steal_own(&queue) {
-            pool.core.run(task, &queue, true);
+            pool.core.run(task, true);
         }
         set.wait().into_iter().collect()
     }
@@ -426,14 +396,13 @@ mod tests {
     fn batch_results_come_back_in_partition_order() {
         let pool = WorkerPool::new(4);
         let session = session_on(&pool);
-        let control = QueryControl::unbounded();
         let morsels: Vec<Morsel<usize>> = (0..32)
             .map(|i| {
                 let m: Morsel<usize> = Box::new(move || Ok(i));
                 m
             })
             .collect();
-        let out = session.run_morsels(&control, 4, morsels).unwrap();
+        let out = session.run_morsels(4, morsels).unwrap();
         assert_eq!(out, (0..32).collect::<Vec<_>>());
         assert_eq!(pool.queue_depth(), 0);
     }
@@ -442,7 +411,6 @@ mod tests {
     fn first_error_in_partition_order_wins() {
         let pool = WorkerPool::new(2);
         let session = session_on(&pool);
-        let control = QueryControl::unbounded();
         let morsels: Vec<Morsel<usize>> = (0..8)
             .map(|i| {
                 let m: Morsel<usize> = Box::new(move || {
@@ -455,40 +423,11 @@ mod tests {
                 m
             })
             .collect();
-        let err = session.run_morsels(&control, 4, morsels).unwrap_err();
+        let err = session.run_morsels(4, morsels).unwrap_err();
         assert_eq!(
             err.to_string(),
             EngineError::Plan("boom 3".into()).to_string()
         );
-    }
-
-    #[test]
-    fn cancelled_query_drops_queued_morsels() {
-        let pool = WorkerPool::new(2);
-        let session = session_on(&pool);
-        let control = QueryControl::unbounded();
-        control.cancel();
-        let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let morsels: Vec<Morsel<()>> = (0..16)
-            .map(|_| {
-                let ran = Arc::clone(&ran);
-                let m: Morsel<()> = Box::new(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                });
-                m
-            })
-            .collect();
-        let err = session.run_morsels(&control, 4, morsels).unwrap_err();
-        assert!(matches!(err, EngineError::Cancelled));
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            0,
-            "dropped morsels must not run"
-        );
-        let snap = pool.metrics_snapshot();
-        assert_eq!(snap.value("ongoingdb_pool_tasks_dropped"), 16);
-        assert_eq!(snap.value("ongoingdb_pool_tasks_executed"), 0);
     }
 
     #[test]
@@ -503,7 +442,6 @@ mod tests {
         let heavy_flag = Arc::clone(&heavy_done);
         let heavy = std::thread::spawn(move || {
             let session = session_on(&pool2);
-            let control = QueryControl::unbounded();
             let morsels: Vec<Morsel<()>> = (0..200)
                 .map(|_| {
                     let m: Morsel<()> = Box::new(|| {
@@ -513,15 +451,14 @@ mod tests {
                     m
                 })
                 .collect();
-            session.run_morsels(&control, 4, morsels).unwrap();
+            session.run_morsels(4, morsels).unwrap();
             heavy_flag.store(true, Ordering::Relaxed);
         });
         // Give the heavy query a head start so its backlog is queued.
         std::thread::sleep(Duration::from_millis(20));
         let session = session_on(&pool);
-        let control = QueryControl::unbounded();
         let light: Vec<Morsel<u32>> = vec![Box::new(|| Ok(7))];
-        let out = session.run_morsels(&control, 4, light).unwrap();
+        let out = session.run_morsels(4, light).unwrap();
         assert_eq!(out, vec![7]);
         assert!(
             !heavy_done.load(Ordering::Relaxed),
@@ -537,7 +474,6 @@ mod tests {
         let pool = WorkerPool::new(4);
         for parallelism in [1, 2, 3] {
             let session = session_on(&pool);
-            let control = QueryControl::unbounded();
             let running = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             let peak = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             let morsels: Vec<Morsel<()>> = (0..24)
@@ -553,7 +489,7 @@ mod tests {
                     m
                 })
                 .collect();
-            session.run_morsels(&control, parallelism, morsels).unwrap();
+            session.run_morsels(parallelism, morsels).unwrap();
             let peak = peak.load(Ordering::SeqCst);
             assert!(
                 peak <= parallelism,

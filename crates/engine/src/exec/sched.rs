@@ -16,31 +16,19 @@
 //! pinned chunks by its own parallelism rather than by the shared pool's
 //! size. Progress never depends on the cap: a queue with pending morsels
 //! always has its submitter draining it.
-//!
-//! Cancellation integrates at the dequeue edge: the worker checks the
-//! queue's control token *before* running a popped task and, when the token
-//! has tripped, completes the task with the control error instead of
-//! executing it — a cancelled query's queued morsels are dropped, not run.
 
-use crate::error::Result;
-use crate::exec::context::QueryControl;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// A type-erased morsel task. Invoked with `Ok(())` to execute, or with the
-/// control error when the owning query was cancelled before dispatch — the
-/// task must then record that error as its result (so waiters still
-/// complete) without doing any work.
-pub(crate) type Task = Box<dyn FnOnce(Result<()>) + Send>;
+/// A type-erased morsel task; it records its own result.
+pub(crate) type Task = Box<dyn FnOnce() + Send>;
 
-/// One query's task queue: a FIFO of pending morsels plus the query's
-/// governance token (checked at dequeue so queued morsels of a cancelled
-/// query are dropped, not executed) and its cap on pool workers.
+/// One query's task queue: a FIFO of pending morsels plus its cap on pool
+/// workers.
 pub(crate) struct QueryQueue {
     id: u64,
-    control: QueryControl,
     tasks: Mutex<VecDeque<Task>>,
     /// How many of this query's morsels pool workers may run at once.
     worker_cap: AtomicUsize,
@@ -52,11 +40,6 @@ impl QueryQueue {
     /// Registration id (unique per scheduler).
     pub(crate) fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The governance token the queue was registered with.
-    pub(crate) fn control(&self) -> &QueryControl {
-        &self.control
     }
 
     /// Caps the query's concurrently running morsels at `parallelism`:
@@ -123,11 +106,10 @@ impl Scheduler {
         }
     }
 
-    /// Registers a new query queue, governed by `control`.
-    pub(crate) fn register(&self, control: QueryControl) -> Arc<QueryQueue> {
+    /// Registers a new query queue.
+    pub(crate) fn register(&self) -> Arc<QueryQueue> {
         let queue = Arc::new(QueryQueue {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            control,
             tasks: Mutex::new(VecDeque::new()),
             worker_cap: AtomicUsize::new(usize::MAX),
             in_workers: AtomicUsize::new(0),
@@ -256,18 +238,16 @@ mod tests {
 
     fn noop_task(counter: &Arc<AtomicUsize>) -> Task {
         let counter = Arc::clone(counter);
-        Box::new(move |gate| {
-            if gate.is_ok() {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
+        Box::new(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
         })
     }
 
     #[test]
     fn round_robin_alternates_between_queues() {
         let sched = Scheduler::new();
-        let qa = sched.register(QueryControl::unbounded());
-        let qb = sched.register(QueryControl::unbounded());
+        let qa = sched.register();
+        let qb = sched.register();
         let ran = Arc::new(AtomicUsize::new(0));
         sched.submit(&qa, (0..4).map(|_| noop_task(&ran)).collect());
         sched.submit(&qb, vec![noop_task(&ran)]);
@@ -277,7 +257,7 @@ mod tests {
         for _ in 0..5 {
             let (task, q) = sched.next_task().unwrap();
             order.push(q.id());
-            task(Ok(()));
+            task();
         }
         assert_eq!(order, vec![qa.id(), qb.id(), qa.id(), qa.id(), qa.id()]);
         assert_eq!(ran.load(Ordering::Relaxed), 5);

@@ -74,8 +74,7 @@ pub mod storage;
 pub use catalog::{Database, Table};
 pub use error::{EngineError, Result};
 pub use exec::{
-    ExecContext, ExecStats, QueryControl, ResultCache, WorkerPool, RESULT_CACHE_BUDGET_ENV,
-    THREADS_ENV,
+    ExecContext, ExecStats, ResultCache, WorkerPool, RESULT_CACHE_BUDGET_ENV, THREADS_ENV,
 };
 pub use matview::{MaterializedView, RefreshOutcome};
 pub use obs::{

@@ -89,7 +89,7 @@ use crate::catalog::Table;
 use crate::error::{EngineError, Result};
 use crate::exec::keyed::KeyedRows;
 use crate::exec::pool::Morsel;
-use crate::exec::{ExecContext, ExecStats, QueryControl};
+use crate::exec::{ExecContext, ExecStats};
 use ongoing_core::allen::TemporalPredicate;
 use ongoing_core::{IntervalSet, OngoingBool, OngoingInt, TimePoint};
 use ongoing_relation::aggregate::AggFn;
@@ -465,12 +465,6 @@ impl PhysicalPlan {
         ctx: &ExecContext,
         stats: &mut ExecStats,
     ) -> Result<OngoingRelation> {
-        // Cooperative governance: polled at every operator entry, per
-        // partition in the parallel drivers, and per chunk in the lazy
-        // (budget-honoring) scan driver — so cancellation or an expired
-        // deadline surfaces within one morsel of work, with the store
-        // untouched (executors never mutate published tables).
-        ctx.control.check()?;
         match self {
             PhysicalPlan::SeqScan { table, schema } => {
                 stats.tuples_scanned += table.data().len() as u64;
@@ -568,7 +562,7 @@ impl PhysicalPlan {
                 // pins, so only the smaller side should be the build side.
                 // Keys are fixed-type columns (the optimizer keys on nothing
                 // else), so a stored key is its own instantiation.
-                let rows = collect_pinned(ctx, &r, mode, Tuple::clone)?;
+                let rows = collect_pinned(&r, mode, Tuple::clone)?;
                 let (l_cols, r_cols): (Vec<_>, _) = keys.iter().copied().unzip();
                 let table = KeyedRows::build(rows, r_cols);
                 // Keyless, every probe row meets the whole build side.
@@ -603,8 +597,8 @@ impl PhysicalPlan {
                 let schema = l.schema().product(r.schema());
                 // Both sides materialize as owned shallow clones so the
                 // sweep morsels can share rows and envelope lists.
-                let l_rows = collect_pinned(ctx, &l, mode, Tuple::clone)?;
-                let r_rows = collect_pinned(ctx, &r, mode, Tuple::clone)?;
+                let l_rows = collect_pinned(&l, mode, Tuple::clone)?;
+                let r_rows = collect_pinned(&r, mode, Tuple::clone)?;
                 let le = envelopes(&l_rows, *l_col, mode)?;
                 let re = envelopes(&r_rows, *r_col, mode)?;
                 let min_chunk = sweep_min_chunk(re.len(), ctx.parallelism);
@@ -628,17 +622,17 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Union { left, right } => {
                 let l = left.run(mode, ctx, stats)?;
-                let mut tuples = set_input(ctx, &l, mode)?;
-                tuples.extend(set_input(ctx, &right.run(mode, ctx, stats)?, mode)?);
+                let mut tuples = set_input(&l, mode)?;
+                tuples.extend(set_input(&right.run(mode, ctx, stats)?, mode)?);
                 Ok(assemble_tuples(l.schema().clone(), coalesce(tuples)))
             }
             PhysicalPlan::Difference { left, right } => {
                 let l = left.run(mode, ctx, stats)?;
                 let r = right.run(mode, ctx, stats)?;
                 // `S` first: an `L` tuple meets the `S` tuples of its bucket.
-                let mut all = set_input(ctx, &r, mode)?;
+                let mut all = set_input(&r, mode)?;
                 let split = all.len();
-                all.extend(set_input(ctx, &l, mode)?);
+                all.extend(set_input(&l, mode)?);
                 let compared = |i, j| j < split && split <= i;
                 let kept = dedup(&all, l.schema(), mode, compared, stats);
                 let out = all
@@ -662,7 +656,7 @@ impl PhysicalPlan {
                 // instantiates equal while alive. Group columns are
                 // fixed-typed (the plan builder rejects others), so a
                 // bucket lies within one group.
-                let members = coalesce(set_input(ctx, &rel, mode)?);
+                let members = coalesce(set_input(&rel, mode)?);
                 let counted = dedup(&members, rel.schema(), mode, |_, _| true, stats);
                 // A group is its first member: the first equal row of the
                 // member's chain. Groups follow first-seen order.
@@ -760,7 +754,7 @@ trait MorselInput<T> {
     /// Contiguous ranges for `morsels` (> 1) morsels, in input order.
     fn ranges(&self, morsels: usize) -> Vec<Range<usize>>;
     /// Runs the job over range `r` (`None`: the whole input) into `part`.
-    fn run(&self, r: Option<Range<usize>>, ctl: &QueryControl, part: &mut Part<T>) -> Result<()>;
+    fn run(&self, r: Option<Range<usize>>, part: &mut Part<T>) -> Result<()>;
 }
 
 /// The morsel driver every operator fans out through. One morsel runs
@@ -768,9 +762,7 @@ trait MorselInput<T> {
 /// `'static` jobs over the `Arc`-shared input on the shared worker pool;
 /// their outputs come back *in morsel order*, so concatenating them
 /// reproduces the serial output exactly, and folding the per-morsel
-/// [`ExecStats`] reproduces the serial counts exactly. The control token
-/// is polled per morsel (a cancelled query's queued morsels are
-/// additionally dropped at dequeue by the pool).
+/// [`ExecStats`] reproduces the serial counts exactly.
 fn run_morsels<T: Send + 'static>(
     ctx: &ExecContext,
     input: impl MorselInput<T> + Send + Sync + 'static,
@@ -784,9 +776,8 @@ fn run_morsels<T: Send + 'static>(
         Vec::new()
     };
     if ranges.len() <= 1 {
-        ctx.control.check()?;
         let mut part = (Vec::new(), ExecStats::default());
-        input.run(None, &ctx.control, &mut part)?;
+        input.run(None, &mut part)?;
         stats.merge(&part.1);
         return Ok(part.0);
     }
@@ -795,18 +786,14 @@ fn run_morsels<T: Send + 'static>(
         .into_iter()
         .map(|range| {
             let input = Arc::clone(&input);
-            let control = ctx.control.clone();
             Box::new(move || {
-                control.check()?;
                 let mut part = (Vec::new(), ExecStats::default());
-                input.run(Some(range), &control, &mut part)?;
+                input.run(Some(range), &mut part)?;
                 Ok(part)
             }) as Morsel<Part<T>>
         })
         .collect();
-    let parts = ctx
-        .session
-        .run_morsels(&ctx.control, ctx.parallelism, jobs)?;
+    let parts = ctx.session.run_morsels(ctx.parallelism, jobs)?;
     let mut out = Vec::with_capacity(parts.iter().map(|(p, _)| p.len()).sum());
     for (part, local) in parts {
         stats.merge(&local);
@@ -834,7 +821,7 @@ where
         chunk_bounds(self.len, morsels)
     }
 
-    fn run(&self, r: Option<Range<usize>>, _: &QueryControl, part: &mut Part<T>) -> Result<()> {
+    fn run(&self, r: Option<Range<usize>>, part: &mut Part<T>) -> Result<()> {
         (self.job)(r.unwrap_or(0..self.len), &mut part.0, &mut part.1)
     }
 }
@@ -844,9 +831,8 @@ where
 /// job walks its run **one pinned chunk at a time**, handing `body` each
 /// pin: a cold chunk is paged in only while its morsel processes it and
 /// released right after, so a scan of a table N× the memory budget keeps
-/// at most one chunk per in-flight morsel resident beyond the cache. The
-/// control token is polled before every pin; a view with no live rows is
-/// not pinned. Jobs re-derive the (cheap, metadata-only) views from the
+/// at most one chunk per in-flight morsel resident beyond the cache. A
+/// view with no live rows is not pinned. Jobs re-derive the (cheap, metadata-only) views from the
 /// same immutable version, so every run's views are the submitter's.
 struct Chunks<F> {
     rel: OngoingRelation,
@@ -890,12 +876,11 @@ where
         ranges
     }
 
-    fn run(&self, r: Option<Range<usize>>, ctl: &QueryControl, part: &mut Part<T>) -> Result<()> {
+    fn run(&self, r: Option<Range<usize>>, part: &mut Part<T>) -> Result<()> {
         let views = self.rel.lazy_views();
         let r = r.unwrap_or(0..views.len());
         for v in &views[r] {
             if !v.is_empty() {
-                ctl.check()?;
                 (self.body)(&v.pin()?, &mut part.0, &mut part.1)?;
             }
         }
@@ -921,16 +906,14 @@ fn assemble_tuples(schema: Schema, tuples: Vec<Tuple>) -> OngoingRelation {
 /// side, a set operator's inputs). Reads through lazy per-chunk pins like
 /// the morsel driver, never the park-on-touch [`OngoingRelation::iter`],
 /// so a cold input pages in one chunk at a time within the cache budget
-/// and a pager failure is an error; the control token is polled per chunk.
+/// and a pager failure is an error.
 fn collect_pinned<T>(
-    ctx: &ExecContext,
     rel: &OngoingRelation,
     mode: Mode,
     each: impl Fn(&Tuple) -> T,
 ) -> Result<Vec<T>> {
     let mut out = Vec::with_capacity(rel.len());
     for view in rel.lazy_views() {
-        ctx.control.check()?;
         out.extend(view.pin()?.iter().filter(|t| mode.keeps(t)).map(&each));
     }
     Ok(out)
@@ -938,9 +921,9 @@ fn collect_pinned<T>(
 
 /// A set operator's input: at `rt`, each tuple bound into a base tuple of
 /// fixed values (sharing them if they are all fixed already).
-fn set_input(ctx: &ExecContext, rel: &OngoingRelation, mode: Mode) -> Result<Vec<Tuple>> {
+fn set_input(rel: &OngoingRelation, mode: Mode) -> Result<Vec<Tuple>> {
     let fixed = |v: &Value| !matches!(v, Value::Point(_) | Value::Interval(_) | Value::Count(_));
-    collect_pinned(ctx, rel, mode, |t| match mode {
+    collect_pinned(rel, mode, |t| match mode {
         Mode::At(_) if t.values().iter().all(fixed) => t.restricted(IntervalSet::full()),
         Mode::At(rt) => Tuple::base(t.values().iter().map(|v| v.bind(rt)).collect::<Arc<_>>()),
         Mode::Ongoing => t.clone(),

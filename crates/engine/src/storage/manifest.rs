@@ -30,6 +30,9 @@ use std::path::Path;
 pub const MANIFEST_MAGIC: u32 = 0x314D_444F;
 /// Current manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
+/// Bytes before the first table: magic, version, lsn, next chunk id and
+/// table count.
+const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4;
 
 /// The durable snapshot a checkpoint publishes.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -62,7 +65,7 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
 /// Decodes and verifies a manifest image.
 pub fn decode_manifest(raw: &[u8]) -> Result<Manifest> {
     let corrupt = |m: String| EngineError::CorruptStorage(m);
-    if raw.len() < 28 {
+    if raw.len() < HEADER_LEN + 4 {
         return Err(corrupt(format!("manifest too short ({} bytes)", raw.len())));
     }
     let (body, tail) = raw.split_at(raw.len() - 4);

@@ -158,16 +158,6 @@ impl Schema {
                 .zip(&other.attrs)
                 .all(|(a, b)| a.ty == b.ty)
     }
-
-    /// Indices of all attributes with ongoing types.
-    pub fn ongoing_indices(&self) -> Vec<usize> {
-        self.attrs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.ty.is_ongoing())
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Fluent schema builder.
@@ -292,11 +282,6 @@ mod tests {
         let c = Schema::builder().str("p").int("q").build();
         assert!(a.compatible_with(&b));
         assert!(!a.compatible_with(&c));
-    }
-
-    #[test]
-    fn ongoing_indices_finds_intervals() {
-        assert_eq!(bugs_schema().ongoing_indices(), vec![2]);
     }
 
     #[test]

@@ -181,14 +181,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Extracts a fixed boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl Value {
@@ -372,7 +364,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::str("x").as_str(), Some("x"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Int(3).as_str().is_none());
         assert_eq!(
             Value::Time(tp(3)).as_point(),

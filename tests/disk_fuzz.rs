@@ -9,7 +9,9 @@
 //! resealed — so the inputs reach the structural decoder behind the
 //! checksum. Random bytes and strict prefixes of a checksummed image
 //! must be rejected, and so must every strict prefix of any image (each
-//! format is self-delimiting). A mutation may decode (a changed value
+//! format is self-delimiting), resealed or not: a resealed prefix keeps
+//! the valid magic and version, so a header shorter than the decoder
+//! reads reaches its length guard. A mutation may decode (a changed value
 //! byte is another valid row), but nothing may panic: every damaged
 //! image is an `Err`.
 
@@ -194,6 +196,13 @@ fn disk_decoders_never_panic() {
             for cut in 0..image.len() {
                 let ok = decodes(&t, &format!("prefix {cut}"), &image[..cut]);
                 assert!(!ok, "{}: prefix of {cut} bytes decoded", t.name);
+                if t.magic.is_some() && cut >= 4 {
+                    let mut sealed = image[..cut - 4].to_vec();
+                    sealed.extend([0; 4]);
+                    reseal(&mut sealed);
+                    let ok = decodes(&t, &format!("resealed prefix {cut}"), &sealed);
+                    assert!(!ok, "{}: resealed prefix of {cut} bytes decoded", t.name);
+                }
             }
         }
         let (mut ok, mut err) = (0usize, 0usize);

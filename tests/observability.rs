@@ -299,7 +299,6 @@ fn metrics_text_exposes_every_core_metric() {
         "ongoingdb_pool_queue_depth",
         "ongoingdb_pool_tasks_executed",
         "ongoingdb_pool_tasks_stolen",
-        "ongoingdb_pool_tasks_dropped",
         "ongoingdb_pool_queries",
         PREPARED_HITS_METRIC,
         PREPARED_MISSES_METRIC,
